@@ -245,8 +245,8 @@ void RunReseedDeltaSweep(BenchJson* json) {
   std::printf("\n== Ablation: O(delta) vs full re-seed bytes across RB sizes ==\n");
   // The recovery scale cliff: a full checkpoint ships the whole RB image, so
   // re-seed bytes grow linearly with --rb-size even when the replacement only
-  // missed a few milliseconds of entries. The delta path resumes from the ack-
-  // latched basis (max acked entry offset per rank) and ships only entries past
+  // missed a few milliseconds of entries. A checkpoint cut against the ack-
+  // latched basis (max acked entry offset per rank) ships only entries past
   // it plus dirty file-map pages and the un-replayed sync-log slice — the bytes
   // track the outage window, not the buffer size.
   // The write-heavy suite workload pushes ~128 MiB through the RB, so at every
@@ -298,8 +298,9 @@ void RunReseedDeltaSweep(BenchJson* json) {
       uint64_t joins = run.stats.rb_replica_joins;
       uint64_t delta_caps = run.stats.rb_snapshot_delta_captures;
       // Price what each mode's re-seed actually ships: in delta mode the payload
-      // of delta captures alone (fallbacks are full-priced by construction and
-      // reported in their own column), in full mode every checkpoint.
+      // of ack-folded captures alone (empty-basis fallbacks are full-priced by
+      // construction and reported in their own column), in full mode every
+      // checkpoint.
       double kib_per_reseed = -1;
       if (mode == ReseedMode::kDelta && delta_caps > 0) {
         kib_per_reseed = static_cast<double>(run.stats.rb_snapshot_delta_bytes_sent) /
@@ -327,9 +328,9 @@ void RunReseedDeltaSweep(BenchJson* json) {
       "--rb-size to push resets toward zero no longer inflates recovery cost. At\n"
       "256 KiB the whole rank sub-buffer is smaller than the steady-state outage\n"
       "window, so deltas sit BELOW the flat line (a delta never costs more than the\n"
-      "buffer) and most attempts fall back to full — the reset generation laps the\n"
-      "basis between ack and capture, which is exactly the wrapped-past guard doing\n"
-      "its job. Reproduce one point:\n"
+      "buffer) and most attempts fall back to the empty basis — the reset\n"
+      "generation laps the basis between ack and capture, which is exactly the\n"
+      "generation guard doing its job. Reproduce one point:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 --reseed=delta \\\n"
       "            --rb-mb=16 --respawn-on-death --kill-replica-at-ms=2\n");
 }

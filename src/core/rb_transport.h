@@ -47,12 +47,12 @@
 // same in-flight bound and cumulative acks as entry frames — a large checkpoint
 // throttles the leader's flush points instead of ballooning the send queue.
 //
-// O(delta) re-seed (wire v5): the transport additionally folds every remote's
-// cumulative acks into a per-slot RbDeltaBasis — per rank, the highest entry
-// offset the replica provably applied, plus the send-time file-map/epoll version
-// horizons. A replacement for a replica whose basis is still usable gets a
-// kSnapshotDelta checkpoint that resumes at those offsets instead of re-shipping
-// the whole RB, which is what keeps recovery cost flat as buffers grow.
+// O(delta) re-seed: the transport additionally folds every remote's cumulative
+// acks into a per-slot RbDeltaBasis — per rank, the highest entry offset the
+// replica provably applied, plus the send-time file-map/epoll version horizons.
+// A replacement for a replica whose basis is still usable gets a checkpoint that
+// resumes at those offsets instead of re-shipping the whole RB, which is what
+// keeps recovery cost flat as buffers grow.
 //
 // Respawn-as-migration: DetachForMigration retires a live remote's link without
 // the death side effects, so the front end can re-attach the same replica on a

@@ -115,7 +115,7 @@ std::vector<uint8_t> RbWireCodec::EncodeEntries(uint32_t epoch, uint32_t rank,
 
 std::vector<uint8_t> RbWireCodec::EncodeAck(uint32_t epoch, uint64_t ack_seq,
                                             uint64_t sync_cursor) {
-  // v4: the frame_seq field (meaningless for acks, always 0 before v4) carries the
+  // The frame_seq field (meaningless for acks) carries the
   // replica's sync-log replay cursor so the leader's wrap gate runs on
   // acknowledged state only.
   return BuildFrame(RbFrameType::kAck, epoch, /*rank=*/0, /*entry_count=*/0,
@@ -216,7 +216,7 @@ RbFrameParser::Status RbFrameParser::Next(RbWireFrame* out) {
   }
   uint16_t type = PeekU16(kOffType);
   if (type < static_cast<uint16_t>(RbFrameType::kEntries) ||
-      type > static_cast<uint16_t>(RbFrameType::kSnapshotDelta)) {
+      type > static_cast<uint16_t>(RbFrameType::kJoinAttest)) {
     return Corrupt("unknown frame type");
   }
   uint32_t payload_len = PeekU32(kOffPayloadLen);
@@ -311,7 +311,7 @@ RbFrameParser::Status RbFrameParser::Next(RbWireFrame* out) {
   } else if (entry_count != 0 || payload_len != 0) {
     return Corrupt("ack frame carries payload");
   } else {
-    // v4 acks carry the sender's sync-log replay cursor in the frame_seq field;
+    // Acks carry the sender's sync-log replay cursor in the frame_seq field;
     // surface it separately and keep frame_seq's data-frame meaning clean.
     f.ack_cursor = f.frame_seq;
     f.frame_seq = 0;

@@ -23,8 +23,8 @@
 //       16     4  entry_count  number of entry records in the payload
 //       20     4  payload_len  payload bytes following the header
 //       24     8  frame_seq    per-connection sequence number of data frames;
-//                              kAck (since v4): the replica's sync-log replay
-//                              cursor, piggybacked for the leader's wrap gate
+//                              kAck: the replica's sync-log replay cursor,
+//                              piggybacked for the leader's wrap gate
 //       32     8  ack_seq      kAck: highest frame_seq applied (cumulative)
 //       40     4  crc32        IEEE CRC-32 over header (crc field zeroed) + payload
 //       44     4  reserved     zero
@@ -50,17 +50,12 @@
 // frame_seq, counts against the in-flight bound, and is cumulatively acknowledged
 // like kEntries, so snapshot traffic interleaves with bounded in-flight data
 // frames instead of monopolizing the link. Their payloads are opaque at this
-// layer (the snapshot codec owns them); entry_count is 0.
+// layer (the snapshot codec owns them); entry_count is 0. Every checkpoint is cut
+// against a basis — what the replacement's mirror already holds — and a full one
+// is the cut against the empty basis, so kSnapshotBegin has one layout
+// (docs/RB_WIRE_FORMAT.md, "SNAPSHOT_BEGIN payload").
 //
-// kSnapshotDelta (since v5) replaces kSnapshotBegin when the leader cuts an
-// O(delta) checkpoint against the replacement's acknowledged replay state: the
-// payload announces per-rank resume offsets, the leader's RB reset generation
-// (the lap guard), dirty file-map pages, dirty epoll-shadow rows, and the
-// sync-log slots past the replica's replay cursor. The chunk/end framing and
-// the chained CRC are identical to the full path; docs/RB_WIRE_FORMAT.md
-// ("SNAPSHOT_DELTA") is the normative payload layout.
-//
-// kJoinAttest (agent -> leader, since v4) opens an authenticated connection: the
+// kJoinAttest (agent -> leader) opens an authenticated connection: the
 // replica presents its index, its configuration digest (RB geometry, sync-log
 // geometry, descriptor-registry hash — RbConfigDigest in src/core/rb_auth.h),
 // and its sync-log replay cursor. The leader verifies index + digest before any
@@ -71,7 +66,7 @@
 //   u32 reserved        zero
 //   u64 config_digest   must equal the leader's own digest
 //   u64 sync_cursor     the replica's replay cursor (seeds the wrap gate / re-seed)
-//   u32 machine         since v5: the machine id the replica is placed on — a
+//   u32 machine         the machine id the replica is placed on — a
 //                       replacement attesting from a machine other than the one
 //                       the dead replica occupied makes respawn a migration; the
 //                       leader verifies it against the placement it assigned
@@ -102,13 +97,8 @@
 namespace remon {
 
 inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
-// Version 2 added the snapshot frame types (replica re-seed after an epoch bump);
-// version 3 added kSyncLog frames and the snapshot sync-log section (cross-machine
-// multi-threaded replicas); version 4 added kJoinAttest, the ack-piggybacked
-// sync-log replay cursor, and the authenticated-stream MAC trailer; version 5
-// added kSnapshotDelta (O(delta) re-seed) and the attested placement field
-// (respawn-as-migration).
-inline constexpr uint16_t kRbWireVersion = 5;
+// v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame.
+inline constexpr uint16_t kRbWireVersion = 6;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
@@ -130,10 +120,6 @@ enum class RbFrameType : uint16_t {
   // Remote agent -> leader: authenticated-join attestation (identity + config
   // digest + replay cursor), the first frame of an authenticated connection.
   kJoinAttest = 7,
-  // Leader -> replacement agent (since v5): opens an O(delta) re-seed instead of
-  // kSnapshotBegin — per-rank resume offsets, reset-generation lap guard, dirty
-  // file-map/epoll rows, and sync-log slots past the replica's acked cursor.
-  kSnapshotDelta = 8,
 };
 
 inline constexpr uint64_t kRbWireAttestPayloadSize = 32;
@@ -141,7 +127,7 @@ inline constexpr uint64_t kRbWireAttestPayloadSize = 32;
 // True for the frame types that carry a snapshot payload opaque to this layer.
 inline constexpr bool IsSnapshotFrameType(RbFrameType t) {
   return t == RbFrameType::kSnapshotBegin || t == RbFrameType::kSnapshotChunk ||
-         t == RbFrameType::kSnapshotEnd || t == RbFrameType::kSnapshotDelta;
+         t == RbFrameType::kSnapshotEnd;
 }
 
 // IEEE 802.3 CRC-32 (reflected, init/xorout 0xffffffff), software table.
@@ -172,14 +158,14 @@ struct RbWireFrame {
   uint32_t rank = 0;
   uint64_t frame_seq = 0;
   uint64_t ack_seq = 0;
-  // kAck only (v4): the sender's sync-log replay cursor, carried in the header's
-  // frame_seq field (always 0 for pre-v4 acks). 0 when the replica runs no agent.
+  // kAck only: the sender's sync-log replay cursor, carried in the header's
+  // frame_seq field. 0 when the replica runs no agent.
   uint64_t ack_cursor = 0;
   // kJoinAttest only: decoded attestation payload.
   uint32_t attest_replica = 0;
   uint64_t attest_digest = 0;
   uint64_t attest_cursor = 0;
-  // kJoinAttest only (v5): the machine id the attesting replica is placed on.
+  // kJoinAttest only: the machine id the attesting replica is placed on.
   uint32_t attest_machine = 0;
   std::vector<RbWireEntry> entries;
   // kSyncLog only: absolute log index of sync_records[0], then the records.
@@ -205,7 +191,7 @@ class RbWireCodec {
                                                       uint32_t entry_count,
                                                       const std::vector<uint8_t>& payload);
 
-  // Serializes a cumulative acknowledgment. Since v4 the otherwise-unused
+  // Serializes a cumulative acknowledgment. The otherwise-unused
   // frame_seq header field carries the replica's sync-log replay cursor
   // (sync_cursor; 0 when no record/replay agent runs), so the leader's wrap gate
   // sees acknowledged replay state without host-side peer reads.
@@ -213,7 +199,7 @@ class RbWireCodec {
                                         uint64_t sync_cursor = 0);
 
   // Serializes the attested-join handshake frame (agent -> leader): the joining
-  // replica's index, its config digest, its sync-log replay cursor, and (v5) the
+  // replica's index, its config digest, its sync-log replay cursor, and the
   // machine it is placed on.
   static std::vector<uint8_t> EncodeJoinAttest(uint32_t epoch, uint32_t replica_index,
                                                uint64_t config_digest,
@@ -257,7 +243,7 @@ class RbFrameParser {
   // Attempts to decode the next complete frame into `out`.
   Status Next(RbWireFrame* out);
 
-  // Switches the parser to the authenticated stream discipline (wire v4 + MAC):
+  // Switches the parser to the authenticated stream discipline (MAC trailer):
   // every frame's tag is verified and its payload decrypted before structural
   // parsing, and the CRC check is skipped. A bad tag latches corrupt exactly like
   // a bad CRC. `auth` must outlive the parser; `dir` is the flow this parser

@@ -1,6 +1,7 @@
 #include "src/core/remon.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/core/snapshot.h"
 #include "src/kernel/syscall_meta.h"
@@ -456,29 +457,39 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
 SnapshotPayloads Remon::MakeReseedPayloads(int replica_index,
                                            uint64_t sync_read_cursor) {
   IpMon* master = ipmons_[0].get();
-  const SyncAgent* sync_master = sync_agent(0);
+  SimStats& stats = kernel_->stats();
+  // The reset round runs every IP-MON through OnRbReset, a dead replica's mirror
+  // included, so the replacement's mirror always sits at the leader's generation:
+  // no checkpoint ever has to scrub a mirror a generation behind.
+  REMON_CHECK_MSG(ipmons_[static_cast<size_t>(replica_index)]->rb_resets() ==
+                      master->rb_resets(),
+                  "replica mirror left behind by an RB reset round");
+  // The knob picks the basis, not a code path: the ack-folded horizon while it
+  // still describes the leader's current RB (a reset in between rebased every
+  // offset), else the empty basis — a full checkpoint.
+  RbDeltaBasis basis = EmptyDeltaBasis(master->rb_resets());
+  bool folded = false;
   if (options_.reseed_mode == ReseedMode::kDelta && transport_ != nullptr) {
-    RbDeltaBasis basis = transport_->DeltaBasisFor(replica_index);
-    // Usable means the acked horizon still describes the leader's current RB: the
-    // reset generation must match (a reset in between rebased every offset), and
-    // the sync-log slice [cursor, tail) must still fit one lap of the circular
-    // log (wrapped past means slots the replacement never replayed are gone).
-    bool usable = basis.valid && basis.reset_generation == master->rb_resets();
-    if (usable && sync_master != nullptr && sync_master->log_valid()) {
-      uint64_t tail = sync_master->tail();
-      usable = sync_read_cursor <= tail &&
-               tail - sync_read_cursor <= sync_master->capacity();
+    RbDeltaBasis acked = transport_->DeltaBasisFor(replica_index);
+    folded = acked.valid && acked.reset_generation == master->rb_resets();
+    if (folded) {
+      basis = std::move(acked);
+      ++stats.rb_snapshot_delta_captures;
+    } else {
+      ++stats.rb_snapshot_full_fallbacks;
     }
-    if (usable) {
-      ++kernel_->stats().rb_snapshot_delta_captures;
-      return SerializeSnapshot(CaptureLeaderDelta(master, ghumvee_.get(),
-                                                  sync_master, sync_read_cursor,
-                                                  basis));
-    }
-    ++kernel_->stats().rb_snapshot_full_fallbacks;
   }
-  return SerializeSnapshot(CaptureLeaderSnapshot(master, ghumvee_.get(), sync_master,
-                                                 sync_read_cursor));
+  SnapshotPayloads payloads = SerializeSnapshot(CaptureLeaderDelta(
+      master, ghumvee_.get(), sync_agent(0), sync_read_cursor, basis));
+  if (folded) {
+    // Framed size: every snapshot frame is one wire header plus its payload.
+    uint64_t framed = 2 * kRbWireHeaderSize + payloads.begin.size() + payloads.end.size();
+    for (const std::vector<uint8_t>& chunk : payloads.chunks) {
+      framed += kRbWireHeaderSize + chunk.size();
+    }
+    stats.rb_snapshot_delta_bytes_sent += framed;
+  }
+  return payloads;
 }
 
 void Remon::DecayRespawnBudget(int replica_index) {

@@ -35,10 +35,11 @@ enum class MveeMode { kNative, kGhumveeOnly, kRemon, kVaranLike };
 
 std::string_view MveeModeName(MveeMode mode);
 
-// How a replacement replica's checkpoint is cut (Remon::MakeReseedPayloads):
-// kDelta resumes from the dead replica's ack-folded horizon when that basis is
-// usable and falls back to full otherwise; kFull always ships the whole leader
-// state (--reseed=full, the ablation baseline the delta sweep compares against).
+// Which basis a replacement replica's checkpoint is cut against
+// (Remon::MakeReseedPayloads): kDelta uses the dead replica's ack-folded horizon
+// while it belongs to the leader's current RB reset generation and the empty
+// basis otherwise; kFull always uses the empty basis (--reseed=full, the ablation
+// baseline the delta sweep compares against).
 enum class ReseedMode { kDelta, kFull };
 
 struct RemonOptions {
@@ -78,9 +79,10 @@ struct RemonOptions {
   // deaths; with it only deaths in quick succession — a genuinely sick replica —
   // hit the cap. <= 0 restores the lifetime-cap behavior.
   DurationNs respawn_budget_decay = 10 * kMillisecond;
-  // How replacement checkpoints are cut: kDelta serializes only what the dead
-  // replica had not acked (O(delta), flat in RB size); kFull always ships the
-  // whole leader state (O(RB size), the pre-delta behavior). --reseed=delta|full.
+  // Which basis replacement checkpoints are cut against: kDelta serializes only
+  // what the dead replica had not acked (O(delta), flat in RB size); kFull always
+  // cuts against the empty basis, shipping the whole leader state (O(RB size)).
+  // --reseed=delta|full.
   ReseedMode reseed_mode = ReseedMode::kDelta;
   // Respawn-as-migration: respawn replacements onto this machine instead of the
   // machine the replica died on (-1 keeps the placement). The replacement's join
@@ -155,11 +157,10 @@ class Remon {
   // first (no death event, no respawn-budget charge), and the join attestation
   // must present the new placement. -1 keeps the current placement.
   bool SpawnReplacement(int replica_index, int target_machine = -1);
-  // The checkpoint payloads for `replica_index`'s replacement: an O(delta)
-  // capture against the transport's ack-folded basis when reseed_mode allows and
-  // the basis is usable (same RB reset generation, sync-log slice not wrapped
-  // past the replica's replay cursor), else a full capture. Exposed so tests and
-  // benches can exercise the decision directly.
+  // The checkpoint payloads for `replica_index`'s replacement: one capture, cut
+  // against the transport's ack-folded basis when reseed_mode allows and the
+  // basis belongs to the leader's current RB reset generation, else against the
+  // empty basis. Exposed so tests and benches can exercise the decision directly.
   SnapshotPayloads MakeReseedPayloads(int replica_index, uint64_t sync_read_cursor);
   // Replacement attempts launched so far (joins completed are per-agent: see
   // RemoteSyncAgent::joins()).

@@ -21,8 +21,10 @@ namespace {
 constexpr uint64_t kMaxSnapshotRbSize = 1ULL << 30;
 constexpr uint32_t kMaxSnapshotRanks = 4096;
 
-// kSnapshotBegin payload header (fixed 88 bytes since wire v3, then the variable
-// sections: rank records, file map, epoll shadow, sync-log image).
+// kSnapshotBegin payload header (fixed 104 bytes). The variable sections that
+// follow: rank records (cursor, seq, delta_from — 24 bytes each), dirty file-map
+// pages (u32 page index + one page of bytes each), dirty epoll shadow rows, and
+// the sync-log slice [sync_from, sync_tail) in seq order.
 constexpr size_t kBeginOffRbSize = 0;
 constexpr size_t kBeginOffMaxRanks = 8;
 constexpr size_t kBeginOffRankCount = 12;
@@ -30,40 +32,20 @@ constexpr size_t kBeginOffImageBytes = 16;
 constexpr size_t kBeginOffImageCrc = 24;
 constexpr size_t kBeginOffChunkCount = 28;
 constexpr size_t kBeginOffLockstep = 32;
-constexpr size_t kBeginOffFileMapLen = 40;
-constexpr size_t kBeginOffEpollCount = 48;
-constexpr size_t kBeginOffSyncLogSize = 56;
-constexpr size_t kBeginOffSyncTail = 64;
-constexpr size_t kBeginOffSyncCursor = 72;
-constexpr size_t kBeginOffSyncImageLen = 80;
-constexpr size_t kBeginHeaderSize = 88;
-
-// kSnapshotDelta payload header (fixed 104 bytes, wire v5): the O(delta) analog
-// of kSnapshotBegin. The variable sections that follow: rank records (cursor,
-// seq, delta_from — 24 bytes each), dirty file-map pages (u32 page index + one
-// page of bytes each), epoll shadow rows (dirty only), and the sync-log slice
-// [sync_from, sync_tail) in seq order.
-constexpr size_t kDeltaOffRbSize = 0;
-constexpr size_t kDeltaOffMaxRanks = 8;
-constexpr size_t kDeltaOffRankCount = 12;
-constexpr size_t kDeltaOffImageBytes = 16;
-constexpr size_t kDeltaOffImageCrc = 24;
-constexpr size_t kDeltaOffChunkCount = 28;
-constexpr size_t kDeltaOffLockstep = 32;
-constexpr size_t kDeltaOffResetGen = 40;
-constexpr size_t kDeltaOffFmPageCount = 48;
-constexpr size_t kDeltaOffFmDirtyCount = 52;
-constexpr size_t kDeltaOffFmCrc = 56;
-constexpr size_t kDeltaOffEpollCount = 60;
-constexpr size_t kDeltaOffSyncLogSize = 64;
-constexpr size_t kDeltaOffSyncTail = 72;
-constexpr size_t kDeltaOffSyncCursor = 80;
-constexpr size_t kDeltaOffSyncFrom = 88;
-constexpr size_t kDeltaOffSyncImageLen = 96;
-constexpr size_t kDeltaHeaderSize = 104;
-constexpr size_t kDeltaRankRecordSize = 24;
-constexpr size_t kDeltaFmPageRecordSize = 4 + kPageSize;
-// FileMap::Configure/Grow cap the map at 1024 pages; a delta claiming more is
+constexpr size_t kBeginOffResetGen = 40;
+constexpr size_t kBeginOffFmPageCount = 48;
+constexpr size_t kBeginOffFmDirtyCount = 52;
+constexpr size_t kBeginOffFmCrc = 56;
+constexpr size_t kBeginOffEpollCount = 60;
+constexpr size_t kBeginOffSyncLogSize = 64;
+constexpr size_t kBeginOffSyncTail = 72;
+constexpr size_t kBeginOffSyncCursor = 80;
+constexpr size_t kBeginOffSyncFrom = 88;
+constexpr size_t kBeginOffSyncImageLen = 96;
+constexpr size_t kBeginHeaderSize = 104;
+constexpr size_t kBeginRankRecordSize = 24;
+constexpr size_t kBeginFmPageRecordSize = 4 + kPageSize;
+// FileMap::Configure/Grow cap the map at 1024 pages; a checkpoint claiming more is
 // corrupt regardless of the replica's own geometry.
 constexpr uint32_t kMaxSnapshotFileMapPages = 1024;
 
@@ -72,8 +54,6 @@ constexpr size_t kChunkOffOffset = 0;
 constexpr size_t kChunkOffLen = 8;
 constexpr size_t kChunkOffReserved = 12;
 constexpr size_t kChunkHeaderSize = 16;
-
-constexpr size_t kBeginOffReserved = 52;
 
 // kSnapshotEnd payload.
 constexpr size_t kEndOffImageBytes = 0;
@@ -122,11 +102,16 @@ bool PageIsZero(const uint8_t* p) {
 
 // --- Sparse materialized-page images ----------------------------------------------
 
-VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length) {
+VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length,
+                         const std::vector<bool>& pages) {
   VmaImage image;
   image.length = PageAlignUp(length);
   uint8_t page[kPageSize];
   for (uint64_t off = 0; off < image.length; off += kPageSize) {
+    uint64_t index = off / kPageSize;
+    if (!pages.empty() && (index >= pages.size() || !pages[index])) {
+      continue;
+    }
     // The materialization probe comes first: capture must record lazy holes as
     // holes, never force a terabyte region resident by reading it.
     if (!mem.PageMaterialized(start + off) ||
@@ -160,117 +145,25 @@ bool RestoreVmaImage(AddressSpace* mem, GuestAddr start, const VmaImage& image) 
 
 // --- The leader checkpoint ---------------------------------------------------------
 
-ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
-                                      const SyncAgent* sync_master,
-                                      uint64_t sync_read_cursor) {
-  REMON_CHECK(master != nullptr && master->is_master());
-  REMON_CHECK_MSG(master->rb().valid(), "cannot checkpoint before IP-MON initialized");
-  // Quiescent flush point: every deferred batched commit publishes first, so the
-  // image never hides a publication the local slaves have already been promised.
-  // This also flushes the sync-log stream (IpMon::set_sync_log_flush), so every
-  // record in the captured log image has left the coalescing buffer — the first
-  // kSyncLog frame behind this checkpoint starts exactly at the captured tail.
-  master->FlushRbBatches();
-
-  const RbView& rb = master->rb();
-  ReplicaSnapshot snap;
-  snap.rb_size = rb.size();
-  snap.max_ranks = rb.max_ranks();
-  snap.rb_image = CaptureVmaImage(master->process()->mem(), rb.base(), rb.size());
-  snap.cursors.reserve(static_cast<size_t>(snap.max_ranks));
-  snap.seqs.reserve(static_cast<size_t>(snap.max_ranks));
-  for (int r = 0; r < snap.max_ranks; ++r) {
-    snap.cursors.push_back(master->rb_cursor(r));
-    snap.seqs.push_back(master->rb_seq(r));
-  }
-  snap.lockstep_cursor = ghumvee != nullptr ? ghumvee->lockstep_rounds() : 0;
-  snap.file_map.reserve(master->file_map()->size_bytes());
-  for (const PageRef& fm_page : master->file_map()->pages()) {
-    snap.file_map.insert(snap.file_map.end(), fm_page->bytes.begin(),
-                         fm_page->bytes.end());
-  }
-  master->epoll_shadow().ForEach([&snap](int epfd, int fd, uint64_t data) {
-    snap.epoll.push_back(EpollShadowTriple{epfd, fd, data});
-  });
-  // Hash-map enumeration order is not part of the checkpoint: sort so the wire
-  // bytes are identical across standard-library implementations.
-  std::sort(snap.epoll.begin(), snap.epoll.end(),
-            [](const EpollShadowTriple& a, const EpollShadowTriple& b) {
-              return a.epfd != b.epfd ? a.epfd < b.epfd : a.fd < b.fd;
-            });
-  if (sync_master != nullptr && sync_master->log_valid()) {
-    snap.sync_log_size = sync_master->config().log_size;
-    snap.sync_tail = sync_master->tail();
-    snap.sync_read_cursor = sync_read_cursor;
-    snap.sync_image = sync_master->CaptureLogImage();
-  }
-  return snap;
-}
-
-namespace {
-
-// Captures only the pages a delta apply will read: the global header, each
-// rank's header, and each rank's [from, cursor) entry window — with the same
-// materialization probe, zero-page elision, and run coalescing as the full
-// capture. Offsets stay absolute into the flat RB image, so the chunk codec
-// and assembler are shared with the full path unchanged.
-VmaImage CaptureDeltaImage(const AddressSpace& mem, const RbView& rb,
-                           const std::vector<uint64_t>& from,
-                           const std::vector<uint64_t>& cursors) {
-  VmaImage image;
-  image.length = PageAlignUp(rb.size());
-  std::vector<bool> pick(image.length / kPageSize, false);
-  auto mark = [&pick](uint64_t lo, uint64_t hi) {  // Byte range [lo, hi).
-    for (uint64_t p = (lo & ~kPageMask) / kPageSize;
-         p < pick.size() && p * kPageSize < hi; ++p) {
-      pick[p] = true;
-    }
-  };
-  mark(0, kRbGlobalHeaderSize);
-  for (int r = 0; r < rb.max_ranks(); ++r) {
-    size_t i = static_cast<size_t>(r);
-    mark(rb.RankStart(r), rb.RankStart(r) + kRbRankHeaderSize);
-    mark(from[i], cursors[i]);
-  }
-  uint8_t page[kPageSize];
-  GuestAddr start = rb.base();
-  for (uint64_t off = 0; off < image.length; off += kPageSize) {
-    if (!pick[off / kPageSize] || !mem.PageMaterialized(start + off) ||
-        !mem.ReadUnchecked(start + off, page, kPageSize).ok) {
-      continue;
-    }
-    if (PageIsZero(page)) {
-      continue;
-    }
-    if (!image.runs.empty()) {
-      PageRun& last = image.runs.back();
-      if (last.offset + last.bytes.size() == off) {
-        last.bytes.insert(last.bytes.end(), page, page + kPageSize);
-        continue;
-      }
-    }
-    image.runs.push_back(PageRun{off, std::vector<uint8_t>(page, page + kPageSize)});
-  }
-  return image;
-}
-
-}  // namespace
-
 ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
                                    const SyncAgent* sync_master,
                                    uint64_t sync_read_cursor,
                                    const RbDeltaBasis& basis) {
   REMON_CHECK(master != nullptr && master->is_master());
   REMON_CHECK_MSG(master->rb().valid(), "cannot checkpoint before IP-MON initialized");
-  // The caller (Remon::MakeReseedPayloads) decides delta-vs-full; a basis from a
-  // different reset generation would make every offset in it meaningless.
+  // The caller (Remon::MakeReseedPayloads) picks the basis; one from a different
+  // reset generation would make every offset in it meaningless.
   REMON_CHECK_MSG(basis.valid && basis.reset_generation == master->rb_resets(),
-                  "delta capture needs a basis from the current reset generation");
+                  "capture needs a basis from the current reset generation");
+  // Quiescent flush point: every deferred batched commit publishes first, so the
+  // image never hides a publication the local slaves have already been promised.
+  // This also flushes the sync-log stream (IpMon::set_sync_log_flush), so every
+  // record in the captured slice has left the coalescing buffer — the first
+  // kSyncLog frame behind this checkpoint starts exactly at the captured tail.
   master->FlushRbBatches();
 
   const RbView& rb = master->rb();
   ReplicaSnapshot snap;
-  snap.is_delta = true;
   snap.reset_generation = master->rb_resets();
   snap.rb_size = rb.size();
   snap.max_ranks = rb.max_ranks();
@@ -283,19 +176,34 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
     snap.cursors.push_back(cursor);
     snap.seqs.push_back(master->rb_seq(r));
     // Resume at the replacement's highest acked entry (one entry of idempotent
-    // overlap); an empty or implausible horizon degrades that rank to full.
+    // overlap); an empty or implausible horizon resumes at the rank data start.
     uint64_t from = i < basis.from_off.size() ? basis.from_off[i] : 0;
     if (from < rb.RankDataStart(r) || from > cursor) {
       from = rb.RankDataStart(r);
     }
     snap.delta_from.push_back(from);
   }
-  snap.rb_image =
-      CaptureDeltaImage(master->process()->mem(), rb, snap.delta_from, snap.cursors);
+  // Only the pages the apply reads: the global header, each rank's header, and
+  // each rank's [from, cursor) entry window. Offsets stay absolute into the flat
+  // RB image.
+  std::vector<bool> pages(PageAlignUp(rb.size()) / kPageSize, false);
+  auto mark = [&pages](uint64_t lo, uint64_t hi) {  // Byte range [lo, hi).
+    for (uint64_t p = (lo & ~kPageMask) / kPageSize;
+         p < pages.size() && p * kPageSize < hi; ++p) {
+      pages[p] = true;
+    }
+  };
+  mark(0, kRbGlobalHeaderSize);
+  for (int r = 0; r < snap.max_ranks; ++r) {
+    size_t i = static_cast<size_t>(r);
+    mark(rb.RankStart(r), rb.RankStart(r) + kRbRankHeaderSize);
+    mark(snap.delta_from[i], snap.cursors[i]);
+  }
+  snap.rb_image = CaptureVmaImage(master->process()->mem(), rb.base(), rb.size(), pages);
   snap.lockstep_cursor = ghumvee != nullptr ? ghumvee->lockstep_rounds() : 0;
 
   // File map: dirty pages since the basis, plus a whole-map CRC so the pages the
-  // delta does NOT carry are still covered by the join's divergence check.
+  // checkpoint does NOT carry are still covered by the join's divergence check.
   const FileMap* fm = master->file_map();
   snap.file_map_page_count = static_cast<uint32_t>(fm->pages().size());
   uint32_t fm_crc = 0;
@@ -315,6 +223,8 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
       basis.epoll_version, [&snap](int epfd, int fd, uint64_t data) {
         snap.epoll.push_back(EpollShadowTriple{epfd, fd, data});
       });
+  // Hash-map enumeration order is not part of the checkpoint: sort so the wire
+  // bytes are identical across standard-library implementations.
   std::sort(snap.epoll.begin(), snap.epoll.end(),
             [](const EpollShadowTriple& a, const EpollShadowTriple& b) {
               return a.epfd != b.epfd ? a.epfd < b.epfd : a.fd < b.fd;
@@ -325,11 +235,12 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
     snap.sync_tail = sync_master->tail();
     snap.sync_read_cursor = sync_read_cursor;
     snap.sync_from = sync_read_cursor;
-    // The wrap gate froze this replica's cursor at death, so the un-replayed
-    // suffix still fits the circular log; the caller verified it.
+    // The wrap gate runs on the replica's ack-latched cursor, which survives its
+    // death and never exceeds the cursor the replica resumes from: the
+    // un-replayed suffix always fits one lap of the circular log.
     REMON_CHECK_MSG(snap.sync_from <= snap.sync_tail &&
                         snap.sync_tail - snap.sync_from <= sync_master->capacity(),
-                    "delta capture after the sync log wrapped past the cursor");
+                    "capture after the sync log wrapped past the replica cursor");
     snap.sync_image = sync_master->CaptureLogDelta(snap.sync_from);
   }
   return snap;
@@ -356,63 +267,10 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   uint64_t image_bytes = snap.rb_image.run_bytes();
   uint32_t chunk_count = static_cast<uint32_t>(out.chunks.size());
   size_t rank_count = snap.cursors.size();
-
-  if (snap.is_delta) {
-    out.delta = true;
-    size_t fm_dirty = snap.file_map_pages.size();
-    out.begin.assign(kDeltaHeaderSize + rank_count * kDeltaRankRecordSize +
-                         fm_dirty * kDeltaFmPageRecordSize + snap.epoll.size() * 16 +
-                         snap.sync_image.size(),
-                     0);
-    PutU64(&out.begin, kDeltaOffRbSize, snap.rb_size);
-    PutU32(&out.begin, kDeltaOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
-    PutU32(&out.begin, kDeltaOffRankCount, static_cast<uint32_t>(rank_count));
-    PutU64(&out.begin, kDeltaOffImageBytes, image_bytes);
-    PutU32(&out.begin, kDeltaOffImageCrc, crc);
-    PutU32(&out.begin, kDeltaOffChunkCount, chunk_count);
-    PutU64(&out.begin, kDeltaOffLockstep, snap.lockstep_cursor);
-    PutU64(&out.begin, kDeltaOffResetGen, snap.reset_generation);
-    PutU32(&out.begin, kDeltaOffFmPageCount, snap.file_map_page_count);
-    PutU32(&out.begin, kDeltaOffFmDirtyCount, static_cast<uint32_t>(fm_dirty));
-    PutU32(&out.begin, kDeltaOffFmCrc, snap.file_map_crc);
-    PutU32(&out.begin, kDeltaOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
-    PutU64(&out.begin, kDeltaOffSyncLogSize, snap.sync_log_size);
-    PutU64(&out.begin, kDeltaOffSyncTail, snap.sync_tail);
-    PutU64(&out.begin, kDeltaOffSyncCursor, snap.sync_read_cursor);
-    PutU64(&out.begin, kDeltaOffSyncFrom, snap.sync_from);
-    PutU64(&out.begin, kDeltaOffSyncImageLen, snap.sync_image.size());
-    size_t dpos = kDeltaHeaderSize;
-    for (size_t r = 0; r < rank_count; ++r) {
-      PutU64(&out.begin, dpos, snap.cursors[r]);
-      PutU64(&out.begin, dpos + 8, snap.seqs[r]);
-      PutU64(&out.begin, dpos + 16, snap.delta_from[r]);
-      dpos += kDeltaRankRecordSize;
-    }
-    for (size_t i = 0; i < fm_dirty; ++i) {
-      PutU32(&out.begin, dpos, snap.file_map_pages[i]);
-      std::memcpy(out.begin.data() + dpos + 4, snap.file_map.data() + i * kPageSize,
-                  kPageSize);
-      dpos += kDeltaFmPageRecordSize;
-    }
-    for (const EpollShadowTriple& t : snap.epoll) {
-      PutU32(&out.begin, dpos, static_cast<uint32_t>(t.epfd));
-      PutU32(&out.begin, dpos + 4, static_cast<uint32_t>(t.fd));
-      PutU64(&out.begin, dpos + 8, t.data);
-      dpos += 16;
-    }
-    if (!snap.sync_image.empty()) {
-      std::memcpy(out.begin.data() + dpos, snap.sync_image.data(),
-                  snap.sync_image.size());
-    }
-    out.end.assign(kEndSize, 0);
-    PutU64(&out.end, kEndOffImageBytes, image_bytes);
-    PutU32(&out.end, kEndOffImageCrc, crc);
-    PutU32(&out.end, kEndOffChunkCount, chunk_count);
-    return out;
-  }
-
-  out.begin.assign(kBeginHeaderSize + rank_count * 16 + snap.file_map.size() +
-                       snap.epoll.size() * 16 + snap.sync_image.size(),
+  size_t fm_dirty = snap.file_map_pages.size();
+  out.begin.assign(kBeginHeaderSize + rank_count * kBeginRankRecordSize +
+                       fm_dirty * kBeginFmPageRecordSize + snap.epoll.size() * 16 +
+                       snap.sync_image.size(),
                    0);
   PutU64(&out.begin, kBeginOffRbSize, snap.rb_size);
   PutU32(&out.begin, kBeginOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
@@ -421,20 +279,29 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   PutU32(&out.begin, kBeginOffImageCrc, crc);
   PutU32(&out.begin, kBeginOffChunkCount, chunk_count);
   PutU64(&out.begin, kBeginOffLockstep, snap.lockstep_cursor);
-  PutU64(&out.begin, kBeginOffFileMapLen, snap.file_map.size());
+  PutU64(&out.begin, kBeginOffResetGen, snap.reset_generation);
+  PutU32(&out.begin, kBeginOffFmPageCount, snap.file_map_page_count);
+  PutU32(&out.begin, kBeginOffFmDirtyCount, static_cast<uint32_t>(fm_dirty));
+  PutU32(&out.begin, kBeginOffFmCrc, snap.file_map_crc);
   PutU32(&out.begin, kBeginOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
   PutU64(&out.begin, kBeginOffSyncLogSize, snap.sync_log_size);
   PutU64(&out.begin, kBeginOffSyncTail, snap.sync_tail);
   PutU64(&out.begin, kBeginOffSyncCursor, snap.sync_read_cursor);
+  PutU64(&out.begin, kBeginOffSyncFrom, snap.sync_from);
   PutU64(&out.begin, kBeginOffSyncImageLen, snap.sync_image.size());
   size_t pos = kBeginHeaderSize;
   for (size_t r = 0; r < rank_count; ++r) {
     PutU64(&out.begin, pos, snap.cursors[r]);
     PutU64(&out.begin, pos + 8, snap.seqs[r]);
-    pos += 16;
+    PutU64(&out.begin, pos + 16, snap.delta_from[r]);
+    pos += kBeginRankRecordSize;
   }
-  std::memcpy(out.begin.data() + pos, snap.file_map.data(), snap.file_map.size());
-  pos += snap.file_map.size();
+  for (size_t i = 0; i < fm_dirty; ++i) {
+    PutU32(&out.begin, pos, snap.file_map_pages[i]);
+    std::memcpy(out.begin.data() + pos + 4, snap.file_map.data() + i * kPageSize,
+                kPageSize);
+    pos += kBeginFmPageRecordSize;
+  }
   for (const EpollShadowTriple& t : snap.epoll) {
     PutU32(&out.begin, pos, static_cast<uint32_t>(t.epfd));
     PutU32(&out.begin, pos + 4, static_cast<uint32_t>(t.fd));
@@ -443,7 +310,6 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   }
   if (!snap.sync_image.empty()) {
     std::memcpy(out.begin.data() + pos, snap.sync_image.data(), snap.sync_image.size());
-    pos += snap.sync_image.size();
   }
 
   out.end.assign(kEndSize, 0);
@@ -478,106 +344,20 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   uint64_t rb_size = GetU64(payload, kBeginOffRbSize);
   uint32_t max_ranks = GetU32(payload, kBeginOffMaxRanks);
   uint32_t rank_count = GetU32(payload, kBeginOffRankCount);
-  uint64_t file_map_len = GetU64(payload, kBeginOffFileMapLen);
+  uint32_t fm_page_count = GetU32(payload, kBeginOffFmPageCount);
+  uint32_t fm_dirty_count = GetU32(payload, kBeginOffFmDirtyCount);
   uint32_t epoll_count = GetU32(payload, kBeginOffEpollCount);
   if (rb_size == 0 || rb_size > kMaxSnapshotRbSize || (rb_size & kPageMask) != 0 ||
       max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks ||
-      // The file map spans a whole number of pages (multi-page since the fleet
-      // work raised the FD ceiling); bound it like the RB.
-      file_map_len == 0 || file_map_len > kMaxSnapshotRbSize ||
-      (file_map_len & kPageMask) != 0 ||
-      // The spec says MUST-be-zero; tolerating garbage here would make the field
-      // unusable for a future revision.
-      GetU32(payload, kBeginOffReserved) != 0) {
+      fm_page_count == 0 || fm_page_count > kMaxSnapshotFileMapPages ||
+      fm_dirty_count > fm_page_count) {
     return Fail("snapshot begin metadata out of bounds");
   }
   uint64_t sync_log_size = GetU64(payload, kBeginOffSyncLogSize);
   uint64_t sync_tail = GetU64(payload, kBeginOffSyncTail);
   uint64_t sync_cursor = GetU64(payload, kBeginOffSyncCursor);
+  uint64_t sync_from = GetU64(payload, kBeginOffSyncFrom);
   uint64_t sync_image_len = GetU64(payload, kBeginOffSyncImageLen);
-  if (sync_log_size == 0) {
-    // No sync section: every sync field must be zero (an image without a log to
-    // describe it is structurally corrupt).
-    if (sync_tail != 0 || sync_cursor != 0 || sync_image_len != 0) {
-      return Fail("snapshot sync section inconsistent with zero log size");
-    }
-  } else {
-    if (sync_log_size <= kSyncLogOffEntries || sync_log_size > kMaxSnapshotRbSize) {
-      return Fail("snapshot sync log size out of bounds");
-    }
-    uint64_t cap = (sync_log_size - kSyncLogOffEntries) / kSyncLogEntrySize;
-    uint64_t occupied = std::min(sync_tail, cap);
-    if (cap == 0 || sync_image_len != occupied * kSyncLogEntrySize ||
-        sync_cursor > sync_tail) {
-      return Fail("snapshot sync section out of bounds");
-    }
-  }
-  uint64_t variable = static_cast<uint64_t>(rank_count) * 16 + file_map_len +
-                      static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
-  if (payload.size() != kBeginHeaderSize + variable) {
-    return Fail("snapshot begin payload size mismatch");
-  }
-
-  snap_.rb_size = rb_size;
-  snap_.max_ranks = static_cast<int>(max_ranks);
-  snap_.lockstep_cursor = GetU64(payload, kBeginOffLockstep);
-  snap_.sync_log_size = sync_log_size;
-  snap_.sync_tail = sync_tail;
-  snap_.sync_read_cursor = sync_cursor;
-  expect_bytes_ = GetU64(payload, kBeginOffImageBytes);
-  expect_crc_ = GetU32(payload, kBeginOffImageCrc);
-  expect_chunks_ = GetU32(payload, kBeginOffChunkCount);
-  if (expect_bytes_ > rb_size) {
-    return Fail("snapshot image larger than the RB it describes");
-  }
-  size_t pos = kBeginHeaderSize;
-  for (uint32_t r = 0; r < rank_count; ++r) {
-    snap_.cursors.push_back(GetU64(payload, pos));
-    snap_.seqs.push_back(GetU64(payload, pos + 8));
-    pos += 16;
-  }
-  snap_.file_map.assign(payload.begin() + static_cast<long>(pos),
-                        payload.begin() + static_cast<long>(pos + file_map_len));
-  pos += file_map_len;
-  for (uint32_t i = 0; i < epoll_count; ++i) {
-    EpollShadowTriple t;
-    t.epfd = static_cast<int32_t>(GetU32(payload, pos));
-    t.fd = static_cast<int32_t>(GetU32(payload, pos + 4));
-    t.data = GetU64(payload, pos + 8);
-    snap_.epoll.push_back(t);
-    pos += 16;
-  }
-  snap_.sync_image.assign(payload.begin() + static_cast<long>(pos),
-                          payload.begin() + static_cast<long>(pos + sync_image_len));
-  image_.assign(rb_size, 0);
-  state_ = State::kAssembling;
-  return true;
-}
-
-bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
-  if (state_ != State::kIdle) {
-    return Fail("snapshot begin out of protocol");
-  }
-  if (payload.size() < kDeltaHeaderSize) {
-    return Fail("snapshot delta payload truncated");
-  }
-  uint64_t rb_size = GetU64(payload, kDeltaOffRbSize);
-  uint32_t max_ranks = GetU32(payload, kDeltaOffMaxRanks);
-  uint32_t rank_count = GetU32(payload, kDeltaOffRankCount);
-  uint32_t fm_page_count = GetU32(payload, kDeltaOffFmPageCount);
-  uint32_t fm_dirty_count = GetU32(payload, kDeltaOffFmDirtyCount);
-  uint32_t epoll_count = GetU32(payload, kDeltaOffEpollCount);
-  if (rb_size == 0 || rb_size > kMaxSnapshotRbSize || (rb_size & kPageMask) != 0 ||
-      max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks ||
-      fm_page_count == 0 || fm_page_count > kMaxSnapshotFileMapPages ||
-      fm_dirty_count > fm_page_count) {
-    return Fail("snapshot delta metadata out of bounds");
-  }
-  uint64_t sync_log_size = GetU64(payload, kDeltaOffSyncLogSize);
-  uint64_t sync_tail = GetU64(payload, kDeltaOffSyncTail);
-  uint64_t sync_cursor = GetU64(payload, kDeltaOffSyncCursor);
-  uint64_t sync_from = GetU64(payload, kDeltaOffSyncFrom);
-  uint64_t sync_image_len = GetU64(payload, kDeltaOffSyncImageLen);
   if (sync_log_size == 0) {
     if (sync_tail != 0 || sync_cursor != 0 || sync_from != 0 || sync_image_len != 0) {
       return Fail("snapshot sync section inconsistent with zero log size");
@@ -590,46 +370,44 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
     if (cap == 0 || sync_from > sync_cursor || sync_cursor > sync_tail) {
       return Fail("snapshot sync section out of bounds");
     }
-    // The lap guard: a slice longer than the log means the leader wrapped past
-    // the replica's cursor after cutting the basis — the delta is stale and the
-    // join must be refused (the leader falls back to a full checkpoint).
+    // The lap guard: a slice longer than the log claims slots the leader has
+    // already overwritten, so it cannot be grounded — refuse the join.
     if (sync_tail - sync_from > cap) {
-      return Fail("snapshot delta sync slice wrapped past the replica cursor");
+      return Fail("snapshot sync slice wrapped past the replica cursor");
     }
     if (sync_image_len != (sync_tail - sync_from) * kSyncLogEntrySize) {
       return Fail("snapshot sync section out of bounds");
     }
   }
-  uint64_t variable = static_cast<uint64_t>(rank_count) * kDeltaRankRecordSize +
-                      static_cast<uint64_t>(fm_dirty_count) * kDeltaFmPageRecordSize +
+  uint64_t variable = static_cast<uint64_t>(rank_count) * kBeginRankRecordSize +
+                      static_cast<uint64_t>(fm_dirty_count) * kBeginFmPageRecordSize +
                       static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
-  if (payload.size() != kDeltaHeaderSize + variable) {
-    return Fail("snapshot delta payload size mismatch");
+  if (payload.size() != kBeginHeaderSize + variable) {
+    return Fail("snapshot begin payload size mismatch");
   }
 
-  snap_.is_delta = true;
   snap_.rb_size = rb_size;
   snap_.max_ranks = static_cast<int>(max_ranks);
-  snap_.lockstep_cursor = GetU64(payload, kDeltaOffLockstep);
-  snap_.reset_generation = GetU64(payload, kDeltaOffResetGen);
+  snap_.lockstep_cursor = GetU64(payload, kBeginOffLockstep);
+  snap_.reset_generation = GetU64(payload, kBeginOffResetGen);
   snap_.file_map_page_count = fm_page_count;
-  snap_.file_map_crc = GetU32(payload, kDeltaOffFmCrc);
+  snap_.file_map_crc = GetU32(payload, kBeginOffFmCrc);
   snap_.sync_log_size = sync_log_size;
   snap_.sync_tail = sync_tail;
   snap_.sync_read_cursor = sync_cursor;
   snap_.sync_from = sync_from;
-  expect_bytes_ = GetU64(payload, kDeltaOffImageBytes);
-  expect_crc_ = GetU32(payload, kDeltaOffImageCrc);
-  expect_chunks_ = GetU32(payload, kDeltaOffChunkCount);
+  expect_bytes_ = GetU64(payload, kBeginOffImageBytes);
+  expect_crc_ = GetU32(payload, kBeginOffImageCrc);
+  expect_chunks_ = GetU32(payload, kBeginOffChunkCount);
   if (expect_bytes_ > rb_size) {
     return Fail("snapshot image larger than the RB it describes");
   }
-  size_t pos = kDeltaHeaderSize;
+  size_t pos = kBeginHeaderSize;
   for (uint32_t r = 0; r < rank_count; ++r) {
     snap_.cursors.push_back(GetU64(payload, pos));
     snap_.seqs.push_back(GetU64(payload, pos + 8));
     snap_.delta_from.push_back(GetU64(payload, pos + 16));
-    pos += kDeltaRankRecordSize;
+    pos += kBeginRankRecordSize;
   }
   for (uint32_t i = 0; i < fm_dirty_count; ++i) {
     uint32_t page_idx = GetU32(payload, pos);
@@ -637,13 +415,13 @@ bool SnapshotAssembler::BeginDelta(const std::vector<uint8_t>& payload) {
     // no double-written page under a valid CRC.
     if (page_idx >= fm_page_count ||
         (!snap_.file_map_pages.empty() && page_idx <= snap_.file_map_pages.back())) {
-      return Fail("snapshot delta file-map page index out of order");
+      return Fail("snapshot file-map page index out of order");
     }
     snap_.file_map_pages.push_back(page_idx);
     snap_.file_map.insert(snap_.file_map.end(),
                           payload.begin() + static_cast<long>(pos + 4),
                           payload.begin() + static_cast<long>(pos + 4 + kPageSize));
-    pos += kDeltaFmPageRecordSize;
+    pos += kBeginFmPageRecordSize;
   }
   for (uint32_t i = 0; i < epoll_count; ++i) {
     EpollShadowTriple t;
@@ -739,60 +517,47 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   if (snap.rb_size != rb.size() || snap.max_ranks != rb.max_ranks() ||
       image.size() != rb.size() ||
       snap.cursors.size() != static_cast<size_t>(snap.max_ranks) ||
-      (snap.is_delta &&
-       snap.delta_from.size() != static_cast<size_t>(snap.max_ranks))) {
+      snap.delta_from.size() != static_cast<size_t>(snap.max_ranks)) {
     return ApplyFail("snapshot geometry does not match the replica RB");
   }
-  // Delta lap guard: every offset in the delta is relative to one RB reset
-  // generation. A reset between the basis acks and this join rewrote the
-  // sub-buffers wholesale, so the slice no longer describes this mirror.
-  if (snap.is_delta && snap.reset_generation != mon->rb_resets()) {
-    return ApplyFail("delta basis from a different RB reset generation");
+  // The generation guard: every offset in the checkpoint is relative to one RB
+  // reset generation. The reset round scrubs every mirror, a dead one's too, and
+  // the reset/re-seed interlock parks the round while a checkpoint is in flight,
+  // so a healthy leader never ships a mismatch; one means the offsets describe
+  // sub-buffers this mirror no longer holds.
+  if (snap.reset_generation != mon->rb_resets()) {
+    return ApplyFail("checkpoint from a different RB reset generation");
   }
   // File-map cross-check: the FD metadata is monitor control-plane state every
   // replica derives from the same monitored history; a byte diverging means this
-  // replica's stream is not the leader's and the join must be refused.
-  if (snap.is_delta) {
-    // Delta mode carries only the dirty pages; the whole-map CRC extends the
-    // divergence check over the pages the slice omitted.
-    const FileMap* fm = mon->file_map();
-    if (snap.file_map_page_count != fm->pages().size()) {
-      return ApplyFail("file map geometry diverged from the leader checkpoint");
-    }
-    if (snap.file_map.size() != snap.file_map_pages.size() * kPageSize) {
+  // replica's stream is not the leader's and the join must be refused. The
+  // checkpoint carries only the dirty pages; the whole-map CRC extends the check
+  // over the pages it omitted.
+  const FileMap* fm = mon->file_map();
+  if (snap.file_map_page_count != fm->pages().size()) {
+    return ApplyFail("file map geometry diverged from the leader checkpoint");
+  }
+  if (snap.file_map.size() != snap.file_map_pages.size() * kPageSize) {
+    return ApplyFail("file map diverged from the leader checkpoint");
+  }
+  for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
+    const PageRef& fm_page = fm->pages()[snap.file_map_pages[i]];
+    if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
+                    snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
       return ApplyFail("file map diverged from the leader checkpoint");
-    }
-    for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
-      const PageRef& fm_page = fm->pages()[snap.file_map_pages[i]];
-      if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
-                      snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
-        return ApplyFail("file map diverged from the leader checkpoint");
-      }
-    }
-    uint32_t fm_crc = 0;
-    for (const PageRef& fm_page : fm->pages()) {
-      fm_crc = Crc32(fm_page->bytes.data(), kPageSize, fm_crc);
-    }
-    if (fm_crc != snap.file_map_crc) {
-      return ApplyFail("file map diverged from the leader checkpoint");
-    }
-  } else {
-    if (snap.file_map.size() != mon->file_map()->size_bytes()) {
-      return ApplyFail("file map diverged from the leader checkpoint");
-    }
-    size_t fm_off = 0;
-    for (const PageRef& fm_page : mon->file_map()->pages()) {
-      if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
-                      snap.file_map.begin() + static_cast<long>(fm_off))) {
-        return ApplyFail("file map diverged from the leader checkpoint");
-      }
-      fm_off += fm_page->bytes.size();
     }
   }
-  // Sync-agent log (v3): the checkpoint and the replica must agree on whether a
+  uint32_t fm_crc = 0;
+  for (const PageRef& fm_page : fm->pages()) {
+    fm_crc = Crc32(fm_page->bytes.data(), kPageSize, fm_crc);
+  }
+  if (fm_crc != snap.file_map_crc) {
+    return ApplyFail("file map diverged from the leader checkpoint");
+  }
+  // Sync-agent log: the checkpoint and the replica must agree on whether a
   // record/replay agent runs at all, and the log restore's own validation
   // (geometry, replay cursor, per-slot divergence) gates the join like the file
-  // map does. ApplyLogSnapshot mutates only after every check passed.
+  // map does. ApplyLogDelta mutates only after every check passed.
   bool replica_has_sync = sync_agent != nullptr && sync_agent->log_valid();
   if (snap.sync_log_size != 0 && !replica_has_sync) {
     return ApplyFail("snapshot carries a sync log the replica does not replay");
@@ -805,12 +570,8 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   result.ok = true;
   if (replica_has_sync) {
     const char* sync_err =
-        snap.is_delta
-            ? sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail,
-                                        snap.sync_from, snap.sync_read_cursor,
-                                        snap.sync_image)
-            : sync_agent->ApplyLogSnapshot(snap.sync_log_size, snap.sync_tail,
-                                           snap.sync_read_cursor, snap.sync_image);
+        sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail, snap.sync_from,
+                                  snap.sync_read_cursor, snap.sync_image);
     if (sync_err != nullptr) {
       return ApplyFail(sync_err);
     }
@@ -840,19 +601,15 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
 
     // Replay the published prefix with the live-path discipline: body first (the
     // mirror's own state and waiter words preserved), state word flipped last and
-    // only forward, one wake per entry. A delta resumes the walk at the
-    // replacement's highest acked entry instead of the rank data start — one
-    // entry of overlap, idempotent under the forward-only flip.
-    uint64_t off = data_start;
-    if (snap.is_delta) {
-      uint64_t df = snap.delta_from[static_cast<size_t>(r)];
-      if (df == 0) {
-        df = data_start;
-      }
-      if (df < data_start || df > cursor) {
-        return ApplyFail("delta resume offset outside the published prefix");
-      }
-      off = df;
+    // only forward, one wake per entry. The walk resumes at the replacement's
+    // highest acked entry (the rank data start under the empty basis) — one entry
+    // of overlap, idempotent under the forward-only flip.
+    uint64_t off = snap.delta_from[static_cast<size_t>(r)];
+    if (off == 0) {
+      off = data_start;
+    }
+    if (off < data_start || off > cursor) {
+      return ApplyFail("resume offset outside the published prefix");
     }
     while (off + kRbEntryHeaderSize <= cursor) {
       uint32_t state = ImageU32(image, off + kRbOffState);
@@ -874,30 +631,12 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
       off += total;
     }
 
-    // Delta: within one reset generation the mirror's bytes past the leader
-    // cursor are already the leader's zeros (both sides were scrubbed by the
-    // same reset round), so re-zeroing would only race a consumer parked on the
-    // resume entry. Just wake it so it re-examines the restored world.
-    if (snap.is_delta) {
-      if (off + kRbEntryHeaderSize <= data_end) {
-        WakeEntryQueue(kernel, mon, rb, off);
-      }
-      continue;
-    }
-
-    // The stale tail: everything beyond the leader's published prefix must read
-    // as the leader's RB does (zeros — the region is zeroed at creation and at
-    // every globally synchronized reset). The resume entry's state word is reset
-    // from the image and its waiter word preserved: a consumer parked there keeps
-    // its registration and simply finds the entry not published yet.
-    if (off + 8 <= data_end) {
-      rb.WriteU32(off + kRbOffState, ImageU32(image, off + kRbOffState));
-      if (off + 8 < data_end) {
-        rb.Zero(off + 8, data_end - off - 8);
-      }
+    // Within one reset generation the mirror's bytes past the leader cursor are
+    // already the leader's zeros (the reset round scrubbed both sides), so
+    // re-zeroing would only race a consumer parked on the resume entry. Just
+    // wake it so it re-examines the restored world.
+    if (off + kRbEntryHeaderSize <= data_end) {
       WakeEntryQueue(kernel, mon, rb, off);
-    } else if (off < data_end) {
-      rb.Zero(off, data_end - off);  // Sub-entry-header residue: no consumer state.
     }
   }
   return result;

@@ -8,19 +8,24 @@
 // lockstep at the recorded cursor and the transcript is byte-identical to a run
 // that never lost the replica.
 //
-// The checkpoint (ReplicaSnapshot) carries:
-//   * the leader's RB content as a sparse materialized-page image (VmaImage):
-//     untouched lazy pages and all-zero pages travel as holes and stay lazy/zero
-//     on the far side;
-//   * the leader's per-rank RB positions (write cursor + next sequence number);
-//   * the GHUMVEE lockstep cursor (rounds completed at capture) — the monitored
-//     synchronization point the replacement resumes from;
-//   * the file-map page and the leader's epoll data shadow, which the rejoining
-//     side cross-checks against its own state;
-//   * wire v3: the sync-agent log image (occupied circular slots, slot order) with
-//     its tail and the target replica's replay cursor, so multi-threaded
-//     replacements resume BeforeAcquire replay exactly where they left off
-//     (src/core/sync_agent.h; absent — all zero — for agent-less workloads).
+// Every checkpoint is cut against a basis (RbDeltaBasis): what the leader knows
+// the replacement's mirror already holds. An ack-folded basis makes the checkpoint
+// O(what the replica missed); the empty basis (EmptyDeltaBasis) makes it a full
+// one. Either way the checkpoint (ReplicaSnapshot) carries:
+//   * the leader's RB pages the restore reads — the global/rank headers plus each
+//     rank's [resume offset, cursor) window — as a sparse materialized-page image
+//     (VmaImage): untouched lazy pages and all-zero pages travel as holes;
+//   * the leader's per-rank RB positions (write cursor + next sequence number)
+//     and the offset each rank's image resumes at;
+//   * the RB reset generation the offsets belong to, and the GHUMVEE lockstep
+//     cursor (rounds completed at capture) — the monitored synchronization point
+//     the replacement resumes from;
+//   * the file-map pages and epoll-shadow rows dirtied since the basis, plus a
+//     whole-map CRC, which the rejoining side cross-checks against its own state;
+//   * the sync-agent log slots past the target replica's replay cursor, so
+//     multi-threaded replacements resume BeforeAcquire replay exactly where they
+//     left off (src/core/sync_agent.h; absent — all zero — for agent-less
+//     workloads).
 //
 // On the wire the snapshot rides the normal RB stream as three sequenced,
 // CRC-protected frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
@@ -75,8 +80,10 @@ struct VmaImage {
 
 // Captures [start, start+length) from `mem` as a sparse image: only materialized,
 // non-zero pages are recorded (lazy pages stay lazy — capture never materializes).
-// Adjacent captured pages coalesce into one run.
-VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length);
+// Adjacent captured pages coalesce into one run. A non-empty `pages` filter
+// (indexed by page number within the range) skips every page it does not set.
+VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length,
+                         const std::vector<bool>& pages = {});
 
 // Writes an image's runs into `mem` at `start`. Holes are not written: restoring
 // into a fresh lazy mapping leaves them unmaterialized (the lazy read-as-zero
@@ -95,43 +102,31 @@ struct EpollShadowTriple {
 struct ReplicaSnapshot {
   uint64_t rb_size = 0;
   int max_ranks = 0;
-  VmaImage rb_image;               // Leader RB content, offsets relative to RB base.
+  uint64_t reset_generation = 0;   // Leader rb_resets() at capture: the lap guard.
+  VmaImage rb_image;               // Leader RB pages, offsets relative to RB base.
   std::vector<uint64_t> cursors;   // Per rank: leader's next-entry offset.
   std::vector<uint64_t> seqs;      // Per rank: leader's next sequence number.
-  uint64_t lockstep_cursor = 0;    // GHUMVEE lockstep rounds completed at capture.
-  std::vector<uint8_t> file_map;   // The FD metadata map (whole pages).
-  std::vector<EpollShadowTriple> epoll;  // Leader (epfd, fd) -> data shadow.
-  // Sync-agent log section (wire v3); all zero when the workload runs no agent.
-  uint64_t sync_log_size = 0;      // Log segment geometry (validated by the joiner).
-  uint64_t sync_tail = 0;          // Absolute op count at capture.
-  uint64_t sync_read_cursor = 0;   // The target replica's replay cursor at capture.
-  std::vector<uint8_t> sync_image;  // Occupied circular slots, slot order.
-
-  // --- O(delta) checkpoints (wire v5, kSnapshotDelta) -----------------------------
-  // A delta checkpoint ships only what the replacement provably lacks: per rank,
-  // entries from its highest acknowledged entry offset to the leader cursor; only
-  // file-map pages and epoll rows written after the ack horizon; only sync-log
-  // slots past its replay cursor (seq order, embedded seqs). In delta mode
-  // `file_map` holds the concatenated dirty pages (indices in `file_map_pages`),
-  // `sync_image` holds slots [sync_from, sync_tail) in seq order, and `epoll` the
-  // dirty rows only.
-  bool is_delta = false;
-  uint64_t reset_generation = 0;   // Leader rb_resets() at capture: the lap guard.
   std::vector<uint64_t> delta_from;  // Per rank: offset the image resumes at
                                      // (0 = rank data start; always <= cursor).
-  uint64_t sync_from = 0;            // First op in sync_image.
-  uint32_t file_map_page_count = 0;  // Leader map geometry (delta only).
+  uint64_t lockstep_cursor = 0;    // GHUMVEE lockstep rounds completed at capture.
+  uint32_t file_map_page_count = 0;  // Leader map geometry.
   uint32_t file_map_crc = 0;         // CRC-32 over the whole leader map: the
                                      // cross-check covering undirtied pages.
   std::vector<uint32_t> file_map_pages;  // Dirty page indices, strictly increasing.
+  std::vector<uint8_t> file_map;   // The dirty pages, concatenated in index order.
+  std::vector<EpollShadowTriple> epoll;  // Dirty (epfd, fd) -> data shadow rows.
+  // Sync-agent log section; all zero when the workload runs no agent.
+  uint64_t sync_log_size = 0;      // Log segment geometry (validated by the joiner).
+  uint64_t sync_tail = 0;          // Absolute op count at capture.
+  uint64_t sync_read_cursor = 0;   // The target replica's replay cursor at capture.
+  uint64_t sync_from = 0;          // First op in sync_image.
+  std::vector<uint8_t> sync_image;  // Slots [sync_from, sync_tail), seq order.
 };
 
-// What the leader knows a dead replica already holds, folded from cumulative
-// acks by the transport (RbTransport::DeltaBasisFor): the horizon a kSnapshotDelta
-// capture resumes from. Only usable while the leader's RB reset generation still
-// matches — a reset rewrites offsets wholesale — and while the sync log has not
-// wrapped past the replica's cursor; otherwise the caller falls back to a full
-// checkpoint.
+// What the leader knows a replacement's mirror already holds: the horizon a
+// capture resumes from. The transport folds it from a dead replica's cumulative
+// acks (RbTransport::DeltaBasisFor); it is only usable while the leader's RB
+// reset generation still matches, because a reset rewrites offsets wholesale.
 struct RbDeltaBasis {
   bool valid = false;
   uint64_t reset_generation = 0;   // IpMon::rb_resets() the offsets belong to.
@@ -140,25 +135,29 @@ struct RbDeltaBasis {
   uint64_t epoll_version = 0;      // EpollShadowMap::version() horizon.
 };
 
-// Checkpoints the leader at a quiescent flush point: publishes every deferred
-// batched commit first (so no publication is invisible in the image), then
-// captures RB image, cursors, lockstep cursor, file map, and epoll shadow.
-// `ghumvee` may be null (lockstep cursor 0). For multi-threaded workloads,
-// `sync_master` is the leader's record/replay agent (its log image and tail enter
-// the checkpoint) and `sync_read_cursor` the replay cursor of the replica being
-// re-seeded — in a distributed deployment the cursor arrives with the join
-// request; here the front end reads it off the replica's agent.
-ReplicaSnapshot CaptureLeaderSnapshot(IpMon* master, const Ghumvee* ghumvee,
-                                      const SyncAgent* sync_master = nullptr,
-                                      uint64_t sync_read_cursor = 0);
+// The empty basis: the replica provably holds nothing. Every rank resumes at its
+// data start, and every file-map page and epoll row ever written ships — a full
+// checkpoint is the capture cut against this basis.
+inline RbDeltaBasis EmptyDeltaBasis(uint64_t reset_generation) {
+  RbDeltaBasis basis;
+  basis.valid = true;
+  basis.reset_generation = reset_generation;
+  return basis;
+}
 
-// Checkpoints the leader as an O(delta) snapshot against `basis` (the replacement's
-// ack horizon). Same quiescent flush point as the full capture; the image covers
-// the global/rank headers plus each rank's [basis offset, cursor) window — one
-// acked entry of overlap, idempotent under the forward-only apply discipline.
-// The caller must have verified the basis is usable (valid, current reset
-// generation, sync log not wrapped past the cursor); Remon::MakeReseedPayloads
-// owns that decision and the full-snapshot fallback.
+// Checkpoints the leader at a quiescent flush point against `basis`: publishes
+// every deferred batched commit first (so no publication is invisible in the
+// image), then captures the global/rank headers plus each rank's [basis offset,
+// cursor) window — one acked entry of overlap, idempotent under the forward-only
+// apply discipline — the lockstep cursor, the file-map pages and epoll rows
+// dirtied since the basis, and the sync-log slots past `sync_read_cursor`.
+// `ghumvee` may be null (lockstep cursor 0). For multi-threaded workloads,
+// `sync_master` is the leader's record/replay agent and `sync_read_cursor` the
+// replay cursor of the replica being re-seeded — in a distributed deployment the
+// cursor arrives with the join request; here the front end reads it off the
+// replica's agent. The basis must belong to the current reset generation and
+// the sync log must not have wrapped past the cursor (the wrap gate guarantees
+// it); Remon::MakeReseedPayloads picks the basis.
 ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
                                    const SyncAgent* sync_master,
                                    uint64_t sync_read_cursor,
@@ -171,8 +170,7 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
 
 struct SnapshotPayloads {
-  bool delta = false;                        // begin is a kSnapshotDelta payload.
-  std::vector<uint8_t> begin;                // kSnapshotBegin/kSnapshotDelta payload.
+  std::vector<uint8_t> begin;                // kSnapshotBegin payload.
   std::vector<std::vector<uint8_t>> chunks;  // One kSnapshotChunk payload each.
   std::vector<uint8_t> end;                  // kSnapshotEnd payload.
 };
@@ -195,9 +193,6 @@ class SnapshotAssembler {
   const std::string& error() const { return error_; }
 
   bool Begin(const std::vector<uint8_t>& payload);
-  // Opens assembly from a kSnapshotDelta payload instead of kSnapshotBegin; the
-  // chunk/end discipline (bounds, counts, chained CRC) is identical.
-  bool BeginDelta(const std::vector<uint8_t>& payload);
   bool AddChunk(const std::vector<uint8_t>& payload);
   bool End(const std::vector<uint8_t>& payload);
 
@@ -234,26 +229,22 @@ struct SnapshotApplyResult {
   uint64_t sync_slots_restored = 0;  // Sync-log slots re-published into the mirror.
 };
 
-// Applies a completed snapshot to `mon`'s RB mirror: per rank, replays every
-// published entry up to the leader cursor (body first, state word last,
-// forward-only, waiter words preserved), zeroes the stale tail beyond the cursor
-// (preserving the resume entry's state/waiter words so a parked consumer is not
-// corrupted), and wakes each touched entry's futex queue. Cross-checks the file
-// map byte-for-byte (a mismatch means the streams diverged and the join is
-// rejected) and counts — but tolerates — epoll-shadow keys the replica has not
-// recorded yet (its consumer threads may legitimately lag the leader). A v3 sync
-// section restores into `sync_agent`'s log mirror (SyncAgent::ApplyLogSnapshot:
-// geometry, cursor, and per-slot divergence checks; tail word last) — carrying
-// one while the replica runs no agent, or vice versa, refuses the join.
-//
-// A delta checkpoint (snap.is_delta) applies the same discipline to its slice:
-// the reset generation must match the replica's (a reset between the basis acks
-// and this join invalidates every offset — the join is refused and the leader
-// retries full), the per-rank walk resumes at delta_from instead of the rank
-// data start, the stale tail is NOT re-zeroed (the mirror's bytes past the
-// leader cursor are already the leader's zeros within one reset generation),
-// the file map is cross-checked via the dirty pages plus a whole-map CRC, and
-// the sync slice lands through SyncAgent::ApplyLogDelta.
+// Applies a completed snapshot to `mon`'s RB mirror. The reset generation must
+// match the replica's: every offset belongs to one generation, and the leader's
+// reset/re-seed interlock means a healthy leader never ships a mismatch, so one
+// refuses the join. Per rank, the walk replays every published entry from
+// delta_from up to the leader cursor (body first, state word last, forward-only,
+// waiter words preserved) and wakes each touched entry's futex queue, plus the
+// resume entry's so a parked consumer re-examines the world. Bytes past the
+// cursor are left alone: the reset round scrubbed both sides, so within one
+// generation they are already the leader's zeros. Cross-checks the dirty
+// file-map pages and the whole-map CRC (a mismatch means the streams diverged
+// and the join is rejected) and counts — but tolerates — epoll-shadow keys the
+// replica has not recorded yet (its consumer threads may legitimately lag the
+// leader). The sync slice restores into `sync_agent`'s log mirror
+// (SyncAgent::ApplyLogDelta: geometry, cursor, and per-slot divergence checks;
+// tail word last) — carrying one while the replica runs no agent, or vice versa,
+// refuses the join.
 SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
                                           SyncAgent* sync_agent,
                                           const ReplicaSnapshot& snap,

@@ -238,73 +238,6 @@ std::vector<uint8_t> SyncAgent::CaptureLogDelta(uint64_t from) const {
   return image;
 }
 
-const char* SyncAgent::ApplyLogSnapshot(uint64_t log_size, uint64_t snap_tail,
-                                        uint64_t snap_read_cursor,
-                                        const std::vector<uint8_t>& image) {
-  if (!log_.valid()) {
-    return "sync log mirror not initialized";
-  }
-  if (log_size != config_.log_size) {
-    return "sync log geometry does not match the replica";
-  }
-  uint64_t cap = capacity();
-  uint64_t occupied = std::min(snap_tail, cap);
-  if (image.size() != occupied * kSyncLogEntrySize) {
-    return "sync log image size disagrees with its tail";
-  }
-  uint64_t local_tail = tail();
-  // The leader captured this replica's replay cursor at checkpoint time (the wire
-  // carries it); disagreement means the checkpoint was cut for a different replica
-  // history and the join must be refused.
-  if (snap_read_cursor != read_cursor_) {
-    return "sync read cursor diverged from the leader checkpoint";
-  }
-  if (snap_read_cursor > snap_tail) {
-    return "sync read cursor past the leader tail";
-  }
-  // Divergence cross-check before any mutation: wherever the mirror and the
-  // image both hold an op for a slot, it must be the same op byte for byte or
-  // one side a whole number of laps ahead of the other — the two histories are
-  // prefixes of one master stream or the join is refused. The mirror being
-  // AHEAD of the checkpoint is legitimate: a co-located replica's agent shares
-  // the mirror segment and may have applied newer frames between the leader's
-  // capture and this join.
-  uint64_t local_occupied = std::min(local_tail, cap);
-  uint8_t local_slot[kSyncLogEntrySize];
-  for (uint64_t s = 0; s < std::min(local_occupied, occupied); ++s) {
-    uint64_t off = kSyncLogOffEntries + s * kSyncLogEntrySize;
-    log_.ReadBytes(off, local_slot, kSyncLogEntrySize);
-    const uint8_t* image_slot = image.data() + s * kSyncLogEntrySize;
-    uint64_t local_seq = 0;
-    uint64_t image_seq = 0;
-    std::memcpy(&local_seq, local_slot + 8, 8);
-    std::memcpy(&image_seq, image_slot + 8, 8);
-    if (image_seq == local_seq) {
-      if (std::memcmp(local_slot, image_slot, kSyncLogEntrySize) != 0) {
-        return "sync log diverged from the leader checkpoint";
-      }
-    } else {
-      uint64_t newer = std::max(image_seq, local_seq);
-      uint64_t older = std::min(image_seq, local_seq);
-      if ((newer - older) % cap != 0) {
-        return "sync log slot sequence diverged from the leader checkpoint";
-      }
-    }
-  }
-  if (snap_tail >= local_tail) {
-    // Restore with the live publication discipline: slots first, tail word last
-    // (forward-only by this branch's condition), then wake parked consumers.
-    if (!image.empty()) {
-      log_.WriteBytes(kSyncLogOffEntries, image.data(), image.size());
-    }
-    log_.WriteU64(kSyncLogOffTail, snap_tail);
-  }
-  // A mirror already past the checkpoint needs no writes — the verification
-  // above confirmed the checkpoint is a prefix of what the mirror holds.
-  LogQueue()->Wake();
-  return nullptr;
-}
-
 const char* SyncAgent::ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
                                      uint64_t sync_from, uint64_t snap_read_cursor,
                                      const std::vector<uint8_t>& image) {
@@ -336,7 +269,7 @@ const char* SyncAgent::ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
   // Validation before any mutation: every slice record must name the op its
   // position claims (embedded seq), and wherever the mirror already holds an op
   // for the same slot the two must agree byte for byte or differ by whole laps
-  // (the lap-congruence rule ApplyRemoteLog and ApplyLogSnapshot use).
+  // (the lap-congruence rule ApplyRemoteLog uses).
   uint8_t local_slot[kSyncLogEntrySize];
   for (uint64_t k = 0; k < snap_tail - sync_from; ++k) {
     uint64_t seq = sync_from + k;

@@ -142,32 +142,23 @@ class SyncAgent {
   bool log_valid() const { return log_.valid(); }
   const RbView& log() const { return log_; }
 
-  // Captures the occupied slot region (slot order, min(tail, capacity) slots) for
-  // the leader checkpoint. Valid on any replica with an initialized log.
+  // Captures the occupied slot region (slot order, min(tail, capacity) slots):
+  // the whole-log reference two replicas' logs are compared by.
   std::vector<uint8_t> CaptureLogImage() const;
   // Captures the slots [from, tail) in seq order (op `from + k` at record k, its
-  // seq embedded in the slot bytes) for an O(delta) checkpoint. `from` must be
-  // within one lap of the tail — the wrap gate freezes a dead replica's cursor,
-  // so its un-replayed suffix always fits.
+  // seq embedded in the slot bytes) for a leader checkpoint. `from` must be
+  // within one lap of the tail — the wrap gate never overwrites a slot the
+  // replica has not replayed, so its un-replayed suffix always fits.
   std::vector<uint8_t> CaptureLogDelta(uint64_t from) const;
   // The absolute tail as published in this replica's log view.
   uint64_t tail() const;
 
-  // Restores a leader checkpoint into this replica's mirror: validates geometry,
-  // the carried read cursor, and per-slot seq/byte consistency against the local
-  // state (a mismatch means the streams diverged), then writes the image slots,
-  // stores the tail last (forward-only) and wakes waiters. Returns nullptr on
-  // success or a static reason string on refusal.
-  const char* ApplyLogSnapshot(uint64_t log_size, uint64_t snap_tail,
-                               uint64_t snap_read_cursor,
-                               const std::vector<uint8_t>& image);
-
-  // Delta restore: applies the seq-ordered slice [sync_from, snap_tail) cut by
-  // CaptureLogDelta into this replica's mirror with the same validation
-  // discipline — geometry, the carried read cursor, embedded-seq self-check, and
-  // lap-congruent divergence checks against every slot the mirror already holds
-  // — then slots first, tail word last (forward-only), futex wake. Returns
-  // nullptr on success or a static reason string on refusal.
+  // Restores a leader checkpoint's seq-ordered slice [sync_from, snap_tail), cut
+  // by CaptureLogDelta, into this replica's mirror. Validates geometry, the
+  // carried read cursor, the embedded seqs, and every slot the mirror already
+  // holds (byte-equal or whole laps apart — a mismatch means the streams
+  // diverged) before any write; then slots first, tail word last (forward-only),
+  // futex wake. Returns nullptr on success or a static reason string on refusal.
   const char* ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
                             uint64_t sync_from, uint64_t snap_read_cursor,
                             const std::vector<uint8_t>& image);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -61,11 +63,14 @@ RemonOptions OptionsFor(const RunConfig& config, double mem_intensity,
 // Fault injection: schedules the remote-replica kill configured in `config` (the
 // highest-index replica with a remote sync agent loses its link at the given
 // virtual time). With respawn_dead_replicas set, the run then exercises the
-// checkpoint/re-seed recovery path end to end.
+// checkpoint/re-seed recovery path end to end. `done` ends a repeating loop: a
+// suite run is over when its replicas exit, a server run also when its client
+// does (a healthy server never exits, so re-arming on the replicas alone would
+// never stop).
 void ScheduleRemoteKill(World* w, Remon* mvee, int replicas, DurationNs every,
-                        TimeNs at) {
-  w->sim.queue().ScheduleAt(at, [w, mvee, replicas, every] {
-    if (mvee->finished()) {
+                        TimeNs at, std::function<bool()> done) {
+  w->sim.queue().ScheduleAt(at, [w, mvee, replicas, every, done] {
+    if (done()) {
       return;  // Workload done: let the kill loop drain instead of re-arming.
     }
     for (int i = replicas - 1; i >= 1; --i) {
@@ -76,17 +81,18 @@ void ScheduleRemoteKill(World* w, Remon* mvee, int replicas, DurationNs every,
       }
     }
     if (every > 0) {
-      ScheduleRemoteKill(w, mvee, replicas, every, w->sim.queue().now() + every);
+      ScheduleRemoteKill(w, mvee, replicas, every, w->sim.queue().now() + every, done);
     }
   });
 }
 
-void ArmRemoteKill(World* w, const RunConfig& config, Remon* mvee) {
+void ArmRemoteKill(World* w, const RunConfig& config, Remon* mvee,
+                   std::function<bool()> done) {
   if (config.kill_remote_replica_at <= 0) {
     return;
   }
   ScheduleRemoteKill(w, mvee, config.replicas, config.kill_remote_replica_every,
-                     config.kill_remote_replica_at);
+                     config.kill_remote_replica_at, std::move(done));
 }
 
 // Materializes the RunConfig placement spec: adds one machine per distinct
@@ -136,7 +142,7 @@ SuiteResult RunSuiteWorkload(const WorkloadSpec& spec, const RunConfig& config) 
   ApplyPlacement(&w, config, &opts);
   Remon mvee(&w.kernel, opts);
   mvee.Launch(SuiteProgram(spec), spec.name);
-  ArmRemoteKill(&w, config, &mvee);
+  ArmRemoteKill(&w, config, &mvee, [&mvee] { return mvee.finished(); });
   w.sim.Run();
   SuiteResult result;
   result.name = spec.name;
@@ -168,7 +174,9 @@ ServerResult RunServerBench(const ServerSpec& server, const ClientSpec& client_s
   ApplyPlacement(&w, config, &opts);
   Remon mvee(&w.kernel, opts);
   mvee.Launch(ServerProgram(server), server.name);
-  ArmRemoteKill(&w, config, &mvee);
+  bool client_done = false;
+  ArmRemoteKill(&w, config, &mvee,
+                [&client_done, &mvee] { return client_done || mvee.finished(); });
 
   // The client rides on a separate, unmonitored machine.
   ClientSpec cs = client_spec;
@@ -180,11 +188,13 @@ ServerResult RunServerBench(const ServerSpec& server, const ClientSpec& client_s
   Process* client_proc =
       w.kernel.CreateProcess("client", w.client_machine, planner.PlanFor(8));
   // Give the servers a small head start to reach their accept loops.
-  w.kernel.SpawnThread(client_proc, [&cs, &stats](Guest& g) -> GuestTask<void> {
-    co_await g.SleepNs(Millis(2));
-    ProgramFn body = ClientProgram(cs, &stats);
-    co_await body(g);
-  });
+  w.kernel.SpawnThread(client_proc,
+                       [&cs, &stats, &client_done](Guest& g) -> GuestTask<void> {
+                         co_await g.SleepNs(Millis(2));
+                         ProgramFn body = ClientProgram(cs, &stats);
+                         co_await body(g);
+                         client_done = true;
+                       });
 
   w.sim.Run();
 

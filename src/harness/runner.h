@@ -70,8 +70,9 @@ struct RunConfig {
   TimeNs kill_remote_replica_at = 0;
   // With respawn enabled, repeat the kill at this interval after the first one
   // (each respawned replacement dies in turn) until the workload finishes — the
-  // re-seed benches average snapshot bytes over several recovery episodes
-  // instead of sampling one backlog instant. 0 kills once. Note the last armed
+  // replicas exit, or for a server bench the client does — so the re-seed
+  // benches average snapshot bytes over several recovery episodes instead of
+  // sampling one backlog instant. 0 kills once. Note the last armed
   // kill can fire up to one interval past workload completion, so wall-clock
   // comparisons should come from runs without a kill loop.
   DurationNs kill_remote_replica_every = 0;

@@ -5,8 +5,9 @@
 // paper's testbed (2x Xeon E5-2660, Linux 3.13) so that the paper's headline ratios
 // re-emerge: ptrace-based cross-process monitoring costs microseconds per system call
 // (two context switches per stop, four stops per monitored call), while the IP-MON
-// fast path costs tens-to-hundreds of nanoseconds. EXPERIMENTS.md records how measured
-// numbers compare to the paper for every figure.
+// fast path costs tens-to-hundreds of nanoseconds. The paper-figure benches under
+// bench/ print measured numbers beside the paper's; docs/BENCH_SCHEMA.md names the
+// metrics their baselines commit.
 
 #ifndef SRC_SIM_COST_MODEL_H_
 #define SRC_SIM_COST_MODEL_H_

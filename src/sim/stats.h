@@ -79,9 +79,9 @@ struct SimStats {
   uint64_t rb_snapshot_rejects = 0;       // Joins refused (validation/CRC/protocol).
   uint64_t rb_snapshot_entries_restored = 0;  // Entries re-published by restores.
   uint64_t rb_snapshot_epoll_lag = 0;     // Leader shadow keys the joiner lacked.
-  uint64_t rb_snapshot_delta_captures = 0;  // Re-seeds cut as O(delta) checkpoints.
-  uint64_t rb_snapshot_delta_bytes_sent = 0;  // Framed bytes of delta re-seeds only.
-  uint64_t rb_snapshot_full_fallbacks = 0;  // Delta requested but basis unusable.
+  uint64_t rb_snapshot_delta_captures = 0;  // Re-seeds cut against an ack-folded basis.
+  uint64_t rb_snapshot_delta_bytes_sent = 0;  // Framed bytes of those re-seeds only.
+  uint64_t rb_snapshot_full_fallbacks = 0;  // Delta requested, empty basis used.
   uint64_t rb_reset_join_stalls = 0;  // RB flush rounds parked on an in-flight re-seed.
   uint64_t rb_replica_migrations = 0;  // Respawns placed on a different machine.
   uint64_t file_map_grows = 0;         // Live FileMap page-count growths published.

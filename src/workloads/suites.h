@@ -6,8 +6,9 @@
 // the spec against the simulated kernel. Specs are derived from the per-benchmark
 // bars of Figures 3 and 4: the difference between a benchmark's GHUMVEE-only and
 // IP-MON bars determines its (category-resolved) system-call rate, and the IP-MON
-// bar's residual determines its memory pressure. EXPERIMENTS.md documents the
-// derivation and compares measured results against the paper per benchmark.
+// bar's residual determines its memory pressure. bench_fig3_parsec_splash and
+// bench_fig4_phoronix print each benchmark's measured result beside the paper's
+// bars; docs/BENCH_SCHEMA.md names the metrics their baselines commit.
 
 #ifndef SRC_WORKLOADS_SUITES_H_
 #define SRC_WORKLOADS_SUITES_H_
@@ -55,7 +56,8 @@ struct WorkloadSpec {
   int sync_ops = 0;
   uint32_t sync_objects = 8;  // Distinct lock objects the rotation cycles over.
 
-  // Paper targets for EXPERIMENTS.md (normalized runtime, 2 replicas).
+  // The paper's bars (normalized runtime, 2 replicas), printed beside the
+  // measured result by the fig3/fig4 benches.
   double paper_ghumvee = 0.0;
   double paper_remon = 0.0;
 

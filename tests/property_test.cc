@@ -319,10 +319,11 @@ struct FuzzOutcome {
   uint64_t rejoins = 0;        // Snapshot joins completed (re-seed observed).
   uint64_t join_lockstep_cursor = 0;  // Checkpointed GHUMVEE cursor at last join.
   uint64_t lockstep_rounds = 0;       // Monitored rounds over the whole run.
-  uint64_t delta_captures = 0;        // Re-seeds cut as O(delta) checkpoints.
-  uint64_t full_fallbacks = 0;        // Delta requested but basis unusable.
+  uint64_t delta_captures = 0;        // Re-seeds cut against an ack-folded basis.
+  uint64_t full_fallbacks = 0;        // Delta requested, empty basis used.
   uint64_t migrations = 0;            // Replacements placed on a new machine.
   uint64_t snapshot_bytes = 0;        // Checkpoint bytes shipped over the wire.
+  uint64_t snapshot_rejects = 0;      // Joins the replacement refused.
   TimeNs end_time = 0;                // Virtual time at quiescence.
 };
 
@@ -398,6 +399,7 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
   out.full_fallbacks = w.sim.stats().rb_snapshot_full_fallbacks;
   out.migrations = w.sim.stats().rb_replica_migrations;
   out.snapshot_bytes = w.sim.stats().rb_snapshot_bytes_sent;
+  out.snapshot_rejects = w.sim.stats().rb_snapshot_rejects;
   if (remote_last_replica && mvee.remote_agent(replicas - 1) != nullptr) {
     out.join_lockstep_cursor =
         mvee.remote_agent(replicas - 1)->last_join_lockstep_cursor();
@@ -606,10 +608,10 @@ TEST(RandomizedLockstepTest, ReseedWorksUnbatched) {
 }
 
 // Re-seed mode matrix: the same kill-one fuzz run under --reseed=delta,
-// --reseed=full, and delta with the replacement migrated to a brand-new machine.
-// The mode (and the placement) may only change what travels in the checkpoint —
-// every variant's transcript and RB stream must be byte-identical to the
-// never-died run.
+// --reseed=full (always the empty basis), and delta with the replacement migrated
+// to a brand-new machine. The basis (and the placement) may only change what
+// travels in the checkpoint — every variant's transcript and RB stream must be
+// byte-identical to the never-died run, and no replacement may refuse its join.
 TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
   int exercised = 0;
   uint64_t delta_used = 0;
@@ -631,6 +633,7 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     ASSERT_TRUE(delta.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript, delta.transcript) << "seed " << seed;
     ASSERT_EQ(uninterrupted.rb_entries, delta.rb_entries) << "seed " << seed;
+    ASSERT_EQ(delta.snapshot_rejects, 0u) << "seed " << seed;
 
     FuzzOutcome full = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
                                /*remote_last_replica=*/true,
@@ -640,7 +643,8 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     ASSERT_TRUE(full.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript, full.transcript) << "seed " << seed;
     ASSERT_EQ(uninterrupted.rb_entries, full.rb_entries) << "seed " << seed;
-    // kFull must never take the delta path (that's the ablation contract).
+    ASSERT_EQ(full.snapshot_rejects, 0u) << "seed " << seed;
+    // kFull must never cut against an ack-folded basis (the ablation contract).
     ASSERT_EQ(full.delta_captures, 0u) << "seed " << seed;
 
     FuzzOutcome migrated = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
@@ -651,16 +655,17 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     ASSERT_TRUE(migrated.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript, migrated.transcript) << "seed " << seed;
     ASSERT_EQ(uninterrupted.rb_entries, migrated.rb_entries) << "seed " << seed;
+    ASSERT_EQ(migrated.snapshot_rejects, 0u) << "seed " << seed;
 
     if (delta.remote_deaths > 0 && delta.rejoins > 0) {
       ++exercised;
       // Every re-seed decided delta-vs-fallback explicitly.
       ASSERT_GE(delta.delta_captures + delta.full_fallbacks, 1u) << "seed " << seed;
       delta_used += delta.delta_captures;
-      // A delta checkpoint never costs meaningfully more wire than the full
-      // re-ship: in the worst case (nothing acked yet) it degenerates to the
-      // full window plus its per-rank resume records. The flat-vs-linear curve
-      // across RB sizes is the bench suite's claim (bench_abl_rb reseed_delta).
+      // A folded-basis checkpoint never costs meaningfully more wire than the
+      // empty-basis one: in the worst case (nothing acked yet) the two coincide.
+      // The flat-vs-linear curve across RB sizes is the bench suite's claim
+      // (bench_abl_rb reseed_delta).
       if (delta.delta_captures > 0 && delta.full_fallbacks == 0) {
         EXPECT_LE(delta.snapshot_bytes, full.snapshot_bytes + 1024)
             << "seed " << seed;
@@ -694,6 +699,7 @@ TEST(RandomizedLockstepTest, AttestedMigrationMatchesUninterrupted) {
     ASSERT_TRUE(migrated.ok) << "seed " << seed;
     ASSERT_EQ(plain.transcript, migrated.transcript) << "seed " << seed;
     ASSERT_EQ(plain.rb_entries, migrated.rb_entries) << "seed " << seed;
+    ASSERT_EQ(migrated.snapshot_rejects, 0u) << "seed " << seed;
     if (migrated.remote_deaths > 0 && migrated.rejoins > 0) {
       ++exercised;
       ASSERT_GE(migrated.migrations, 1u) << "seed " << seed;

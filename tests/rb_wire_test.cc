@@ -284,6 +284,9 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
   snap.rb_image.runs.push_back(std::move(run));
   snap.cursors.assign(4, 128);
   snap.seqs.assign(4, 0);
+  snap.delta_from.assign(4, 0);
+  snap.file_map_page_count = 1;
+  snap.file_map_pages = {0};
   snap.file_map.assign(kPageSize, 0x33);
 
   SnapshotPayloads payloads = SerializeSnapshot(snap);
@@ -521,24 +524,52 @@ TEST(RbWireTest, JoinAttestCarriesPlacementMachine) {
   EXPECT_EQ(out.attest_machine, 7u);
 }
 
-TEST(RbWireTest, SnapshotDeltaFrameRoundTrip) {
-  // kSnapshotDelta opens a delta re-seed stream; the payload is opaque to the
-  // framing layer, exactly like kSnapshotBegin.
-  std::vector<uint8_t> payload(257);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 13);
+// Rewrites a u16 header field of an unsealed frame and re-stamps its CRC, so only
+// the field's meaning — not the checksum — can reject it.
+std::vector<uint8_t> RestampU16(std::vector<uint8_t> frame, size_t off, uint16_t v) {
+  std::memcpy(frame.data() + off, &v, 2);
+  uint32_t zero = 0;
+  std::memcpy(frame.data() + 40, &zero, 4);
+  uint32_t crc = Crc32(frame.data(), frame.size());
+  std::memcpy(frame.data() + 40, &crc, 4);
+  return frame;
+}
+
+// Wire v6 retired the separate delta begin frame (type 8): every checkpoint opens
+// with SNAPSHOT_BEGIN. A type-8 frame and a version-5 header are both corrupt —
+// nothing speaks an older version — and latch the parser, sealed or not.
+TEST(RbWireTest, RetiredDeltaTypeAndVersion5HeaderLatchCorrupt) {
+  std::vector<uint8_t> begin = RbWireCodec::EncodeSnapshotFrame(
+      RbFrameType::kSnapshotBegin, /*epoch=*/6, /*rank=*/1, /*frame_seq=*/42,
+      std::vector<uint8_t>(257, 0x3c));
+  struct Vector {
+    std::vector<uint8_t> frame;
+    const char* reason;
+  };
+  std::vector<Vector> vectors = {
+      {RestampU16(begin, 6, 8), "unknown frame type"},
+      {RestampU16(begin, 4, 5), "bad magic/version"},
+  };
+  RbAuthContext auth("retired-secret");
+  for (const Vector& v : vectors) {
+    RbFrameParser plain;
+    plain.Feed(v.frame.data(), v.frame.size());
+    RbWireFrame out;
+    EXPECT_EQ(plain.Next(&out), RbFrameParser::Status::kCorrupt);
+    EXPECT_STREQ(plain.corrupt_reason(), v.reason);
+    EXPECT_TRUE(plain.corrupt());
+    // Latched: a valid frame behind it is never decoded.
+    plain.Feed(begin.data(), begin.size());
+    EXPECT_EQ(plain.Next(&out), RbFrameParser::Status::kCorrupt);
+
+    std::vector<uint8_t> sealed = v.frame;
+    auth.SealFrame(&sealed, RbAuthDirection::kLeaderToReplica);
+    RbFrameParser authed;
+    authed.set_auth(&auth, RbAuthDirection::kLeaderToReplica);
+    authed.Feed(sealed.data(), sealed.size());
+    EXPECT_EQ(authed.Next(&out), RbFrameParser::Status::kCorrupt);
+    EXPECT_STREQ(authed.corrupt_reason(), v.reason);
   }
-  std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(
-      RbFrameType::kSnapshotDelta, /*epoch=*/6, /*rank=*/1, /*frame_seq=*/42, payload);
-  RbFrameParser parser;
-  parser.Feed(frame.data(), frame.size());
-  RbWireFrame out;
-  ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
-  EXPECT_EQ(out.type, RbFrameType::kSnapshotDelta);
-  EXPECT_EQ(out.epoch, 6u);
-  EXPECT_EQ(out.rank, 1u);
-  EXPECT_EQ(out.frame_seq, 42u);
-  EXPECT_EQ(out.payload, payload);
 }
 
 TEST(RbWireTest, TruncatedJoinAttestPayloadRejected) {
@@ -702,6 +733,9 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
   corpus.push_back(RbWireCodec::EncodeJoinAttest(1, 2, 0x1234, 8));
   corpus.push_back(RbWireCodec::EncodeSnapshotFrame(RbFrameType::kSnapshotBegin, 1, 0,
                                                     3, std::vector<uint8_t>(128, 0x7e)));
+  // The retired delta begin type and a version-5 header: corrupt before mutation.
+  corpus.push_back(RestampU16(corpus.back(), 6, 8));
+  corpus.push_back(RestampU16(corpus[corpus.size() - 2], 4, 5));
   for (auto& f : corpus) {
     auth.SealFrame(&f, RbAuthDirection::kLeaderToReplica);
   }

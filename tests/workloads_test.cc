@@ -365,6 +365,45 @@ TEST(RemotePlacementTest, MultithreadedPoolServerReseedsWithSyncLog) {
   EXPECT_EQ(reseeded.stats.sync_ops_replayed, 2 * reseeded.stats.sync_ops_recorded);
 }
 
+TEST(RemotePlacementTest, RepeatingKillOnServerRunReturnsOnceClientIsDone) {
+  // A server never exits, so a kill loop that re-armed until the replicas finished
+  // bumped epochs forever. The loop must stop with the client, every kill but the
+  // last must be followed by a join, and the client must see the never-killed
+  // transcript.
+  ServerSpec server = ServerByName("memcached");  // 4 pool workers.
+  server.log_writes = 2;
+  ClientSpec client;
+  client.connections = 8;
+  client.total_requests = 120;
+  client.request_bytes = 512;
+  LinkParams link{60 * kMicrosecond, 0.125};
+
+  RunConfig config;
+  config.mode = MveeMode::kRemon;
+  config.replicas = 3;
+  config.level = PolicyLevel::kSocketRw;
+  config.rb_batch_max = 16;
+  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.placement = {0, 1};  // Replica 2 on its own machine.
+  config.use_sync_agent = true;
+  ServerResult intact = RunServerBench(server, client, config, link);
+  ASSERT_FALSE(intact.diverged);
+  ASSERT_EQ(intact.requests, 120);
+
+  RunConfig faulted = config;
+  faulted.respawn_dead_replicas = true;
+  faulted.kill_remote_replica_at = Millis(3);
+  faulted.kill_remote_replica_every = Millis(3);
+  faulted.respawn_budget_decay = Millis(2);  // Sporadic deaths never exhaust it.
+  ServerResult killed = RunServerBench(server, client, faulted, link);
+  EXPECT_FALSE(killed.diverged);
+  EXPECT_EQ(killed.requests, intact.requests);
+  EXPECT_EQ(killed.bytes_received, intact.bytes_received);
+  EXPECT_GE(killed.stats.rb_remote_deaths, 3u);  // The loop really repeated.
+  EXPECT_GE(killed.stats.rb_replica_joins + 1, killed.stats.rb_remote_deaths);
+  EXPECT_EQ(killed.stats.rb_snapshot_rejects, 0u);
+}
+
 TEST(RemotePlacementTest, AuthenticatedPlacementServesIdenticalTranscript) {
   // Wire-v4 authentication at the server level: with --rb-auth the cross-machine
   // multi-threaded benchmark must serve the exact transcript of the
