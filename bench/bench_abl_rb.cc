@@ -41,18 +41,18 @@ void RunBatchSweep(BenchJson* json) {
   spec.io_size = 256;
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   SuiteResult base = RunSuiteWorkload(spec, native);
 
   Table table({"batch max", "normalized time", "batched entries", "precall coal.",
                "flushes", "wakes elided"});
   for (const BatchPoint& point : kBatchPoints) {
     RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 2;
-    config.level = PolicyLevel::kNonsocketRw;
-    config.rb_batch_max = point.batch_max;
-    config.rb_batch_policy = point.policy;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = 2;
+    config.mvee.level = PolicyLevel::kNonsocketRw;
+    config.mvee.rb_batch_max = point.batch_max;
+    config.mvee.rb_batch_policy = point.policy;
     SuiteResult run = RunSuiteWorkload(spec, config);
     table.AddRow({point.label, Table::Num(run.seconds / base.seconds),
                   Table::Num(static_cast<double>(run.stats.rb_batched_entries), 0),
@@ -88,18 +88,18 @@ void RunServerBatchSweep(BenchJson* json) {
   LinkParams link{Millis(1), 0.125};
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, link);
 
   Table table({"batch max", "normalized time", "batched entries", "flushes",
                "window +/-", "park flushes"});
   for (const BatchPoint& point : kBatchPoints) {
     RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 3;
-    config.level = PolicyLevel::kSocketRw;
-    config.rb_batch_max = point.batch_max;
-    config.rb_batch_policy = point.policy;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = 3;
+    config.mvee.level = PolicyLevel::kSocketRw;
+    config.mvee.rb_batch_max = point.batch_max;
+    config.mvee.rb_batch_policy = point.policy;
     ServerResult run = RunServerBench(server, client, config, link);
     char window[32];
     std::snprintf(window, sizeof(window), "+%llu/-%llu",
@@ -139,7 +139,7 @@ void RunRemoteLinkSweep(BenchJson* json) {
   LinkParams client_link{Millis(1), 0.125};
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, client_link);
 
   Table table({"link latency", "policy", "normalized time", "frames", "frame KiB",
@@ -149,11 +149,11 @@ void RunRemoteLinkSweep(BenchJson* json) {
          {BatchPoint{"unbatched", 0, RbBatchPolicy::kFixed},
           BatchPoint{"adaptive", 16, RbBatchPolicy::kAdaptive}}) {
       RunConfig config;
-      config.mode = MveeMode::kRemon;
-      config.replicas = 3;
-      config.level = PolicyLevel::kSocketRw;
-      config.rb_batch_max = point.batch_max;
-      config.rb_batch_policy = point.policy;
+      config.mvee.mode = MveeMode::kRemon;
+      config.mvee.replicas = 3;
+      config.mvee.level = PolicyLevel::kSocketRw;
+      config.mvee.rb_batch_max = point.batch_max;
+      config.mvee.rb_batch_policy = point.policy;
       config.placement = {1};
       config.rb_link_latency = static_cast<DurationNs>(latency_us) * kMicrosecond;
       ServerResult run = RunServerBench(server, client, config, client_link);
@@ -200,15 +200,15 @@ void RunReseedSweep(BenchJson* json) {
   LinkParams client_link{Millis(1), 0.125};
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, client_link);
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1};
   config.rb_link_latency = 50 * kMicrosecond;
 
@@ -216,7 +216,7 @@ void RunReseedSweep(BenchJson* json) {
   for (bool fault : {false, true}) {
     RunConfig point = config;
     if (fault) {
-      point.respawn_dead_replicas = true;
+      point.mvee.respawn_dead_replicas = true;
       point.kill_remote_replica_at = Millis(2);
     }
     ServerResult run = RunServerBench(server, client, point, client_link);
@@ -266,16 +266,16 @@ void RunReseedDeltaSweep(BenchJson* json) {
   for (uint64_t kb : {256, 1024, 4096, 16384}) {
     for (ReseedMode mode : {ReseedMode::kDelta, ReseedMode::kFull}) {
       RunConfig config;
-      config.mode = MveeMode::kRemon;
-      config.replicas = 2;
-      config.level = PolicyLevel::kNonsocketRw;
-      config.rb_batch_max = 16;
-      config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+      config.mvee.mode = MveeMode::kRemon;
+      config.mvee.replicas = 2;
+      config.mvee.level = PolicyLevel::kNonsocketRw;
+      config.mvee.rb_batch_max = 16;
+      config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
       config.placement = {1};
       config.rb_link_latency = 50 * kMicrosecond;
-      config.rb_size = kb * 1024;
-      config.reseed_mode = mode;
-      config.respawn_dead_replicas = true;
+      config.mvee.rb_size = kb * 1024;
+      config.mvee.reseed_mode = mode;
+      config.mvee.respawn_dead_replicas = true;
       // Kill the remote replica repeatedly and average snapshot bytes per
       // re-seed: a single kill samples one backlog instant, which is
       // reset-phase noise on a handful of 4 KiB pages. The cadence must outlast
@@ -288,7 +288,7 @@ void RunReseedDeltaSweep(BenchJson* json) {
       config.kill_remote_replica_at = Millis(80);
       config.kill_remote_replica_every =
           mode == ReseedMode::kDelta ? Millis(3) : Millis(13);
-      config.respawn_budget_decay =
+      config.mvee.respawn_budget_decay =
           mode == ReseedMode::kDelta ? Millis(2) : Millis(10);
       SuiteResult run = RunSuiteWorkload(spec, config);
       const char* mode_label = mode == ReseedMode::kDelta ? "delta" : "full";
@@ -347,16 +347,16 @@ void Run(BenchJson* json) {
   spec.io_size = 4096;
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   SuiteResult base = RunSuiteWorkload(spec, native);
 
   Table table({"RB size", "normalized time", "RB resets", "resets/s"});
   for (uint64_t kb : {256, 1024, 4096, 16384}) {
     RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 2;
-    config.level = PolicyLevel::kNonsocketRw;
-    config.rb_size = kb * 1024;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = 2;
+    config.mvee.level = PolicyLevel::kNonsocketRw;
+    config.mvee.rb_size = kb * 1024;
     SuiteResult run = RunSuiteWorkload(spec, config);
     char label[32];
     std::snprintf(label, sizeof(label), "%llu KiB", static_cast<unsigned long long>(kb));

@@ -26,7 +26,7 @@ int Run(BenchMain* bench) {
   spec.io_size = 1024;
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   SuiteResult base = RunSuiteWorkload(spec, native);
   double calls = static_cast<double>(base.stats.syscalls_total);
 
@@ -53,9 +53,9 @@ int Run(BenchMain* bench) {
              /*higher_is_better=*/true);
   for (const DesignRow& d : designs) {
     RunConfig config;
-    config.mode = d.mode;
-    config.replicas = 2;
-    config.level = d.level;
+    config.mvee.mode = d.mode;
+    config.mvee.replicas = 2;
+    config.mvee.level = d.level;
     SuiteResult run = RunSuiteWorkload(spec, config);
     // Degenerate-run guard: a native run reporting zero seconds or zero
     // syscalls must render "-" rather than emit inf/nan into the table/JSON.

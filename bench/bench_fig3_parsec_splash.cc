@@ -23,21 +23,21 @@ WorkloadSpec SyncShape(const WorkloadSpec& s) { return SyncVariant(s, 2, 80); }
 
 std::vector<SuiteColumn> Columns() {
   RunConfig cp;
-  cp.mode = MveeMode::kGhumveeOnly;
-  cp.replicas = 2;
+  cp.mvee.mode = MveeMode::kGhumveeOnly;
+  cp.mvee.replicas = 2;
 
   RunConfig ip;
-  ip.mode = MveeMode::kRemon;
-  ip.replicas = 2;
-  ip.level = PolicyLevel::kNonsocketRw;
+  ip.mvee.mode = MveeMode::kRemon;
+  ip.mvee.replicas = 2;
+  ip.mvee.level = PolicyLevel::kNonsocketRw;
 
   RunConfig sync_local = ip;
-  sync_local.rb_batch_max = 16;
-  sync_local.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  sync_local.use_sync_agent = true;
+  sync_local.mvee.rb_batch_max = 16;
+  sync_local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  sync_local.mvee.use_sync_agent = true;
   // A 64-slot circular log: barrier/lock-dominated compute must lap it, so the
   // wraparound gate and the coalescing window are both on the measured path.
-  sync_local.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
+  sync_local.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
 
   RunConfig sync_remote = sync_local;
   sync_remote.placement = {1};  // Replica 1 on its own machine, RB-transport-fed.
@@ -46,7 +46,7 @@ std::vector<SuiteColumn> Columns() {
   // (sync_log_append_stalls) instead of streaming. A deep window leaves the
   // remote column bandwidth-bound, not window-bound (remon_test.cc locks the
   // knob's effect in).
-  sync_remote.rb_max_inflight_frames = 64;
+  sync_remote.mvee.rb_max_inflight_frames = 64;
 
   return {
       {"ghumvee2", cp, nullptr, PaperGhumvee},

@@ -16,16 +16,16 @@ namespace {
 
 RunConfig LevelConfig(PolicyLevel level) {
   RunConfig ip;
-  ip.mode = MveeMode::kRemon;
-  ip.replicas = 2;
-  ip.level = level;
+  ip.mvee.mode = MveeMode::kRemon;
+  ip.mvee.replicas = 2;
+  ip.mvee.level = level;
   return ip;
 }
 
 std::vector<SuiteColumn> LadderColumns() {
   RunConfig cp;
-  cp.mode = MveeMode::kGhumveeOnly;
-  cp.replicas = 2;
+  cp.mvee.mode = MveeMode::kGhumveeOnly;
+  cp.mvee.replicas = 2;
   return {
       {"ghumvee2", cp, nullptr, nullptr},
       {"base", LevelConfig(PolicyLevel::kBase), nullptr, nullptr},
@@ -65,16 +65,16 @@ WorkloadSpec SyncShape(const WorkloadSpec& s) { return SyncVariant(s, 2, 80); }
 
 std::vector<SuiteColumn> SyncColumns() {
   RunConfig sync_local = LevelConfig(PolicyLevel::kNonsocketRw);
-  sync_local.rb_batch_max = 16;
-  sync_local.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  sync_local.use_sync_agent = true;
-  sync_local.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
+  sync_local.mvee.rb_batch_max = 16;
+  sync_local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  sync_local.mvee.use_sync_agent = true;
+  sync_local.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
 
   RunConfig sync_remote = sync_local;
   sync_remote.placement = {1};
   // Deep in-flight window: the rotation's tiny liveness-point frames would
   // otherwise park the master on ack round-trips (see bench_fig3, remon_test.cc).
-  sync_remote.rb_max_inflight_frames = 64;
+  sync_remote.mvee.rb_max_inflight_frames = 64;
 
   return {
       {"sync_local4", sync_local, SyncShape, nullptr},

@@ -45,7 +45,7 @@ void RunScenario(const char* title, const char* scenario_key, LinkParams link,
 
     // One native baseline per row.
     RunConfig native;
-    native.mode = MveeMode::kNative;
+    native.mvee.mode = MveeMode::kNative;
     ServerResult base = RunServerBench(server, client, native, link);
 
     auto norm = [&](const RunConfig& config, const char* config_key) {
@@ -62,25 +62,25 @@ void RunScenario(const char* title, const char* scenario_key, LinkParams link,
 
     std::vector<std::string> cells{row.client_label};
     RunConfig cp;
-    cp.mode = MveeMode::kGhumveeOnly;
-    cp.replicas = 2;
+    cp.mvee.mode = MveeMode::kGhumveeOnly;
+    cp.mvee.replicas = 2;
     cells.push_back(Table::Num(norm(cp, "ghumvee2")));
     for (int replicas = 2; replicas <= 7; ++replicas) {
       RunConfig ip;
-      ip.mode = MveeMode::kRemon;
-      ip.replicas = replicas;
-      ip.level = PolicyLevel::kSocketRw;
+      ip.mvee.mode = MveeMode::kRemon;
+      ip.mvee.replicas = replicas;
+      ip.mvee.level = PolicyLevel::kSocketRw;
       cells.push_back(
           Table::Num(norm(ip, ("remon" + std::to_string(replicas)).c_str())));
     }
     // Beyond the paper: adaptive RB batching at 4 replicas (the per-rank window
     // follows each worker's observed waiter pressure).
     RunConfig adaptive;
-    adaptive.mode = MveeMode::kRemon;
-    adaptive.replicas = 4;
-    adaptive.level = PolicyLevel::kSocketRw;
-    adaptive.rb_batch_max = 16;
-    adaptive.rb_batch_policy = RbBatchPolicy::kAdaptive;
+    adaptive.mvee.mode = MveeMode::kRemon;
+    adaptive.mvee.replicas = 4;
+    adaptive.mvee.level = PolicyLevel::kSocketRw;
+    adaptive.mvee.rb_batch_max = 16;
+    adaptive.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
     cells.push_back(Table::Num(norm(adaptive, "remon4_adaptive")));
     table.AddRow(std::move(cells));
   }
@@ -112,7 +112,7 @@ void RunMtRemoteScenario(LinkParams link, BenchJson* json) {
     client.request_bytes = row.request_bytes;
 
     RunConfig native;
-    native.mode = MveeMode::kNative;
+    native.mvee.mode = MveeMode::kNative;
     ServerResult base = RunServerBench(server, client, native, link);
 
     auto norm = [&](const RunConfig& config, const char* config_key) {
@@ -128,25 +128,25 @@ void RunMtRemoteScenario(LinkParams link, BenchJson* json) {
     };
 
     RunConfig local;
-    local.mode = MveeMode::kRemon;
-    local.replicas = 3;
-    local.level = PolicyLevel::kSocketRw;
-    local.rb_batch_max = 16;
-    local.rb_batch_policy = RbBatchPolicy::kAdaptive;
-    local.use_sync_agent = true;
+    local.mvee.mode = MveeMode::kRemon;
+    local.mvee.replicas = 3;
+    local.mvee.level = PolicyLevel::kSocketRw;
+    local.mvee.rb_batch_max = 16;
+    local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
+    local.mvee.use_sync_agent = true;
 
     RunConfig remote = local;
     remote.placement = {0, 1};  // The last replica on its own machine.
 
     RunConfig reseed = remote;
-    reseed.respawn_dead_replicas = true;
+    reseed.mvee.respawn_dead_replicas = true;
     reseed.kill_remote_replica_at = Millis(4);
 
     // Wire-v4 authentication: MAC + stream encryption on every cross-machine
     // frame. The column measures what sealing/verifying the stream adds on top
     // of the plain remote placement.
     RunConfig auth = remote;
-    auth.rb_auth = true;
+    auth.mvee.rb_auth = true;
 
     std::vector<std::string> cells{row.server};
     cells.push_back(Table::Num(norm(local, "sync_local3")));

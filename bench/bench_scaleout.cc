@@ -18,17 +18,17 @@ namespace {
 
 RunConfig NativeConfig() {
   RunConfig config;
-  config.mode = MveeMode::kNative;
-  config.file_map_pages = 4;  // Swarm-scale FD counts outgrow the classic page.
+  config.mvee.mode = MveeMode::kNative;
+  config.mvee.file_map_pages = 4;  // Swarm-scale FD counts outgrow the classic page.
   return config;
 }
 
 RunConfig RemonConfig() {
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 2;
-  config.level = PolicyLevel::kSocketRw;
-  config.file_map_pages = 4;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 2;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.file_map_pages = 4;
   return config;
 }
 

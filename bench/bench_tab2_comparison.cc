@@ -57,15 +57,15 @@ int Run(BenchMain* bench) {
     client.request_bytes = row.bytes;
 
     RunConfig cp;
-    cp.mode = MveeMode::kGhumveeOnly;
-    cp.replicas = 2;
+    cp.mvee.mode = MveeMode::kGhumveeOnly;
+    cp.mvee.replicas = 2;
     RunConfig varan;
-    varan.mode = MveeMode::kVaranLike;
-    varan.replicas = 2;
+    varan.mvee.mode = MveeMode::kVaranLike;
+    varan.mvee.replicas = 2;
     RunConfig rm;
-    rm.mode = MveeMode::kRemon;
-    rm.replicas = 2;
-    rm.level = PolicyLevel::kSocketRw;
+    rm.mvee.mode = MveeMode::kRemon;
+    rm.mvee.replicas = 2;
+    rm.mvee.level = PolicyLevel::kSocketRw;
 
     struct Cell {
       const char* key;
@@ -98,20 +98,20 @@ int Run(BenchMain* bench) {
   std::vector<double> varan_vals;
   for (const WorkloadSpec& spec : SpecCpuSuite()) {
     RunConfig rm;
-    rm.mode = MveeMode::kRemon;
-    rm.replicas = 2;
-    rm.level = PolicyLevel::kNonsocketRw;
+    rm.mvee.mode = MveeMode::kRemon;
+    rm.mvee.replicas = 2;
+    rm.mvee.level = PolicyLevel::kNonsocketRw;
     remon_vals.push_back(NormalizedSuiteTime(spec, rm));
 
     RunConfig cp8;
-    cp8.mode = MveeMode::kGhumveeOnly;
-    cp8.replicas = 2;
+    cp8.mvee.mode = MveeMode::kGhumveeOnly;
+    cp8.mvee.replicas = 2;
     cp8.costs.llc_mb = 8.0;  // The GHUMVEE paper's testbed.
     ghumvee8_vals.push_back(NormalizedSuiteTime(spec, cp8));
 
     RunConfig vr;
-    vr.mode = MveeMode::kVaranLike;
-    vr.replicas = 2;
+    vr.mvee.mode = MveeMode::kVaranLike;
+    vr.mvee.replicas = 2;
     vr.costs.llc_mb = 8.0;  // VARAN's testbed also had 8 MB LLC.
     varan_vals.push_back(NormalizedSuiteTime(spec, vr));
   }

@@ -27,7 +27,7 @@ int main() {
   spec.io_size = 1024;
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   SuiteResult base = RunSuiteWorkload(spec, native);
 
   std::printf("workload: %d iters x %d calls (time queries, stats, file r/w, socket\n",
@@ -40,8 +40,8 @@ int main() {
                "% in lockstep"});
   {
     RunConfig config;
-    config.mode = MveeMode::kGhumveeOnly;
-    config.replicas = 2;
+    config.mvee.mode = MveeMode::kGhumveeOnly;
+    config.mvee.replicas = 2;
     SuiteResult run = RunSuiteWorkload(spec, config);
     table.AddRow({"NO_IPMON (GHUMVEE only)", Table::Num(run.seconds / base.seconds),
                   std::to_string(run.stats.syscalls_monitored),
@@ -51,9 +51,9 @@ int main() {
                             PolicyLevel::kNonsocketRw, PolicyLevel::kSocketRo,
                             PolicyLevel::kSocketRw}) {
     RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 2;
-    config.level = level;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = 2;
+    config.mvee.level = level;
     SuiteResult run = RunSuiteWorkload(spec, config);
     double total = static_cast<double>(run.stats.syscalls_monitored +
                                        run.stats.syscalls_unmonitored);

@@ -25,16 +25,16 @@ int main() {
   std::printf("requests over a local gigabit link\n\n");
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, gigabit);
   std::printf("native:          %6d requests in %6.2f ms  (%7.0f req/s, %5.0f us latency)\n",
               base.requests, base.seconds * 1e3, base.throughput, base.mean_latency_us);
 
   for (int replicas : {2, 3}) {
     RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = replicas;
-    config.level = PolicyLevel::kSocketRw;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = replicas;
+    config.mvee.level = PolicyLevel::kSocketRw;
     ServerResult run = RunServerBench(server, client, config, gigabit);
     std::printf("remon %d replicas: %5d requests in %6.2f ms  (%7.0f req/s, %5.0f us latency)",
                 replicas, run.requests, run.seconds * 1e3, run.throughput,

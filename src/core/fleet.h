@@ -53,7 +53,7 @@ struct AutoscaleConfig {
   uint64_t up_threshold = 200;
   uint64_t down_threshold = 20;
   // Launch-to-rotation delay for spawned shards: models provisioning + warm-up,
-  // like the respawn_delay ahead of a replica re-seed (PR 4).
+  // like the respawn delay ahead of a replica re-seed.
   DurationNs warmup = 1 * kMillisecond;
   // Fleet-wide cap on autoscale spawns; a tier that keeps demanding more is
   // overloaded, not unlucky (mirrors max_respawns_per_replica).

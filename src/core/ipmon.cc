@@ -17,6 +17,12 @@ namespace {
 constexpr uint64_t kRankOffResetDone = 0;
 constexpr uint64_t kRankOffBarrierGen = 8;  // + 8 * replica_index.
 
+// "IPMO": the entry point IP-MON registers with the kernel.
+constexpr uint64_t kEntryCookie = 0x49504d4f;
+// Batched publication only takes results at most this large; bigger payloads
+// publish eagerly.
+constexpr uint64_t kRbBatchEntryBytes = 512;
+
 void AppendU64To(std::vector<uint8_t>* out, uint64_t v) {
   const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
   out->insert(out->end(), p, p + 8);
@@ -86,7 +92,7 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   }
   g.Poke(mask_addr, bytes.data(), bytes.size());
   int64_t rc = co_await g.Syscall(Sys::kRemonIpmonRegister, mask_addr,
-                                  static_cast<uint64_t>(rb_addr), config_.entry_cookie);
+                                  static_cast<uint64_t>(rb_addr), kEntryCookie);
   REMON_CHECK_MSG(rc == 0, "IP-MON registration rejected");
 
   // Liveness backstop for batched publication: if a master thread is about to park
@@ -509,7 +515,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   // bounds how long a deferred publication can stay invisible.
   bool predict_block = PredictBlocking(req, *file_map_);
   bool batchable = config_.rb_batch_max > 0 &&
-                   out_cap + 16 <= config_.rb_batch_entry_bytes &&
+                   out_cap + 16 <= kRbBatchEntryBytes &&
                    !MaySleepIndefinitely(req);
   if (config_.rb_batch_max > 0 && !batchable &&
       !batch_[static_cast<size_t>(rank)].empty()) {
@@ -617,7 +623,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   // POSTCALL: replicate results — eagerly, or deferred into the rank's batch.
   std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
-  if (batchable && payload.size() <= config_.rb_batch_entry_bytes) {
+  if (batchable && payload.size() <= kRbBatchEntryBytes) {
     RbBatch& batch = batch_[static_cast<size_t>(rank)];
     batch.AddResults(entry_off, r, std::move(payload));
     ++stats.rb_batched_entries;
@@ -697,9 +703,6 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
   // predicted to block, spin-read otherwise (paper §3.7).
   RbEntryHeader hdr = RbEntryOps::ReadHeader(rb_, entry_off);
   bool use_futex = (hdr.flags & kRbFlagMaybeBlocking) != 0;
-  if (config_.wait_mode != IpmonWaitMode::kAuto) {
-    use_futex = config_.wait_mode == IpmonWaitMode::kFutex;
-  }
   while (rb_.ReadU32(entry_off + kRbOffState) < kRbResultsReady) {
     if (use_futex) {
       RbEntryOps::AddWaiter(rb_, entry_off);

@@ -42,11 +42,6 @@ class RbTransport;
 // reliability-oriented monitor (everything in-process, no lockstep, no CP fallback).
 enum class IpmonMode { kRemon, kVaranLike };
 
-// How slaves wait for the master's results: the paper's design predicts blocking via
-// the file map and picks per call (kAuto); kSpin / kFutex force one strategy for the
-// ablation study (§3.7).
-enum class IpmonWaitMode { kAuto, kSpin, kFutex };
-
 class IpMon {
  public:
   struct Config {
@@ -55,8 +50,6 @@ class IpMon {
     uint64_t rb_size = 16 * 1024 * 1024;
     int max_ranks = 16;
     IpmonMode mode = IpmonMode::kRemon;
-    IpmonWaitMode wait_mode = IpmonWaitMode::kAuto;
-    uint64_t entry_cookie = 0x49504d4f;  // "IPMO": the registered entry point.
     // Batched RB publication (ablation knob): the master coalesces up to this many
     // consecutive small bounded-latency entries per rank — staged PRECALL argument
     // commits and deferred POSTCALL results — into one publication with a single
@@ -67,8 +60,6 @@ class IpMon {
     // waiter pressure observed at flush points.
     int rb_batch_max = 0;
     RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
-    // Only results at most this large are batched; bigger payloads publish eagerly.
-    uint64_t rb_batch_entry_bytes = 512;
   };
 
   IpMon(Kernel* kernel, IkBroker* broker, RelaxationPolicy policy, FileMap* file_map,

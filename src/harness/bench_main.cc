@@ -64,7 +64,7 @@ void RunSuiteGrid(const std::string& ns, const std::string& title,
       auto it = natives.find(col.shape);
       if (it == natives.end()) {
         RunConfig native;
-        native.mode = MveeMode::kNative;
+        native.mvee.mode = MveeMode::kNative;
         native.seed = col.config.seed;
         it = natives.emplace(col.shape, RunSuiteWorkload(shaped, native)).first;
       }

@@ -36,27 +36,10 @@ struct World {
 
 RemonOptions OptionsFor(const RunConfig& config, double mem_intensity,
                         bool multithreaded) {
-  RemonOptions opts;
-  opts.mode = config.mode;
-  opts.replicas = config.replicas;
-  opts.level = config.level;
-  opts.temporal = config.temporal;
-  opts.rb_size = config.rb_size;
-  opts.wait_mode = config.wait_mode;
-  opts.rb_batch_max = config.rb_batch_max;
-  opts.rb_batch_policy = config.rb_batch_policy;
+  RemonOptions opts = config.mvee;
   opts.mem_intensity = mem_intensity;
-  // Suite workloads are race-free by construction; multi-threaded servers opt in
-  // (their pool workers then serialize racy accept-side bookkeeping through the
-  // agent). Single-threaded programs never consult the agent.
-  opts.use_sync_agent = config.use_sync_agent && multithreaded;
-  opts.sync_log_size = config.sync_log_size;
-  opts.rb_max_inflight_frames = config.rb_max_inflight_frames;
-  opts.respawn_dead_replicas = config.respawn_dead_replicas;
-  opts.respawn_budget_decay = config.respawn_budget_decay;
-  opts.reseed_mode = config.reseed_mode;
-  opts.rb_auth = config.rb_auth;
-  opts.file_map_pages = config.file_map_pages;
+  // Single-threaded programs never consult the agent.
+  opts.use_sync_agent = config.mvee.use_sync_agent && multithreaded;
   return opts;
 }
 
@@ -91,7 +74,7 @@ void ArmRemoteKill(World* w, const RunConfig& config, Remon* mvee,
   if (config.kill_remote_replica_at <= 0) {
     return;
   }
-  ScheduleRemoteKill(w, mvee, config.replicas, config.kill_remote_replica_every,
+  ScheduleRemoteKill(w, mvee, config.mvee.replicas, config.kill_remote_replica_every,
                      config.kill_remote_replica_at, std::move(done));
 }
 
@@ -101,7 +84,7 @@ void ArmRemoteKill(World* w, const RunConfig& config, Remon* mvee,
 // placements) stay all-local.
 void ApplyPlacement(World* w, const RunConfig& config, RemonOptions* opts) {
   opts->machine = w->server_machine;
-  if (config.placement.empty() || config.mode != MveeMode::kRemon) {
+  if (config.placement.empty() || config.mvee.mode != MveeMode::kRemon) {
     return;
   }
   std::map<int, uint32_t> hosts;
@@ -114,10 +97,10 @@ void ApplyPlacement(World* w, const RunConfig& config, RemonOptions* opts) {
     }
     return it->second;
   };
-  opts->replica_machines.assign(static_cast<size_t>(config.replicas),
+  opts->replica_machines.assign(static_cast<size_t>(config.mvee.replicas),
                                 opts->machine);
   for (size_t k = 0; k < config.placement.size(); ++k) {
-    if (static_cast<int>(k) + 1 >= config.replicas) {
+    if (static_cast<int>(k) + 1 >= config.mvee.replicas) {
       break;  // Placement entries beyond the replica set are ignored.
     }
     int host = config.placement[k];
@@ -155,7 +138,7 @@ SuiteResult RunSuiteWorkload(const WorkloadSpec& spec, const RunConfig& config) 
 
 double NormalizedSuiteTime(const WorkloadSpec& spec, const RunConfig& config) {
   RunConfig native = config;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   SuiteResult base = RunSuiteWorkload(spec, native);
   SuiteResult run = RunSuiteWorkload(spec, config);
   REMON_CHECK_MSG(base.finished && !base.diverged, "native suite run failed");
@@ -213,7 +196,7 @@ ServerResult RunServerBench(const ServerSpec& server, const ClientSpec& client_s
 double NormalizedServerTime(const ServerSpec& server, const ClientSpec& client,
                             const RunConfig& config, LinkParams link) {
   RunConfig native = config;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, link);
   ServerResult run = RunServerBench(server, client, config, link);
   if (base.seconds <= 0 || run.seconds <= 0 || run.diverged) {

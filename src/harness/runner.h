@@ -22,19 +22,17 @@
 
 namespace remon {
 
+// One measurement: the MVEE under test plus the harness-only world around it.
 struct RunConfig {
-  MveeMode mode = MveeMode::kNative;
-  int replicas = 2;
-  PolicyLevel level = PolicyLevel::kSocketRw;
-  TemporalPolicy temporal;
+  // The MVEE configuration (mode, policy, RB, transport, re-seed). The runner
+  // derives two members per workload: mem_intensity from the workload spec, and
+  // use_sync_agent only for multi-threaded programs (suite workloads are
+  // race-free by construction; thread-pool servers serialize their racy
+  // accept-side bookkeeping through the agent). machine, replica_machines and
+  // respawn_target_machine are filled from the placement fields below.
+  RemonOptions mvee;
   uint64_t seed = 1;
   CostModel costs = CostModel::Default();
-  uint64_t rb_size = 16 * 1024 * 1024;
-  IpmonWaitMode wait_mode = IpmonWaitMode::kAuto;
-  int rb_batch_max = 0;  // Batched RB publication (0 = per-entry wakeups).
-  // Fixed window vs. waiter-pressure-driven adaptive window (ceiling rb_batch_max,
-  // default 16 when adaptive is chosen with rb_batch_max == 0).
-  RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
   // Cross-machine replica placement: placement[k] names the replica host of
   // replica k+1 (replica 0, the leader, is always local). 0 = leader machine;
   // m > 0 = the m-th dedicated replica-host machine, created on demand and linked
@@ -43,24 +41,6 @@ struct RunConfig {
   // Leader <-> replica-host link (the RB transport rides on it).
   DurationNs rb_link_latency = 60 * kMicrosecond;
   double rb_link_bytes_per_ns = 0.125;  // 1 Gbit/s.
-  // Transport in-flight frame budget (RemonOptions::rb_max_inflight_frames).
-  // Barrier/lock-dominated compute flushes tiny frames at every liveness point,
-  // so the shallow default throttles a remote placement to the ack round-trip;
-  // the compute-suite benches raise it (and let the sync-log wrap gate, sized
-  // by sync_log_size, provide the replay-lag bound instead).
-  int rb_max_inflight_frames = 8;
-  // Replica re-seed: checkpoint the leader and attach a replacement when a remote
-  // replica's link dies, instead of reporting divergence (RemonOptions::
-  // respawn_dead_replicas).
-  bool respawn_dead_replicas = false;
-  // Healthy-interval refund rate for the respawn budget (RemonOptions::
-  // respawn_budget_decay): fault-injection loops that kill faster than the
-  // default 10 ms refund would otherwise exhaust the cap after 3 deaths.
-  DurationNs respawn_budget_decay = 10 * kMillisecond;
-  // How replacement checkpoints are cut: kDelta resumes from the dead replica's
-  // acked horizon (O(delta)); kFull re-ships the whole leader state (the
-  // ablation baseline). --reseed=delta|full.
-  ReseedMode reseed_mode = ReseedMode::kDelta;
   // Respawn-as-migration: 0 respawns replacements in place; m > 0 places them on
   // the m-th dedicated replica-host machine (created and linked on demand, same
   // namespace as `placement` entries). --respawn-target=M.
@@ -76,19 +56,6 @@ struct RunConfig {
   // kill can fire up to one interval past workload completion, so wall-clock
   // comparisons should come from runs without a kill loop.
   DurationNs kill_remote_replica_every = 0;
-  // Record/replay agent for multi-threaded workloads (paper §2.3): thread-pool
-  // servers wrap their racy accept-side bookkeeping in BeforeAcquire when set.
-  // With a cross-machine placement the master's log streams as kSyncLog frames.
-  bool use_sync_agent = false;
-  // Sync-agent log segment size (wraps circularly when exceeded).
-  uint64_t sync_log_size = 1024 * 1024;
-  // Authenticated RB transport (wire v4): per-frame MAC + stream encryption on
-  // every cross-machine frame, attested join before re-seed. No effect on
-  // all-local placements.
-  bool rb_auth = false;
-  // FD metadata map pages per replica set (RemonOptions::file_map_pages).
-  // Swarm-scale server runs outgrow the classic single 4096-FD page.
-  int file_map_pages = 1;
 };
 
 struct SuiteResult {

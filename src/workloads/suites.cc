@@ -16,8 +16,10 @@ namespace {
 //   overhead_cp - overhead_ip = rate * (kCpCost - kIpCost).
 // kCpCost: a monitored call (4 ptrace stops, lockstep, replication).
 // kIpCost: an unmonitored call through IP-MON (RB append + slave copy).
-// These mirror the measured costs of the simulated monitors; bench_abl_ctxcost
-// reports the actual values so the calibration can be checked.
+// These mirror the measured costs of the simulated monitors: (MVEE time - native
+// time) / native syscalls of an I/O-heavy 2-replica suite run, which remon_cli's
+// report gives for any workload (--mode=ghumvee for kCpCost, --mode=remon
+// --level=nonsocket_rw for kIpCost).
 constexpr double kCpCost = 19.8e-6;
 constexpr double kIpCost = 0.7e-6;
 // With four worker threads the monitor pipelines stops across ranks, so the

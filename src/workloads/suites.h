@@ -44,7 +44,7 @@ struct WorkloadSpec {
   // pool counter, rotated across all workers in a pinned round-robin order (a
   // barrier rotation: global slot k = round * threads + worker_id, gated on a
   // shared turn word). Replica sets carrying a sync agent
-  // (RunConfig::use_sync_agent) order every acquisition through
+  // (RemonOptions::use_sync_agent) order every acquisition through
   // SyncAgent::BeforeAcquire, so the master's sync log sees
   // threads * sync_ops * iterations entries; without an agent the rotation
   // still runs, keeping the native baseline the same shape. Each worker logs

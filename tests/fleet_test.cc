@@ -317,7 +317,7 @@ ScaleoutSpec SmallFleetSpec(int shards, int connections) {
 TEST(ScaleoutTest, SameSeedSameRoutingAndByteIdenticalTranscripts) {
   ScaleoutSpec spec = SmallFleetSpec(3, 600);
   RunConfig config;
-  config.mode = MveeMode::kNative;
+  config.mvee.mode = MveeMode::kNative;
   ScaleoutResult r1 = RunScaleout(spec, config);
   ScaleoutResult r2 = RunScaleout(spec, config);
 
@@ -353,11 +353,11 @@ TEST(ScaleoutTest, RemonShardsMatchNativeTranscripts) {
   // routes and serves the same request stream as the native fleet.
   ScaleoutSpec spec = SmallFleetSpec(2, 200);
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   RunConfig remon;
-  remon.mode = MveeMode::kRemon;
-  remon.replicas = 2;
-  remon.level = PolicyLevel::kSocketRw;
+  remon.mvee.mode = MveeMode::kRemon;
+  remon.mvee.replicas = 2;
+  remon.mvee.level = PolicyLevel::kSocketRw;
   ScaleoutResult rn = RunScaleout(spec, native);
   ScaleoutResult rr = RunScaleout(spec, remon);
   EXPECT_TRUE(rn.finished);
@@ -396,7 +396,7 @@ TEST(ScaleoutTest, MultiTierChainReachesTheBackend) {
   spec.client_processes = 2;
 
   RunConfig config;
-  config.mode = MveeMode::kNative;
+  config.mvee.mode = MveeMode::kNative;
   ScaleoutResult r = RunScaleout(spec, config);
   EXPECT_TRUE(r.finished);
   EXPECT_GT(r.completed, 0);
@@ -433,7 +433,7 @@ TEST(ScaleoutTest, AutoscaleSpikeSpawnsThenIdleRetires) {
   spec.autoscale.enabled = true;
 
   RunConfig config;
-  config.mode = MveeMode::kNative;
+  config.mvee.mode = MveeMode::kNative;
   ScaleoutResult r1 = RunScaleout(spec, config);
   EXPECT_TRUE(r1.finished);
   EXPECT_GE(r1.shards_spawned, 1u) << "spike never tripped the up-threshold";
@@ -458,9 +458,9 @@ TEST(ScaleoutTest, RebalanceMigratesRemoteReplicasUnderLoad) {
   ScaleoutSpec spec = SmallFleetSpec(2, 200);
   spec.tiers[0].remote_replicas = true;
   RunConfig remon;
-  remon.mode = MveeMode::kRemon;
-  remon.replicas = 2;
-  remon.level = PolicyLevel::kSocketRw;
+  remon.mvee.mode = MveeMode::kRemon;
+  remon.mvee.replicas = 2;
+  remon.mvee.level = PolicyLevel::kSocketRw;
 
   ScaleoutResult steady = RunScaleout(spec, remon);
   ASSERT_TRUE(steady.finished);

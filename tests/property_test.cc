@@ -111,14 +111,14 @@ TEST_P(ReplicaCountTest, ServerTransparentForAnyReplicaCount) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, link);
   ASSERT_EQ(base.requests, 40);
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = replicas;
-  config.level = PolicyLevel::kSocketRw;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = replicas;
+  config.mvee.level = PolicyLevel::kSocketRw;
   ServerResult run = RunServerBench(server, client, config, link);
   EXPECT_FALSE(run.diverged);
   EXPECT_EQ(run.requests, 40);  // Every request served exactly once.
@@ -193,9 +193,9 @@ TEST_P(SuiteSpecTest, PhoronixSpecsRunCleanlyUnderRemon) {
   // Shrink for test runtime.
   spec.iterations = std::min(spec.iterations, 100);
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 2;
-  config.level = PolicyLevel::kSocketRw;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 2;
+  config.mvee.level = PolicyLevel::kSocketRw;
   SuiteResult result = RunSuiteWorkload(spec, config);
   EXPECT_TRUE(result.finished) << spec.name;
   EXPECT_FALSE(result.diverged) << spec.name;

@@ -23,7 +23,7 @@ TEST_P(ServerKindTest, ServesKeepAliveRequestsNatively) {
   client.total_requests = 60;
   client.request_bytes = 1024;
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult r = RunServerBench(server, client, native,
                                   LinkParams{60 * kMicrosecond, 0.125});
   EXPECT_EQ(r.requests, 60) << server.name;
@@ -91,7 +91,7 @@ TEST(ClientTest, DurationModeStopsOnDeadline) {
   client.duration = Millis(20);  // wrk-style.
   client.request_bytes = 256;
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult r = RunServerBench(server, client, native,
                                   LinkParams{60 * kMicrosecond, 0.125});
   EXPECT_GT(r.requests, 10);
@@ -116,16 +116,16 @@ TEST_P(AdaptiveBatchServerTest, TranscriptMatchesUnreplicatedBaseline) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig native;
-  native.mode = MveeMode::kNative;
+  native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, link);
   ASSERT_EQ(base.requests, 80) << server.name;
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   ServerResult run = RunServerBench(server, client, config, link);
 
   EXPECT_FALSE(run.diverged) << server.name;
@@ -158,10 +158,10 @@ TEST(AdaptiveBatchServerTest, AdaptiveMatchesOrBeatsBestFixedWindow) {
   double best_fixed = -1;
   for (int batch : {0, 2, 4, 8, 16}) {
     RunConfig config;
-    config.mode = MveeMode::kRemon;
-    config.replicas = 3;
-    config.level = PolicyLevel::kSocketRw;
-    config.rb_batch_max = batch;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = 3;
+    config.mvee.level = PolicyLevel::kSocketRw;
+    config.mvee.rb_batch_max = batch;
     ServerResult r = RunServerBench(server, client, config, link);
     ASSERT_FALSE(r.diverged) << "fixed " << batch;
     ASSERT_EQ(r.requests, 150) << "fixed " << batch;
@@ -171,11 +171,11 @@ TEST(AdaptiveBatchServerTest, AdaptiveMatchesOrBeatsBestFixedWindow) {
   }
 
   RunConfig adaptive;
-  adaptive.mode = MveeMode::kRemon;
-  adaptive.replicas = 3;
-  adaptive.level = PolicyLevel::kSocketRw;
-  adaptive.rb_batch_max = 16;
-  adaptive.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  adaptive.mvee.mode = MveeMode::kRemon;
+  adaptive.mvee.replicas = 3;
+  adaptive.mvee.level = PolicyLevel::kSocketRw;
+  adaptive.mvee.rb_batch_max = 16;
+  adaptive.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   ServerResult a = RunServerBench(server, client, adaptive, link);
   ASSERT_FALSE(a.diverged);
   ASSERT_EQ(a.requests, 150);
@@ -200,11 +200,11 @@ TEST_P(RemotePlacementServerTest, TranscriptMatchesShmPlacement) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig local;
-  local.mode = MveeMode::kRemon;
-  local.replicas = 3;
-  local.level = PolicyLevel::kSocketRw;
-  local.rb_batch_max = 16;
-  local.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  local.mvee.mode = MveeMode::kRemon;
+  local.mvee.replicas = 3;
+  local.mvee.level = PolicyLevel::kSocketRw;
+  local.mvee.rb_batch_max = 16;
+  local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   ServerResult shm = RunServerBench(server, client, local, link);
   ASSERT_FALSE(shm.diverged) << server.name;
   ASSERT_EQ(shm.requests, 80) << server.name;
@@ -241,11 +241,11 @@ TEST(RemotePlacementTest, TwoRemoteRanksOnDistinctHosts) {
   client.total_requests = 40;
   client.request_bytes = 512;
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 8;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 8;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1, 2};
   ServerResult r = RunServerBench(server, client, config,
                                   LinkParams{60 * kMicrosecond, 0.125});
@@ -270,18 +270,18 @@ TEST(RemotePlacementTest, KilledReplicaReseedsAndServesIdenticalTranscript) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1};
   ServerResult uninterrupted = RunServerBench(server, client, config, link);
   ASSERT_FALSE(uninterrupted.diverged);
   ASSERT_EQ(uninterrupted.requests, 80);
 
   RunConfig faulted = config;
-  faulted.respawn_dead_replicas = true;
+  faulted.mvee.respawn_dead_replicas = true;
   faulted.kill_remote_replica_at = Millis(2);
   ServerResult reseeded = RunServerBench(server, client, faulted, link);
 
@@ -320,13 +320,13 @@ TEST(RemotePlacementTest, MultithreadedPoolServerReseedsWithSyncLog) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
-  config.use_sync_agent = true;
+  config.mvee.use_sync_agent = true;
 
   // Placement transparency first: the agent-guarded pool serves identically
   // whether the replica set is all-local or split across machines.
@@ -351,7 +351,7 @@ TEST(RemotePlacementTest, MultithreadedPoolServerReseedsWithSyncLog) {
   EXPECT_EQ(remote.stats.sync_ops_replayed, 2 * remote.stats.sync_ops_recorded);
 
   RunConfig faulted = config;
-  faulted.respawn_dead_replicas = true;
+  faulted.mvee.respawn_dead_replicas = true;
   faulted.kill_remote_replica_at = Millis(3);
   ServerResult reseeded = RunServerBench(server, client, faulted, link);
 
@@ -379,22 +379,22 @@ TEST(RemotePlacementTest, RepeatingKillOnServerRunReturnsOnceClientIsDone) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
-  config.use_sync_agent = true;
+  config.mvee.use_sync_agent = true;
   ServerResult intact = RunServerBench(server, client, config, link);
   ASSERT_FALSE(intact.diverged);
   ASSERT_EQ(intact.requests, 120);
 
   RunConfig faulted = config;
-  faulted.respawn_dead_replicas = true;
+  faulted.mvee.respawn_dead_replicas = true;
   faulted.kill_remote_replica_at = Millis(3);
   faulted.kill_remote_replica_every = Millis(3);
-  faulted.respawn_budget_decay = Millis(2);  // Sporadic deaths never exhaust it.
+  faulted.mvee.respawn_budget_decay = Millis(2);  // Sporadic deaths never exhaust it.
   ServerResult killed = RunServerBench(server, client, faulted, link);
   EXPECT_FALSE(killed.diverged);
   EXPECT_EQ(killed.requests, intact.requests);
@@ -418,20 +418,20 @@ TEST(RemotePlacementTest, AuthenticatedPlacementServesIdenticalTranscript) {
   LinkParams link{60 * kMicrosecond, 0.125};
 
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 3;
-  config.level = PolicyLevel::kSocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
-  config.use_sync_agent = true;
+  config.mvee.use_sync_agent = true;
   ServerResult plain = RunServerBench(server, client, config, link);
   ASSERT_FALSE(plain.diverged);
   ASSERT_EQ(plain.requests, 120);
   EXPECT_EQ(plain.stats.rb_auth_frames_sealed, 0u);
 
   RunConfig authed = config;
-  authed.rb_auth = true;
+  authed.mvee.rb_auth = true;
   ServerResult auth = RunServerBench(server, client, authed, link);
   ASSERT_FALSE(auth.diverged);
   EXPECT_EQ(auth.requests, plain.requests);
@@ -444,7 +444,7 @@ TEST(RemotePlacementTest, AuthenticatedPlacementServesIdenticalTranscript) {
   EXPECT_EQ(auth.stats.rb_auth_join_rejects, 0u);
 
   RunConfig faulted = authed;
-  faulted.respawn_dead_replicas = true;
+  faulted.mvee.respawn_dead_replicas = true;
   faulted.kill_remote_replica_at = Millis(3);
   ServerResult reseeded = RunServerBench(server, client, faulted, link);
   EXPECT_FALSE(reseeded.diverged);
@@ -521,7 +521,7 @@ TEST(SuiteSpecTest, SuiteProgramIsDeterministicAcrossRuns) {
   WorkloadSpec spec = PhoronixSuite()[0];
   spec.iterations = 50;
   RunConfig config;
-  config.mode = MveeMode::kNative;
+  config.mvee.mode = MveeMode::kNative;
   SuiteResult a = RunSuiteWorkload(spec, config);
   SuiteResult b = RunSuiteWorkload(spec, config);
   EXPECT_EQ(a.seconds, b.seconds);
@@ -550,7 +550,7 @@ TEST_P(SuiteTableTest, RunsToCompletionUnderGhumveeAndRemon) {
   for (WorkloadSpec spec : SuiteByName(GetParam())) {
     spec.iterations = std::min(spec.iterations, 30);  // Shape, not duration.
     RunConfig native;
-    native.mode = MveeMode::kNative;
+    native.mvee.mode = MveeMode::kNative;
     SuiteResult base = RunSuiteWorkload(spec, native);
     ASSERT_TRUE(base.finished) << spec.name;
     ASSERT_FALSE(base.diverged) << spec.name;
@@ -559,9 +559,9 @@ TEST_P(SuiteTableTest, RunsToCompletionUnderGhumveeAndRemon) {
 
     for (MveeMode mode : {MveeMode::kGhumveeOnly, MveeMode::kRemon}) {
       RunConfig config;
-      config.mode = mode;
-      config.replicas = 2;
-      config.level = PolicyLevel::kNonsocketRw;
+      config.mvee.mode = mode;
+      config.mvee.replicas = 2;
+      config.mvee.level = PolicyLevel::kNonsocketRw;
       SuiteResult run = RunSuiteWorkload(spec, config);
       const char* label = mode == MveeMode::kRemon ? "remon" : "ghumvee";
       EXPECT_TRUE(run.finished) << spec.name << " " << label;
@@ -584,13 +584,13 @@ INSTANTIATE_TEST_SUITE_P(AllSuites, SuiteTableTest,
 
 RunConfig SyncColumnConfig() {
   RunConfig config;
-  config.mode = MveeMode::kRemon;
-  config.replicas = 2;
-  config.level = PolicyLevel::kNonsocketRw;
-  config.rb_batch_max = 16;
-  config.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  config.use_sync_agent = true;
-  config.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 2;
+  config.mvee.level = PolicyLevel::kNonsocketRw;
+  config.mvee.rb_batch_max = 16;
+  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  config.mvee.use_sync_agent = true;
+  config.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
   return config;
 }
 
@@ -617,7 +617,7 @@ TEST(SyncSuiteTest, DeepInflightWindowUnthrottlesRemoteSyncColumn) {
 
   RunConfig shallow = SyncColumnConfig();
   shallow.placement = {1};
-  ASSERT_EQ(shallow.rb_max_inflight_frames, 8);  // The default being documented.
+  ASSERT_EQ(shallow.mvee.rb_max_inflight_frames, 8);  // The default being documented.
   SuiteResult throttled = RunSuiteWorkload(spec, shallow);
   ASSERT_TRUE(throttled.finished);
   ASSERT_FALSE(throttled.diverged);
@@ -625,7 +625,7 @@ TEST(SyncSuiteTest, DeepInflightWindowUnthrottlesRemoteSyncColumn) {
   EXPECT_GT(throttled.stats.rb_transport_stalls, 100u);
 
   RunConfig deep = shallow;
-  deep.rb_max_inflight_frames = 64;  // What the bench columns run with.
+  deep.mvee.rb_max_inflight_frames = 64;  // What the bench columns run with.
   SuiteResult fast = RunSuiteWorkload(spec, deep);
   ASSERT_TRUE(fast.finished);
   ASSERT_FALSE(fast.diverged);
@@ -660,13 +660,13 @@ TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
     SimWorld w(7);
     RunConfig config = SyncColumnConfig();
     RemonOptions opts;
-    opts.mode = config.mode;
-    opts.replicas = config.replicas;
-    opts.level = config.level;
-    opts.rb_batch_max = config.rb_batch_max;
-    opts.rb_batch_policy = config.rb_batch_policy;
+    opts.mode = config.mvee.mode;
+    opts.replicas = config.mvee.replicas;
+    opts.level = config.mvee.level;
+    opts.rb_batch_max = config.mvee.rb_batch_max;
+    opts.rb_batch_policy = config.mvee.rb_batch_policy;
     opts.use_sync_agent = true;
-    opts.sync_log_size = config.sync_log_size;
+    opts.sync_log_size = config.mvee.sync_log_size;
     opts.rb_max_inflight_frames = 64;
     opts.machine = w.server_machine;
     if (remote != 0) {

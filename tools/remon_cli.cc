@@ -1,290 +1,20 @@
 // remon_cli: command-line driver for the library.
 //
-//   remon_cli [--mode=native|ghumvee|remon|varan] [--replicas=N]
-//             [--level=base|nonsocket_ro|nonsocket_rw|socket_ro|socket_rw]
-//             [--workload=NAME | --server=NAME] [--seed=N] [--latency-us=N]
-//             [--connections=N] [--requests=N] [--temporal-p=F] [--rb-mb=N]
-//             [--rb-batch=N|adaptive|adaptive:MAX] [--rb-migration]
-//             [--placement=local|machine:N,...] [--rb-link-latency-us=N]
-//             [--rb-link-gbps=F] [--respawn-on-death] [--reseed=delta|full]
-//             [--respawn-target=M] [--kill-replica-at-ms=N]
-//             [--sync-agent] [--sync-log-kb=N] [--rb-auth] [--list]
-//   scale-out (fleet of replica sets behind a load balancer):
-//             [--shards=N] [--tiers=SERVER:SHARDS,...] [--autoscale]
-//             [--clients=N] [--arrival-rate=F] [--fd-map-pages=N]
-//
 // Runs one workload (a suite benchmark by name, a server benchmark driven by a
 // closed-loop client, or — with --shards/--tiers — a multi-tier fleet under an
 // open-loop swarm) under the chosen MVEE configuration and prints a run report.
-// docs/CLI.md is the full flag reference with copy-pasteable examples.
+// The flags come from one table (src/harness/cli.h); `remon_cli --help` prints
+// them, and docs/CLI.md is the full reference with copy-pasteable examples.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/harness/cli.h"
 #include "src/harness/runner.h"
-#include "src/harness/table.h"
 
 namespace remon {
 namespace {
-
-struct CliArgs {
-  MveeMode mode = MveeMode::kRemon;
-  int replicas = 2;
-  PolicyLevel level = PolicyLevel::kSocketRw;
-  std::string workload;
-  std::string server;
-  uint64_t seed = 1;
-  int latency_us = 60;
-  int connections = 16;
-  int requests = 400;
-  double temporal_p = 0.0;
-  int rb_batch = 0;
-  RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
-  uint64_t rb_mb = 16;
-  bool rb_migration = false;
-  std::vector<int> placement;
-  int rb_link_latency_us = 60;
-  double rb_link_gbps = 1.0;
-  bool respawn_on_death = false;
-  ReseedMode reseed_mode = ReseedMode::kDelta;
-  int respawn_target = 0;
-  int kill_replica_at_ms = 0;
-  bool sync_agent = false;
-  uint64_t sync_log_kb = 1024;
-  bool rb_auth = false;
-  bool list = false;
-  // Scale-out: a fleet run replaces the single-set server benchmark.
-  int shards = 0;                    // >0: single-tier fleet of this many shards.
-  std::vector<std::pair<std::string, int>> tiers;  // (server template, shards).
-  bool autoscale = false;
-  int clients = 10000;               // Open-loop swarm arrivals.
-  double arrival_rate = 50000.0;     // Poisson rate, connections/second.
-  int fd_map_pages = 4;              // FileMap pages per shard in fleet runs.
-  bool ok = true;
-};
-
-bool StartsWith(const char* arg, const char* prefix, const char** value) {
-  size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) == 0) {
-    *value = arg + n;
-    return true;
-  }
-  return false;
-}
-
-CliArgs Parse(int argc, char** argv) {
-  CliArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (StartsWith(argv[i], "--mode=", &v)) {
-      std::string m = v;
-      if (m == "native") args.mode = MveeMode::kNative;
-      else if (m == "ghumvee") args.mode = MveeMode::kGhumveeOnly;
-      else if (m == "remon") args.mode = MveeMode::kRemon;
-      else if (m == "varan") args.mode = MveeMode::kVaranLike;
-      else args.ok = false;
-    } else if (StartsWith(argv[i], "--replicas=", &v)) {
-      args.replicas = std::atoi(v);
-    } else if (StartsWith(argv[i], "--level=", &v)) {
-      std::string l = v;
-      if (l == "base") args.level = PolicyLevel::kBase;
-      else if (l == "nonsocket_ro") args.level = PolicyLevel::kNonsocketRo;
-      else if (l == "nonsocket_rw") args.level = PolicyLevel::kNonsocketRw;
-      else if (l == "socket_ro") args.level = PolicyLevel::kSocketRo;
-      else if (l == "socket_rw") args.level = PolicyLevel::kSocketRw;
-      else args.ok = false;
-    } else if (StartsWith(argv[i], "--workload=", &v)) {
-      args.workload = v;
-    } else if (StartsWith(argv[i], "--server=", &v)) {
-      args.server = v;
-    } else if (StartsWith(argv[i], "--seed=", &v)) {
-      args.seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (StartsWith(argv[i], "--latency-us=", &v)) {
-      args.latency_us = std::atoi(v);
-    } else if (StartsWith(argv[i], "--connections=", &v)) {
-      args.connections = std::atoi(v);
-    } else if (StartsWith(argv[i], "--requests=", &v)) {
-      args.requests = std::atoi(v);
-    } else if (StartsWith(argv[i], "--temporal-p=", &v)) {
-      args.temporal_p = std::atof(v);
-    } else if (StartsWith(argv[i], "--rb-batch=", &v)) {
-      // N = fixed window; "adaptive" = waiter-pressure-driven window with the
-      // default ceiling; "adaptive:MAX" picks the ceiling.
-      // A whole-token number, so "adaptive:1O" / "4x" error out instead of running
-      // a sweep under a silently different window.
-      auto parse_window = [](const char* s, int* out) {
-        char* end = nullptr;
-        long n = std::strtol(s, &end, 10);
-        if (end == s || *end != '\0' || n < 0) {
-          return false;
-        }
-        *out = static_cast<int>(n);
-        return true;
-      };
-      if (std::strcmp(v, "adaptive") == 0) {
-        args.rb_batch_policy = RbBatchPolicy::kAdaptive;
-        args.rb_batch = 0;
-      } else if (std::strncmp(v, "adaptive:", 9) == 0 &&
-                 parse_window(v + 9, &args.rb_batch) && args.rb_batch > 0) {
-        args.rb_batch_policy = RbBatchPolicy::kAdaptive;
-      } else if (parse_window(v, &args.rb_batch)) {
-      } else {
-        args.ok = false;  // "adaptive4", "adaptive:junk", "abc": reject, don't guess.
-      }
-    } else if (StartsWith(argv[i], "--rb-mb=", &v)) {
-      args.rb_mb = static_cast<uint64_t>(std::atoll(v));
-    } else if (StartsWith(argv[i], "--placement=", &v)) {
-      // "local" keeps every replica on the leader machine (SHM only).
-      // "machine:N[,M...]" places replica 1 on replica-host N, replica 2 on M, ...
-      // (0 = leader-local; replicas beyond the list stay local).
-      if (std::strcmp(v, "local") == 0) {
-        args.placement.clear();
-      } else if (std::strncmp(v, "machine:", 8) == 0) {
-        const char* s = v + 8;
-        while (args.ok && *s != '\0') {
-          char* end = nullptr;
-          long m = std::strtol(s, &end, 10);
-          if (end == s || m < 0) {
-            args.ok = false;
-            break;
-          }
-          args.placement.push_back(static_cast<int>(m));
-          s = end;
-          if (*s == ',') {
-            ++s;
-            if (*s == '\0') {
-              args.ok = false;  // Trailing comma: reject, don't guess.
-            }
-          } else if (*s != '\0') {
-            args.ok = false;
-          }
-        }
-        if (args.placement.empty()) {
-          args.ok = false;
-        }
-      } else {
-        args.ok = false;
-      }
-    } else if (StartsWith(argv[i], "--rb-link-latency-us=", &v)) {
-      args.rb_link_latency_us = std::atoi(v);
-      if (args.rb_link_latency_us < 0) {
-        args.ok = false;
-      }
-    } else if (StartsWith(argv[i], "--rb-link-gbps=", &v)) {
-      args.rb_link_gbps = std::atof(v);
-      if (args.rb_link_gbps <= 0) {
-        args.ok = false;
-      }
-    } else if (std::strcmp(argv[i], "--respawn-on-death") == 0) {
-      // Replica re-seed: a dead remote replica is replaced via a leader checkpoint
-      // over the RB transport instead of ending the run with a divergence report.
-      args.respawn_on_death = true;
-    } else if (StartsWith(argv[i], "--reseed=", &v)) {
-      // delta (default): replacement checkpoints resume from the dead replica's
-      // acked horizon — O(delta), flat in RB size. full: always re-ship the whole
-      // leader state (the ablation baseline).
-      if (std::strcmp(v, "delta") == 0) args.reseed_mode = ReseedMode::kDelta;
-      else if (std::strcmp(v, "full") == 0) args.reseed_mode = ReseedMode::kFull;
-      else args.ok = false;
-    } else if (StartsWith(argv[i], "--respawn-target=", &v)) {
-      // Respawn-as-migration: replacements land on replica-host M (same host
-      // namespace as --placement=machine:...) instead of the machine the replica
-      // died on. The replacement's join attestation carries the new placement.
-      args.respawn_target = std::atoi(v);
-      if (args.respawn_target <= 0) {
-        args.ok = false;
-      }
-    } else if (StartsWith(argv[i], "--kill-replica-at-ms=", &v)) {
-      // Fault injection: tear the highest-index remote replica's link down at this
-      // virtual time (pair with --respawn-on-death to watch the recovery).
-      args.kill_replica_at_ms = std::atoi(v);
-      if (args.kill_replica_at_ms <= 0) {
-        args.ok = false;
-      }
-    } else if (std::strcmp(argv[i], "--sync-agent") == 0) {
-      // Record/replay agent for multi-threaded workloads: pool servers serialize
-      // their racy accept-side bookkeeping through it, and under a cross-machine
-      // placement the master's log streams as kSyncLog frames.
-      args.sync_agent = true;
-    } else if (StartsWith(argv[i], "--sync-log-kb=", &v)) {
-      long long kb = std::atoll(v);
-      if (kb <= 0) {
-        args.ok = false;  // Negative sizes must not wrap into a huge uint64.
-      } else {
-        args.sync_log_kb = static_cast<uint64_t>(kb);
-      }
-    } else if (std::strcmp(argv[i], "--rb-auth") == 0) {
-      // Authenticated RB transport (wire v4): MAC + stream encryption on every
-      // cross-machine frame, attested join before a replacement is re-seeded.
-      args.rb_auth = true;
-    } else if (std::strcmp(argv[i], "--rb-migration") == 0) {
-      args.rb_migration = true;
-    } else if (StartsWith(argv[i], "--shards=", &v)) {
-      args.shards = std::atoi(v);
-      if (args.shards <= 0) {
-        args.ok = false;
-      }
-    } else if (StartsWith(argv[i], "--tiers=", &v)) {
-      // "SERVER:SHARDS[,SERVER:SHARDS...]" front tier first, e.g.
-      // --tiers=nginx:2,memcached:2,redis:1. Each tier is a fleet of full
-      // replica sets behind its own load-balanced virtual endpoint; tier k
-      // treats tier k+1 as its upstream.
-      const char* s = v;
-      while (args.ok && *s != '\0') {
-        const char* colon = std::strchr(s, ':');
-        if (colon == nullptr || colon == s) {
-          args.ok = false;
-          break;
-        }
-        char* end = nullptr;
-        long n = std::strtol(colon + 1, &end, 10);
-        if (end == colon + 1 || n <= 0) {
-          args.ok = false;
-          break;
-        }
-        args.tiers.emplace_back(std::string(s, colon), static_cast<int>(n));
-        s = end;
-        if (*s == ',') {
-          ++s;
-          if (*s == '\0') {
-            args.ok = false;  // Trailing comma: reject, don't guess.
-          }
-        } else if (*s != '\0') {
-          args.ok = false;
-        }
-      }
-      if (args.tiers.empty()) {
-        args.ok = false;
-      }
-    } else if (std::strcmp(argv[i], "--autoscale") == 0) {
-      args.autoscale = true;
-    } else if (StartsWith(argv[i], "--clients=", &v)) {
-      args.clients = std::atoi(v);
-      if (args.clients <= 0) {
-        args.ok = false;
-      }
-    } else if (StartsWith(argv[i], "--arrival-rate=", &v)) {
-      args.arrival_rate = std::atof(v);
-      if (args.arrival_rate <= 0) {
-        args.ok = false;
-      }
-    } else if (StartsWith(argv[i], "--fd-map-pages=", &v)) {
-      args.fd_map_pages = std::atoi(v);
-      if (args.fd_map_pages < 1 || args.fd_map_pages > 1024) {
-        args.ok = false;
-      }
-    } else if (std::strcmp(argv[i], "--list") == 0) {
-      args.list = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      args.ok = false;
-    }
-  }
-  return args;
-}
 
 void ListWorkloads() {
   std::printf("suite workloads (use --workload=NAME):\n");
@@ -394,38 +124,18 @@ void PrintStats(const SimStats& stats) {
   }
 }
 
-int Run(const CliArgs& args) {
-  RunConfig config;
-  config.mode = args.mode;
-  config.replicas = args.replicas;
-  config.level = args.level;
-  config.seed = args.seed;
-  config.rb_size = args.rb_mb * 1024 * 1024;
-  config.rb_batch_max = args.rb_batch;
-  config.rb_batch_policy = args.rb_batch_policy;
-  config.placement = args.placement;
-  config.rb_link_latency = static_cast<DurationNs>(args.rb_link_latency_us) * kMicrosecond;
-  config.rb_link_bytes_per_ns = args.rb_link_gbps * 0.125;
-  config.respawn_dead_replicas = args.respawn_on_death;
-  config.reseed_mode = args.reseed_mode;
-  config.respawn_target = args.respawn_target;
-  config.kill_remote_replica_at = Millis(args.kill_replica_at_ms);
-  config.use_sync_agent = args.sync_agent;
-  config.sync_log_size = args.sync_log_kb * 1024;
-  config.rb_auth = args.rb_auth;
-  if (args.temporal_p > 0) {
-    config.temporal.enabled = true;
-    config.temporal.exempt_probability = args.temporal_p;
-  }
+int Run(const CliRun& cli) {
+  RunConfig config = cli.config;
+  const RemonOptions& mvee = cli.config.mvee;
 
-  if (args.shards > 0 || !args.tiers.empty()) {
+  if (cli.fleet()) {
     // Fleet run: N replica-set shards (per tier) behind a load balancer, driven
     // by an open-loop Poisson swarm instead of the closed-loop client.
-    config.file_map_pages = args.fd_map_pages;
+    config.mvee.file_map_pages = cli.fd_map_pages;
     ScaleoutSpec spec;
-    std::vector<std::pair<std::string, int>> tiers = args.tiers;
+    std::vector<std::pair<std::string, int>> tiers = cli.tiers;
     if (tiers.empty()) {
-      tiers.emplace_back(args.server.empty() ? "nginx" : args.server, args.shards);
+      tiers.emplace_back(cli.server.empty() ? "nginx" : cli.server, cli.shards);
     }
     for (size_t t = 0; t < tiers.size(); ++t) {
       ScaleoutTierSpec tier;
@@ -434,7 +144,7 @@ int Run(const CliArgs& args) {
       tier.port = static_cast<uint16_t>(9000 + t);
       tier.initial_shards = tiers[t].second;
       tier.min_shards = tiers[t].second;
-      tier.max_shards = args.autoscale ? tiers[t].second + 4 : tiers[t].second;
+      tier.max_shards = cli.autoscale ? tiers[t].second + 4 : tiers[t].second;
       tier.hit_ratio = 0.75;  // Non-front tiers: 1 miss in 4 goes upstream.
       if (t > 0) {
         // Internal tiers serve a handful of persistent upstream connections,
@@ -443,14 +153,14 @@ int Run(const CliArgs& args) {
       }
       spec.tiers.push_back(tier);
     }
-    spec.swarm.connections = args.clients;
-    spec.swarm.arrival_rate = args.arrival_rate;
-    spec.autoscale.enabled = args.autoscale;
+    spec.swarm.connections = cli.clients;
+    spec.swarm.arrival_rate = cli.arrival_rate;
+    spec.autoscale.enabled = cli.autoscale;
     ScaleoutResult run = RunScaleout(spec, config);
     std::printf("fleet under %s (%d replicas, %s): %d clients at %.0f conn/s\n",
-                std::string(MveeModeName(args.mode)).c_str(), args.replicas,
-                std::string(PolicyLevelName(args.level)).c_str(), args.clients,
-                args.arrival_rate);
+                std::string(MveeModeName(mvee.mode)).c_str(), mvee.replicas,
+                std::string(PolicyLevelName(mvee.level)).c_str(), cli.clients,
+                cli.arrival_rate);
     for (size_t t = 0; t < spec.tiers.size(); ++t) {
       std::printf("  tier %s: shards=%d in-rotation=%d port=%u\n",
                   spec.tiers[t].name.c_str(), run.shard_counts[t],
@@ -460,7 +170,7 @@ int Run(const CliArgs& args) {
                 run.arrived, run.completed, run.errors, run.stalled);
     std::printf("  throughput: %.0f conn/s | p50 %.3f ms | p99 %.3f ms\n",
                 run.throughput, run.p50_ms, run.p99_ms);
-    if (args.autoscale) {
+    if (cli.autoscale) {
       std::printf("  autoscale: spawned=%llu retired=%llu launched=%llu\n",
                   static_cast<unsigned long long>(run.shards_spawned),
                   static_cast<unsigned long long>(run.shards_retired),
@@ -473,20 +183,20 @@ int Run(const CliArgs& args) {
     return run.diverged ? 2 : (run.finished ? 0 : 3);
   }
 
-  if (!args.server.empty()) {
-    ServerSpec server = ServerByName(args.server);
+  RunConfig native = config;
+  native.mvee.mode = MveeMode::kNative;
+  if (!cli.server.empty()) {
+    ServerSpec server = ServerByName(cli.server);
     ClientSpec client;
-    client.connections = args.connections;
-    client.total_requests = args.requests;
-    LinkParams link{static_cast<DurationNs>(args.latency_us) * kMicrosecond, 0.125};
-    RunConfig native = config;
-    native.mode = MveeMode::kNative;
+    client.connections = cli.connections;
+    client.total_requests = cli.requests;
+    LinkParams link{cli.latency_us * kMicrosecond, 0.125};
     ServerResult base = RunServerBench(server, client, native, link);
     ServerResult run = RunServerBench(server, client, config, link);
     std::printf("server %s under %s (%d replicas, %s, %d us link):\n",
-                server.name.c_str(), std::string(MveeModeName(args.mode)).c_str(),
-                args.replicas, std::string(PolicyLevelName(args.level)).c_str(),
-                args.latency_us);
+                server.name.c_str(), std::string(MveeModeName(mvee.mode)).c_str(),
+                mvee.replicas, std::string(PolicyLevelName(mvee.level)).c_str(),
+                cli.latency_us);
     std::printf("  native: %d requests, %.0f req/s, %.0f us mean latency\n",
                 base.requests, base.throughput, base.mean_latency_us);
     std::printf("  mvee:   %d requests, %.0f req/s, %.0f us mean latency%s\n",
@@ -499,50 +209,38 @@ int Run(const CliArgs& args) {
     return run.diverged ? 2 : 0;
   }
 
-  std::string name = args.workload.empty() ? "phpbench" : args.workload;
-  for (const auto& suite : {ParsecSuite(), SplashSuite(), PhoronixSuite(), SpecCpuSuite()}) {
-    for (const WorkloadSpec& spec : suite) {
-      if (spec.name == name) {
-        RunConfig native = config;
-        native.mode = MveeMode::kNative;
-        SuiteResult base = RunSuiteWorkload(spec, native);
-        SuiteResult run = RunSuiteWorkload(spec, config);
-        std::printf("workload %s under %s (%d replicas, %s):\n", spec.name.c_str(),
-                    std::string(MveeModeName(args.mode)).c_str(), args.replicas,
-                    std::string(PolicyLevelName(args.level)).c_str());
-        std::printf("  native: %.2f ms | mvee: %.2f ms | normalized: %.2f%s\n",
-                    base.seconds * 1e3, run.seconds * 1e3,
-                    base.seconds > 0 ? run.seconds / base.seconds : 0,
-                    run.diverged ? "  [DIVERGED]" : "");
-        PrintStats(run.stats);
-        return run.diverged ? 2 : 0;
-      }
-    }
-  }
-  std::fprintf(stderr, "unknown workload '%s' (try --list)\n", name.c_str());
-  return 1;
+  // The flag table only accepts known workload names.
+  WorkloadSpec spec = *FindSuiteWorkload(cli.workload);
+  SuiteResult base = RunSuiteWorkload(spec, native);
+  SuiteResult run = RunSuiteWorkload(spec, config);
+  std::printf("workload %s under %s (%d replicas, %s):\n", spec.name.c_str(),
+              std::string(MveeModeName(mvee.mode)).c_str(), mvee.replicas,
+              std::string(PolicyLevelName(mvee.level)).c_str());
+  std::printf("  native: %.2f ms | mvee: %.2f ms | normalized: %.2f%s\n",
+              base.seconds * 1e3, run.seconds * 1e3,
+              base.seconds > 0 ? run.seconds / base.seconds : 0,
+              run.diverged ? "  [DIVERGED]" : "");
+  PrintStats(run.stats);
+  return run.diverged ? 2 : 0;
 }
 
 }  // namespace
 }  // namespace remon
 
 int main(int argc, char** argv) {
-  remon::CliArgs args = remon::Parse(argc, argv);
-  if (!args.ok) {
-    std::fprintf(stderr, "usage: remon_cli [--mode=..] [--replicas=N] [--level=..] "
-                         "[--workload=NAME|--server=NAME] [--rb-batch=N|adaptive] "
-                         "[--placement=local|machine:N,...] [--rb-link-latency-us=N] "
-                         "[--rb-link-gbps=F] [--respawn-on-death] [--reseed=delta|full] "
-                         "[--respawn-target=M] "
-                         "[--kill-replica-at-ms=N] [--sync-agent] [--sync-log-kb=N] "
-                         "[--rb-auth] [--shards=N] [--tiers=SERVER:SHARDS,...] "
-                         "[--autoscale] [--clients=N] [--arrival-rate=F] "
-                         "[--fd-map-pages=N] [--list]  (full reference: docs/CLI.md)\n");
+  remon::CliRun cli;
+  std::string error;
+  if (!remon::ParseCliArgs(argc, argv, &cli, &error)) {
+    std::fprintf(stderr, "remon_cli: %s\n%s", error.c_str(), remon::CliUsage().c_str());
     return 1;
   }
-  if (args.list) {
+  if (cli.help) {
+    std::fputs(remon::CliUsage().c_str(), stdout);
+    return 0;
+  }
+  if (cli.list) {
     remon::ListWorkloads();
     return 0;
   }
-  return remon::Run(args);
+  return remon::Run(cli);
 }
