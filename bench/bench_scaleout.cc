@@ -43,11 +43,11 @@ ScaleoutTierSpec Tier(const char* server, int shards, uint16_t port,
                       double hit_ratio = 0.0) {
   ScaleoutTierSpec tier;
   tier.server = ServerByName(server);
-  tier.name = tier.server.name;
-  tier.port = port;
-  tier.initial_shards = shards;
-  tier.min_shards = shards;
-  tier.max_shards = shards;
+  tier.fleet.name = tier.server.name;
+  tier.fleet.port = port;
+  tier.fleet.initial_shards = shards;
+  tier.fleet.min_shards = shards;
+  tier.fleet.max_shards = shards;
   tier.hit_ratio = hit_ratio;
   return tier;
 }
@@ -96,7 +96,7 @@ void RunMultiTier(BenchJson* json) {
   // Internal tiers see a handful of persistent upstream connections, not a
   // swarm: round-robin spreads them evenly where a consistent hash would skew.
   for (size_t t = 1; t < spec.tiers.size(); ++t) {
-    spec.tiers[t].policy = LoadBalancer::Policy::kRoundRobin;
+    spec.tiers[t].fleet.policy = LoadBalancer::Policy::kRoundRobin;
   }
   spec.swarm.connections = 12000;
   spec.swarm.arrival_rate = 15000;
@@ -130,8 +130,8 @@ void RunAutoscale(BenchJson* json) {
   std::printf("== Scale-out: threshold autoscaling (spike -> spawn, idle -> retire) ==\n");
   ScaleoutSpec spec;
   ScaleoutTierSpec tier = Tier("nginx", 1, 9000);
-  tier.min_shards = 1;
-  tier.max_shards = 4;
+  tier.fleet.min_shards = 1;
+  tier.fleet.max_shards = 4;
   spec.tiers.push_back(tier);
   spec.swarm.connections = 2000;
   spec.swarm.arrival_rate = 500;
@@ -166,7 +166,7 @@ void RunRebalance(BenchJson* json) {
   std::printf("== Scale-out: mid-run replica migration (drain-and-rebalance) ==\n");
   ScaleoutSpec spec;
   ScaleoutTierSpec tier = Tier("nginx", 2, 9000);
-  tier.remote_replicas = true;
+  tier.fleet.remote_replicas = true;
   spec.tiers.push_back(tier);
   spec.swarm.connections = 4000;
   spec.swarm.arrival_rate = 50000;
@@ -219,7 +219,7 @@ void RunPolicyComparison(BenchJson* json) {
   for (const auto& p : kPolicies) {
     ScaleoutSpec spec;
     ScaleoutTierSpec tier = Tier("nginx", 4, 9000);
-    tier.policy = p.policy;
+    tier.fleet.policy = p.policy;
     spec.tiers.push_back(tier);
     spec.swarm.connections = 3000;
     spec.swarm.arrival_rate = 50000;

@@ -1,6 +1,5 @@
 #include "src/core/fleet.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -35,7 +34,8 @@ FleetManager::FleetManager(Kernel* kernel, RemonOptions base,
       base_(std::move(base)),
       tiers_(std::move(tiers)),
       body_(std::move(body)),
-      autoscale_(autoscale) {
+      autoscale_(autoscale),
+      pending_events_(&kernel->sim()->queue()) {
   REMON_CHECK_MSG(!tiers_.empty(), "a fleet needs at least one tier");
   // Shard placement is per-shard-machine by construction.
   base_.replica_machines.clear();
@@ -84,10 +84,7 @@ void FleetManager::StopAutoscale() {
     kernel_->sim()->queue().Cancel(tick_event_);
     tick_event_ = EventQueue::kInvalidEvent;
   }
-  for (EventQueue::EventId id : pending_events_) {
-    kernel_->sim()->queue().Cancel(id);
-  }
-  pending_events_.clear();
+  pending_events_.CancelAll();
 }
 
 int FleetManager::in_rotation(int tier) const {
@@ -163,20 +160,14 @@ void FleetManager::SpawnShard(int tier, bool immediate_rotation) {
     // Rotation waits out the warm-up: replicas boot, bind, and reach their
     // accept loops in virtual time before the first routed SYN.
     ++pending_adds_[static_cast<size_t>(tier)];
-    auto id_cell = std::make_shared<EventQueue::EventId>();
-    *id_cell = kernel_->sim()->queue().ScheduleAfter(
-        autoscale_.warmup, [this, tier, idx, id_cell] {
-          pending_events_.erase(std::remove(pending_events_.begin(),
-                                            pending_events_.end(), *id_cell),
-                                pending_events_.end());
-          --pending_adds_[static_cast<size_t>(tier)];
-          Shard& sh = shards_[static_cast<size_t>(tier)][static_cast<size_t>(idx)];
-          sh.in_rotation = true;
-          balancers_[static_cast<size_t>(tier)]->AddBackend(
-              static_cast<uint64_t>(idx),
-              SockAddr{sh.machine, tiers_[static_cast<size_t>(tier)].port});
-        });
-    pending_events_.push_back(*id_cell);
+    pending_events_.ScheduleAfter(autoscale_.warmup, [this, tier, idx] {
+      --pending_adds_[static_cast<size_t>(tier)];
+      Shard& sh = shards_[static_cast<size_t>(tier)][static_cast<size_t>(idx)];
+      sh.in_rotation = true;
+      balancers_[static_cast<size_t>(tier)]->AddBackend(
+          static_cast<uint64_t>(idx),
+          SockAddr{sh.machine, tiers_[static_cast<size_t>(tier)].port});
+    });
   }
   tier_shards.push_back(std::move(shard));
 }
@@ -197,16 +188,10 @@ int FleetManager::RebalanceShard(int tier, int shard_idx, DurationNs stagger) {
     // schedule is what serializes the actual moves under load.
     uint32_t target = kernel_->net()->AddMachine(
         sh.name + "-r" + std::to_string(r) + "-m" + std::to_string(sh.rebalance_gen));
-    auto id_cell = std::make_shared<EventQueue::EventId>();
-    *id_cell = kernel_->sim()->queue().ScheduleAfter(
-        stagger * scheduled, [this, tier, shard_idx, r, target, id_cell] {
-          pending_events_.erase(std::remove(pending_events_.begin(),
-                                            pending_events_.end(), *id_cell),
-                                pending_events_.end());
-          shards_[static_cast<size_t>(tier)][static_cast<size_t>(shard_idx)]
-              .remon->SpawnReplacement(r, static_cast<int>(target));
-        });
-    pending_events_.push_back(*id_cell);
+    pending_events_.ScheduleAfter(stagger * scheduled, [this, tier, shard_idx, r, target] {
+      shards_[static_cast<size_t>(tier)][static_cast<size_t>(shard_idx)]
+          .remon->SpawnReplacement(r, static_cast<int>(target));
+    });
     ++scheduled;
   }
   return scheduled;

@@ -175,7 +175,7 @@ class FleetManager {
   std::vector<int> pending_adds_;  // Spawned, not yet in rotation, per tier.
 
   EventQueue::EventId tick_event_ = EventQueue::kInvalidEvent;
-  std::vector<EventQueue::EventId> pending_events_;
+  ScopedEvents pending_events_;  // Warm-up rotations and staggered migrations.
   uint64_t spawned_ = 0;
   uint64_t retired_ = 0;
   uint64_t launched_ = 0;

@@ -265,7 +265,7 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     // refuses a checkpoint from a stale generation, which tears the link and
     // charges the respawn budget for the leader's own reset). Park the round
     // until the transfer is acked or the link dies — both bounded, by the
-    // in-flight frame cap and the connect watchdog respectively.
+    // in-flight frame cap and by a connect resolving within one round trip.
     if (rb_flush_gate_ && rb_flush_gate_()) {
       ++stats.rb_reset_join_stalls;
       while (rb_flush_gate_() && !shutdown_ && divergences_.empty()) {

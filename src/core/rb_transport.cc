@@ -50,7 +50,6 @@ RbTransport::RbTransport(Kernel* kernel, uint32_t leader_machine, Options option
 
 RbTransport::~RbTransport() {
   for (auto& r : remotes_) {
-    DisarmConnectTimer(*r);
     if (r->sock && r->observer_id != 0) {
       r->sock->poll_queue().Remove(r->observer_id);
     }
@@ -60,96 +59,111 @@ RbTransport::~RbTransport() {
 void RbTransport::AddRemote(int replica_index, uint32_t machine, uint16_t port) {
   auto remote = std::make_unique<Remote>();
   remote->replica_index = replica_index;
-  remote->machine = machine;
-  remote->sock = kernel_->net()->CreateStream(leader_machine_);
-  remote->sock->ConnectTo(SockAddr{machine, port});
-  // Plain-CRC streams need no handshake; authenticated streams hold all data
-  // until the peer's join attestation verifies.
-  remote->attested = options_.auth == nullptr;
-  if (options_.auth != nullptr) {
-    remote->parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
-  }
   // A first-generation remote starts from the set's shared initial state — an
   // all-zero mirror at reset generation 0 — so its delta basis is valid from the
   // first ack (empty offsets degrade each rank to its data start).
   remote->basis.valid = true;
-  Remote* r = remote.get();
-  remote->observer_id = remote->sock->poll_queue().AddObserver([this, r] { Pump(*r); });
-  ArmConnectTimer(*r);
+  Open(*remote, machine, port);
   remotes_.push_back(std::move(remote));
 }
 
-RbTransport::Remote* RbTransport::ReviveSlot(int replica_index, uint32_t machine,
-                                             uint16_t port) {
-  Remote* slot = nullptr;
-  for (auto& r : remotes_) {
-    if (r->replica_index == replica_index) {
-      slot = r.get();
-      break;
-    }
-  }
+void RbTransport::AddReplacement(int replica_index, uint32_t machine, uint16_t port) {
+  Remote* slot = Find(replica_index);
   REMON_CHECK_MSG(slot != nullptr, "AddReplacement: replica was never remote");
   REMON_CHECK_MSG(slot->dead, "AddReplacement: replica link is still live");
-
-  // Fresh connection, fresh per-connection sequence space. The old socket's
-  // observer must go first: a zombie callback on a torn socket could otherwise
-  // pump the revived slot's state. The latched sync_cursor survives on purpose:
-  // until the replacement attests or acks a newer cursor, the dead replica's
-  // last acknowledged position still gates sync-log overwrites.
-  DisarmConnectTimer(*slot);
-  if (slot->sock != nullptr && slot->observer_id != 0) {
-    slot->sock->poll_queue().Remove(slot->observer_id);
-  }
-  slot->sock = kernel_->net()->CreateStream(leader_machine_);
-  slot->sock->ConnectTo(SockAddr{machine, port});
-  slot->machine = machine;
-  slot->sendq.clear();
-  slot->sendq_head_off = 0;
-  slot->frames_sent = 0;
-  slot->frames_acked = 0;
-  slot->unacked.clear();
-  slot->snapshot_last_seq = 0;
-  slot->parser = RbFrameParser{};
-  if (options_.auth != nullptr) {
-    slot->parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
-  }
-  slot->dead = false;
-  slot->attested = options_.auth == nullptr;
-  slot->awaiting_snapshot = false;
-  slot->max_peer_epoch = 0;
-  Remote* r = slot;
-  slot->observer_id = slot->sock->poll_queue().AddObserver([this, r] { Pump(*r); });
-  ArmConnectTimer(*slot);
-  return slot;
+  Open(*slot, machine, port);
+  // A replacement's stream starts with its checkpoint, never data.
+  slot->awaiting_snapshot = true;
+  ++kernel_->stats().rb_replica_respawns;
 }
 
-void RbTransport::EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot) {
+void RbTransport::Open(Remote& r, uint32_t machine, uint16_t port) {
+  // Fresh connection, fresh per-connection sequence space. The old socket's
+  // observer must go first: a zombie callback on a torn socket could otherwise
+  // pump the revived slot's state. The latched sync_cursor and the delta basis
+  // survive on purpose: until the replacement attests or acks a newer cursor,
+  // the dead replica's last acknowledged position still gates sync-log
+  // overwrites, and the basis is the mirror its replacement resumes from.
+  if (r.sock != nullptr && r.observer_id != 0) {
+    r.sock->poll_queue().Remove(r.observer_id);
+  }
+  r.sock = kernel_->net()->CreateStream(leader_machine_);
+  r.sock->ConnectTo(SockAddr{machine, port});
+  r.machine = machine;
+  r.sendq.clear();
+  r.sendq_head_off = 0;
+  r.frames_sent = 0;
+  r.frames_acked = 0;
+  r.unacked.clear();
+  r.snapshot_last_seq = 0;
+  r.parser = RbFrameParser{};
+  if (options_.auth != nullptr) {
+    r.parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
+  }
+  r.dead = false;
+  // Plain-CRC streams need no handshake; authenticated streams hold all data
+  // until the peer's join attestation verifies.
+  r.attested = options_.auth == nullptr;
+  r.awaiting_snapshot = false;
+  r.max_peer_epoch = 0;
+  Remote* rp = &r;  // Slots are pooled in unique_ptrs and never erased.
+  r.observer_id = r.sock->poll_queue().AddObserver([this, rp] { Pump(*rp); });
+}
+
+RbTransport::Remote* RbTransport::Find(int replica_index) const {
+  for (const auto& r : remotes_) {
+    if (r->replica_index == replica_index) {
+      return r.get();
+    }
+  }
+  return nullptr;
+}
+
+template <typename Encode>
+uint64_t RbTransport::EnqueueFrame(Remote& r, RbFrameType type, Encode encode) {
+  uint64_t seq = ++r.frames_sent;
+  std::vector<uint8_t> frame = encode(seq);
+  Seal(&frame);
+  SimStats& stats = kernel_->stats();
+  RbEpochStats& row = stats.EpochRow(epoch_);
+  ++stats.rb_frames_sent;
+  stats.rb_frame_bytes_sent += frame.size();
+  ++row.frames_sent;
+  if (IsSnapshotFrameType(type)) {
+    ++stats.rb_snapshot_frames_sent;
+    stats.rb_snapshot_bytes_sent += frame.size();
+    ++row.snapshot_frames;
+  } else if (type == RbFrameType::kSyncLog) {
+    ++stats.sync_log_frames_sent;
+  }
+  r.sendq.push_back(std::move(frame));
+  return seq;
+}
+
+void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot) {
+  Remote* r = Find(replica_index);
+  if (r == nullptr || r->dead || !r->attested || !r->awaiting_snapshot) {
+    return;  // The link died meanwhile, or a sealed one has not attested yet.
+  }
+  r->awaiting_snapshot = false;
   // The checkpoint leads the stream: every data frame published from here on
   // queues behind it, so the mirror the replacement reconstructs is the leader's
   // RB at the capture point plus, in order, everything after it. Snapshot frames
   // take normal sequence numbers — the in-flight bound and cumulative acks
   // throttle checkpoint transfer exactly like entry traffic.
-  SimStats& stats = kernel_->stats();
   auto enqueue = [&](RbFrameType type, const std::vector<uint8_t>& payload) {
-    uint64_t seq = ++r.frames_sent;
-    std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(
-        type, epoch_, static_cast<uint32_t>(r.replica_index), seq, payload);
-    Seal(&frame);
-    ++stats.rb_frames_sent;
-    ++stats.rb_snapshot_frames_sent;
-    stats.rb_frame_bytes_sent += frame.size();
-    stats.rb_snapshot_bytes_sent += frame.size();
-    RbEpochStats& row = stats.EpochRow(epoch_);
-    ++row.frames_sent;
-    ++row.snapshot_frames;
-    r.sendq.push_back(std::move(frame));
+    EnqueueFrame(*r, type, [&](uint64_t seq) {
+      return RbWireCodec::EncodeSnapshotFrame(
+          type, epoch_, static_cast<uint32_t>(replica_index), seq, payload);
+    });
   };
   enqueue(RbFrameType::kSnapshotBegin, snapshot.begin);
   for (const std::vector<uint8_t>& chunk : snapshot.chunks) {
     enqueue(RbFrameType::kSnapshotChunk, chunk);
   }
   enqueue(RbFrameType::kSnapshotEnd, snapshot.end);
-  r.snapshot_last_seq = r.frames_sent;
+  r->snapshot_last_seq = r->frames_sent;
+  Pump(*r);
 }
 
 bool RbTransport::SnapshotInflight() const {
@@ -161,44 +175,10 @@ bool RbTransport::SnapshotInflight() const {
   return false;
 }
 
-void RbTransport::AddReplacement(int replica_index, uint32_t machine, uint16_t port,
-                                 const SnapshotPayloads& snapshot) {
-  Remote* slot = ReviveSlot(replica_index, machine, port);
-  EnqueueSnapshotFrames(*slot, snapshot);
-  ++kernel_->stats().rb_replica_respawns;
-  Pump(*slot);
-}
-
-void RbTransport::AddReplacementAwaitingAttest(int replica_index, uint32_t machine,
-                                               uint16_t port) {
-  REMON_CHECK_MSG(options_.auth != nullptr,
-                  "AddReplacementAwaitingAttest needs an authenticated transport");
-  Remote* slot = ReviveSlot(replica_index, machine, port);
-  slot->awaiting_snapshot = true;
-  ++kernel_->stats().rb_replica_respawns;
-  Pump(*slot);
-}
-
-void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot) {
-  for (auto& r : remotes_) {
-    if (r->replica_index != replica_index) {
-      continue;
-    }
-    if (r->dead || !r->attested || !r->awaiting_snapshot) {
-      return;  // The link died (or re-attested) between attest and checkpoint.
-    }
-    r->awaiting_snapshot = false;
-    EnqueueSnapshotFrames(*r, snapshot);
-    Pump(*r);
-    return;
-  }
-}
-
 void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries) {
   if (entries.empty() || live_remotes() == 0) {
     return;
   }
-  SimStats& stats = kernel_->stats();
   // Broadcast: the payload (entry records + images) is serialized once; only the
   // per-connection header (frame_seq) and CRC differ per remote.
   std::vector<uint8_t> payload = RbWireCodec::EncodeEntriesPayload(entries);
@@ -213,16 +193,12 @@ void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries)
     if (r->dead || r->awaiting_snapshot) {
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
-    uint64_t seq = ++r->frames_sent;
-    std::vector<uint8_t> frame = RbWireCodec::EntriesFrameFromPayload(
-        epoch_, static_cast<uint32_t>(rank), seq,
-        static_cast<uint32_t>(entries.size()), payload);
-    Seal(&frame);
-    ++stats.rb_frames_sent;
-    stats.rb_frame_bytes_sent += frame.size();
-    ++stats.EpochRow(epoch_).frames_sent;
+    uint64_t seq = EnqueueFrame(*r, RbFrameType::kEntries, [&](uint64_t s) {
+      return RbWireCodec::EntriesFrameFromPayload(epoch_, static_cast<uint32_t>(rank), s,
+                                                  static_cast<uint32_t>(entries.size()),
+                                                  payload);
+    });
     r->unacked.push_back(FrameMeta{seq, static_cast<uint32_t>(rank), max_off, clock});
-    r->sendq.push_back(std::move(frame));
     Pump(*r);
   }
 }
@@ -232,8 +208,7 @@ void RbTransport::SendSyncLog(uint64_t start_index,
   if (records.empty() || live_remotes() == 0) {
     return;
   }
-  SimStats& stats = kernel_->stats();
-  stats.sync_log_records_streamed += records.size();
+  kernel_->stats().sync_log_records_streamed += records.size();
   // Broadcast: the record payload is serialized once; only the per-connection
   // header (frame_seq) and CRC differ per remote.
   std::vector<uint8_t> payload = RbWireCodec::EncodeSyncLogPayload(start_index, records);
@@ -241,15 +216,10 @@ void RbTransport::SendSyncLog(uint64_t start_index,
     if (r->dead || r->awaiting_snapshot) {
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
-    uint64_t seq = ++r->frames_sent;
-    std::vector<uint8_t> frame = RbWireCodec::SyncLogFrameFromPayload(
-        epoch_, seq, static_cast<uint32_t>(records.size()), payload);
-    Seal(&frame);
-    ++stats.rb_frames_sent;
-    ++stats.sync_log_frames_sent;
-    stats.rb_frame_bytes_sent += frame.size();
-    ++stats.EpochRow(epoch_).frames_sent;
-    r->sendq.push_back(std::move(frame));
+    EnqueueFrame(*r, RbFrameType::kSyncLog, [&](uint64_t seq) {
+      return RbWireCodec::SyncLogFrameFromPayload(
+          epoch_, seq, static_cast<uint32_t>(records.size()), payload);
+    });
     Pump(*r);
   }
 }
@@ -264,30 +234,17 @@ bool RbTransport::Stalled() const {
 }
 
 bool RbTransport::IsRemote(int replica_index) const {
-  for (const auto& r : remotes_) {
-    if (r->replica_index == replica_index) {
-      return true;
-    }
-  }
-  return false;
+  return Find(replica_index) != nullptr;
 }
 
 bool RbTransport::RemoteLinkDead(int replica_index) const {
-  for (const auto& r : remotes_) {
-    if (r->replica_index == replica_index) {
-      return r->dead;
-    }
-  }
-  return true;  // Never served: there is no live link to retire.
+  const Remote* r = Find(replica_index);
+  return r == nullptr || r->dead;  // Never served: there is no live link to retire.
 }
 
 uint64_t RbTransport::SyncCursorFor(int replica_index) const {
-  for (const auto& r : remotes_) {
-    if (r->replica_index == replica_index) {
-      return r->sync_cursor;
-    }
-  }
-  return 0;
+  const Remote* r = Find(replica_index);
+  return r != nullptr ? r->sync_cursor : 0;
 }
 
 void RbTransport::Seal(std::vector<uint8_t>* frame) {
@@ -305,69 +262,52 @@ int RbTransport::live_remotes() const {
   return n;
 }
 
-void RbTransport::MarkDead(Remote& r, const char* why) {
+void RbTransport::MarkDead(Remote& r, const char* why, LinkEnd end) {
   if (r.dead) {
     return;
   }
   r.dead = true;
-  DisarmConnectTimer(r);
   // Nothing queued for a dead link can ever be written. Dropping the queue here
   // (not at revival) is what frees a replacement's held checkpoint when its
-  // connection fails or times out instead of leaking it for the run's remainder;
-  // unacked metadata goes with it — those frames may never have arrived, so they
-  // must not fold into the delta basis.
+  // connection fails instead of leaking it for the run's remainder; unacked
+  // metadata goes with it — those frames may never have arrived, so they must
+  // not fold into the delta basis.
   r.sendq.clear();
   r.sendq_head_off = 0;
   r.unacked.clear();
-  ++deaths_;
-  ++kernel_->stats().EpochRow(epoch_).deaths;  // Attributed to the epoch that ended.
+  if (end == LinkEnd::kMigration) {
+    // The replica is moving, not lost: the leader closes the link itself, and
+    // nothing counts or reports a death — the caller is the one respawning.
+    if (r.observer_id != 0) {
+      r.sock->poll_queue().Remove(r.observer_id);
+      r.observer_id = 0;
+    }
+    r.sock->Shutdown(kShutRdWr);
+  } else {
+    ++deaths_;
+    ++kernel_->stats().EpochRow(epoch_).deaths;  // Attributed to the epoch that ended.
+    ++kernel_->stats().rb_remote_deaths;
+  }
   ++epoch_;  // Frames of the torn stream can never be mistaken for a future one.
-  ++kernel_->stats().rb_remote_deaths;
-  std::fprintf(stderr, "[rb-transport] remote replica %d link down (%s); epoch -> %u\n",
-               r.replica_index, why, epoch_);
+  std::fprintf(stderr, "[rb-transport] remote replica %d link %s (%s); epoch -> %u\n",
+               r.replica_index, end == LinkEnd::kMigration ? "retired" : "down", why,
+               epoch_);
   // A leader stalled on this remote's acks must not hang on a dead link.
   stall_queue_.Wake();
-  if (on_remote_death_) {
+  if (end == LinkEnd::kDeath && on_remote_death_) {
     on_remote_death_(r.replica_index);
   }
 }
 
 void RbTransport::DetachForMigration(int replica_index) {
-  for (auto& r : remotes_) {
-    if (r->replica_index != replica_index) {
-      continue;
-    }
-    REMON_CHECK_MSG(!r->dead, "DetachForMigration: link already dead");
-    DisarmConnectTimer(*r);
-    if (r->sock != nullptr && r->observer_id != 0) {
-      r->sock->poll_queue().Remove(r->observer_id);
-      r->observer_id = 0;
-    }
-    if (r->sock != nullptr) {
-      r->sock->Shutdown(kShutRdWr);
-    }
-    r->dead = true;
-    r->sendq.clear();
-    r->sendq_head_off = 0;
-    r->unacked.clear();
-    ++epoch_;  // Frames of the retired stream can never be mistaken for the next.
-    std::fprintf(stderr,
-                 "[rb-transport] remote replica %d detached for migration; epoch -> %u\n",
-                 replica_index, epoch_);
-    // A leader stalled on this remote's acks must not hang across the move.
-    stall_queue_.Wake();
-    return;
-  }
-  REMON_CHECK_MSG(false, "DetachForMigration: replica was never remote");
+  Remote* r = Find(replica_index);
+  REMON_CHECK_MSG(r != nullptr && !r->dead, "DetachForMigration: no live link to retire");
+  MarkDead(*r, "detached for migration", LinkEnd::kMigration);
 }
 
 RbDeltaBasis RbTransport::DeltaBasisFor(int replica_index) const {
-  for (const auto& r : remotes_) {
-    if (r->replica_index == replica_index) {
-      return r->basis;
-    }
-  }
-  return RbDeltaBasis{};
+  const Remote* r = Find(replica_index);
+  return r != nullptr ? r->basis : RbDeltaBasis{};
 }
 
 void RbTransport::FoldAckedMeta(Remote& r) {
@@ -392,31 +332,6 @@ void RbTransport::FoldAckedMeta(Remote& r) {
   }
 }
 
-void RbTransport::ArmConnectTimer(Remote& r) {
-  if (options_.connect_timeout <= 0) {
-    return;
-  }
-  Remote* rp = &r;  // Slots are pooled in unique_ptrs and never erased.
-  r.connect_timer =
-      kernel_->sim()->queue().ScheduleAfter(options_.connect_timeout, [this, rp] {
-        rp->connect_timer = 0;
-        if (rp->dead || rp->sock == nullptr) {
-          return;
-        }
-        if (rp->sock->state() == StreamSocket::State::kConnecting ||
-            rp->sock->state() == StreamSocket::State::kCreated) {
-          MarkDead(*rp, "connect timed out");
-        }
-      });
-}
-
-void RbTransport::DisarmConnectTimer(Remote& r) {
-  if (r.connect_timer != 0) {
-    kernel_->sim()->queue().Cancel(r.connect_timer);
-    r.connect_timer = 0;
-  }
-}
-
 void RbTransport::Pump(Remote& r) {
   if (r.dead || !r.sock) {
     return;
@@ -429,8 +344,6 @@ void RbTransport::Pump(Remote& r) {
     MarkDead(r, r.sock->connect_failed() ? "connect refused" : "connection closed");
     return;
   }
-  // Established: the pending-connect watchdog has nothing left to watch.
-  DisarmConnectTimer(r);
 
   // Authenticated streams write nothing before the join attestation verifies —
   // frames queue locally and the in-flight bound throttles the leader meanwhile.
@@ -651,13 +564,10 @@ void RemoteSyncAgent::ProcessParsedFrames() {
       // A reliable in-order stream does not corrupt silently; a bad MAC means an
       // active adversary. Either way: treat it as a torn link — reject, close,
       // and let the leader's transport report the death.
-      ++frames_rejected_;
       if (auth_ != nullptr) {
         ++kernel_->stats().rb_auth_frames_rejected;
       }
-      std::fprintf(stderr, "[rb-agent] replica %d: %s; tearing link\n",
-                   mon_->config().replica_index, parser_.corrupt_reason());
-      Shutdown();
+      Reject(parser_.corrupt_reason());
       return;
     }
     if (st != RbFrameParser::Status::kFrame) {
@@ -690,13 +600,9 @@ void RemoteSyncAgent::HandleFrame(RbWireFrame frame) {
   // valid under that epoch's key — checks out. The only safe response is to tear
   // the link; dropping and continuing would let an adversary probe freely.
   if (frame.epoch == 0 || frame.epoch < max_epoch_seen_) {
-    ++frames_rejected_;
     ++stats.rb_epoch_regressions;
-    std::fprintf(stderr,
-                 "[rb-agent] replica %d: stale epoch %u on the stream (at %u); "
-                 "tearing link\n",
-                 mon_->config().replica_index, frame.epoch, max_epoch_seen_);
-    Shutdown();
+    Reject("stale epoch " + std::to_string(frame.epoch) + " on the stream (at " +
+           std::to_string(max_epoch_seen_) + ")");
     return;
   }
   max_epoch_seen_ = frame.epoch;
@@ -705,17 +611,11 @@ void RemoteSyncAgent::HandleFrame(RbWireFrame frame) {
   // captured frame re-sent. Test-built frames use seq 0 and bypass the gate.
   if (frame.frame_seq != 0) {
     if (frame.frame_seq <= max_data_seq_) {
-      ++frames_rejected_;
       if (auth_ != nullptr) {
         ++stats.rb_auth_frames_rejected;
       }
-      std::fprintf(stderr,
-                   "[rb-agent] replica %d: replayed frame seq=%llu (stream at %llu); "
-                   "tearing link\n",
-                   mon_->config().replica_index,
-                   static_cast<unsigned long long>(frame.frame_seq),
-                   static_cast<unsigned long long>(max_data_seq_));
-      Shutdown();
+      Reject("replayed frame seq=" + std::to_string(frame.frame_seq) + " (stream at " +
+             std::to_string(max_data_seq_) + ")");
       return;
     }
     max_data_seq_ = frame.frame_seq;
@@ -799,17 +699,12 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
       break;
   }
   if (!ok) {
-    std::fprintf(stderr, "[rb-agent] replica %d refused snapshot: %s\n",
-                 mon_->config().replica_index, why.c_str());
+    // A refused join is a dead link again; the leader decides what next.
     ++stats.rb_snapshot_rejects;
-    ++frames_rejected_;
-    Shutdown();  // A refused join is a dead link again; the leader decides what next.
+    Reject("refused snapshot: " + why);
     return;
   }
-  ++frames_applied_;
-  ++stats.rb_frames_applied;
-  ++stats.EpochRow(frame.epoch).frames_applied;
-  SendAck(frame.epoch, frame.frame_seq);
+  Accept(frame);
 }
 
 void RemoteSyncAgent::OnReplicaRbReady() {
@@ -833,19 +728,28 @@ void RemoteSyncAgent::ApplyFrame(const RbWireFrame& frame) {
     }
   }
   if (!ok) {
-    std::fprintf(stderr,
-                 "[rb-agent] replica %d rejected %s frame seq=%llu (stream diverged)\n",
-                 mon_->config().replica_index,
-                 frame.type == RbFrameType::kSyncLog ? "sync-log" : "entries",
-                 static_cast<unsigned long long>(frame.frame_seq));
-    ++frames_rejected_;
-    Shutdown();  // A malformed record means the streams have diverged.
+    // A malformed record means the streams have diverged.
+    Reject(std::string("rejected ") +
+           (frame.type == RbFrameType::kSyncLog ? "sync-log" : "entries") +
+           " frame seq=" + std::to_string(frame.frame_seq) + " (stream diverged)");
     return;
   }
+  Accept(frame);
+}
+
+void RemoteSyncAgent::Accept(const RbWireFrame& frame) {
   ++frames_applied_;
-  kernel_->stats().rb_frames_applied += 1;
-  ++kernel_->stats().EpochRow(frame.epoch).frames_applied;
+  SimStats& stats = kernel_->stats();
+  ++stats.rb_frames_applied;
+  ++stats.EpochRow(frame.epoch).frames_applied;
   SendAck(frame.epoch, frame.frame_seq);
+}
+
+void RemoteSyncAgent::Reject(const std::string& why) {
+  std::fprintf(stderr, "[rb-agent] replica %d: %s; tearing link\n",
+               mon_->config().replica_index, why.c_str());
+  ++frames_rejected_;
+  Shutdown();
 }
 
 bool RemoteSyncAgent::ApplySyncLog(const RbWireFrame& frame) {

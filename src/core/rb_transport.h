@@ -35,13 +35,23 @@
 // the stream epoch so stale frames of the torn connection cannot be confused with
 // a future stream, wakes any stalled leader thread, and reports through the
 // on_remote_death callback (wired to GHUMVEE's divergence shutdown) — a lost
-// machine ends the run with a report, never a hang.
+// machine ends the run with a report, never a hang. A connect resolves within
+// one round trip (accepted, or refused by RST), so an unreachable placement
+// surfaces as a refused connect; no watchdog is needed, and a healthy slow link
+// is never mistaken for a dead one.
+//
+// Every slot has one lifecycle: one open path (first join and replacement), one
+// retire path (death and migration) and one per-remote enqueue (entry, sync-log
+// and checkpoint frames alike).
 //
 // Replica re-seed: instead of shrinking the set permanently, the front end can
 // attach a *replacement* replica at the post-bump epoch (Remon::SpawnReplacement /
 // --respawn-on-death). AddReplacement revives the dead remote's slot on a fresh
-// connection whose first sequenced frames are the leader checkpoint
-// (kSnapshotBegin/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h); data frames
+// connection that carries nothing until EnqueueSnapshot — the only way a
+// checkpoint enters a stream — hands it the leader checkpoint
+// (kSnapshotBegin/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h). Plain
+// streams get it in the event that revives the slot; sealed streams once the
+// replacement's join attestation verifies (on_attested_join). Data frames
 // published afterwards queue behind it in order, so the replacement's mirror is
 // exactly the leader's RB at every point it observes. Snapshot frames obey the
 // same in-flight bound and cumulative acks as entry frames — a large checkpoint
@@ -54,10 +64,12 @@
 // resumes at those offsets instead of re-shipping the whole RB, which is what
 // keeps recovery cost flat as buffers grow.
 //
-// Respawn-as-migration: DetachForMigration retires a live remote's link without
-// the death side effects, so the front end can re-attach the same replica on a
-// different machine; under authentication the join attestation carries the
-// placement and the leader verifies it against the machine it commanded.
+// Respawn-as-migration: DetachForMigration retires a live remote's link through
+// the death path minus its side effects (no death counted or reported), so the
+// front end can re-attach the same replica on a different machine through the
+// ordinary AddReplacement/EnqueueSnapshot join; under authentication the join
+// attestation carries the placement and the leader verifies it against the
+// machine it commanded.
 
 #ifndef SRC_CORE_RB_TRANSPORT_H_
 #define SRC_CORE_RB_TRANSPORT_H_
@@ -66,14 +78,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/rb_auth.h"
 #include "src/core/rb_wire.h"
 #include "src/core/snapshot.h"
 #include "src/net/network.h"
-#include "src/sim/event_queue.h"
-#include "src/sim/time.h"
 #include "src/vfs/wait_queue.h"
 
 namespace remon {
@@ -106,11 +117,6 @@ class RbTransport {
     const RbAuthContext* auth = nullptr;
     // The config digest every attesting replica must present (RbConfigDigest).
     uint64_t config_digest = 0;
-    // A connect that sits in SYN past this bound is a dead placement: the slot is
-    // marked dead (freeing any held checkpoint frames — an unreachable
-    // replacement must not pin a full snapshot in its send queue forever) and
-    // on_remote_death decides what happens next. <= 0 disables the watchdog.
-    DurationNs connect_timeout = 50 * kMillisecond;
   };
 
   RbTransport(Kernel* kernel, uint32_t leader_machine, Options options);
@@ -123,18 +129,13 @@ class RbTransport {
 
   // Revives a dead remote's slot as a replacement replica joining at the current
   // (post-bump) epoch: fresh connection, fresh per-connection sequence space, and
-  // the serialized leader checkpoint enqueued ahead of all future data frames.
-  void AddReplacement(int replica_index, uint32_t machine, uint16_t port,
-                      const SnapshotPayloads& snapshot);
+  // no data frame until EnqueueSnapshot hands it the leader checkpoint.
+  void AddReplacement(int replica_index, uint32_t machine, uint16_t port);
 
-  // Authenticated replacement (requires Options::auth): revives the slot but
-  // ships nothing until the replacement presents a verified join attestation.
-  // On verification on_attested_join fires; the front end then captures the
-  // leader checkpoint and hands it to EnqueueSnapshot.
-  void AddReplacementAwaitingAttest(int replica_index, uint32_t machine, uint16_t port);
-
-  // Enqueues the leader checkpoint for an attested replacement (clears its
-  // awaiting-snapshot gate; data frames published afterwards queue behind it).
+  // The only way a checkpoint enters a stream: enqueues it for a replacement
+  // that is waiting for one (data frames published afterwards queue behind it).
+  // A no-op when the link died meanwhile, or, under Options::auth, before the
+  // replacement's join attestation verified.
   void EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot);
 
   // Invoked from inside the pump when a replacement's attestation verifies, with
@@ -197,11 +198,11 @@ class RbTransport {
   // from. Invalid (default) for a replica this transport never served.
   RbDeltaBasis DeltaBasisFor(int replica_index) const;
 
-  // Respawn-as-migration: quietly retires a *live* remote's link so a replacement
-  // can be attached on a different machine. Bumps the epoch and clears the slot's
-  // queues like a death, but fires no on_remote_death (the caller is the one
-  // respawning) and counts no rb_remote_deaths — the replica is moving, not lost.
-  // The latched sync cursor and the delta basis survive, like they do for deaths.
+  // Respawn-as-migration: retires a *live* remote's link through the same path
+  // as a death (epoch bump, queues cleared; the latched sync cursor and the
+  // delta basis survive), except that the leader closes the socket itself, no
+  // on_remote_death fires (the caller is the one respawning) and no
+  // rb_remote_deaths is counted — the replica is moving, not lost.
   void DetachForMigration(int replica_index);
 
   // True while a replacement checkpoint is in flight on a live link: enqueued
@@ -243,9 +244,6 @@ class RbTransport {
     // The placement this slot was told to connect to; an authenticated join must
     // attest exactly it (a replacement cannot claim a machine it was not given).
     uint32_t machine = 0;
-    // Pending-connect watchdog (Options::connect_timeout); cancelled the moment
-    // the socket leaves the SYN state or the slot dies/revives.
-    EventQueue::EventId connect_timer = 0;
     // O(delta) re-seed state: per-frame send metadata awaiting its cumulative
     // ack, and the basis those acks fold into. Both cleared on death/detach
     // except the basis itself — unacked frames may never have arrived, but
@@ -257,17 +255,28 @@ class RbTransport {
     uint64_t snapshot_last_seq = 0;
   };
 
+  // How a link ends: a death is counted, attributed to the ending epoch and
+  // reported through on_remote_death; a migration is the front end moving the
+  // replica, so the leader closes the socket and nothing is reported.
+  enum class LinkEnd { kDeath, kMigration };
+
+  // The slot serving `replica_index`, or nullptr when it was never remote.
+  Remote* Find(int replica_index) const;
+  // The one open path (first join and replacement alike): drops the slot's old
+  // socket, if any, and connects a fresh one with a fresh per-connection
+  // sequence space. What the slot knows of its replica survives.
+  void Open(Remote& r, uint32_t machine, uint16_t port);
+  // The one retire path: marks the link dead, drops everything queued on it and
+  // bumps the epoch. No-op on a link that is already dead.
+  void MarkDead(Remote& r, const char* why, LinkEnd end = LinkEnd::kDeath);
+  // The one per-remote enqueue: takes the next sequence number on `r`'s
+  // connection, has `encode` build the frame for it, seals, counts (globally
+  // and in the epoch row) and queues it. Returns the sequence number.
+  template <typename Encode>
+  uint64_t EnqueueFrame(Remote& r, RbFrameType type, Encode encode);
   void Pump(Remote& r);       // Drain sendq into the socket; read acks.
-  void MarkDead(Remote& r, const char* why);
   // Folds newly acked entry frames' metadata into the slot's delta basis.
   void FoldAckedMeta(Remote& r);
-  // Arms / cancels the pending-connect watchdog for a slot.
-  void ArmConnectTimer(Remote& r);
-  void DisarmConnectTimer(Remote& r);
-  // Tears down the dead slot's socket and revives it on a fresh connection with a
-  // fresh per-connection sequence space (shared by both replacement flavors).
-  Remote* ReviveSlot(int replica_index, uint32_t machine, uint16_t port);
-  void EnqueueSnapshotFrames(Remote& r, const SnapshotPayloads& snapshot);
   // Seals `frame` when authentication is on (no-op otherwise).
   void Seal(std::vector<uint8_t>* frame);
   // Verifies a join attestation; returns false when the link was torn.
@@ -372,6 +381,12 @@ class RemoteSyncAgent {
   bool ApplyEntry(uint32_t rank, const RbWireEntry& entry);
   bool ApplySyncLog(const RbWireFrame& frame);
   void HandleSnapshotFrame(const RbWireFrame& frame);
+  // The accept tail every applied frame (data or checkpoint) shares: count it,
+  // attribute it to its epoch row, acknowledge it.
+  void Accept(const RbWireFrame& frame);
+  // The reject tail every torn link shares: log `why`, count the frame, and
+  // shut the link down — the leader's transport reports the death.
+  void Reject(const std::string& why);
   void SendAck(uint32_t epoch, uint64_t frame_seq);
   void FlushAckQueue();
 

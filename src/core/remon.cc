@@ -1,6 +1,6 @@
 #include "src/core/remon.h"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/core/snapshot.h"
@@ -48,18 +48,9 @@ Remon::Remon(Kernel* kernel, const RemonOptions& options)
     : kernel_(kernel),
       options_(options),
       layout_rng_(kernel->sim()->rng().Fork()),
-      planner_(&layout_rng_) {
+      planner_(&layout_rng_),
+      pending_respawns_(&kernel->sim()->queue()) {
   REMON_CHECK(options_.replicas >= 1);
-}
-
-// The park hooks installed on replica processes capture the IpMon instances owned
-// here; like Process::gate, they follow the convention that the monitor outlives
-// the kernel's last event for its replicas (they die with the Process objects).
-// Unfired respawn events capture `this` and must not outlive it.
-Remon::~Remon() {
-  for (EventQueue::EventId id : pending_respawns_) {
-    kernel_->sim()->queue().Cancel(id);
-  }
 }
 
 bool Remon::finished() const {
@@ -239,27 +230,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
         continue;
       }
       uint16_t port = static_cast<uint16_t>(kRbTransportPortBase + i);
-      IpMon* mon = ipmons_[static_cast<size_t>(i)].get();
-      auto agent =
-          std::make_unique<RemoteSyncAgent>(kernel_, mon, machine_for(i), port);
-      if (auth_ != nullptr) {
-        agent->set_auth(auth_.get(), config_digest_);
-      }
-      agent->Start();  // Listener up before the transport's SYN can arrive.
-      mon->set_rb_private_mirror(true);
-      if (sync_agent(i) != nullptr) {
-        agent->set_sync_agent(sync_agent(i));  // kSyncLog replays into its mirror.
-        // The replay cursor travels back piggybacked on acks; a cursor advance a
-        // wrapped master could be parked on additionally triggers a dedicated
-        // cursor-bearing ack so the gate never waits for unrelated data traffic.
-        RemoteSyncAgent* cursor_agent = agent.get();
-        sync_agent(i)->set_on_consumed(
-            [cursor_agent] { cursor_agent->SendCursorUpdate(); });
-      }
-      RemoteSyncAgent* agent_ptr = agent.get();
-      mon->set_on_initialized([agent_ptr] { agent_ptr->OnReplicaRbReady(); });
+      remote_agents_[static_cast<size_t>(i)] = StartRemoteAgent(i, machine_for(i), port);
       transport_->AddRemote(i, machine_for(i), port);
-      remote_agents_[static_cast<size_t>(i)] = std::move(agent);
     }
     ipmons_[0]->set_transport(transport_.get());
     // Leader clock for the ack-horizon fold: every kEntries frame is stamped with
@@ -313,23 +285,14 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       if (budget_ok) {
         ++respawn_attempts_[static_cast<size_t>(idx)];
         last_respawn_ns_[static_cast<size_t>(idx)] = kernel_->sim()->queue().now();
-        // The event unregisters itself when it fires: ~Remon may only Cancel ids
-        // that never ran (EventQueue trusts callers on that).
-        auto id_cell = std::make_shared<EventQueue::EventId>(0);
-        *id_cell = kernel_->sim()->queue().ScheduleAfter(
-            kRespawnDelay, [this, idx, id_cell] {
-              pending_respawns_.erase(std::remove(pending_respawns_.begin(),
-                                                  pending_respawns_.end(), *id_cell),
-                                      pending_respawns_.end());
-              if (ghumvee_ == nullptr || ghumvee_->shutdown_requested() ||
-                  finished()) {
-                return;
-              }
-              // Respawn-as-migration policy: replacements optionally land on a
-              // configured target machine instead of the one the replica died on.
-              SpawnReplacement(idx, options_.respawn_target_machine);
-            });
-        pending_respawns_.push_back(*id_cell);
+        pending_respawns_.ScheduleAfter(kRespawnDelay, [this, idx] {
+          if (ghumvee_ == nullptr || ghumvee_->shutdown_requested() || finished()) {
+            return;
+          }
+          // Respawn-as-migration policy: replacements optionally land on a
+          // configured target machine instead of the one the replica died on.
+          SpawnReplacement(idx, options_.respawn_target_machine);
+        });
         return;
       }
       ghumvee_->Divergence(/*rank=*/-1, Sys::kInvalid,
@@ -339,22 +302,15 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
     // Attested join (rb_auth): the leader checkpoints *after* the replacement
     // proved its identity + config digest, never before. The callback fires from
     // inside the transport's Pump; defer the (heavy) checkpoint one event so the
-    // capture runs outside the frame-processing path. Uses the same cancellable
-    // id_cell bookkeeping as the respawn events.
+    // capture runs outside the frame-processing path, cancellable like the
+    // respawn events.
     transport_->set_on_attested_join([this](int idx, uint64_t attest_cursor) {
-      auto id_cell = std::make_shared<EventQueue::EventId>(0);
-      *id_cell = kernel_->sim()->queue().ScheduleAfter(
-          0, [this, idx, attest_cursor, id_cell] {
-            pending_respawns_.erase(std::remove(pending_respawns_.begin(),
-                                                pending_respawns_.end(), *id_cell),
-                                    pending_respawns_.end());
-            if (ghumvee_ == nullptr || ghumvee_->shutdown_requested() || finished()) {
-              return;
-            }
-            transport_->EnqueueSnapshot(idx,
-                                        MakeReseedPayloads(idx, attest_cursor));
-          });
-      pending_respawns_.push_back(*id_cell);
+      pending_respawns_.ScheduleAfter(0, [this, idx, attest_cursor] {
+        if (ghumvee_ == nullptr || ghumvee_->shutdown_requested() || finished()) {
+          return;
+        }
+        transport_->EnqueueSnapshot(idx, MakeReseedPayloads(idx, attest_cursor));
+      });
     });
     if (ghumvee_ != nullptr) {
       // Reset/re-seed interlock: the RB flush round parks while a replacement
@@ -396,7 +352,6 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
       remote_agents_[static_cast<size_t>(replica_index)] == nullptr) {
     return false;  // Never a remote replica: nothing to re-seed.
   }
-  IpMon* mon = ipmons_[static_cast<size_t>(replica_index)].get();
   uint32_t machine = options_.replica_machines[static_cast<size_t>(replica_index)];
   if (target_machine >= 0) {
     uint32_t target = static_cast<uint32_t>(target_machine);
@@ -422,43 +377,56 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
   int generation = ++join_generation_[static_cast<size_t>(replica_index)];
   uint16_t port = static_cast<uint16_t>(kRbTransportPortBase + replica_index +
                                         512 * generation);
+  // The old agent is shut down and must never carry another ack; the new one
+  // takes over the replica's cursor-update channel.
   remote_agents_[static_cast<size_t>(replica_index)]->Shutdown();
+  std::unique_ptr<RemoteSyncAgent> agent = StartRemoteAgent(replica_index, machine, port);
+
+  // Plain streams checkpoint and enqueue within one event, capturing before the
+  // slot revives: no publication can slip between the captured image and the
+  // first data frame behind it on the new connection, and the capture's
+  // quiescent flush drains the sync-log stream while the slot is still dead, so
+  // the checkpoint's sync image ends exactly where the first post-snapshot
+  // kSyncLog frame begins. Sealed streams hold the checkpoint until the
+  // replacement presents a valid attestation (identity + config digest) as the
+  // first frame on the new connection; the on_attested_join deferral captures
+  // it against the cursor the attestation itself carries.
+  std::optional<SnapshotPayloads> snapshot;
+  if (auth_ == nullptr) {
+    SyncAgent* replica_agent = sync_agent(replica_index);
+    snapshot = MakeReseedPayloads(
+        replica_index, replica_agent != nullptr ? replica_agent->read_cursor() : 0);
+  }
+  transport_->AddReplacement(replica_index, machine, port);
+  if (snapshot.has_value()) {
+    transport_->EnqueueSnapshot(replica_index, *snapshot);
+  }
+  remote_agents_[static_cast<size_t>(replica_index)] = std::move(agent);
+  ++respawns_;
+  return true;
+}
+
+std::unique_ptr<RemoteSyncAgent> Remon::StartRemoteAgent(int replica_index,
+                                                         uint32_t machine,
+                                                         uint16_t port) {
+  IpMon* mon = ipmons_[static_cast<size_t>(replica_index)].get();
   auto agent = std::make_unique<RemoteSyncAgent>(kernel_, mon, machine, port);
   if (auth_ != nullptr) {
     agent->set_auth(auth_.get(), config_digest_);
   }
   agent->Start();  // Listener up before the transport's SYN can arrive.
-  if (sync_agent(replica_index) != nullptr) {
-    agent->set_sync_agent(sync_agent(replica_index));
-    // Re-point the cursor-update channel at the replacement agent; the old
-    // agent is shut down and must never carry another ack.
+  mon->set_rb_private_mirror(true);
+  if (SyncAgent* local = sync_agent(replica_index)) {
+    agent->set_sync_agent(local);  // kSyncLog replays into its mirror.
+    // The replay cursor travels back piggybacked on acks; a cursor advance a
+    // wrapped master could be parked on additionally triggers a dedicated
+    // cursor-bearing ack so the gate never waits for unrelated data traffic.
     RemoteSyncAgent* cursor_agent = agent.get();
-    sync_agent(replica_index)
-        ->set_on_consumed([cursor_agent] { cursor_agent->SendCursorUpdate(); });
+    local->set_on_consumed([cursor_agent] { cursor_agent->SendCursorUpdate(); });
   }
-
-  if (auth_ != nullptr) {
-    // Authenticated join: the leader holds the checkpoint until the replacement
-    // presents a valid attestation (identity + config digest) as the first frame
-    // on the new connection. The snapshot is captured by the on_attested_join
-    // deferral, against the cursor the attestation itself carries.
-    transport_->AddReplacementAwaitingAttest(replica_index, machine, port);
-  } else {
-    // Checkpoint and enqueue within one event: no publication can slip between
-    // the captured image and the first data frame behind it on the new
-    // connection. The capture's quiescent flush also drains the sync-log stream,
-    // so the checkpoint's sync image ends exactly where the first post-snapshot
-    // kSyncLog frame begins.
-    SyncAgent* replica_agent = sync_agent(replica_index);
-    transport_->AddReplacement(
-        replica_index, machine, port,
-        MakeReseedPayloads(replica_index,
-                           replica_agent != nullptr ? replica_agent->read_cursor()
-                                                    : 0));
-  }
-  remote_agents_[static_cast<size_t>(replica_index)] = std::move(agent);
-  ++respawns_;
-  return true;
+  RemoteSyncAgent* ready_agent = agent.get();
+  mon->set_on_initialized([ready_agent] { ready_agent->OnReplicaRbReady(); });
+  return agent;
 }
 
 SnapshotPayloads Remon::MakeReseedPayloads(int replica_index,

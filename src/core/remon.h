@@ -133,7 +133,6 @@ class VaranGate : public SyscallGate {
 class Remon {
  public:
   Remon(Kernel* kernel, const RemonOptions& options);
-  ~Remon();
   Remon(const Remon&) = delete;
   Remon& operator=(const Remon&) = delete;
 
@@ -206,6 +205,9 @@ class Remon {
   std::unique_ptr<IkBroker> broker_;
   std::unique_ptr<TemporalExemptionState> temporal_;
   std::unique_ptr<FileMap> varan_file_map_;
+  // The park hooks installed on replica processes capture these IpMons; like
+  // Process::gate, they follow the convention that the monitor outlives the
+  // kernel's last event for its replicas (they die with the Process objects).
   std::vector<std::unique_ptr<IpMon>> ipmons_;
   std::vector<std::unique_ptr<SyncAgent>> agents_;
   std::vector<std::unique_ptr<VaranGate>> varan_gates_;
@@ -221,11 +223,12 @@ class Remon {
   std::unique_ptr<RbTransport> transport_;
   std::vector<std::unique_ptr<RemoteSyncAgent>> remote_agents_;
   // Replica re-seed bookkeeping: per-replica respawn attempts (capped), the join
-  // generation (distinct agent ports), and scheduled-but-unfired respawn events
-  // (cancelled at destruction so a torn-down MVEE cannot be called back).
+  // generation (distinct agent ports), and scheduled-but-unfired respawn and
+  // attested-join events (they capture `this`, so they are cancelled at
+  // destruction: a torn-down MVEE cannot be called back).
   std::vector<int> respawn_attempts_;
   std::vector<int> join_generation_;
-  std::vector<EventQueue::EventId> pending_respawns_;
+  ScopedEvents pending_respawns_;
   // When each replica last charged a respawn attempt — the decay anchor that
   // turns max_respawns_per_replica from a lifetime cap into a rate cap.
   std::vector<TimeNs> last_respawn_ns_;
@@ -234,6 +237,11 @@ class Remon {
   // Refunds respawn attempts earned by healthy time since the last charge
   // (respawn_budget_decay per attempt). Called before every cap check.
   void DecayRespawnBudget(int replica_index);
+  // Builds, authenticates and starts the agent serving remote replica
+  // `replica_index` on machine:port, and wires it to the replica's IP-MON and
+  // sync agent — the first join and every replacement alike.
+  std::unique_ptr<RemoteSyncAgent> StartRemoteAgent(int replica_index, uint32_t machine,
+                                                    uint16_t port);
 };
 
 }  // namespace remon

@@ -221,15 +221,7 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
 
   std::vector<FleetTierSpec> tiers;
   for (const ScaleoutTierSpec& t : spec.tiers) {
-    FleetTierSpec ft;
-    ft.name = t.name;
-    ft.port = t.port;
-    ft.initial_shards = t.initial_shards;
-    ft.min_shards = t.min_shards;
-    ft.max_shards = t.max_shards;
-    ft.policy = t.policy;
-    ft.remote_replicas = t.remote_replicas;
-    tiers.push_back(ft);
+    tiers.push_back(t.fleet);
   }
   // Shard body factory: stamp the tier's server template with per-shard name
   // (unique access-log paths on the shared filesystem) and the upstream VIP.
@@ -343,7 +335,7 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
     for (int t = 0; t < fleet.tier_count(); ++t) {
       const ScaleoutTierSpec& ts = spec.tiers[static_cast<size_t>(t)];
       for (int s = 0; s < fleet.shard_count(t); ++s) {
-        std::string shard_name = ts.name + "-s" + std::to_string(s);
+        std::string shard_name = ts.fleet.name + "-s" + std::to_string(s);
         for (int rank = 0; rank <= ts.server.workers; ++rank) {
           std::string path =
               "/var/" + shard_name + "-access-" + std::to_string(rank) + ".log";

@@ -94,24 +94,17 @@ double NormalizedServerTime(const ServerSpec& server, const ClientSpec& client,
 
 // --- Scale-out fleets ----------------------------------------------------------------
 
-// One tier of the fleet: a server template stamped out per shard (the fleet
-// overrides name/port/upstream per shard) plus the tier's scaling bounds.
+// One tier of the fleet: the fleet's own tier spec (name "fe", "cache", ...; VIP
+// port == every shard's listen port; shard bounds; LB policy; remote_replicas)
+// plus a server template stamped out per shard (the fleet overrides
+// name/port/upstream per shard).
 struct ScaleoutTierSpec {
-  std::string name;        // "fe", "cache", "be", ... (shards become "<name>-s<i>").
-  ServerSpec server;       // Template; name, port, upstream_* are overridden.
-  uint16_t port = 80;      // Tier VIP port == every shard's listen port.
-  int initial_shards = 1;
-  int min_shards = 1;
-  int max_shards = 8;
+  FleetTierSpec fleet;
+  ServerSpec server;  // Template; name, port, upstream_* are overridden.
   // Fraction of requests served without consulting the next tier (ignored for
   // the last tier, which has no upstream).
   double hit_ratio = 0.0;
   uint64_t upstream_bytes = 512;  // Sub-request size sent to the next tier.
-  LoadBalancer::Policy policy = LoadBalancer::Policy::kConsistentHash;
-  // Cross-machine shards (FleetTierSpec::remote_replicas): each non-leader
-  // replica on its own machine behind the RB transport — the layout a
-  // mid-run rebalance migrates.
-  bool remote_replicas = false;
 };
 
 struct ScaleoutSpec {

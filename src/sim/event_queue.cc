@@ -238,4 +238,22 @@ uint64_t EventQueue::RunUntil(TimeNs deadline) {
   return count;
 }
 
+// --- ScopedEvents ---------------------------------------------------------------------
+
+void ScopedEvents::CancelAll() {
+  for (const Pending& p : pending_) {
+    queue_->Cancel(p.id);
+  }
+  pending_.clear();
+}
+
+void ScopedEvents::Forget(uint64_t key) {
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    if (it->key == key) {
+      pending_.erase(it);
+      return;
+    }
+  }
+}
+
 }  // namespace remon

@@ -156,6 +156,46 @@ class EventQueue {
   uint64_t heap_scheduled_ = 0;
 };
 
+// Events scheduled on behalf of an owner that may be destroyed before they fire
+// (a replica set's respawn delays, a fleet's warm-up rotations). Each event
+// forgets itself when it fires; whatever is still pending at CancelAll — or at
+// destruction — is cancelled, so no callback outlives its owner. EventQueue
+// trusts Cancel callers to pass ids that never ran, which this bookkeeping
+// guarantees.
+class ScopedEvents {
+ public:
+  explicit ScopedEvents(EventQueue* queue) : queue_(queue) {}
+  ~ScopedEvents() { CancelAll(); }
+  ScopedEvents(const ScopedEvents&) = delete;
+  ScopedEvents& operator=(const ScopedEvents&) = delete;
+
+  template <typename F>
+  void ScheduleAfter(DurationNs delay, F fn) {
+    uint64_t key = ++last_key_;
+    EventQueue::EventId id =
+        queue_->ScheduleAfter(delay, [this, key, fn = std::move(fn)]() mutable {
+          Forget(key);
+          fn();
+        });
+    pending_.push_back(Pending{key, id});
+  }
+
+  void CancelAll();
+
+ private:
+  // `key` names an event from inside its own callback, which cannot know the
+  // EventId ScheduleAfter returns.
+  struct Pending {
+    uint64_t key;
+    EventQueue::EventId id;
+  };
+  void Forget(uint64_t key);
+
+  EventQueue* queue_;
+  uint64_t last_key_ = 0;
+  std::vector<Pending> pending_;
+};
+
 }  // namespace remon
 
 #endif  // SRC_SIM_EVENT_QUEUE_H_

@@ -300,11 +300,11 @@ ScaleoutSpec SmallFleetSpec(int shards, int connections) {
   ScaleoutSpec spec;
   ScaleoutTierSpec tier;
   tier.server = ServerByName("nginx");
-  tier.name = "fe";
-  tier.port = 9000;
-  tier.initial_shards = shards;
-  tier.min_shards = shards;
-  tier.max_shards = shards;
+  tier.fleet.name = "fe";
+  tier.fleet.port = 9000;
+  tier.fleet.initial_shards = shards;
+  tier.fleet.min_shards = shards;
+  tier.fleet.max_shards = shards;
   spec.tiers.push_back(tier);
   spec.swarm.connections = connections;
   spec.swarm.arrival_rate = 50000;
@@ -375,20 +375,20 @@ TEST(ScaleoutTest, MultiTierChainReachesTheBackend) {
   ScaleoutSpec spec;
   ScaleoutTierSpec fe;
   fe.server = ServerByName("nginx");
-  fe.name = "fe";
-  fe.port = 9000;
-  fe.initial_shards = 2;
-  fe.min_shards = 2;
-  fe.max_shards = 2;
+  fe.fleet.name = "fe";
+  fe.fleet.port = 9000;
+  fe.fleet.initial_shards = 2;
+  fe.fleet.min_shards = 2;
+  fe.fleet.max_shards = 2;
   fe.hit_ratio = 0.0;  // Every request consults the cache tier.
   spec.tiers.push_back(fe);
   ScaleoutTierSpec be;
   be.server = ServerByName("redis");
-  be.name = "be";
-  be.port = 9001;
-  be.initial_shards = 1;
-  be.min_shards = 1;
-  be.max_shards = 1;
+  be.fleet.name = "be";
+  be.fleet.port = 9001;
+  be.fleet.initial_shards = 1;
+  be.fleet.min_shards = 1;
+  be.fleet.max_shards = 1;
   spec.tiers.push_back(be);
   spec.swarm.connections = 300;
   spec.swarm.arrival_rate = 30000;
@@ -414,11 +414,11 @@ TEST(ScaleoutTest, AutoscaleSpikeSpawnsThenIdleRetires) {
   ScaleoutSpec spec;
   ScaleoutTierSpec tier;
   tier.server = ServerByName("nginx");
-  tier.name = "fe";
-  tier.port = 9000;
-  tier.initial_shards = 1;
-  tier.min_shards = 1;
-  tier.max_shards = 3;
+  tier.fleet.name = "fe";
+  tier.fleet.port = 9000;
+  tier.fleet.initial_shards = 1;
+  tier.fleet.min_shards = 1;
+  tier.fleet.max_shards = 3;
   spec.tiers.push_back(tier);
   spec.swarm.connections = 3000;
   spec.swarm.arrival_rate = 500;
@@ -456,7 +456,7 @@ TEST(ScaleoutTest, RebalanceMigratesRemoteReplicasUnderLoad) {
   // (respawn-as-migration). Service must not notice: same per-shard request
   // stream and log volume as the run that never rebalanced, no divergence.
   ScaleoutSpec spec = SmallFleetSpec(2, 200);
-  spec.tiers[0].remote_replicas = true;
+  spec.tiers[0].fleet.remote_replicas = true;
   RunConfig remon;
   remon.mvee.mode = MveeMode::kRemon;
   remon.mvee.replicas = 2;

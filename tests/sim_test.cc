@@ -90,6 +90,32 @@ TEST(EventQueueTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(q.now(), 99);
 }
 
+TEST(ScopedEventsTest, FiredEventsForgetThemselvesAndTheRestCancelAtDestruction) {
+  EventQueue q;
+  std::vector<int> order;
+  {
+    ScopedEvents events(&q);
+    events.ScheduleAfter(10, [&] { order.push_back(1); });
+    events.ScheduleAfter(30, [&] { order.push_back(3); });
+    q.RunUntil(20);
+    EXPECT_EQ(order, (std::vector<int>{1}));
+  }  // The 30 ns event must never call back into a destroyed owner.
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ScopedEventsTest, CancelAllLeavesTheOwnerReusable) {
+  EventQueue q;
+  ScopedEvents events(&q);
+  int fired = 0;
+  events.ScheduleAfter(5, [&] { ++fired; });
+  events.CancelAll();
+  events.ScheduleAfter(5, [&] { ++fired; });
+  q.RunAll();
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(7);
   Rng b(7);

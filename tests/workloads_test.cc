@@ -493,6 +493,128 @@ TEST(RemotePlacementTest, RemoteLinkDownReportsDivergenceNotHang) {
   EXPECT_LT(w.sim.now(), Seconds(29));
 }
 
+TEST(RemotePlacementTest, SlowRbLinkIsNotMistakenForADeadOne) {
+  // A remote replica 30 ms away answers the leader's SYN after a 60 ms round
+  // trip. A connect resolves within one round trip either way (accepted, or
+  // refused by RST), so a slow link is only slow: the run must serve the native
+  // transcript with no link declared dead.
+  ServerSpec server = ServerByName("nginx");
+  ClientSpec client;
+  client.connections = 4;
+  client.total_requests = 50;
+  client.request_bytes = 512;
+  LinkParams link{60 * kMicrosecond, 0.125};
+
+  RunConfig native;
+  native.mvee.mode = MveeMode::kNative;
+  ServerResult base = RunServerBench(server, client, native, link);
+  ASSERT_EQ(base.requests, 50);
+
+  RunConfig config;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.placement = {1};
+  config.rb_link_latency = 30 * kMillisecond;
+  ServerResult slow = RunServerBench(server, client, config, link);
+  EXPECT_FALSE(slow.diverged);
+  EXPECT_EQ(slow.requests, base.requests);
+  EXPECT_EQ(slow.bytes_received, base.bytes_received);
+  EXPECT_EQ(slow.stats.rb_remote_deaths, 0u);
+  EXPECT_GT(slow.stats.rb_frames_sent, 0u);
+  EXPECT_EQ(slow.stats.rb_frames_applied, slow.stats.rb_frames_sent);
+}
+
+// One remote replica through its whole link lifecycle: first join, a kill
+// answered by a respawn, then a migration of the live replacement to a fresh
+// machine (Remon::SpawnReplacement on a live link).
+struct LifecycleRun {
+  bool diverged = false;
+  bool finished = false;
+  bool migrated = false;            // SpawnReplacement accepted the migration.
+  uint32_t final_machine = 0;       // Where replica 1 ended up.
+  uint64_t final_agent_joins = 0;   // Joins through the last agent.
+  SimStats stats;
+};
+
+LifecycleRun RunRemoteLifecycle(bool rb_auth) {
+  SimWorld w(7);
+  uint32_t home = w.net.AddMachine("replica-host-1");
+  uint32_t target = w.net.AddMachine("replica-host-2");
+  for (uint32_t m : {home, target}) {
+    w.net.SetLink(w.server_machine, m, LinkParams{50 * kMicrosecond, 0.125});
+  }
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.replicas = 2;
+  opts.level = PolicyLevel::kNonsocketRw;
+  opts.rb_batch_max = 8;
+  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
+  opts.machine = w.server_machine;
+  opts.replica_machines = {w.server_machine, home};
+  opts.respawn_dead_replicas = true;
+  opts.rb_auth = rb_auth;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int64_t fd = co_await g.Open("/tmp/lifecycle", kO_CREAT | kO_RDWR);
+    GuestAddr buf = g.Alloc(64);
+    for (int i = 0; i < 4000; ++i) {
+      co_await g.Write(static_cast<int>(fd), buf, 64);
+      co_await g.Compute(Micros(5));
+    }
+    co_await g.Close(static_cast<int>(fd));
+  });
+
+  LifecycleRun run;
+  w.sim.queue().ScheduleAt(Millis(3), [&mvee] { mvee.remote_agent(1)->Shutdown(); });
+  w.sim.queue().ScheduleAt(Millis(10), [&mvee, &run, target] {
+    run.migrated = mvee.SpawnReplacement(1, static_cast<int>(target));
+  });
+  w.Run(Seconds(30));
+  run.diverged = mvee.divergence_detected();
+  run.finished = mvee.finished();
+  run.final_machine = mvee.options().replica_machines[1];
+  run.final_agent_joins = mvee.remote_agent(1)->joins();
+  run.stats = w.sim.stats();
+  return run;
+}
+
+TEST(RemotePlacementTest, LinkLifecycleEpochRowsMatchAcrossPlainAndSealedStreams) {
+  LifecycleRun plain = RunRemoteLifecycle(/*rb_auth=*/false);
+  LifecycleRun sealed = RunRemoteLifecycle(/*rb_auth=*/true);
+  for (const LifecycleRun* run : {&plain, &sealed}) {
+    SCOPED_TRACE(run == &plain ? "plain" : "sealed");
+    EXPECT_FALSE(run->diverged);
+    EXPECT_TRUE(run->finished);
+    EXPECT_TRUE(run->migrated);
+    EXPECT_EQ(run->stats.rb_remote_deaths, 1u);
+    EXPECT_EQ(run->stats.rb_replica_migrations, 1u);
+    EXPECT_EQ(run->stats.rb_snapshot_rejects, 0u);
+    EXPECT_EQ(run->final_agent_joins, 1u);
+    // Epoch 1 is the first join and ends in the kill; the respawn joins epoch 2;
+    // the migration retires that link quietly and its replacement joins epoch 3.
+    const std::vector<RbEpochStats>& rows = run->stats.rb_epochs;
+    ASSERT_EQ(rows.size(), 3u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].epoch, i + 1);
+      EXPECT_EQ(rows[i].deaths, i == 0 ? 1u : 0u) << "epoch " << rows[i].epoch;
+      EXPECT_EQ(rows[i].joins, i == 0 ? 0u : 1u) << "epoch " << rows[i].epoch;
+      if (i == 0) {
+        EXPECT_EQ(rows[i].snapshot_frames, 0u);
+      } else {
+        EXPECT_GT(rows[i].snapshot_frames, 0u) << "epoch " << rows[i].epoch;
+      }
+    }
+  }
+  EXPECT_EQ(plain.final_machine, sealed.final_machine);
+  ASSERT_EQ(plain.stats.rb_epochs.size(), sealed.stats.rb_epochs.size());
+  for (size_t i = 0; i < plain.stats.rb_epochs.size(); ++i) {
+    EXPECT_EQ(plain.stats.rb_epochs[i].epoch, sealed.stats.rb_epochs[i].epoch);
+    EXPECT_EQ(plain.stats.rb_epochs[i].deaths, sealed.stats.rb_epochs[i].deaths);
+    EXPECT_EQ(plain.stats.rb_epochs[i].joins, sealed.stats.rb_epochs[i].joins);
+  }
+}
+
 // --- Suite specs -------------------------------------------------------------------
 
 TEST(SuiteSpecTest, DerivationProducesSaneFootprints) {

@@ -140,16 +140,16 @@ int Run(const CliRun& cli) {
     for (size_t t = 0; t < tiers.size(); ++t) {
       ScaleoutTierSpec tier;
       tier.server = ServerByName(tiers[t].first);
-      tier.name = "t" + std::to_string(t) + "-" + tier.server.name;
-      tier.port = static_cast<uint16_t>(9000 + t);
-      tier.initial_shards = tiers[t].second;
-      tier.min_shards = tiers[t].second;
-      tier.max_shards = cli.autoscale ? tiers[t].second + 4 : tiers[t].second;
+      tier.fleet.name = "t" + std::to_string(t) + "-" + tier.server.name;
+      tier.fleet.port = static_cast<uint16_t>(9000 + t);
+      tier.fleet.initial_shards = tiers[t].second;
+      tier.fleet.min_shards = tiers[t].second;
+      tier.fleet.max_shards = cli.autoscale ? tiers[t].second + 4 : tiers[t].second;
       tier.hit_ratio = 0.75;  // Non-front tiers: 1 miss in 4 goes upstream.
       if (t > 0) {
         // Internal tiers serve a handful of persistent upstream connections,
         // not a swarm: round-robin spreads them where a hash would skew.
-        tier.policy = LoadBalancer::Policy::kRoundRobin;
+        tier.fleet.policy = LoadBalancer::Policy::kRoundRobin;
       }
       spec.tiers.push_back(tier);
     }
@@ -163,8 +163,8 @@ int Run(const CliRun& cli) {
                 cli.arrival_rate);
     for (size_t t = 0; t < spec.tiers.size(); ++t) {
       std::printf("  tier %s: shards=%d in-rotation=%d port=%u\n",
-                  spec.tiers[t].name.c_str(), run.shard_counts[t],
-                  run.final_in_rotation[t], spec.tiers[t].port);
+                  spec.tiers[t].fleet.name.c_str(), run.shard_counts[t],
+                  run.final_in_rotation[t], spec.tiers[t].fleet.port);
     }
     std::printf("  arrived=%d completed=%d errors=%d stalled=%d\n",
                 run.arrived, run.completed, run.errors, run.stalled);
