@@ -41,12 +41,6 @@ std::vector<SuiteColumn> Columns() {
 
   RunConfig sync_remote = sync_local;
   sync_remote.placement = {1};  // Replica 1 on its own machine, RB-transport-fed.
-  // The rotation flushes a tiny frame at nearly every liveness point; under the
-  // default 8-frame budget the master spends the run parked on ack round-trips
-  // (sync_log_append_stalls) instead of streaming. A deep window leaves the
-  // remote column bandwidth-bound, not window-bound (remon_test.cc locks the
-  // knob's effect in).
-  sync_remote.mvee.rb_max_inflight_frames = 64;
 
   return {
       {"ghumvee2", cp, nullptr, PaperGhumvee},

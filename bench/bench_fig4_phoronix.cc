@@ -71,10 +71,7 @@ std::vector<SuiteColumn> SyncColumns() {
   sync_local.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
 
   RunConfig sync_remote = sync_local;
-  sync_remote.placement = {1};
-  // Deep in-flight window: the rotation's tiny liveness-point frames would
-  // otherwise park the master on ack round-trips (see bench_fig3, remon_test.cc).
-  sync_remote.mvee.rb_max_inflight_frames = 64;
+  sync_remote.placement = {1};  // Replica 1 on its own machine, RB-transport-fed.
 
   return {
       {"sync_local4", sync_local, SyncShape, nullptr},

@@ -263,15 +263,8 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     // image was cut against the live sub-buffer offsets, and scrubbing them
     // before the replacement acks the End frame dooms the join (the agent
     // refuses a checkpoint from a stale generation, which tears the link and
-    // charges the respawn budget for the leader's own reset). Park the round
-    // until the transfer is acked or the link dies — both bounded, by the
-    // in-flight frame cap and by a connect resolving within one round trip.
-    if (rb_flush_gate_ && rb_flush_gate_()) {
-      ++stats.rb_reset_join_stalls;
-      while (rb_flush_gate_() && !shutdown_ && divergences_.empty()) {
-        co_await Work(10 * kMicrosecond);
-      }
-    }
+    // charges the respawn budget for the leader's own reset).
+    co_await AwaitReseedGate();
     HandleRbFlush(static_cast<int>(rs.req.arg(0)), rs);
     co_return;
   }
@@ -321,7 +314,11 @@ GuestTask<void> Ghumvee::ReplicateMasterResults(int rank, RankState& rs,
   const CostModel& costs = kernel_->sim()->costs();
   Sys nr = rs.req.nr;
 
-  // FD bookkeeping feeds the IP-MON file map (§3.6).
+  // FD bookkeeping feeds the IP-MON file map (§3.6). The map is shared by every
+  // replica and a replacement cross-checks it against its checkpoint, so a
+  // round that was executing when the checkpoint was cut — or one that started
+  // since — must not move it until the replacement has applied the image.
+  co_await AwaitReseedGate();
   TrackFds(master_thread->cur_req, result);
   if ((nr == Sys::kOpen || nr == Sys::kOpenat) && result >= 0) {
     FilterMapsContent(master_thread, master_thread->cur_req, result);
@@ -394,6 +391,18 @@ GuestTask<void> Ghumvee::ReplicateMasterResults(int rank, RankState& rs,
   if (rs.drain_remaining == 0) {
     rs.phase = RankState::Phase::kCollecting;
     rs.current.clear();
+  }
+}
+
+GuestTask<void> Ghumvee::AwaitReseedGate() {
+  if (!reseed_gate_ || !reseed_gate_()) {
+    co_return;
+  }
+  // Bounded: the transfer by the link's stream window, the connect by the network
+  // answering every SYN within one round trip.
+  ++kernel_->stats().reseed_gate_stalls;
+  while (reseed_gate_() && !shutdown_ && divergences_.empty()) {
+    co_await Work(10 * kMicrosecond);
   }
 }
 

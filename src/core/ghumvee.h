@@ -63,11 +63,12 @@ class Ghumvee {
   // Enables the §4 extension: migrate the RB to fresh addresses at flush points
   // (applied when the replicas are single-threaded and fully stopped).
   void set_rb_migration(bool on) { rb_migration_ = on; }
-  // RB flush/reset gate: while it returns true the flush round parks instead of
-  // scrubbing. Wired to RbTransport::SnapshotInflight — a reset between a
-  // replacement checkpoint's capture and its apply would rebase every offset
-  // the in-flight image was cut against, dooming the join.
-  void set_rb_flush_gate(std::function<bool()> gate) { rb_flush_gate_ = std::move(gate); }
+  // Re-seed gate: while it returns true, every monitor step that mutates state a
+  // replacement checkpoint was cut against parks — the RB reset round (it would
+  // rebase every offset in the image) and a master call's FD-map update (the
+  // replacement cross-checks the shared map against the image). Wired to
+  // RbTransport::SnapshotInflight, so the capture-to-apply window is a cut.
+  void set_reseed_gate(std::function<bool()> gate) { reseed_gate_ = std::move(gate); }
   FileMap* file_map() { return &file_map_; }
 
   // Starts the monitor event loop.
@@ -125,6 +126,10 @@ class Ghumvee {
   void HandleThreadExit(Thread* t);
   void HandleProcessExit();
 
+  // Parks the monitor while the re-seed gate is closed (see set_reseed_gate),
+  // until the checkpoint is acked, the link dies or the MVEE shuts down.
+  GuestTask<void> AwaitReseedGate();
+
   // Special monitored calls.
   bool IsSharedMemoryViolation(const SyscallRequest& req) const;
   void HandleRbFlush(int rank, RankState& rs);
@@ -163,7 +168,7 @@ class Ghumvee {
   std::vector<EpollShadowMap> epoll_shadow_;
 
   std::vector<DivergenceRecord> divergences_;
-  std::function<bool()> rb_flush_gate_;
+  std::function<bool()> reseed_gate_;
   bool rb_migration_ = false;
   bool running_ = false;
   bool shutdown_ = false;

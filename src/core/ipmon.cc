@@ -358,9 +358,9 @@ GuestTask<void> IpMon::StallOnTransport(Thread* t, int rank) {
     ObserveTransportBackpressure(rank);
     // The rank's batch must be empty before parking on the stall queue. Parking
     // runs the kernel park hook, and a non-empty batch would flush right there —
-    // pumping the socket, consuming acks, and firing the stall-queue wake *before*
-    // this thread registers as a waiter: a lost wakeup and a permanent stall. The
-    // flush may overshoot the in-flight bound by one frame; the bound is a
+    // pumping the socket, which may fire the stall-queue wake (a link found dead)
+    // *before* this thread registers as a waiter: a lost wakeup and a permanent
+    // stall. The flush may overshoot the window by one frame; the window is a
     // watermark, not a hard budget.
     if (FlushRbBatch(rank) > 0) {
       co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
@@ -458,8 +458,8 @@ GuestTask<void> IpMon::FlushBatchCharged(Thread* t, int rank) {
   if (FlushRbBatch(rank) > 0) {
     co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
   }
-  // Slow-link backpressure: with a remote link's in-flight frame budget exhausted,
-  // the leader stalls at its flush point (feeding the adaptive window) instead of
+  // Slow-link backpressure: with a remote link's flow-control window full, the
+  // leader stalls at its flush point (feeding the adaptive window) instead of
   // queueing unboundedly. After the flush, so the stall parks with an empty batch
   // (see StallOnTransport for why that matters).
   if (transport_ != nullptr && transport_->Stalled()) {
@@ -484,9 +484,10 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   int rank = t->rank();
   REMON_CHECK(rank < config_.max_ranks);
 
-  // Cross-machine backpressure gate: with a remote link's in-flight frame budget
-  // exhausted, the master may not publish further entries — park here until the
-  // acks drain (or the remote dies and the stream epoch moves on).
+  // Cross-machine backpressure gate: with a remote link's flow-control window
+  // full, the master may not publish further entries — park here until the agent
+  // reads and the window reopens (or the remote dies and the stream epoch moves
+  // on).
   if (transport_ != nullptr && transport_->Stalled()) {
     co_await StallOnTransport(t, rank);
   }
@@ -779,6 +780,7 @@ GuestAddr IpMon::MigrateRb() {
   rb_ = RbView(process_, fresh, rb_.size(), config_.max_ranks);
   // Cursors are offsets, not addresses: they survive the move unchanged.
   ++rb_migrations_;
+  ++kernel_->stats().rb_migrations;
   return fresh;
 }
 

@@ -202,10 +202,10 @@ class IpMon {
   // so the fixed-vs-adaptive ablation columns stay comparable.
   GuestTask<void> FlushBatchCharged(Thread* t, int rank);
 
-  // Master + transport: parks the thread while any remote link has its full
-  // in-flight frame budget outstanding (slow-link backpressure stalls the leader's
-  // flush point instead of queuing unboundedly); each stall feeds the adaptive
-  // window's AIMD as grow pressure. No-op without a transport.
+  // Master + transport: parks the thread while any remote link's flow-control
+  // window is full (slow-link backpressure stalls the leader's flush point
+  // instead of queuing unboundedly); each stall feeds the adaptive window's AIMD
+  // as grow pressure. No-op without a transport.
   GuestTask<void> StallOnTransport(Thread* t, int rank);
 
   // Master + transport: serializes freshly published entries (entry_off,

@@ -17,36 +17,32 @@ namespace {
 // Per-read chunk while draining a socket's receive buffer.
 constexpr size_t kReadChunk = 4096;
 
-// Writes as much of `q` (with partial-write offset `*head_off`) into `sock` as the
-// flow-control window accepts. Returns false on a hard write error (peer gone).
-bool DrainSendQueue(StreamSocket* sock, std::deque<std::vector<uint8_t>>* q,
-                    size_t* head_off) {
-  while (!q->empty()) {
-    std::vector<uint8_t>& front = q->front();
-    int64_t n = sock->Write(front.data() + *head_off, front.size() - *head_off, 0);
+}  // namespace
+
+bool SendQueue::DrainInto(StreamSocket* sock) {
+  while (!frames_.empty()) {
+    std::vector<uint8_t>& front = frames_.front();
+    int64_t n = sock->Write(front.data() + head_off_, front.size() - head_off_, 0);
     if (n == -kEAGAIN) {
       return true;  // Window full; retry on the next poll wake.
     }
     if (n <= 0) {
       return false;
     }
-    *head_off += static_cast<size_t>(n);
-    if (*head_off == front.size()) {
-      q->pop_front();
-      *head_off = 0;
+    head_off_ += static_cast<size_t>(n);
+    bytes_ -= static_cast<uint64_t>(n);
+    if (head_off_ == front.size()) {
+      frames_.pop_front();
+      head_off_ = 0;
     }
   }
   return true;
 }
 
-}  // namespace
-
 // --- RbTransport (leader side) ----------------------------------------------------
 
 RbTransport::RbTransport(Kernel* kernel, uint32_t leader_machine, Options options)
-    : kernel_(kernel), leader_machine_(leader_machine), options_(options) {
-  REMON_CHECK(options_.max_inflight_frames >= 1);
-}
+    : kernel_(kernel), leader_machine_(leader_machine), options_(options) {}
 
 RbTransport::~RbTransport() {
   for (auto& r : remotes_) {
@@ -90,8 +86,8 @@ void RbTransport::Open(Remote& r, uint32_t machine, uint16_t port) {
   r.sock = kernel_->net()->CreateStream(leader_machine_);
   r.sock->ConnectTo(SockAddr{machine, port});
   r.machine = machine;
-  r.sendq.clear();
-  r.sendq_head_off = 0;
+  r.sendq.Clear();
+  r.stalled = false;
   r.frames_sent = 0;
   r.frames_acked = 0;
   r.unacked.clear();
@@ -136,7 +132,7 @@ uint64_t RbTransport::EnqueueFrame(Remote& r, RbFrameType type, Encode encode) {
   } else if (type == RbFrameType::kSyncLog) {
     ++stats.sync_log_frames_sent;
   }
-  r.sendq.push_back(std::move(frame));
+  r.sendq.Push(std::move(frame));
   return seq;
 }
 
@@ -149,8 +145,8 @@ void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& sna
   // The checkpoint leads the stream: every data frame published from here on
   // queues behind it, so the mirror the replacement reconstructs is the leader's
   // RB at the capture point plus, in order, everything after it. Snapshot frames
-  // take normal sequence numbers — the in-flight bound and cumulative acks
-  // throttle checkpoint transfer exactly like entry traffic.
+  // take normal sequence numbers — the window and cumulative acks throttle
+  // checkpoint transfer exactly like entry traffic.
   auto enqueue = [&](RbFrameType type, const std::vector<uint8_t>& payload) {
     EnqueueFrame(*r, type, [&](uint64_t seq) {
       return RbWireCodec::EncodeSnapshotFrame(
@@ -272,8 +268,7 @@ void RbTransport::MarkDead(Remote& r, const char* why, LinkEnd end) {
   // connection fails instead of leaking it for the run's remainder; unacked
   // metadata goes with it — those frames may never have arrived, so they must
   // not fold into the delta basis.
-  r.sendq.clear();
-  r.sendq_head_off = 0;
+  r.sendq.Clear();
   r.unacked.clear();
   if (end == LinkEnd::kMigration) {
     // The replica is moving, not lost: the leader closes the link itself, and
@@ -292,7 +287,8 @@ void RbTransport::MarkDead(Remote& r, const char* why, LinkEnd end) {
   std::fprintf(stderr, "[rb-transport] remote replica %d link %s (%s); epoch -> %u\n",
                r.replica_index, end == LinkEnd::kMigration ? "retired" : "down", why,
                epoch_);
-  // A leader stalled on this remote's acks must not hang on a dead link.
+  // A leader stalled on this remote's window must not hang on a dead link.
+  r.stalled = false;
   stall_queue_.Wake();
   if (end == LinkEnd::kDeath && on_remote_death_) {
     on_remote_death_(r.replica_index);
@@ -333,6 +329,18 @@ void RbTransport::FoldAckedMeta(Remote& r) {
 }
 
 void RbTransport::Pump(Remote& r) {
+  PumpLink(r);
+  // The stall edge is taken here, around the whole pump, not around ack parsing:
+  // a stall clears when the agent reads and kPollOut re-pumps, with or without
+  // an ack in the same wake, and a leader parked on the queue must hear of it.
+  bool stalled = RemoteStalled(r);
+  if (r.stalled && !stalled) {
+    stall_queue_.Wake();
+  }
+  r.stalled = stalled;
+}
+
+void RbTransport::PumpLink(Remote& r) {
   if (r.dead || !r.sock) {
     return;
   }
@@ -346,9 +354,9 @@ void RbTransport::Pump(Remote& r) {
   }
 
   // Authenticated streams write nothing before the join attestation verifies —
-  // frames queue locally and the in-flight bound throttles the leader meanwhile.
+  // frames queue locally, and one window of them stalls the leader meanwhile.
   if (r.attested) {
-    if (!DrainSendQueue(r.sock.get(), &r.sendq, &r.sendq_head_off)) {
+    if (!r.sendq.DrainInto(r.sock.get())) {
       MarkDead(r, "write failed");
       return;
     }
@@ -371,7 +379,6 @@ void RbTransport::Pump(Remote& r) {
     }
     r.parser.Feed(buf, static_cast<size_t>(n));
   }
-  bool was_stalled = RemoteStalled(r);
   SimStats& stats = kernel_->stats();
   RbWireFrame frame;
   for (;;) {
@@ -413,8 +420,9 @@ void RbTransport::Pump(Remote& r) {
     }
     // Acks are per-connection state: a dead connection's acks can never arrive
     // (the socket is gone), and an epoch bump caused by *another* remote's death
-    // must not invalidate this live link's in-flight acks — that would leave it
-    // stalled forever. The echoed epoch identifies the stream, nothing more.
+    // must not invalidate this live link's in-flight acks — its delta basis and
+    // checkpoint interlock run on them. The echoed epoch identifies the stream,
+    // nothing more.
     r.frames_acked = std::max(r.frames_acked, frame.ack_seq);
     FoldAckedMeta(r);
     ++stats.rb_frames_acked;
@@ -428,9 +436,6 @@ void RbTransport::Pump(Remote& r) {
         on_sync_cursor_(r.replica_index);
       }
     }
-  }
-  if (was_stalled && !RemoteStalled(r)) {
-    stall_queue_.Wake();
   }
 }
 
@@ -469,8 +474,8 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
   } else if (!r.sendq.empty()) {
     // Frames enqueued while the attestation was in flight were held by this
     // pump's drain pass (it runs before the read loop); release them now, or the
-    // link goes idle with the leader stalled on acks that can never come.
-    if (!DrainSendQueue(r.sock.get(), &r.sendq, &r.sendq_head_off)) {
+    // link goes idle with the leader stalled on a window nothing will reopen.
+    if (!r.sendq.DrainInto(r.sock.get())) {
       MarkDead(r, "write failed");
       return false;
     }
@@ -529,7 +534,7 @@ void RemoteSyncAgent::OnListenerPoll() {
         machine_);  // v5: the placement this agent actually serves.
     auth_->SealFrame(&attest, RbAuthDirection::kReplicaToLeader);
     ++kernel_->stats().rb_auth_frames_sealed;
-    ackq_.push_back(std::move(attest));
+    ackq_.Push(std::move(attest));
     FlushAckQueue();
   }
   DrainConn();
@@ -586,7 +591,7 @@ void RemoteSyncAgent::InjectRawBytesForTest(const uint8_t* data, size_t len) {
 }
 
 void RemoteSyncAgent::SendRawAckForTest(std::vector<uint8_t> frame) {
-  ackq_.push_back(std::move(frame));
+  ackq_.Push(std::move(frame));
   FlushAckQueue();
 }
 
@@ -810,7 +815,7 @@ void RemoteSyncAgent::SendAck(uint32_t epoch, uint64_t frame_seq) {
     auth_->SealFrame(&ack, RbAuthDirection::kReplicaToLeader);
     ++kernel_->stats().rb_auth_frames_sealed;
   }
-  ackq_.push_back(std::move(ack));
+  ackq_.Push(std::move(ack));
   FlushAckQueue();
 }
 
@@ -827,7 +832,7 @@ void RemoteSyncAgent::FlushAckQueue() {
   if (conn_ == nullptr || shutdown_) {
     return;
   }
-  DrainSendQueue(conn_.get(), &ackq_, &ackq_head_off_);
+  ackq_.DrainInto(conn_.get());
 }
 
 void RemoteSyncAgent::Shutdown() {

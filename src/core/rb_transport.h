@@ -10,8 +10,8 @@
 //   │ master IP-MON      │   flush/publication)  │ RemoteSyncAgent         │
 //   │  └─ RbTransport ───┼──────────────────────▶│  └─ applies entry images│
 //   │     (send queue,   │◀──────────────────────┼─     into the RB mirror,│
-//   │      bounded in-   │   cumulative acks     │      wakes futex waiters│
-//   │      flight frames)│                       │ slave IP-MON (unchanged)│
+//   │      bounded by    │   cumulative acks     │      wakes futex waiters│
+//   │      the window)   │                       │ slave IP-MON (unchanged)│
 //   └────────────────────┘                       └─────────────────────────┘
 //
 // The slave-side fast path is untouched: a remote slave waits on, checks, and
@@ -25,11 +25,17 @@
 // replays them into the replica's machine-local log mirror with the tail word
 // stored last, so BeforeAcquire replay is placement-transparent too.
 //
-// Backpressure: the transport bounds the number of unacknowledged data frames per
-// remote. When the bound is hit, the leader's flush points stall on stall_queue()
-// until acks drain (IpMon::StallOnTransport), and each stall feeds the adaptive
+// Backpressure: the stream socket's flow-control window is the only bound. A live
+// remote is stalled while its unread bytes — the local send queue plus what the
+// socket still holds (in flight, or delivered but not yet read by the agent) —
+// reach StreamSocket::kWindowBytes, so per-remote leader memory stays at about
+// two windows, and before a sealed link attests at most one window queues
+// locally. While any remote is stalled the leader's flush points park on
+// stall_queue() (IpMon::StallOnTransport), and each stall feeds the adaptive
 // batch window's AIMD as grow pressure — coalescing more entries per frame is how
-// a slow link is amortized.
+// a slow link is amortized. Acks play no part: a stall clears when the agent
+// reads, the window reopens and kPollOut re-pumps the link, so the pump latches
+// each remote's stall state and wakes the queue on every stalled-to-clear edge.
 //
 // Remote death: a peer FIN/RST (or an agent Shutdown) marks the remote dead, bumps
 // the stream epoch so stale frames of the torn connection cannot be confused with
@@ -54,8 +60,8 @@
 // replacement's join attestation verifies (on_attested_join). Data frames
 // published afterwards queue behind it in order, so the replacement's mirror is
 // exactly the leader's RB at every point it observes. Snapshot frames obey the
-// same in-flight bound and cumulative acks as entry frames — a large checkpoint
-// throttles the leader's flush points instead of ballooning the send queue.
+// same window and cumulative acks as entry frames — a large checkpoint throttles
+// the leader's flush points instead of ballooning the send queue.
 //
 // O(delta) re-seed: the transport additionally folds every remote's cumulative
 // acks into a per-slot RbDeltaBasis — per rank, the highest entry offset the
@@ -105,12 +111,37 @@ struct RbLeaderClock {
   uint64_t epoll_version = 0;     // EpollShadowMap::version() at send.
 };
 
+// Framed bytes waiting for a stream socket's window, with a running byte count
+// (the leader's stall rule reads it on every flush point) and the partial-write
+// offset into the front frame.
+class SendQueue {
+ public:
+  void Push(std::vector<uint8_t> frame) {
+    bytes_ += frame.size();
+    frames_.push_back(std::move(frame));
+  }
+  void Clear() {
+    frames_.clear();
+    head_off_ = 0;
+    bytes_ = 0;
+  }
+  bool empty() const { return frames_.empty(); }
+  // Bytes not yet written.
+  uint64_t bytes() const { return bytes_; }
+  // Writes as much as `sock`'s window accepts. Returns false on a hard write
+  // error (peer gone).
+  bool DrainInto(StreamSocket* sock);
+
+ private:
+  std::deque<std::vector<uint8_t>> frames_;
+  size_t head_off_ = 0;
+  uint64_t bytes_ = 0;
+};
+
 // Leader-side frame pump: one connection per remote replica.
 class RbTransport {
  public:
   struct Options {
-    // Unacked data frames allowed per remote before flush points stall.
-    int max_inflight_frames = 8;
     // Wire v4 authentication (nullptr = plain CRC streams). When set, every frame
     // is sealed/verified with per-epoch session keys, and no data flows to a
     // remote until its join attestation (identity + config digest) verifies.
@@ -146,18 +177,19 @@ class RbTransport {
   }
 
   // Broadcasts one publication — one frame — to every live remote. Never blocks:
-  // frames queue locally; the in-flight bound is enforced at the leader's flush
-  // points via Stalled()/stall_queue().
+  // frames queue locally; the window is enforced at the leader's flush points via
+  // Stalled()/stall_queue().
   void SendEntries(int rank, const std::vector<RbWireEntry>& entries);
 
   // Broadcasts one sync-agent log flush — one kSyncLog frame — to every live
   // remote. Sync frames are ordinary data frames: same sequence space, same
-  // in-flight bound, same cumulative acks as entry frames.
+  // window, same cumulative acks as entry frames.
   void SendSyncLog(uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
 
-  // True while any live remote has >= max_inflight_frames unacked data frames.
+  // True while any live remote's unread bytes (send queue plus socket) fill the
+  // stream window.
   bool Stalled() const;
-  // Woken when acks drain below the bound or a remote dies.
+  // Woken when a stalled remote's window reopens or a remote dies.
   WaitQueue* stall_queue() { return &stall_queue_; }
 
   // Stream epoch: starts at 1, bumped on every remote death.
@@ -226,8 +258,10 @@ class RbTransport {
   struct Remote {
     int replica_index = -1;
     std::shared_ptr<StreamSocket> sock;
-    std::deque<std::vector<uint8_t>> sendq;  // Framed bytes not yet written.
-    size_t sendq_head_off = 0;               // Partial-write offset into sendq.front().
+    SendQueue sendq;                         // Framed bytes not yet written.
+    // The stall state the last pump left behind: the edge to clear is what wakes
+    // stall_queue_ (a peer read can clear a stall without any ack arriving).
+    bool stalled = false;
     uint64_t frames_sent = 0;                // Data frames enqueued (frame_seq source).
     uint64_t frames_acked = 0;               // Highest cumulative ack received.
     RbFrameParser parser;                    // For the ack stream.
@@ -274,7 +308,10 @@ class RbTransport {
   // and in the epoch row) and queues it. Returns the sequence number.
   template <typename Encode>
   uint64_t EnqueueFrame(Remote& r, RbFrameType type, Encode encode);
-  void Pump(Remote& r);       // Drain sendq into the socket; read acks.
+  // Drains sendq into the socket and reads acks (PumpLink), then wakes
+  // stall_queue_ if that cleared the remote's stall. Every enqueue pumps.
+  void Pump(Remote& r);
+  void PumpLink(Remote& r);
   // Folds newly acked entry frames' metadata into the slot's delta basis.
   void FoldAckedMeta(Remote& r);
   // Seals `frame` when authentication is on (no-op otherwise).
@@ -283,8 +320,7 @@ class RbTransport {
   bool HandleAttest(Remote& r, const RbWireFrame& frame);
   bool RemoteStalled(const Remote& r) const {
     return !r.dead &&
-           r.frames_sent - r.frames_acked >=
-               static_cast<uint64_t>(options_.max_inflight_frames);
+           r.sendq.bytes() + r.sock->unread_by_peer() >= StreamSocket::kWindowBytes;
   }
 
   Kernel* kernel_;
@@ -401,8 +437,7 @@ class RemoteSyncAgent {
   uint64_t conn_observer_ = 0;
   RbFrameParser parser_;
   std::vector<RbWireFrame> pending_;  // Frames received before the mirror exists.
-  std::deque<std::vector<uint8_t>> ackq_;
-  size_t ackq_head_off_ = 0;
+  SendQueue ackq_;
   bool shutdown_ = false;
   uint64_t frames_applied_ = 0;
   uint64_t entries_applied_ = 0;

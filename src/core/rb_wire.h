@@ -47,9 +47,9 @@
 // kSnapshotBegin / kSnapshotChunk / kSnapshotEnd carry the replica re-seed
 // checkpoint (src/core/snapshot.h) that attaches a replacement replica to a live
 // replica set after an epoch bump. They are sequenced data frames: each carries a
-// frame_seq, counts against the in-flight bound, and is cumulatively acknowledged
-// like kEntries, so snapshot traffic interleaves with bounded in-flight data
-// frames instead of monopolizing the link. Their payloads are opaque at this
+// frame_seq, counts against the link's flow-control window, and is cumulatively
+// acknowledged like kEntries, so snapshot traffic interleaves with window-bounded
+// data frames instead of monopolizing the link. Their payloads are opaque at this
 // layer (the snapshot codec owns them); entry_count is 0. Every checkpoint is cut
 // against a basis — what the replacement's mirror already holds — and a full one
 // is the cut against the empty basis, so kSnapshotBegin has one layout
@@ -83,7 +83,7 @@
 // into the machine-local log mirror with the slot bytes first and the tail word
 // stored last (forward-only). kSyncLog frames are sequenced, CRC'd, epoch-scoped
 // data frames exactly like kEntries: they share the frame_seq space, count
-// against the in-flight bound, are cumulatively acked, and obey the join-epoch
+// against the link's window, are cumulatively acked, and obey the join-epoch
 // floor after a re-seed.
 
 #ifndef SRC_CORE_RB_WIRE_H_

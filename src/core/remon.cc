@@ -220,7 +220,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
           DescriptorRegistryDigest());
     }
     RbTransport::Options topts;
-    topts.max_inflight_frames = options_.rb_max_inflight_frames;
     topts.auth = auth_.get();
     topts.config_digest = config_digest_;
     transport_ = std::make_unique<RbTransport>(kernel_, options_.machine, topts);
@@ -313,10 +312,10 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       });
     });
     if (ghumvee_ != nullptr) {
-      // Reset/re-seed interlock: the RB flush round parks while a replacement
-      // checkpoint is in flight, so a reset can never rebase the offsets an
-      // in-flight image was cut against (it would doom the join on apply).
-      ghumvee_->set_rb_flush_gate(
+      // Re-seed interlock: while a replacement checkpoint is in flight, the RB
+      // reset round and master-call FD-map updates park, so nothing the image
+      // was cut against moves before the replacement applies it.
+      ghumvee_->set_reseed_gate(
           [this] { return transport_ != nullptr && transport_->SnapshotInflight(); });
     }
   }

@@ -56,13 +56,6 @@ struct RemonOptions {
   // machines get a private RB mirror fed by the RB network transport
   // (src/core/rb_transport.h) instead of leader-shared frames. Requires kRemon.
   std::vector<uint32_t> replica_machines;
-  // Unacked RB frames allowed per remote link before the leader's flush points
-  // stall (the slow-link backpressure bound; also feeds the adaptive window).
-  // Barrier/lock-dominated compute flushes tiny frames at every liveness point,
-  // so the shallow default throttles a remote placement to the ack round-trip;
-  // the compute-suite benches raise it and let the sync-log wrap gate (sized by
-  // sync_log_size) bound the replay lag instead.
-  int rb_max_inflight_frames = 8;
   // Replica re-seed: when a remote replica's link dies, checkpoint the leader
   // (src/core/snapshot.h) and attach a replacement at the post-bump epoch instead
   // of reporting divergence. The replica set survives replica loss.

@@ -310,7 +310,7 @@ class RbBatch {
   }
 
   // Feeds one transport-backpressure observation (the leader stalled at a flush
-  // point because a remote link has the full in-flight frame budget outstanding).
+  // point because a remote link's flow-control window is full).
   // On a slow link the cure is the opposite of local waiter pressure: coalesce
   // *more* entries per frame, so the window takes the AIMD additive step up.
   // Returns the signed window change (for the caller's stats).

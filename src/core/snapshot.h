@@ -29,9 +29,9 @@
 //
 // On the wire the snapshot rides the normal RB stream as three sequenced,
 // CRC-protected frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
-// src/core/rb_wire.h), chunked so snapshot traffic obeys the transport's bounded
-// in-flight frame budget and interleaves with data frames instead of
-// monopolizing the link. docs/RB_WIRE_FORMAT.md is the normative payload spec.
+// src/core/rb_wire.h), chunked so snapshot traffic obeys the link's flow-control
+// window and interleaves with data frames instead of monopolizing the link.
+// docs/RB_WIRE_FORMAT.md is the normative payload spec.
 //
 // Restoration applies the image to the replacement's RB mirror with the same
 // ordering discipline the live replay path uses: entry bodies first, state words
@@ -165,8 +165,9 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 
 // --- Wire payloads -----------------------------------------------------------------
 
-// Image bytes per kSnapshotChunk frame. Small enough that snapshot frames obey the
-// transport's in-flight budget without head-of-line-blocking the data stream.
+// Image bytes per kSnapshotChunk frame. Small enough (a quarter of the stream
+// window) that snapshot frames obey the window without head-of-line-blocking the
+// data stream.
 inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
 
 struct SnapshotPayloads {

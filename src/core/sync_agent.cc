@@ -74,9 +74,10 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
   if (is_master()) {
     // Transport backpressure gates the append itself, not only the flush points:
     // a master must not run the sync stream arbitrarily far ahead of what a slow
-    // link has acknowledged. Flush before parking — the frame that fills the
-    // in-flight window is also the one whose ack will wake us — and feed the
-    // stall into the adaptive batch window's AIMD exactly like entry frames do.
+    // link has carried. Flush before parking — records left in the coalescing
+    // buffer would sit unstreamed for the whole stall while the remote replica
+    // may be waiting on them — and feed the stall into the adaptive batch
+    // window's AIMD exactly like entry frames do.
     while (transport_ != nullptr && transport_->Stalled()) {
       FlushLogStream();
       ++kernel_->stats().sync_log_append_stalls;

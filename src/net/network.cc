@@ -223,7 +223,7 @@ int64_t StreamSocket::Write(const void* buf, uint64_t len, uint64_t offset) {
   if (!p) {
     return -kEPIPE;
   }
-  uint64_t used = p->rx_.size() + in_flight_to_peer_;
+  uint64_t used = unread_by_peer();
   if (used >= kWindowBytes) {
     return -kEAGAIN;
   }
@@ -238,6 +238,11 @@ int64_t StreamSocket::Write(const void* buf, uint64_t len, uint64_t offset) {
     p->DeliverBytes(data);
   });
   return static_cast<int64_t>(n);
+}
+
+uint64_t StreamSocket::unread_by_peer() const {
+  auto p = peer_.lock();
+  return in_flight_to_peer_ + (p ? p->rx_.size() : 0);
 }
 
 void StreamSocket::DeliverBytes(const std::vector<uint8_t>& data) {
@@ -262,8 +267,7 @@ uint32_t StreamSocket::Poll() const {
       if (!rx_.empty() || rx_eof_) {
         mask |= kPollIn;
       }
-      auto p = const_cast<StreamSocket*>(this)->peer_.lock();
-      if (p && !tx_shutdown_ && p->rx_.size() + in_flight_to_peer_ < kWindowBytes) {
+      if (!peer_.expired() && !tx_shutdown_ && unread_by_peer() < kWindowBytes) {
         mask |= kPollOut;
       }
       if (rx_eof_) {

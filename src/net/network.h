@@ -144,6 +144,10 @@ class StreamSocket : public File, public std::enable_shared_from_this<StreamSock
   const SockAddr& remote() const { return remote_; }
   bool connect_failed() const { return connect_failed_; }
   uint64_t rx_buffered() const { return rx_.size(); }
+  // Bytes written here that the peer has not read yet: in flight on the link plus
+  // buffered in the peer's receive queue. Writers see -EAGAIN once it reaches
+  // kWindowBytes, and kPollOut fires again when a peer read brings it below.
+  uint64_t unread_by_peer() const;
 
   // Receive-window size: writers see -EAGAIN once this much data is buffered or in
   // flight toward the peer.

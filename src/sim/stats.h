@@ -59,6 +59,7 @@ struct SimStats {
   uint64_t rb_batch_window_grows = 0;    // Adaptive window steps up (no pressure).
   uint64_t rb_batch_window_shrinks = 0;  // Adaptive window steps down (pressure).
   uint64_t rb_park_flushes = 0;  // Kernel park-hook safety-net flushes.
+  uint64_t rb_migrations = 0;    // RB moves to fresh addresses (§4), all replicas.
 
   // RB network transport (cross-machine replica sets). Cumulative over the whole
   // run — epoch bumps never reset them; rb_epochs below carries the breakdown.
@@ -82,7 +83,9 @@ struct SimStats {
   uint64_t rb_snapshot_delta_captures = 0;  // Re-seeds cut against an ack-folded basis.
   uint64_t rb_snapshot_delta_bytes_sent = 0;  // Framed bytes of those re-seeds only.
   uint64_t rb_snapshot_full_fallbacks = 0;  // Delta requested, empty basis used.
-  uint64_t rb_reset_join_stalls = 0;  // RB flush rounds parked on an in-flight re-seed.
+  // Monitor steps parked on an in-flight re-seed checkpoint: RB reset rounds and
+  // master-call FD-map updates (Ghumvee::set_reseed_gate).
+  uint64_t reseed_gate_stalls = 0;
   uint64_t rb_replica_migrations = 0;  // Respawns placed on a different machine.
   uint64_t file_map_grows = 0;         // Live FileMap page-count growths published.
 

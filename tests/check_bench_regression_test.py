@@ -136,6 +136,22 @@ class GateTest(unittest.TestCase):
         rc, out = run_gate(cur, base)
         self.assertEqual(rc, 0, out)
 
+    def test_nonpositive_current_fails(self):
+        # A diverged cell reports -1; against a positive lower-is-better baseline
+        # the ratio is negative, which must fail, not read as an improvement.
+        base = doc([("suite/a/normalized_time", 1.0, False)])
+        for sentinel in (-1.0, 0.0):
+            cur = doc([("suite/a/normalized_time", sentinel, False)])
+            rc, out = run_gate(cur, base)
+            self.assertEqual(rc, 1, out)
+            self.assertIn("[REGRESSED] suite/a/normalized_time", out)
+            self.assertNotIn("[better]", out)
+        # Higher-is-better metrics fail on the sentinel as before.
+        base = doc([("suite/a/throughput", 100.0, True)])
+        cur = doc([("suite/a/throughput", -1.0, True)])
+        rc, out = run_gate(cur, base)
+        self.assertEqual(rc, 1, out)
+
     def test_malformed_json_fails(self):
         good = doc([("suite/a/normalized_time", 1.0, False)])
         rc, _ = run_gate("{not json", good)

@@ -487,5 +487,40 @@ TEST(ScaleoutTest, RebalanceMigratesRemoteReplicasUnderLoad) {
   EXPECT_EQ(again.transcripts, moved.transcripts);
 }
 
+TEST(ScaleoutTest, RebalanceUnderConnectionChurnJoinsEveryTime) {
+  // Every swarm connection is an accept and a close on the shard: master calls
+  // whose FD-map updates land at the master's exit stop, and a blocking accept
+  // keeps such a round executing for as long as it waits. A checkpoint cut while
+  // one executes must not let the round move the shared file map before the
+  // replacement applies the image, or the replacement refuses the join ("file
+  // map diverged from the leader checkpoint"). Sweep the migration instant
+  // across the swarm: every move must join, and service must match the run that
+  // never moved.
+  ScaleoutSpec spec = SmallFleetSpec(2, 600);
+  spec.tiers[0].fleet.remote_replicas = true;
+  RunConfig remon;
+  remon.mvee.mode = MveeMode::kRemon;
+  remon.mvee.replicas = 2;
+  remon.mvee.level = PolicyLevel::kSocketRw;
+  ScaleoutResult steady = RunScaleout(spec, remon);
+  ASSERT_TRUE(steady.finished);
+  ASSERT_FALSE(steady.diverged);
+
+  uint64_t gate_stalls = 0;
+  for (int k = 0; k < 12; ++k) {
+    spec.rebalance_at = Millis(1) + k * Micros(750);
+    SCOPED_TRACE("rebalance at " + std::to_string(spec.rebalance_at) + " ns");
+    ScaleoutResult moved = RunScaleout(spec, remon);
+    EXPECT_TRUE(moved.finished);
+    EXPECT_FALSE(moved.diverged);
+    EXPECT_EQ(moved.stats.rb_replica_migrations, 2u);
+    EXPECT_EQ(moved.stats.rb_snapshot_rejects, 0u);
+    EXPECT_EQ(moved.completed, steady.completed);
+    EXPECT_EQ(ShardLogBytes(moved.transcripts), ShardLogBytes(steady.transcripts));
+    gate_stalls += moved.stats.reseed_gate_stalls;
+  }
+  EXPECT_GT(gate_stalls, 0u);  // FD rounds really landed inside transfers.
+}
+
 }  // namespace
 }  // namespace remon

@@ -791,7 +791,7 @@ struct ResetRaceOutcome {
   std::string transcript;
   uint64_t deaths = 0;
   uint64_t rejoins = 0;
-  uint64_t stalls = 0;  // Flush rounds the gate parked (rb_reset_join_stalls).
+  uint64_t stalls = 0;  // Monitor steps the gate parked (reseed_gate_stalls).
 };
 
 ResetRaceOutcome RunResetJoinRace(uint64_t seed,
@@ -840,7 +840,7 @@ ResetRaceOutcome RunResetJoinRace(uint64_t seed,
   }
   out.deaths = w.sim.stats().rb_remote_deaths;
   out.rejoins = w.sim.stats().rb_replica_joins;
-  out.stalls = w.sim.stats().rb_reset_join_stalls;
+  out.stalls = w.sim.stats().reseed_gate_stalls;
   return out;
 }
 
@@ -1011,6 +1011,7 @@ struct SyncFuzzOutcome {
   uint64_t ops_recorded = 0;     // Master log appends.
   uint64_t ops_replayed = 0;     // Sum over slaves.
   uint64_t wrap_stalls = 0;      // Master appends parked on the full circular log.
+  uint64_t transport_stalls = 0;  // Leader flush points parked on a full link window.
   uint64_t sync_frames_applied = 0;  // kSyncLog frames replayed into mirrors.
   uint64_t remote_deaths = 0;
   uint64_t rejoins = 0;
@@ -1027,8 +1028,8 @@ SyncFuzzOutcome RunSyncFuzz(
     uint64_t seed, FuzzShape shape, int replicas, int batch_max, RbBatchPolicy policy,
     bool remote_last_replica = false, TimeNs kill_remote_at = 0,
     const std::function<void(Remon&, SimWorld&)>& post_run = nullptr,
-    DurationNs link_latency = 50 * kMicrosecond, int max_inflight_frames = 8,
-    bool rb_auth = false) {
+    DurationNs link_latency = 50 * kMicrosecond, double link_bytes_per_ns = 0.125,
+    bool rb_auth = false, const std::function<void(RemonOptions&)>& tune = nullptr) {
   SimWorld w(seed);
   RemonOptions opts;
   opts.mode = MveeMode::kRemon;
@@ -1041,16 +1042,18 @@ SyncFuzzOutcome RunSyncFuzz(
   opts.rb_batch_policy = policy;
   opts.use_sync_agent = true;
   opts.sync_log_size = kSyncFuzzLogSize;
-  opts.rb_max_inflight_frames = max_inflight_frames;
   if (remote_last_replica) {
     uint32_t host = w.net.AddMachine("replica-host-1");
-    w.net.SetLink(w.server_machine, host, LinkParams{link_latency, 0.125});
+    w.net.SetLink(w.server_machine, host, LinkParams{link_latency, link_bytes_per_ns});
     opts.machine = w.server_machine;
     opts.replica_machines.assign(static_cast<size_t>(replicas), w.server_machine);
     opts.replica_machines.back() = host;
   }
   if (kill_remote_at > 0) {
     opts.respawn_dead_replicas = true;
+  }
+  if (tune) {
+    tune(opts);
   }
   Remon mvee(&w.kernel, opts);
   mvee.Launch(SyncFuzzWorkload(seed, shape, SyncScheduleFor(seed, shape)), "syncfuzz");
@@ -1077,6 +1080,7 @@ SyncFuzzOutcome RunSyncFuzz(
   out.ops_recorded = stats.sync_ops_recorded;
   out.ops_replayed = stats.sync_ops_replayed;
   out.wrap_stalls = stats.sync_log_wrap_stalls;
+  out.transport_stalls = stats.rb_transport_stalls;
   out.sync_frames_applied = stats.sync_log_frames_applied;
   out.remote_deaths = stats.rb_remote_deaths;
   out.rejoins = stats.rb_replica_joins;
@@ -1156,14 +1160,13 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
   (void)total_wrap_stalls;  // On the fast link the slave lag stays under one lap.
 }
 
-// On a slow link with a deep in-flight budget, the remote replica's replay lag
-// exceeds a full lap of the 16-slot log, so the master MUST park on the
-// wraparound gate (overwriting an unconsumed slot would corrupt the remote's
-// replay) — and the run must still finish byte-identically: the gate's
-// flush-before-park keeps the stream live while the master sleeps. (With the
-// default shallow in-flight budget the transport backpressure throttles the
-// master below one lap of lag first — also asserted, as the two gates must
-// compose rather than fight.)
+// On a slow link the remote replica's replay lag exceeds a full lap of the
+// 16-slot log, so the master MUST park on the wraparound gate (overwriting an
+// unconsumed slot would corrupt the remote's replay) — and the run must still
+// finish byte-identically: the gate's flush-before-park keeps the stream live
+// while the master sleeps. (On a link whose bandwidth binds, the transport's
+// stream window throttles the master instead — also asserted, as the two gates
+// must compose rather than fight.)
 TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   uint64_t seed = 77;
   FuzzShape shape = ShapeFor(seed);
@@ -1172,12 +1175,11 @@ TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
   ASSERT_TRUE(local.ok);
 
-  // Deep in-flight budget: the wraparound gate is the binding constraint.
+  // Latency-bound link: the wraparound gate is the binding constraint.
   SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
-                                     /*link_latency=*/Millis(2),
-                                     /*max_inflight_frames=*/256);
+                                     /*link_latency=*/Millis(2));
   ASSERT_TRUE(slow.ok);
   EXPECT_GT(slow.wrap_stalls, 0u);  // The master actually parked on the gate.
   EXPECT_EQ(local.transcript, slow.transcript);
@@ -1185,14 +1187,29 @@ TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   EXPECT_EQ(slow.remote_log, slow.master_log);
   EXPECT_EQ(slow.remote_tail, slow.master_tail);
 
-  // Shallow budget on the same slow link: transport backpressure throttles the
-  // master first, and the result is still byte-identical.
-  SyncFuzzOutcome throttled = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
-                                          /*remote_last_replica=*/true,
-                                          /*kill_remote_at=*/0, /*post_run=*/nullptr,
-                                          /*link_latency=*/Millis(2));
+  // Bandwidth-bound link: a lap of the 16-slot log, and the whole 256 KiB RB,
+  // hold less than one 256 KiB stream window of this stream, so the throttled
+  // run streams a long schedule through a log it never laps and an RB that
+  // never fills; at 20 Mbit/s the window fills first and transport backpressure
+  // throttles the master. Still byte-identical.
+  FuzzShape long_shape = shape;
+  long_shape.ops = 1000;
+  SyncFuzzOutcome long_local =
+      RunSyncFuzz(seed, long_shape, 3, 8, RbBatchPolicy::kAdaptive);
+  ASSERT_TRUE(long_local.ok);
+  SyncFuzzOutcome throttled =
+      RunSyncFuzz(seed, long_shape, 3, 8, RbBatchPolicy::kAdaptive,
+                  /*remote_last_replica=*/true, /*kill_remote_at=*/0, /*post_run=*/nullptr,
+                  /*link_latency=*/Millis(2), /*link_bytes_per_ns=*/0.0025,
+                  /*rb_auth=*/false, [](RemonOptions& o) {
+                    o.rb_size = 4 * 1024 * 1024;
+                    o.sync_log_size = kSyncLogOffEntries + 8192 * kSyncLogEntrySize;
+                  });
   ASSERT_TRUE(throttled.ok);
-  EXPECT_EQ(local.transcript, throttled.transcript);
+  EXPECT_GT(throttled.transport_stalls, 0u);  // The window bound, not the log.
+  EXPECT_EQ(throttled.wrap_stalls, 0u);
+  EXPECT_EQ(long_local.transcript, throttled.transcript);
+  EXPECT_EQ(throttled.remote_tail, throttled.master_tail);
   EXPECT_EQ(throttled.remote_log, throttled.master_log);
 }
 
@@ -1214,7 +1231,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
                                        /*remote_last_replica=*/true,
                                        /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                        /*link_latency=*/50 * kMicrosecond,
-                                       /*max_inflight_frames=*/8, /*rb_auth=*/true);
+                                       /*link_bytes_per_ns=*/0.125, /*rb_auth=*/true);
     ASSERT_TRUE(auth.ok) << "seed " << seed;
     ASSERT_EQ(plain.transcript, auth.transcript) << "seed " << seed;
     ASSERT_EQ(plain.rb_entries, auth.rb_entries) << "seed " << seed;
@@ -1223,7 +1240,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
     ASSERT_EQ(auth.remote_log, auth.master_log) << "seed " << seed;
   }
 
-  // Slow link, deep in-flight budget: the wrap gate must bind under auth too.
+  // Latency-bound link: the wrap gate must bind under auth too.
   uint64_t seed = 77;
   FuzzShape shape = ShapeFor(seed);
   shape.ops += 20;
@@ -1233,7 +1250,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                      /*link_latency=*/Millis(2),
-                                     /*max_inflight_frames=*/256, /*rb_auth=*/true);
+                                     /*link_bytes_per_ns=*/0.125, /*rb_auth=*/true);
   ASSERT_TRUE(slow.ok);
   EXPECT_GT(slow.wrap_stalls, 0u);
   EXPECT_EQ(local.transcript, slow.transcript);
@@ -1254,7 +1271,7 @@ TEST(SyncLockstepTest, AuthenticatedSyncStreamMatchesUnauthenticated) {
                                            /*kill_remote_at=*/Micros(200),
                                            /*post_run=*/nullptr,
                                            /*link_latency=*/50 * kMicrosecond,
-                                           /*max_inflight_frames=*/8,
+                                           /*link_bytes_per_ns=*/0.125,
                                            /*rb_auth=*/true);
     ASSERT_TRUE(reseeded.ok) << "seed " << rs;
     ASSERT_EQ(base.transcript, reseeded.transcript) << "seed " << rs;

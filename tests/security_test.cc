@@ -307,6 +307,12 @@ TEST(SecurityTest, RbMigrationMovesBufferTransparently) {
   EXPECT_TRUE(mvee.finished());
   EXPECT_FALSE(mvee.divergence_detected());
   EXPECT_GT(mvee.ipmon(0)->rb_migrations(), 0u);
+  // The run report counts every replica's moves.
+  uint64_t moves = 0;
+  for (int i = 0; i < opts.replicas; ++i) {
+    moves += mvee.ipmon(i)->rb_migrations();
+  }
+  EXPECT_EQ(w.sim.stats().rb_migrations, moves);
   EXPECT_NE(base_after_init, 0u);
   EXPECT_NE(mvee.ipmon(0)->rb().base(), base_after_init);
   EXPECT_EQ(w.fs.ReadWholeFile("/tmp/mig.txt")->size(), 120u * 2048u);

@@ -369,12 +369,12 @@ TEST(RemotePlacementTest, RepeatingKillOnServerRunReturnsOnceClientIsDone) {
   // A server never exits, so a kill loop that re-armed until the replicas finished
   // bumped epochs forever. The loop must stop with the client, every kill but the
   // last must be followed by a join, and the client must see the never-killed
-  // transcript.
+  // transcript. The client runs long enough for several 3 ms kill intervals.
   ServerSpec server = ServerByName("memcached");  // 4 pool workers.
   server.log_writes = 2;
   ClientSpec client;
   client.connections = 8;
-  client.total_requests = 120;
+  client.total_requests = 240;
   client.request_bytes = 512;
   LinkParams link{60 * kMicrosecond, 0.125};
 
@@ -388,7 +388,7 @@ TEST(RemotePlacementTest, RepeatingKillOnServerRunReturnsOnceClientIsDone) {
   config.mvee.use_sync_agent = true;
   ServerResult intact = RunServerBench(server, client, config, link);
   ASSERT_FALSE(intact.diverged);
-  ASSERT_EQ(intact.requests, 120);
+  ASSERT_EQ(intact.requests, 240);
 
   RunConfig faulted = config;
   faulted.mvee.respawn_dead_replicas = true;
@@ -523,6 +523,43 @@ TEST(RemotePlacementTest, SlowRbLinkIsNotMistakenForADeadOne) {
   EXPECT_EQ(slow.stats.rb_remote_deaths, 0u);
   EXPECT_GT(slow.stats.rb_frames_sent, 0u);
   EXPECT_EQ(slow.stats.rb_frames_applied, slow.stats.rb_frames_sent);
+}
+
+// A link whose bandwidth binds: at 20 Mbit/s the stream window fills and the
+// transport's backpressure really parks the leader.
+constexpr double kStarvedLinkBytesPerNs = 0.0025;
+
+TEST(RemotePlacementTest, StarvedRbLinkParksLeaderAndServesNativeTranscript) {
+  // The RB transport's only backpressure is the stream window. On a 20 Mbit/s
+  // link the leader parks at its flush points until the agent's reads reopen
+  // the window; no ack needs to arrive for that, so a pump that woke the stall
+  // queue only around ack parsing would leave the leader parked forever. The run
+  // must finish with the native transcript (remon_cli_starved_link runs the same
+  // configuration from the command line).
+  ServerSpec server = ServerByName("memcached");
+  ClientSpec client;
+  client.connections = 16;
+  client.total_requests = 400;
+  LinkParams link{60 * kMicrosecond, 0.125};
+
+  RunConfig native;
+  native.mvee.mode = MveeMode::kNative;
+  ServerResult base = RunServerBench(server, client, native, link);
+  ASSERT_EQ(base.requests, 400);
+
+  RunConfig config;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  config.placement = {1};
+  config.rb_link_bytes_per_ns = kStarvedLinkBytesPerNs;
+  ServerResult starved = RunServerBench(server, client, config, link);
+  EXPECT_FALSE(starved.diverged);
+  EXPECT_EQ(starved.requests, base.requests);
+  EXPECT_EQ(starved.bytes_received, base.bytes_received);
+  EXPECT_GT(starved.stats.rb_transport_stalls, 0u);
+  EXPECT_EQ(starved.stats.rb_remote_deaths, 0u);
+  EXPECT_EQ(starved.stats.rb_frames_applied, starved.stats.rb_frames_sent);
 }
 
 // One remote replica through its whole link lifecycle: first join, a kill
@@ -716,15 +753,19 @@ RunConfig SyncColumnConfig() {
   return config;
 }
 
-TEST(SyncSuiteTest, DeepInflightWindowUnthrottlesRemoteSyncColumn) {
+// The sync columns' 64-slot log would bind before a starved link's window (a lap
+// of this stream is under one window), so starved runs use a log deep enough to
+// leave the window as the binding gate.
+constexpr uint64_t kStarvedSyncLogSize = kSyncLogOffEntries + 4096 * kSyncLogEntrySize;
+
+TEST(SyncSuiteTest, RemoteSyncColumnStallsOnlyWhenBandwidthBinds) {
   // Regression lock for the fig3/fig4 remote sync columns. The barrier rotation
   // emits a sync-log record and then immediately hits a liveness flush point, so
-  // the stream travels as near-singleton frames. Under the default 8-frame
-  // in-flight budget the master spends the run parked on ack round-trips —
-  // sync_log_append_stalls in the hundreds, several-x overhead versus the
-  // all-local placement. A deep window must remove every window-bound stall and
-  // bring the remote run back to parity with local (the residual cost is wire
-  // bandwidth, which fmm's duty cycle absorbs).
+  // the stream travels as near-singleton frames; any bound that counts frames
+  // rather than bytes parks the master on ack round-trips. Bounded by the link's
+  // byte window, the default remote column must not stall at all and must run
+  // at parity with local (the residual cost is wire bandwidth, which fmm's duty
+  // cycle absorbs); only a link whose bandwidth binds may stall.
   WorkloadSpec spec;
   for (const WorkloadSpec& s : SplashSuite()) {
     if (s.name == "fmm") spec = s;
@@ -737,23 +778,13 @@ TEST(SyncSuiteTest, DeepInflightWindowUnthrottlesRemoteSyncColumn) {
   ASSERT_FALSE(local.diverged);
   EXPECT_EQ(local.stats.sync_log_append_stalls, 0u);
 
-  RunConfig shallow = SyncColumnConfig();
-  shallow.placement = {1};
-  ASSERT_EQ(shallow.mvee.rb_max_inflight_frames, 8);  // The default being documented.
-  SuiteResult throttled = RunSuiteWorkload(spec, shallow);
-  ASSERT_TRUE(throttled.finished);
-  ASSERT_FALSE(throttled.diverged);
-  EXPECT_GT(throttled.stats.sync_log_append_stalls, 100u);
-  EXPECT_GT(throttled.stats.rb_transport_stalls, 100u);
-
-  RunConfig deep = shallow;
-  deep.mvee.rb_max_inflight_frames = 64;  // What the bench columns run with.
-  SuiteResult fast = RunSuiteWorkload(spec, deep);
+  RunConfig remote = SyncColumnConfig();
+  remote.placement = {1};  // What the bench columns run with.
+  SuiteResult fast = RunSuiteWorkload(spec, remote);
   ASSERT_TRUE(fast.finished);
   ASSERT_FALSE(fast.diverged);
   EXPECT_EQ(fast.stats.sync_log_append_stalls, 0u);
   EXPECT_EQ(fast.stats.rb_transport_stalls, 0u);
-  EXPECT_LT(fast.seconds, throttled.seconds);
   // Parity with the all-local placement (deterministic: margin covers only the
   // stream's residual wire time, measured at ~1% of the run).
   EXPECT_LT(fast.seconds, local.seconds * 1.10);
@@ -762,13 +793,26 @@ TEST(SyncSuiteTest, DeepInflightWindowUnthrottlesRemoteSyncColumn) {
   EXPECT_EQ(fast.stats.sync_log_records_applied,
             fast.stats.sync_log_records_streamed);
   EXPECT_EQ(fast.stats.sync_ops_replayed, fast.stats.sync_ops_recorded);
+
+  RunConfig starved = remote;
+  starved.rb_link_bytes_per_ns = kStarvedLinkBytesPerNs;
+  starved.mvee.sync_log_size = kStarvedSyncLogSize;
+  SuiteResult slow = RunSuiteWorkload(spec, starved);
+  ASSERT_TRUE(slow.finished);
+  ASSERT_FALSE(slow.diverged);
+  EXPECT_GT(slow.stats.rb_transport_stalls, 0u);
+  EXPECT_GT(slow.seconds, fast.seconds);
+  EXPECT_EQ(slow.stats.sync_log_records_applied,
+            slow.stats.sync_log_records_streamed);
+  EXPECT_EQ(slow.stats.sync_ops_replayed, slow.stats.sync_ops_recorded);
 }
 
 TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
   // The per-worker acquisition transcripts (/tmp/suite-sync-<name>-t<k>) must be
   // byte-identical whether the slave replica shares the leader's machine or sits
-  // behind the RB transport — the rotation's turn gate pins the global order, and
-  // the agent replays it, so placement timing must never leak into the bytes.
+  // behind the RB transport, on a fast link or on one whose bandwidth binds —
+  // the rotation's turn gate pins the global order, and the agent replays it, so
+  // placement and backpressure timing must never leak into the bytes.
   WorkloadSpec spec;
   for (const WorkloadSpec& s : ParsecSuite()) {
     if (s.name == "dedup") spec = s;
@@ -777,8 +821,9 @@ TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
   spec = SyncVariant(spec, /*sync_ops=*/2, /*max_iterations=*/40);
 
   std::vector<std::string> local_logs;
-  std::vector<std::string> remote_logs;
-  for (int remote = 0; remote <= 1; ++remote) {
+  // remote = 1: a 1 Gbit/s link; remote = 2: the starved link.
+  std::vector<std::string> remote_logs[2];
+  for (int remote = 0; remote <= 2; ++remote) {
     SimWorld w(7);
     RunConfig config = SyncColumnConfig();
     RemonOptions opts;
@@ -788,12 +833,13 @@ TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
     opts.rb_batch_max = config.mvee.rb_batch_max;
     opts.rb_batch_policy = config.mvee.rb_batch_policy;
     opts.use_sync_agent = true;
-    opts.sync_log_size = config.mvee.sync_log_size;
-    opts.rb_max_inflight_frames = 64;
+    opts.sync_log_size = remote == 2 ? kStarvedSyncLogSize : config.mvee.sync_log_size;
     opts.machine = w.server_machine;
     if (remote != 0) {
       uint32_t host = w.net.AddMachine("replica-host-1");
-      w.net.SetLink(w.server_machine, host, LinkParams{60 * kMicrosecond, 0.125});
+      w.net.SetLink(w.server_machine, host,
+                    LinkParams{60 * kMicrosecond,
+                               remote == 1 ? 0.125 : kStarvedLinkBytesPerNs});
       opts.replica_machines = {w.server_machine, host};
     }
     Remon mvee(&w.kernel, opts);
@@ -801,17 +847,22 @@ TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
     w.Run();
     ASSERT_TRUE(mvee.finished()) << "remote=" << remote;
     ASSERT_FALSE(mvee.divergence_detected()) << "remote=" << remote;
+    if (remote == 2) {
+      EXPECT_GT(w.sim.stats().rb_transport_stalls, 0u);  // The window really bound.
+    }
     for (int t = 0; t < spec.threads; ++t) {
       auto log = w.fs.ReadWholeFile("/tmp/suite-sync-" + spec.name + "-t" +
                                     std::to_string(t));
       ASSERT_TRUE(log.has_value()) << "remote=" << remote << " t" << t;
       ASSERT_FALSE(log->empty()) << "remote=" << remote << " t" << t;
-      (remote != 0 ? remote_logs : local_logs).push_back(*log);
+      (remote != 0 ? remote_logs[remote - 1] : local_logs).push_back(*log);
     }
   }
-  ASSERT_EQ(local_logs.size(), remote_logs.size());
-  for (size_t i = 0; i < local_logs.size(); ++i) {
-    EXPECT_EQ(local_logs[i], remote_logs[i]) << "worker " << i;
+  for (const std::vector<std::string>& logs : remote_logs) {
+    ASSERT_EQ(local_logs.size(), logs.size());
+    for (size_t i = 0; i < local_logs.size(); ++i) {
+      EXPECT_EQ(local_logs[i], logs[i]) << "worker " << i;
+    }
   }
 }
 

@@ -9,8 +9,11 @@ of named metrics, each marked higher_is_better or not. The gate fails (exit 1)
 when any metric present in both files moved more than the threshold in its bad
 direction, and when any baseline metric is missing from the suite output: a
 diverged or aborted bench run drops its metrics silently, which would otherwise
-read as a pass. Metrics only present in the current output never fail the gate —
-adding a sweep point must not require touching the baseline in the same commit.
+read as a pass. A nonpositive current value against a positive baseline fails
+too, in either direction: benches report a diverged cell as -1, and on a
+lower-is-better metric that ratio would otherwise read as an improvement.
+Metrics only present in the current output never fail the gate — adding a
+sweep point must not require touching the baseline in the same commit.
 Removing a sweep point on purpose is recorded the same way as a perf movement:
 regenerate the committed baseline in the same PR.
 
@@ -89,8 +92,8 @@ def main():
             rows.append((name, base, cur, "skipped (baseline <= 0)"))
             continue
         ratio = cur / base
-        moved_worse = ratio > 1 + args.threshold if not higher_better \
-            else ratio < 1 - args.threshold
+        moved_worse = cur <= 0 or (ratio > 1 + args.threshold if not higher_better
+                                   else ratio < 1 - args.threshold)
         moved_better = ratio < 1 - args.threshold if not higher_better \
             else ratio > 1 + args.threshold
         if moved_worse:

@@ -35,12 +35,13 @@ void PrintStats(const SimStats& stats) {
               static_cast<unsigned long long>(stats.syscalls_monitored),
               static_cast<unsigned long long>(stats.syscalls_unmonitored));
   std::printf("  ptrace stops=%llu | tokens issued=%llu revoked=%llu | rb entries=%llu "
-              "resets=%llu\n",
+              "resets=%llu migrations=%llu\n",
               static_cast<unsigned long long>(stats.ptrace_stops),
               static_cast<unsigned long long>(stats.tokens_issued),
               static_cast<unsigned long long>(stats.tokens_revoked),
               static_cast<unsigned long long>(stats.rb_entries),
-              static_cast<unsigned long long>(stats.rb_resets));
+              static_cast<unsigned long long>(stats.rb_resets),
+              static_cast<unsigned long long>(stats.rb_migrations));
   if (stats.rb_batch_flushes > 0) {
     std::printf("  rb batching: batched=%llu precall-coalesced=%llu flushes=%llu "
                 "window +%llu/-%llu park-flushes=%llu\n",
@@ -206,7 +207,9 @@ int Run(const CliRun& cli) {
       std::printf("  normalized runtime: %.2f\n", run.seconds / base.seconds);
     }
     PrintStats(run.stats);
-    return run.diverged ? 2 : 0;
+    // A client that stopped short of its native twin means the replica set
+    // stopped serving without reporting a divergence: a lost wakeup, not a pass.
+    return run.diverged ? 2 : (run.requests == base.requests ? 0 : 3);
   }
 
   // The flag table only accepts known workload names.
@@ -221,7 +224,7 @@ int Run(const CliRun& cli) {
               base.seconds > 0 ? run.seconds / base.seconds : 0,
               run.diverged ? "  [DIVERGED]" : "");
   PrintStats(run.stats);
-  return run.diverged ? 2 : 0;
+  return run.diverged ? 2 : (run.finished ? 0 : 3);
 }
 
 }  // namespace
