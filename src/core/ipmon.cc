@@ -751,7 +751,24 @@ void IpMon::OnRbReset(int rank) {
     // without consuming all of them.
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
   }
+  if (rb_.valid()) {
+    ReleaseLapQueues(rank);
+  }
   cursor_[static_cast<size_t>(rank)] = rb_.RankDataStart(rank);
+}
+
+void IpMon::ReleaseLapQueues(int rank) {
+  AddressSpace& mem = process_->mem();
+  GuestAddr lo = rb_.AddrOf(rb_.RankDataStart(rank));
+  GuestAddr hi = rb_.AddrOf(rb_.RankDataEnd(rank));
+  for (GuestAddr page = PageAlignDown(lo); page < hi; page += kPageSize) {
+    if (!mem.PageMaterialized(page)) {
+      continue;  // No frame, so no futex key was ever taken on this page.
+    }
+    Page* frame = mem.ResolveFrame(page, nullptr);
+    kernel_->futex().ReleaseIdle(frame, std::max(lo, page) - page,
+                                 std::min(hi, page + kPageSize) - page);
+  }
 }
 
 GuestAddr IpMon::MigrateRb() {
@@ -760,10 +777,15 @@ GuestAddr IpMon::MigrateRb() {
   }
   FlushRbBatches();  // Entry offsets survive the move, but publish before remapping.
   AddressSpace& mem = process_->mem();
-  std::vector<PageRef> frames = mem.FramesFor(rb_.base(), rb_.size());
-  if (frames.empty()) {
+  // Map the segment's frame table itself at the new address: the move makes no
+  // page resident that the old mapping had not touched.
+  const Vma* vma = mem.FindVma(rb_.base());
+  if (vma == nullptr || vma->backing == nullptr || vma->start != rb_.base() ||
+      vma->length < rb_.size()) {
     return 0;
   }
+  std::shared_ptr<FrameTable> table = vma->backing;
+  uint64_t first_page = vma->backing_page;
   // Fresh randomized location in this replica's mmap window (same entropy as the
   // original placement).
   GuestAddr hint = process_->layout.mmap_hint -
@@ -772,8 +794,8 @@ GuestAddr IpMon::MigrateRb() {
   if (fresh == 0) {
     return 0;
   }
-  if (!mem.MapFixedBacked(fresh, rb_.size(), kProtRead | kProtWrite, true, "sysv-shm",
-                          frames)) {
+  if (!mem.MapShared(fresh, rb_.size(), kProtRead | kProtWrite, "sysv-shm",
+                     std::move(table), first_page)) {
     return 0;
   }
   mem.Unmap(rb_.base(), rb_.size());
@@ -833,6 +855,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   }
   if (is_master()) {
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
+    ReleaseLapQueues(rank);
     rb_.WriteU64(hdr + 0, gen);  // reset_done
     RankHeaderQueue(rank)->Wake();
     ++kernel_->stats().rb_resets;

@@ -240,6 +240,10 @@ class IpMon {
 
   // The futex wait queue for the entry's state word.
   WaitQueue* StateWordQueue(uint64_t entry_off);
+  // Retires the futex queues of rank r's lap once every replica has consumed it:
+  // its state words are dead, so only idle queues (no parked thread) go. Walks
+  // the resident pages only.
+  void ReleaseLapQueues(int rank);
 
   Kernel* kernel_;
   IkBroker* broker_;

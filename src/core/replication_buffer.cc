@@ -1,5 +1,6 @@
 #include "src/core/replication_buffer.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/sim/check.h"
@@ -45,10 +46,16 @@ void RbView::ReadBytes(uint64_t offset, void* out, uint64_t len) const {
 }
 
 void RbView::Zero(uint64_t offset, uint64_t len) {
-  static const uint8_t kZeros[4096] = {0};
+  static const uint8_t kZeros[kPageSize] = {0};
+  const AddressSpace& mem = process_->mem();
   while (len > 0) {
-    uint64_t n = len < sizeof(kZeros) ? len : sizeof(kZeros);
-    WriteBytes(offset, kZeros, n);
+    GuestAddr addr = base_ + offset;
+    uint64_t n = std::min<uint64_t>(len, kPageSize - (addr & kPageMask));
+    // A page no mapping ever touched already reads as zeroes; writing them would
+    // only fault it in (a mid-lap replacement's mirror holds just its used tail).
+    if (mem.PageMaterialized(addr)) {
+      WriteBytes(offset, kZeros, n);
+    }
     offset += n;
     len -= n;
   }

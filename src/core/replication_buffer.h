@@ -93,6 +93,8 @@ class RbView {
   void WriteU64(uint64_t offset, uint64_t v);
   void WriteBytes(uint64_t offset, const void* data, uint64_t len);
   void ReadBytes(uint64_t offset, void* out, uint64_t len) const;
+  // Zeroes a range, skipping the pages no mapping has materialized: they already
+  // read as zeroes, and scrubbing must not make them resident.
   void Zero(uint64_t offset, uint64_t len);
 
   // Guest virtual address of a given offset (for futex waits on entry words).

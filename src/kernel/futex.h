@@ -5,13 +5,19 @@
 // every replica — correctly wakes waiters across processes. This is the substrate for
 // IP-MON's per-invocation condition variables (paper §3.7) and for the record/replay
 // agent's synchronization replication (§2.3).
+//
+// Queue lifetime: a queue is created on first use and outlives its last waiter —
+// callers hold WaitQueue pointers across wake loops (IpMon::FlushRbBatch) and Wake
+// runs callbacks on its own queue, so erasing a queue the moment it empties would
+// leave them dangling. Instead the owner of a range of futex words retires its
+// queues when the words die: the RB reset round calls ReleaseIdle for the
+// sub-buffer it scrubs, so the table holds at most one lap of entry queues.
 
 #ifndef SRC_KERNEL_FUTEX_H_
 #define SRC_KERNEL_FUTEX_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 
 #include "src/mem/page.h"
 #include "src/vfs/wait_queue.h"
@@ -39,6 +45,22 @@ class FutexTable {
       ++woken;
     }
     return woken;
+  }
+
+  // Drops the queues of the words at offsets [lo, hi) of `frame` that are idle
+  // (no waiter, no observer, no Wake on the stack). Returns the number dropped.
+  size_t ReleaseIdle(const Page* frame, uint64_t lo, uint64_t hi) {
+    size_t dropped = 0;
+    auto it = queues_.lower_bound(Key{frame, lo});
+    while (it != queues_.end() && it->first.first == frame && it->first.second < hi) {
+      if (it->second.idle()) {
+        it = queues_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    return dropped;
   }
 
   size_t queue_count() const { return queues_.size(); }

@@ -631,8 +631,8 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       if (where == 0) {
         return -kENOMEM;
       }
-      if (!mem.MapFixedBacked(where, seg->size, kProtRead | kProtWrite, true, "sysv-shm",
-                              seg->frames)) {
+      if (!mem.MapShared(where, seg->size, kProtRead | kProtWrite, "sysv-shm", seg->frames,
+                         /*first_page=*/0)) {
         return -kENOMEM;
       }
       shm_->OnAttach(seg->id);
@@ -688,6 +688,8 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       GuestRusage ru;
       DurationNs cpu = p->TotalCpuNs();
       ru.ru_utime = GuestTimeval{cpu / kSecond, (cpu % kSecond) / 1000};
+      // Like Linux, only the pages this process touched: an attached segment's
+      // untouched pages, or pages only another attacher used, do not count.
       ru.ru_maxrss = static_cast<int64_t>(p->mem().mapped_bytes() / 1024);
       return CopyOut(p, req.arg(1), &ru, sizeof(ru));
     }

@@ -51,9 +51,20 @@ Page* AddressSpace::MaterializeIfLazy(GuestAddr addr, uint32_t required_prot) co
     return nullptr;
   }
   PageEntry& entry = page_table_[addr >> kPageShift];
-  entry.frame = NewPage();
+  entry.frame = vma->backing != nullptr
+                    ? vma->backing->Materialize(vma->backing_page +
+                                                ((addr - vma->start) >> kPageShift))
+                    : NewPage();
   entry.prot = vma->prot;
   return entry.frame.get();
+}
+
+const PageRef* AddressSpace::SharedFrame(const Vma& vma, GuestAddr addr) {
+  if (vma.backing == nullptr) {
+    return nullptr;
+  }
+  const PageRef& frame = vma.backing->Get(vma.backing_page + ((addr - vma.start) >> kPageShift));
+  return frame != nullptr ? &frame : nullptr;
 }
 
 bool AddressSpace::MapFixed(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
@@ -91,6 +102,22 @@ bool AddressSpace::MapFixedLazy(GuestAddr start, uint64_t length, uint32_t prot,
   }
   Vma vma{start, len, prot, /*shared=*/false, std::string(name)};
   vma.lazy = true;
+  vmas_[start] = std::move(vma);
+  return true;
+}
+
+bool AddressSpace::MapShared(GuestAddr start, uint64_t length, uint32_t prot,
+                             std::string_view name, std::shared_ptr<FrameTable> table,
+                             uint64_t first_page) {
+  uint64_t len = 0;
+  if (!ValidateFixedRange(start, length, &len)) {
+    return false;
+  }
+  REMON_CHECK(table != nullptr && first_page + len / kPageSize <= table->size());
+  Vma vma{start, len, prot, /*shared=*/true, std::string(name)};
+  vma.lazy = true;
+  vma.backing = std::move(table);
+  vma.backing_page = first_page;
   vmas_[start] = std::move(vma);
   return true;
 }
@@ -148,6 +175,7 @@ void AddressSpace::SplitAround(GuestAddr start, uint64_t length) {
       Vma tail = v;
       tail.start = edge;
       tail.length = v.end() - edge;
+      tail.backing_page = v.backing_page + ((edge - v.start) >> kPageShift);
       v.length = edge - v.start;
       vmas_[edge] = tail;
     }
@@ -248,6 +276,9 @@ GuestAddr AddressSpace::Remap(GuestAddr old_start, uint64_t old_len, uint64_t ne
     vmas_[old_start].length = new_len;
     return old_start;
   }
+  if (vma.backing != nullptr) {
+    return 0;  // The segment's size is fixed; growing would append private frames.
+  }
   // Grow in place when the tail is free.
   if (RangeFree(old_start + old_len, new_len - old_len)) {
     if (!vma.lazy) {
@@ -268,12 +299,15 @@ AccessResult AddressSpace::Read(GuestAddr addr, void* out, uint64_t len) const {
     uint64_t n = std::min<uint64_t>(len, kPageSize - off);
     auto it = page_table_.find(addr >> kPageShift);
     if (it == page_table_.end()) {
-      // Untouched lazy pages read as zeroes without becoming resident — a read
-      // sweep over a large lazy region must not materialize it.
       const Vma* vma = FindVma(addr);
       if (vma == nullptr || !vma->lazy || (vma->prot & kProtRead) == 0) {
         return AccessResult::Fault(addr);
       }
+      it = InstallSharedFrame(*vma, addr);
+    }
+    if (it == page_table_.end()) {
+      // Untouched lazy pages read as zeroes without becoming resident — a read
+      // sweep over a large lazy region must not materialize it.
       std::memset(dst, 0, n);
     } else {
       if ((it->second.prot & kProtRead) == 0) {
@@ -318,12 +352,15 @@ AccessResult AddressSpace::ReadUnchecked(GuestAddr addr, void* out, uint64_t len
     uint64_t n = std::min<uint64_t>(len, kPageSize - off);
     auto it = page_table_.find(addr >> kPageShift);
     if (it == page_table_.end()) {
-      // Unchecked bypasses protection but not mapping: lazy pages read as zeroes
-      // without materializing (see Read).
       const Vma* vma = FindVma(addr);
       if (vma == nullptr || !vma->lazy) {
         return AccessResult::Fault(addr);
       }
+      it = InstallSharedFrame(*vma, addr);
+    }
+    if (it == page_table_.end()) {
+      // Unchecked bypasses protection but not mapping: lazy pages read as zeroes
+      // without materializing (see Read).
       std::memset(dst, 0, n);
     } else {
       std::memcpy(dst, it->second.frame->bytes.data() + off, n);
@@ -428,7 +465,20 @@ std::vector<Vma> AddressSpace::Vmas() const {
 }
 
 bool AddressSpace::PageMaterialized(GuestAddr addr) const {
-  return page_table_.find(addr >> kPageShift) != page_table_.end();
+  if (page_table_.find(addr >> kPageShift) != page_table_.end()) {
+    return true;
+  }
+  const Vma* vma = FindVma(addr);
+  return vma != nullptr && SharedFrame(*vma, addr) != nullptr;
+}
+
+AddressSpace::PageTable::iterator AddressSpace::InstallSharedFrame(const Vma& vma,
+                                                                   GuestAddr addr) const {
+  const PageRef* frame = SharedFrame(vma, addr);
+  if (frame == nullptr) {
+    return page_table_.end();
+  }
+  return page_table_.emplace(addr >> kPageShift, PageEntry{*frame, vma.prot}).first;
 }
 
 Page* AddressSpace::ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const {
@@ -448,21 +498,6 @@ Page* AddressSpace::ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const
     *offset_in_page = addr & kPageMask;
   }
   return it->second.frame.get();
-}
-
-std::vector<PageRef> AddressSpace::FramesFor(GuestAddr start, uint64_t length) const {
-  std::vector<PageRef> out;
-  for (GuestAddr p = PageAlignDown(start); p < start + length; p += kPageSize) {
-    auto it = page_table_.find(p >> kPageShift);
-    if (it == page_table_.end()) {
-      if (MaterializeIfLazy(p) == nullptr) {
-        return {};
-      }
-      it = page_table_.find(p >> kPageShift);
-    }
-    out.push_back(it->second.frame);
-  }
-  return out;
 }
 
 std::string AddressSpace::RenderMaps() const {

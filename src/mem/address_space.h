@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,6 +34,11 @@ struct Vma {
   // map time. Large private regions (heap, stacks, text) use this so creating a
   // replica process costs VMA bookkeeping, not tens of MiB of zeroed frames.
   bool lazy = false;
+  // Shared lazy region (a System V attach): page i of the VMA is slot
+  // `backing_page + i` of `backing`, materialized there for every attacher. Null
+  // for private lazy regions, whose frames live only in this page table.
+  std::shared_ptr<FrameTable> backing = nullptr;
+  uint64_t backing_page = 0;
 
   GuestAddr end() const { return start + length; }
 };
@@ -60,13 +66,19 @@ class AddressSpace {
                 std::string_view name);
 
   // Like MapFixed, but demand-paged: no frames are allocated until a page is first
-  // touched (read/write/frame resolution). Private mappings only — a shared lazy
-  // region would give each process its own frames on touch.
+  // written or its frame resolved; a read of an untouched page returns zeroes and
+  // allocates nothing. The frames are private to this address space.
   bool MapFixedLazy(GuestAddr start, uint64_t length, uint32_t prot,
                     std::string_view name);
 
-  // Maps with existing backing frames (shared memory attach). `frames` must cover the
-  // rounded-up length.
+  // Demand-paged shared mapping (shmat): pages [first_page, first_page + pages) of
+  // `table` back the range. A page one attacher materializes is the same frame in
+  // every other mapping of the table, including futex keys.
+  bool MapShared(GuestAddr start, uint64_t length, uint32_t prot, std::string_view name,
+                 std::shared_ptr<FrameTable> table, uint64_t first_page);
+
+  // Maps with existing, already-allocated frames (IP-MON's file map). `frames`
+  // must cover the rounded-up length.
   bool MapFixedBacked(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
                       std::string_view name, const std::vector<PageRef>& frames);
 
@@ -82,6 +94,7 @@ class AddressSpace {
   bool Protect(GuestAddr start, uint64_t length, uint32_t prot);
 
   // Remaps a region to a new size in place when possible; returns new start or 0.
+  // A shared-table mapping cannot grow: the segment's size is fixed.
   GuestAddr Remap(GuestAddr old_start, uint64_t old_len, uint64_t new_len);
 
   // --- Access -------------------------------------------------------------------
@@ -115,21 +128,21 @@ class AddressSpace {
   // All VMAs in address order.
   std::vector<Vma> Vmas() const;
 
-  // True when the page containing `addr` has a backing frame. Unlike ResolveFrame,
-  // this never materializes a lazy page — snapshot capture uses it to record lazy
-  // holes as holes instead of forcing the whole region resident.
+  // True when the page containing `addr` has a backing frame — in this page table
+  // or, for a shared mapping, in its segment's table. Unlike ResolveFrame, this
+  // never materializes a lazy page — snapshot capture uses it to record lazy holes
+  // as holes instead of forcing the whole region resident.
   bool PageMaterialized(GuestAddr addr) const;
 
   // Resolves an address to its backing frame; nullptr when unmapped. Used for futex
   // keys (shared frames give shared keys) and zero-copy page sharing.
   Page* ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const;
-  // Returns backing frames of a mapped range (for shmat-style aliasing).
-  std::vector<PageRef> FramesFor(GuestAddr start, uint64_t length) const;
 
   // Renders /proc/<pid>/maps content.
   std::string RenderMaps() const;
 
-  // Total mapped bytes.
+  // Bytes of the pages this address space has touched (its page table), the
+  // simulated resident set: shared pages count in every space that used them.
   uint64_t mapped_bytes() const;
 
  private:
@@ -148,18 +161,30 @@ class AddressSpace {
   // True when [start, start+length) intersects any VMA (materialized or lazy).
   bool VmaOverlaps(GuestAddr start, uint64_t length) const;
 
-  // Allocates the backing frame for an untouched page of a lazy VMA. Returns null
-  // if the address has no lazy VMA or the VMA lacks `required_prot` (0 = any).
-  // Const because demand paging is transparent to callers (page_table_ is the
-  // cache it fills).
+  // Installs the backing frame of an untouched page of a lazy VMA: the shared
+  // table's frame (allocated there if no attacher has yet) or a fresh private one.
+  // Returns null if the address has no lazy VMA or the VMA lacks `required_prot`
+  // (0 = any). Const because demand paging is transparent to callers (page_table_
+  // is the cache it fills).
   Page* MaterializeIfLazy(GuestAddr addr, uint32_t required_prot = 0) const;
+
+  // The shared-table frame already backing `addr`, or null (private VMA, or no
+  // attacher has materialized the page). Never allocates.
+  static const PageRef* SharedFrame(const Vma& vma, GuestAddr addr);
+
+  using PageTable = std::unordered_map<uint64_t, PageEntry>;  // Keyed by VPN.
+
+  // Page-table miss on a read: installs the frame another attacher of `vma`'s
+  // shared table already materialized. Returns page_table_.end() when the page
+  // is still a hole (it reads as zeroes).
+  PageTable::iterator InstallSharedFrame(const Vma& vma, GuestAddr addr) const;
 
   // Splits VMAs so that `start` and `start+length` fall on VMA boundaries.
   void SplitAround(GuestAddr start, uint64_t length);
 
   std::map<GuestAddr, Vma> vmas_;  // Keyed by start address.
-  // Keyed by VPN. Mutable: lazy VMAs materialize frames inside const accessors.
-  mutable std::unordered_map<uint64_t, PageEntry> page_table_;
+  // Mutable: lazy VMAs materialize frames inside const accessors.
+  mutable PageTable page_table_;
 };
 
 }  // namespace remon

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace remon {
 
@@ -33,6 +34,35 @@ struct Page {
 using PageRef = std::shared_ptr<Page>;
 
 inline PageRef NewPage() { return std::make_shared<Page>(); }
+
+// The demand-paged backing store of a System V segment. Slots start out null; the
+// first write or frame resolution through any mapping of the table allocates the
+// frame there, so every attacher sees it (Linux faults a shm segment in the same
+// way). Held by shared_ptr: attached mappings keep it alive after IPC_RMID.
+class FrameTable {
+ public:
+  explicit FrameTable(uint64_t pages) : slots_(pages) {}
+
+  uint64_t size() const { return slots_.size(); }
+  // Frames allocated so far; never-touched pages cost no host memory.
+  uint64_t resident() const { return resident_; }
+
+  // The frame of page `index`, or null while no mapping has materialized it.
+  const PageRef& Get(uint64_t index) const { return slots_[index]; }
+  // The frame of page `index`, allocating it on first use.
+  const PageRef& Materialize(uint64_t index) {
+    PageRef& slot = slots_[index];
+    if (slot == nullptr) {
+      slot = NewPage();
+      ++resident_;
+    }
+    return slot;
+  }
+
+ private:
+  std::vector<PageRef> slots_;
+  uint64_t resident_ = 0;
+};
 
 // Page / VMA protection bits (PROT_*-like).
 enum ProtBits : uint32_t {

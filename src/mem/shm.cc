@@ -29,10 +29,7 @@ int ShmRegistry::Get(int key, uint64_t size, bool create, int pid, uint32_t mach
   seg.size = PageAlignUp(size);
   seg.creator_pid = pid;
   seg.machine = machine;
-  seg.frames.reserve(seg.size / kPageSize);
-  for (uint64_t i = 0; i < seg.size / kPageSize; ++i) {
-    seg.frames.push_back(NewPage());
-  }
+  seg.frames = std::make_shared<FrameTable>(seg.size / kPageSize);
   int id = seg.id;
   segments_[id] = std::move(seg);
   return id;
@@ -62,13 +59,18 @@ int ShmRegistry::MirrorFor(int shmid, uint32_t machine) {
   seg.creator_pid = origin->creator_pid;
   seg.machine = machine;
   seg.mirror_of = shmid;
-  seg.frames.reserve(seg.size / kPageSize);
-  for (uint64_t i = 0; i < seg.size / kPageSize; ++i) {
-    seg.frames.push_back(NewPage());
-  }
+  seg.frames = std::make_shared<FrameTable>(seg.size / kPageSize);
   int id = seg.id;
   segments_[id] = std::move(seg);
   return id;
+}
+
+uint64_t ShmRegistry::resident_pages() const {
+  uint64_t pages = 0;
+  for (const auto& [id, seg] : segments_) {
+    pages += seg.frames->resident();
+  }
+  return pages;
 }
 
 ShmSegment* ShmRegistry::Find(int shmid) {

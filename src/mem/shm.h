@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <memory>
 
 #include "src/mem/page.h"
 
@@ -21,14 +21,17 @@ struct ShmSegment {
   int id = 0;
   int key = 0;
   uint64_t size = 0;  // Page-aligned.
-  std::vector<PageRef> frames;
+  // Demand-paged: shmget allocates no frame; each page materializes on its first
+  // write or frame resolution through any attachment (see FrameTable).
+  std::shared_ptr<FrameTable> frames;
   int attach_count = 0;
   bool marked_removed = false;
   int creator_pid = 0;
   // SysV IPC is per-host: segments belong to the machine that created them. A
   // process on another machine that attaches `id` gets a machine-local *mirror*
-  // (same size, private frames) — the backing store a RemoteSyncAgent replays the
-  // leader's RB stream into (see src/core/rb_transport.h).
+  // (same size, its own demand-paged frame table) — the backing store a
+  // RemoteSyncAgent replays the leader's RB stream into (see
+  // src/core/rb_transport.h).
   uint32_t machine = 0;
   int mirror_of = -1;  // Origin segment id when this is a cross-machine mirror.
 };
@@ -48,8 +51,8 @@ class ShmRegistry {
   ShmSegment* Find(int shmid);
 
   // Finds or creates the machine-local mirror of `shmid` for `machine` (same size,
-  // private frames). Returns the mirror's id, `shmid` itself when the segment
-  // already lives on `machine`, or -errno.
+  // its own demand-paged frame table). Returns the mirror's id, `shmid` itself when
+  // the segment already lives on `machine`, or -errno.
   int MirrorFor(int shmid, uint32_t machine);
 
   // Marks attach/detach; destroys removed segments whose attach count hits zero.
@@ -60,6 +63,9 @@ class ShmRegistry {
   int Remove(int shmid);
 
   uint64_t segment_count() const { return segments_.size(); }
+  // Frames materialized across every live segment and mirror: the host memory
+  // SysV IPC holds, which tracks the pages guests touched, not segment sizes.
+  uint64_t resident_pages() const;
 
  private:
   int next_id_ = 1;

@@ -1,5 +1,7 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
+
 namespace remon {
 
 // --- EventIdSet -----------------------------------------------------------------------
@@ -135,7 +137,8 @@ EventQueue::EventId EventQueue::ScheduleAt(TimeNs when, Callback cb) {
     }
     ++lane_scheduled_;
   } else {
-    heap_.push(HeapEntry{when, id, n});
+    heap_.push_back(HeapEntry{when, id, n});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++heap_scheduled_;
   }
   return id;
@@ -153,7 +156,49 @@ bool EventQueue::Cancel(EventId id) {
   }
   REMON_CHECK(live_events_ > 0);
   --live_events_;
+  MaybeCompact();
   return true;
+}
+
+void EventQueue::MaybeCompact() {
+  if (cancelled_.size() <= std::max(live_events_, kCompactFloor)) {
+    return;
+  }
+  // Erase ids one by one (O(reclaimed)) rather than clearing the set: its
+  // capacity reflects a past peak, and clearing it would cost that much per pass.
+  auto drop = [this](Node* n) {
+    cancelled_.Erase(n->id);
+    RecycleNode(n);
+  };
+  size_t keep = 0;
+  for (const HeapEntry& e : heap_) {
+    if (cancelled_.Contains(e.seq)) {
+      drop(e.node);
+    } else {
+      heap_[keep++] = e;
+    }
+  }
+  heap_.resize(keep);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  Node** link = &lane_head_;
+  lane_tail_ = nullptr;
+  while (*link != nullptr) {
+    Node* n = *link;
+    if (cancelled_.Contains(n->id)) {
+      *link = n->next;
+      drop(n);
+    } else {
+      lane_tail_ = n;
+      link = &n->next;
+    }
+  }
+  if (!cancelled_.empty()) {
+    // Every pending event sits in the heap or the lane, so what is left names
+    // events that already ran (a caller broke Cancel's contract). Ids are never
+    // reused: drop them, or each later Cancel would compact again.
+    cancelled_.Clear();
+  }
+  ++compactions_;
 }
 
 void EventQueue::PopLaneFront() {
@@ -175,9 +220,10 @@ bool EventQueue::PeekNextLive(TimeNs* when, bool* from_lane) {
       RecycleNode(n);
     }
     // Skip cancelled heap tops.
-    while (!heap_.empty() && cancelled_.Contains(heap_.top().seq)) {
-      HeapEntry e = heap_.top();
-      heap_.pop();
+    while (!heap_.empty() && cancelled_.Contains(heap_.front().seq)) {
+      HeapEntry e = heap_.front();
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
       cancelled_.Erase(e.seq);
       RecycleNode(e.node);
     }
@@ -185,12 +231,12 @@ bool EventQueue::PeekNextLive(TimeNs* when, bool* from_lane) {
       return false;
     }
     if (lane_head_ != nullptr &&
-        (heap_.empty() || heap_.top().when > now_ ||
-         (heap_.top().when == now_ && heap_.top().seq > lane_head_->id))) {
+        (heap_.empty() || heap_.front().when > now_ ||
+         (heap_.front().when == now_ && heap_.front().seq > lane_head_->id))) {
       *when = now_;
       *from_lane = true;
     } else {
-      *when = heap_.top().when;
+      *when = heap_.front().when;
       *from_lane = false;
     }
     return true;
@@ -208,14 +254,16 @@ bool EventQueue::RunOne() {
     n = lane_head_;
     PopLaneFront();
   } else {
-    n = heap_.top().node;
-    heap_.pop();
+    n = heap_.front().node;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
     REMON_CHECK(when >= now_);
     now_ = when;
   }
   REMON_CHECK(live_events_ > 0);
   --live_events_;
   ++executed_count_;
+  MaybeCompact();  // Running events shrinks the live set the bound is relative to.
   REMON_CHECK_MSG(n->cb != nullptr, "empty event callback");
   Callback cb = std::move(n->cb);
   RecycleNode(n);

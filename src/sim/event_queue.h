@@ -16,14 +16,18 @@
 //    globally monotonic, so the lane is always (when, seq)-sorted and time cannot
 //    advance past a pending lane entry;
 //  * cancellation is lazy via an open-addressed flat id set (O(1) per Cancel/pop,
-//    no per-node lookup structure).
+//    no per-node lookup structure). A cancelled entry normally waits in the heap
+//    until its deadline — a 2 s watchdog cancelled after 10 us would hold its node
+//    for 2 s — so once cancelled entries outnumber the live ones (and a floor),
+//    the heap and lane are rebuilt without them and their nodes recycled. Each
+//    rebuild costs O(live + cancelled) < 2 x the cancellations it reclaims, so it
+//    is amortized O(1) per Cancel; the live set still pops in (when, seq) order.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/sim/check.h"
@@ -42,6 +46,7 @@ class EventIdSet {
   bool Contains(uint64_t id) const;
   uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  void Clear() { *this = EventIdSet(); }
 
  private:
   void Grow();
@@ -92,6 +97,7 @@ class EventQueue {
   uint64_t RunAll() { return RunUntil(kTimeNever); }
 
   bool empty() const { return live_events_ == 0; }
+  uint64_t live_events() const { return live_events_; }
   uint64_t executed_count() const { return executed_count_; }
 
   // Determinism escape hatch for tests: with the lane disabled, events scheduled
@@ -103,6 +109,14 @@ class EventQueue {
   uint64_t lane_scheduled() const { return lane_scheduled_; }
   uint64_t heap_scheduled() const { return heap_scheduled_; }
   uint64_t node_chunks_allocated() const { return node_chunks_; }
+  // Cancelled events whose nodes are still queued (reclaimed at their pop or at
+  // the next compaction). Bounded by max(live events, kCompactFloor).
+  uint64_t cancelled_pending() const { return cancelled_.size(); }
+  uint64_t compactions() const { return compactions_; }
+
+  // Below this many cancelled entries the queue never compacts: small queues
+  // reclaim them at pop time for free.
+  static constexpr uint64_t kCompactFloor = 64;
 
  private:
   // One scheduled callback. Pooled: popped/cancelled nodes return to free_nodes_.
@@ -128,6 +142,9 @@ class EventQueue {
 
   Node* AcquireNode();
   void RecycleNode(Node* n);
+  // Rebuilds the heap and the lane without cancelled entries once those
+  // outnumber max(live events, kCompactFloor).
+  void MaybeCompact();
   void PopLaneFront();
   // Drops cancelled entries at the lane front / heap top. Returns true if any
   // live event remains; fills the (when, seq) of the next live one.
@@ -139,7 +156,7 @@ class EventQueue {
   uint64_t executed_count_ = 0;
   bool lane_enabled_ = true;
 
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap_;
+  std::vector<HeapEntry> heap_;  // Binary heap under Later: top is heap_.front().
   // Ready lane: FIFO of events scheduled for the current instant.
   Node* lane_head_ = nullptr;
   Node* lane_tail_ = nullptr;
@@ -154,6 +171,7 @@ class EventQueue {
 
   uint64_t lane_scheduled_ = 0;
   uint64_t heap_scheduled_ = 0;
+  uint64_t compactions_ = 0;
 };
 
 // Events scheduled on behalf of an owner that may be destroyed before they fire

@@ -52,17 +52,17 @@ class WaitQueue {
 
   // Wakes all one-shot waiters (removing them first) and notifies all observers.
   void Wake() {
+    ++wake_depth_;
     if (!waiters_.empty()) {
-      if (wake_depth_ == 0) {
+      if (scratch_.empty()) {
         // Ping-pong with the scratch buffer so neither vector's capacity is lost
-        // to a swap-with-empty (the hot Wake path stays allocation-free).
-        ++wake_depth_;
+        // to a swap-with-empty (the hot Wake path stays allocation-free). Scratch
+        // is non-empty exactly while an outer Wake drains it.
         scratch_.swap(waiters_);
         for (auto& [id, cb] : scratch_) {
           cb();
         }
         scratch_.clear();
-        --wake_depth_;
       } else {
         // Reentrant wake (a waiter re-armed and re-woke this queue): scratch is in
         // use above us, fall back to a local drain.
@@ -90,11 +90,13 @@ class WaitQueue {
         }
       }
     }
+    --wake_depth_;
   }
 
   // Wakes at most `n` one-shot waiters in FIFO order (observers are not notified).
   // Returns the number woken.
   int WakeN(int n) {
+    ++wake_depth_;
     int woken = 0;
     while (woken < n && !waiters_.empty()) {
       auto [id, cb] = std::move(waiters_.front());
@@ -102,11 +104,15 @@ class WaitQueue {
       cb();
       ++woken;
     }
+    --wake_depth_;
     return woken;
   }
 
   bool has_waiters() const { return !waiters_.empty(); }
   size_t waiter_count() const { return waiters_.size(); }
+  // No waiter, no observer and no Wake/WakeN on the stack: the owner may destroy
+  // the queue without a callback or a caller's loop touching it afterwards.
+  bool idle() const { return waiters_.empty() && observers_.empty() && wake_depth_ == 0; }
 
  private:
   uint64_t next_id_ = 1;
@@ -114,7 +120,7 @@ class WaitQueue {
   std::vector<std::pair<uint64_t, Callback>> observers_;
   // Wake() drain buffer, ping-ponged with waiters_ to preserve both capacities.
   std::vector<std::pair<uint64_t, Callback>> scratch_;
-  int wake_depth_ = 0;
+  int wake_depth_ = 0;  // Wake/WakeN calls on the stack.
 };
 
 }  // namespace remon

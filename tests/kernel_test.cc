@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,47 @@ TEST(KernelTest, FutexTimeout) {
     EXPECT_EQ(co_await g.Futex(word, kFutexWait, 0, ts), -kETIMEDOUT);
   });
   w.Run();
+}
+
+// The reset round retires a lap's futex queues with ReleaseIdle. It may only drop
+// a queue nobody holds: a parked waiter's queue and a queue whose Wake is on the
+// stack (its caller still iterates it) must survive.
+TEST(FutexTableTest, ReleaseIdleKeepsParkedAndWakingQueues) {
+  FutexTable futex;
+  auto frame = std::make_unique<Page>();
+  auto other = std::make_unique<Page>();
+  futex.QueueFor(frame.get(), 0);  // Idle: dropped.
+  WaitQueue& parked = futex.QueueFor(frame.get(), 8);
+  int parked_woken = 0;
+  parked.AddWaiter([&parked_woken] { ++parked_woken; });
+  WaitQueue& observed = futex.QueueFor(frame.get(), 24);
+  observed.AddObserver([] {});
+  WaitQueue& waking = futex.QueueFor(frame.get(), 16);
+  futex.QueueFor(frame.get(), 64);  // Outside [0, 64): kept.
+  futex.QueueFor(other.get(), 0);   // Another frame: kept.
+  ASSERT_EQ(futex.queue_count(), 6u);
+
+  size_t dropped_during_wake = 0;
+  waking.AddWaiter([&] { dropped_during_wake = futex.ReleaseIdle(frame.get(), 0, 64); });
+  waking.Wake();
+  // Inside the Wake only the idle word went; `waking` itself was on the stack.
+  EXPECT_EQ(dropped_during_wake, 1u);
+  EXPECT_EQ(futex.queue_count(), 5u);
+
+  // Once the Wake returned, `waking` is idle; the parked and observed words stay.
+  EXPECT_EQ(futex.ReleaseIdle(frame.get(), 0, 64), 1u);
+  EXPECT_EQ(futex.queue_count(), 4u);
+  EXPECT_EQ(futex.Wake(frame.get(), 8, 1), 1);  // The parked waiter's queue still works.
+  EXPECT_EQ(parked_woken, 1);
+  EXPECT_EQ(futex.ReleaseIdle(frame.get(), 0, 64), 1u);
+  EXPECT_EQ(futex.queue_count(), 3u);
+  // A WakeN caller is protected the same way.
+  WaitQueue& woken_n = futex.QueueFor(frame.get(), 32);
+  woken_n.AddWaiter([&] { dropped_during_wake = futex.ReleaseIdle(frame.get(), 0, 64); });
+  EXPECT_EQ(futex.Wake(frame.get(), 32, 1), 1);
+  EXPECT_EQ(dropped_during_wake, 0u);
+  EXPECT_EQ(futex.ReleaseIdle(frame.get(), 0, 64), 1u);
+  EXPECT_EQ(futex.queue_count(), 3u);  // Observed word, out-of-range word, other frame.
 }
 
 TEST(KernelTest, ThreadsShareAddressSpace) {

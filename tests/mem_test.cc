@@ -183,9 +183,8 @@ TEST(AddressSpaceTest, FindFreeRangeAvoidsMappings) {
 TEST(AddressSpaceTest, SharedFramesAliasAcrossSpaces) {
   AddressSpace a;
   AddressSpace b;
-  ASSERT_TRUE(a.MapFixed(0x10000, 4096, kProtRead | kProtWrite, true, "shm"));
-  std::vector<PageRef> frames = a.FramesFor(0x10000, 4096);
-  ASSERT_EQ(frames.size(), 1u);
+  std::vector<PageRef> frames = {NewPage()};
+  ASSERT_TRUE(a.MapFixedBacked(0x10000, 4096, kProtRead | kProtWrite, true, "shm", frames));
   ASSERT_TRUE(b.MapFixedBacked(0x90000, 4096, kProtRead | kProtWrite, true, "shm", frames));
   uint32_t v = 12345;
   ASSERT_TRUE(a.Write(0x10010, &v, 4).ok);
@@ -268,7 +267,7 @@ TEST(ShmTest, CreateFindAttachDetach) {
   ShmSegment* seg = reg.Find(id);
   ASSERT_NE(seg, nullptr);
   EXPECT_EQ(seg->size, 16384u);
-  EXPECT_EQ(seg->frames.size(), 4u);
+  EXPECT_EQ(seg->frames->size(), 4u);
   reg.OnAttach(id);
   reg.OnDetach(id);
   EXPECT_NE(reg.Find(id), nullptr);  // Not removed: no IPC_RMID yet.
@@ -290,6 +289,123 @@ TEST(ShmTest, KeyedLookup) {
   int id2 = reg.Get(1234, 4096, false, 2);
   EXPECT_EQ(id1, id2);
   EXPECT_LT(reg.Get(9999, 4096, false, 1), 0);  // ENOENT without create.
+}
+
+// --- Demand-paged shared segments ------------------------------------------------
+
+// One 8-page segment attached by two address spaces at different addresses, the
+// way IP-MON's replicas attach the replication buffer.
+class ShmDemandPagingTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kPages = 8;
+  static constexpr GuestAddr kA = 0x7100'0000'0000ULL;
+  static constexpr GuestAddr kB = 0x7f33'0000'0000ULL;
+
+  void SetUp() override {
+    id_ = reg_.Get(ShmRegistry::kIpcPrivate, kPages * kPageSize, true, 1);
+    ASSERT_GE(id_, 0);
+    ASSERT_TRUE(a_.MapShared(kA, kPages * kPageSize, kProtRead | kProtWrite, "sysv-shm",
+                             reg_.Find(id_)->frames, 0));
+    ASSERT_TRUE(b_.MapShared(kB, kPages * kPageSize, kProtRead | kProtWrite, "sysv-shm",
+                             reg_.Find(id_)->frames, 0));
+  }
+
+  ShmRegistry reg_;
+  int id_ = -1;
+  AddressSpace a_;
+  AddressSpace b_;
+};
+
+TEST_F(ShmDemandPagingTest, CreatingAndAttachingAllocatesNoFrame) {
+  EXPECT_EQ(reg_.resident_pages(), 0u);
+  EXPECT_EQ(a_.mapped_bytes(), 0u);
+  EXPECT_EQ(b_.mapped_bytes(), 0u);
+}
+
+TEST_F(ShmDemandPagingTest, WriteThroughOneAttachReadsBackThroughTheOther) {
+  uint64_t v = 0x1122334455667788ULL;
+  ASSERT_TRUE(a_.Write(kA + 3 * kPageSize + 16, &v, sizeof(v)).ok);
+  uint64_t r = 0;
+  ASSERT_TRUE(b_.Read(kB + 3 * kPageSize + 16, &r, sizeof(r)).ok);
+  EXPECT_EQ(r, v);
+  // And back: B's write lands in the frame A already uses.
+  ASSERT_TRUE(b_.WriteU32(kB + 3 * kPageSize, 77));
+  EXPECT_EQ(a_.ReadU32(kA + 3 * kPageSize), 77u);
+  EXPECT_EQ(reg_.resident_pages(), 1u);
+}
+
+TEST_F(ShmDemandPagingTest, PageOnlyOneAttacherWroteIsMaterializedInBoth) {
+  ASSERT_TRUE(a_.WriteU32(kA + 5 * kPageSize, 1));
+  EXPECT_TRUE(a_.PageMaterialized(kA + 5 * kPageSize));
+  EXPECT_TRUE(b_.PageMaterialized(kB + 5 * kPageSize));
+  EXPECT_FALSE(b_.PageMaterialized(kB + 4 * kPageSize));
+  // The probe is read-only: B's page table stays empty until B touches the page.
+  EXPECT_EQ(b_.mapped_bytes(), 0u);
+}
+
+TEST_F(ShmDemandPagingTest, UntouchedPageReadsZeroAndStaysNonResident) {
+  uint8_t buf[64];
+  std::memset(buf, 0xab, sizeof(buf));
+  ASSERT_TRUE(a_.Read(kA + 2 * kPageSize + 100, buf, sizeof(buf)).ok);
+  for (uint8_t byte : buf) {
+    EXPECT_EQ(byte, 0);
+  }
+  std::memset(buf, 0xab, sizeof(buf));
+  ASSERT_TRUE(b_.ReadUnchecked(kB + 2 * kPageSize + 100, buf, sizeof(buf)).ok);
+  EXPECT_EQ(buf[0], 0);
+  EXPECT_FALSE(a_.PageMaterialized(kA + 2 * kPageSize));
+  EXPECT_FALSE(b_.PageMaterialized(kB + 2 * kPageSize));
+  EXPECT_EQ(reg_.resident_pages(), 0u);
+}
+
+TEST_F(ShmDemandPagingTest, ResolveFrameGivesBothAttachersOneFutexKey) {
+  uint64_t off_a = 0;
+  uint64_t off_b = 0;
+  Page* fb = b_.ResolveFrame(kB + 6 * kPageSize + 40, &off_b);
+  Page* fa = a_.ResolveFrame(kA + 6 * kPageSize + 40, &off_a);
+  ASSERT_NE(fb, nullptr);
+  EXPECT_EQ(fa, fb);
+  EXPECT_EQ(off_a, 40u);
+  EXPECT_EQ(off_b, 40u);
+  EXPECT_EQ(reg_.resident_pages(), 1u);
+}
+
+TEST_F(ShmDemandPagingTest, MprotectSplitKeepsEachPageOnItsOwnFrame) {
+  // Split A's mapping into [0,2) rw, [2,5) r, [5,8) rw before touching anything.
+  ASSERT_TRUE(a_.Protect(kA + 2 * kPageSize, 3 * kPageSize, kProtRead));
+  EXPECT_EQ(a_.Vmas().size(), 3u);
+  for (uint32_t page = 0; page < kPages; ++page) {
+    ASSERT_TRUE(b_.WriteU32(kB + page * kPageSize, 100 + page));
+  }
+  for (uint32_t page = 0; page < kPages; ++page) {
+    EXPECT_EQ(a_.ReadU32(kA + page * kPageSize), 100 + page) << page;
+    EXPECT_EQ(a_.ResolveFrame(kA + page * kPageSize, nullptr),
+              b_.ResolveFrame(kB + page * kPageSize, nullptr))
+        << page;
+  }
+  // The read-only middle still refuses writes through A, not through B.
+  EXPECT_FALSE(a_.WriteU32(kA + 3 * kPageSize, 1));
+  EXPECT_TRUE(a_.WriteU32(kA + 6 * kPageSize, 206));
+  EXPECT_EQ(b_.ReadU32(kB + 6 * kPageSize), 206u);
+}
+
+TEST_F(ShmDemandPagingTest, RemapCannotGrowASharedMapping) {
+  EXPECT_EQ(a_.Remap(kA, kPages * kPageSize, (kPages + 2) * kPageSize), 0u);
+  EXPECT_EQ(a_.FindVma(kA)->length, kPages * kPageSize);
+  EXPECT_EQ(a_.FindVma(kA + kPages * kPageSize), nullptr);
+}
+
+TEST_F(ShmDemandPagingTest, UnmappingOneAttachLeavesTheOthersBytes) {
+  ASSERT_TRUE(a_.WriteU64(kA + kPageSize, 0xfeedULL));
+  // IPC_RMID while B stays attached: B's mapping keeps the frame table alive.
+  reg_.OnAttach(id_);
+  ASSERT_EQ(reg_.Remove(id_), 0);
+  a_.Unmap(kA, kPages * kPageSize);
+  reg_.OnDetach(id_);
+  EXPECT_EQ(reg_.Find(id_), nullptr);
+  EXPECT_EQ(b_.ReadU64(kB + kPageSize), std::optional<uint64_t>(0xfeedULL));
+  ASSERT_TRUE(b_.WriteU64(kB + 7 * kPageSize, 9));
+  EXPECT_EQ(b_.ReadU64(kB + 7 * kPageSize), std::optional<uint64_t>(9));
 }
 
 }  // namespace

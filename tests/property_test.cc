@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/core/remon.h"
 #include "src/harness/runner.h"
@@ -325,6 +326,46 @@ struct FuzzOutcome {
   uint64_t snapshot_bytes = 0;        // Checkpoint bytes shipped over the wire.
   uint64_t snapshot_rejects = 0;      // Joins the replacement refused.
   TimeNs end_time = 0;                // Virtual time at quiescence.
+  uint64_t compactions = 0;           // Event-queue rebuilds without cancelled entries.
+};
+
+// Cancel-heavy timer churn beside a fuzzed MVEE run: every 1-3 us a 2 s
+// watchdog is armed and the oldest of five cancelled (the lockstep-watchdog
+// pattern), and a zero-delay no-op lands on the ready lane, half of them
+// cancelled, so the event queue compacts heap and lane repeatedly mid-run. It
+// draws from its own RNG and touches no MVEE state; it stops, cancelling what it
+// armed, once the replica set is done.
+class TimerChurn {
+ public:
+  TimerChurn(EventQueue* q, const Remon* mvee, uint64_t seed)
+      : q_(q), mvee_(mvee), rng_(seed) {}
+
+  void Tick() {
+    if (mvee_->finished() || mvee_->divergence_detected()) {
+      for (EventQueue::EventId id : armed_) {
+        q_->Cancel(id);
+      }
+      armed_.clear();
+      return;
+    }
+    armed_.push_back(q_->ScheduleAfter(2 * kSecond, [] {}));
+    if (armed_.size() > 4) {
+      q_->Cancel(armed_.front());
+      armed_.erase(armed_.begin());
+    }
+    EventQueue::EventId noop = q_->ScheduleAfter(0, [] {});
+    if (rng_.NextBelow(2) == 0) {
+      q_->Cancel(noop);
+    }
+    q_->ScheduleAfter(Micros(1 + static_cast<int64_t>(rng_.NextBelow(3))),
+                      [this] { Tick(); });
+  }
+
+ private:
+  EventQueue* q_;
+  const Remon* mvee_;
+  Rng rng_;
+  std::vector<EventQueue::EventId> armed_;
 };
 
 FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
@@ -332,7 +373,7 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
                     TimeNs kill_remote_at = 0, bool disable_ready_lane = false,
                     bool rb_auth = false,
                     ReseedMode reseed_mode = ReseedMode::kDelta,
-                    bool migrate_respawn = false) {
+                    bool migrate_respawn = false, bool timer_churn = false) {
   SimWorld w(seed);
   if (disable_ready_lane) {
     // Forces zero-delay events onto the time heap (the pre-lane code shape); see
@@ -374,6 +415,10 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
   }
   Remon mvee(&w.kernel, opts);
   mvee.Launch(FuzzWorkload(seed, shape), "fuzz");
+  TimerChurn churn(&w.sim.queue(), &mvee, seed * 31 + 1);
+  if (timer_churn) {
+    w.sim.queue().ScheduleAfter(Micros(1), [&churn] { churn.Tick(); });
+  }
   if (kill_remote_at > 0) {
     int idx = replicas - 1;
     w.sim.queue().ScheduleAt(kill_remote_at, [&mvee, idx] {
@@ -408,6 +453,7 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
     out.lockstep_rounds = mvee.ghumvee()->lockstep_rounds();
   }
   out.end_time = w.sim.now();
+  out.compactions = w.sim.queue().compactions();
   return out;
 }
 
@@ -548,6 +594,25 @@ TEST(RandomizedLockstepTest, ReadyLaneMatchesPureHeapUnderFuzzedInterleavings) {
     ASSERT_EQ(lane.rb_bytes, heap.rb_bytes) << "seed " << seed;
     ASSERT_EQ(lane.lockstep_rounds, heap.lockstep_rounds) << "seed " << seed;
     ASSERT_EQ(lane.end_time, heap.end_time) << "seed " << seed;
+
+    // Cancel-heavy: with timer churn compacting the queue mid-run, lane-on and
+    // lane-off still agree, and the MVEE's transcript is the churn-free one.
+    FuzzOutcome lane_churn = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive,
+                                     false, 0, /*disable_ready_lane=*/false, false,
+                                     ReseedMode::kDelta, false, /*timer_churn=*/true);
+    FuzzOutcome heap_churn = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive,
+                                     false, 0, /*disable_ready_lane=*/true, false,
+                                     ReseedMode::kDelta, false, /*timer_churn=*/true);
+    ASSERT_TRUE(lane_churn.ok) << "seed " << seed;
+    ASSERT_TRUE(heap_churn.ok) << "seed " << seed;
+    ASSERT_GT(lane_churn.compactions, 0u) << "seed " << seed;
+    ASSERT_GT(heap_churn.compactions, 0u) << "seed " << seed;
+    ASSERT_EQ(lane_churn.transcript, heap_churn.transcript) << "seed " << seed;
+    ASSERT_EQ(lane_churn.transcript, lane.transcript) << "seed " << seed;
+    ASSERT_EQ(lane_churn.rb_entries, heap_churn.rb_entries) << "seed " << seed;
+    ASSERT_EQ(lane_churn.rb_bytes, heap_churn.rb_bytes) << "seed " << seed;
+    ASSERT_EQ(lane_churn.lockstep_rounds, heap_churn.lockstep_rounds) << "seed " << seed;
+    ASSERT_EQ(lane_churn.end_time, heap_churn.end_time) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/file_map.h"
 #include "src/core/remon.h"
 #include "src/core/replication_buffer.h"
@@ -19,12 +21,12 @@ class RbTest : public ::testing::Test {
   void SetUp() override {
     master_ = w_.NewProcess("rb-master");
     slave_ = w_.NewProcess("rb-slave");
-    // Shared frames mapped at different addresses, as in the real system.
-    ASSERT_TRUE(master_->mem().MapFixed(0x7100'0000'0000ULL, kRbSize,
-                                        kProtRead | kProtWrite, true, "rb"));
-    std::vector<PageRef> frames = master_->mem().FramesFor(0x7100'0000'0000ULL, kRbSize);
-    ASSERT_TRUE(slave_->mem().MapFixedBacked(0x7f33'0000'0000ULL, kRbSize,
-                                             kProtRead | kProtWrite, true, "rb", frames));
+    // One segment's frames mapped at different addresses, as in the real system.
+    auto frames = std::make_shared<FrameTable>(kRbSize / kPageSize);
+    ASSERT_TRUE(master_->mem().MapShared(0x7100'0000'0000ULL, kRbSize,
+                                         kProtRead | kProtWrite, "rb", frames, 0));
+    ASSERT_TRUE(slave_->mem().MapShared(0x7f33'0000'0000ULL, kRbSize,
+                                        kProtRead | kProtWrite, "rb", frames, 0));
     master_view_ = RbView(master_, 0x7100'0000'0000ULL, kRbSize, kRanks);
     slave_view_ = RbView(slave_, 0x7f33'0000'0000ULL, kRbSize, kRanks);
   }
@@ -106,6 +108,33 @@ TEST_F(RbTest, ZeroClearsRange) {
   master_view_.Zero(off, 8192);
   EXPECT_EQ(slave_view_.ReadU64(off), 0u);
   EXPECT_EQ(slave_view_.ReadU64(off + 4096), 0u);
+}
+
+// A reset scrubs a demand-paged segment without faulting it in: pages no
+// attacher touched (a mid-lap replacement's mirror holds only its used tail)
+// already read as zeroes, so Zero skips them.
+TEST(RbZeroTest, ZeroSkipsPagesNoAttacherTouched) {
+  SimWorld w;
+  Process* a = w.NewProcess("rb-a");
+  Process* b = w.NewProcess("rb-b");
+  constexpr uint64_t kSize = 16 * kPageSize;
+  int id = w.shm.Get(ShmRegistry::kIpcPrivate, kSize, true, a->pid());
+  ASSERT_GE(id, 0);
+  const std::shared_ptr<FrameTable>& table = w.shm.Find(id)->frames;
+  ASSERT_TRUE(a->mem().MapShared(0x7100'0000'0000ULL, kSize, kProtRead | kProtWrite,
+                                 "sysv-shm", table, 0));
+  ASSERT_TRUE(b->mem().MapShared(0x7f33'0000'0000ULL, kSize, kProtRead | kProtWrite,
+                                 "sysv-shm", table, 0));
+  RbView va(a, 0x7100'0000'0000ULL, kSize, 1);
+  RbView vb(b, 0x7f33'0000'0000ULL, kSize, 1);
+  va.WriteU64(5 * kPageSize + 8, 0x5555);
+  vb.WriteU64(9 * kPageSize, 0x9999);  // Resident through the other attacher only.
+  ASSERT_EQ(w.shm.resident_pages(), 2u);
+  va.Zero(va.RankDataStart(0), va.RankDataEnd(0) - va.RankDataStart(0));
+  EXPECT_EQ(w.shm.resident_pages(), 2u);
+  EXPECT_EQ(vb.ReadU64(5 * kPageSize + 8), 0u);
+  EXPECT_EQ(va.ReadU64(9 * kPageSize), 0u);
+  EXPECT_EQ(w.shm.resident_pages(), 2u);
 }
 
 TEST_F(RbTest, EntrySizeAlignsAndCovers) {

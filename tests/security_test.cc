@@ -316,6 +316,19 @@ TEST(SecurityTest, RbMigrationMovesBufferTransparently) {
   EXPECT_NE(base_after_init, 0u);
   EXPECT_NE(mvee.ipmon(0)->rb().base(), base_after_init);
   EXPECT_EQ(w.fs.ReadWholeFile("/tmp/mig.txt")->size(), 120u * 2048u);
+
+  // A move maps the segment's demand-paged frame table itself at the new address,
+  // so it faults nothing in: the resident page count is the same before and after,
+  // and after every in-run move it is still rank 0's sub-buffer plus the headers
+  // (the only rank that ran), not the whole segment.
+  const RbView& rb = mvee.ipmon(0)->rb();
+  uint64_t resident = w.shm.resident_pages();
+  GuestAddr before = rb.base();
+  ASSERT_NE(mvee.ipmon(0)->MigrateRb(), 0u);
+  EXPECT_NE(mvee.ipmon(0)->rb().base(), before);
+  EXPECT_EQ(w.shm.resident_pages(), resident);
+  EXPECT_GT(resident, 0u);
+  EXPECT_LE(resident, PageAlignUp(rb.RankDataEnd(0)) / kPageSize);
 }
 
 // --- Authenticated RB transport (wire v4): active network adversaries --------------

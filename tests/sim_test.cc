@@ -90,6 +90,61 @@ TEST(EventQueueTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(q.now(), 99);
 }
 
+// The lockstep-watchdog pattern: a 2 s timer armed and cancelled microseconds
+// later, 100k times, around at most 64 live events. Cancelled timers must not
+// hold their nodes until the deadline, and compaction must not disturb the
+// (when, seq) order the live events run in.
+TEST(EventQueueTest, CancelledTimersAreCompactedAroundASmallLiveSet) {
+  EventQueue q;
+  Rng rng(17);
+  struct Ran {
+    TimeNs when;
+    uint64_t seq;
+  };
+  std::vector<Ran> ran;
+  uint64_t next_seq = 0;
+  int short_live = 0;
+  std::vector<EventQueue::EventId> armed;
+  for (int i = 0; i < 100000; ++i) {
+    armed.push_back(q.ScheduleAfter(2 * kSecond, [] { FAIL() << "a cancelled timer ran"; }));
+    if (armed.size() > 8) {
+      ASSERT_TRUE(q.Cancel(armed[armed.size() - 9]));
+    }
+    // Short events at now (ready lane) or up to 3 us out (heap); some cancelled.
+    while (short_live < 48) {
+      TimeNs when = q.now() + static_cast<TimeNs>(rng.NextBelow(4)) * kMicrosecond;
+      uint64_t seq = next_seq++;
+      EventQueue::EventId id = q.ScheduleAt(when, [&ran, &short_live, when, seq] {
+        ran.push_back(Ran{when, seq});
+        --short_live;
+      });
+      ++short_live;
+      if (rng.NextBelow(8) == 0) {
+        ASSERT_TRUE(q.Cancel(id));
+        --short_live;
+      }
+    }
+    q.RunUntil(q.now() + kMicrosecond);
+    ASSERT_LE(q.live_events(), 64u);
+    ASSERT_LE(q.cancelled_pending(), EventQueue::kCompactFloor);
+  }
+  for (size_t i = armed.size() - 8; i < armed.size(); ++i) {
+    ASSERT_TRUE(q.Cancel(armed[i]));
+  }
+  q.RunAll();
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(q.compactions(), 1000u);
+  // Without compaction every cancelled 2 s timer would still be queued: 100k
+  // nodes, about 390 chunks of 256.
+  EXPECT_LE(q.node_chunks_allocated(), 2u);
+  ASSERT_GT(ran.size(), 100000u);
+  for (size_t i = 1; i < ran.size(); ++i) {
+    ASSERT_TRUE(ran[i - 1].when < ran[i].when ||
+                (ran[i - 1].when == ran[i].when && ran[i - 1].seq < ran[i].seq))
+        << "event " << i;
+  }
+}
+
 TEST(ScopedEventsTest, FiredEventsForgetThemselvesAndTheRestCancelAtDestruction) {
   EventQueue q;
   std::vector<int> order;

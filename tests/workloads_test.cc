@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "src/core/sync_agent.h"
 #include "src/harness/runner.h"
@@ -977,6 +980,183 @@ TEST(WorkloadTest, GetrandomReplicatedAcrossReplicas) {
   EXPECT_FALSE(mvee.divergence_detected());
   EXPECT_EQ(seen[0], seen[1]);
   EXPECT_FALSE(seen[0].empty());
+}
+
+// --- Host-memory budget -------------------------------------------------------------
+//
+// Host RSS is noisy, but the three counts behind it are exact: the SysV frames the
+// guests touched, the futex queues, and the cancelled events still queued. Each
+// must follow live simulated state, not run length; they are checked after every
+// 1 ms of virtual time against bounds derived from the replica sets' RB state.
+
+// Pages one rank can touch: its whole sub-buffer once it has published an entry,
+// else only the page(s) of its header.
+uint64_t RankPages(const RbView& rb, int rank, bool used) {
+  GuestAddr begin = PageAlignDown(rb.RankStart(rank));
+  GuestAddr end = used ? rb.RankDataEnd(rank) : rb.RankDataStart(rank);
+  return (PageAlignUp(end) - begin) / kPageSize;
+}
+
+class MemoryBudget {
+ public:
+  // `masters` are the master IP-MONs of every replica set in the world.
+  MemoryBudget(SimWorld* w, std::vector<IpMon*> masters)
+      : w_(w), masters_(std::move(masters)), laps_(masters_.size()) {}
+
+  // Runs the world in 1 ms slices until `done` (or 2 s of virtual time).
+  void Run(const std::function<bool()>& done) {
+    for (TimeNs t = Millis(1); !done() && t <= 2 * kSecond; t += Millis(1)) {
+      w_->sim.Run(t);
+      uint64_t resident_budget = 0;
+      uint64_t lap_entries = 0;
+      for (size_t i = 0; i < masters_.size(); ++i) {
+        const IpMon* m = masters_[i];
+        if (!m->rb().valid()) {
+          continue;
+        }
+        const RbView& rb = m->rb();
+        laps_[i].resize(static_cast<size_t>(rb.max_ranks()));
+        resident_budget += 1;  // The global header.
+        for (int r = 0; r < rb.max_ranks(); ++r) {
+          Lap& lap = laps_[i][static_cast<size_t>(r)];
+          uint64_t cursor = m->rb_cursor(r);
+          if (cursor < lap.cursor) {
+            lap.base = lap.seq;  // Reset during this slice: the lap began after its start.
+          }
+          lap.cursor = cursor;
+          lap.seq = m->rb_seq(r);
+          lap_entries += lap.seq - lap.base;
+          resident_budget += RankPages(rb, r, lap.seq > 0);
+        }
+      }
+      // One futex queue per entry state word of the laps not yet reset, plus a
+      // handful of other words (rank headers, guest futexes).
+      ASSERT_LE(w_->kernel.futex().queue_count(), lap_entries + 16) << "at " << t;
+      ASSERT_LE(w_->shm.resident_pages(), resident_budget) << "at " << t;
+      const EventQueue& q = w_->sim.queue();
+      ASSERT_LE(q.cancelled_pending(), std::max(q.live_events(), EventQueue::kCompactFloor))
+          << "at " << t;
+      max_queues_ = std::max<uint64_t>(max_queues_, w_->kernel.futex().queue_count());
+    }
+    ASSERT_TRUE(done());
+  }
+
+  uint64_t max_queues() const { return max_queues_; }
+
+ private:
+  struct Lap {
+    uint64_t cursor = 0;  // Master write cursor at the last slice boundary.
+    uint64_t seq = 0;     // Entries published by then.
+    uint64_t base = 0;    // Entries published before the current lap began.
+  };
+
+  SimWorld* w_;
+  std::vector<IpMon*> masters_;
+  std::vector<std::vector<Lap>> laps_;  // Per replica set, per rank.
+  uint64_t max_queues_ = 0;
+};
+
+TEST(MemoryBudgetTest, RedisReplicaSetLapsItsBufferWithinBudget) {
+  SimWorld w(21);
+  w.net.SetLink(w.server_machine, w.client_machine, LinkParams{60 * kMicrosecond, 0.125});
+  ServerSpec server = ServerByName("redis");
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.level = PolicyLevel::kSocketRw;
+  opts.rb_size = 1 << 20;  // Small enough that the run laps it several times.
+  opts.mem_intensity = server.mem_intensity;
+  opts.machine = w.server_machine;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch(ServerProgram(server), server.name);
+
+  ClientSpec cs;
+  cs.connections = 8;
+  cs.total_requests = 4000;
+  cs.request_bytes = 256;
+  cs.server_machine = w.server_machine;
+  cs.port = server.port;
+  ClientStats stats;
+  bool client_done = false;
+  Process* cp = w.NewProcess("client", -1, w.client_machine);
+  w.kernel.SpawnThread(cp, [&cs, &stats, &client_done](Guest& g) -> GuestTask<void> {
+    co_await g.SleepNs(Millis(2));
+    ProgramFn body = ClientProgram(cs, &stats);
+    co_await body(g);
+    client_done = true;
+  });
+
+  MemoryBudget check(&w, {mvee.ipmon(0)});
+  check.Run([&client_done] { return client_done; });
+  EXPECT_EQ(stats.completed, cs.total_requests);
+  EXPECT_FALSE(mvee.divergence_detected());
+  EXPECT_GE(w.sim.stats().rb_resets, 5u);
+  // Reset rounds retire the lap's queues: the table never held the whole run.
+  EXPECT_LT(check.max_queues(), w.sim.stats().rb_entries / 2);
+}
+
+TEST(MemoryBudgetTest, FourShardNginxFleetStaysWithinBudget) {
+  SimWorld w(22);
+  ServerSpec server = ServerByName("nginx");
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.level = PolicyLevel::kSocketRw;
+  opts.mem_intensity = server.mem_intensity;
+  opts.file_map_pages = 4;
+  FleetTierSpec tier;
+  tier.name = server.name;
+  tier.port = 9000;
+  tier.initial_shards = tier.min_shards = tier.max_shards = 4;
+  tier.policy = LoadBalancer::Policy::kConsistentHash;
+  ShardBodyFn body = [server](const ShardContext& ctx) {
+    ServerSpec s = server;
+    s.name = ctx.name;
+    s.port = ctx.listen_port;
+    return ServerProgram(s);
+  };
+  FleetManager fleet(&w.kernel, opts, {tier}, std::move(body));
+  fleet.Start();
+
+  constexpr int kClients = 2;
+  std::vector<SwarmSpec> specs(kClients);
+  std::vector<SwarmStats> swarm_stats(kClients);
+  int swarms_left = kClients;
+  LayoutPlanner planner(&w.sim.rng());
+  for (int i = 0; i < kClients; ++i) {
+    SwarmSpec& ss = specs[static_cast<size_t>(i)];
+    ss.connections = 1500;
+    ss.arrival_rate = 10000;
+    ss.request_bytes = 512;
+    ss.server_machine = fleet.vip(0).machine;
+    ss.port = fleet.vip(0).port;
+    ss.seed = 5 + static_cast<uint64_t>(i) * 7919;
+    uint32_t machine = w.net.AddMachine("swarm-c" + std::to_string(i));
+    Process* proc = w.kernel.CreateProcess("swarm-" + std::to_string(i), machine,
+                                           planner.PlanFor(8));
+    SwarmStats* st = &swarm_stats[static_cast<size_t>(i)];
+    auto on_done = [&swarms_left, &fleet] {
+      if (--swarms_left == 0) {
+        fleet.StopAutoscale();
+      }
+    };
+    w.kernel.SpawnThread(proc, [&ss, st, on_done](Guest& g) -> GuestTask<void> {
+      co_await g.SleepNs(Millis(2));
+      ProgramFn prog = SwarmProgram(ss, st, on_done);
+      co_await prog(g);
+    });
+  }
+
+  std::vector<IpMon*> masters;
+  for (int s = 0; s < fleet.shard_count(0); ++s) {
+    masters.push_back(fleet.shard(0, s)->ipmon(0));
+  }
+  MemoryBudget check(&w, masters);
+  check.Run([&swarms_left] { return swarms_left == 0; });
+  int completed = 0;
+  for (const SwarmStats& st : swarm_stats) {
+    completed += st.completed;
+  }
+  EXPECT_EQ(completed, kClients * 1500);
+  EXPECT_FALSE(fleet.divergence_detected());
 }
 
 }  // namespace
