@@ -243,14 +243,14 @@ void RunReseedSweep(BenchJson* json) {
 
 void RunReseedDeltaSweep(BenchJson* json) {
   std::printf("\n== Ablation: O(delta) vs full re-seed bytes across RB sizes ==\n");
-  // The recovery scale cliff: a full checkpoint ships the whole RB image, so
+  // The recovery scale cliff: a full checkpoint ships every live RB entry, so
   // re-seed bytes grow linearly with --rb-size even when the replacement only
   // missed a few milliseconds of entries. A checkpoint cut against the ack-
   // latched basis (max acked entry offset per rank) ships only entries past
   // it plus dirty file-map pages and the un-replayed sync-log slice — the bytes
   // track the outage window, not the buffer size.
   // The write-heavy suite workload pushes ~128 MiB through the RB, so at every
-  // size in the sweep the buffer is fully touched by kill time — a full image
+  // size in the sweep the buffer is fully touched by kill time — a full checkpoint
   // must ship the whole RB, while the delta only covers the outage window.
   WorkloadSpec spec;
   spec.name = "rb-reseed-delta";
@@ -281,10 +281,10 @@ void RunReseedDeltaSweep(BenchJson* json) {
       // reset-phase noise on a handful of 4 KiB pages. The cadence must outlast
       // a recovery or the replacement dies mid-transfer and never joins: a
       // delta re-seed completes in well under a millisecond at every size, but
-      // a full 16 MiB-point image needs several ms on the 50 us link — that
+      // a full 16 MiB-point checkpoint needs several ms on the 50 us link — that
       // asymmetry IS the scale cliff this sweep prices. Kills only start once
       // even the 16 MiB point's rank sub-buffer is fully touched (~75 ms in),
-      // so a full image always prices the whole RB.
+      // so a full checkpoint always prices the whole RB.
       config.kill_remote_replica_at = Millis(80);
       config.kill_remote_replica_every =
           mode == ReseedMode::kDelta ? Millis(3) : Millis(13);
@@ -323,7 +323,7 @@ void RunReseedDeltaSweep(BenchJson* json) {
   }
   table.Print();
   std::printf(
-      "\nThe full column grows linearly with the RB (it ships the live image), the\n"
+      "\nThe full column grows linearly with the RB (it ships every live entry), the\n"
       "delta column is flat: the replacement re-seeds in O(missed work), so growing\n"
       "--rb-size to push resets toward zero no longer inflates recovery cost. At\n"
       "256 KiB the whole rank sub-buffer is smaller than the steady-state outage\n"

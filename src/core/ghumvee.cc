@@ -260,7 +260,7 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   }
   if (nr == Sys::kRemonRbFlush) {
     // A replacement checkpoint in flight pins the current reset generation: its
-    // image was cut against the live sub-buffer offsets, and scrubbing them
+    // records were cut against the live sub-buffer offsets, and scrubbing them
     // before the replacement acks the End frame dooms the join (the agent
     // refuses a checkpoint from a stale generation, which tears the link and
     // charges the respawn budget for the leader's own reset).

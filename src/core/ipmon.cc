@@ -134,14 +134,6 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   }
 }
 
-WaitQueue* IpMon::StateWordQueue(uint64_t entry_off) {
-  uint64_t off_in_page = 0;
-  Page* frame =
-      process_->mem().ResolveFrame(rb_.AddrOf(entry_off + kRbOffState), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return &kernel_->futex().QueueFor(frame, off_in_page);
-}
-
 bool IpMon::MaySleepIndefinitely(const SyscallRequest& req) const {
   if (!PredictBlocking(req, *file_map_)) {
     return false;
@@ -330,15 +322,7 @@ void IpMon::EmitToTransport(int rank,
   std::vector<RbWireEntry> entries;
   entries.reserve(pubs.size());
   for (const auto& [entry_off, state] : pubs) {
-    uint64_t sig_len = rb_.ReadU64(entry_off + kRbOffSigLen);
-    uint64_t out_len =
-        state == kRbResultsReady ? rb_.ReadU64(entry_off + kRbOffOutLen) : 0;
-    RbWireEntry e;
-    e.entry_off = entry_off;
-    e.final_state = state;
-    e.image.resize(kRbEntryHeaderSize + sig_len + out_len);
-    rb_.ReadBytes(entry_off, e.image.data(), e.image.size());
-    entries.push_back(std::move(e));
+    entries.push_back(RbEntryOps::ReadRecord(rb_, entry_off, state));
   }
   transport_->SendEntries(rank, entries);
 }
@@ -392,7 +376,7 @@ uint32_t IpMon::FlushRbBatch(int rank) {
   std::vector<WaitQueue*> queues;
   queues.reserve(batch.size());
   for (const RbBatch::Slot& s : batch.slots()) {
-    queues.push_back(StateWordQueue(s.entry_off));
+    queues.push_back(&rb_.StateQueue(kernel_->futex(), s.entry_off));
   }
   if (adaptive) {
     for (WaitQueue* q : queues) {
@@ -567,7 +551,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   }
   co_await ThreadCost{t, costs.rb_entry_ns};
   if (!args_deferred) {
-    StateWordQueue(entry_off)->Wake();
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     EmitToTransport(rank, {{entry_off, kRbArgsReady}});
   }
   ++stats.rb_entries;
@@ -577,7 +561,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     // §3.8: GHUMVEE deferred a signal; restart this call as a *monitored* call so the
     // monitor gets its synchronization point. The forwarded stub keeps slaves in step.
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    StateWordQueue(entry_off)->Wake();
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     forward_reason_ = "signals_pending";
     co_await ForwardToGhumvee(t, req);
@@ -596,7 +580,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    StateWordQueue(entry_off)->Wake();
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     forward_reason_ = "token_invalid";
     co_await ForwardToGhumvee(t, req);
@@ -614,7 +598,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    StateWordQueue(entry_off)->Wake();
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     forward_reason_ = "eintr_restart";
     co_await ForwardToGhumvee(t, req);
@@ -639,7 +623,8 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
       co_await FlushBatchCharged(t, rank);
     }
     uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    StateWordQueue(entry_off)->Wake();  // Memory visibility (free in real hardware).
+    // Memory visibility (free in real hardware).
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     if (waiters > 0) {
       co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
@@ -686,7 +671,7 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
   while (rb_.ReadU32(entry_off + kRbOffState) < kRbArgsReady) {
     RbEntryOps::AddWaiter(rb_, entry_off);
     ++stats.rb_futex_waits;
-    co_await WaitOn{t, StateWordQueue(entry_off)};
+    co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
     RbEntryOps::RemoveWaiter(rb_, entry_off);
     co_await ThreadCost{t, costs.futex_wait_ns};
   }
@@ -708,12 +693,12 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
     if (use_futex) {
       RbEntryOps::AddWaiter(rb_, entry_off);
       ++stats.rb_futex_waits;
-      co_await WaitOn{t, StateWordQueue(entry_off)};
+      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
       RbEntryOps::RemoveWaiter(rb_, entry_off);
       co_await ThreadCost{t, costs.futex_wait_ns};
     } else {
       ++stats.rb_spin_waits;
-      co_await WaitOn{t, StateWordQueue(entry_off)};
+      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
       co_await ThreadCost{t, costs.spin_iteration_ns};
     }
   }
@@ -826,13 +811,6 @@ bool IpMon::RemapFileMap() {
   return true;
 }
 
-WaitQueue* IpMon::RankHeaderQueue(int rank) {
-  uint64_t off_in_page = 0;
-  Page* frame = process_->mem().ResolveFrame(rb_.AddrOf(rb_.RankStart(rank)), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return &kernel_->futex().QueueFor(frame, off_in_page);
-}
-
 GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   // Every replica computes the same overflow decision at the same invocation index,
   // so all of them enter the barrier with the same generation. The buffer resets once
@@ -841,7 +819,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   uint64_t gen = ++varan_flush_gen_[static_cast<size_t>(rank)];
   uint64_t hdr = rb_.RankStart(rank);
   rb_.WriteU64(hdr + 8 + 8 * static_cast<uint64_t>(config_.replica_index), gen);
-  RankHeaderQueue(rank)->Wake();
+  rb_.WordQueue(kernel_->futex(), hdr).Wake();
   auto all_arrived = [this, hdr, gen] {
     for (int i = 0; i < config_.num_replicas; ++i) {
       if (rb_.ReadU64(hdr + 8 + 8 * static_cast<uint64_t>(i)) < gen) {
@@ -851,17 +829,17 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
     return true;
   };
   while (!all_arrived()) {
-    co_await WaitOn{t, RankHeaderQueue(rank)};
+    co_await WaitOn{t, &rb_.WordQueue(kernel_->futex(), hdr)};
   }
   if (is_master()) {
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
     ReleaseLapQueues(rank);
     rb_.WriteU64(hdr + 0, gen);  // reset_done
-    RankHeaderQueue(rank)->Wake();
+    rb_.WordQueue(kernel_->futex(), hdr).Wake();
     ++kernel_->stats().rb_resets;
   } else {
     while (rb_.ReadU64(hdr + 0) < gen) {
-      co_await WaitOn{t, RankHeaderQueue(rank)};
+      co_await WaitOn{t, &rb_.WordQueue(kernel_->futex(), hdr)};
     }
   }
   cursor_[static_cast<size_t>(rank)] = rb_.RankDataStart(rank);
@@ -910,7 +888,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
         kRbFlagMasterCall | (PredictBlocking(req, *file_map_) ? kRbFlagMaybeBlocking : 0);
     RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
     co_await ThreadCost{t, costs.rb_entry_ns};
-    StateWordQueue(entry_off)->Wake();
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     ++stats.rb_entries;
     stats.rb_bytes += entry_size;
 
@@ -919,7 +897,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
     std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
     co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
     uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    StateWordQueue(entry_off)->Wake();
+    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
     if (waiters > 0) {
       co_await ThreadCost{t, costs.futex_wake_ns};
     } else {
@@ -932,7 +910,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
     while (rb_.ReadU32(entry_off + kRbOffState) < kRbArgsReady) {
       RbEntryOps::AddWaiter(rb_, entry_off);
       ++stats.rb_futex_waits;
-      co_await WaitOn{t, StateWordQueue(entry_off)};
+      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
       RbEntryOps::RemoveWaiter(rb_, entry_off);
       co_await ThreadCost{t, costs.futex_wait_ns};
     }
@@ -949,12 +927,12 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
       if (use_futex) {
         RbEntryOps::AddWaiter(rb_, entry_off);
         ++stats.rb_futex_waits;
-        co_await WaitOn{t, StateWordQueue(entry_off)};
+        co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
         RbEntryOps::RemoveWaiter(rb_, entry_off);
         co_await ThreadCost{t, costs.futex_wait_ns};
       } else {
         ++stats.rb_spin_waits;
-        co_await WaitOn{t, StateWordQueue(entry_off)};
+        co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
         co_await ThreadCost{t, costs.spin_iteration_ns};
       }
     }

@@ -220,7 +220,6 @@ class IpMon {
   // fallback, overflow handled by a replica barrier instead of a GHUMVEE reset.
   GuestTask<void> VaranPath(Thread* t, SyscallRequest req);
   GuestTask<void> VaranFlushBarrier(Thread* t, int rank);
-  WaitQueue* RankHeaderQueue(int rank);
 
   // Builds the result payload from this (master) replica's memory after execution:
   // concatenated out-regions, with epoll_event.data values translated to FDs through
@@ -238,8 +237,6 @@ class IpMon {
   // Raises the intentional crash that signals GHUMVEE about an argument mismatch.
   void IntentionalCrash(Thread* t, const SyscallRequest& req, uint64_t seq);
 
-  // The futex wait queue for the entry's state word.
-  WaitQueue* StateWordQueue(uint64_t entry_off);
   // Retires the futex queues of rank r's lap once every replica has consumed it:
   // its state words are dead, so only idle queues (no parked thread) go. Walks
   // the resident pages only.

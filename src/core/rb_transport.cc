@@ -149,8 +149,8 @@ void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& sna
   // checkpoint transfer exactly like entry traffic.
   auto enqueue = [&](RbFrameType type, const std::vector<uint8_t>& payload) {
     EnqueueFrame(*r, type, [&](uint64_t seq) {
-      return RbWireCodec::EncodeSnapshotFrame(
-          type, epoch_, static_cast<uint32_t>(replica_index), seq, payload);
+      return RbWireCodec::FrameFromPayload(
+          type, epoch_, static_cast<uint32_t>(replica_index), seq, /*count=*/0, payload);
     });
   };
   enqueue(RbFrameType::kSnapshotBegin, snapshot.begin);
@@ -190,9 +190,9 @@ void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries)
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
     uint64_t seq = EnqueueFrame(*r, RbFrameType::kEntries, [&](uint64_t s) {
-      return RbWireCodec::EntriesFrameFromPayload(epoch_, static_cast<uint32_t>(rank), s,
-                                                  static_cast<uint32_t>(entries.size()),
-                                                  payload);
+      return RbWireCodec::FrameFromPayload(
+          RbFrameType::kEntries, epoch_, static_cast<uint32_t>(rank), s,
+          static_cast<uint32_t>(entries.size()), payload);
     });
     r->unacked.push_back(FrameMeta{seq, static_cast<uint32_t>(rank), max_off, clock});
     Pump(*r);
@@ -213,8 +213,9 @@ void RbTransport::SendSyncLog(uint64_t start_index,
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
     EnqueueFrame(*r, RbFrameType::kSyncLog, [&](uint64_t seq) {
-      return RbWireCodec::SyncLogFrameFromPayload(
-          epoch_, seq, static_cast<uint32_t>(records.size()), payload);
+      return RbWireCodec::FrameFromPayload(RbFrameType::kSyncLog, epoch_, /*rank=*/0,
+                                           seq, static_cast<uint32_t>(records.size()),
+                                           payload);
     });
     Pump(*r);
   }
@@ -682,8 +683,8 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
       ok = assembler_.End(frame.payload);
       why = assembler_.error();
       if (ok) {
-        SnapshotApplyResult res = ApplySnapshotToMirror(
-            kernel_, mon_, sync_agent_, assembler_.snapshot(), assembler_.image());
+        SnapshotApplyResult res =
+            ApplySnapshotToMirror(kernel_, mon_, sync_agent_, assembler_.snapshot());
         ok = res.ok;
         why = res.error;
         if (ok) {
@@ -696,7 +697,7 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
           stats.rb_snapshot_epoll_lag += res.epoll_lag;
         }
       }
-      assembler_.Reset();  // Completed or failed, the image buffer is done.
+      assembler_.Reset();  // Completed or failed, the buffered records are done.
       break;
     }
     default:
@@ -728,8 +729,13 @@ void RemoteSyncAgent::ApplyFrame(const RbWireFrame& frame) {
   if (frame.type == RbFrameType::kSyncLog) {
     ok = ApplySyncLog(frame);
   } else {
+    RbView rb = mon_->rb();
     for (const RbWireEntry& e : frame.entries) {
-      ok = ApplyEntry(frame.rank, e) && ok;
+      if (RbEntryOps::ReplayRecord(rb, kernel_->futex(), frame.rank, e)) {
+        ++kernel_->stats().rb_entries_applied;
+      } else {
+        ok = false;
+      }
     }
   }
   if (!ok) {
@@ -765,40 +771,6 @@ bool RemoteSyncAgent::ApplySyncLog(const RbWireFrame& frame) {
   SimStats& stats = kernel_->stats();
   ++stats.sync_log_frames_applied;
   stats.sync_log_records_applied += frame.sync_records.size();
-  return true;
-}
-
-bool RemoteSyncAgent::ApplyEntry(uint32_t rank, const RbWireEntry& e) {
-  RbView rb = mon_->rb();
-  if (static_cast<int>(rank) >= rb.max_ranks() ||
-      e.image.size() < kRbEntryHeaderSize ||
-      e.entry_off < rb.RankDataStart(static_cast<int>(rank)) ||
-      e.entry_off > rb.RankDataEnd(static_cast<int>(rank)) ||
-      // Subtraction form: `entry_off + image.size()` could wrap and sneak a wild
-      // write past the range check.
-      e.image.size() > rb.RankDataEnd(static_cast<int>(rank)) - e.entry_off ||
-      (e.final_state != kRbArgsReady && e.final_state != kRbResultsReady)) {
-    return false;
-  }
-  // Replay the image into the mirror, preserving the first 8 bytes (the mirror's
-  // own state word and the waiter count the local slave maintains), then flip the
-  // state word last and wake any waiter parked on it — the same publication order
-  // the leader-local SHM path uses.
-  rb.WriteBytes(e.entry_off + kRbOffSysno, e.image.data() + kRbOffSysno,
-                e.image.size() - kRbOffSysno);
-  uint32_t cur = rb.ReadU32(e.entry_off + kRbOffState);
-  if (e.final_state > cur) {
-    rb.WriteU32(e.entry_off + kRbOffState, e.final_state);
-  }
-  ++entries_applied_;
-  ++kernel_->stats().rb_entries_applied;
-
-  uint64_t off_in_page = 0;
-  Page* frame = mon_->process()->mem().ResolveFrame(rb.AddrOf(e.entry_off + kRbOffState),
-                                                    &off_in_page);
-  if (frame != nullptr) {
-    kernel_->futex().QueueFor(frame, off_in_page).Wake();
-  }
   return true;
 }
 

@@ -240,7 +240,7 @@ class RbTransport {
   // True while a replacement checkpoint is in flight on a live link: enqueued
   // but not yet cumulatively acked through its End frame (the End ack doubles as
   // apply confirmation). GHUMVEE's RB flush gate parks the reset round on this —
-  // a reset between capture and apply rebases every offset under the image.
+  // a reset between capture and apply rebases every offset in the checkpoint.
   bool SnapshotInflight() const;
 
  private:
@@ -369,7 +369,6 @@ class RemoteSyncAgent {
   void Shutdown();
 
   uint64_t frames_applied() const { return frames_applied_; }
-  uint64_t entries_applied() const { return entries_applied_; }
   uint64_t frames_rejected() const { return frames_rejected_; }
   // Re-seed observability: completed snapshot joins through this agent, and the
   // GHUMVEE lockstep cursor recorded in the last applied checkpoint (the
@@ -414,7 +413,6 @@ class RemoteSyncAgent {
   // attached; frames arriving earlier wait in pending_.
   bool ReadyFor(const RbWireFrame& frame) const;
   void ApplyFrame(const RbWireFrame& frame);
-  bool ApplyEntry(uint32_t rank, const RbWireEntry& entry);
   bool ApplySyncLog(const RbWireFrame& frame);
   void HandleSnapshotFrame(const RbWireFrame& frame);
   // The accept tail every applied frame (data or checkpoint) shares: count it,
@@ -440,7 +438,6 @@ class RemoteSyncAgent {
   SendQueue ackq_;
   bool shutdown_ = false;
   uint64_t frames_applied_ = 0;
-  uint64_t entries_applied_ = 0;
   uint64_t frames_rejected_ = 0;
   // Replica re-seed: checkpoint reassembly and the join-epoch floor — entry
   // frames older than the epoch the join was seeded at are stale by definition

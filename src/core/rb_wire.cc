@@ -98,19 +98,48 @@ std::vector<uint8_t> RbWireCodec::EncodeEntriesPayload(
   return payload;
 }
 
-std::vector<uint8_t> RbWireCodec::EntriesFrameFromPayload(
-    uint32_t epoch, uint32_t rank, uint64_t frame_seq, uint32_t entry_count,
-    const std::vector<uint8_t>& payload) {
-  return BuildFrame(RbFrameType::kEntries, epoch, rank, entry_count, frame_seq, 0,
-                    payload);
+const char* RbWireCodec::DecodeEntries(const uint8_t* data, size_t len, uint32_t count,
+                                       std::vector<RbWireEntry>* out) {
+  // Every record carries at least its 16-byte header: a count the bytes cannot
+  // hold is refused before it can size an allocation.
+  if (count > len / kRbWireEntryHeaderSize) {
+    return "entry record overruns payload";
+  }
+  out->reserve(out->size() + count);
+  size_t pos = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    if (pos + kRbWireEntryHeaderSize > len) {
+      return "entry record overruns payload";
+    }
+    RbWireEntry e;
+    std::memcpy(&e.entry_off, data + pos, 8);
+    std::memcpy(&e.final_state, data + pos + 8, 4);
+    uint32_t image_len = 0;
+    std::memcpy(&image_len, data + pos + 12, 4);
+    pos += kRbWireEntryHeaderSize;
+    if (image_len > len - pos) {
+      return "entry image overruns payload";
+    }
+    e.image.assign(data + pos, data + pos + image_len);
+    pos += image_len;
+    out->push_back(std::move(e));
+  }
+  return pos == len ? nullptr : "trailing entry payload bytes";
+}
+
+std::vector<uint8_t> RbWireCodec::FrameFromPayload(RbFrameType type, uint32_t epoch,
+                                                   uint32_t rank, uint64_t frame_seq,
+                                                   uint32_t count,
+                                                   const std::vector<uint8_t>& payload) {
+  return BuildFrame(type, epoch, rank, count, frame_seq, /*ack_seq=*/0, payload);
 }
 
 std::vector<uint8_t> RbWireCodec::EncodeEntries(uint32_t epoch, uint32_t rank,
                                                 uint64_t frame_seq,
                                                 const std::vector<RbWireEntry>& entries) {
-  return EntriesFrameFromPayload(epoch, rank, frame_seq,
-                                 static_cast<uint32_t>(entries.size()),
-                                 EncodeEntriesPayload(entries));
+  return FrameFromPayload(RbFrameType::kEntries, epoch, rank, frame_seq,
+                          static_cast<uint32_t>(entries.size()),
+                          EncodeEntriesPayload(entries));
 }
 
 std::vector<uint8_t> RbWireCodec::EncodeAck(uint32_t epoch, uint64_t ack_seq,
@@ -151,27 +180,13 @@ std::vector<uint8_t> RbWireCodec::EncodeSyncLogPayload(
   return payload;
 }
 
-std::vector<uint8_t> RbWireCodec::SyncLogFrameFromPayload(
-    uint32_t epoch, uint64_t frame_seq, uint32_t record_count,
-    const std::vector<uint8_t>& payload) {
-  // The sync log is replica-global, not per-rank; the header rank field is 0.
-  return BuildFrame(RbFrameType::kSyncLog, epoch, /*rank=*/0, record_count,
-                    frame_seq, /*ack_seq=*/0, payload);
-}
-
 std::vector<uint8_t> RbWireCodec::EncodeSyncLog(
     uint32_t epoch, uint64_t frame_seq, uint64_t start_index,
     const std::vector<RbSyncLogRecord>& records) {
-  return SyncLogFrameFromPayload(epoch, frame_seq,
-                                 static_cast<uint32_t>(records.size()),
-                                 EncodeSyncLogPayload(start_index, records));
-}
-
-std::vector<uint8_t> RbWireCodec::EncodeSnapshotFrame(RbFrameType type, uint32_t epoch,
-                                                      uint32_t rank, uint64_t frame_seq,
-                                                      const std::vector<uint8_t>& payload) {
-  return BuildFrame(type, epoch, rank, /*entry_count=*/0, frame_seq, /*ack_seq=*/0,
-                    payload);
+  // The sync log is replica-global, not per-rank; the header rank field is 0.
+  return FrameFromPayload(RbFrameType::kSyncLog, epoch, /*rank=*/0, frame_seq,
+                          static_cast<uint32_t>(records.size()),
+                          EncodeSyncLogPayload(start_index, records));
 }
 
 void RbFrameParser::Feed(const uint8_t* data, size_t len) {
@@ -255,27 +270,10 @@ RbFrameParser::Status RbFrameParser::Next(RbWireFrame* out) {
   uint32_t entry_count = PeekU32(kOffEntryCount);
 
   if (f.type == RbFrameType::kEntries) {
-    size_t pos = kRbWireHeaderSize;
-    f.entries.reserve(entry_count);
-    for (uint32_t i = 0; i < entry_count; ++i) {
-      if (pos + kRbWireEntryHeaderSize > frame_len) {
-        return Corrupt("entry record overruns payload");
-      }
-      RbWireEntry e;
-      std::memcpy(&e.entry_off, frame.data() + pos, 8);
-      std::memcpy(&e.final_state, frame.data() + pos + 8, 4);
-      uint32_t image_len = 0;
-      std::memcpy(&image_len, frame.data() + pos + 12, 4);
-      pos += kRbWireEntryHeaderSize;
-      if (pos + image_len > frame_len) {
-        return Corrupt("entry image overruns payload");
-      }
-      e.image.assign(frame.data() + pos, frame.data() + pos + image_len);
-      pos += image_len;
-      f.entries.push_back(std::move(e));
-    }
-    if (pos != frame_len) {
-      return Corrupt("trailing entry payload bytes");
+    if (const char* why = RbWireCodec::DecodeEntries(frame.data() + kRbWireHeaderSize,
+                                                     payload_len, entry_count,
+                                                     &f.entries)) {
+      return Corrupt(why);
     }
   } else if (f.type == RbFrameType::kSyncLog) {
     // The payload must be exactly the announced records — a count/length mismatch

@@ -49,11 +49,12 @@
 // replica set after an epoch bump. They are sequenced data frames: each carries a
 // frame_seq, counts against the link's flow-control window, and is cumulatively
 // acknowledged like kEntries, so snapshot traffic interleaves with window-bounded
-// data frames instead of monopolizing the link. Their payloads are opaque at this
-// layer (the snapshot codec owns them); entry_count is 0. Every checkpoint is cut
+// data frames instead of monopolizing the link. Their payloads belong to the
+// snapshot codec (entry_count is 0), but a kSnapshotChunk ships the stream's own
+// records: a u32 rank and a u32 record count, then records in the kEntries layout
+// above, decoded by the same RbWireCodec::DecodeEntries. Every checkpoint is cut
 // against a basis — what the replacement's mirror already holds — and a full one
-// is the cut against the empty basis, so kSnapshotBegin has one layout
-// (docs/RB_WIRE_FORMAT.md, "SNAPSHOT_BEGIN payload").
+// is the cut against the empty basis (docs/RB_WIRE_FORMAT.md, "Snapshot frames").
 //
 // kJoinAttest (agent -> leader) opens an authenticated connection: the
 // replica presents its index, its configuration digest (RB geometry, sync-log
@@ -97,8 +98,9 @@
 namespace remon {
 
 inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
-// v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame.
-inline constexpr uint16_t kRbWireVersion = 6;
+// v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame,
+// v7 checkpoints ship entry records.
+inline constexpr uint16_t kRbWireVersion = 7;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
@@ -110,8 +112,9 @@ inline constexpr uint32_t kRbWireMaxPayload = 1u << 24;
 enum class RbFrameType : uint16_t {
   kEntries = 1,  // Leader -> remote agent: published RB entries.
   kAck = 2,      // Remote agent -> leader: cumulative application acknowledgment.
-  // Replica re-seed (leader -> replacement agent): checkpoint metadata, one RB
-  // image chunk, and the commit record closing the snapshot (src/core/snapshot.h).
+  // Replica re-seed (leader -> replacement agent): checkpoint metadata, one chunk
+  // of entry records, and the commit record closing the snapshot
+  // (src/core/snapshot.h).
   kSnapshotBegin = 3,
   kSnapshotChunk = 4,
   kSnapshotEnd = 5,
@@ -124,7 +127,7 @@ enum class RbFrameType : uint16_t {
 
 inline constexpr uint64_t kRbWireAttestPayloadSize = 32;
 
-// True for the frame types that carry a snapshot payload opaque to this layer.
+// True for the frame types whose payload the snapshot codec owns.
 inline constexpr bool IsSnapshotFrameType(RbFrameType t) {
   return t == RbFrameType::kSnapshotBegin || t == RbFrameType::kSnapshotChunk ||
          t == RbFrameType::kSnapshotEnd;
@@ -182,14 +185,22 @@ class RbWireCodec {
                                             uint64_t frame_seq,
                                             const std::vector<RbWireEntry>& entries);
 
-  // Two-step variant for broadcasting one publication to several remotes: the
-  // payload (entry records + images) is serialized once, then each connection
-  // stamps its own header (frame_seq) + CRC around it.
+  // The entry records of a kEntries payload (also the body of a kSnapshotChunk).
   static std::vector<uint8_t> EncodeEntriesPayload(const std::vector<RbWireEntry>& entries);
-  static std::vector<uint8_t> EntriesFrameFromPayload(uint32_t epoch, uint32_t rank,
-                                                      uint64_t frame_seq,
-                                                      uint32_t entry_count,
-                                                      const std::vector<uint8_t>& payload);
+
+  // Decodes exactly `count` entry records filling `len` bytes into `out`. Returns
+  // null on success, else why the bytes are not such records.
+  static const char* DecodeEntries(const uint8_t* data, size_t len, uint32_t count,
+                                   std::vector<RbWireEntry>* out);
+
+  // Stamps the header (and CRC) of a data frame around a serialized payload. A
+  // broadcast serializes its payload once and stamps it per connection, each with
+  // its own frame_seq. `count` is the header's entry_count: kEntries and kSyncLog
+  // records; 0 for snapshot frames.
+  static std::vector<uint8_t> FrameFromPayload(RbFrameType type, uint32_t epoch,
+                                               uint32_t rank, uint64_t frame_seq,
+                                               uint32_t count,
+                                               const std::vector<uint8_t>& payload);
 
   // Serializes a cumulative acknowledgment. The otherwise-unused
   // frame_seq header field carries the replica's sync-log replay cursor
@@ -207,23 +218,13 @@ class RbWireCodec {
                                                uint32_t machine = 0);
 
   // Serializes one sync-log publication (records appended since the last flush)
-  // into one kSyncLog frame; the two-step variant mirrors the entries broadcast
-  // path (payload serialized once, per-connection header + CRC stamped around it).
+  // into one kSyncLog frame; the broadcast path serializes the payload once and
+  // stamps it per connection (FrameFromPayload, rank 0).
   static std::vector<uint8_t> EncodeSyncLog(uint32_t epoch, uint64_t frame_seq,
                                             uint64_t start_index,
                                             const std::vector<RbSyncLogRecord>& records);
   static std::vector<uint8_t> EncodeSyncLogPayload(
       uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
-  static std::vector<uint8_t> SyncLogFrameFromPayload(uint32_t epoch,
-                                                      uint64_t frame_seq,
-                                                      uint32_t record_count,
-                                                      const std::vector<uint8_t>& payload);
-
-  // Wraps an opaque snapshot payload (see src/core/snapshot.h for the payload
-  // layouts) into a sequenced frame of the given snapshot type.
-  static std::vector<uint8_t> EncodeSnapshotFrame(RbFrameType type, uint32_t epoch,
-                                                  uint32_t rank, uint64_t frame_seq,
-                                                  const std::vector<uint8_t>& payload);
 };
 
 // Incremental reassembly of frames from a byte stream. Feed() accepts arbitrary

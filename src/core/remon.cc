@@ -382,7 +382,7 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
   std::unique_ptr<RemoteSyncAgent> agent = StartRemoteAgent(replica_index, machine, port);
 
   // Plain streams checkpoint and enqueue within one event, capturing before the
-  // slot revives: no publication can slip between the captured image and the
+  // slot revives: no publication can slip between the captured records and the
   // first data frame behind it on the new connection, and the capture's
   // quiescent flush drains the sync-log stream while the slot is still dead, so
   // the checkpoint's sync image ends exactly where the first post-snapshot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/kernel/futex.h"
 #include "src/sim/check.h"
 
 namespace remon {
@@ -43,6 +44,17 @@ void RbView::WriteBytes(uint64_t offset, const void* data, uint64_t len) {
 
 void RbView::ReadBytes(uint64_t offset, void* out, uint64_t len) const {
   REMON_CHECK(process_->mem().ReadUnchecked(base_ + offset, out, len).ok);
+}
+
+WaitQueue& RbView::WordQueue(FutexTable& futex, uint64_t offset) const {
+  uint64_t off_in_page = 0;
+  Page* frame = process_->mem().ResolveFrame(AddrOf(offset), &off_in_page);
+  REMON_CHECK(frame != nullptr);
+  return futex.QueueFor(frame, off_in_page);
+}
+
+WaitQueue& RbView::StateQueue(FutexTable& futex, uint64_t entry_off) const {
+  return WordQueue(futex, entry_off + kRbOffState);
 }
 
 void RbView::Zero(uint64_t offset, uint64_t len) {
@@ -140,6 +152,43 @@ std::vector<uint8_t> RbEntryOps::ReadPayload(const RbView& view, uint64_t entry_
     view.ReadBytes(entry_off + kRbEntryHeaderSize + sig_len, out.data(), len);
   }
   return out;
+}
+
+RbWireEntry RbEntryOps::ReadRecord(const RbView& view, uint64_t entry_off,
+                                   uint32_t state) {
+  uint64_t sig_len = view.ReadU64(entry_off + kRbOffSigLen);
+  uint64_t out_len =
+      state == kRbResultsReady ? view.ReadU64(entry_off + kRbOffOutLen) : 0;
+  RbWireEntry e;
+  e.entry_off = entry_off;
+  e.final_state = state;
+  e.image.resize(kRbEntryHeaderSize + sig_len + out_len);
+  view.ReadBytes(entry_off, e.image.data(), e.image.size());
+  return e;
+}
+
+bool RbEntryOps::ReplayRecord(RbView& view, FutexTable& futex, uint32_t rank,
+                              const RbWireEntry& e) {
+  if (rank >= static_cast<uint32_t>(view.max_ranks())) {
+    return false;
+  }
+  uint64_t data_end = view.RankDataEnd(static_cast<int>(rank));
+  if (e.image.size() < kRbEntryHeaderSize ||
+      e.entry_off < view.RankDataStart(static_cast<int>(rank)) ||
+      e.entry_off > data_end ||
+      // Subtraction form: `entry_off + image.size()` could wrap and sneak a wild
+      // write past the range check.
+      e.image.size() > data_end - e.entry_off ||
+      (e.final_state != kRbArgsReady && e.final_state != kRbResultsReady)) {
+    return false;
+  }
+  view.WriteBytes(e.entry_off + kRbOffSysno, e.image.data() + kRbOffSysno,
+                  e.image.size() - kRbOffSysno);
+  if (e.final_state > view.ReadU32(e.entry_off + kRbOffState)) {
+    view.WriteU32(e.entry_off + kRbOffState, e.final_state);
+  }
+  view.StateQueue(futex, e.entry_off).Wake();
+  return true;
 }
 
 void RbEntryOps::AddWaiter(RbView& view, uint64_t entry_off) {

@@ -24,11 +24,15 @@
 #include <optional>
 #include <vector>
 
+#include "src/core/rb_wire.h"
 #include "src/kernel/process.h"
 #include "src/kernel/sysno.h"
 #include "src/mem/page.h"
 
 namespace remon {
+
+class FutexTable;
+class WaitQueue;
 
 // System V keys at or above this base are reserved for ReMon infrastructure (the RB
 // and the sync-agent log); GHUMVEE's shared-memory policing admits them and denies
@@ -99,6 +103,14 @@ class RbView {
 
   // Guest virtual address of a given offset (for futex waits on entry words).
   GuestAddr AddrOf(uint64_t offset) const { return base_ + offset; }
+
+  // The futex wait queue of the word at `offset`: the one lookup every waiter and
+  // waker on a word of a view shares (an entry's state word, a rank header word,
+  // the sync log's tail). Resolving the word's frame materializes its page.
+  WaitQueue& WordQueue(FutexTable& futex, uint64_t offset) const;
+  // The entry's state word queue: the master's publications, the slaves' waits,
+  // the live replay and the checkpoint replay.
+  WaitQueue& StateQueue(FutexTable& futex, uint64_t entry_off) const;
 
  private:
   Process* process_ = nullptr;
@@ -176,6 +188,19 @@ class RbEntryOps {
   static std::vector<uint8_t> ReadSignature(const RbView& view, uint64_t entry_off);
   // Slave: reads the result payload.
   static std::vector<uint8_t> ReadPayload(const RbView& view, uint64_t entry_off);
+
+  // Master: the wire record of a published entry — its header, signature and, once
+  // `state` is kRbResultsReady, its result payload; never the entry's unused
+  // reserved capacity. Live flushes and checkpoints both ship these.
+  static RbWireEntry ReadRecord(const RbView& view, uint64_t entry_off, uint32_t state);
+
+  // Mirror: replays a wire record into rank `rank`'s sub-buffer with the SHM
+  // publication order — the body first (the mirror's own state and waiter words
+  // preserved), the state word last and only forward — then wakes the entry's
+  // futex queue. Returns false, writing nothing, for a record outside the rank's
+  // sub-buffer or a state that is not a publication.
+  static bool ReplayRecord(RbView& view, FutexTable& futex, uint32_t rank,
+                           const RbWireEntry& e);
 
   // Slave: registers itself as waiting on this entry's condition variable.
   static void AddWaiter(RbView& view, uint64_t entry_off);

@@ -5,7 +5,6 @@
 
 #include "src/core/ghumvee.h"
 #include "src/core/ipmon.h"
-#include "src/core/rb_wire.h"
 #include "src/core/replication_buffer.h"
 #include "src/core/sync_agent.h"
 #include "src/kernel/kernel.h"
@@ -22,14 +21,15 @@ constexpr uint64_t kMaxSnapshotRbSize = 1ULL << 30;
 constexpr uint32_t kMaxSnapshotRanks = 4096;
 
 // kSnapshotBegin payload header (fixed 104 bytes). The variable sections that
-// follow: rank records (cursor, seq, delta_from — 24 bytes each), dirty file-map
-// pages (u32 page index + one page of bytes each), dirty epoll shadow rows, and
-// the sync-log slice [sync_from, sync_tail) in seq order.
+// follow: rank records (cursor, seq, delta_from — 24 bytes each), the RB headers
+// (the global header, then one header per rank), dirty file-map pages (u32 page
+// index + one page of bytes each), dirty epoll shadow rows, and the sync-log
+// slice [sync_from, sync_tail) in seq order.
 constexpr size_t kBeginOffRbSize = 0;
 constexpr size_t kBeginOffMaxRanks = 8;
 constexpr size_t kBeginOffRankCount = 12;
-constexpr size_t kBeginOffImageBytes = 16;
-constexpr size_t kBeginOffImageCrc = 24;
+constexpr size_t kBeginOffChunkBytes = 16;
+constexpr size_t kBeginOffChunkCrc = 24;
 constexpr size_t kBeginOffChunkCount = 28;
 constexpr size_t kBeginOffLockstep = 32;
 constexpr size_t kBeginOffResetGen = 40;
@@ -49,15 +49,14 @@ constexpr size_t kBeginFmPageRecordSize = 4 + kPageSize;
 // corrupt regardless of the replica's own geometry.
 constexpr uint32_t kMaxSnapshotFileMapPages = 1024;
 
-// kSnapshotChunk payload header.
-constexpr size_t kChunkOffOffset = 0;
-constexpr size_t kChunkOffLen = 8;
-constexpr size_t kChunkOffReserved = 12;
-constexpr size_t kChunkHeaderSize = 16;
+// kSnapshotChunk payload header; entry records in the kEntries layout follow.
+constexpr size_t kChunkOffRank = 0;
+constexpr size_t kChunkOffCount = 4;
+constexpr size_t kChunkHeaderSize = 8;
 
 // kSnapshotEnd payload.
-constexpr size_t kEndOffImageBytes = 0;
-constexpr size_t kEndOffImageCrc = 8;
+constexpr size_t kEndOffChunkBytes = 0;
+constexpr size_t kEndOffChunkCrc = 8;
 constexpr size_t kEndOffChunkCount = 12;
 constexpr size_t kEndSize = 16;
 
@@ -78,70 +77,81 @@ uint64_t GetU64(const std::vector<uint8_t>& in, size_t off) {
   return v;
 }
 
-uint32_t ImageU32(const std::vector<uint8_t>& image, uint64_t off) {
-  uint32_t v = 0;
-  std::memcpy(&v, image.data() + off, 4);
-  return v;
-}
-uint64_t ImageU64(const std::vector<uint8_t>& image, uint64_t off) {
-  uint64_t v = 0;
-  std::memcpy(&v, image.data() + off, 8);
-  return v;
+uint64_t RbHeadersSize(int max_ranks) {
+  return kRbGlobalHeaderSize + static_cast<uint64_t>(max_ranks) * kRbRankHeaderSize;
 }
 
-bool PageIsZero(const uint8_t* p) {
-  for (uint64_t i = 0; i < kPageSize; ++i) {
-    if (p[i] != 0) {
-      return false;
+// The entry's total_size field (the record's image holds the entry header).
+uint64_t RecordTotal(const RbWireEntry& e) {
+  uint64_t total = 0;
+  std::memcpy(&total, e.image.data() + kRbOffTotalSize, 8);
+  return total;
+}
+
+// Every rank's window: data start <= delta_from <= cursor <= data end.
+const char* CheckRankWindows(const ReplicaSnapshot& snap) {
+  RbView layout(nullptr, 0, snap.rb_size, snap.max_ranks);  // Sub-buffer arithmetic.
+  for (int r = 0; r < snap.max_ranks; ++r) {
+    uint64_t cursor = snap.cursors[static_cast<size_t>(r)];
+    uint64_t from = snap.delta_from[static_cast<size_t>(r)];
+    if (cursor < layout.RankDataStart(r) || cursor > layout.RankDataEnd(r)) {
+      return "snapshot cursor outside the rank sub-buffer";
+    }
+    if (from < layout.RankDataStart(r) || from > cursor) {
+      return "resume offset outside the published prefix";
     }
   }
-  return true;
+  return nullptr;
+}
+
+// Checks record `e` of rank `rank` (windows already checked) against the rank's
+// chain so far: `prev` is the rank's last accepted record, null before its first.
+const char* CheckRecord(const ReplicaSnapshot& snap, int rank, const RbWireEntry* prev,
+                        const RbWireEntry& e) {
+  uint64_t from = snap.delta_from[static_cast<size_t>(rank)];
+  uint64_t cursor = snap.cursors[static_cast<size_t>(rank)];
+  if (e.final_state != kRbArgsReady && e.final_state != kRbResultsReady) {
+    return "snapshot record state is not a publication";
+  }
+  if (e.entry_off < from || e.entry_off >= cursor) {
+    return "snapshot record outside [delta_from, cursor)";
+  }
+  uint64_t chained = from;
+  if (prev != nullptr) {
+    if (e.entry_off <= prev->entry_off) {
+      return "snapshot records out of order";
+    }
+    chained = prev->entry_off + RecordTotal(*prev);
+    if (e.entry_off < chained) {
+      return "snapshot record overlaps its predecessor";
+    }
+  }
+  if (e.entry_off != chained) {
+    return "snapshot record does not start where the chain ends";
+  }
+  if (e.image.size() < kRbEntryHeaderSize) {
+    return "snapshot record shorter than an entry header";
+  }
+  // Subtraction forms: `entry_off + size` could wrap. Ending at or before the
+  // cursor keeps the record inside its sub-buffer (the window check).
+  if (e.image.size() > cursor - e.entry_off) {
+    return "snapshot record runs past the cursor";
+  }
+  uint64_t total = RecordTotal(e);
+  if (total < e.image.size() || (total & 7) != 0 || total > cursor - e.entry_off) {
+    return "snapshot record total_size does not chain";
+  }
+  return nullptr;
+}
+
+SnapshotApplyResult ApplyFail(const char* why) {
+  SnapshotApplyResult r;
+  r.ok = false;
+  r.error = why;
+  return r;
 }
 
 }  // namespace
-
-// --- Sparse materialized-page images ----------------------------------------------
-
-VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length,
-                         const std::vector<bool>& pages) {
-  VmaImage image;
-  image.length = PageAlignUp(length);
-  uint8_t page[kPageSize];
-  for (uint64_t off = 0; off < image.length; off += kPageSize) {
-    uint64_t index = off / kPageSize;
-    if (!pages.empty() && (index >= pages.size() || !pages[index])) {
-      continue;
-    }
-    // The materialization probe comes first: capture must record lazy holes as
-    // holes, never force a terabyte region resident by reading it.
-    if (!mem.PageMaterialized(start + off) ||
-        !mem.ReadUnchecked(start + off, page, kPageSize).ok) {
-      continue;
-    }
-    if (PageIsZero(page)) {
-      continue;  // All-zero pages are indistinguishable from holes on restore.
-    }
-    if (!image.runs.empty()) {
-      PageRun& last = image.runs.back();
-      if (last.offset + last.bytes.size() == off) {
-        last.bytes.insert(last.bytes.end(), page, page + kPageSize);
-        continue;
-      }
-    }
-    image.runs.push_back(PageRun{off, std::vector<uint8_t>(page, page + kPageSize)});
-  }
-  return image;
-}
-
-bool RestoreVmaImage(AddressSpace* mem, GuestAddr start, const VmaImage& image) {
-  for (const PageRun& run : image.runs) {
-    if (run.offset + run.bytes.size() > image.length ||
-        !mem->WriteUnchecked(start + run.offset, run.bytes.data(), run.bytes.size()).ok) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // --- The leader checkpoint ---------------------------------------------------------
 
@@ -156,7 +166,7 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
   REMON_CHECK_MSG(basis.valid && basis.reset_generation == master->rb_resets(),
                   "capture needs a basis from the current reset generation");
   // Quiescent flush point: every deferred batched commit publishes first, so the
-  // image never hides a publication the local slaves have already been promised.
+  // records never hide a publication the local slaves have already been promised.
   // This also flushes the sync-log stream (IpMon::set_sync_log_flush), so every
   // record in the captured slice has left the coalescing buffer — the first
   // kSyncLog frame behind this checkpoint starts exactly at the captured tail.
@@ -167,39 +177,39 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
   snap.reset_generation = master->rb_resets();
   snap.rb_size = rb.size();
   snap.max_ranks = rb.max_ranks();
-  snap.cursors.reserve(static_cast<size_t>(snap.max_ranks));
-  snap.seqs.reserve(static_cast<size_t>(snap.max_ranks));
-  snap.delta_from.reserve(static_cast<size_t>(snap.max_ranks));
+  snap.rb_headers.resize(RbHeadersSize(snap.max_ranks));
+  rb.ReadBytes(0, snap.rb_headers.data(), kRbGlobalHeaderSize);
+  snap.records.resize(static_cast<size_t>(snap.max_ranks));
   for (int r = 0; r < snap.max_ranks; ++r) {
     size_t i = static_cast<size_t>(r);
+    rb.ReadBytes(rb.RankStart(r),
+                 snap.rb_headers.data() + kRbGlobalHeaderSize + i * kRbRankHeaderSize,
+                 kRbRankHeaderSize);
     uint64_t cursor = master->rb_cursor(r);
     snap.cursors.push_back(cursor);
     snap.seqs.push_back(master->rb_seq(r));
     // Resume at the replacement's highest acked entry (one entry of idempotent
     // overlap); an empty or implausible horizon resumes at the rank data start.
-    uint64_t from = i < basis.from_off.size() ? basis.from_off[i] : 0;
-    if (from < rb.RankDataStart(r) || from > cursor) {
-      from = rb.RankDataStart(r);
+    uint64_t off = i < basis.from_off.size() ? basis.from_off[i] : 0;
+    if (off < rb.RankDataStart(r) || off > cursor) {
+      off = rb.RankDataStart(r);
     }
-    snap.delta_from.push_back(from);
-  }
-  // Only the pages the apply reads: the global header, each rank's header, and
-  // each rank's [from, cursor) entry window. Offsets stay absolute into the flat
-  // RB image.
-  std::vector<bool> pages(PageAlignUp(rb.size()) / kPageSize, false);
-  auto mark = [&pages](uint64_t lo, uint64_t hi) {  // Byte range [lo, hi).
-    for (uint64_t p = (lo & ~kPageMask) / kPageSize;
-         p < pages.size() && p * kPageSize < hi; ++p) {
-      pages[p] = true;
+    snap.delta_from.push_back(off);
+    // The published entries, each shipped as the record a live flush would send.
+    // The walk stops at the first unpublished entry (an in-flight tail entry the
+    // next data frame completes) and, since the RB is writable by every local
+    // replica, at a total_size that would not advance it inside the cursor.
+    while (off + kRbEntryHeaderSize <= cursor) {
+      uint32_t state = rb.ReadU32(off + kRbOffState);
+      uint64_t total = rb.ReadU64(off + kRbOffTotalSize);
+      if ((state != kRbArgsReady && state != kRbResultsReady) ||
+          total < kRbEntryHeaderSize || total > cursor - off) {
+        break;
+      }
+      snap.records[i].push_back(RbEntryOps::ReadRecord(rb, off, state));
+      off += total;
     }
-  };
-  mark(0, kRbGlobalHeaderSize);
-  for (int r = 0; r < snap.max_ranks; ++r) {
-    size_t i = static_cast<size_t>(r);
-    mark(rb.RankStart(r), rb.RankStart(r) + kRbRankHeaderSize);
-    mark(snap.delta_from[i], snap.cursors[i]);
   }
-  snap.rb_image = CaptureVmaImage(master->process()->mem(), rb.base(), rb.size(), pages);
   snap.lockstep_cursor = ghumvee != nullptr ? ghumvee->lockstep_rounds() : 0;
 
   // File map: dirty pages since the basis, plus a whole-map CRC so the pages the
@@ -251,32 +261,45 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   SnapshotPayloads out;
 
-  // Chunks first: Begin carries their count and chained CRC.
+  // Chunks first: Begin carries their count, bytes and chained CRC. A chunk packs
+  // one rank's consecutive records up to kSnapshotChunkBytes; a larger record
+  // travels alone.
   uint32_t crc = 0;
-  for (const PageRun& run : snap.rb_image.runs) {
-    for (uint64_t pos = 0; pos < run.bytes.size(); pos += kSnapshotChunkBytes) {
-      uint64_t len = std::min<uint64_t>(kSnapshotChunkBytes, run.bytes.size() - pos);
-      std::vector<uint8_t> chunk(kChunkHeaderSize + len, 0);
-      PutU64(&chunk, kChunkOffOffset, run.offset + pos);
-      PutU32(&chunk, kChunkOffLen, static_cast<uint32_t>(len));
-      std::memcpy(chunk.data() + kChunkHeaderSize, run.bytes.data() + pos, len);
+  uint64_t chunk_bytes = 0;
+  for (size_t r = 0; r < snap.records.size(); ++r) {
+    const std::vector<RbWireEntry>& chain = snap.records[r];
+    auto record_bytes = [&chain](size_t i) {
+      return kRbWireEntryHeaderSize + chain[i].image.size();
+    };
+    for (size_t first = 0, last = 0; first < chain.size(); first = last) {
+      uint64_t bytes = kChunkHeaderSize + record_bytes(last++);
+      while (last < chain.size() && bytes + record_bytes(last) <= kSnapshotChunkBytes) {
+        bytes += record_bytes(last++);
+      }
+      std::vector<uint8_t> chunk(kChunkHeaderSize, 0);
+      PutU32(&chunk, kChunkOffRank, static_cast<uint32_t>(r));
+      PutU32(&chunk, kChunkOffCount, static_cast<uint32_t>(last - first));
+      std::vector<uint8_t> records = RbWireCodec::EncodeEntriesPayload(
+          std::vector<RbWireEntry>(chain.begin() + static_cast<long>(first),
+                                   chain.begin() + static_cast<long>(last)));
+      chunk.insert(chunk.end(), records.begin(), records.end());
       crc = Crc32(chunk.data(), chunk.size(), crc);
+      chunk_bytes += chunk.size();
       out.chunks.push_back(std::move(chunk));
     }
   }
-  uint64_t image_bytes = snap.rb_image.run_bytes();
   uint32_t chunk_count = static_cast<uint32_t>(out.chunks.size());
   size_t rank_count = snap.cursors.size();
   size_t fm_dirty = snap.file_map_pages.size();
   out.begin.assign(kBeginHeaderSize + rank_count * kBeginRankRecordSize +
-                       fm_dirty * kBeginFmPageRecordSize + snap.epoll.size() * 16 +
-                       snap.sync_image.size(),
+                       snap.rb_headers.size() + fm_dirty * kBeginFmPageRecordSize +
+                       snap.epoll.size() * 16 + snap.sync_image.size(),
                    0);
   PutU64(&out.begin, kBeginOffRbSize, snap.rb_size);
   PutU32(&out.begin, kBeginOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
   PutU32(&out.begin, kBeginOffRankCount, static_cast<uint32_t>(rank_count));
-  PutU64(&out.begin, kBeginOffImageBytes, image_bytes);
-  PutU32(&out.begin, kBeginOffImageCrc, crc);
+  PutU64(&out.begin, kBeginOffChunkBytes, chunk_bytes);
+  PutU32(&out.begin, kBeginOffChunkCrc, crc);
   PutU32(&out.begin, kBeginOffChunkCount, chunk_count);
   PutU64(&out.begin, kBeginOffLockstep, snap.lockstep_cursor);
   PutU64(&out.begin, kBeginOffResetGen, snap.reset_generation);
@@ -296,6 +319,10 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
     PutU64(&out.begin, pos + 16, snap.delta_from[r]);
     pos += kBeginRankRecordSize;
   }
+  if (!snap.rb_headers.empty()) {
+    std::memcpy(out.begin.data() + pos, snap.rb_headers.data(), snap.rb_headers.size());
+    pos += snap.rb_headers.size();
+  }
   for (size_t i = 0; i < fm_dirty; ++i) {
     PutU32(&out.begin, pos, snap.file_map_pages[i]);
     std::memcpy(out.begin.data() + pos + 4, snap.file_map.data() + i * kPageSize,
@@ -313,8 +340,8 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   }
 
   out.end.assign(kEndSize, 0);
-  PutU64(&out.end, kEndOffImageBytes, image_bytes);
-  PutU32(&out.end, kEndOffImageCrc, crc);
+  PutU64(&out.end, kEndOffChunkBytes, chunk_bytes);
+  PutU32(&out.end, kEndOffChunkCrc, crc);
   PutU32(&out.end, kEndOffChunkCount, chunk_count);
   return out;
 }
@@ -329,7 +356,6 @@ void SnapshotAssembler::Reset() {
   state_ = State::kIdle;
   error_.clear();
   snap_ = ReplicaSnapshot{};
-  image_.clear();
   expect_chunks_ = expect_bytes_ = chunks_applied_ = bytes_applied_ = 0;
   expect_crc_ = running_crc_ = 0;
 }
@@ -379,7 +405,8 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
       return Fail("snapshot sync section out of bounds");
     }
   }
-  uint64_t variable = static_cast<uint64_t>(rank_count) * kBeginRankRecordSize +
+  uint64_t headers = RbHeadersSize(static_cast<int>(max_ranks));
+  uint64_t variable = static_cast<uint64_t>(rank_count) * kBeginRankRecordSize + headers +
                       static_cast<uint64_t>(fm_dirty_count) * kBeginFmPageRecordSize +
                       static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
   if (payload.size() != kBeginHeaderSize + variable) {
@@ -396,11 +423,14 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   snap_.sync_tail = sync_tail;
   snap_.sync_read_cursor = sync_cursor;
   snap_.sync_from = sync_from;
-  expect_bytes_ = GetU64(payload, kBeginOffImageBytes);
-  expect_crc_ = GetU32(payload, kBeginOffImageCrc);
+  expect_bytes_ = GetU64(payload, kBeginOffChunkBytes);
+  expect_crc_ = GetU32(payload, kBeginOffChunkCrc);
   expect_chunks_ = GetU32(payload, kBeginOffChunkCount);
-  if (expect_bytes_ > rb_size) {
-    return Fail("snapshot image larger than the RB it describes");
+  // Entries are at least a 64-byte header each, with disjoint footprints in the
+  // RB, so records plus their 16-byte and chunks' 8-byte headers stay well under
+  // twice the RB: this bounds what the assembler buffers.
+  if (expect_bytes_ > 2 * rb_size) {
+    return Fail("snapshot records larger than the RB they describe");
   }
   size_t pos = kBeginHeaderSize;
   for (uint32_t r = 0; r < rank_count; ++r) {
@@ -409,6 +439,12 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
     snap_.delta_from.push_back(GetU64(payload, pos + 16));
     pos += kBeginRankRecordSize;
   }
+  if (const char* why = CheckRankWindows(snap_)) {
+    return Fail(why);
+  }
+  snap_.rb_headers.assign(payload.begin() + static_cast<long>(pos),
+                          payload.begin() + static_cast<long>(pos + headers));
+  pos += headers;
   for (uint32_t i = 0; i < fm_dirty_count; ++i) {
     uint32_t page_idx = GetU32(payload, pos);
     // Strictly increasing indices inside the map: deterministic wire bytes and
@@ -433,7 +469,7 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   }
   snap_.sync_image.assign(payload.begin() + static_cast<long>(pos),
                           payload.begin() + static_cast<long>(pos + sync_image_len));
-  image_.assign(rb_size, 0);
+  snap_.records.resize(max_ranks);
   state_ = State::kAssembling;
   return true;
 }
@@ -445,20 +481,37 @@ bool SnapshotAssembler::AddChunk(const std::vector<uint8_t>& payload) {
   if (payload.size() < kChunkHeaderSize) {
     return Fail("snapshot chunk payload truncated");
   }
-  uint64_t offset = GetU64(payload, kChunkOffOffset);
-  uint32_t len = GetU32(payload, kChunkOffLen);
-  if (len != payload.size() - kChunkHeaderSize || len == 0 ||
-      len > kSnapshotChunkBytes || offset > image_.size() ||
-      len > image_.size() - offset || GetU32(payload, kChunkOffReserved) != 0) {
+  uint32_t rank = GetU32(payload, kChunkOffRank);
+  uint32_t count = GetU32(payload, kChunkOffCount);
+  if (rank >= static_cast<uint32_t>(snap_.max_ranks)) {
+    return Fail("snapshot chunk rank out of range");
+  }
+  if (count == 0 || (payload.size() > kSnapshotChunkBytes && count != 1)) {
     return Fail("snapshot chunk out of bounds");
   }
   if (chunks_applied_ >= expect_chunks_) {
     return Fail("more snapshot chunks than announced");
   }
+  if (payload.size() > expect_bytes_ - bytes_applied_) {
+    return Fail("snapshot chunks exceed the announced bytes");
+  }
+  std::vector<RbWireEntry> decoded;
+  if (const char* why = RbWireCodec::DecodeEntries(payload.data() + kChunkHeaderSize,
+                                                   payload.size() - kChunkHeaderSize,
+                                                   count, &decoded)) {
+    return Fail(why);
+  }
+  std::vector<RbWireEntry>& chain = snap_.records[rank];
+  for (RbWireEntry& e : decoded) {
+    if (const char* why = CheckRecord(snap_, static_cast<int>(rank),
+                                      chain.empty() ? nullptr : &chain.back(), e)) {
+      return Fail(why);
+    }
+    chain.push_back(std::move(e));
+  }
   running_crc_ = Crc32(payload.data(), payload.size(), running_crc_);
-  std::memcpy(image_.data() + offset, payload.data() + kChunkHeaderSize, len);
   ++chunks_applied_;
-  bytes_applied_ += len;
+  bytes_applied_ += payload.size();
   return true;
 }
 
@@ -469,16 +522,16 @@ bool SnapshotAssembler::End(const std::vector<uint8_t>& payload) {
   if (payload.size() != kEndSize) {
     return Fail("snapshot end payload malformed");
   }
-  if (GetU64(payload, kEndOffImageBytes) != expect_bytes_ ||
+  if (GetU64(payload, kEndOffChunkBytes) != expect_bytes_ ||
       GetU32(payload, kEndOffChunkCount) != expect_chunks_ ||
-      GetU32(payload, kEndOffImageCrc) != expect_crc_) {
+      GetU32(payload, kEndOffChunkCrc) != expect_crc_) {
     return Fail("snapshot end disagrees with begin");
   }
   if (chunks_applied_ != expect_chunks_ || bytes_applied_ != expect_bytes_) {
     return Fail("snapshot truncated: chunk or byte count short of announced");
   }
   if (running_crc_ != expect_crc_) {
-    return Fail("snapshot image CRC mismatch");
+    return Fail("snapshot chunk CRC mismatch");
   }
   state_ = State::kComplete;
   return true;
@@ -486,38 +539,18 @@ bool SnapshotAssembler::End(const std::vector<uint8_t>& payload) {
 
 // --- Mirror restoration ------------------------------------------------------------
 
-namespace {
-
-void WakeEntryQueue(Kernel* kernel, IpMon* mon, const RbView& rb, uint64_t entry_off) {
-  uint64_t off_in_page = 0;
-  Page* frame = mon->process()->mem().ResolveFrame(rb.AddrOf(entry_off + kRbOffState),
-                                                   &off_in_page);
-  if (frame != nullptr) {
-    kernel->futex().QueueFor(frame, off_in_page).Wake();
-  }
-}
-
-SnapshotApplyResult ApplyFail(const char* why) {
-  SnapshotApplyResult r;
-  r.ok = false;
-  r.error = why;
-  return r;
-}
-
-}  // namespace
-
 SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
                                           SyncAgent* sync_agent,
-                                          const ReplicaSnapshot& snap,
-                                          const std::vector<uint8_t>& image) {
+                                          const ReplicaSnapshot& snap) {
   RbView rb = mon->rb();
   if (!rb.valid()) {
     return ApplyFail("replica RB mirror not initialized");
   }
+  size_t ranks = static_cast<size_t>(rb.max_ranks());
   if (snap.rb_size != rb.size() || snap.max_ranks != rb.max_ranks() ||
-      image.size() != rb.size() ||
-      snap.cursors.size() != static_cast<size_t>(snap.max_ranks) ||
-      snap.delta_from.size() != static_cast<size_t>(snap.max_ranks)) {
+      snap.rb_headers.size() != RbHeadersSize(snap.max_ranks) ||
+      snap.cursors.size() != ranks || snap.delta_from.size() != ranks ||
+      snap.records.size() != ranks) {
     return ApplyFail("snapshot geometry does not match the replica RB");
   }
   // The generation guard: every offset in the checkpoint is relative to one RB
@@ -527,6 +560,20 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   // sub-buffers this mirror no longer holds.
   if (snap.reset_generation != mon->rb_resets()) {
     return ApplyFail("checkpoint from a different RB reset generation");
+  }
+  // The assembler checked all of this on arrival; the apply checks it again so
+  // no write happens for a checkpoint that did not come through one.
+  if (const char* why = CheckRankWindows(snap)) {
+    return ApplyFail(why);
+  }
+  for (int r = 0; r < snap.max_ranks; ++r) {
+    const RbWireEntry* prev = nullptr;
+    for (const RbWireEntry& e : snap.records[static_cast<size_t>(r)]) {
+      if (const char* why = CheckRecord(snap, r, prev, e)) {
+        return ApplyFail(why);
+      }
+      prev = &e;
+    }
   }
   // File-map cross-check: the FD metadata is monitor control-plane state every
   // replica derives from the same monitored history; a byte diverging means this
@@ -541,6 +588,9 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
     return ApplyFail("file map diverged from the leader checkpoint");
   }
   for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
+    if (snap.file_map_pages[i] >= fm->pages().size()) {
+      return ApplyFail("file map diverged from the leader checkpoint");
+    }
     const PageRef& fm_page = fm->pages()[snap.file_map_pages[i]];
     if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
                     snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
@@ -555,9 +605,7 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
     return ApplyFail("file map diverged from the leader checkpoint");
   }
   // Sync-agent log: the checkpoint and the replica must agree on whether a
-  // record/replay agent runs at all, and the log restore's own validation
-  // (geometry, replay cursor, per-slot divergence) gates the join like the file
-  // map does. ApplyLogDelta mutates only after every check passed.
+  // record/replay agent runs at all.
   bool replica_has_sync = sync_agent != nullptr && sync_agent->log_valid();
   if (snap.sync_log_size != 0 && !replica_has_sync) {
     return ApplyFail("snapshot carries a sync log the replica does not replay");
@@ -568,15 +616,6 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
 
   SnapshotApplyResult result;
   result.ok = true;
-  if (replica_has_sync) {
-    const char* sync_err =
-        sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail, snap.sync_from,
-                                  snap.sync_read_cursor, snap.sync_image);
-    if (sync_err != nullptr) {
-      return ApplyFail(sync_err);
-    }
-    result.sync_slots_restored = snap.sync_image.size() / kSyncLogEntrySize;
-  }
   // Epoll-shadow coverage: keys the replica has not recorded yet are legitimate
   // consumer lag (its epoll_ctl replay may trail the leader), so they are counted,
   // not fatal; the divergence checks catch real mismatches at the next entry.
@@ -586,57 +625,41 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
       ++result.epoll_lag;
     }
   }
+  // The log restore is the last check: ApplyLogDelta validates geometry, replay
+  // cursor and every slot before it writes anything, and nothing below can fail.
+  if (replica_has_sync) {
+    const char* sync_err =
+        sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail, snap.sync_from,
+                                  snap.sync_read_cursor, snap.sync_image);
+    if (sync_err != nullptr) {
+      return ApplyFail(sync_err);
+    }
+    result.sync_slots_restored = snap.sync_image.size() / kSyncLogEntrySize;
+  }
 
   // Global header (signals-pending flag, generation) exactly as the leader saw it.
-  rb.WriteBytes(0, image.data(), kRbGlobalHeaderSize);
-
+  rb.WriteBytes(0, snap.rb_headers.data(), kRbGlobalHeaderSize);
   for (int r = 0; r < snap.max_ranks; ++r) {
-    uint64_t data_start = rb.RankDataStart(r);
-    uint64_t data_end = rb.RankDataEnd(r);
-    uint64_t cursor = snap.cursors[static_cast<size_t>(r)];
-    if (cursor < data_start || cursor > data_end) {
-      return ApplyFail("snapshot cursor outside the rank sub-buffer");
-    }
-    rb.WriteBytes(rb.RankStart(r), image.data() + rb.RankStart(r), kRbRankHeaderSize);
-
-    // Replay the published prefix with the live-path discipline: body first (the
-    // mirror's own state and waiter words preserved), state word flipped last and
-    // only forward, one wake per entry. The walk resumes at the replacement's
-    // highest acked entry (the rank data start under the empty basis) — one entry
-    // of overlap, idempotent under the forward-only flip.
-    uint64_t off = snap.delta_from[static_cast<size_t>(r)];
-    if (off == 0) {
-      off = data_start;
-    }
-    if (off < data_start || off > cursor) {
-      return ApplyFail("resume offset outside the published prefix");
-    }
-    while (off + kRbEntryHeaderSize <= cursor) {
-      uint32_t state = ImageU32(image, off + kRbOffState);
-      if (state == kRbEmpty) {
-        break;  // In-flight tail entry: the next data frame completes it.
-      }
-      uint64_t total = ImageU64(image, off + kRbOffTotalSize);
-      if (state > kRbResultsReady || total < kRbEntryHeaderSize || (total & 7) != 0 ||
-          total > cursor - off) {
-        return ApplyFail("snapshot image has a malformed entry chain");
-      }
-      rb.WriteBytes(off + kRbOffSysno, image.data() + off + kRbOffSysno,
-                    total - kRbOffSysno);
-      if (state > rb.ReadU32(off + kRbOffState)) {
-        rb.WriteU32(off + kRbOffState, state);
-      }
-      WakeEntryQueue(kernel, mon, rb, off);
+    size_t i = static_cast<size_t>(r);
+    rb.WriteBytes(rb.RankStart(r),
+                  snap.rb_headers.data() + kRbGlobalHeaderSize + i * kRbRankHeaderSize,
+                  kRbRankHeaderSize);
+    // The published prefix from the replacement's highest acked entry (the rank
+    // data start under the empty basis) — one entry of overlap, idempotent under
+    // the forward-only flip.
+    uint64_t off = snap.delta_from[i];
+    for (const RbWireEntry& e : snap.records[i]) {
+      REMON_CHECK(RbEntryOps::ReplayRecord(rb, kernel->futex(), static_cast<uint32_t>(r),
+                                           e));
       ++result.entries_restored;
-      off += total;
+      off = e.entry_off + RecordTotal(e);
     }
-
-    // Within one reset generation the mirror's bytes past the leader cursor are
+    // Within one reset generation the mirror's bytes past the replayed prefix are
     // already the leader's zeros (the reset round scrubbed both sides), so
     // re-zeroing would only race a consumer parked on the resume entry. Just
     // wake it so it re-examines the restored world.
-    if (off + kRbEntryHeaderSize <= data_end) {
-      WakeEntryQueue(kernel, mon, rb, off);
+    if (off + kRbEntryHeaderSize <= rb.RankDataEnd(r)) {
+      rb.StateQueue(kernel->futex(), off).Wake();
     }
   }
   return result;

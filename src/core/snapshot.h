@@ -12,11 +12,10 @@
 // the replacement's mirror already holds. An ack-folded basis makes the checkpoint
 // O(what the replica missed); the empty basis (EmptyDeltaBasis) makes it a full
 // one. Either way the checkpoint (ReplicaSnapshot) carries:
-//   * the leader's RB pages the restore reads — the global/rank headers plus each
-//     rank's [resume offset, cursor) window — as a sparse materialized-page image
-//     (VmaImage): untouched lazy pages and all-zero pages travel as holes;
-//   * the leader's per-rank RB positions (write cursor + next sequence number)
-//     and the offset each rank's image resumes at;
+//   * the RB's global header and every rank header;
+//   * per rank, the published entries in [resume offset, cursor) as the records
+//     a live flush ships (RbWireEntry), plus the write cursor, the next sequence
+//     number and the resume offset;
 //   * the RB reset generation the offsets belong to, and the GHUMVEE lockstep
 //     cursor (rounds completed at capture) — the monitored synchronization point
 //     the replacement resumes from;
@@ -30,13 +29,10 @@
 // On the wire the snapshot rides the normal RB stream as three sequenced,
 // CRC-protected frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
 // src/core/rb_wire.h), chunked so snapshot traffic obeys the link's flow-control
-// window and interleaves with data frames instead of monopolizing the link.
-// docs/RB_WIRE_FORMAT.md is the normative payload spec.
-//
-// Restoration applies the image to the replacement's RB mirror with the same
-// ordering discipline the live replay path uses: entry bodies first, state words
-// flipped last (forward-only), mirror-side waiter words preserved, and every
-// covered entry's futex queue woken so parked slave threads re-examine the world.
+// window and interleaves with data frames instead of monopolizing the link. A
+// chunk is a run of one rank's records in the kEntries layout.
+// docs/RB_WIRE_FORMAT.md is the normative payload spec. The replacement replays
+// the records exactly as it replays live ones (RbEntryOps::ReplayRecord).
 
 #ifndef SRC_CORE_SNAPSHOT_H_
 #define SRC_CORE_SNAPSHOT_H_
@@ -45,8 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "src/mem/address_space.h"
-#include "src/mem/page.h"
+#include "src/core/rb_wire.h"
 
 namespace remon {
 
@@ -54,42 +49,6 @@ class Ghumvee;
 class IpMon;
 class Kernel;
 class SyncAgent;
-
-// --- Sparse materialized-page images ----------------------------------------------
-
-// A contiguous run of bytes at `offset` from the image's region start. Runs are
-// page-aligned, non-overlapping, and sorted by offset; bytes not covered by any
-// run are holes (zero / untouched-lazy).
-struct PageRun {
-  uint64_t offset = 0;
-  std::vector<uint8_t> bytes;
-};
-
-struct VmaImage {
-  uint64_t length = 0;  // Region size in bytes (page-aligned).
-  std::vector<PageRun> runs;
-
-  uint64_t run_bytes() const {
-    uint64_t n = 0;
-    for (const PageRun& r : runs) {
-      n += r.bytes.size();
-    }
-    return n;
-  }
-};
-
-// Captures [start, start+length) from `mem` as a sparse image: only materialized,
-// non-zero pages are recorded (lazy pages stay lazy — capture never materializes).
-// Adjacent captured pages coalesce into one run. A non-empty `pages` filter
-// (indexed by page number within the range) skips every page it does not set.
-VmaImage CaptureVmaImage(const AddressSpace& mem, GuestAddr start, uint64_t length,
-                         const std::vector<bool>& pages = {});
-
-// Writes an image's runs into `mem` at `start`. Holes are not written: restoring
-// into a fresh lazy mapping leaves them unmaterialized (the lazy read-as-zero
-// semantics make the result page-for-page equal to the source). Returns false on
-// any write fault.
-bool RestoreVmaImage(AddressSpace* mem, GuestAddr start, const VmaImage& image);
 
 // --- The leader checkpoint ---------------------------------------------------------
 
@@ -103,11 +62,15 @@ struct ReplicaSnapshot {
   uint64_t rb_size = 0;
   int max_ranks = 0;
   uint64_t reset_generation = 0;   // Leader rb_resets() at capture: the lap guard.
-  VmaImage rb_image;               // Leader RB pages, offsets relative to RB base.
+  // The global header then each rank's header, kRbRankHeaderSize bytes apiece.
+  std::vector<uint8_t> rb_headers;
   std::vector<uint64_t> cursors;   // Per rank: leader's next-entry offset.
   std::vector<uint64_t> seqs;      // Per rank: leader's next sequence number.
-  std::vector<uint64_t> delta_from;  // Per rank: offset the image resumes at
-                                     // (0 = rank data start; always <= cursor).
+  std::vector<uint64_t> delta_from;  // Per rank: offset the records resume at, in
+                                     // [rank data start, cursor].
+  // Per rank: the published entries from delta_from on, each record starting
+  // where its predecessor's total_size ends.
+  std::vector<std::vector<RbWireEntry>> records;
   uint64_t lockstep_cursor = 0;    // GHUMVEE lockstep rounds completed at capture.
   uint32_t file_map_page_count = 0;  // Leader map geometry.
   uint32_t file_map_crc = 0;         // CRC-32 over the whole leader map: the
@@ -146,11 +109,12 @@ inline RbDeltaBasis EmptyDeltaBasis(uint64_t reset_generation) {
 }
 
 // Checkpoints the leader at a quiescent flush point against `basis`: publishes
-// every deferred batched commit first (so no publication is invisible in the
-// image), then captures the global/rank headers plus each rank's [basis offset,
-// cursor) window — one acked entry of overlap, idempotent under the forward-only
-// apply discipline — the lockstep cursor, the file-map pages and epoll rows
-// dirtied since the basis, and the sync-log slots past `sync_read_cursor`.
+// every deferred batched commit first (so no publication is missing from the
+// records), then captures the global/rank headers, each rank's published entries
+// from the basis offset up to the first unpublished one before the cursor — one
+// acked entry of overlap, idempotent under the forward-only apply discipline —
+// the lockstep cursor, the file-map pages and epoll rows dirtied since the basis,
+// and the sync-log slots past `sync_read_cursor`.
 // `ghumvee` may be null (lockstep cursor 0). For multi-threaded workloads,
 // `sync_master` is the leader's record/replay agent and `sync_read_cursor` the
 // replay cursor of the replica being re-seeded — in a distributed deployment the
@@ -165,7 +129,8 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 
 // --- Wire payloads -----------------------------------------------------------------
 
-// Image bytes per kSnapshotChunk frame. Small enough (a quarter of the stream
+// kSnapshotChunk payload bytes: a chunk packs one rank's records up to this, and
+// a single larger record travels alone. Small enough (a quarter of the stream
 // window) that snapshot frames obey the window without head-of-line-blocking the
 // data stream.
 inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
@@ -177,15 +142,16 @@ struct SnapshotPayloads {
 };
 
 // Serializes a snapshot into the Begin/Chunk/End payloads (layouts in
-// docs/RB_WIRE_FORMAT.md). Chunks are the image runs split at kSnapshotChunkBytes;
-// Begin and End both carry the chunk count, total image bytes, and the chained
-// CRC-32 over the chunk payloads so truncation and reordering are detectable
-// end-to-end, beyond the per-frame CRC.
+// docs/RB_WIRE_FORMAT.md). Begin and End both carry the chunk count, the total
+// chunk payload bytes, and the chained CRC-32 over the chunk payloads so
+// truncation and reordering are detectable end-to-end, beyond the per-frame CRC.
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap);
 
 // Reassembles a snapshot from Begin/Chunk/End payloads on the receiving side.
-// Any malformed payload, bounds violation, count/byte/CRC mismatch, or
-// out-of-protocol call latches the assembler into the failed state.
+// Begin checks every rank's window and each chunk's records are checked on
+// arrival, as ApplySnapshotToMirror checks them. Any malformed payload, bounds
+// violation, count/byte/CRC mismatch, or out-of-protocol call latches the
+// assembler into the failed state.
 class SnapshotAssembler {
  public:
   enum class State { kIdle, kAssembling, kComplete, kFailed };
@@ -197,11 +163,8 @@ class SnapshotAssembler {
   bool AddChunk(const std::vector<uint8_t>& payload);
   bool End(const std::vector<uint8_t>& payload);
 
-  // Valid in kComplete: the checkpoint metadata and the flat (hole-zero-filled)
-  // RB image of rb_size bytes.
+  // Valid in kComplete: the checkpoint, records included.
   const ReplicaSnapshot& snapshot() const { return snap_; }
-  const std::vector<uint8_t>& image() const { return image_; }
-  uint64_t chunks_applied() const { return chunks_applied_; }
 
   void Reset();
 
@@ -211,7 +174,6 @@ class SnapshotAssembler {
   State state_ = State::kIdle;
   std::string error_;
   ReplicaSnapshot snap_;
-  std::vector<uint8_t> image_;
   uint64_t expect_chunks_ = 0;
   uint64_t expect_bytes_ = 0;
   uint32_t expect_crc_ = 0;
@@ -225,31 +187,30 @@ class SnapshotAssembler {
 struct SnapshotApplyResult {
   bool ok = false;
   const char* error = "";
-  uint64_t entries_restored = 0;  // Entry state words re-published into the mirror.
+  uint64_t entries_restored = 0;  // Records replayed into the mirror.
   uint64_t epoll_lag = 0;         // Leader shadow keys the replica has not seen yet.
   uint64_t sync_slots_restored = 0;  // Sync-log slots re-published into the mirror.
 };
 
-// Applies a completed snapshot to `mon`'s RB mirror. The reset generation must
-// match the replica's: every offset belongs to one generation, and the leader's
-// reset/re-seed interlock means a healthy leader never ships a mismatch, so one
-// refuses the join. Per rank, the walk replays every published entry from
-// delta_from up to the leader cursor (body first, state word last, forward-only,
-// waiter words preserved) and wakes each touched entry's futex queue, plus the
-// resume entry's so a parked consumer re-examines the world. Bytes past the
-// cursor are left alone: the reset round scrubbed both sides, so within one
-// generation they are already the leader's zeros. Cross-checks the dirty
-// file-map pages and the whole-map CRC (a mismatch means the streams diverged
-// and the join is rejected) and counts — but tolerates — epoll-shadow keys the
-// replica has not recorded yet (its consumer threads may legitimately lag the
-// leader). The sync slice restores into `sync_agent`'s log mirror
-// (SyncAgent::ApplyLogDelta: geometry, cursor, and per-slot divergence checks;
-// tail word last) — carrying one while the replica runs no agent, or vice versa,
-// refuses the join.
+// Applies a completed snapshot to `mon`'s RB mirror. Every check runs before the
+// first write, so a refused join leaves the mirror and its sync log untouched:
+//   * geometry and reset generation match the replica's (the leader's
+//     reset/re-seed interlock means a healthy leader never ships a mismatch);
+//   * per rank, data start <= delta_from <= cursor <= data end, and every record
+//     is a publication (kRbArgsReady or kRbResultsReady) starting in [delta_from,
+//     cursor) at strictly increasing offsets, where its predecessor's total_size
+//     ends (the first at delta_from), and ending at or before the cursor;
+//   * the dirty file-map pages and the whole-map CRC match; epoll-shadow keys the
+//     replica lacks are counted, not refused (its consumers may lag);
+//   * a sync slice is carried exactly when the replica runs an agent, and passes
+//     SyncAgent::ApplyLogDelta's checks, the last before any write.
+// Then the headers are written, each rank's records replay through
+// RbEntryOps::ReplayRecord, and the resume entry's futex queue is woken so a
+// parked consumer re-examines the world. Bytes past the cursor stay: the reset
+// round scrubbed both sides, so they are already the leader's zeros.
 SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
                                           SyncAgent* sync_agent,
-                                          const ReplicaSnapshot& snap,
-                                          const std::vector<uint8_t>& image);
+                                          const ReplicaSnapshot& snap);
 
 }  // namespace remon
 

@@ -23,14 +23,6 @@ GuestTask<void> SyncAgent::Initialize(Guest& g) {
   REMON_CHECK(rc == 0);
 }
 
-WaitQueue* SyncAgent::LogQueue() {
-  uint64_t off_in_page = 0;
-  Page* frame =
-      log_.process()->mem().ResolveFrame(log_.AddrOf(kSyncLogOffTail), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return &kernel_->futex().QueueFor(frame, off_in_page);
-}
-
 uint64_t SyncAgent::tail() const { return log_.ReadU64(kSyncLogOffTail); }
 
 uint64_t SyncAgent::MinPeerReadCursor() const {
@@ -107,7 +99,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
     log_.WriteU64(kSyncLogOffTail, seq + 1);
     ++ops_recorded_;
     ++kernel_->stats().sync_ops_recorded;
-    LogQueue()->Wake();
+    log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
 
     if (transport_ != nullptr) {
       if (pending_.empty()) {
@@ -159,11 +151,12 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
         } else if (!peers_.empty() && peers_[0] != nullptr && peers_[0] != this) {
           peers_[0]->OnSlaveConsumed();  // A master parked on a full log re-checks.
         }
-        LogQueue()->Wake();  // Another slave thread may now be at the head.
+        // Another slave thread may now be at the head.
+        log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
         co_return;
       }
     }
-    co_await WaitOn{t, LogQueue()};
+    co_await WaitOn{t, &log_.WordQueue(kernel_->futex(), kSyncLogOffTail)};
   }
 }
 
@@ -209,7 +202,7 @@ bool SyncAgent::ApplyRemoteLog(uint64_t start_index,
   if (new_tail > log_tail) {
     log_.WriteU64(kSyncLogOffTail, new_tail);
   }
-  LogQueue()->Wake();
+  log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
   return true;
 }
 
@@ -308,7 +301,7 @@ const char* SyncAgent::ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
   if (snap_tail > local_tail) {
     log_.WriteU64(kSyncLogOffTail, snap_tail);
   }
-  LogQueue()->Wake();
+  log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
   return nullptr;
 }
 

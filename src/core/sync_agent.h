@@ -164,7 +164,6 @@ class SyncAgent {
                             const std::vector<uint8_t>& image);
 
  private:
-  WaitQueue* LogQueue();
   // Co-located slaves wake a master parked on a full log (the shared-segment
   // analog of a futex wake; the cursor value lives in the segment header).
   void OnSlaveConsumed();

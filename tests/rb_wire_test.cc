@@ -1,7 +1,8 @@
 // Tests for the RB wire format (src/core/rb_wire.{h,cc}): CRC reference vector,
 // encode/decode round trips under arbitrary stream fragmentation, and rejection of
-// truncated or corrupted frames. docs/RB_WIRE_FORMAT.md is the normative spec the
-// expectations here encode.
+// truncated or corrupted frames, including a negative corpus of mutated
+// checkpoint payloads through the snapshot assembler. docs/RB_WIRE_FORMAT.md is
+// the normative spec the expectations here encode.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/core/replication_buffer.h"
 #include "src/core/snapshot.h"
 #include "src/sim/rng.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace remon {
 namespace {
@@ -204,8 +206,8 @@ TEST(RbWireTest, SnapshotFramesRoundTripWithOpaquePayload) {
   uint64_t seq = 0;
   for (RbFrameType type : {RbFrameType::kSnapshotBegin, RbFrameType::kSnapshotChunk,
                            RbFrameType::kSnapshotEnd}) {
-    std::vector<uint8_t> frame =
-        RbWireCodec::EncodeSnapshotFrame(type, /*epoch=*/3, /*rank=*/2, ++seq, payload);
+    std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
+        type, /*epoch=*/3, /*rank=*/2, ++seq, /*count=*/0, payload);
     stream.insert(stream.end(), frame.begin(), frame.end());
   }
   RbFrameParser parser;
@@ -226,8 +228,8 @@ TEST(RbWireTest, SnapshotFramesRoundTripWithOpaquePayload) {
 
 TEST(RbWireTest, CorruptSnapshotChunkByteFailsFrameCrc) {
   std::vector<uint8_t> payload(512, 0x5a);
-  std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(
-      RbFrameType::kSnapshotChunk, 2, 1, 7, payload);
+  std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotChunk, 2, 1, 7, /*count=*/0, payload);
   frame[kRbWireHeaderSize + 100] ^= 0x08;
   RbFrameParser parser;
   parser.Feed(frame.data(), frame.size());
@@ -238,8 +240,8 @@ TEST(RbWireTest, CorruptSnapshotChunkByteFailsFrameCrc) {
 
 TEST(RbWireTest, TruncatedSnapshotChunkIsNeedMoreUntilComplete) {
   std::vector<uint8_t> payload(4096, 0x11);
-  std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(
-      RbFrameType::kSnapshotChunk, 2, 1, 9, payload);
+  std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotChunk, 2, 1, 9, /*count=*/0, payload);
   for (size_t cut : {size_t{10}, kRbWireHeaderSize, frame.size() - 1}) {
     RbFrameParser parser;
     parser.Feed(frame.data(), cut);
@@ -253,8 +255,8 @@ TEST(RbWireTest, SnapshotFrameWithEntryCountRejected) {
   // entry_count is meaningful only for kEntries; a snapshot frame claiming entries
   // is structurally corrupt even with a valid CRC.
   std::vector<uint8_t> payload(64, 0x22);
-  std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(
-      RbFrameType::kSnapshotEnd, 2, 0, 3, payload);
+  std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotEnd, 2, 0, 3, /*count=*/0, payload);
   uint32_t one = 1;
   std::memcpy(frame.data() + 16, &one, 4);  // entry_count field.
   uint32_t zero = 0;
@@ -268,32 +270,17 @@ TEST(RbWireTest, SnapshotFrameWithEntryCountRejected) {
 }
 
 // End-to-end: serialized snapshot payloads survive the wire framing + arbitrary
-// fragmentation and reassemble into the identical checkpoint image.
+// fragmentation and reassemble into the identical checkpoint records.
 TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
   Rng rng(31);
-  ReplicaSnapshot snap;
-  snap.rb_size = 96 * kPageSize;
-  snap.max_ranks = 4;
-  snap.rb_image.length = snap.rb_size;
-  PageRun run;
-  run.offset = 8 * kPageSize;
-  run.bytes.resize(70 * kPageSize);  // Spans multiple 64 KiB chunks.
-  for (auto& b : run.bytes) {
-    b = static_cast<uint8_t>(rng.NextBelow(256));
-  }
-  snap.rb_image.runs.push_back(std::move(run));
-  snap.cursors.assign(4, 128);
-  snap.seqs.assign(4, 0);
-  snap.delta_from.assign(4, 0);
-  snap.file_map_page_count = 1;
-  snap.file_map_pages = {0};
-  snap.file_map.assign(kPageSize, 0x33);
-
+  ReplicaSnapshot snap = MakeSnapshot(&rng, 256 * kPageSize, 4);  // Several chunks.
   SnapshotPayloads payloads = SerializeSnapshot(snap);
+  ASSERT_GT(payloads.chunks.size(), 2u);
   std::vector<uint8_t> stream;
   uint64_t seq = 0;
   auto add = [&](RbFrameType type, const std::vector<uint8_t>& p) {
-    std::vector<uint8_t> frame = RbWireCodec::EncodeSnapshotFrame(type, 2, 1, ++seq, p);
+    std::vector<uint8_t> frame =
+        RbWireCodec::FrameFromPayload(type, 2, 1, ++seq, /*count=*/0, p);
     stream.insert(stream.end(), frame.begin(), frame.end());
   };
   add(RbFrameType::kSnapshotBegin, payloads.begin);
@@ -322,10 +309,8 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
     }
   }
   ASSERT_EQ(assembler.state(), SnapshotAssembler::State::kComplete);
-  std::vector<uint8_t> flat(snap.rb_size, 0);
-  std::memcpy(flat.data() + 8 * kPageSize, snap.rb_image.runs[0].bytes.data(),
-              snap.rb_image.runs[0].bytes.size());
-  EXPECT_EQ(assembler.image(), flat);
+  ExpectSameRecords(assembler.snapshot().records, snap.records);
+  EXPECT_EQ(assembler.snapshot().rb_headers, snap.rb_headers);
   EXPECT_EQ(assembler.snapshot().file_map, snap.file_map);
 }
 
@@ -464,7 +449,7 @@ TEST(RbWireTest, EmptySyncLogFrameIsStructurallyCorrupt) {
   // cannot be produced and is rejected on receive.
   std::vector<uint8_t> payload(kRbWireSyncHeaderSize, 0);
   std::vector<uint8_t> frame =
-      RbWireCodec::SyncLogFrameFromPayload(1, 1, /*record_count=*/0, payload);
+      RbWireCodec::FrameFromPayload(RbFrameType::kSyncLog, 1, 0, 1, /*count=*/0, payload);
   RbFrameParser parser;
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
@@ -536,11 +521,12 @@ std::vector<uint8_t> RestampU16(std::vector<uint8_t> frame, size_t off, uint16_t
 }
 
 // Wire v6 retired the separate delta begin frame (type 8): every checkpoint opens
-// with SNAPSHOT_BEGIN. A type-8 frame and a version-5 header are both corrupt —
-// nothing speaks an older version — and latch the parser, sealed or not.
+// with SNAPSHOT_BEGIN. v7 retired the v6 page-image checkpoint payloads. A type-8
+// frame and a version-5 or version-6 header are all corrupt — nothing speaks an
+// older version — and latch the parser, sealed or not.
 TEST(RbWireTest, RetiredDeltaTypeAndVersion5HeaderLatchCorrupt) {
-  std::vector<uint8_t> begin = RbWireCodec::EncodeSnapshotFrame(
-      RbFrameType::kSnapshotBegin, /*epoch=*/6, /*rank=*/1, /*frame_seq=*/42,
+  std::vector<uint8_t> begin = RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotBegin, /*epoch=*/6, /*rank=*/1, /*frame_seq=*/42, /*count=*/0,
       std::vector<uint8_t>(257, 0x3c));
   struct Vector {
     std::vector<uint8_t> frame;
@@ -549,6 +535,7 @@ TEST(RbWireTest, RetiredDeltaTypeAndVersion5HeaderLatchCorrupt) {
   std::vector<Vector> vectors = {
       {RestampU16(begin, 6, 8), "unknown frame type"},
       {RestampU16(begin, 4, 5), "bad magic/version"},
+      {RestampU16(begin, 4, 6), "bad magic/version"},
   };
   RbAuthContext auth("retired-secret");
   for (const Vector& v : vectors) {
@@ -616,8 +603,8 @@ TEST(RbWireAuthTest, SealedFramesRoundTripAllTypes) {
   std::vector<std::vector<uint8_t>> frames;
   frames.push_back(RbWireCodec::EncodeEntries(2, 1, 1, entries));
   frames.push_back(RbWireCodec::EncodeSyncLog(2, 2, 50, records));
-  frames.push_back(RbWireCodec::EncodeSnapshotFrame(RbFrameType::kSnapshotChunk, 2, 0,
-                                                    3, snap_payload));
+  frames.push_back(RbWireCodec::FrameFromPayload(RbFrameType::kSnapshotChunk, 2, 0, 3,
+                                                 /*count=*/0, snap_payload));
   std::vector<uint8_t> stream;
   for (auto& f : frames) {
     std::vector<uint8_t> plain = f;
@@ -731,11 +718,13 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
   corpus.push_back(RbWireCodec::EncodeSyncLog(1, 2, 9, RandomSyncRecords(&rng, 3)));
   corpus.push_back(RbWireCodec::EncodeAck(1, 5, 77));
   corpus.push_back(RbWireCodec::EncodeJoinAttest(1, 2, 0x1234, 8));
-  corpus.push_back(RbWireCodec::EncodeSnapshotFrame(RbFrameType::kSnapshotBegin, 1, 0,
-                                                    3, std::vector<uint8_t>(128, 0x7e)));
-  // The retired delta begin type and a version-5 header: corrupt before mutation.
+  corpus.push_back(RbWireCodec::FrameFromPayload(RbFrameType::kSnapshotBegin, 1, 0, 3,
+                                                 /*count=*/0,
+                                                 std::vector<uint8_t>(128, 0x7e)));
+  // The retired delta begin type and version-5/6 headers: corrupt before mutation.
   corpus.push_back(RestampU16(corpus.back(), 6, 8));
   corpus.push_back(RestampU16(corpus[corpus.size() - 2], 4, 5));
+  corpus.push_back(RestampU16(corpus[corpus.size() - 3], 4, 6));
   for (auto& f : corpus) {
     auth.SealFrame(&f, RbAuthDirection::kLeaderToReplica);
   }
@@ -762,6 +751,85 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
   }
 }
 
+// Re-stamps the chunk count, bytes and chained CRC that Begin and End announce
+// (offsets from docs/RB_WIRE_FORMAT.md) to match the chunks as they now stand.
+void RestampChunkSummary(SnapshotPayloads* p) {
+  uint64_t bytes = 0;
+  uint32_t crc = 0;
+  for (const std::vector<uint8_t>& c : p->chunks) {
+    bytes += c.size();
+    crc = Crc32(c.data(), c.size(), crc);
+  }
+  uint32_t count = static_cast<uint32_t>(p->chunks.size());
+  if (p->begin.size() >= 32) {
+    std::memcpy(p->begin.data() + 16, &bytes, 8);
+    std::memcpy(p->begin.data() + 24, &crc, 4);
+    std::memcpy(p->begin.data() + 28, &count, 4);
+  }
+  if (p->end.size() == 16) {
+    std::memcpy(p->end.data(), &bytes, 8);
+    std::memcpy(p->end.data() + 8, &crc, 4);
+    std::memcpy(p->end.data() + 12, &count, 4);
+  }
+}
+
+// Negative corpus for the checkpoint codec: seeded, randomly mutated, truncated,
+// dropped or duplicated Begin/Chunk/End payloads of two real checkpoints (full
+// and ack-folded) go through SnapshotAssembler, then through
+// ApplySnapshotToMirror whenever assembly completes. Half the chunk mutations
+// re-stamp the announced count, bytes and CRC so they reach the record checks.
+// The rule is reject, never crash; CI runs it under ASan/UBSan.
+TEST(SnapshotNegativeCorpus, MutatedPayloadsNeverCrashAssembler) {
+  LiveCheckpointWorld live;
+  ASSERT_TRUE(live.RunToFoldedBasis());
+  IpMon* mirror = live.mvee->ipmon(1);
+  SyncAgent* replica_sync = live.mvee->sync_agent(1);
+  const std::vector<SnapshotPayloads> corpus = {
+      SerializeSnapshot(live.Capture(EmptyDeltaBasis(live.mvee->ipmon(0)->rb_resets()))),
+      SerializeSnapshot(live.Capture(live.basis)),
+  };
+  ASSERT_FALSE(corpus[0].chunks.empty());
+
+  std::mt19937_64 mut(0x5eed5a5e);  // Deterministic: failures reproduce.
+  int assembled = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    SnapshotPayloads p = corpus[mut() % corpus.size()];
+    size_t pick = mut() % (p.chunks.size() + 2);
+    std::vector<uint8_t>& target =
+        pick == 0 ? p.begin : (pick == 1 ? p.end : p.chunks[pick - 2]);
+    int flips = static_cast<int>(mut() % 9);  // Zero flips: truncation or reorder only.
+    for (int i = 0; i < flips && !target.empty(); ++i) {
+      target[mut() % target.size()] ^= static_cast<uint8_t>(1 + (mut() % 255));
+    }
+    if (mut() % 4 == 0) {
+      target.resize(mut() % (target.size() + 1));
+    }
+    if (mut() % 8 == 0 && !p.chunks.empty()) {
+      size_t c = mut() % p.chunks.size();
+      if (mut() % 2 == 0) {
+        p.chunks.erase(p.chunks.begin() + static_cast<long>(c));
+      } else {
+        p.chunks.insert(p.chunks.begin() + static_cast<long>(c), p.chunks[c]);
+      }
+    }
+    if (pick >= 2 && mut() % 2 == 0) {
+      RestampChunkSummary(&p);
+    }
+    SnapshotAssembler assembler;
+    bool ok = assembler.Begin(p.begin);
+    for (size_t c = 0; ok && c < p.chunks.size(); ++c) {
+      ok = assembler.AddChunk(p.chunks[c]);
+    }
+    ok = ok && assembler.End(p.end);
+    EXPECT_EQ(ok, assembler.state() == SnapshotAssembler::State::kComplete) << iter;
+    if (ok) {
+      ++assembled;
+      ApplySnapshotToMirror(&live.w.kernel, mirror, replica_sync, assembler.snapshot());
+    }
+  }
+  EXPECT_GT(assembled, 0);  // Some mutations assemble and reach the apply.
+}
+
 TEST(RbWireTest, EntryRecordOverrunningPayloadRejected) {
   // Hand-craft a frame whose entry record claims more image bytes than the payload
   // holds; the CRC is recomputed so only the structural check can catch it.
@@ -779,6 +847,25 @@ TEST(RbWireTest, EntryRecordOverrunningPayloadRejected) {
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+}
+
+TEST(RbWireTest, EntryCountBeyondPayloadRejectedBeforeAllocation) {
+  // A CRC-valid frame claiming 2^32-1 records in a 100-byte payload: the count is
+  // refused from the payload length alone, before it can size an allocation.
+  Rng rng(17);
+  std::vector<uint8_t> frame =
+      RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 1));
+  uint32_t lied = 0xffffffffu;
+  std::memcpy(frame.data() + 16, &lied, 4);  // entry_count field.
+  uint32_t zero = 0;
+  std::memcpy(frame.data() + 40, &zero, 4);
+  uint32_t crc = Crc32(frame.data(), frame.size());
+  std::memcpy(frame.data() + 40, &crc, 4);
+  RbFrameParser parser;
+  parser.Feed(frame.data(), frame.size());
+  RbWireFrame out;
+  EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+  EXPECT_STREQ(parser.corrupt_reason(), "entry record overruns payload");
 }
 
 }  // namespace

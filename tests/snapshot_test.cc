@@ -1,182 +1,26 @@
 // Tests for the replica re-seed snapshot subsystem (src/core/snapshot.{h,cc}):
-// sparse VMA image capture/restore (page-for-page equality including lazy holes),
-// serialization round trips through the Begin/Chunk/End payloads, assembler
-// rejection of malformed checkpoints, and — on one live cross-machine world — the
+// serialization round trips of the stream's own entry records through the
+// Begin/Chunk/End payloads, assembler rejection of malformed checkpoints (each
+// record check on arrival), and — on one live cross-machine world — the
 // equivalence of a checkpoint cut against the empty basis and one cut against
-// the ack-folded basis. The end-to-end kill/re-seed behavior is covered by the
-// fuzz in tests/property_test.cc and the server test in tests/workloads_test.cc.
+// the ack-folded basis, a refused apply that leaves the mirror untouched, and a
+// re-seed that materializes only the pages it ships. The end-to-end kill/re-seed
+// behavior is covered by the fuzz in tests/property_test.cc and the server test
+// in tests/workloads_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "src/core/remon.h"
 #include "src/core/snapshot.h"
 #include "src/core/sync_agent.h"
-#include "src/mem/address_space.h"
 #include "src/sim/rng.h"
-#include "src/workloads/suites.h"
-#include "tests/test_util.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace remon {
 namespace {
-
-constexpr GuestAddr kBase = 0x100000;
-
-// Page-for-page comparison including materialization state: a hole (untouched
-// lazy page) must stay a hole, and every materialized page must be byte-equal.
-void ExpectPageForPageEqual(const AddressSpace& a, GuestAddr a_start,
-                            const AddressSpace& b, GuestAddr b_start, uint64_t length) {
-  uint8_t pa[kPageSize];
-  uint8_t pb[kPageSize];
-  for (uint64_t off = 0; off < length; off += kPageSize) {
-    bool ma = a.PageMaterialized(a_start + off);
-    bool mb = b.PageMaterialized(b_start + off);
-    ASSERT_TRUE(a.ReadUnchecked(a_start + off, pa, kPageSize).ok) << "off " << off;
-    ASSERT_TRUE(b.ReadUnchecked(b_start + off, pb, kPageSize).ok) << "off " << off;
-    EXPECT_EQ(0, std::memcmp(pa, pb, kPageSize)) << "page content at off " << off;
-    if (ma != mb) {
-      // Permitted only when the page reads as zero on both sides (an all-zero
-      // materialized page is captured as a hole by design).
-      uint8_t zero[kPageSize] = {};
-      EXPECT_EQ(0, std::memcmp(pa, zero, kPageSize)) << "off " << off;
-    }
-  }
-}
-
-TEST(VmaImageTest, RoundTripPreservesLazyHoles) {
-  constexpr uint64_t kLen = 64 * kPageSize;
-  AddressSpace src;
-  ASSERT_TRUE(src.MapFixedLazy(kBase, kLen, kProtRead | kProtWrite, "lazy"));
-
-  // Touch a scattered subset; everything else stays a lazy hole.
-  Rng rng(20260730);
-  std::vector<uint64_t> touched;
-  for (uint64_t p = 0; p < 60; p += 1 + rng.NextBelow(5)) {
-    touched.push_back(p);
-    std::vector<uint8_t> bytes(kPageSize);
-    for (auto& b : bytes) {
-      b = static_cast<uint8_t>(rng.NextBelow(256));
-    }
-    bytes[0] = static_cast<uint8_t>(1 + rng.NextBelow(255));  // Never a zero page.
-    ASSERT_TRUE(src.Write(kBase + p * kPageSize, bytes.data(), bytes.size()).ok);
-  }
-  // One touched-but-zero page: must be captured as a hole.
-  uint8_t zeros[kPageSize] = {};
-  ASSERT_TRUE(src.Write(kBase + 63 * kPageSize, zeros, kPageSize).ok);
-
-  VmaImage image = CaptureVmaImage(src, kBase, kLen);
-  EXPECT_EQ(image.length, kLen);
-  EXPECT_EQ(image.run_bytes(), touched.size() * kPageSize);
-
-  // Capture must not have materialized any hole (page 63 stays materialized in the
-  // source — it was written, just with zeros — but is captured as a hole).
-  for (uint64_t p = 0; p < 60; ++p) {
-    bool is_touched = false;
-    for (uint64_t t : touched) {
-      is_touched |= t == p;
-    }
-    EXPECT_EQ(src.PageMaterialized(kBase + p * kPageSize), is_touched) << p;
-  }
-
-  AddressSpace dst;
-  ASSERT_TRUE(dst.MapFixedLazy(kBase, kLen, kProtRead | kProtWrite, "lazy"));
-  ASSERT_TRUE(RestoreVmaImage(&dst, kBase, image));
-
-  ExpectPageForPageEqual(src, kBase, dst, kBase, kLen);
-  // Holes stayed lazy on the restored side too (the zero page at 63 included).
-  for (uint64_t p = 0; p < 64; ++p) {
-    bool is_touched = false;
-    for (uint64_t t : touched) {
-      is_touched |= t == p;
-    }
-    EXPECT_EQ(dst.PageMaterialized(kBase + p * kPageSize), is_touched) << p;
-  }
-}
-
-TEST(VmaImageTest, AdjacentPagesCoalesceIntoOneRun) {
-  AddressSpace src;
-  ASSERT_TRUE(src.MapFixedLazy(kBase, 16 * kPageSize, kProtRead | kProtWrite, "lazy"));
-  uint8_t fill[kPageSize];
-  std::memset(fill, 0xab, sizeof(fill));
-  for (uint64_t p = 2; p <= 5; ++p) {
-    ASSERT_TRUE(src.Write(kBase + p * kPageSize, fill, kPageSize).ok);
-  }
-  VmaImage image = CaptureVmaImage(src, kBase, 16 * kPageSize);
-  ASSERT_EQ(image.runs.size(), 1u);
-  EXPECT_EQ(image.runs[0].offset, 2 * kPageSize);
-  EXPECT_EQ(image.runs[0].bytes.size(), 4 * kPageSize);
-}
-
-TEST(VmaImageTest, PageFilterSkipsUnselectedPages) {
-  AddressSpace src;
-  ASSERT_TRUE(src.MapFixedLazy(kBase, 8 * kPageSize, kProtRead | kProtWrite, "lazy"));
-  uint8_t fill[kPageSize];
-  std::memset(fill, 0xcd, sizeof(fill));
-  for (uint64_t p = 0; p < 8; ++p) {
-    ASSERT_TRUE(src.Write(kBase + p * kPageSize, fill, kPageSize).ok);
-  }
-  std::vector<bool> pages(8, false);
-  pages[1] = pages[2] = pages[6] = true;
-  VmaImage image = CaptureVmaImage(src, kBase, 8 * kPageSize, pages);
-  ASSERT_EQ(image.runs.size(), 2u);  // Pages 1-2 coalesce; page 6 stands alone.
-  EXPECT_EQ(image.runs[0].offset, 1 * kPageSize);
-  EXPECT_EQ(image.runs[0].bytes.size(), 2 * kPageSize);
-  EXPECT_EQ(image.runs[1].offset, 6 * kPageSize);
-  EXPECT_EQ(image.runs[1].bytes.size(), kPageSize);
-}
-
-// A synthetic checkpoint with a sparse multi-run image, per-rank resume offsets,
-// a dirty-page file-map section (3 of 4 pages) with a whole-map CRC, and a reset
-// generation for the lap guard — exercised through the exact payloads the wire
-// carries.
-ReplicaSnapshot MakeSnapshot(Rng* rng, uint64_t rb_size, int max_ranks) {
-  ReplicaSnapshot snap;
-  snap.rb_size = rb_size;
-  snap.max_ranks = max_ranks;
-  snap.reset_generation = rng->NextBelow(5);
-  snap.rb_image.length = rb_size;
-  uint64_t off = 0;
-  while (off < rb_size) {
-    uint64_t pages = 1 + rng->NextBelow(40);
-    uint64_t len = std::min(pages * kPageSize, rb_size - off);
-    if (rng->NextBelow(2) == 0) {
-      PageRun run;
-      run.offset = off;
-      run.bytes.resize(len);
-      for (auto& b : run.bytes) {
-        b = static_cast<uint8_t>(rng->NextBelow(256));
-      }
-      snap.rb_image.runs.push_back(std::move(run));
-    }
-    off += len;
-  }
-  if (snap.rb_image.runs.empty()) {
-    // Every test needs at least one chunk on the wire.
-    PageRun run;
-    run.offset = 0;
-    run.bytes.assign(kPageSize, 0x77);
-    snap.rb_image.runs.push_back(std::move(run));
-  }
-  for (int r = 0; r < max_ranks; ++r) {
-    uint64_t cursor = 128 + static_cast<uint64_t>(r) * 64;
-    snap.cursors.push_back(cursor);
-    snap.seqs.push_back(rng->NextBelow(1000));
-    snap.delta_from.push_back(rng->NextBelow(cursor + 1));
-  }
-  snap.lockstep_cursor = rng->NextBelow(100000);
-  snap.file_map_page_count = 4;
-  snap.file_map_crc = static_cast<uint32_t>(rng->NextBelow(1u << 31));
-  snap.file_map_pages = {0, 2, 3};
-  snap.file_map.assign(3 * kPageSize, 0);
-  for (auto& b : snap.file_map) {
-    b = static_cast<uint8_t>(rng->NextBelow(256));
-  }
-  for (int i = 0; i < 5; ++i) {
-    snap.epoll.push_back(EpollShadowTriple{i, 10 + i, rng->NextBelow(1u << 30)});
-  }
-  return snap;
-}
 
 // Adds a sync-log section: slots [from, tail) of a `cap`-slot log in seq order,
 // the replay cursor somewhere inside the slice, slice length within one lap.
@@ -196,14 +40,6 @@ void AddSyncSection(ReplicaSnapshot* snap, Rng* rng, uint64_t cap, uint64_t from
     std::memcpy(slot + 4, &rank, 4);
     std::memcpy(slot + 8, &seq, 8);
   }
-}
-
-std::vector<uint8_t> FlattenImage(const ReplicaSnapshot& snap) {
-  std::vector<uint8_t> flat(snap.rb_size, 0);
-  for (const PageRun& run : snap.rb_image.runs) {
-    std::memcpy(flat.data() + run.offset, run.bytes.data(), run.bytes.size());
-  }
-  return flat;
 }
 
 // Serializes `snap` and opens an assembler on its begin payload.
@@ -236,6 +72,7 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
 
     const ReplicaSnapshot& out = asm_.snapshot();
     EXPECT_EQ(out.rb_size, snap.rb_size);
+    EXPECT_EQ(out.rb_headers, snap.rb_headers);
     EXPECT_EQ(out.max_ranks, snap.max_ranks);
     EXPECT_EQ(out.reset_generation, snap.reset_generation);
     EXPECT_EQ(out.cursors, snap.cursors);
@@ -257,7 +94,14 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
     EXPECT_EQ(out.sync_tail, snap.sync_tail);
     EXPECT_EQ(out.sync_read_cursor, snap.sync_read_cursor);
     EXPECT_EQ(out.sync_image, snap.sync_image) << "iter " << iter;
-    EXPECT_EQ(asm_.image(), FlattenImage(snap)) << "iter " << iter;
+    ExpectSameRecords(out.records, snap.records);
+    // Chunks pack one rank's records up to kSnapshotChunkBytes; only a lone
+    // record may exceed it.
+    for (const std::vector<uint8_t>& chunk : payloads.chunks) {
+      uint32_t count = 0;
+      std::memcpy(&count, chunk.data() + 4, 4);
+      EXPECT_TRUE(chunk.size() <= kSnapshotChunkBytes || count == 1) << "iter " << iter;
+    }
   }
 }
 
@@ -383,18 +227,197 @@ TEST(SnapshotCodecTest, CorruptChunkByteFailsImageCrc) {
   EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
 }
 
-TEST(SnapshotCodecTest, OutOfBoundsChunkRejectedImmediately) {
-  Rng rng(13);
-  ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+// --- Record checks: each refuses the chunk that carries the bad record ------------
+
+// A synthetic checkpoint whose rank 0 carries at least three records.
+ReplicaSnapshot SnapshotWithChain(uint64_t seed) {
+  Rng rng(seed);
+  for (;;) {
+    ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+    if (snap.records[0].size() >= 3) {
+      return snap;
+    }
+  }
+}
+
+// Serializes `snap` and feeds its chunks until one is refused. Returns the
+// assembler's error ("" when every chunk was accepted); `refused_at` is the
+// refused chunk's index.
+std::string FeedUntilRefused(const ReplicaSnapshot& snap, size_t* refused_at = nullptr) {
   SnapshotPayloads payloads = SerializeSnapshot(snap);
   SnapshotAssembler asm_;
-  ASSERT_TRUE(asm_.Begin(payloads.begin));
+  EXPECT_TRUE(asm_.Begin(payloads.begin)) << asm_.error();
+  for (size_t i = 0; i < payloads.chunks.size(); ++i) {
+    if (!asm_.AddChunk(payloads.chunks[i])) {
+      EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
+      if (refused_at != nullptr) {
+        *refused_at = i;
+      }
+      return asm_.error();
+    }
+  }
+  return "";
+}
+
+TEST(SnapshotCodecTest, RecordOutsideResumeWindowRejectedImmediately) {
+  ReplicaSnapshot below = SnapshotWithChain(13);
+  below.records[0][0].entry_off = below.delta_from[0] - 8;
+  size_t at = 99;
+  EXPECT_NE(FeedUntilRefused(below, &at).find("outside [delta_from, cursor)"),
+            std::string::npos);
+  EXPECT_EQ(at, 0u);  // Rank 0's first chunk: refused on arrival, not at End.
+
+  ReplicaSnapshot past = SnapshotWithChain(13);
+  RbWireEntry at_cursor = past.records[0].back();
+  at_cursor.entry_off = past.cursors[0];
+  past.records[0].push_back(at_cursor);
+  EXPECT_NE(FeedUntilRefused(past).find("outside [delta_from, cursor)"),
+            std::string::npos);
+}
+
+TEST(SnapshotCodecTest, OverlappingRecordRejectedImmediately) {
+  ReplicaSnapshot snap = SnapshotWithChain(19);
+  snap.records[0][1].entry_off = snap.records[0][0].entry_off + 8;
+  size_t at = 99;
+  EXPECT_NE(FeedUntilRefused(snap, &at).find("overlaps its predecessor"),
+            std::string::npos);
+  EXPECT_EQ(at, 0u);
+}
+
+TEST(SnapshotCodecTest, OutOfOrderRecordRejectedImmediately) {
+  // A record replayed again after later ones: its offset goes backwards.
+  ReplicaSnapshot snap = SnapshotWithChain(23);
+  snap.records[0].push_back(snap.records[0][1]);
+  EXPECT_NE(FeedUntilRefused(snap).find("out of order"), std::string::npos);
+  // The same record twice in a row.
+  ReplicaSnapshot dup = SnapshotWithChain(23);
+  dup.records[0].insert(dup.records[0].begin() + 1, dup.records[0][0]);
+  size_t at = 99;
+  EXPECT_NE(FeedUntilRefused(dup, &at).find("out of order"), std::string::npos);
+  EXPECT_EQ(at, 0u);
+}
+
+TEST(SnapshotCodecTest, EveryRecordCheckRefusesOnArrival) {
+  struct Vector {
+    const char* error;
+    void (*mutate)(ReplicaSnapshot*);
+  };
+  const Vector vectors[] = {
+      {"not a publication",
+       [](ReplicaSnapshot* s) { s->records[0][1].final_state = kRbEmpty; }},
+      {"not a publication",
+       [](ReplicaSnapshot* s) { s->records[0][1].final_state = kRbResultsReady + 1; }},
+      {"does not start where the chain ends",  // A gap: record 1 dropped.
+       [](ReplicaSnapshot* s) { s->records[0].erase(s->records[0].begin() + 1); }},
+      {"does not start where the chain ends",  // The first record past delta_from.
+       [](ReplicaSnapshot* s) { s->records[0].erase(s->records[0].begin()); }},
+      {"total_size does not chain",  // Shorter than the record's own image.
+       [](ReplicaSnapshot* s) {
+         RbWireEntry& e = s->records[0][0];
+         PutImageU64(&e, kRbOffTotalSize, e.image.size() - 8);
+       }},
+      {"total_size does not chain",  // Not 8-aligned.
+       [](ReplicaSnapshot* s) {
+         RbWireEntry& e = s->records[0].back();
+         uint64_t total = 0;
+         std::memcpy(&total, e.image.data() + kRbOffTotalSize, 8);
+         PutImageU64(&e, kRbOffTotalSize, total + 4);
+       }},
+      {"total_size does not chain",  // Chains past the cursor.
+       [](ReplicaSnapshot* s) {
+         RbWireEntry& e = s->records[0].back();
+         PutImageU64(&e, kRbOffTotalSize, s->cursors[0] - e.entry_off + 8);
+       }},
+      {"runs past the cursor",
+       [](ReplicaSnapshot* s) {
+         RbWireEntry& e = s->records[0].back();
+         e.image.resize(s->cursors[0] - e.entry_off + 8, 0);
+         PutImageU64(&e, kRbOffTotalSize, (e.image.size() + 7) & ~uint64_t{7});
+       }},
+      {"shorter than an entry header",
+       [](ReplicaSnapshot* s) { s->records[0][0].image.resize(kRbEntryHeaderSize - 8); }},
+  };
+  for (const Vector& v : vectors) {
+    ReplicaSnapshot snap = SnapshotWithChain(29);
+    v.mutate(&snap);
+    std::string error = FeedUntilRefused(snap);
+    EXPECT_NE(error.find(v.error), std::string::npos) << v.error << " vs " << error;
+  }
+}
+
+TEST(SnapshotCodecTest, ChunkRankAndSizeRejectedImmediately) {
+  ReplicaSnapshot snap = SnapshotWithChain(31);
+  SnapshotPayloads payloads = SerializeSnapshot(snap);
   ASSERT_FALSE(payloads.chunks.empty());
-  std::vector<uint8_t> chunk = payloads.chunks[0];
-  uint64_t bad_off = snap.rb_size - 16;  // Data would run past the image end.
-  std::memcpy(chunk.data(), &bad_off, 8);
-  EXPECT_FALSE(asm_.AddChunk(chunk));
-  EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
+  {
+    std::vector<uint8_t> chunk = payloads.chunks[0];
+    uint32_t rank = static_cast<uint32_t>(snap.max_ranks);
+    std::memcpy(chunk.data(), &rank, 4);
+    SnapshotAssembler asm_;
+    ASSERT_TRUE(asm_.Begin(payloads.begin));
+    EXPECT_FALSE(asm_.AddChunk(chunk));
+    EXPECT_NE(asm_.error().find("rank out of range"), std::string::npos) << asm_.error();
+  }
+  {
+    std::vector<uint8_t> chunk = payloads.chunks[0];
+    uint32_t zero = 0;
+    std::memcpy(chunk.data() + 4, &zero, 4);  // No records, yet bytes follow.
+    SnapshotAssembler asm_;
+    ASSERT_TRUE(asm_.Begin(payloads.begin));
+    EXPECT_FALSE(asm_.AddChunk(chunk));
+  }
+  // Two records past kSnapshotChunkBytes in one chunk: only a lone record may be
+  // that large.
+  ReplicaSnapshot big;
+  big.rb_size = 64 * kPageSize;
+  big.max_ranks = 1;
+  big.rb_headers.assign(2 * kRbRankHeaderSize, 0);
+  big.file_map_page_count = 1;
+  uint64_t off = RbView(nullptr, 0, big.rb_size, 1).RankDataStart(0);
+  big.delta_from = {off};
+  big.records.resize(1);
+  for (int i = 0; i < 2; ++i) {
+    RbWireEntry e;
+    e.entry_off = off;
+    e.final_state = kRbArgsReady;
+    e.image.assign(kRbEntryHeaderSize + 40 * 1024, 0x5a);
+    PutImageU64(&e, kRbOffTotalSize, e.image.size());
+    off += e.image.size();
+    big.records[0].push_back(std::move(e));
+  }
+  big.cursors = {off};
+  big.seqs = {2};
+  SnapshotPayloads split = SerializeSnapshot(big);
+  ASSERT_EQ(split.chunks.size(), 2u);  // The packer never merges them.
+  std::vector<uint8_t> merged(8, 0);
+  uint32_t two = 2;
+  std::memcpy(merged.data() + 4, &two, 4);
+  std::vector<uint8_t> records = RbWireCodec::EncodeEntriesPayload(big.records[0]);
+  merged.insert(merged.end(), records.begin(), records.end());
+  SnapshotAssembler asm_;
+  ASSERT_TRUE(asm_.Begin(split.begin)) << asm_.error();
+  EXPECT_FALSE(asm_.AddChunk(merged));
+  EXPECT_NE(asm_.error().find("out of bounds"), std::string::npos) << asm_.error();
+}
+
+TEST(SnapshotCodecTest, RankWindowOutsideSubBufferRejectedAtBegin) {
+  RbView layout(nullptr, 0, 64 * kPageSize, 2);
+  ReplicaSnapshot cursor_past = SnapshotWithChain(37);
+  cursor_past.cursors[1] = layout.RankDataEnd(1) + 8;
+  SnapshotAssembler asm_;
+  EXPECT_FALSE(BeginSerialized(cursor_past, &asm_));
+  EXPECT_NE(asm_.error().find("cursor outside"), std::string::npos) << asm_.error();
+
+  ReplicaSnapshot from_past = SnapshotWithChain(37);
+  from_past.delta_from[1] = from_past.cursors[1] + 8;
+  asm_.Reset();
+  EXPECT_FALSE(BeginSerialized(from_past, &asm_));
+  EXPECT_NE(asm_.error().find("resume offset"), std::string::npos) << asm_.error();
+
+  ReplicaSnapshot from_header = SnapshotWithChain(37);
+  from_header.delta_from[0] = layout.RankStart(0);  // Inside the rank header.
+  asm_.Reset();
+  EXPECT_FALSE(BeginSerialized(from_header, &asm_));
 }
 
 TEST(SnapshotCodecTest, ChunkBeforeBeginIsProtocolViolation) {
@@ -427,81 +450,6 @@ SnapshotAssembler Reassemble(const ReplicaSnapshot& snap) {
   return asm_;
 }
 
-std::vector<uint8_t> ReadView(const RbView& view) {
-  std::vector<uint8_t> bytes(view.size());
-  view.ReadBytes(0, bytes.data(), bytes.size());
-  return bytes;
-}
-
-// A cross-machine world mid-run: a barrier-rotated multi-threaded suite program
-// under the sync agent, replica 1 behind the RB transport, paused at the first
-// instant the transport holds an ack-folded basis in the leader's current reset
-// generation that resumes past some rank's data start.
-class LiveCheckpointWorld {
- public:
-  LiveCheckpointWorld() {
-    uint32_t host = w.net.AddMachine("replica-host-1");
-    w.net.SetLink(w.server_machine, host, LinkParams{60 * kMicrosecond, 0.125});
-    RemonOptions opts;
-    opts.mode = MveeMode::kRemon;
-    opts.replicas = 2;
-    opts.level = PolicyLevel::kNonsocketRw;
-    opts.rb_size = 256 * 1024;  // Small enough that the run crosses RB resets.
-    opts.max_ranks = 8;
-    opts.rb_batch_max = 8;
-    opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
-    opts.use_sync_agent = true;
-    opts.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
-    opts.machine = w.server_machine;
-    opts.replica_machines = {w.server_machine, host};
-    mvee = std::make_unique<Remon>(&w.kernel, opts);
-    // Write-heavy enough that 2 KiB results lap the 32 KiB rank sub-buffers.
-    WorkloadSpec spec;
-    spec.name = "equiv";
-    spec.suite = "parsec";
-    spec.threads = 4;
-    spec.iterations = 200;
-    spec.compute_per_iter = Micros(20);
-    spec.file_writes = 2;
-    spec.io_size = 2048;
-    spec.sync_ops = 2;
-    mvee->Launch(SuiteProgram(spec), spec.name);
-  }
-
-  // Runs until the folded basis is usable past at least one RB reset, with sync
-  // ops the replica has yet to replay; false if the run ended first.
-  bool RunToFoldedBasis() {
-    IpMon* leader = mvee->ipmon(0);
-    for (TimeNs t = Millis(1); t < Millis(500) && !mvee->finished(); t += Micros(50)) {
-      w.Run(t);
-      if (!leader->rb().valid() || !mvee->sync_agent(1)->log_valid() ||
-          leader->rb_resets() == 0 ||
-          mvee->sync_agent(0)->tail() <= mvee->sync_agent(1)->read_cursor()) {
-        continue;
-      }
-      basis = mvee->transport()->DeltaBasisFor(1);
-      if (!basis.valid || basis.reset_generation != leader->rb_resets()) {
-        continue;
-      }
-      for (size_t r = 0; r < basis.from_off.size(); ++r) {
-        if (basis.from_off[r] > leader->rb().RankDataStart(static_cast<int>(r))) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
-  ReplicaSnapshot Capture(const RbDeltaBasis& b) {
-    return CaptureLeaderDelta(mvee->ipmon(0), mvee->ghumvee(), mvee->sync_agent(0),
-                              mvee->sync_agent(1)->read_cursor(), b);
-  }
-
-  SimWorld w{20261016};
-  std::unique_ptr<Remon> mvee;
-  RbDeltaBasis basis;
-};
-
 TEST(SnapshotEquivalenceTest, EmptyAndFoldedBasisRestoreIdenticalMirrors) {
   LiveCheckpointWorld live;
   ASSERT_TRUE(live.RunToFoldedBasis());
@@ -513,12 +461,22 @@ TEST(SnapshotEquivalenceTest, EmptyAndFoldedBasisRestoreIdenticalMirrors) {
 
   ReplicaSnapshot empty = live.Capture(EmptyDeltaBasis(leader->rb_resets()));
   ReplicaSnapshot folded = live.Capture(live.basis);
-  // The two differ only in what they ship: the folded cut resumes later, and it
-  // never carries more image than the empty one.
+  // The two differ only in what they ship: the folded cut resumes later, and each
+  // of its ranks carries a suffix of the empty cut's records, byte for byte.
   EXPECT_EQ(empty.cursors, folded.cursors);
   EXPECT_EQ(empty.reset_generation, folded.reset_generation);
   EXPECT_EQ(empty.file_map_crc, folded.file_map_crc);
-  EXPECT_LE(folded.rb_image.run_bytes(), empty.rb_image.run_bytes());
+  EXPECT_EQ(empty.rb_headers, folded.rb_headers);
+  for (size_t r = 0; r < empty.records.size(); ++r) {
+    const std::vector<RbWireEntry>& all = empty.records[r];
+    const std::vector<RbWireEntry>& tail = folded.records[r];
+    ASSERT_LE(tail.size(), all.size()) << "rank " << r;
+    for (size_t i = 0; i < tail.size(); ++i) {
+      const RbWireEntry& same = all[all.size() - tail.size() + i];
+      EXPECT_EQ(tail[i].entry_off, same.entry_off) << "rank " << r;
+      EXPECT_EQ(tail[i].image, same.image) << "rank " << r;
+    }
+  }
   bool resumes_later = false;
   for (int r = 0; r < rb.max_ranks(); ++r) {
     size_t i = static_cast<size_t>(r);
@@ -535,8 +493,8 @@ TEST(SnapshotEquivalenceTest, EmptyAndFoldedBasisRestoreIdenticalMirrors) {
     rb.WriteBytes(0, rb_before.data(), rb_before.size());
     log.WriteBytes(0, log_before.data(), log_before.size());
     SnapshotAssembler asm_ = Reassemble(snap);
-    SnapshotApplyResult res = ApplySnapshotToMirror(&live.w.kernel, mirror, replica_sync,
-                                                    asm_.snapshot(), asm_.image());
+    SnapshotApplyResult res =
+        ApplySnapshotToMirror(&live.w.kernel, mirror, replica_sync, asm_.snapshot());
     EXPECT_TRUE(res.ok) << res.error;
     *rb_out = ReadView(rb);
     *log_out = ReadView(log);
@@ -585,11 +543,114 @@ TEST(SnapshotEquivalenceTest, MirrorOneResetGenerationBehindIsRefusedUntouched) 
   const std::vector<uint8_t> rb_before = ReadView(rb);
   SnapshotApplyResult res = ApplySnapshotToMirror(&live.w.kernel, mirror,
                                                   live.mvee->sync_agent(1),
-                                                  asm_.snapshot(), asm_.image());
+                                                  asm_.snapshot());
   EXPECT_FALSE(res.ok);
   EXPECT_NE(std::string(res.error).find("reset generation"), std::string::npos)
       << res.error;
   EXPECT_EQ(ReadView(rb), rb_before);
+}
+
+TEST(SnapshotEquivalenceTest, BadRecordInTheLastRankRefusesBeforeAnyWrite) {
+  LiveCheckpointWorld live;
+  ASSERT_TRUE(live.RunToFoldedBasis());
+  IpMon* mirror = live.mvee->ipmon(1);
+  SyncAgent* replica_sync = live.mvee->sync_agent(1);
+  RbView rb = mirror->rb();
+  RbView log = replica_sync->log();
+  ReplicaSnapshot snap = live.Capture(EmptyDeltaBasis(live.mvee->ipmon(0)->rb_resets()));
+  ASSERT_FALSE(snap.sync_image.empty());
+  size_t first = snap.records.size();
+  size_t last = 0;
+  for (size_t r = 0; r < snap.records.size(); ++r) {
+    if (!snap.records[r].empty()) {
+      first = std::min(first, r);
+      last = r;
+    }
+  }
+  ASSERT_LT(first, snap.records.size());
+  // Make every write the apply could make visible: the mirror loses the body of
+  // the first record it would replay, and its sync log falls back to the replay
+  // cursor, so a restore that ran before the last rank's checks changes both.
+  const RbWireEntry& probe = snap.records[first].front();
+  std::vector<uint8_t> zeros(probe.image.size() - kRbOffSysno, 0);
+  rb.WriteBytes(probe.entry_off + kRbOffSysno, zeros.data(), zeros.size());
+  log.WriteU64(kSyncLogOffTail, snap.sync_from);
+  snap.records[last].back().final_state = kRbEmpty;  // Not a publication.
+
+  const std::vector<uint8_t> rb_before = ReadView(rb);
+  const std::vector<uint8_t> log_before = replica_sync->CaptureLogImage();
+  SnapshotApplyResult res =
+      ApplySnapshotToMirror(&live.w.kernel, mirror, replica_sync, snap);
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(std::string(res.error).find("not a publication"), std::string::npos)
+      << res.error;
+  EXPECT_EQ(ReadView(rb), rb_before);
+  EXPECT_EQ(replica_sync->CaptureLogImage(), log_before);
+}
+
+TEST(SnapshotEquivalenceTest, DeltaReseedMaterializesOnlyWhatItShips) {
+  LiveCheckpointWorld live;
+  IpMon* leader = live.mvee->ipmon(0);
+  IpMon* mirror = live.mvee->ipmon(1);
+  // Pause where the leader has published past the folded basis into pages the
+  // mirror has not materialized yet, so the re-seed has pages to fault in.
+  auto mirror_lags = [&] {
+    if (!mirror->rb().valid()) {
+      return false;
+    }
+    const RbView& rb = leader->rb();
+    for (int r = 0; r < rb.max_ranks(); ++r) {
+      size_t i = static_cast<size_t>(r);
+      uint64_t from = i < live.basis.from_off.size() ? live.basis.from_off[i] : 0;
+      for (uint64_t off = std::max(from, rb.RankDataStart(r)) & ~kPageMask;
+           off < leader->rb_cursor(r); off += kPageSize) {
+        if (!mirror->process()->mem().PageMaterialized(mirror->rb().AddrOf(off))) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  ASSERT_TRUE(live.RunToFoldedBasis(mirror_lags));
+  ReplicaSnapshot snap = live.Capture(live.basis);
+  const RbView& rb = mirror->rb();
+  const AddressSpace& mirror_mem = mirror->process()->mem();
+
+  // The pages the checkpoint ships: the RB headers and every record's bytes.
+  std::set<uint64_t> shipped = {0};
+  auto ship = [&shipped](uint64_t lo, uint64_t len) {
+    for (uint64_t p = lo / kPageSize; p <= (lo + len - 1) / kPageSize; ++p) {
+      shipped.insert(p);
+    }
+  };
+  for (int r = 0; r < rb.max_ranks(); ++r) {
+    ship(rb.RankStart(r), kRbRankHeaderSize);
+    for (const RbWireEntry& e : snap.records[static_cast<size_t>(r)]) {
+      ship(e.entry_off, e.image.size());
+    }
+  }
+  std::vector<bool> resident(rb.size() / kPageSize);
+  for (uint64_t p = 0; p < resident.size(); ++p) {
+    resident[p] = mirror_mem.PageMaterialized(rb.AddrOf(p * kPageSize));
+  }
+  uint64_t resident_before = live.w.shm.resident_pages();
+  SnapshotAssembler asm_ = Reassemble(snap);
+  SnapshotApplyResult res = ApplySnapshotToMirror(&live.w.kernel, mirror,
+                                                  live.mvee->sync_agent(1),
+                                                  asm_.snapshot());
+  ASSERT_TRUE(res.ok) << res.error;
+  uint64_t grown = live.w.shm.resident_pages() - resident_before;
+
+  uint64_t faulted = 0;
+  for (uint64_t p = 0; p < resident.size(); ++p) {
+    if (!resident[p] && mirror_mem.PageMaterialized(rb.AddrOf(p * kPageSize))) {
+      ++faulted;
+      EXPECT_EQ(shipped.count(p), 1u) << "page " << p << " materialized, not shipped";
+    }
+  }
+  EXPECT_EQ(grown, faulted);  // Only the mirror grew.
+  EXPECT_GT(grown, 0u);
+  EXPECT_LE(grown, shipped.size());
 }
 
 TEST(SnapshotEquivalenceDeathTest, ReseedOfMirrorOffTheLeaderGenerationIsACheck) {
