@@ -135,13 +135,15 @@ GuestTask<void> Ghumvee::MonitorLoop() {
         break;
       case PtraceEvent::Kind::kThreadExit:
         HandleThreadExit(ev.thread);
+        ReleaseExited(ev.thread);
         break;
       case PtraceEvent::Kind::kProcessExit:
-        HandleProcessExit();
+        HandleProcessExit(ev.process);
         break;
       case PtraceEvent::Kind::kThreadNew:
         break;  // Pairing is implicit: ranks are assigned in spawn order.
     }
+    hub_.Done(ev);
   }
   running_ = false;
 }
@@ -567,15 +569,31 @@ void Ghumvee::HandleThreadExit(Thread* t) {
   }
 }
 
-void Ghumvee::HandleProcessExit() {
+void Ghumvee::HandleProcessExit(Process* p) {
   ++replicas_exited_;
-  if (shutdown_) {
-    return;
+  // Threads exit_group took down sent no kThreadExit: this is their last event.
+  // Copy: a release can reap the thread out of p->threads.
+  std::vector<Thread*> threads = p->threads;
+  for (Thread* t : threads) {
+    if (t->ptrace_held) {
+      ReleaseExited(t);
+    }
   }
   // A clean, synchronized shutdown has every replica exiting in the same lockstep
   // round; a lone exit while others continue running is divergence. We detect the
   // latter lazily: if some replicas are still alive and make further calls, their
   // lockstep rounds will stall with a dead peer — flagged via HandleThreadExit.
+}
+
+void Ghumvee::ReleaseExited(Thread* t) {
+  auto it = ranks_.find(t->rank());
+  if (it != ranks_.end()) {
+    for (std::vector<Thread*>* round : {&it->second.pending, &it->second.current}) {
+      std::replace(round->begin(), round->end(), t, static_cast<Thread*>(nullptr));
+    }
+  }
+  injected_signals_.erase(t);
+  kernel_->PtraceRelease(t);
 }
 
 bool Ghumvee::IsSharedMemoryViolation(const SyscallRequest& req) const {

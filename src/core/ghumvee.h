@@ -124,7 +124,10 @@ class Ghumvee {
   void HandleExitStop(Thread* t);
   GuestTask<void> HandleSignalStop(const PtraceEvent& ev);
   void HandleThreadExit(Thread* t);
-  void HandleProcessExit();
+  void HandleProcessExit(Process* p);
+  // Drops every reference to exited thread `t` and releases it to the kernel,
+  // which may then reap it (the waitpid that collects a traced zombie).
+  void ReleaseExited(Thread* t);
 
   // Parks the monitor while the re-seed gate is closed (see set_reseed_gate),
   // until the checkpoint is acked, the link dies or the MVEE shuts down.

@@ -372,11 +372,14 @@ uint32_t IpMon::FlushRbBatch(int rank) {
   const bool adaptive = config_.rb_batch_policy == RbBatchPolicy::kAdaptive;
   uint32_t sleepers = 0;
   // Resolved once per slot; the wake loop below reuses them instead of paying the
-  // frame-resolve + futex-map lookup a second time.
+  // frame-resolve + futex-map lookup a second time. Only words a slave waited on
+  // have a queue: the rest need no wake.
   std::vector<WaitQueue*> queues;
   queues.reserve(batch.size());
   for (const RbBatch::Slot& s : batch.slots()) {
-    queues.push_back(&rb_.StateQueue(kernel_->futex(), s.entry_off));
+    if (WaitQueue* q = rb_.FindWordQueue(kernel_->futex(), s.entry_off + kRbOffState)) {
+      queues.push_back(q);
+    }
   }
   if (adaptive) {
     for (WaitQueue* q : queues) {
@@ -551,7 +554,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   }
   co_await ThreadCost{t, costs.rb_entry_ns};
   if (!args_deferred) {
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     EmitToTransport(rank, {{entry_off, kRbArgsReady}});
   }
   ++stats.rb_entries;
@@ -561,7 +564,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     // §3.8: GHUMVEE deferred a signal; restart this call as a *monitored* call so the
     // monitor gets its synchronization point. The forwarded stub keeps slaves in step.
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     forward_reason_ = "signals_pending";
     co_await ForwardToGhumvee(t, req);
@@ -580,7 +583,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     forward_reason_ = "token_invalid";
     co_await ForwardToGhumvee(t, req);
@@ -598,7 +601,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     forward_reason_ = "eintr_restart";
     co_await ForwardToGhumvee(t, req);
@@ -624,7 +627,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     }
     uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
     // Memory visibility (free in real hardware).
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     EmitToTransport(rank, {{entry_off, kRbResultsReady}});
     if (waiters > 0) {
       co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
@@ -819,7 +822,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   uint64_t gen = ++varan_flush_gen_[static_cast<size_t>(rank)];
   uint64_t hdr = rb_.RankStart(rank);
   rb_.WriteU64(hdr + 8 + 8 * static_cast<uint64_t>(config_.replica_index), gen);
-  rb_.WordQueue(kernel_->futex(), hdr).Wake();
+  rb_.WakeWord(kernel_->futex(), hdr);
   auto all_arrived = [this, hdr, gen] {
     for (int i = 0; i < config_.num_replicas; ++i) {
       if (rb_.ReadU64(hdr + 8 + 8 * static_cast<uint64_t>(i)) < gen) {
@@ -835,7 +838,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
     ReleaseLapQueues(rank);
     rb_.WriteU64(hdr + 0, gen);  // reset_done
-    rb_.WordQueue(kernel_->futex(), hdr).Wake();
+    rb_.WakeWord(kernel_->futex(), hdr);
     ++kernel_->stats().rb_resets;
   } else {
     while (rb_.ReadU64(hdr + 0) < gen) {
@@ -888,7 +891,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
         kRbFlagMasterCall | (PredictBlocking(req, *file_map_) ? kRbFlagMaybeBlocking : 0);
     RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
     co_await ThreadCost{t, costs.rb_entry_ns};
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     ++stats.rb_entries;
     stats.rb_bytes += entry_size;
 
@@ -897,7 +900,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
     std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
     co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
     uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    rb_.StateQueue(kernel_->futex(), entry_off).Wake();
+    rb_.WakeState(kernel_->futex(), entry_off);
     if (waiters > 0) {
       co_await ThreadCost{t, costs.futex_wake_ns};
     } else {

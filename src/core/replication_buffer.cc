@@ -57,6 +57,27 @@ WaitQueue& RbView::StateQueue(FutexTable& futex, uint64_t entry_off) const {
   return WordQueue(futex, entry_off + kRbOffState);
 }
 
+WaitQueue* RbView::FindWordQueue(FutexTable& futex, uint64_t offset) const {
+  const AddressSpace& mem = process_->mem();
+  if (!mem.PageMaterialized(AddrOf(offset))) {
+    return nullptr;
+  }
+  uint64_t off_in_page = 0;
+  Page* frame = mem.ResolveFrame(AddrOf(offset), &off_in_page);
+  REMON_CHECK(frame != nullptr);
+  return futex.Find(frame, off_in_page);
+}
+
+void RbView::WakeWord(FutexTable& futex, uint64_t offset) const {
+  if (WaitQueue* q = FindWordQueue(futex, offset)) {
+    q->Wake();
+  }
+}
+
+void RbView::WakeState(FutexTable& futex, uint64_t entry_off) const {
+  WakeWord(futex, entry_off + kRbOffState);
+}
+
 void RbView::Zero(uint64_t offset, uint64_t len) {
   static const uint8_t kZeros[kPageSize] = {0};
   const AddressSpace& mem = process_->mem();
@@ -187,7 +208,7 @@ bool RbEntryOps::ReplayRecord(RbView& view, FutexTable& futex, uint32_t rank,
   if (e.final_state > view.ReadU32(e.entry_off + kRbOffState)) {
     view.WriteU32(e.entry_off + kRbOffState, e.final_state);
   }
-  view.StateQueue(futex, e.entry_off).Wake();
+  view.WakeState(futex, e.entry_off);
   return true;
 }
 

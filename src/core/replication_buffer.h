@@ -104,13 +104,21 @@ class RbView {
   // Guest virtual address of a given offset (for futex waits on entry words).
   GuestAddr AddrOf(uint64_t offset) const { return base_ + offset; }
 
-  // The futex wait queue of the word at `offset`: the one lookup every waiter and
-  // waker on a word of a view shares (an entry's state word, a rank header word,
-  // the sync log's tail). Resolving the word's frame materializes its page.
+  // The futex wait queue of the word at `offset` (an entry's state word, a rank
+  // header word, the sync log's tail), created for a waiter about to park on it.
+  // Resolving the word's frame materializes its page.
   WaitQueue& WordQueue(FutexTable& futex, uint64_t offset) const;
-  // The entry's state word queue: the master's publications, the slaves' waits,
-  // the live replay and the checkpoint replay.
+  // The entry's state word queue: the slaves' waits.
   WaitQueue& StateQueue(FutexTable& futex, uint64_t entry_off) const;
+  // The word's queue if a waiter ever created it, else null. Creates no queue and
+  // materializes no page (a word on a page nobody touched has no waiter).
+  WaitQueue* FindWordQueue(FutexTable& futex, uint64_t offset) const;
+  // The one wake every waker of a word shares (FUTEX_WAKE): a word nobody waits
+  // on costs a lookup, not a queue.
+  void WakeWord(FutexTable& futex, uint64_t offset) const;
+  // Wakes the entry's state word: the master's publications, the live replay and
+  // the checkpoint replay.
+  void WakeState(FutexTable& futex, uint64_t entry_off) const;
 
  private:
   Process* process_ = nullptr;

@@ -659,7 +659,7 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
     // re-zeroing would only race a consumer parked on the resume entry. Just
     // wake it so it re-examines the restored world.
     if (off + kRbEntryHeaderSize <= rb.RankDataEnd(r)) {
-      rb.StateQueue(kernel->futex(), off).Wake();
+      rb.WakeState(kernel->futex(), off);
     }
   }
   return result;

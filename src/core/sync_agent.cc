@@ -99,7 +99,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
     log_.WriteU64(kSyncLogOffTail, seq + 1);
     ++ops_recorded_;
     ++kernel_->stats().sync_ops_recorded;
-    log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
+    log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
 
     if (transport_ != nullptr) {
       if (pending_.empty()) {
@@ -152,7 +152,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
           peers_[0]->OnSlaveConsumed();  // A master parked on a full log re-checks.
         }
         // Another slave thread may now be at the head.
-        log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
+        log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
         co_return;
       }
     }
@@ -202,7 +202,7 @@ bool SyncAgent::ApplyRemoteLog(uint64_t start_index,
   if (new_tail > log_tail) {
     log_.WriteU64(kSyncLogOffTail, new_tail);
   }
-  log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
+  log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
   return true;
 }
 
@@ -301,7 +301,7 @@ const char* SyncAgent::ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
   if (snap_tail > local_tail) {
     log_.WriteU64(kSyncLogOffTail, snap_tail);
   }
-  log_.WordQueue(kernel_->futex(), kSyncLogOffTail).Wake();
+  log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
   return nullptr;
 }
 

@@ -58,8 +58,9 @@ uint64_t Guest::RegisterHandler(SignalHandlerFn fn) {
 
 uint64_t Guest::RegisterThreadFn(ProgramFn fn) {
   Process* p = process();
-  p->thread_fns.push_back(std::move(fn));
-  return p->thread_fns.size() - 1;
+  uint64_t index = p->thread_fns_registered++;
+  p->thread_fns.emplace(index, std::move(fn));
+  return index;
 }
 
 SyscallAwait Guest::SleepNs(DurationNs d) {

@@ -139,7 +139,8 @@ class Guest {
 
   // Registers a signal handler body; returns its cookie for use with Sigaction.
   uint64_t RegisterHandler(SignalHandlerFn fn);
-  // Registers a thread entry point; returns the index to pass to SpawnThread.
+  // Registers a thread entry point; returns the index to pass to SpawnThread, which
+  // consumes it (one registration, one clone).
   uint64_t RegisterThreadFn(ProgramFn fn);
 
   // --- System call sugar --------------------------------------------------------

@@ -65,6 +65,9 @@ Kernel::~Kernel() {
   }
 }
 
+Thread::Thread(Kernel* kernel, Process* process, int tid, int rank)
+    : kernel_(kernel), process_(process), tid_(tid), rank_(rank) {}
+
 Thread::~Thread() = default;
 
 int Kernel::LiveThreadCount(const Process* process) {
@@ -99,25 +102,25 @@ Process* Kernel::CreateProcess(std::string name, uint32_t machine, const LayoutP
   return p;
 }
 
+GuestAddr Kernel::ThreadStackTop(const Process& process, int rank) {
+  return process.layout.stack_top - static_cast<uint64_t>(rank) * kStackStride;
+}
+
 Thread* Kernel::SpawnThread(Process* process, ProgramFn fn) {
-  int rank = static_cast<int>(process->threads.size());
+  int rank = process->threads_spawned++;
   auto thread = std::make_unique<Thread>(this, process, next_tid_++, rank);
   Thread* t = thread.get();
   process->threads.push_back(t);
 
   // Per-thread stack region (demand-paged like the heap).
-  GuestAddr stack_top = process->layout.stack_top - static_cast<uint64_t>(rank) * kStackStride;
-  REMON_CHECK(process->mem().MapFixedLazy(stack_top - kStackSize, kStackSize,
-                                          kProtRead | kProtWrite, "[stack]"));
+  REMON_CHECK(process->mem().MapFixedLazy(ThreadStackTop(*process, rank) - kStackSize,
+                                          kStackSize, kProtRead | kProtWrite, "[stack]"));
 
-  guests_.push_back(std::make_unique<Guest>(t));
-  Guest* guest = guests_.back().get();
-  t->guest_facade = guest;
-  // Anchor the callable: the coroutine frame references the lambda object's captures,
-  // so the ProgramFn must live as long as the coroutine.
-  auto anchored = std::make_shared<ProgramFn>(std::move(fn));
-  t->program_anchor = [anchored] {};
-  GuestTask<void> task = (*anchored)(*guest);
+  t->guest_facade = std::make_unique<Guest>(t);
+  // The coroutine frame references the lambda object's captures, so the callable
+  // lives in the (never moving) Thread as long as the coroutine.
+  t->program = std::move(fn);
+  GuestTask<void> task = t->program(*t->guest_facade);
   t->root_frame = task.ReleaseAsRoot(
       [](void* arg) {
         Thread* self = static_cast<Thread*>(arg);
@@ -142,6 +145,7 @@ Thread* Kernel::SpawnThread(Process* process, ProgramFn fn) {
 void Kernel::OnRootFinished(Thread* t) {
   t->root_finished = true;
   // Defer exit processing out of the coroutine's final-suspend context.
+  ++t->pins;
   sim_->queue().ScheduleAfter(0, [this, t] {
     if (t->alive()) {
       KillThread(t, true);
@@ -150,6 +154,7 @@ void Kernel::OnRootFinished(Thread* t) {
         TerminateProcess(p, p->exit_code);
       }
     }
+    Unpin(t);
   });
 }
 
@@ -166,13 +171,20 @@ void Kernel::KillThread(Thread* t, bool notify_tracer) {
   CancelWait(t);
   t->set_state(ThreadState::kExited);
   t->MarkDead();
-  if (notify_tracer && t->process()->tracer != nullptr) {
-    t->process()->tracer->Push(PtraceEvent{PtraceEvent::Kind::kThreadExit, t, 0});
+  if (t->process()->tracer != nullptr) {
+    // The tracer may still reference the thread (a parked lockstep arrival, an
+    // injected-signal mask) until it consumes the exit: kThreadExit, or the
+    // process's kProcessExit when exit_group took the thread down with it.
+    t->ptrace_held = true;
+    if (notify_tracer) {
+      t->process()->tracer->Push(PtraceEvent{PtraceEvent::Kind::kThreadExit, t, 0});
+    }
   }
   ReapFramesLater(t);
 }
 
 void Kernel::ReapFramesLater(Thread* t) {
+  ++t->pins;
   sim_->queue().ScheduleAfter(0, [this, t] {
     if (t->root_frame) {
       t->root_frame.destroy();
@@ -187,7 +199,32 @@ void Kernel::ReapFramesLater(Thread* t) {
       t->aux_list.Remove(p);
       p->frame().destroy();
     }
+    Unpin(t);
   });
+}
+
+void Kernel::Unpin(Thread* t) {
+  REMON_CHECK(t->pins > 0);
+  if (--t->pins == 0) {
+    MaybeReap(t);
+  }
+}
+
+void Kernel::MaybeReap(Thread* t) {
+  Process* p = t->process();
+  if (t->alive() || t->pins > 0 || t->ptrace_held || t->wait.active || t->root_frame ||
+      !t->aux_list.empty() || t == p->threads.front()) {
+    return;
+  }
+  p->reaped_cpu_ns += t->cpu_time_ns;
+  p->mem().Unmap(ThreadStackTop(*p, t->rank()) - kStackSize, kStackSize);
+  // Spawn order is kept: signal routing picks the first eligible thread.
+  p->threads.erase(std::find(p->threads.begin(), p->threads.end(), t));
+  auto it = std::find_if(threads_.begin(), threads_.end(),
+                         [t](const std::unique_ptr<Thread>& owned) { return owned.get() == t; });
+  REMON_CHECK(it != threads_.end());
+  std::swap(*it, threads_.back());
+  threads_.pop_back();
 }
 
 void Kernel::TerminateProcess(Process* process, int exit_code) {
@@ -213,7 +250,8 @@ void Kernel::TerminateProcess(Process* process, int exit_code) {
     process->itimer_event = 0;
   }
   if (process->tracer != nullptr) {
-    process->tracer->Push(PtraceEvent{PtraceEvent::Kind::kProcessExit, nullptr, exit_code});
+    process->tracer->Push(
+        PtraceEvent{PtraceEvent::Kind::kProcessExit, nullptr, exit_code, process});
   }
 }
 
@@ -223,15 +261,19 @@ void Kernel::KillProcessBySignal(Process* process, int sig) {
 
 // --- Scheduling ---------------------------------------------------------------------
 
-void Kernel::RunOnThreadCore(Thread* t, DurationNs duration, EventQueue::Callback fn) {
+void Kernel::RunOnThreadCore(Thread* t, DurationNs duration, ThreadFn fn) {
   CpuPool::RunGrant grant = sim_->cpus().Acquire(static_cast<uint64_t>(t->tid()), sim_->now(),
                                                  duration, t->last_core);
   t->last_core = grant.core;
   t->cpu_time_ns += duration;
-  sim_->queue().ScheduleAt(grant.end, std::move(fn));
+  ++t->pins;
+  sim_->queue().ScheduleAt(grant.end, [this, t, fn = std::move(fn)] {
+    fn();
+    Unpin(t);
+  });
 }
 
-void Kernel::RunGuestCompute(Thread* t, DurationNs duration, EventQueue::Callback fn) {
+void Kernel::RunGuestCompute(Thread* t, DurationNs duration, ThreadFn fn) {
   DurationNs dilated = duration;
   if (t->process()->replica_index >= 0 && active_replicas_ > 1) {
     dilated = static_cast<DurationNs>(
@@ -263,7 +305,11 @@ void Kernel::BlockThread(Thread* t, std::span<WaitQueue* const> queues, TimeNs d
   REMON_CHECK(!t->wait.active);
   // A deliverable pending signal aborts the sleep immediately.
   if (interruptible && (t->sig_pending & ~t->sig_blocked) != 0) {
-    sim_->queue().ScheduleAfter(0, [cb = std::move(on_wake)] { cb(WakeReason::kSignal); });
+    ++t->pins;
+    sim_->queue().ScheduleAfter(0, [this, t, cb = std::move(on_wake)] {
+      cb(WakeReason::kSignal);
+      Unpin(t);
+    });
     return;
   }
   // Batched-publication liveness backstop: let the process's IP-MON publish any
@@ -497,7 +543,11 @@ void Kernel::PtraceAttach(Process* process, PtraceHub* hub) {
   process->tracer = hub;
 }
 
-void Kernel::PtraceDetach(Process* process) { process->tracer = nullptr; }
+void Kernel::PtraceRelease(Thread* t) {
+  REMON_CHECK(!t->alive());
+  t->ptrace_held = false;
+  MaybeReap(t);
+}
 
 void Kernel::PtraceStop(Thread* t, PtraceEvent::Kind kind, int sig, ResumeFn on_resume) {
   PtraceHub* hub = t->process()->tracer;
@@ -505,10 +555,12 @@ void Kernel::PtraceStop(Thread* t, PtraceEvent::Kind kind, int sig, ResumeFn on_
     // Tracer vanished (monitor shutdown); act as if resumed with defaults. Cold
     // path: box the continuation rather than widening the event callback for it.
     auto boxed = std::make_shared<ResumeFn>(std::move(on_resume));
-    sim_->queue().ScheduleAfter(0, [boxed] {
+    ++t->pins;
+    sim_->queue().ScheduleAfter(0, [this, t, boxed] {
       PtraceAction a;
       a.deliver_signal = true;
       (*boxed)(a);
+      Unpin(t);
     });
     return;
   }
@@ -530,17 +582,19 @@ void Kernel::PtraceResume(Thread* t, const PtraceAction& action) {
   // so the scheduled event captures only the thread pointer.
   t->pending_ptrace_action = action;
   // The resume costs a kernel round trip on the tracee side before it continues.
-  sim_->queue().ScheduleAfter(sim_->costs().ptrace_resume_ns, [t] {
+  ++t->pins;
+  sim_->queue().ScheduleAfter(sim_->costs().ptrace_resume_ns, [this, t] {
     if (!t->alive()) {
       t->on_ptrace_resume = nullptr;
-      return;
+    } else {
+      auto cb = std::move(t->on_ptrace_resume);
+      t->on_ptrace_resume = nullptr;
+      // Copy out: the continuation can trigger a nested stop/resume that overwrites
+      // the pending slot while `a` is still referenced.
+      PtraceAction a = t->pending_ptrace_action;
+      cb(a);
     }
-    auto cb = std::move(t->on_ptrace_resume);
-    t->on_ptrace_resume = nullptr;
-    // Copy out: the continuation can trigger a nested stop/resume that overwrites
-    // the pending slot while `a` is still referenced.
-    PtraceAction a = t->pending_ptrace_action;
-    cb(a);
+    Unpin(t);
   });
 }
 
@@ -557,6 +611,9 @@ bool Kernel::TracerWrite(Process* p, GuestAddr addr, const void* data, uint64_t 
 }
 
 void PtraceHub::Push(const PtraceEvent& ev) {
+  if (ev.thread != nullptr) {
+    ++ev.thread->pins;  // Until the tracer is Done with the event.
+  }
   queue_.push_back(ev);
   if (waiter_) {
     std::coroutine_handle<> h = waiter_;
@@ -564,6 +621,12 @@ void PtraceHub::Push(const PtraceEvent& ev) {
     // waitpid wakeup: the monitor pays a stop-notification cost on its own core.
     kernel_->RunOnEntity(monitor_entity, &monitor_core,
                          kernel_->sim()->costs().ptrace_stop_ns, [h] { h.resume(); });
+  }
+}
+
+void PtraceHub::Done(const PtraceEvent& ev) {
+  if (ev.thread != nullptr) {
+    kernel_->Unpin(ev.thread);
   }
 }
 
@@ -747,16 +810,18 @@ void Kernel::StartAuxCoroutine(Thread* t, GuestTask<void> task,
         });
       },
       p);
-  sim_->queue().ScheduleAfter(0, [t, frame] {
+  ++t->pins;
+  sim_->queue().ScheduleAfter(0, [this, t, frame] {
     if (t->alive()) {
       frame.resume();
     }
+    Unpin(t);
   });
 }
 
 Guest* Kernel::GuestFor(Thread* t) {
   REMON_CHECK(t->guest_facade != nullptr);
-  return t->guest_facade;
+  return t->guest_facade.get();
 }
 
 void Kernel::ArmItimer(Process* p, DurationNs value, DurationNs interval) {

@@ -52,6 +52,10 @@ class Kernel {
   using QueueFn = InlineFunction<void(std::vector<WaitQueue*>&), 64>;
   using WakeFn = InlineFunction<void(WakeReason), 96>;
   using ResumeFn = InlineFunction<void(const PtraceAction&), 128>;
+  // A continuation on a thread's core. The kernel wraps it (with the thread) in the
+  // event that runs it, so it is sized to leave that wrapper within
+  // EventQueue::Callback.
+  using ThreadFn = InlineFunction<void(), 112>;
 
   Kernel(Simulator* sim, Filesystem* fs, Network* net, ShmRegistry* shm);
   ~Kernel();
@@ -71,8 +75,11 @@ class Kernel {
   Process* CreateProcess(std::string name, uint32_t machine, const LayoutPlan& plan);
 
   // Spawns a thread running `fn`; it starts at the current virtual time (plus
-  // scheduling delay). Rank defaults to the process's thread count.
+  // scheduling delay). Its rank is the process's spawn count: ranks, and the stack
+  // slots they index, are never reused.
   Thread* SpawnThread(Process* process, ProgramFn fn);
+  // Top of the stack of the thread of rank `rank` in `process`.
+  static GuestAddr ThreadStackTop(const Process& process, int rank);
 
   // Terminates a whole process (exit_group semantics).
   void TerminateProcess(Process* process, int exit_code);
@@ -82,6 +89,9 @@ class Kernel {
   const std::vector<std::unique_ptr<Process>>& processes() const { return processes_; }
   // Live (non-exited) threads of a process.
   static int LiveThreadCount(const Process* process);
+  // Threads the kernel still holds across all processes: the live ones, the
+  // exited ones not yet reaped and each process's leader.
+  size_t thread_count() const { return threads_.size(); }
 
   // Number of replicas currently attached to an MVEE (affects the memory-contention
   // dilation applied to guest compute); set by the ReMon front end.
@@ -110,10 +120,11 @@ class Kernel {
 
   // --- Scheduling helpers ---------------------------------------------------------
 
-  // Runs `fn` after occupying the thread's core for `duration`.
-  void RunOnThreadCore(Thread* t, DurationNs duration, EventQueue::Callback fn);
+  // Runs `fn` after occupying the thread's core for `duration`. The queued event
+  // pins the thread: it is not reaped before `fn` has run.
+  void RunOnThreadCore(Thread* t, DurationNs duration, ThreadFn fn);
   // Guest compute burst: applies the memory-contention dilation for replicas.
-  void RunGuestCompute(Thread* t, DurationNs duration, EventQueue::Callback fn);
+  void RunGuestCompute(Thread* t, DurationNs duration, ThreadFn fn);
   // Runs `fn` after occupying an arbitrary entity's core (monitors).
   void RunOnEntity(uint64_t entity, int* core_slot, DurationNs duration,
                    EventQueue::Callback fn);
@@ -146,9 +157,12 @@ class Kernel {
   // Attaches a tracer to a process; all its threads (current and future) stop at
   // syscall entry/exit and signal delivery.
   void PtraceAttach(Process* process, PtraceHub* hub);
-  void PtraceDetach(Process* process);
   // Resumes a ptrace-stopped thread with the tracer's decision.
   void PtraceResume(Thread* t, const PtraceAction& action);
+  // The tracer is done with exited tracee `t` (waitpid collected its exit): it
+  // holds no reference to it any more, so the kernel may reap it. Until then a
+  // traced thread outlives its exit.
+  void PtraceRelease(Thread* t);
   // Tracer-side memory access (process_vm_readv/writev analogs). Returns false on
   // fault. Costs are charged by the caller (monitor) via its own compute awaits.
   bool TracerRead(Process* p, GuestAddr addr, void* out, uint64_t len);
@@ -198,6 +212,7 @@ class Kernel {
 
  private:
   friend class Guest;
+  friend class PtraceHub;
 
   // Default path after the gate declined: ptrace stops when traced, else direct.
   void DefaultSyscallPath(Thread* t);
@@ -210,6 +225,11 @@ class Kernel {
   void OnRootFinished(Thread* t);
   void KillThread(Thread* t, bool notify_tracer);
   void ReapFramesLater(Thread* t);
+  // Drops a pin taken for a queued event that captures `t` (the event just ran).
+  void Unpin(Thread* t);
+  // Destroys `t` — its Thread, Guest, program callable and stack — once it is dead,
+  // its frames are gone, nothing pins it and no tracer holds it. The leader stays.
+  void MaybeReap(Thread* t);
 
   void FinishWait(Thread* t, WakeReason reason);
   void ArmItimer(Process* p, DurationNs value, DurationNs interval);
@@ -259,8 +279,7 @@ class Kernel {
   int next_tid_ = 100;
   int active_replicas_ = 1;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<std::unique_ptr<Thread>> threads_;
-  std::vector<std::unique_ptr<Guest>> guests_;
+  std::vector<std::unique_ptr<Thread>> threads_;  // Unordered: reaping swaps out.
 
   // Pooled BlockingRetry contexts (arena + free list; see RetryCtx in kernel.cc).
   std::vector<std::unique_ptr<RetryCtx>> retry_arena_;

@@ -24,8 +24,6 @@ class Kernel;
 class Guest;
 class SyncAgent;
 
-// Guest program body: a coroutine taking the thread's Guest facade.
-using ProgramFn = std::function<GuestTask<void>(Guest&)>;
 // Guest signal handler body.
 using SignalHandlerFn = std::function<GuestTask<void>(Guest&, int)>;
 
@@ -81,7 +79,12 @@ class Process {
   GuestAddr alloc_cursor = 0;  // Bump allocator for Guest::Alloc (static-data analog).
   double mem_intensity = 0.0;  // Workload memory pressure in [0, 1].
 
-  std::vector<Thread*> threads;  // Live + exited (owned by Kernel).
+  // Threads the kernel still holds, in spawn order (owned by Kernel): the live
+  // ones, the exited ones not yet reaped, and the leader (threads[0]), which stays
+  // until the process itself goes — like a Linux thread-group leader's zombie.
+  std::vector<Thread*> threads;
+  // Threads ever spawned: the next thread's rank (and stack slot). Never reused.
+  int threads_spawned = 0;
   bool exited = false;
   int exit_code = 0;
 
@@ -91,9 +94,10 @@ class Process {
   std::array<GuestSigaction, kNumSignals> sigactions{};
   std::deque<SignalHandlerFn> handler_fns;
 
-  // Thread entry points registered for clone(); index passed as the syscall arg so it
-  // is identical across replicas.
-  std::deque<ProgramFn> thread_fns;
+  // Thread entry points registered for clone(), keyed by the index passed as the
+  // syscall arg (identical across replicas). clone() consumes its registration.
+  std::map<uint64_t, ProgramFn> thread_fns;
+  uint64_t thread_fns_registered = 0;
 
   // Interval timer (setitimer/alarm).
   EventQueue::EventId itimer_event = 0;
@@ -112,9 +116,12 @@ class Process {
   // System V shm attachments: start address -> shmid.
   std::map<GuestAddr, int> shm_attachments;
 
+  // CPU time of the threads already reaped.
+  DurationNs reaped_cpu_ns = 0;
+
   // Aggregate CPU time of finished+live threads (for times()/getrusage()).
   DurationNs TotalCpuNs() const {
-    DurationNs total = 0;
+    DurationNs total = reaped_cpu_ns;
     for (const Thread* t : threads) {
       total += t->cpu_time_ns;
     }

@@ -31,7 +31,8 @@ struct PtraceEvent {
   };
   Kind kind = Kind::kSyscallEntry;
   Thread* thread = nullptr;
-  int signal = 0;
+  int signal = 0;               // kSignal: the signal; kProcessExit: the exit code.
+  Process* process = nullptr;   // kProcessExit: the process that exited.
 };
 
 // PtraceAction (how the tracer resumes a stopped tracee) lives in thread.h so the
@@ -68,6 +69,11 @@ class PtraceHub {
     }
   };
   EventAwaiter NextEvent() { return EventAwaiter{this}; }
+  // The tracer has handled `ev` and keeps no reference to its thread through it.
+  // An event pins its thread from Push to Done — a dead thread can still post its
+  // exit stop after its kThreadExit — so the kernel never reaps a thread the
+  // tracer is about to look at.
+  void Done(const PtraceEvent& ev);
 
  private:
   friend class Kernel;

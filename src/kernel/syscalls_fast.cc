@@ -796,10 +796,26 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       return -kESRCH;
     }
     case Sys::kTgkill: {
-      for (auto& th : threads_) {
-        if (th->tid() == static_cast<int>(req.arg(1))) {
-          PostSignalToThread(th.get(), static_cast<int>(req.arg(2)));
-          return 0;
+      // Like Linux: the tid must name a live thread of thread group `tgid`; an
+      // exited (or reaped) thread, or one of another group, is ESRCH.
+      // Signal 0 only probes for the thread.
+      int tgid = static_cast<int>(req.arg(0));
+      int tid = static_cast<int>(req.arg(1));
+      int sig = static_cast<int>(req.arg(2));
+      if (tgid <= 0 || tid <= 0 || sig < 0 || sig >= kNumSignals) {
+        return -kEINVAL;
+      }
+      for (auto& proc : processes_) {
+        if (proc->pid() != tgid) {
+          continue;
+        }
+        for (Thread* th : proc->threads) {
+          if (th->tid() == tid && th->alive()) {
+            if (sig != 0) {
+              PostSignalToThread(th, sig);
+            }
+            return 0;
+          }
         }
       }
       return -kESRCH;
@@ -807,12 +823,13 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
 
     // --- Process / thread lifecycle ------------------------------------------------
     case Sys::kClone: {
-      uint64_t index = req.arg(0);
-      if (index >= p->thread_fns.size()) {
-        return -kEINVAL;
+      auto it = p->thread_fns.find(req.arg(0));
+      if (it == p->thread_fns.end()) {
+        return -kEINVAL;  // Never registered, or already cloned.
       }
-      Thread* nt = SpawnThread(p, p->thread_fns[index]);
-      return nt->tid();
+      ProgramFn fn = std::move(it->second);
+      p->thread_fns.erase(it);
+      return SpawnThread(p, std::move(fn))->tid();
     }
     case Sys::kFork:
     case Sys::kExecve:

@@ -12,6 +12,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/kernel/sysno.h"
@@ -26,6 +27,9 @@ namespace remon {
 class Process;
 class Kernel;
 class Guest;
+
+// Guest program body: a coroutine taking the thread's Guest facade.
+using ProgramFn = std::function<GuestTask<void>(Guest&)>;
 
 struct SyscallRequest {
   Sys nr = Sys::kInvalid;
@@ -58,8 +62,7 @@ enum class WakeReason { kNotified, kTimeout, kSignal };
 
 class Thread {
  public:
-  Thread(Kernel* kernel, Process* process, int tid, int rank)
-      : kernel_(kernel), process_(process), tid_(tid), rank_(rank) {}
+  Thread(Kernel* kernel, Process* process, int tid, int rank);
   Thread(const Thread&) = delete;
   Thread& operator=(const Thread&) = delete;
   ~Thread();
@@ -83,8 +86,8 @@ class Thread {
 
   // The program body callable. A coroutine lambda's captures live in the lambda
   // object, not in the coroutine frame, so the callable must outlive the coroutine —
-  // it is anchored here for the thread's lifetime.
-  std::function<void()> program_anchor;
+  // it lives here (the Thread never moves) for the thread's lifetime.
+  ProgramFn program;
   // Root guest coroutine (released from GuestTask; owned here).
   std::coroutine_handle<> root_frame;
   // Live auxiliary root coroutines (IP-MON handler instances, signal handlers):
@@ -126,8 +129,8 @@ class Thread {
   uint64_t sig_blocked = 0;
   uint64_t sig_pending = 0;
 
-  // The Guest facade bound to this thread (owned by the Kernel).
-  Guest* guest_facade = nullptr;
+  // The Guest facade bound to this thread.
+  std::unique_ptr<Guest> guest_facade;
 
   // IK-B / IP-MON per-thread state.
   uint64_t ipmon_token = 0;      // Current one-time authorization token.
@@ -135,8 +138,12 @@ class Thread {
   bool in_ipmon = false;         // Executing inside the IP-MON aux coroutine.
   uint64_t ipmon_invocations = 0;
 
-  // Exit plumbing.
+  // Exit plumbing. A dead thread is reaped (destroyed with its stack) once its
+  // frames are gone, no queued event captures it (`pins`) and, if it was traced,
+  // its tracer has released it (`ptrace_held`); see Kernel::MaybeReap.
   void MarkDead() { alive_ = false; }
+  int pins = 0;
+  bool ptrace_held = false;
 
  private:
   Kernel* kernel_;

@@ -9,6 +9,7 @@
 #ifndef SRC_VFS_FILE_H_
 #define SRC_VFS_FILE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -95,28 +96,34 @@ class FileDescription {
   int status_flags_ = 0;
 };
 
-// Per-process descriptor table.
+// Per-process descriptor table. Storage grows to the highest fd installed and
+// shrinks back when the top descriptors close; `max_fds` is only the limit.
 class FdTable {
  public:
-  explicit FdTable(int max_fds = 1024) : slots_(static_cast<size_t>(max_fds)) {}
+  explicit FdTable(int max_fds = 1024) : max_fds_(max_fds) {}
 
   // Installs a description at the lowest free slot >= min_fd. Returns fd or -EMFILE.
   int Install(std::shared_ptr<FileDescription> desc, int min_fd = 0) {
-    for (size_t i = static_cast<size_t>(min_fd); i < slots_.size(); ++i) {
-      if (!slots_[i]) {
-        slots_[i] = std::move(desc);
-        return static_cast<int>(i);
-      }
+    size_t fd = static_cast<size_t>(min_fd);
+    while (fd < slots_.size() && slots_[fd]) {
+      ++fd;
     }
-    return -kEMFILE;
+    if (fd >= static_cast<size_t>(max_fds_)) {
+      return -kEMFILE;
+    }
+    return InstallAt(static_cast<int>(fd), std::move(desc));
   }
 
   // Installs at exactly `fd`, closing any existing description (dup2 semantics).
   int InstallAt(int fd, std::shared_ptr<FileDescription> desc) {
-    if (fd < 0 || static_cast<size_t>(fd) >= slots_.size()) {
+    if (fd < 0 || fd >= max_fds_) {
       return -kEBADF;
     }
+    if (static_cast<size_t>(fd) >= slots_.size()) {
+      slots_.resize(static_cast<size_t>(fd) + 1);
+    }
     slots_[static_cast<size_t>(fd)] = std::move(desc);
+    Trim();
     return fd;
   }
 
@@ -132,19 +139,18 @@ class FdTable {
       return -kEBADF;
     }
     slots_[static_cast<size_t>(fd)] = nullptr;
+    Trim();
     return 0;
   }
 
-  int max_fds() const { return static_cast<int>(slots_.size()); }
+  int max_fds() const { return max_fds_; }
+  // Slots held: the highest installed fd + 1 (0 when the table is empty).
+  size_t storage_slots() const { return slots_.size(); }
 
-  // Raises the table's capacity (RLIMIT_NOFILE analog; never shrinks — slots
-  // above a lower limit may already be occupied). High-connection-count shards
-  // pair this with a multi-page FileMap so FD metadata keeps up.
-  void RaiseMaxFds(int max_fds) {
-    if (static_cast<size_t>(max_fds) > slots_.size()) {
-      slots_.resize(static_cast<size_t>(max_fds));
-    }
-  }
+  // Raises the table's limit (RLIMIT_NOFILE analog; never shrinks — fds above a
+  // lower limit may already be open). High-connection-count shards pair this with
+  // a multi-page FileMap so FD metadata keeps up.
+  void RaiseMaxFds(int max_fds) { max_fds_ = std::max(max_fds_, max_fds); }
 
   // Snapshot of live fds (for file-map publishing and close-on-exit sweeps).
   std::vector<int> LiveFds() const {
@@ -158,6 +164,14 @@ class FdTable {
   }
 
  private:
+  // Drops the free slots above the highest open fd.
+  void Trim() {
+    while (!slots_.empty() && !slots_.back()) {
+      slots_.pop_back();
+    }
+  }
+
+  int max_fds_;
   std::vector<std::shared_ptr<FileDescription>> slots_;
 };
 

@@ -267,6 +267,33 @@ TEST(FleetFileMapTest, FdTableCapacityRaiseIsGrowOnly) {
   EXPECT_EQ(fds.max_fds(), 8192);
 }
 
+// A raised limit costs no slots: storage follows the highest open fd, and
+// allocation is still lowest-free.
+TEST(FleetFileMapTest, FdTableStorageFollowsTheHighestOpenFd) {
+  FdTable fds;
+  fds.RaiseMaxFds(16384);
+  EXPECT_EQ(fds.storage_slots(), 0u);
+  auto desc = [] { return std::make_shared<FileDescription>(nullptr, 0); };
+  EXPECT_EQ(fds.Install(desc()), 0);
+  EXPECT_EQ(fds.Install(desc()), 1);
+  EXPECT_EQ(fds.Install(desc()), 2);
+  EXPECT_EQ(fds.storage_slots(), 3u);
+  EXPECT_EQ(fds.Close(1), 0);
+  EXPECT_EQ(fds.storage_slots(), 3u);
+  EXPECT_EQ(fds.Install(desc()), 1);  // Lowest free.
+  EXPECT_EQ(fds.InstallAt(9000, desc()), 9000);
+  EXPECT_EQ(fds.storage_slots(), 9001u);
+  EXPECT_EQ(fds.Install(desc(), 100), 100);
+  EXPECT_EQ(fds.Close(9000), 0);
+  EXPECT_EQ(fds.storage_slots(), 101u);  // Trimmed to the new highest open fd.
+  EXPECT_EQ(fds.InstallAt(16384, desc()), -kEBADF);
+  EXPECT_EQ(fds.Install(desc(), 16384), -kEMFILE);
+  for (int fd : fds.LiveFds()) {
+    fds.Close(fd);
+  }
+  EXPECT_EQ(fds.storage_slots(), 0u);
+}
+
 // --- Swarm statistics -------------------------------------------------------------
 
 TEST(SwarmStatsTest, PercentilesAndMerge) {

@@ -258,6 +258,73 @@ TEST(KernelEdgeTest, UnameAndSysinfoFillStructs) {
   w.Run();
 }
 
+// tgkill(tgid, tid, sig) reaches only a live thread of thread group `tgid`.
+TEST(KernelEdgeTest, TgkillNeedsALiveThreadOfTheGroup) {
+  SimWorld w;
+  Process* p = w.NewProcess("tgkill");
+  Process* other = w.NewProcess("other");
+  int64_t other_tid = 0;
+  w.kernel.SpawnThread(other, [&](Guest& g) -> GuestTask<void> {
+    other_tid = co_await g.Gettid();
+    co_await g.SleepNs(Millis(2));
+  });
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    auto tgkill = [&g](int64_t tgid, int64_t tid, int sig) {
+      return g.Syscall(Sys::kTgkill, static_cast<uint64_t>(tgid), static_cast<uint64_t>(tid),
+                       static_cast<uint64_t>(sig));
+    };
+    int64_t pid = co_await g.Getpid();
+    int64_t tid = co_await g.Gettid();
+    co_await g.SleepNs(Micros(10));  // `other` has run.
+    EXPECT_EQ(co_await tgkill(pid, tid, 0), 0);
+    EXPECT_EQ(co_await tgkill(other->pid(), other_tid, 0), 0);
+    // A live thread, but of another group.
+    EXPECT_EQ(co_await tgkill(pid, other_tid, kSIGUSR1), -kESRCH);
+    EXPECT_EQ(co_await tgkill(other->pid(), tid, kSIGUSR1), -kESRCH);
+    EXPECT_EQ(co_await tgkill(0, tid, 0), -kEINVAL);
+    EXPECT_EQ(co_await tgkill(pid, 0, 0), -kEINVAL);
+    EXPECT_EQ(co_await tgkill(pid, tid, kNumSignals), -kEINVAL);
+
+    // A thread that exited and was reaped.
+    int64_t worker_tid = 0;
+    uint64_t fn = g.RegisterThreadFn([&worker_tid](Guest& wg) -> GuestTask<void> {
+      worker_tid = co_await wg.Gettid();
+    });
+    co_await g.SpawnThread(fn);
+    co_await g.SleepNs(Millis(1));
+    EXPECT_GT(worker_tid, 0);
+    EXPECT_EQ(p->threads.size(), 1u);
+    EXPECT_EQ(co_await tgkill(pid, worker_tid, kSIGUSR1), -kESRCH);
+  });
+  w.Run();
+  EXPECT_EQ(w.sim.stats().signals_raised, 0u);
+}
+
+// An exited thread the kernel still holds (here the leader, kept as the process's
+// zombie) is gone for tgkill too.
+TEST(KernelEdgeTest, TgkillToAnExitedLeaderIsEsrch) {
+  SimWorld w;
+  Process* p = w.NewProcess("zombie-leader");
+  int64_t result = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int64_t pid = co_await g.Getpid();
+    int64_t leader_tid = co_await g.Gettid();
+    uint64_t fn = g.RegisterThreadFn([&result, pid, leader_tid](Guest& wg) -> GuestTask<void> {
+      co_await wg.SleepNs(Millis(1));
+      result = co_await wg.Syscall(Sys::kTgkill, static_cast<uint64_t>(pid),
+                                   static_cast<uint64_t>(leader_tid),
+                                   static_cast<uint64_t>(kSIGUSR1));
+    });
+    co_await g.SpawnThread(fn);
+    // The leader returns (exits) while the worker lives on.
+  });
+  w.Run();
+  EXPECT_EQ(result, -kESRCH);
+  EXPECT_EQ(w.sim.stats().signals_raised, 0u);
+  EXPECT_EQ(p->threads.size(), 1u);
+  EXPECT_FALSE(p->threads.front()->alive());
+}
+
 TEST(KernelEdgeTest, RenameUnlinkUnderMvee) {
   SimWorld w(37);
   RemonOptions opts;

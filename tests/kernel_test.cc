@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/remon.h"
 #include "tests/test_util.h"
 
 namespace remon {
@@ -274,11 +275,12 @@ TEST(KernelTest, SignalInterruptsBlockingCall) {
     int rfd = static_cast<int>(g.PeekU32(fds));
     GuestAddr buf = g.Alloc(8);
     // A second thread signals us while we are blocked in read().
+    int64_t pid = co_await g.Getpid();
     int64_t main_tid = co_await g.Gettid();
-    uint64_t poker = g.RegisterThreadFn([main_tid](Guest& pg) -> GuestTask<void> {
+    uint64_t poker = g.RegisterThreadFn([pid, main_tid](Guest& pg) -> GuestTask<void> {
       co_await pg.Compute(Millis(1));
-      co_await pg.Syscall(Sys::kTgkill, 0, static_cast<uint64_t>(main_tid),
-                          static_cast<uint64_t>(kSIGUSR2));
+      co_await pg.Syscall(Sys::kTgkill, static_cast<uint64_t>(pid),
+                          static_cast<uint64_t>(main_tid), static_cast<uint64_t>(kSIGUSR2));
     });
     co_await g.SpawnThread(poker);
     result = co_await g.Read(rfd, buf, 8);
@@ -643,6 +645,200 @@ TEST(KernelTest, StatsCountSyscalls) {
   });
   w.Run();
   EXPECT_GE(w.sim.stats().syscalls_total, 10u);
+}
+
+// --- Thread reaping -------------------------------------------------------------
+//
+// An exited thread is destroyed — Thread, Guest, program callable, stack — once
+// its frames are gone, no queued event captures it and its tracer (if any) has
+// consumed its exit. A process's leader stays as long as the process, like a
+// Linux thread-group leader's zombie.
+
+// The threads the kernel may still hold: the live ones plus each process's
+// exited leader.
+size_t LiveThreadsAndExitedLeaders(const Kernel& k) {
+  size_t n = 0;
+  for (const auto& p : k.processes()) {
+    n += static_cast<size_t>(Kernel::LiveThreadCount(p.get()));
+    if (!p->threads.empty() && !p->threads.front()->alive()) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(ThreadReapTest, ExitedThreadsAreReapedAndRanksKeepCounting) {
+  SimWorld w;
+  Process* p = w.NewProcess("reap");
+  int late_rank = -1;
+  GuestAddr late_stack_end = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    for (int i = 0; i < 3; ++i) {
+      uint64_t fn = g.RegisterThreadFn([](Guest& wg) -> GuestTask<void> {
+        co_await wg.Compute(Micros(20));
+      });
+      EXPECT_GT(co_await g.SpawnThread(fn), 0);
+    }
+    co_await g.SleepNs(Millis(1));
+    // All three exited and were reaped, stacks included; their CPU time stays.
+    EXPECT_EQ(p->threads.size(), 1u);
+    EXPECT_EQ(g.kernel()->thread_count(), 1u);
+    for (int rank = 1; rank <= 3; ++rank) {
+      EXPECT_EQ(p->mem().FindVma(Kernel::ThreadStackTop(*p, rank) - 1), nullptr) << rank;
+    }
+    EXPECT_GE(p->TotalCpuNs(), 3 * Micros(20));
+
+    // The next thread takes the next spawn index (not threads.size()), so its rank
+    // and its stack are the ones it would have had with nothing reaped.
+    uint64_t late = g.RegisterThreadFn([](Guest& lg) -> GuestTask<void> {
+      co_await lg.SleepNs(Millis(1));
+    });
+    int64_t tid = co_await g.SpawnThread(late);
+    EXPECT_GT(tid, 0);
+    if (p->threads.size() == 2 && p->threads[1]->tid() == tid) {
+      late_rank = p->threads[1]->rank();
+      const Vma* stack = p->mem().FindVma(Kernel::ThreadStackTop(*p, late_rank) - 1);
+      if (stack != nullptr && stack->name == "[stack]") {
+        late_stack_end = stack->end();
+      }
+    }
+    // clone consumes its registration.
+    EXPECT_EQ(co_await g.SpawnThread(late), -kEINVAL);
+    EXPECT_EQ(co_await g.SpawnThread(1000), -kEINVAL);
+  });
+  w.Run();
+  EXPECT_EQ(late_rank, 4);
+  EXPECT_EQ(late_stack_end, p->layout.stack_top - 4 * (4ULL << 20));
+  EXPECT_EQ(w.kernel.thread_count(), LiveThreadsAndExitedLeaders(w.kernel));
+  EXPECT_EQ(w.kernel.thread_count(), 1u);
+}
+
+TEST(ThreadReapTest, ThreadKilledMidChargeIsReapedWhenItsChargeEnds) {
+  SimWorld w;
+  Process* p = w.NewProcess("midcharge");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    uint64_t fn = g.RegisterThreadFn([](Guest& wg) -> GuestTask<void> {
+      co_await wg.Compute(Millis(10));
+      ADD_FAILURE() << "a killed thread resumed";
+    });
+    co_await g.SpawnThread(fn);
+    co_await g.SleepNs(Millis(1));
+    co_await g.ExitGroup(0);
+  });
+  w.Run(Millis(2));
+  ASSERT_TRUE(p->exited);
+  // The worker is dead, but the event ending its 10 ms charge still captures it.
+  EXPECT_EQ(p->threads.size(), 2u);
+  EXPECT_EQ(w.kernel.thread_count(), 2u);
+  w.Run();
+  EXPECT_EQ(w.kernel.thread_count(), LiveThreadsAndExitedLeaders(w.kernel));
+  EXPECT_EQ(p->threads.size(), 1u);
+}
+
+TEST(ThreadReapTest, ThreadKilledWhileBlockedWithTimeoutIsReapedAtOnce) {
+  SimWorld w;
+  Process* p = w.NewProcess("blocked");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr word = g.Alloc(4);
+    g.PokeU32(word, 0);
+    GuestAddr ts = g.Alloc(sizeof(GuestTimespec));
+    GuestTimespec spec{0, Millis(50)};
+    g.Poke(ts, &spec, sizeof(spec));
+    uint64_t fn = g.RegisterThreadFn([word, ts](Guest& wg) -> GuestTask<void> {
+      co_await wg.Futex(word, kFutexWait, 0, ts);
+      ADD_FAILURE() << "a killed thread resumed";
+    });
+    co_await g.SpawnThread(fn);
+    co_await g.SleepNs(Millis(1));
+    co_await g.ExitGroup(0);
+  });
+  w.Run(Millis(2));
+  ASSERT_TRUE(p->exited);
+  // Killing it cancelled its timeout: nothing captures the thread any more.
+  EXPECT_EQ(w.kernel.thread_count(), LiveThreadsAndExitedLeaders(w.kernel));
+  EXPECT_EQ(p->threads.size(), 1u);
+  w.Run();
+  EXPECT_EQ(w.kernel.thread_count(), 1u);
+}
+
+TEST(ThreadReapTest, SigkillReapsEveryThreadButTheLeader) {
+  SimWorld w;
+  Process* victim = w.NewProcess("victim");
+  Process* killer = w.NewProcess("killer");
+  w.kernel.SpawnThread(victim, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr fds = g.Alloc(8);
+    co_await g.Pipe(fds);
+    int rfd = static_cast<int>(g.PeekU32(fds));
+    for (int i = 0; i < 3; ++i) {
+      uint64_t fn = g.RegisterThreadFn([rfd](Guest& wg) -> GuestTask<void> {
+        GuestAddr buf = wg.Alloc(8);
+        co_await wg.Read(rfd, buf, 8);
+        ADD_FAILURE() << "a killed thread resumed";
+      });
+      co_await g.SpawnThread(fn);
+    }
+    GuestAddr buf = g.Alloc(8);
+    co_await g.Read(rfd, buf, 8);
+  });
+  w.kernel.SpawnThread(killer, [&](Guest& g) -> GuestTask<void> {
+    co_await g.SleepNs(Millis(1));
+    EXPECT_EQ(victim->threads.size(), 4u);
+    EXPECT_EQ(co_await g.Kill(victim->pid(), kSIGKILL), 0);
+  });
+  w.Run();
+  EXPECT_TRUE(victim->exited);
+  EXPECT_EQ(victim->exit_code, 128 + kSIGKILL);
+  EXPECT_EQ(victim->threads.size(), 1u);
+  EXPECT_EQ(w.kernel.thread_count(), LiveThreadsAndExitedLeaders(w.kernel));
+  EXPECT_EQ(w.kernel.thread_count(), 2u);  // The two leaders.
+}
+
+// A traced thread outlives its exit until GHUMVEE consumes it (kThreadExit, or
+// kProcessExit for the threads a shutdown took down), then it is reaped.
+TEST(ThreadReapTest, TracedThreadsAreReapedThroughADivergenceShutdown) {
+  SimWorld w(61);
+  RemonOptions opts;
+  opts.mode = MveeMode::kGhumveeOnly;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  size_t retained_after_join = 0;
+  size_t live_after_join = 0;
+  mvee.Launch([&](Guest& g) -> GuestTask<void> {
+    GuestAddr join = g.Alloc(8);
+    co_await g.Pipe(join);
+    int join_rd = static_cast<int>(g.PeekU32(join));
+    int join_wr = static_cast<int>(g.PeekU32(join + 4));
+    for (int i = 0; i < 3; ++i) {
+      uint64_t fn = g.RegisterThreadFn([join_wr](Guest& wg) -> GuestTask<void> {
+        co_await wg.Getpid();
+        GuestAddr d = wg.Alloc(1);
+        wg.Poke(d, "D", 1);
+        co_await wg.Write(join_wr, d, 1);
+      });
+      co_await g.SpawnThread(fn);
+    }
+    GuestAddr sink = g.Alloc(4);
+    for (int i = 0; i < 3; ++i) {
+      co_await g.Read(join_rd, sink, 1);
+    }
+    co_await g.SleepNs(Millis(5));
+    if (g.process()->replica_index == 0) {
+      retained_after_join = g.kernel()->thread_count();
+      live_after_join = LiveThreadsAndExitedLeaders(*g.kernel());
+    }
+    // Hijacked control flow in replica 1: GHUMVEE shuts the set down.
+    if (g.process()->replica_index == 1) {
+      co_await g.Gettid();
+    } else {
+      co_await g.Getuid();
+    }
+  });
+  w.Run();
+  EXPECT_TRUE(mvee.divergence_detected());
+  EXPECT_EQ(live_after_join, 2u);  // Both replicas' leaders.
+  EXPECT_EQ(retained_after_join, live_after_join);
+  EXPECT_EQ(w.kernel.thread_count(), LiveThreadsAndExitedLeaders(w.kernel));
+  EXPECT_EQ(w.kernel.thread_count(), 2u);
 }
 
 }  // namespace

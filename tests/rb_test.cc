@@ -137,6 +137,30 @@ TEST(RbZeroTest, ZeroSkipsPagesNoAttacherTouched) {
   EXPECT_EQ(w.shm.resident_pages(), 2u);
 }
 
+// A publication nobody waits on allocates nothing, like a FUTEX_WAKE without a
+// waiter: only a waiter creates its word's queue, and a wake through another
+// mapping of the same frame finds it.
+TEST_F(RbTest, WakeWithoutWaiterCreatesNoFutexQueue) {
+  FutexTable& futex = w_.kernel.futex();
+  uint64_t off = master_view_.RankDataStart(0);
+  RbEntryOps::CommitArgs(master_view_, off, Sys::kRead, 0, 1, 64, {1});
+  uint64_t untouched = master_view_.RankDataStart(3);
+  ASSERT_FALSE(master_->mem().PageMaterialized(master_view_.AddrOf(untouched)));
+  size_t before = futex.queue_count();
+  master_view_.WakeState(futex, off);
+  master_view_.WakeWord(futex, off);
+  master_view_.WakeState(futex, untouched);
+  EXPECT_EQ(futex.queue_count(), before);
+  EXPECT_FALSE(master_->mem().PageMaterialized(master_view_.AddrOf(untouched)));
+
+  int woken = 0;
+  slave_view_.StateQueue(futex, off).AddWaiter([&woken] { ++woken; });
+  EXPECT_EQ(futex.queue_count(), before + 1);
+  master_view_.WakeState(futex, off);
+  EXPECT_EQ(woken, 1);
+  EXPECT_EQ(futex.queue_count(), before + 1);
+}
+
 TEST_F(RbTest, EntrySizeAlignsAndCovers) {
   for (uint64_t sig : {0ULL, 1ULL, 63ULL, 64ULL, 1000ULL}) {
     for (uint64_t out : {0ULL, 8ULL, 4096ULL}) {

@@ -984,10 +984,12 @@ TEST(WorkloadTest, GetrandomReplicatedAcrossReplicas) {
 
 // --- Host-memory budget -------------------------------------------------------------
 //
-// Host RSS is noisy, but the three counts behind it are exact: the SysV frames the
-// guests touched, the futex queues, and the cancelled events still queued. Each
-// must follow live simulated state, not run length; they are checked after every
-// 1 ms of virtual time against bounds derived from the replica sets' RB state.
+// Host RSS is noisy, but the counts behind it are exact: the SysV frames the
+// guests touched, the futex queues, the cancelled events still queued and every
+// descriptor table's slots. Each must follow live simulated state, not run length;
+// they are checked after every 1 ms of virtual time against bounds derived from
+// the replica sets' RB state and the open descriptors. A test can add its own
+// per-slice bounds (threads, VMAs).
 
 // Pages one rank can touch: its whole sub-buffer once it has published an entry,
 // else only the page(s) of its header.
@@ -1003,8 +1005,10 @@ class MemoryBudget {
   MemoryBudget(SimWorld* w, std::vector<IpMon*> masters)
       : w_(w), masters_(std::move(masters)), laps_(masters_.size()) {}
 
-  // Runs the world in 1 ms slices until `done` (or 2 s of virtual time).
-  void Run(const std::function<bool()>& done) {
+  // Runs the world in 1 ms slices until `done` (or 2 s of virtual time), checking
+  // the budget — and `also`, if given — after each slice.
+  void Run(const std::function<bool()>& done,
+           const std::function<void(TimeNs)>& also = nullptr) {
     for (TimeNs t = Millis(1); !done() && t <= 2 * kSecond; t += Millis(1)) {
       w_->sim.Run(t);
       uint64_t resident_budget = 0;
@@ -1036,6 +1040,18 @@ class MemoryBudget {
       const EventQueue& q = w_->sim.queue();
       ASSERT_LE(q.cancelled_pending(), std::max(q.live_events(), EventQueue::kCompactFloor))
           << "at " << t;
+      // Descriptor tables hold slots up to their highest open fd only.
+      for (const auto& p : w_->kernel.processes()) {
+        std::vector<int> open = p->fds().LiveFds();
+        ASSERT_EQ(p->fds().storage_slots(), open.empty() ? 0u : open.back() + 1u)
+            << p->name() << " at " << t;
+      }
+      if (also) {
+        also(t);
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
       max_queues_ = std::max<uint64_t>(max_queues_, w_->kernel.futex().queue_count());
     }
     ASSERT_TRUE(done());
@@ -1119,6 +1135,7 @@ TEST(MemoryBudgetTest, FourShardNginxFleetStaysWithinBudget) {
   constexpr int kClients = 2;
   std::vector<SwarmSpec> specs(kClients);
   std::vector<SwarmStats> swarm_stats(kClients);
+  std::vector<Process*> swarm_procs;
   int swarms_left = kClients;
   LayoutPlanner planner(&w.sim.rng());
   for (int i = 0; i < kClients; ++i) {
@@ -1143,14 +1160,41 @@ TEST(MemoryBudgetTest, FourShardNginxFleetStaysWithinBudget) {
       ProgramFn prog = SwarmProgram(ss, st, on_done);
       co_await prog(g);
     });
+    swarm_procs.push_back(proc);
   }
+  // A swarm process maps text, heap and its generator's stack; each connection
+  // thread adds a stack.
+  const size_t base_vmas = swarm_procs[0]->mem().Vmas().size();
 
   std::vector<IpMon*> masters;
   for (int s = 0; s < fleet.shard_count(0); ++s) {
     masters.push_back(fleet.shard(0, s)->ipmon(0));
   }
   MemoryBudget check(&w, masters);
-  check.Run([&swarms_left] { return swarms_left == 0; });
+  // The server threads are a fixed pool, started before the first arrival (2 ms).
+  size_t server_threads = 0;
+  check.Run([&swarms_left] { return swarms_left == 0; },
+            [&](TimeNs t) {
+              if (t == Millis(1)) {
+                server_threads = w.kernel.thread_count() - swarm_procs.size();
+              }
+              // A connection counts as done just before its last two calls (close,
+              // then the join write), so a few finished ones may still be running.
+              constexpr size_t kClosing = 4;
+              size_t in_flight = 0;
+              for (int i = 0; i < kClients; ++i) {
+                const SwarmStats& st = swarm_stats[static_cast<size_t>(i)];
+                size_t open = static_cast<size_t>(st.arrived - st.completed - st.errors);
+                in_flight += open;
+                Process* proc = swarm_procs[static_cast<size_t>(i)];
+                ASSERT_LE(proc->threads.size(), 1 + open + kClosing) << "at " << t;
+                ASSERT_LE(proc->mem().Vmas().size(), base_vmas + open + kClosing)
+                    << "at " << t;
+              }
+              ASSERT_LE(w.kernel.thread_count(),
+                        server_threads + swarm_procs.size() + in_flight + kClients * kClosing)
+                  << "at " << t;
+            });
   int completed = 0;
   for (const SwarmStats& st : swarm_stats) {
     completed += st.completed;
