@@ -371,19 +371,11 @@ uint32_t IpMon::FlushRbBatch(int rank) {
   // per-slot frame-resolve + futex-queue lookups.
   const bool adaptive = config_.rb_batch_policy == RbBatchPolicy::kAdaptive;
   uint32_t sleepers = 0;
-  // Resolved once per slot; the wake loop below reuses them instead of paying the
-  // frame-resolve + futex-map lookup a second time. Only words a slave waited on
-  // have a queue: the rest need no wake.
-  std::vector<WaitQueue*> queues;
-  queues.reserve(batch.size());
-  for (const RbBatch::Slot& s : batch.slots()) {
-    if (WaitQueue* q = rb_.FindWordQueue(kernel_->futex(), s.entry_off + kRbOffState)) {
-      queues.push_back(q);
-    }
-  }
   if (adaptive) {
-    for (WaitQueue* q : queues) {
-      sleepers += static_cast<uint32_t>(q->waiter_count());
+    for (const RbBatch::Slot& s : batch.slots()) {
+      if (const WaitQueue* q = rb_.FindWordQueue(kernel_->futex(), s.entry_off + kRbOffState)) {
+        sleepers += static_cast<uint32_t>(q->waiter_count());
+      }
     }
   }
   // The coalesced publication: payloads + results land in one pass, the state words
@@ -416,9 +408,11 @@ uint32_t IpMon::FlushRbBatch(int rank) {
       ++stats.rb_batch_window_shrinks;
     }
   }
-  batch.Take();
-  for (WaitQueue* q : queues) {
-    q->Wake();
+  // Wake by key, oldest to newest: a wake retires the queue it empties, so no
+  // queue pointer may be held across the loop. Only words a slave waits on have
+  // a queue: the rest need no wake.
+  for (const RbBatch::Slot& s : batch.Take()) {
+    rb_.WakeState(kernel_->futex(), s.entry_off);
   }
   ++stats.rb_batch_flushes;
   if (result_publications > (waiters > 0 ? 1u : 0u)) {
@@ -739,24 +733,7 @@ void IpMon::OnRbReset(int rank) {
     // without consuming all of them.
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
   }
-  if (rb_.valid()) {
-    ReleaseLapQueues(rank);
-  }
   cursor_[static_cast<size_t>(rank)] = rb_.RankDataStart(rank);
-}
-
-void IpMon::ReleaseLapQueues(int rank) {
-  AddressSpace& mem = process_->mem();
-  GuestAddr lo = rb_.AddrOf(rb_.RankDataStart(rank));
-  GuestAddr hi = rb_.AddrOf(rb_.RankDataEnd(rank));
-  for (GuestAddr page = PageAlignDown(lo); page < hi; page += kPageSize) {
-    if (!mem.PageMaterialized(page)) {
-      continue;  // No frame, so no futex key was ever taken on this page.
-    }
-    Page* frame = mem.ResolveFrame(page, nullptr);
-    kernel_->futex().ReleaseIdle(frame, std::max(lo, page) - page,
-                                 std::min(hi, page + kPageSize) - page);
-  }
 }
 
 GuestAddr IpMon::MigrateRb() {
@@ -836,7 +813,6 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   }
   if (is_master()) {
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
-    ReleaseLapQueues(rank);
     rb_.WriteU64(hdr + 0, gen);  // reset_done
     rb_.WakeWord(kernel_->futex(), hdr);
     ++kernel_->stats().rb_resets;

@@ -237,11 +237,6 @@ class IpMon {
   // Raises the intentional crash that signals GHUMVEE about an argument mismatch.
   void IntentionalCrash(Thread* t, const SyscallRequest& req, uint64_t seq);
 
-  // Retires the futex queues of rank r's lap once every replica has consumed it:
-  // its state words are dead, so only idle queues (no parked thread) go. Walks
-  // the resident pages only.
-  void ReleaseLapQueues(int rank);
-
   Kernel* kernel_;
   IkBroker* broker_;
   RelaxationPolicy policy_;

@@ -58,14 +58,9 @@ WaitQueue& RbView::StateQueue(FutexTable& futex, uint64_t entry_off) const {
 }
 
 WaitQueue* RbView::FindWordQueue(FutexTable& futex, uint64_t offset) const {
-  const AddressSpace& mem = process_->mem();
-  if (!mem.PageMaterialized(AddrOf(offset))) {
-    return nullptr;
-  }
   uint64_t off_in_page = 0;
-  Page* frame = mem.ResolveFrame(AddrOf(offset), &off_in_page);
-  REMON_CHECK(frame != nullptr);
-  return futex.Find(frame, off_in_page);
+  const Page* frame = process_->mem().ResidentFrame(AddrOf(offset), &off_in_page);
+  return frame == nullptr ? nullptr : futex.Find(frame, off_in_page);
 }
 
 void RbView::WakeWord(FutexTable& futex, uint64_t offset) const {

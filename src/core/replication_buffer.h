@@ -110,8 +110,8 @@ class RbView {
   WaitQueue& WordQueue(FutexTable& futex, uint64_t offset) const;
   // The entry's state word queue: the slaves' waits.
   WaitQueue& StateQueue(FutexTable& futex, uint64_t entry_off) const;
-  // The word's queue if a waiter ever created it, else null. Creates no queue and
-  // materializes no page (a word on a page nobody touched has no waiter).
+  // The word's queue while a waiter is parked on it, else null. Creates no queue
+  // and materializes no page (a word on a page nobody touched has no waiter).
   WaitQueue* FindWordQueue(FutexTable& futex, uint64_t offset) const;
   // The one wake every waker of a word shares (FUTEX_WAKE): a word nobody waits
   // on costs a lookup, not a queue.

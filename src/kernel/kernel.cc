@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/kernel/guest.h"
+#include "src/kernel/guest_time.h"
 #include "src/sim/check.h"
 
 namespace remon {
@@ -304,7 +305,7 @@ void Kernel::BlockThread(Thread* t, std::span<WaitQueue* const> queues, TimeNs d
                          bool interruptible, WakeFn on_wake) {
   REMON_CHECK(!t->wait.active);
   // A deliverable pending signal aborts the sleep immediately.
-  if (interruptible && (t->sig_pending & ~t->sig_blocked) != 0) {
+  if (interruptible && t->signal_deliverable()) {
     ++t->pins;
     sim_->queue().ScheduleAfter(0, [this, t, cb = std::move(on_wake)] {
       cb(WakeReason::kSignal);
@@ -519,7 +520,7 @@ void Kernel::CompleteSyscall(Thread* t, int64_t result) {
     return;
   }
   t->in_syscall = false;
-  if ((t->sig_pending & ~t->sig_blocked) == 0) {
+  if (!t->signal_deliverable()) {
     // Hot path: nothing deliverable, skip building the delivery continuation.
     FinishCompleteSyscall(t, result);
     return;
@@ -830,10 +831,11 @@ void Kernel::ArmItimer(Process* p, DurationNs value, DurationNs interval) {
     p->itimer_event = 0;
   }
   p->itimer_interval = interval;
-  if (value <= 0) {
-    return;
+  TimeNs expiry = DeadlineAfter(sim_->now(), value);
+  if (value <= 0 || expiry == kTimeNever) {
+    return;  // Disarmed, or set beyond the end of virtual time: never fires.
   }
-  p->itimer_event = sim_->queue().ScheduleAfter(value, [this, p] {
+  p->itimer_event = sim_->queue().ScheduleAt(expiry, [this, p] {
     p->itimer_event = 0;
     if (p->exited) {
       return;

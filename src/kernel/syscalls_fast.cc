@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/kernel/guest_time.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall_meta.h"
 #include "src/kernel/timerfd.h"
@@ -542,8 +543,12 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       if (CopyIn(p, &its, req.arg(2), sizeof(its)) != 0) {
         return -kEFAULT;
       }
-      tf->Settime(its.it_value.tv_sec * kSecond + its.it_value.tv_nsec,
-                  its.it_interval.tv_sec * kSecond + its.it_interval.tv_nsec);
+      DurationNs value = GuestDurationNs(its.it_value);
+      DurationNs interval = GuestDurationNs(its.it_interval);
+      if (value < 0 || interval < 0) {
+        return -kEINVAL;
+      }
+      tf->Settime(value, interval);
       return 0;
     }
     case Sys::kTimerfdGettime: {
@@ -750,12 +755,16 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       if (CopyIn(p, &its, req.arg(1), sizeof(its)) != 0) {
         return -kEFAULT;
       }
-      ArmItimer(p, its.it_value.tv_sec * kSecond + its.it_value.tv_nsec,
-                its.it_interval.tv_sec * kSecond + its.it_interval.tv_nsec);
+      DurationNs value = GuestDurationNs(its.it_value);
+      DurationNs interval = GuestDurationNs(its.it_interval);
+      if (value < 0 || interval < 0) {
+        return -kEINVAL;
+      }
+      ArmItimer(p, value, interval);
       return 0;
     }
     case Sys::kAlarm:
-      ArmItimer(p, static_cast<DurationNs>(req.arg(0)) * kSecond, 0);
+      ArmItimer(p, static_cast<DurationNs>(static_cast<uint32_t>(req.arg(0))) * kSecond, 0);
       return 0;
 
     // --- Signals ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/kernel/guest_time.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall_meta.h"
 #include "src/kernel/timerfd.h"
@@ -38,11 +39,14 @@ uint64_t IovTotal(const std::vector<GuestIovec>& iov) {
   return total;
 }
 
-TimeNs DeadlineFromMs(Simulator* sim, int64_t timeout_ms) {
+// poll/epoll_wait timeouts are a C int: only the register's low 32 bits count, and
+// a negative value waits forever.
+TimeNs DeadlineFromMs(Simulator* sim, uint64_t timeout_reg) {
+  int32_t timeout_ms = static_cast<int32_t>(timeout_reg);
   if (timeout_ms < 0) {
     return kTimeNever;
   }
-  return sim->now() + timeout_ms * kMillisecond;
+  return DeadlineAfter(sim->now(), timeout_ms * kMillisecond);
 }
 
 }  // namespace
@@ -456,7 +460,7 @@ void Kernel::SysPoll(Thread* t, const SyscallRequest& req, Done done) {
       CopyIn(t->process(), fds->data(), fds_addr, nfds * sizeof(GuestPollfd)) != 0) {
     return done(-kEFAULT);
   }
-  TimeNs deadline = DeadlineFromMs(sim_, static_cast<int64_t>(req.arg(2)));
+  TimeNs deadline = DeadlineFromMs(sim_, req.arg(2));
 
   auto attempt = [this, t, fds, fds_addr]() -> int64_t {
     int ready = 0;
@@ -530,7 +534,11 @@ void Kernel::SysSelect(Thread* t, const SyscallRequest& req, Done done) {
     if (CopyIn(t->process(), &tv, tv_addr, sizeof(tv)) != 0) {
       return done(-kEFAULT);
     }
-    deadline = sim_->now() + tv.tv_sec * kSecond + tv.tv_usec * kMicrosecond;
+    DurationNs d = GuestDurationNs(tv);
+    if (d < 0) {
+      return done(d);
+    }
+    deadline = DeadlineAfter(sim_->now(), d);
   }
 
   auto is_set = [](const std::array<uint64_t, 16>& s, int fd) {
@@ -604,7 +612,7 @@ void Kernel::SysEpollWait(Thread* t, const SyscallRequest& req, Done done) {
   if (maxevents <= 0) {
     return done(-kEINVAL);
   }
-  TimeNs deadline = DeadlineFromMs(sim_, static_cast<int64_t>(req.arg(3)));
+  TimeNs deadline = DeadlineFromMs(sim_, req.arg(3));
 
   auto attempt = [this, t, ep, events_out, maxevents]() -> int64_t {
     std::vector<EpollFile::ReadyEvent> ready = ep->Collect(maxevents);
@@ -634,11 +642,11 @@ void Kernel::SysNanosleep(Thread* t, const SyscallRequest& req, Done done) {
   if (CopyIn(t->process(), &ts, req.arg(0), sizeof(ts)) != 0) {
     return done(-kEFAULT);
   }
-  DurationNs d = ts.tv_sec * kSecond + ts.tv_nsec;
+  DurationNs d = GuestDurationNs(ts);
   if (d < 0) {
-    return done(-kEINVAL);
+    return done(d);
   }
-  BlockThread(t, {}, sim_->now() + d, /*interruptible=*/true,
+  BlockThread(t, {}, DeadlineAfter(sim_->now(), d), /*interruptible=*/true,
               [done = std::move(done)](WakeReason reason) {
                 done(reason == WakeReason::kSignal ? -kEINTR : 0);
               });
@@ -648,13 +656,14 @@ void Kernel::SysFutex(Thread* t, const SyscallRequest& req, Done done) {
   GuestAddr uaddr = req.arg(0);
   int op = static_cast<int>(req.arg(1));
   uint32_t val = static_cast<uint32_t>(req.arg(2));
+  AddressSpace& mem = t->process()->mem();
   uint64_t offset_in_page = 0;
-  Page* frame = t->process()->mem().ResolveFrame(uaddr, &offset_in_page);
-  if (frame == nullptr) {
-    return done(-kEFAULT);
-  }
   switch (op) {
     case kFutexWait: {
+      Page* frame = mem.ResolveFrame(uaddr, &offset_in_page);
+      if (frame == nullptr) {
+        return done(-kEFAULT);
+      }
       uint32_t current = 0;
       if (CopyIn(t->process(), &current, uaddr, 4) != 0) {
         return done(-kEFAULT);
@@ -668,12 +677,19 @@ void Kernel::SysFutex(Thread* t, const SyscallRequest& req, Done done) {
         if (CopyIn(t->process(), &ts, req.arg(3), sizeof(ts)) != 0) {
           return done(-kEFAULT);
         }
-        deadline = sim_->now() + ts.tv_sec * kSecond + ts.tv_nsec;
+        DurationNs d = GuestDurationNs(ts);
+        if (d < 0) {
+          return done(d);
+        }
+        deadline = DeadlineAfter(sim_->now(), d);
       }
       ++sim_->stats().futex_waits;
-      WaitQueue& q = futex_.QueueFor(frame, offset_in_page);
-      BlockThread(t, {&q}, deadline, /*interruptible=*/true,
-                  [done = std::move(done)](WakeReason reason) {
+      // A deliverable signal ends the wait before it parks (BlockThread), so it
+      // takes no queue: the table holds a queue only while a thread is parked on it.
+      WaitQueue* q = t->signal_deliverable() ? nullptr
+                                             : &futex_.QueueFor(frame, offset_in_page);
+      BlockThread(t, std::span<WaitQueue* const>(&q, q != nullptr ? 1 : 0), deadline,
+                  /*interruptible=*/true, [done = std::move(done)](WakeReason reason) {
                     switch (reason) {
                       case WakeReason::kNotified:
                         return done(0);
@@ -686,9 +702,16 @@ void Kernel::SysFutex(Thread* t, const SyscallRequest& req, Done done) {
       return;
     }
     case kFutexWake: {
+      // Nobody waits on a word whose page is not resident, so the key is looked up
+      // without faulting the page in.
+      if (mem.FindVma(uaddr) == nullptr) {
+        return done(-kEFAULT);
+      }
       ++sim_->stats().futex_wakes;
-      int woken = futex_.Wake(frame, offset_in_page, static_cast<int>(val));
-      return done(woken);
+      const Page* frame = mem.ResidentFrame(uaddr, &offset_in_page);
+      return done(frame == nullptr
+                      ? 0
+                      : futex_.Wake(frame, offset_in_page, static_cast<int>(val)));
     }
     default:
       return done(-kENOSYS);

@@ -128,6 +128,7 @@ class Thread {
   // Signals.
   uint64_t sig_blocked = 0;
   uint64_t sig_pending = 0;
+  bool signal_deliverable() const { return (sig_pending & ~sig_blocked) != 0; }
 
   // The Guest facade bound to this thread.
   std::unique_ptr<Guest> guest_facade;

@@ -5,6 +5,7 @@
 
 #include <cstring>
 
+#include "src/kernel/guest_time.h"
 #include "src/sim/simulator.h"
 #include "src/vfs/file.h"
 
@@ -31,19 +32,23 @@ class TimerFdFile : public File {
 
   uint32_t Poll() const override { return expirations_ > 0 ? kPollIn : 0; }
 
-  // timerfd_settime: value/interval in nanoseconds; value 0 disarms.
+  // timerfd_settime: value/interval in nanoseconds; value 0 disarms. An expiry
+  // past the end of virtual time (kTimeNever) stays armed but never fires.
   void Settime(DurationNs value, DurationNs interval) {
     Disarm();
     interval_ = interval;
     value_ = value;
     if (value > 0) {
       armed_at_ = sim_->now();
-      event_ = sim_->queue().ScheduleAfter(value, [this] { Fire(); });
+      Arm(value);
     }
   }
 
   // timerfd_gettime: remaining time until next expiration.
   DurationNs Remaining() const {
+    if (value_ == kTimeNever) {
+      return kTimeNever;
+    }
     if (event_ == 0) {
       return 0;
     }
@@ -61,7 +66,14 @@ class TimerFdFile : public File {
     if (interval_ > 0) {
       armed_at_ = sim_->now();
       value_ = interval_;
-      event_ = sim_->queue().ScheduleAfter(interval_, [this] { Fire(); });
+      Arm(interval_);
+    }
+  }
+
+  void Arm(DurationNs after) {
+    TimeNs expiry = DeadlineAfter(sim_->now(), after);
+    if (expiry != kTimeNever) {
+      event_ = sim_->queue().ScheduleAt(expiry, [this] { Fire(); });
     }
   }
 

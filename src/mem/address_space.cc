@@ -500,6 +500,21 @@ Page* AddressSpace::ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const
   return it->second.frame.get();
 }
 
+Page* AddressSpace::ResidentFrame(GuestAddr addr, uint64_t* offset_in_page) const {
+  Page* frame = nullptr;
+  auto it = page_table_.find(addr >> kPageShift);
+  if (it != page_table_.end()) {
+    frame = it->second.frame.get();
+  } else if (const Vma* vma = FindVma(addr)) {
+    const PageRef* shared = SharedFrame(*vma, addr);
+    frame = shared != nullptr ? shared->get() : nullptr;
+  }
+  if (frame != nullptr && offset_in_page != nullptr) {
+    *offset_in_page = addr & kPageMask;
+  }
+  return frame;
+}
+
 std::string AddressSpace::RenderMaps() const {
   std::ostringstream os;
   for (const auto& [start, vma] : vmas_) {

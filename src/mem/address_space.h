@@ -137,6 +137,10 @@ class AddressSpace {
   // Resolves an address to its backing frame; nullptr when unmapped. Used for futex
   // keys (shared frames give shared keys) and zero-copy page sharing.
   Page* ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const;
+  // The frame backing `addr` if it is resident — in this page table or, for a
+  // shared mapping, in its segment — else nullptr. Never materializes a page: a
+  // futex wake looks its key up with it, since nobody waits on an untouched word.
+  Page* ResidentFrame(GuestAddr addr, uint64_t* offset_in_page) const;
 
   // Renders /proc/<pid>/maps content.
   std::string RenderMaps() const;

@@ -4,6 +4,13 @@
 // sleep registers a one-shot waiter on the object's WaitQueue; the object calls
 // Wake() when its state changes (data arrived, space freed, peer closed). Persistent
 // observers serve epoll-style edge notification fan-out.
+//
+// An owner that keeps a queue only while someone uses it (FutexTable) installs an
+// idle hook: it runs the moment the queue goes idle — at the end of the outermost
+// Wake/WakeN that woke its last waiter, or at the Remove that took it — as the
+// queue's last action, so the hook may retire the queue. A wake that finds no
+// waiter leaves the queue alone: a waiter may hold it between creating it and
+// parking.
 
 #ifndef SRC_VFS_WAIT_QUEUE_H_
 #define SRC_VFS_WAIT_QUEUE_H_
@@ -37,23 +44,32 @@ class WaitQueue {
     return id;
   }
 
+  using IdleHook = void (*)(void* owner, WaitQueue* q);
+  void SetIdleHook(IdleHook hook, void* owner) {
+    idle_hook_ = hook;
+    idle_owner_ = owner;
+  }
+
   void Remove(uint64_t id) {
     auto drop = [id](auto& vec) {
       for (size_t i = 0; i < vec.size(); ++i) {
         if (vec[i].first == id) {
           vec.erase(vec.begin() + static_cast<long>(i));
-          return;
+          return true;
         }
       }
+      return false;
     };
-    drop(waiters_);
-    drop(observers_);
+    if (drop(waiters_) || drop(observers_)) {
+      NotifyIfIdle();
+    }
   }
 
   // Wakes all one-shot waiters (removing them first) and notifies all observers.
   void Wake() {
     ++wake_depth_;
-    if (!waiters_.empty()) {
+    const bool woke = !waiters_.empty();
+    if (woke) {
       if (scratch_.empty()) {
         // Ping-pong with the scratch buffer so neither vector's capacity is lost
         // to a swap-with-empty (the hot Wake path stays allocation-free). Scratch
@@ -91,6 +107,9 @@ class WaitQueue {
       }
     }
     --wake_depth_;
+    if (woke) {
+      NotifyIfIdle();
+    }
   }
 
   // Wakes at most `n` one-shot waiters in FIFO order (observers are not notified).
@@ -105,22 +124,32 @@ class WaitQueue {
       ++woken;
     }
     --wake_depth_;
+    if (woken > 0) {
+      NotifyIfIdle();  // Last: the hook may retire this queue.
+    }
     return woken;
   }
 
-  bool has_waiters() const { return !waiters_.empty(); }
   size_t waiter_count() const { return waiters_.size(); }
-  // No waiter, no observer and no Wake/WakeN on the stack: the owner may destroy
-  // the queue without a callback or a caller's loop touching it afterwards.
-  bool idle() const { return waiters_.empty() && observers_.empty() && wake_depth_ == 0; }
 
  private:
+  // No waiter, no observer and no Wake/WakeN on the stack: the hook may destroy
+  // the queue without a callback or a caller's loop touching it afterwards.
+  void NotifyIfIdle() {
+    if (idle_hook_ != nullptr && waiters_.empty() && observers_.empty() &&
+        wake_depth_ == 0) {
+      idle_hook_(idle_owner_, this);
+    }
+  }
+
   uint64_t next_id_ = 1;
   std::vector<std::pair<uint64_t, Callback>> waiters_;
   std::vector<std::pair<uint64_t, Callback>> observers_;
   // Wake() drain buffer, ping-ponged with waiters_ to preserve both capacities.
   std::vector<std::pair<uint64_t, Callback>> scratch_;
   int wake_depth_ = 0;  // Wake/WakeN calls on the stack.
+  IdleHook idle_hook_ = nullptr;
+  void* idle_owner_ = nullptr;
 };
 
 }  // namespace remon

@@ -134,6 +134,50 @@ TEST(AllocTest, SteadyStateSyscallPathIsAllocationFree) {
   EXPECT_GT(w.sim.queue().lane_scheduled(), 0u);
 }
 
+// A futex queue lives only while a thread is parked on it, but a wait/wake cycle on
+// the same word still allocates nothing once warm: the retired queue's node (and
+// its vectors' capacity) is reused by the next wait.
+TEST(AllocTest, FutexWaitWakeCycleIsAllocationFree) {
+  SimWorld w;
+  Process* p = w.NewProcess("futex-steady");
+  bool stop = false;
+  w.kernel.SpawnThread(p, [&stop](Guest& g) -> GuestTask<void> {
+    GuestAddr word = g.Alloc(4);
+    g.PokeU32(word, 0);
+    uint64_t waker = g.RegisterThreadFn([word, &stop](Guest& wg) -> GuestTask<void> {
+      while (!stop) {
+        co_await wg.Compute(Micros(10));
+        wg.PokeU32(word, 1);
+        co_await wg.Futex(word, kFutexWake, 1);
+      }
+    });
+    co_await g.SpawnThread(waker);
+    while (!stop) {
+      while (g.PeekU32(word) == 0) {
+        co_await g.Futex(word, kFutexWait, 0);
+      }
+      g.PokeU32(word, 0);
+    }
+  });
+
+  TimeNs t = Millis(5);
+  w.Run(t);  // Warm up.
+  const uint64_t waits_before = w.sim.stats().futex_waits;
+  const uint64_t allocs_before = g_heap_allocs;
+  t += Millis(5);
+  w.Run(t);
+  const uint64_t waits_in_window = w.sim.stats().futex_waits - waits_before;
+  const uint64_t allocs_in_window = g_heap_allocs - allocs_before;
+  EXPECT_GE(waits_in_window, 100u);
+  EXPECT_EQ(allocs_in_window, 0u)
+      << allocs_in_window << " heap allocations across " << waits_in_window
+      << " futex wait/wake cycles";
+  EXPECT_LE(w.kernel.futex().queue_count(), 1u);
+  stop = true;
+  w.Run();
+  EXPECT_EQ(w.kernel.futex().queue_count(), 0u);
+}
+
 TEST(AllocTest, FramePoolRecyclesNestedFrames) {
   SimWorld w;
   w.fs.WriteWholeFile("/tmp/pool.bin", std::string(4096, 'y'));

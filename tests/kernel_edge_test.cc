@@ -349,5 +349,185 @@ TEST(KernelEdgeTest, RenameUnlinkUnderMvee) {
   EXPECT_EQ(w.fs.Resolve("/tmp/new-name"), nullptr);
 }
 
+// Guest time arguments: Linux rejects tv_sec < 0 or tv_nsec outside [0, 1e9) with
+// EINVAL, and a valid timeout too long for virtual time never expires instead of
+// overflowing. One case per syscall.
+
+TEST(KernelEdgeTest, FutexWaitValidatesItsTimespec) {
+  SimWorld w;
+  Process* p = w.NewProcess("futex-ts");
+  int64_t saturated = 1;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr word = g.Alloc(4);
+    g.PokeU32(word, 0);
+    GuestAddr ts = g.Alloc(sizeof(GuestTimespec));
+    TimeNs start = g.kernel()->now();
+    for (GuestTimespec bad : {GuestTimespec{-1, 0}, GuestTimespec{0, 2 * kSecond},
+                              GuestTimespec{0, -1}}) {
+      g.Poke(ts, &bad, sizeof(bad));
+      EXPECT_EQ(co_await g.Futex(word, kFutexWait, 0, ts), -kEINVAL) << bad.tv_sec;
+    }
+    EXPECT_LT(g.kernel()->now() - start, Millis(1));  // Rejected without sleeping.
+    EXPECT_EQ(g.kernel()->futex().queue_count(), 0u);
+    // A timeout past the end of virtual time waits for the wake.
+    GuestTimespec huge{INT64_MAX, 0};
+    g.Poke(ts, &huge, sizeof(huge));
+    uint64_t waker = g.RegisterThreadFn([word](Guest& wg) -> GuestTask<void> {
+      co_await wg.SleepNs(Millis(1));
+      co_await wg.Futex(word, kFutexWake, 1);
+    });
+    co_await g.SpawnThread(waker);
+    saturated = co_await g.Futex(word, kFutexWait, 0, ts);
+  });
+  w.Run();
+  EXPECT_EQ(saturated, 0);
+}
+
+TEST(KernelEdgeTest, NanosleepValidatesItsTimespec) {
+  SimWorld w;
+  Process* p = w.NewProcess("nanosleep-ts");
+  bool woke_from_huge = false;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr ts = g.Alloc(sizeof(GuestTimespec));
+    TimeNs start = g.kernel()->now();
+    for (GuestTimespec bad : {GuestTimespec{-1, 0}, GuestTimespec{0, 2 * kSecond},
+                              GuestTimespec{0, -1}}) {
+      g.Poke(ts, &bad, sizeof(bad));
+      EXPECT_EQ(co_await g.Nanosleep(ts), -kEINVAL) << bad.tv_nsec;
+    }
+    EXPECT_LT(g.kernel()->now() - start, Millis(1));  // Rejected without sleeping.
+    GuestTimespec huge{INT64_MAX, kSecond - 1};
+    g.Poke(ts, &huge, sizeof(huge));
+    co_await g.Nanosleep(ts);
+    woke_from_huge = true;
+  });
+  w.Run(Seconds(10));
+  EXPECT_FALSE(woke_from_huge);  // Still asleep: the deadline saturated to never.
+}
+
+TEST(KernelEdgeTest, TimerfdSettimeValidatesItsTimespecs) {
+  SimWorld w;
+  Process* p = w.NewProcess("timerfd-ts");
+  GuestItimerspec armed{};
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.TimerfdCreate());
+    GuestAddr its = g.Alloc(sizeof(GuestItimerspec));
+    GuestItimerspec bad_value;
+    bad_value.it_value = GuestTimespec{0, kSecond};
+    GuestItimerspec bad_interval;
+    bad_interval.it_value = GuestTimespec{1, 0};
+    bad_interval.it_interval = GuestTimespec{-1, 0};
+    for (const GuestItimerspec& bad : {bad_value, bad_interval}) {
+      g.Poke(its, &bad, sizeof(bad));
+      EXPECT_EQ(co_await g.TimerfdSettime(fd, its), -kEINVAL);
+    }
+    GuestItimerspec huge;
+    huge.it_value = GuestTimespec{INT64_MAX, 0};
+    huge.it_interval = GuestTimespec{INT64_MAX, 0};
+    g.Poke(its, &huge, sizeof(huge));
+    EXPECT_EQ(co_await g.TimerfdSettime(fd, its), 0);
+    co_await g.Syscall(Sys::kTimerfdGettime, static_cast<uint64_t>(fd), its);
+    g.Peek(its, &armed, sizeof(armed));
+  });
+  w.Run();  // Returns: an expiry past the end of virtual time schedules nothing.
+  EXPECT_EQ(armed.it_value.tv_sec, kTimeNever / kSecond);
+  EXPECT_EQ(armed.it_interval.tv_sec, kTimeNever / kSecond);
+}
+
+TEST(KernelEdgeTest, SetitimerValidatesItsTimespecs) {
+  SimWorld w;
+  Process* p = w.NewProcess("setitimer-ts");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr its = g.Alloc(sizeof(GuestItimerspec));
+    GuestItimerspec bad_value;
+    bad_value.it_value = GuestTimespec{0, kSecond};
+    GuestItimerspec negative;
+    negative.it_value = GuestTimespec{-1, 0};
+    GuestItimerspec bad_interval;
+    bad_interval.it_value = GuestTimespec{1, 0};
+    bad_interval.it_interval = GuestTimespec{0, -5};
+    for (const GuestItimerspec& bad : {bad_value, negative, bad_interval}) {
+      g.Poke(its, &bad, sizeof(bad));
+      EXPECT_EQ(co_await g.Syscall(Sys::kSetitimer, 0, its), -kEINVAL);
+    }
+    GuestItimerspec huge;
+    huge.it_value = GuestTimespec{INT64_MAX, 0};
+    g.Poke(its, &huge, sizeof(huge));
+    EXPECT_EQ(co_await g.Syscall(Sys::kSetitimer, 0, its), 0);
+  });
+  w.Run();
+  EXPECT_EQ(w.sim.stats().signals_raised, 0u);  // No SIGALRM: it never expires.
+  EXPECT_EQ(p->itimer_event, 0u);
+}
+
+// alarm takes an unsigned int: the register's high bits do not count.
+TEST(KernelEdgeTest, AlarmSecondsAreAnUnsignedInt) {
+  SimWorld w;
+  Process* p = w.NewProcess("alarm-int");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    EXPECT_EQ(co_await g.Alarm((uint64_t{1} << 32) + 1), 0);  // alarm(1).
+    co_await g.SleepNs(Seconds(5));
+  });
+  w.Run(Seconds(2));
+  EXPECT_EQ(w.sim.stats().signals_raised, 1u);
+  EXPECT_TRUE(p->exited);  // SIGALRM's default action.
+}
+
+TEST(KernelEdgeTest, SelectValidatesItsTimeval) {
+  SimWorld w;
+  Process* p = w.NewProcess("select-tv");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr tv = g.Alloc(sizeof(GuestTimeval));
+    TimeNs start = g.kernel()->now();
+    for (GuestTimeval bad : {GuestTimeval{-1, 0}, GuestTimeval{0, 1000000},
+                             GuestTimeval{0, -1}}) {
+      g.Poke(tv, &bad, sizeof(bad));
+      EXPECT_EQ(co_await g.Select(0, 0, 0, 0, tv), -kEINVAL) << bad.tv_usec;
+    }
+    EXPECT_LT(g.kernel()->now() - start, Millis(1));  // Rejected without sleeping.
+  });
+  w.Run();
+}
+
+// poll and epoll_wait take an int timeout: only the register's low 32 bits count.
+TEST(KernelEdgeTest, PollTimeoutIsAnInt) {
+  SimWorld w;
+  Process* p = w.NewProcess("poll-int");
+  DurationNs waited = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr fds = g.Alloc(8);
+    co_await g.Pipe(fds);
+    GuestAddr pfd = g.Alloc(sizeof(GuestPollfd));
+    GuestPollfd pf;
+    pf.fd = static_cast<int>(g.PeekU32(fds));
+    pf.events = static_cast<int16_t>(kPollIn);
+    g.Poke(pfd, &pf, sizeof(pf));
+    TimeNs start = g.kernel()->now();
+    EXPECT_EQ(co_await g.Syscall(Sys::kPoll, pfd, 1, (uint64_t{1} << 32) + 5), 0);
+    waited = g.kernel()->now() - start;
+  });
+  w.Run();
+  EXPECT_GE(waited, Millis(5));
+  EXPECT_LT(waited, Millis(6));
+}
+
+TEST(KernelEdgeTest, EpollWaitTimeoutIsAnInt) {
+  SimWorld w;
+  Process* p = w.NewProcess("epoll-int");
+  DurationNs waited = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int epfd = static_cast<int>(co_await g.EpollCreate1());
+    GuestAddr evs = g.Alloc(sizeof(GuestEpollEvent));
+    TimeNs start = g.kernel()->now();
+    EXPECT_EQ(co_await g.Syscall(Sys::kEpollWait, static_cast<uint64_t>(epfd), evs, 1,
+                                 (uint64_t{1} << 32) + 5),
+              0);
+    waited = g.kernel()->now() - start;
+  });
+  w.Run();
+  EXPECT_GE(waited, Millis(5));
+  EXPECT_LT(waited, Millis(6));
+}
+
 }  // namespace
 }  // namespace remon

@@ -181,45 +181,168 @@ TEST(KernelTest, FutexTimeout) {
   w.Run();
 }
 
-// The reset round retires a lap's futex queues with ReleaseIdle. It may only drop
-// a queue nobody holds: a parked waiter's queue and a queue whose Wake is on the
-// stack (its caller still iterates it) must survive.
-TEST(FutexTableTest, ReleaseIdleKeepsParkedAndWakingQueues) {
+// A futex queue lives only while a waiter is parked on it: it survives a partial
+// wake and a wake whose callback parks again on the same word, and is gone after
+// the wake that empties it or the Remove that takes its last waiter.
+TEST(FutexTableTest, QueueLivesOnlyWhileAWaiterIsParked) {
   FutexTable futex;
   auto frame = std::make_unique<Page>();
-  auto other = std::make_unique<Page>();
-  futex.QueueFor(frame.get(), 0);  // Idle: dropped.
-  WaitQueue& parked = futex.QueueFor(frame.get(), 8);
-  int parked_woken = 0;
-  parked.AddWaiter([&parked_woken] { ++parked_woken; });
-  WaitQueue& observed = futex.QueueFor(frame.get(), 24);
-  observed.AddObserver([] {});
-  WaitQueue& waking = futex.QueueFor(frame.get(), 16);
-  futex.QueueFor(frame.get(), 64);  // Outside [0, 64): kept.
-  futex.QueueFor(other.get(), 0);   // Another frame: kept.
-  ASSERT_EQ(futex.queue_count(), 6u);
+  int woken = 0;
+  auto count = [&woken] { ++woken; };
 
-  size_t dropped_during_wake = 0;
-  waking.AddWaiter([&] { dropped_during_wake = futex.ReleaseIdle(frame.get(), 0, 64); });
-  waking.Wake();
-  // Inside the Wake only the idle word went; `waking` itself was on the stack.
-  EXPECT_EQ(dropped_during_wake, 1u);
-  EXPECT_EQ(futex.queue_count(), 5u);
+  WaitQueue& q = futex.QueueFor(frame.get(), 8);
+  q.AddWaiter(count);
+  q.AddWaiter(count);
+  EXPECT_EQ(futex.Wake(frame.get(), 8, 1), 1);
+  EXPECT_EQ(futex.queue_count(), 1u);  // The second waiter is still parked.
+  EXPECT_EQ(futex.Find(frame.get(), 8), &q);
 
-  // Once the Wake returned, `waking` is idle; the parked and observed words stay.
-  EXPECT_EQ(futex.ReleaseIdle(frame.get(), 0, 64), 1u);
-  EXPECT_EQ(futex.queue_count(), 4u);
-  EXPECT_EQ(futex.Wake(frame.get(), 8, 1), 1);  // The parked waiter's queue still works.
-  EXPECT_EQ(parked_woken, 1);
-  EXPECT_EQ(futex.ReleaseIdle(frame.get(), 0, 64), 1u);
-  EXPECT_EQ(futex.queue_count(), 3u);
-  // A WakeN caller is protected the same way.
-  WaitQueue& woken_n = futex.QueueFor(frame.get(), 32);
-  woken_n.AddWaiter([&] { dropped_during_wake = futex.ReleaseIdle(frame.get(), 0, 64); });
-  EXPECT_EQ(futex.Wake(frame.get(), 32, 1), 1);
-  EXPECT_EQ(dropped_during_wake, 0u);
-  EXPECT_EQ(futex.ReleaseIdle(frame.get(), 0, 64), 1u);
-  EXPECT_EQ(futex.queue_count(), 3u);  // Observed word, out-of-range word, other frame.
+  // The woken waiter parks again on its word from inside the wake.
+  q.AddWaiter([&] {
+    ++woken;
+    futex.QueueFor(frame.get(), 8).AddWaiter(count);
+  });
+  EXPECT_EQ(futex.Wake(frame.get(), 8, 2), 2);
+  EXPECT_EQ(futex.queue_count(), 1u);
+  EXPECT_EQ(futex.Wake(frame.get(), 8, 1), 1);  // Empties it.
+  EXPECT_EQ(woken, 4);
+  EXPECT_EQ(futex.queue_count(), 0u);
+  EXPECT_EQ(futex.Find(frame.get(), 8), nullptr);
+  EXPECT_EQ(futex.Wake(frame.get(), 8, 1), 0);
+
+  // A wake-all empties it too; a wake on the stack keeps it until it returns.
+  WaitQueue& all = futex.QueueFor(frame.get(), 16);
+  size_t during_wake = 0;
+  all.AddWaiter([&] { during_wake = futex.queue_count(); });
+  all.AddWaiter(count);
+  all.Wake();
+  EXPECT_EQ(during_wake, 1u);
+  EXPECT_EQ(futex.queue_count(), 0u);
+
+  // The last waiter leaving without a wake (a timeout, a signal) retires it.
+  WaitQueue& timed = futex.QueueFor(frame.get(), 24);
+  uint64_t first = timed.AddWaiter(count);
+  uint64_t second = timed.AddWaiter(count);
+  timed.Remove(first);
+  EXPECT_EQ(futex.queue_count(), 1u);
+  futex.QueueFor(frame.get(), 24).Remove(second);
+  EXPECT_EQ(futex.queue_count(), 0u);
+
+  // An observer keeps its queue; a wake without a waiter leaves a fresh queue for
+  // the waiter about to park on it.
+  WaitQueue& observed = futex.QueueFor(frame.get(), 32);
+  uint64_t obs = observed.AddObserver([] {});
+  WaitQueue& fresh = futex.QueueFor(frame.get(), 40);
+  observed.Wake();
+  fresh.Wake();
+  EXPECT_EQ(futex.queue_count(), 2u);
+  fresh.AddWaiter(count);
+  EXPECT_EQ(futex.Wake(frame.get(), 40, 1), 1);
+  observed.Remove(obs);
+  EXPECT_EQ(futex.queue_count(), 0u);
+  EXPECT_EQ(woken, 6);
+}
+
+// The last waiter leaving without a wake retires its queue: a timeout, a signal
+// and a kill each leave the table empty.
+TEST(FutexLifetimeTest, TimeoutRetiresTheQueue) {
+  SimWorld w;
+  Process* p = w.NewProcess("futex-timeout");
+  int64_t result = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr word = g.Alloc(4);
+    g.PokeU32(word, 0);
+    GuestAddr ts = g.Alloc(sizeof(GuestTimespec));
+    GuestTimespec spec{0, Millis(5)};
+    g.Poke(ts, &spec, sizeof(spec));
+    result = co_await g.Futex(word, kFutexWait, 0, ts);
+  });
+  w.Run(Millis(1));
+  EXPECT_EQ(w.kernel.futex().queue_count(), 1u);
+  w.Run();
+  EXPECT_EQ(result, -kETIMEDOUT);
+  EXPECT_EQ(w.kernel.futex().queue_count(), 0u);
+}
+
+TEST(FutexLifetimeTest, SignalRetiresTheQueue) {
+  SimWorld w;
+  Process* p = w.NewProcess("futex-eintr");
+  int64_t result = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    uint64_t cookie = g.RegisterHandler([](Guest&, int) -> GuestTask<void> { co_return; });
+    co_await g.Sigaction(kSIGUSR2, cookie);
+    GuestAddr word = g.Alloc(4);
+    g.PokeU32(word, 0);
+    int64_t pid = co_await g.Getpid();
+    int64_t tid = co_await g.Gettid();
+    uint64_t poker = g.RegisterThreadFn([pid, tid](Guest& pg) -> GuestTask<void> {
+      co_await pg.Compute(Millis(1));
+      co_await pg.Syscall(Sys::kTgkill, static_cast<uint64_t>(pid),
+                          static_cast<uint64_t>(tid), static_cast<uint64_t>(kSIGUSR2));
+    });
+    co_await g.SpawnThread(poker);
+    result = co_await g.Futex(word, kFutexWait, 0);
+  });
+  w.Run(Micros(500));
+  EXPECT_EQ(w.kernel.futex().queue_count(), 1u);
+  w.Run();
+  EXPECT_EQ(result, -kEINTR);
+  EXPECT_EQ(w.kernel.futex().queue_count(), 0u);
+}
+
+TEST(FutexLifetimeTest, KilledWaiterRetiresTheQueue) {
+  SimWorld w;
+  Process* p = w.NewProcess("futex-kill");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr word = g.Alloc(4);
+    g.PokeU32(word, 0);
+    uint64_t fn = g.RegisterThreadFn([word](Guest& wg) -> GuestTask<void> {
+      co_await wg.Futex(word, kFutexWait, 0);
+      ADD_FAILURE() << "a killed thread resumed";
+    });
+    co_await g.SpawnThread(fn);
+    co_await g.SpawnThread(fn);
+    co_await g.SleepNs(Millis(1));
+    co_await g.ExitGroup(0);
+  });
+  w.Run(Micros(500));
+  EXPECT_EQ(w.kernel.futex().queue_count(), 1u);  // Both park on one word.
+  w.Run();
+  EXPECT_TRUE(p->exited);
+  EXPECT_EQ(w.kernel.futex().queue_count(), 0u);
+}
+
+// FUTEX_WAKE looks its key up without faulting the page in: a wake on an untouched
+// page of a lazy (System V) mapping wakes nobody and leaves it untouched, a wake
+// on a page only another attacher touched finds that attacher's waiter, and an
+// address outside every mapping is EFAULT.
+TEST(FutexLifetimeTest, WakeFaultsNoPageIn) {
+  SimWorld w;
+  Process* waiter = w.NewProcess("shm-waiter");
+  Process* waker = w.NewProcess("shm-waker");
+  int64_t waited = 1;
+  w.kernel.SpawnThread(waiter, [&](Guest& g) -> GuestTask<void> {
+    int64_t id = co_await g.Shmget(4242, 2 * kPageSize, kIpcCreat);
+    GuestAddr base = static_cast<GuestAddr>(co_await g.Shmat(static_cast<int>(id)));
+    waited = co_await g.Futex(base + kPageSize, kFutexWait, 0);
+  });
+  w.kernel.SpawnThread(waker, [&](Guest& g) -> GuestTask<void> {
+    co_await g.Compute(Millis(1));
+    int64_t id = co_await g.Shmget(4242, 2 * kPageSize, 0);
+    GuestAddr base = static_cast<GuestAddr>(co_await g.Shmat(static_cast<int>(id)));
+    uint64_t mapped = waker->mem().mapped_bytes();
+    uint64_t resident = w.shm.resident_pages();
+    EXPECT_EQ(co_await g.Futex(base, kFutexWake, 1), 0);
+    EXPECT_EQ(waker->mem().mapped_bytes(), mapped);
+    EXPECT_EQ(w.shm.resident_pages(), resident);
+    EXPECT_EQ(co_await g.Futex(base + kPageSize, kFutexWake, 1), 1);
+    EXPECT_EQ(waker->mem().mapped_bytes(), mapped);
+    EXPECT_EQ(co_await g.Futex(base + 64 * kPageSize, kFutexWake, 1), -kEFAULT);
+  });
+  w.Run();
+  EXPECT_EQ(waited, 0);
+  EXPECT_EQ(w.kernel.futex().queue_count(), 0u);
+  EXPECT_EQ(w.sim.stats().futex_wakes, 2u);
 }
 
 TEST(KernelTest, ThreadsShareAddressSpace) {
