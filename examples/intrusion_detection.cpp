@@ -68,7 +68,11 @@ ProgramFn VulnerableServer(const std::vector<std::string>& requests, GuestAddr g
 
 }  // namespace
 
+// Exits non-zero unless ReMon detects the exploit in scenario 2 before the secret
+// leaves the file system.
 int main() {
+  bool detected = false;
+  bool exfiltrated_under_remon = true;
   std::vector<std::string> requests = {"GET /index\n", "GET /about\n", "EXPLOIT",
                                        "GET /after\n"};
 
@@ -114,17 +118,17 @@ int main() {
     mvee.Launch(VulnerableServer(requests, leaked, &exfiltrated), "server");
     w.sim.Run();
 
-    std::printf("divergence detected: %s\n",
-                mvee.divergence_detected() ? "YES — MVEE shut down" : "no");
-    if (mvee.divergence_detected()) {
+    detected = mvee.divergence_detected();
+    exfiltrated_under_remon = w.fs.ReadWholeFile("/tmp/exfiltrated").has_value();
+    std::printf("divergence detected: %s\n", detected ? "YES — MVEE shut down" : "no");
+    if (detected) {
       const DivergenceRecord& record = mvee.ghumvee()->divergences()[0];
       std::printf("verdict: %s\n", record.reason.c_str());
     }
-    std::printf("secret exfiltrated: %s\n",
-                w.fs.ReadWholeFile("/tmp/exfiltrated").has_value() ? "YES" : "no");
+    std::printf("secret exfiltrated: %s\n", exfiltrated_under_remon ? "YES" : "no");
     std::printf("(the gadget ran in the master, but the slave faulted at the same\n");
     std::printf(" instruction — GHUMVEE killed the replica set before the exploit's\n");
     std::printf(" open/write reached the file system)\n");
   }
-  return 0;
+  return detected && !exfiltrated_under_remon ? 0 : 1;
 }

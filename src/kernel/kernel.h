@@ -267,6 +267,13 @@ class Kernel {
                      std::optional<uint64_t> pofs);
   int64_t DoWriteFrom(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
                       std::optional<uint64_t> pofs);
+  // Reads up to `len` bytes at `offset` into io_scratch_, sized by what the file
+  // can return now.
+  int64_t ReadToScratch(FileDescription* desc, uint64_t len, uint64_t offset);
+  // Writes io_scratch_'s first `len` bytes at the file's end under O_APPEND, else at
+  // `pofs` or the description's offset, which a non-positional write advances.
+  int64_t WriteFromScratch(FileDescription* desc, uint64_t len,
+                           std::optional<uint64_t> pofs);
   int64_t FillStatFor(Thread* t, std::shared_ptr<Inode> inode, GuestAddr out);
 
   Simulator* sim_;
@@ -285,8 +292,9 @@ class Kernel {
   std::vector<std::unique_ptr<RetryCtx>> retry_arena_;
   RetryCtx* retry_free_ = nullptr;
 
-  // Bounce buffer for guest<->VFS copies (DoReadInto/DoWriteFrom). Reused across
-  // calls — resize() keeps capacity — and never held across a suspension point.
+  // Bounce buffer for guest<->VFS copies (ReadToScratch/WriteFromScratch). Reused
+  // across calls — resize() keeps capacity — and never held across a suspension
+  // point.
   std::vector<uint8_t> io_scratch_;
 };
 

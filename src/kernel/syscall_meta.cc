@@ -313,6 +313,11 @@ void SerializeGuestRange(Process* p, std::vector<uint8_t>* out, GuestAddr addr, 
     AppendU64(out, 0);
     return;
   }
+  // The length is the guest's: size nothing by it before the range reads.
+  if (!p->mem().Covers(addr, len, kProtRead)) {
+    AppendFaultMarker(out);
+    return;
+  }
   std::vector<uint8_t> tmp(len);
   if (!p->mem().Read(addr, tmp.data(), len).ok) {
     AppendFaultMarker(out);

@@ -27,6 +27,18 @@ std::string FixupPath(Thread* t, std::string path) {
   return path;
 }
 
+// truncate/ftruncate: the length is an off_t.
+int64_t TruncateFile(FileData* data, uint64_t length) {
+  if (static_cast<int64_t>(length) < 0) {
+    return -kEINVAL;
+  }
+  if (length > Filesystem::kMaxFileBytes) {
+    return -kEFBIG;
+  }
+  data->Truncate(length);
+  return 0;
+}
+
 uint32_t StatModeFor(FdType type) {
   switch (type) {
     case FdType::kRegular: return 1u << 16;
@@ -92,7 +104,7 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
           break;
         default:
           if ((flags & kO_TRUNC) != 0) {
-            inode->data.clear();
+            inode->data.Truncate(0);
           }
           file = std::make_shared<RegularHandle>(inode, fs_);
           break;
@@ -385,8 +397,7 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       if (!inode || inode->type != FdType::kRegular) {
         return -kENOENT;
       }
-      inode->data.resize(req.arg(1));
-      return 0;
+      return TruncateFile(&inode->data, req.arg(1));
     }
     case Sys::kFtruncate: {
       auto desc = Fd(t, static_cast<int>(req.arg(0)));
@@ -397,8 +408,7 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       if (reg == nullptr) {
         return -kEINVAL;
       }
-      reg->inode()->data.resize(req.arg(1));
-      return 0;
+      return TruncateFile(&reg->inode()->data, req.arg(1));
     }
     case Sys::kSync:
     case Sys::kSyncfs:

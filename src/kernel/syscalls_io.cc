@@ -15,7 +15,24 @@ namespace remon {
 
 namespace {
 
-// Gathers iovec descriptors from guest memory. Returns -EFAULT/-EINVAL or 0.
+// Linux's MAX_RW_COUNT: one read or write moves at most this many bytes.
+constexpr uint64_t kMaxRwCount = 0x7ffff000;
+
+// A read/write count or file offset is an ssize_t/off_t: negative is -EINVAL.
+bool NegativeAsSigned(uint64_t v) { return static_cast<int64_t>(v) < 0; }
+
+// Linux's rw_verify_area: a negative count or offset is -EINVAL; the count is
+// clamped to kMaxRwCount. Returns 0 or -EINVAL.
+int VerifyRwArea(uint64_t* len, std::optional<uint64_t> pofs) {
+  if (NegativeAsSigned(*len) || (pofs && NegativeAsSigned(*pofs))) {
+    return -kEINVAL;
+  }
+  *len = std::min(*len, kMaxRwCount);
+  return 0;
+}
+
+// Gathers iovec descriptors from guest memory and clips the segments so their
+// total is at most kMaxRwCount, as Linux does. Returns -EFAULT/-EINVAL or 0.
 int ReadIovecs(Process* p, GuestAddr iov_addr, uint64_t iovcnt,
                std::vector<GuestIovec>* out) {
   if (iovcnt > 1024) {
@@ -27,6 +44,14 @@ int ReadIovecs(Process* p, GuestAddr iov_addr, uint64_t iovcnt,
   }
   if (!p->mem().Read(iov_addr, out->data(), iovcnt * sizeof(GuestIovec)).ok) {
     return -kEFAULT;
+  }
+  uint64_t total = 0;
+  for (GuestIovec& v : *out) {
+    if (NegativeAsSigned(v.iov_len)) {
+      return -kEINVAL;
+    }
+    v.iov_len = std::min(v.iov_len, kMaxRwCount - total);
+    total += v.iov_len;
   }
   return 0;
 }
@@ -99,17 +124,35 @@ void Kernel::ExecuteSyscall(Thread* t, const SyscallRequest& req, Done done) {
   }
 }
 
+int64_t Kernel::ReadToScratch(FileDescription* desc, uint64_t len, uint64_t offset) {
+  // io_scratch_ is safe to reuse: nothing below suspends or re-enters a copy. It
+  // holds what the file can return now, never the guest's whole length.
+  len = std::min(len, desc->file()->ReadableBytes(offset));
+  io_scratch_.resize(len);
+  return desc->file()->Read(io_scratch_.data(), len, offset);
+}
+
+int64_t Kernel::WriteFromScratch(FileDescription* desc, uint64_t len,
+                                 std::optional<uint64_t> pofs) {
+  uint64_t offset = pofs.value_or(desc->offset());
+  if ((desc->status_flags() & kO_APPEND) != 0 && desc->file()->Size() >= 0) {
+    offset = static_cast<uint64_t>(desc->file()->Size());
+  }
+  int64_t n = desc->file()->Write(io_scratch_.data(), len, offset);
+  if (n >= 0 && !pofs && desc->file()->Size() >= 0) {
+    desc->set_offset(offset + static_cast<uint64_t>(n));
+  }
+  return n;
+}
+
 int64_t Kernel::DoReadInto(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
                            std::optional<uint64_t> pofs) {
-  // io_scratch_ is safe to reuse: nothing below suspends or re-enters a copy.
-  io_scratch_.resize(len);
-  uint8_t* tmp = io_scratch_.data();
   uint64_t offset = pofs.value_or(desc->offset());
-  int64_t n = desc->file()->Read(tmp, len, offset);
+  int64_t n = ReadToScratch(desc, len, offset);
   if (n < 0) {
     return n;
   }
-  if (n > 0 && CopyOut(t->process(), buf, tmp, static_cast<uint64_t>(n)) != 0) {
+  if (n > 0 && CopyOut(t->process(), buf, io_scratch_.data(), static_cast<uint64_t>(n)) != 0) {
     return -kEFAULT;
   }
   if (!pofs && desc->file()->Size() >= 0) {
@@ -120,23 +163,15 @@ int64_t Kernel::DoReadInto(Thread* t, FileDescription* desc, GuestAddr buf, uint
 
 int64_t Kernel::DoWriteFrom(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
                             std::optional<uint64_t> pofs) {
-  io_scratch_.resize(len);
-  uint8_t* tmp = io_scratch_.data();
-  if (CopyIn(t->process(), tmp, buf, len) != 0) {
+  // The source must be readable before the bounce buffer is sized by it.
+  if (!t->process()->mem().Covers(buf, len, kProtRead)) {
     return -kEFAULT;
   }
-  uint64_t offset = pofs.value_or(desc->offset());
-  if ((desc->status_flags() & kO_APPEND) != 0 && desc->file()->Size() >= 0) {
-    offset = static_cast<uint64_t>(desc->file()->Size());
+  io_scratch_.resize(len);
+  if (CopyIn(t->process(), io_scratch_.data(), buf, len) != 0) {
+    return -kEFAULT;
   }
-  int64_t n = desc->file()->Write(tmp, len, offset);
-  if (n < 0) {
-    return n;
-  }
-  if (!pofs && desc->file()->Size() >= 0) {
-    desc->set_offset(offset + static_cast<uint64_t>(n));
-  }
-  return n;
+  return WriteFromScratch(desc, len, pofs);
 }
 
 void Kernel::SysRead(Thread* t, const SyscallRequest& req, bool vectored, bool positional,
@@ -166,15 +201,17 @@ void Kernel::SysRead(Thread* t, const SyscallRequest& req, bool vectored, bool p
     len = IovTotal(iov);
     buf = iov.empty() ? 0 : iov[0].iov_base;
   }
+  if (int rc = VerifyRwArea(&len, pofs); rc != 0) {
+    return done(rc);
+  }
 
   auto attempt = [this, t, desc, buf, len, pofs, vectored, iov]() -> int64_t {
     if (!vectored) {
       return DoReadInto(t, desc.get(), buf, len, pofs);
     }
-    // Vectored: read into a scratch buffer, then scatter across segments.
-    std::vector<uint8_t> tmp(len);
+    // Vectored: read into the scratch buffer, then scatter across segments.
     uint64_t offset = pofs.value_or(desc->offset());
-    int64_t n = desc->file()->Read(tmp.data(), len, offset);
+    int64_t n = ReadToScratch(desc.get(), len, offset);
     if (n <= 0) {
       return n;
     }
@@ -184,7 +221,7 @@ void Kernel::SysRead(Thread* t, const SyscallRequest& req, bool vectored, bool p
         break;
       }
       uint64_t chunk = std::min<uint64_t>(v.iov_len, static_cast<uint64_t>(n) - copied);
-      if (CopyOut(t->process(), v.iov_base, tmp.data() + copied, chunk) != 0) {
+      if (CopyOut(t->process(), v.iov_base, io_scratch_.data() + copied, chunk) != 0) {
         return -kEFAULT;
       }
       copied += chunk;
@@ -224,27 +261,30 @@ void Kernel::SysWrite(Thread* t, const SyscallRequest& req, bool vectored, bool 
       return done(rc);
     }
   }
+  if (int rc = VerifyRwArea(&len, pofs); rc != 0) {
+    return done(rc);
+  }
 
   auto attempt = [this, t, desc, buf, len, pofs, vectored, iov]() -> int64_t {
     if (!vectored) {
       return DoWriteFrom(t, desc.get(), buf, len, pofs);
     }
     // Gather segments into one contiguous write.
+    for (const GuestIovec& v : iov) {
+      if (!t->process()->mem().Covers(v.iov_base, v.iov_len, kProtRead)) {
+        return -kEFAULT;
+      }
+    }
     uint64_t total = IovTotal(iov);
-    std::vector<uint8_t> tmp(total);
+    io_scratch_.resize(total);
     uint64_t filled = 0;
     for (const GuestIovec& v : iov) {
-      if (CopyIn(t->process(), tmp.data() + filled, v.iov_base, v.iov_len) != 0) {
+      if (CopyIn(t->process(), io_scratch_.data() + filled, v.iov_base, v.iov_len) != 0) {
         return -kEFAULT;
       }
       filled += v.iov_len;
     }
-    uint64_t offset = pofs.value_or(desc->offset());
-    int64_t n = desc->file()->Write(tmp.data(), total, offset);
-    if (n > 0 && !pofs && desc->file()->Size() >= 0) {
-      desc->set_offset(offset + static_cast<uint64_t>(n));
-    }
-    return n;
+    return WriteFromScratch(desc.get(), total, pofs);
   };
 
   if (desc->nonblocking()) {

@@ -29,6 +29,7 @@ class TimerFdFile : public File {
     expirations_ = 0;
     return 8;
   }
+  uint64_t ReadableBytes(uint64_t offset) const override { return 8; }
 
   uint32_t Poll() const override { return expirations_ > 0 ? kPollIn : 0; }
 

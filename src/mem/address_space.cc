@@ -446,6 +446,21 @@ const Vma* AddressSpace::FindVma(GuestAddr addr) const {
   return nullptr;
 }
 
+bool AddressSpace::Covers(GuestAddr addr, uint64_t len, uint32_t prot) const {
+  GuestAddr end = addr + len;
+  if (end < addr) {
+    return false;
+  }
+  while (addr < end) {
+    const Vma* vma = FindVma(addr);
+    if (vma == nullptr || (vma->prot & prot) != prot) {
+      return false;
+    }
+    addr = vma->end();
+  }
+  return true;
+}
+
 const Vma* AddressSpace::FindVmaByName(std::string_view name) const {
   for (const auto& [start, vma] : vmas_) {
     if (vma.name == name) {

@@ -102,6 +102,10 @@ class AddressSpace {
   AccessResult Read(GuestAddr addr, void* out, uint64_t len) const;
   AccessResult Write(GuestAddr addr, const void* data, uint64_t len);
 
+  // True when VMAs granting `prot` cover [addr, addr+len) without a gap. Touches no
+  // page: the kernel checks a write's source with it before sizing a buffer by it.
+  bool Covers(GuestAddr addr, uint64_t len, uint32_t prot) const;
+
   // Access that ignores page protections (used by ptrace-style monitor access, which
   // goes through the kernel and may inspect read-protected pages).
   AccessResult ReadUnchecked(GuestAddr addr, void* out, uint64_t len) const;

@@ -35,19 +35,22 @@ using PageRef = std::shared_ptr<Page>;
 
 inline PageRef NewPage() { return std::make_shared<Page>(); }
 
-// The demand-paged backing store of a System V segment. Slots start out null; the
-// first write or frame resolution through any mapping of the table allocates the
-// frame there, so every attacher sees it (Linux faults a shm segment in the same
-// way). Held by shared_ptr: attached mappings keep it alive after IPC_RMID.
+// A demand-paged store of guest bytes: the backing of a System V segment and the
+// contents of a regular file. Slots start out null; the first write (or frame
+// resolution through a mapping of a segment) allocates the frame there, so every
+// attacher sees it (Linux faults a shm segment in the same way) and a file hole
+// costs no frame. A segment's table keeps the size it was created with; a file's
+// grows to its highest written page and shrinks with truncation. Segments hold it
+// by shared_ptr: attached mappings keep it alive after IPC_RMID.
 class FrameTable {
  public:
-  explicit FrameTable(uint64_t pages) : slots_(pages) {}
+  explicit FrameTable(uint64_t pages = 0) : slots_(pages) {}
 
   uint64_t size() const { return slots_.size(); }
   // Frames allocated so far; never-touched pages cost no host memory.
   uint64_t resident() const { return resident_; }
 
-  // The frame of page `index`, or null while no mapping has materialized it.
+  // The frame of page `index`, or null while nothing has materialized it.
   const PageRef& Get(uint64_t index) const { return slots_[index]; }
   // The frame of page `index`, allocating it on first use.
   const PageRef& Materialize(uint64_t index) {
@@ -57,6 +60,15 @@ class FrameTable {
       ++resident_;
     }
     return slot;
+  }
+
+  // Sets the slot count to `pages`: growing appends holes, shrinking releases the
+  // frames past the new end.
+  void Resize(uint64_t pages) {
+    for (uint64_t i = pages; i < slots_.size(); ++i) {
+      resident_ -= slots_[i] != nullptr ? 1 : 0;
+    }
+    slots_.resize(pages);
   }
 
  private:

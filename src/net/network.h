@@ -133,6 +133,7 @@ class StreamSocket : public File, public std::enable_shared_from_this<StreamSock
   std::shared_ptr<StreamSocket> TryAccept();
 
   int64_t Read(void* buf, uint64_t len, uint64_t offset) override;
+  uint64_t ReadableBytes(uint64_t offset) const override { return rx_.size(); }
   int64_t Write(const void* buf, uint64_t len, uint64_t offset) override;
   uint32_t Poll() const override;
   void OnDescriptionClosed(int acc_mode) override;

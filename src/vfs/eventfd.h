@@ -28,6 +28,7 @@ class EventFdFile : public File {
     NotifyPoll();
     return 8;
   }
+  uint64_t ReadableBytes(uint64_t offset) const override { return 8; }
 
   int64_t Write(const void* buf, uint64_t len, uint64_t offset) override {
     if (len < 8) {

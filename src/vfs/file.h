@@ -42,6 +42,11 @@ class File {
   // read (0 == EOF), or -errno; -EAGAIN when the call would block.
   virtual int64_t Read(void* buf, uint64_t len, uint64_t offset) { return -kEINVAL; }
 
+  // The most bytes a Read at `offset` could return now: what lies before EOF, or
+  // what a stream holds buffered. The kernel sizes its host copy buffer by this,
+  // never by the guest's length alone. Files that cannot be read report 0.
+  virtual uint64_t ReadableBytes(uint64_t offset) const { return 0; }
+
   // Non-blocking attempt to write. Returns bytes written or -errno (-EAGAIN: full).
   virtual int64_t Write(const void* buf, uint64_t len, uint64_t offset) { return -kEINVAL; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "src/sim/check.h"
 #include "src/sim/rng.h"
@@ -230,7 +231,8 @@ bool Filesystem::WriteWholeFile(std::string_view path, std::string_view contents
   if (!inode) {
     return false;
   }
-  inode->data.assign(contents.begin(), contents.end());
+  inode->data.Truncate(0);
+  inode->data.Write(0, contents.data(), contents.size());
   return true;
 }
 
@@ -239,7 +241,9 @@ std::optional<std::string> Filesystem::ReadWholeFile(std::string_view path) cons
   if (!inode || inode->type != FdType::kRegular) {
     return std::nullopt;
   }
-  return std::string(inode->data.begin(), inode->data.end());
+  std::string out(inode->data.size(), '\0');
+  inode->data.Read(0, out.data(), out.size());
+  return out;
 }
 
 void Filesystem::Populate(std::string_view dir, int count, uint64_t size, uint64_t seed) {
@@ -249,28 +253,75 @@ void Filesystem::Populate(std::string_view dir, int count, uint64_t size, uint64
     std::string path = std::string(dir) + "/file" + std::to_string(i) + ".dat";
     std::shared_ptr<Inode> inode = CreateFile(path);
     REMON_CHECK(inode != nullptr);
-    inode->data.resize(size);
     for (uint64_t j = 0; j < size; j += 8) {
       uint64_t v = rng.Next64();
-      std::memcpy(inode->data.data() + j, &v, std::min<uint64_t>(8, size - j));
+      inode->data.Write(j, &v, std::min<uint64_t>(8, size - j));
     }
   }
 }
 
-int64_t RegularHandle::Read(void* buf, uint64_t len, uint64_t offset) {
-  if (offset >= inode_->data.size()) {
-    return 0;  // EOF.
+uint64_t FileData::Read(uint64_t offset, void* out, uint64_t len) const {
+  if (offset >= size_) {
+    return 0;
   }
-  uint64_t n = std::min<uint64_t>(len, inode_->data.size() - offset);
-  std::memcpy(buf, inode_->data.data() + offset, n);
-  return static_cast<int64_t>(n);
+  uint64_t n = std::min(len, size_ - offset);
+  uint8_t* dst = static_cast<uint8_t*>(out);
+  for (uint64_t done = 0; done < n;) {
+    uint64_t page = (offset + done) >> kPageShift;
+    uint64_t in_page = (offset + done) & kPageMask;
+    uint64_t chunk = std::min(n - done, kPageSize - in_page);
+    const Page* frame = page < frames_.size() ? frames_.Get(page).get() : nullptr;
+    if (frame != nullptr) {
+      std::memcpy(dst + done, frame->bytes.data() + in_page, chunk);
+    } else {
+      std::memset(dst + done, 0, chunk);  // A hole.
+    }
+    done += chunk;
+  }
+  return n;
+}
+
+void FileData::Write(uint64_t offset, const void* data, uint64_t len) {
+  uint64_t end = offset + len;
+  if (len > 0 && ((end - 1) >> kPageShift) >= frames_.size()) {
+    frames_.Resize(((end - 1) >> kPageShift) + 1);
+  }
+  const uint8_t* src = static_cast<const uint8_t*>(data);
+  for (uint64_t done = 0; done < len;) {
+    uint64_t page = (offset + done) >> kPageShift;
+    uint64_t in_page = (offset + done) & kPageMask;
+    uint64_t chunk = std::min(len - done, kPageSize - in_page);
+    std::memcpy(frames_.Materialize(page)->bytes.data() + in_page, src + done, chunk);
+    done += chunk;
+  }
+  size_ = std::max(size_, end);
+}
+
+void FileData::Truncate(uint64_t size) {
+  if (size < size_) {
+    uint64_t pages = PageAlignUp(size) >> kPageShift;
+    if (pages < frames_.size()) {
+      frames_.Resize(pages);
+    }
+    uint64_t in_page = size & kPageMask;
+    if (in_page != 0 && pages - 1 < frames_.size() && frames_.Get(pages - 1) != nullptr) {
+      Page& last = *frames_.Get(pages - 1);
+      std::memset(last.bytes.data() + in_page, 0, kPageSize - in_page);
+    }
+  }
+  size_ = size;
+}
+
+int64_t RegularHandle::Read(void* buf, uint64_t len, uint64_t offset) {
+  return static_cast<int64_t>(inode_->data.Read(offset, buf, len));
 }
 
 int64_t RegularHandle::Write(const void* buf, uint64_t len, uint64_t offset) {
-  if (offset + len > inode_->data.size()) {
-    inode_->data.resize(offset + len);
+  if (offset >= Filesystem::kMaxFileBytes) {
+    return -kEFBIG;
   }
-  std::memcpy(inode_->data.data() + offset, buf, len);
+  len = std::min(len, Filesystem::kMaxFileBytes - offset);
+  inode_->data.Write(offset, buf, len);
   return static_cast<int64_t>(len);
 }
 

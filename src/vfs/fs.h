@@ -15,17 +15,43 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/kernel/abi.h"
+#include "src/mem/page.h"
 #include "src/vfs/file.h"
 
 namespace remon {
 
+// Regular-file contents: size() bytes in the 4 KiB frames of a FrameTable, the page
+// store System V segments use. A write materializes only the pages it touches, so
+// a growing file never reallocates or copies what it already holds; a hole reads
+// as zeroes and costs no frame. A resident frame's bytes past EOF are always zero,
+// so growing the file again exposes zeroes.
+class FileData {
+ public:
+  uint64_t size() const { return size_; }
+  // Frames held; at most ceil(size() / kPageSize).
+  uint64_t resident_pages() const { return frames_.resident(); }
+
+  // Copies the bytes of [offset, offset + len) that lie before EOF into `out`;
+  // returns how many.
+  uint64_t Read(uint64_t offset, void* out, uint64_t len) const;
+  // Stores `len` bytes at `offset`; the file grows to end at offset + len if it
+  // ended before.
+  void Write(uint64_t offset, const void* data, uint64_t len);
+  // Sets the size. Shrinking releases every frame past the new end and zeroes the
+  // tail of the last partial page; growing leaves a hole.
+  void Truncate(uint64_t size);
+
+ private:
+  FrameTable frames_;
+  uint64_t size_ = 0;
+};
+
 struct Inode {
   uint64_t ino = 0;
   FdType type = FdType::kRegular;
-  std::vector<uint8_t> data;                               // Regular file contents.
+  FileData data;                                           // Regular file contents.
   std::map<std::string, std::shared_ptr<Inode>> children;  // Directory entries.
   std::string symlink_target;
   std::map<std::string, std::string> xattrs;
@@ -37,6 +63,10 @@ struct Inode {
 
 class Filesystem {
  public:
+  // The largest regular file (Linux's s_maxbytes): a write that starts at or past
+  // it, or a truncate beyond it, fails with EFBIG.
+  static constexpr uint64_t kMaxFileBytes = uint64_t{4} << 30;
+
   Filesystem();
 
   // --- Tree manipulation ---------------------------------------------------------
@@ -86,6 +116,9 @@ class RegularHandle : public File {
   int64_t Write(const void* buf, uint64_t len, uint64_t offset) override;
   uint32_t Poll() const override { return kPollIn | kPollOut; }
   int64_t Size() const override { return static_cast<int64_t>(inode_->data.size()); }
+  uint64_t ReadableBytes(uint64_t offset) const override {
+    return offset < inode_->data.size() ? inode_->data.size() - offset : 0;
+  }
 
   Inode* inode() const { return inode_.get(); }
 
@@ -121,6 +154,9 @@ class SpecialHandle : public File {
   int64_t Read(void* buf, uint64_t len, uint64_t offset) override;
   uint32_t Poll() const override { return kPollIn; }
   int64_t Size() const override { return static_cast<int64_t>(content_.size()); }
+  uint64_t ReadableBytes(uint64_t offset) const override {
+    return offset < content_.size() ? content_.size() - offset : 0;
+  }
 
   // GHUMVEE rewrites the snapshot of /proc/<pid>/maps before the replica reads it.
   std::string& mutable_content() { return content_; }
@@ -139,6 +175,9 @@ class UrandomHandle : public File {
   FdType type() const override { return FdType::kSpecial; }
   int64_t Read(void* buf, uint64_t len, uint64_t offset) override;
   uint32_t Poll() const override { return kPollIn; }
+  // The stream never runs dry; one read returns at most INT_MAX >> 6 bytes, as on
+  // Linux before 5.18.
+  uint64_t ReadableBytes(uint64_t offset) const override { return 0x7fffffffu >> 6; }
 
  private:
   uint64_t state_;

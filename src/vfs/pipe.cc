@@ -37,6 +37,8 @@ int64_t PipeReadEnd::Read(void* buf, uint64_t len, uint64_t offset) {
   return static_cast<int64_t>(n);
 }
 
+uint64_t PipeReadEnd::ReadableBytes(uint64_t offset) const { return pipe_->buffer_.size(); }
+
 uint32_t PipeReadEnd::Poll() const {
   uint32_t mask = 0;
   if (!pipe_->buffer_.empty()) {

@@ -52,6 +52,7 @@ class PipeReadEnd : public File {
 
   FdType type() const override { return FdType::kPipe; }
   int64_t Read(void* buf, uint64_t len, uint64_t offset) override;
+  uint64_t ReadableBytes(uint64_t offset) const override;
   uint32_t Poll() const override;
   void OnDescriptionClosed(int acc_mode) override;
 

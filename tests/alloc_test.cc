@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -22,10 +24,12 @@
 
 namespace {
 uint64_t g_heap_allocs = 0;
+std::size_t g_largest_alloc = 0;  // Largest single request since the last reset.
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_heap_allocs;
+  g_largest_alloc = std::max(g_largest_alloc, n);
   void* p = std::malloc(n != 0 ? n : 1);
   if (p == nullptr) {
     std::abort();
@@ -37,6 +41,7 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   ++g_heap_allocs;
+  g_largest_alloc = std::max(g_largest_alloc, n);
   return std::malloc(n != 0 ? n : 1);
 }
 
@@ -46,6 +51,7 @@ void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
 
 void* operator new(std::size_t n, std::align_val_t al) {
   ++g_heap_allocs;
+  g_largest_alloc = std::max(g_largest_alloc, n);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(al), n != 0 ? n : 1) != 0) {
     std::abort();
@@ -176,6 +182,55 @@ TEST(AllocTest, FutexWaitWakeCycleIsAllocationFree) {
   stop = true;
   w.Run();
   EXPECT_EQ(w.kernel.futex().queue_count(), 0u);
+}
+
+// A growing log lives in 4 KiB frames: appending 64-byte records allocates one
+// frame per 4 KiB appended, plus the frame table's slot vector, which doubles. No
+// allocation is ever the size of the file, and nothing already written is copied.
+TEST(AllocTest, AppendedRecordsAllocateOneFramePerPage) {
+  SimWorld w;
+  Process* p = w.NewProcess("append");
+  bool finished = false;
+  w.kernel.SpawnThread(p, [&finished](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(
+        co_await g.Open("/tmp/append.log", kO_CREAT | kO_WRONLY | kO_APPEND));
+    GuestAddr record = g.Alloc(64);
+    for (int i = 0; i < 8192; ++i) {
+      co_await g.Write(fd, record, 64);
+    }
+    co_await g.Close(fd);
+    finished = true;
+  });
+
+  // Warm up past the syscall path's first-use growth.
+  TimeNs t = 0;
+  const TimeNs kStep = Micros(100);
+  while (w.sim.stats().syscalls_total < 200 && !finished) {
+    t += kStep;
+    w.Run(t);
+  }
+  std::shared_ptr<Inode> log = w.fs.Resolve("/tmp/append.log");
+  ASSERT_NE(log, nullptr);
+
+  const uint64_t syscalls_before = w.sim.stats().syscalls_total;
+  const uint64_t frames_before = log->data.resident_pages();
+  const uint64_t allocs_before = g_heap_allocs;
+  g_largest_alloc = 0;
+  while (w.sim.stats().syscalls_total < syscalls_before + 4096 && !finished) {
+    t += kStep;
+    w.Run(t);
+  }
+  ASSERT_FALSE(finished) << "workload too small to fill the window";
+  const uint64_t frames = log->data.resident_pages();
+  const uint64_t new_frames = frames - frames_before;
+  const uint64_t allocs_in_window = g_heap_allocs - allocs_before;
+  EXPECT_GE(new_frames, 60u);  // The window appended at least 256 KiB.
+  EXPECT_EQ(frames, PageAlignUp(log->data.size()) / kPageSize);
+  EXPECT_LE(allocs_in_window, new_frames + std::bit_width(frames))
+      << allocs_in_window << " heap allocations for " << new_frames << " new frames";
+  EXPECT_LE(g_largest_alloc, sizeof(Page) + 64);  // A frame and its control block.
+  w.Run();
+  EXPECT_TRUE(finished);
 }
 
 TEST(AllocTest, FramePoolRecyclesNestedFrames) {

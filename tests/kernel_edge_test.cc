@@ -529,5 +529,130 @@ TEST(KernelEdgeTest, EpollWaitTimeoutIsAnInt) {
   EXPECT_LT(waited, Millis(6));
 }
 
+// --- Guest lengths and offsets never size a host allocation ---------------------
+
+// A read moves what lies before EOF: the guest's length (clamped to MAX_RW_COUNT)
+// is only an upper bound, and the kernel's copy buffer holds the 3 file bytes.
+TEST(KernelEdgeTest, HugeReadOfAShortFileMovesTheFileBytes) {
+  SimWorld w;
+  w.fs.WriteWholeFile("/tmp/short", "abc");
+  Process* p = w.NewProcess("huge-read");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/short", kO_RDONLY));
+    GuestAddr buf = g.Alloc(16);
+    EXPECT_EQ(co_await g.Pread(fd, buf, uint64_t{1} << 46, 0), 3);
+    EXPECT_EQ(g.PeekString(buf, 3), "abc");
+    EXPECT_EQ(co_await g.Read(fd, buf, uint64_t{1} << 46), 3);
+    EXPECT_EQ(co_await g.Read(fd, buf, uint64_t{1} << 46), 0);  // EOF.
+    GuestAddr iov = g.Alloc(sizeof(GuestIovec));
+    GuestIovec v{buf, uint64_t{1} << 46};
+    g.Poke(iov, &v, sizeof(v));
+    co_await g.Lseek(fd, 0, kSeekSet);
+    EXPECT_EQ(co_await g.Readv(fd, iov, 1), 3);
+  });
+  w.Run();
+}
+
+TEST(KernelEdgeTest, NegativeLengthsAndOffsetsAreEinval) {
+  SimWorld w;
+  w.fs.WriteWholeFile("/tmp/neg", "abc");
+  Process* p = w.NewProcess("negative");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/neg", kO_RDWR));
+    GuestAddr buf = g.Alloc(16);
+    EXPECT_EQ(co_await g.Ftruncate(fd, static_cast<uint64_t>(-1)), -kEINVAL);
+    EXPECT_EQ(co_await g.Syscall(Sys::kTruncate, g.CString("/tmp/neg"),
+                                 static_cast<uint64_t>(-4096)),
+              -kEINVAL);
+    EXPECT_EQ(co_await g.Read(fd, buf, static_cast<uint64_t>(-1)), -kEINVAL);
+    EXPECT_EQ(co_await g.Write(fd, buf, static_cast<uint64_t>(-1)), -kEINVAL);
+    EXPECT_EQ(co_await g.Pread(fd, buf, 1, static_cast<uint64_t>(-1)), -kEINVAL);
+    EXPECT_EQ(co_await g.Pwrite(fd, buf, 1, static_cast<uint64_t>(-1)), -kEINVAL);
+    EXPECT_EQ(w.fs.ReadWholeFile("/tmp/neg"), "abc");
+  });
+  w.Run();
+}
+
+// Files end at s_maxbytes: a write starting there, or a truncate past it, is EFBIG;
+// a write running across it is cut short there.
+TEST(KernelEdgeTest, FileSizeStopsAtTheFilesystemLimit) {
+  SimWorld w;
+  Process* p = w.NewProcess("efbig");
+  std::shared_ptr<Inode> inode;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/big", kO_CREAT | kO_RDWR));
+    inode = w.fs.Resolve("/tmp/big");
+    GuestAddr buf = g.Alloc(16);
+    g.Poke(buf, "xy", 2);
+    EXPECT_EQ(co_await g.Pwrite(fd, buf, 1, uint64_t{1} << 46), -kEFBIG);
+    EXPECT_EQ(co_await g.Pwrite(fd, buf, 1, Filesystem::kMaxFileBytes), -kEFBIG);
+    EXPECT_EQ(co_await g.Ftruncate(fd, Filesystem::kMaxFileBytes + 1), -kEFBIG);
+    EXPECT_EQ(inode->data.size(), 0u);
+    EXPECT_EQ(co_await g.Pwrite(fd, buf, 2, Filesystem::kMaxFileBytes - 1), 1);
+    EXPECT_EQ(inode->data.size(), Filesystem::kMaxFileBytes);
+    EXPECT_EQ(inode->data.resident_pages(), 1u);  // Only the page written.
+    EXPECT_EQ(co_await g.Ftruncate(fd, 0), 0);
+    EXPECT_EQ(inode->data.resident_pages(), 0u);
+  });
+  w.Run();
+  ASSERT_NE(inode, nullptr);
+}
+
+// A write's source must be mapped before the kernel sizes a buffer by its length.
+TEST(KernelEdgeTest, WriteFromAnUnmappedSourceIsEfault) {
+  SimWorld w;
+  Process* p = w.NewProcess("efault");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/src", kO_CREAT | kO_RDWR));
+    GuestAddr buf = g.Alloc(16);
+    EXPECT_EQ(co_await g.Write(fd, buf, uint64_t{1} << 46), -kEFAULT);
+    GuestAddr iov = g.Alloc(2 * sizeof(GuestIovec));
+    GuestIovec v[2] = {{buf, 4}, {buf, uint64_t{1} << 46}};
+    g.Poke(iov, v, sizeof(v));
+    EXPECT_EQ(co_await g.Writev(fd, iov, 2), -kEFAULT);
+    EXPECT_EQ(w.fs.ReadWholeFile("/tmp/src"), "");
+  });
+  w.Run();
+}
+
+// GHUMVEE serializes a monitored write's buffer for its lockstep compare: an
+// unmapped source is a fault marker there too, not an allocation of its length.
+TEST(KernelEdgeTest, MonitoredWriteFromAnUnmappedSourceIsEfault) {
+  SimWorld w(38);
+  RemonOptions opts;
+  opts.mode = MveeMode::kGhumveeOnly;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/monitored", kO_CREAT | kO_RDWR));
+    GuestAddr buf = g.Alloc(16);
+    EXPECT_EQ(co_await g.Write(fd, buf, uint64_t{1} << 46), -kEFAULT);
+    co_await g.Close(fd);
+  });
+  w.Run();
+  EXPECT_FALSE(mvee.divergence_detected());
+  EXPECT_TRUE(mvee.finished());
+}
+
+TEST(KernelEdgeTest, WritevHonoursOAppend) {
+  SimWorld w;
+  Process* p = w.NewProcess("writev-append");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(
+        co_await g.Open("/tmp/append", kO_CREAT | kO_WRONLY | kO_APPEND));
+    GuestAddr buf = g.Alloc(16);
+    g.Poke(buf, "xyz", 3);
+    EXPECT_EQ(co_await g.Write(fd, buf, 3), 3);
+    co_await g.Lseek(fd, 0, kSeekSet);
+    GuestAddr iov = g.Alloc(2 * sizeof(GuestIovec));
+    GuestIovec v[2] = {{buf, 1}, {buf + 1, 1}};
+    g.Poke(iov, v, sizeof(v));
+    EXPECT_EQ(co_await g.Writev(fd, iov, 2), 2);
+    EXPECT_EQ(co_await g.Lseek(fd, 0, kSeekCur), 5);
+  });
+  w.Run();
+  EXPECT_EQ(w.fs.ReadWholeFile("/tmp/append"), "xyzxy");
+}
+
 }  // namespace
 }  // namespace remon

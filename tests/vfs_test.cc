@@ -10,6 +10,7 @@
 #include "src/vfs/fs.h"
 #include "src/vfs/pipe.h"
 #include "src/vfs/wait_queue.h"
+#include "tests/test_util.h"
 
 namespace remon {
 namespace {
@@ -91,7 +92,9 @@ TEST(FilesystemTest, SymlinkResolution) {
   ASSERT_EQ(fs.Symlink("/tmp/target", "/tmp/link"), 0);
   auto inode = fs.Resolve("/tmp/link");
   ASSERT_NE(inode, nullptr);
-  EXPECT_EQ(std::string(inode->data.begin(), inode->data.end()), "data");
+  char bytes[4];
+  ASSERT_EQ(inode->data.Read(0, bytes, sizeof(bytes)), 4u);
+  EXPECT_EQ(std::string(bytes, 4), "data");
   // lstat-style: do not follow the final symlink.
   auto link_inode = fs.Resolve("/tmp/link", "/", /*follow_final_symlink=*/false);
   ASSERT_NE(link_inode, nullptr);
@@ -113,6 +116,7 @@ TEST(FilesystemTest, PopulateCreatesCorpus) {
     auto inode = fs.Resolve("/corpus/file" + std::to_string(i) + ".dat");
     ASSERT_NE(inode, nullptr);
     EXPECT_EQ(inode->data.size(), 4096u);
+    EXPECT_EQ(inode->data.resident_pages(), 1u);
   }
 }
 
@@ -145,6 +149,89 @@ TEST(RegularHandleTest, ReadWriteAtOffsets) {
   // Sparse write extends.
   EXPECT_EQ(h.Write("Z", 1, 10), 1);
   EXPECT_EQ(h.Size(), 11);
+}
+
+// --- File bytes in 4 KiB frames -------------------------------------------------
+
+TEST(FileDataTest, HoleReadsZeroesAndHoldsNoFrame) {
+  FileData data;
+  data.Write(3 * kPageSize + 5, "x", 1);
+  EXPECT_EQ(data.size(), 3 * kPageSize + 6);
+  EXPECT_EQ(data.resident_pages(), 1u);
+  std::string hole(3 * kPageSize + 5, '?');
+  EXPECT_EQ(data.Read(0, hole.data(), hole.size()), hole.size());
+  EXPECT_EQ(hole, std::string(hole.size(), '\0'));
+  EXPECT_EQ(data.resident_pages(), 1u);  // Reading the hole materialized nothing.
+}
+
+TEST(FileDataTest, ReadsAndWritesStraddleAPageBoundary) {
+  FileData data;
+  data.Write(kPageSize - 3, "abcdefgh", 8);
+  EXPECT_EQ(data.resident_pages(), 2u);
+  char buf[8];
+  ASSERT_EQ(data.Read(kPageSize - 3, buf, sizeof(buf)), 8u);
+  EXPECT_EQ(std::string(buf, 8), "abcdefgh");
+  // A read that crosses the boundary and runs past EOF stops at EOF.
+  ASSERT_EQ(data.Read(kPageSize - 1, buf, sizeof(buf)), 6u);
+  EXPECT_EQ(std::string(buf, 6), "cdefgh");
+  // Overwriting across the boundary keeps the neighbouring bytes.
+  data.Write(kPageSize - 1, "XY", 2);
+  ASSERT_EQ(data.Read(kPageSize - 3, buf, sizeof(buf)), 8u);
+  EXPECT_EQ(std::string(buf, 8), "abXYefgh");
+}
+
+TEST(FileDataTest, ResidentFramesAreThePagesTouched) {
+  FileData data;
+  for (uint64_t page : {0u, 2u, 5u, 5u, 9u}) {
+    data.Write(page * kPageSize + 100, "page", 4);
+  }
+  EXPECT_EQ(data.resident_pages(), 4u);
+  // A write that ends one page and starts the next touches both.
+  data.Write(7 * kPageSize - 1, "ab", 2);
+  EXPECT_EQ(data.resident_pages(), 6u);
+  EXPECT_EQ(data.size(), 9 * kPageSize + 104);
+}
+
+// ftruncate shrinks to a mid-page length, dropping whole frames and scrubbing the
+// last page's tail; growing again exposes zeroes, never the old bytes. truncate to
+// 0 and O_TRUNC release every frame.
+TEST(FileDataTest, TruncationReleasesFramesAndRegrowsAsZeroes) {
+  SimWorld w;
+  Process* p = w.NewProcess("trunc");
+  std::shared_ptr<Inode> inode;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/trunc", kO_CREAT | kO_RDWR));
+    inode = w.fs.Resolve("/tmp/trunc");
+    GuestAddr buf = g.Alloc(3 * kPageSize);
+    std::string xs(3 * kPageSize, 'x');
+    g.Poke(buf, xs.data(), xs.size());
+    EXPECT_EQ(co_await g.Write(fd, buf, xs.size()), static_cast<int64_t>(xs.size()));
+    EXPECT_EQ(inode->data.resident_pages(), 3u);
+
+    EXPECT_EQ(co_await g.Ftruncate(fd, 100), 0);
+    EXPECT_EQ(inode->data.resident_pages(), 1u);
+    EXPECT_EQ(co_await g.Ftruncate(fd, 3 * kPageSize), 0);
+    EXPECT_EQ(inode->data.resident_pages(), 1u);  // Growing leaves a hole.
+    EXPECT_EQ(co_await g.Pread(fd, buf, xs.size(), 0), static_cast<int64_t>(xs.size()));
+    std::string back = g.PeekString(buf, xs.size());
+    EXPECT_EQ(back.substr(0, 100), std::string(100, 'x'));
+    EXPECT_EQ(back.substr(100), std::string(xs.size() - 100, '\0'));
+
+    EXPECT_EQ(co_await g.Syscall(Sys::kTruncate, g.CString("/tmp/trunc"), 0), 0);
+    EXPECT_EQ(inode->data.size(), 0u);
+    EXPECT_EQ(inode->data.resident_pages(), 0u);
+
+    g.Poke(buf, xs.data(), xs.size());
+    EXPECT_EQ(co_await g.Pwrite(fd, buf, xs.size(), 0), static_cast<int64_t>(xs.size()));
+    EXPECT_EQ(inode->data.resident_pages(), 3u);
+    co_await g.Close(fd);
+    fd = static_cast<int>(co_await g.Open("/tmp/trunc", kO_RDWR | kO_TRUNC));
+    EXPECT_EQ(inode->data.size(), 0u);
+    EXPECT_EQ(inode->data.resident_pages(), 0u);
+    co_await g.Close(fd);
+  });
+  w.Run();
+  ASSERT_NE(inode, nullptr);
 }
 
 TEST(PipeTest, WriteThenRead) {

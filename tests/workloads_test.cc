@@ -985,11 +985,12 @@ TEST(WorkloadTest, GetrandomReplicatedAcrossReplicas) {
 // --- Host-memory budget -------------------------------------------------------------
 //
 // Host RSS is noisy, but the counts behind it are exact: the SysV frames the
-// guests touched, the futex queues, the cancelled events still queued and every
-// descriptor table's slots. Each must follow live simulated state, not run length;
-// they are checked after every 1 ms of virtual time against bounds derived from
-// the replica sets' RB state, the blocked threads and the open descriptors. A test
-// can add its own per-slice bounds (threads, VMAs).
+// guests touched, the file frames, the futex queues, the cancelled events still
+// queued and every descriptor table's slots. Each must follow live simulated
+// state, not run length; they are checked after every 1 ms of virtual time against
+// bounds derived from the replica sets' RB state, the file sizes, the blocked
+// threads and the open descriptors. A test can add its own per-slice bounds
+// (threads, VMAs).
 
 // Pages one rank can touch: its whole sub-buffer once it has published an entry,
 // else only the page(s) of its header.
@@ -997,6 +998,19 @@ uint64_t RankPages(const RbView& rb, int rank, bool used) {
   GuestAddr begin = PageAlignDown(rb.RankStart(rank));
   GuestAddr end = used ? rb.RankDataEnd(rank) : rb.RankDataStart(rank);
   return (PageAlignUp(end) - begin) / kPageSize;
+}
+
+// Adds the frames the regular files under `dir` hold to *resident and the pages
+// their sizes span, Σ ceil(size / 4 KiB), to *budget.
+void FileFrames(const Inode& dir, uint64_t* resident, uint64_t* budget) {
+  for (const auto& [name, child] : dir.children) {
+    if (child->type == FdType::kDirectory) {
+      FileFrames(*child, resident, budget);
+    } else if (child->type == FdType::kRegular) {
+      *resident += child->data.resident_pages();
+      *budget += PageAlignUp(child->data.size()) / kPageSize;
+    }
+  }
 }
 
 class MemoryBudget {
@@ -1036,6 +1050,11 @@ class MemoryBudget {
       size_t queues = w_->kernel.futex().queue_count();
       ASSERT_LE(queues, blocked + kQueueSlack) << "at " << t;
       ASSERT_LE(w_->shm.resident_pages(), resident_budget) << "at " << t;
+      uint64_t file_frames = 0;
+      uint64_t file_pages = 0;
+      FileFrames(*w_->fs.root(), &file_frames, &file_pages);
+      ASSERT_LE(file_frames, file_pages) << "at " << t;
+      max_file_frames_ = std::max(max_file_frames_, file_frames);
       const EventQueue& q = w_->sim.queue();
       ASSERT_LE(q.cancelled_pending(), std::max(q.live_events(), EventQueue::kCompactFloor))
           << "at " << t;
@@ -1058,11 +1077,14 @@ class MemoryBudget {
 
   // The most futex queues alive at a slice boundary.
   size_t max_queues() const { return max_queues_; }
+  // The most file frames resident at a slice boundary.
+  uint64_t max_file_frames() const { return max_file_frames_; }
 
  private:
   SimWorld* w_;
   std::vector<IpMon*> masters_;
   size_t max_queues_ = 0;
+  uint64_t max_file_frames_ = 0;
 };
 
 TEST(MemoryBudgetTest, RedisReplicaSetLapsItsBufferWithinBudget) {
@@ -1101,6 +1123,8 @@ TEST(MemoryBudgetTest, RedisReplicaSetLapsItsBufferWithinBudget) {
   EXPECT_GE(w.sim.stats().rb_resets, 5u);
   // The queue bound was exercised: slaves were parked at slice boundaries.
   EXPECT_GT(check.max_queues(), 0u);
+  // So was the file bound: the workers append to their access logs.
+  EXPECT_GT(check.max_file_frames(), 0u);
 }
 
 TEST(MemoryBudgetTest, FourShardNginxFleetStaysWithinBudget) {
