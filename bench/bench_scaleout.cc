@@ -39,6 +39,13 @@ void AddMetrics(BenchJson* json, const std::string& key, const ScaleoutResult& r
   json->Add(key + "/p99_latency", r.p99_ms, "ms");
 }
 
+// Emits the per-layer block for one fleet run under `key`. CPU queueing: how long
+// each connection's work waited for a busy core, over every machine of the run.
+void AddLayerMetrics(BenchJson* json, const std::string& key, const ScaleoutResult& r) {
+  json->Add(key + "/layer/cpu_queue_ns_per_conn",
+            r.completed > 0 ? static_cast<double>(r.cpu_queue_ns) / r.completed : 0.0, "ns");
+}
+
 ScaleoutTierSpec Tier(const char* server, int shards, uint16_t port,
                       double hit_ratio = 0.0) {
   ScaleoutTierSpec tier;
@@ -71,6 +78,8 @@ void RunShardSweep(BenchJson* json) {
     std::string key = "sweep/nginx/shards" + std::to_string(shards);
     AddMetrics(json, key + "/native", base);
     AddMetrics(json, key + "/remon2", run);
+    AddLayerMetrics(json, key + "/native", base);
+    AddLayerMetrics(json, key + "/remon2", run);
     double norm = (base.seconds > 0 && run.seconds > 0 && !run.diverged)
                       ? run.seconds / base.seconds
                       : -1.0;

@@ -28,16 +28,18 @@ struct ThreadCost {
   void await_resume() const {}
 };
 
-// Occupies the monitor's core (GHUMVEE work: dispatch, deep compares, vm copies).
+// Occupies the monitor's core on `machine` (GHUMVEE work: dispatch, deep compares,
+// vm copies).
 struct MonitorCost {
   Kernel* k;
+  uint32_t machine;
   uint64_t entity;
   int* core_slot;
   DurationNs d;
 
   bool await_ready() const { return d <= 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    k->RunOnEntity(entity, core_slot, d, [h] { h.resume(); });
+    k->RunOnEntity(machine, entity, core_slot, d, [h] { h.resume(); });
   }
   void await_resume() const {}
 };

@@ -28,9 +28,7 @@ bool IsSyncFatalSignal(int sig) {
 
 }  // namespace
 
-Ghumvee::Ghumvee(Kernel* kernel) : kernel_(kernel), hub_(kernel) {
-  hub_.monitor_entity = 0x474855'4d;  // Unique scheduling identity for the monitor.
-}
+Ghumvee::Ghumvee(Kernel* kernel) : kernel_(kernel), hub_(kernel) {}
 
 Ghumvee::~Ghumvee() {
   if (loop_frame_) {
@@ -39,11 +37,16 @@ Ghumvee::~Ghumvee() {
 }
 
 auto Ghumvee::Work(DurationNs d) {
-  return MonitorCost{kernel_, hub_.monitor_entity, &hub_.monitor_core, d};
+  return MonitorCost{kernel_, hub_.monitor_machine, hub_.monitor_entity, &hub_.monitor_core,
+                     d};
 }
 
 void Ghumvee::AddReplica(Process* process) {
-  process->replica_index = static_cast<int>(replicas_.size());
+  // Created as replica `replicas_.size()` (Kernel::CreateProcess counts it).
+  REMON_CHECK(process->replica_index == static_cast<int>(replicas_.size()));
+  if (replicas_.empty()) {
+    hub_.monitor_machine = process->machine();  // The monitor runs beside its leader.
+  }
   replicas_.push_back(process);
   ipmons_.push_back(nullptr);
   epoll_shadow_.emplace_back();

@@ -65,7 +65,6 @@ bool Remon::finished() const {
 void Remon::Launch(ProgramFn body, const std::string& name) {
   REMON_CHECK(replicas_.empty());
   int n = options_.mode == MveeMode::kNative ? 1 : options_.replicas;
-  kernel_->set_active_replicas(n);
 
   // Cross-machine placement: validate before any process exists.
   auto machine_for = [this](int i) {
@@ -136,8 +135,7 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
   for (int i = 0; i < n; ++i) {
     LayoutPlan plan = planner_.PlanFor(i);
     Process* p = kernel_->CreateProcess(name + "-r" + std::to_string(i), machine_for(i),
-                                        plan);
-    p->replica_index = options_.mode == MveeMode::kNative ? -1 : i;
+                                        plan, options_.mode == MveeMode::kNative ? -1 : i);
     p->mem_intensity = options_.mem_intensity;
     // A multi-page file map signals a high-connection-count workload: raise the
     // FD table to match, so the map's extra pages are actually reachable.
@@ -368,6 +366,7 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
   }
   if (machine != options_.replica_machines[static_cast<size_t>(replica_index)]) {
     options_.replica_machines[static_cast<size_t>(replica_index)] = machine;
+    kernel_->MoveProcess(replicas_[static_cast<size_t>(replica_index)], machine);
     ++kernel_->stats().rb_replica_migrations;
   }
 

@@ -347,6 +347,7 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
     }
   }
   result.stats = w.sim.stats();
+  result.cpu_queue_ns = w.sim.cpus().queue_wait_ns();
   return result;
 }
 

@@ -147,6 +147,7 @@ struct ScaleoutResult {
   std::vector<std::vector<uint64_t>> routed;  // Per tier, per shard (0 if retired).
   std::map<std::string, std::string> transcripts;  // Path -> bytes (opt-in).
   SimStats stats;
+  DurationNs cpu_queue_ns = 0;  // CpuPool::queue_wait_ns over every machine.
 };
 
 // Runs an open-loop swarm against a multi-tier fleet under `config`.

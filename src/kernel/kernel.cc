@@ -81,10 +81,15 @@ int Kernel::LiveThreadCount(const Process* process) {
   return n;
 }
 
-Process* Kernel::CreateProcess(std::string name, uint32_t machine, const LayoutPlan& plan) {
+Process* Kernel::CreateProcess(std::string name, uint32_t machine, const LayoutPlan& plan,
+                              int replica_index) {
   auto proc = std::make_unique<Process>(this, next_pid_++, std::move(name), machine);
   Process* p = proc.get();
   p->layout = plan;
+  p->replica_index = replica_index;
+  if (replica_index >= 0) {
+    CountReplica(machine, 1);
+  }
   // Map the standard regions: program text, IP-MON text (populated lazily by the
   // broker when IP-MON is loaded), and the heap. Demand-paged: a replica set costs
   // VMA bookkeeping at creation, not tens of MiB of zeroed frames per process.
@@ -101,6 +106,22 @@ Process* Kernel::CreateProcess(std::string name, uint32_t machine, const LayoutP
                        [p] { return p->mem().RenderMaps(); });
   processes_.push_back(std::move(proc));
   return p;
+}
+
+void Kernel::MoveProcess(Process* process, uint32_t machine) {
+  if (process->replica_index >= 0 && !process->exited) {
+    CountReplica(process->machine_, -1);
+    CountReplica(machine, 1);
+  }
+  process->machine_ = machine;
+}
+
+void Kernel::CountReplica(uint32_t machine, int delta) {
+  if (machine >= live_replicas_.size()) {
+    live_replicas_.resize(machine + 1, 0);
+  }
+  live_replicas_[machine] += delta;
+  REMON_CHECK(live_replicas_[machine] >= 0);
 }
 
 GuestAddr Kernel::ThreadStackTop(const Process& process, int rank) {
@@ -234,6 +255,9 @@ void Kernel::TerminateProcess(Process* process, int exit_code) {
   }
   process->exited = true;
   process->exit_code = exit_code;
+  if (process->replica_index >= 0) {
+    CountReplica(process->machine(), -1);
+  }
   for (Thread* t : process->threads) {
     KillThread(t, false);
   }
@@ -263,8 +287,9 @@ void Kernel::KillProcessBySignal(Process* process, int sig) {
 // --- Scheduling ---------------------------------------------------------------------
 
 void Kernel::RunOnThreadCore(Thread* t, DurationNs duration, ThreadFn fn) {
-  CpuPool::RunGrant grant = sim_->cpus().Acquire(static_cast<uint64_t>(t->tid()), sim_->now(),
-                                                 duration, t->last_core);
+  CpuPool::RunGrant grant =
+      sim_->cpus().Acquire(t->process()->machine(), static_cast<uint64_t>(t->tid()),
+                           sim_->now(), duration, t->last_core);
   t->last_core = grant.core;
   t->cpu_time_ns += duration;
   ++t->pins;
@@ -276,17 +301,19 @@ void Kernel::RunOnThreadCore(Thread* t, DurationNs duration, ThreadFn fn) {
 
 void Kernel::RunGuestCompute(Thread* t, DurationNs duration, ThreadFn fn) {
   DurationNs dilated = duration;
-  if (t->process()->replica_index >= 0 && active_replicas_ > 1) {
+  const Process* p = t->process();
+  if (p->replica_index >= 0) {
     dilated = static_cast<DurationNs>(
         static_cast<double>(duration) *
-        sim_->costs().ComputeDilation(t->process()->mem_intensity, active_replicas_));
+        sim_->costs().ComputeDilation(p->mem_intensity, live_replicas_on(p->machine())));
   }
   RunOnThreadCore(t, dilated, std::move(fn));
 }
 
-void Kernel::RunOnEntity(uint64_t entity, int* core_slot, DurationNs duration,
-                         EventQueue::Callback fn) {
-  CpuPool::RunGrant grant = sim_->cpus().Acquire(entity, sim_->now(), duration, *core_slot);
+void Kernel::RunOnEntity(uint32_t machine, uint64_t entity, int* core_slot,
+                         DurationNs duration, EventQueue::Callback fn) {
+  CpuPool::RunGrant grant =
+      sim_->cpus().Acquire(machine, entity, sim_->now(), duration, *core_slot);
   *core_slot = grant.core;
   sim_->queue().ScheduleAt(grant.end, std::move(fn));
 }
@@ -611,6 +638,9 @@ bool Kernel::TracerWrite(Process* p, GuestAddr addr, const void* data, uint64_t 
   return p->mem().WriteUnchecked(addr, data, len).ok;
 }
 
+PtraceHub::PtraceHub(Kernel* kernel)
+    : monitor_entity(kernel->NewMonitorEntity()), kernel_(kernel) {}
+
 void PtraceHub::Push(const PtraceEvent& ev) {
   if (ev.thread != nullptr) {
     ++ev.thread->pins;  // Until the tracer is Done with the event.
@@ -620,7 +650,7 @@ void PtraceHub::Push(const PtraceEvent& ev) {
     std::coroutine_handle<> h = waiter_;
     waiter_ = nullptr;
     // waitpid wakeup: the monitor pays a stop-notification cost on its own core.
-    kernel_->RunOnEntity(monitor_entity, &monitor_core,
+    kernel_->RunOnEntity(monitor_machine, monitor_entity, &monitor_core,
                          kernel_->sim()->costs().ptrace_stop_ns, [h] { h.resume(); });
   }
 }

@@ -72,7 +72,13 @@ class Kernel {
   // --- Process / thread management --------------------------------------------
 
   // Creates a process with the standard region layout (code/heap/stack VMAs mapped).
-  Process* CreateProcess(std::string name, uint32_t machine, const LayoutPlan& plan);
+  // A `replica_index` >= 0 makes it a managed replica: it counts toward the
+  // memory contention of its machine until it exits.
+  Process* CreateProcess(std::string name, uint32_t machine, const LayoutPlan& plan,
+                         int replica_index = -1);
+  // Places a live process on another machine (a replica re-spawned elsewhere): its
+  // threads run on that machine's cores and its contention moves with it.
+  void MoveProcess(Process* process, uint32_t machine);
 
   // Spawns a thread running `fn`; it starts at the current virtual time (plus
   // scheduling delay). Its rank is the process's spawn count: ranks, and the stack
@@ -93,10 +99,11 @@ class Kernel {
   // exited ones not yet reaped and each process's leader.
   size_t thread_count() const { return threads_.size(); }
 
-  // Number of replicas currently attached to an MVEE (affects the memory-contention
-  // dilation applied to guest compute); set by the ReMon front end.
-  void set_active_replicas(int n) { active_replicas_ = n; }
-  int active_replicas() const { return active_replicas_; }
+  // Live replica processes on `machine`: the memory-contention count that dilates
+  // their guest compute.
+  int live_replicas_on(uint32_t machine) const {
+    return machine < live_replicas_.size() ? live_replicas_[machine] : 0;
+  }
 
   // --- System call entry points -------------------------------------------------
 
@@ -120,13 +127,15 @@ class Kernel {
 
   // --- Scheduling helpers ---------------------------------------------------------
 
-  // Runs `fn` after occupying the thread's core for `duration`. The queued event
-  // pins the thread: it is not reaped before `fn` has run.
+  // Runs `fn` after occupying the thread's core, on its process's machine, for
+  // `duration`. The queued event pins the thread: it is not reaped before `fn` has
+  // run.
   void RunOnThreadCore(Thread* t, DurationNs duration, ThreadFn fn);
-  // Guest compute burst: applies the memory-contention dilation for replicas.
+  // Guest compute burst: applies the memory-contention dilation of the live
+  // replicas on the thread's machine.
   void RunGuestCompute(Thread* t, DurationNs duration, ThreadFn fn);
-  // Runs `fn` after occupying an arbitrary entity's core (monitors).
-  void RunOnEntity(uint64_t entity, int* core_slot, DurationNs duration,
+  // Runs `fn` after occupying an arbitrary entity's core on `machine` (monitors).
+  void RunOnEntity(uint32_t machine, uint64_t entity, int* core_slot, DurationNs duration,
                    EventQueue::Callback fn);
   // Resumes a parked coroutine handle on the thread's core after `delay`.
   void ResumeHandleOnThread(Thread* t, std::coroutine_handle<> h, DurationNs delay);
@@ -221,6 +230,12 @@ class Kernel {
   // CompleteSyscall tail once signal delivery (if any) has been handled.
   void FinishCompleteSyscall(Thread* t, int64_t result);
 
+  // Adds `delta` to the live-replica count of `machine`.
+  void CountReplica(uint32_t machine, int delta);
+  // A fresh scheduling identity for a monitor's CPU charges (PtraceHub), distinct
+  // from every tid and from every other monitor's.
+  uint64_t NewMonitorEntity() { return kMonitorEntityBase + next_monitor_entity_++; }
+
   // Thread/process teardown.
   void OnRootFinished(Thread* t);
   void KillThread(Thread* t, bool notify_tracer);
@@ -282,9 +297,13 @@ class Kernel {
   ShmRegistry* shm_;
   FutexTable futex_;
 
+  // Monitor entities start above every possible tid (an int).
+  static constexpr uint64_t kMonitorEntityBase = uint64_t{1} << 32;
+
   int next_pid_ = 100;
   int next_tid_ = 100;
-  int active_replicas_ = 1;
+  uint64_t next_monitor_entity_ = 0;
+  std::vector<int> live_replicas_;  // Indexed by machine id.
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<Thread>> threads_;  // Unordered: reaping swaps out.
 

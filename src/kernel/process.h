@@ -129,6 +129,8 @@ class Process {
   }
 
  private:
+  friend class Kernel;  // MoveProcess re-places machine_.
+
   Kernel* kernel_;
   int pid_;
   std::string name_;

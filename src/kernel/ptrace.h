@@ -43,12 +43,14 @@ class Kernel;
 // Per-tracer event channel. One GHUMVEE instance owns one hub covering all replicas.
 class PtraceHub {
  public:
-  explicit PtraceHub(Kernel* kernel) : kernel_(kernel) {}
+  explicit PtraceHub(Kernel* kernel);
   PtraceHub(const PtraceHub&) = delete;
   PtraceHub& operator=(const PtraceHub&) = delete;
 
-  // Monitor identity for CPU cost accounting.
-  uint64_t monitor_entity = 0x4d4f4e;  // Arbitrary unique id ("MON").
+  // Monitor identity for CPU cost accounting: a kernel-issued id no tid or other
+  // monitor shares, and the machine whose cores the monitor runs on (its leader's).
+  uint64_t monitor_entity;
+  uint32_t monitor_machine = 0;
   int monitor_core = -1;
 
   bool has_events() const { return !queue_.empty(); }

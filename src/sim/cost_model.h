@@ -25,7 +25,8 @@ struct CostModel {
   // Full context switch between processes: register state, page-table switch, and the
   // amortized TLB/cache refill tax that follows.
   DurationNs context_switch_ns = 2200;
-  // Number of physical cores available to the simulation.
+  // Physical cores per simulated machine (the paper's testbed: 2x 8-core Xeon
+  // E5-2660). Every machine brings its own cores.
   int num_cores = 16;
 
   // --- ptrace (cross-process monitoring) ------------------------------------------
@@ -72,9 +73,10 @@ struct CostModel {
   DurationNs futex_wake_ns = 600;
 
   // --- Memory-subsystem pressure ----------------------------------------------
-  // Replicas share last-level cache and memory bandwidth. Compute bursts of a
-  // workload with memory intensity m are dilated by
+  // Replicas on one machine share its last-level cache and memory bandwidth.
+  // Compute bursts of a workload with memory intensity m are dilated by
   //   1 + m * contention_per_extra_replica * (active_replicas - 1) * (20.0 / llc_mb)
+  // where active_replicas counts the live replica processes on the burst's machine.
   // With the default coefficient of 1.0, a workload's mem_intensity directly encodes
   // its measured per-extra-replica slowdown fraction on the paper's 20 MB-LLC
   // testbed (e.g. 0.04 -> 4% with two replicas); the llc_mb term reproduces the

@@ -1,8 +1,8 @@
 // Simulator: the shared context for one simulated run.
 //
-// Owns the virtual clock/event queue, the deterministic RNG, the CPU pool, the cost
-// model, and the global counters. Subsystems (memory, VFS, network, kernel, monitors)
-// all hold a pointer to one Simulator.
+// Owns the virtual clock/event queue, the deterministic RNG, the CPU pool (every
+// simulated machine's cores), the cost model, and the global counters. Subsystems
+// (memory, VFS, network, kernel, monitors) all hold a pointer to one Simulator.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_

@@ -28,7 +28,7 @@ def doc(metrics):
     }
 
 
-def run_gate(current, baseline, threshold=None, summary=False):
+def run_gate(current, baseline, threshold=None, summary=False, exact=False):
     """Writes the two docs to temp files and runs the gate; returns
     (rc, output) — or (rc, output, summary_text) when summary is set."""
     with tempfile.TemporaryDirectory() as td:
@@ -43,6 +43,8 @@ def run_gate(current, baseline, threshold=None, summary=False):
         cmd = [sys.executable, TOOL, cur_path, base_path]
         if threshold is not None:
             cmd += ["--threshold", str(threshold)]
+        if exact:
+            cmd.append("--exact")
         summary_path = os.path.join(td, "summary.md")
         if summary:
             cmd += ["--summary", summary_path]
@@ -173,6 +175,51 @@ class GateTest(unittest.TestCase):
         rc, out = run_gate(cur, base)
         self.assertEqual(rc, 0, out)
         self.assertIn("[better]", out)
+
+
+class ExactTest(unittest.TestCase):
+    """--exact: a deterministic suite's baseline must match a fresh run."""
+
+    def test_identical_files_pass(self):
+        base = doc([("suite/a/normalized_time", 1.234567, False)])
+        rc, out = run_gate(base, base, exact=True)
+        self.assertEqual(rc, 0, out)
+
+    def test_small_move_fails_in_either_direction(self):
+        base = doc([("suite/a/normalized_time", 1.0, False),
+                    ("suite/a/throughput", 100.0, True)])
+        for value in (1.000001, 0.999999):
+            cur = doc([("suite/a/normalized_time", value, False),
+                       ("suite/a/throughput", 100.0, True)])
+            rc, out = run_gate(cur, base)
+            self.assertEqual(rc, 0, out)  # Within the threshold without --exact.
+            rc, out = run_gate(cur, base, exact=True)
+            self.assertEqual(rc, 1, out)
+            self.assertIn("[STALE]     suite/a/normalized_time", out)
+            self.assertIn("stale: regenerate", out)
+            self.assertNotIn("suite/a/throughput:", out)
+
+    def test_compares_at_printed_precision(self):
+        base = doc([("suite/a/normalized_time", 1.0, False)])
+        cur = doc([("suite/a/normalized_time", 1.0000001, False)])
+        rc, out = run_gate(cur, base, exact=True)
+        self.assertEqual(rc, 0, out)
+
+    def test_new_metric_still_passes(self):
+        base = doc([("suite/a/normalized_time", 1.0, False)])
+        cur = doc([("suite/a/normalized_time", 1.0, False),
+                   ("suite/a/layer/cpu_queue_ns_per_conn", 5.0, False)])
+        rc, out = run_gate(cur, base, exact=True)
+        self.assertEqual(rc, 0, out)
+
+    def test_summary_marks_stale_rows(self):
+        base = doc([("suite/a/normalized_time", 1.0, False)])
+        cur = doc([("suite/a/normalized_time", 1.01, False)])
+        rc, out, summary = run_gate(cur, base, summary=True, exact=True)
+        self.assertEqual(rc, 1, out)
+        self.assertIn("1 stale baseline metric(s)", summary)
+        self.assertIn("| `suite/a/normalized_time` | 1.0000 | 1.0100 | +1.00% | "
+                      "**STALE** |", summary)
 
 
 class SummaryTest(unittest.TestCase):

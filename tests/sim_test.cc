@@ -217,19 +217,19 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 TEST(CpuPoolTest, SingleEntityRunsBackToBack) {
   CpuPool pool(4, 1000);
-  auto g1 = pool.Acquire(1, 0, 500, -1);
+  auto g1 = pool.Acquire(0, 1, 0, 500, -1);
   // First acquisition charges a context switch (core previously idle/other).
   EXPECT_EQ(g1.start, 1000);
   EXPECT_EQ(g1.end, 1500);
-  auto g2 = pool.Acquire(1, g1.end, 500, g1.core);
+  auto g2 = pool.Acquire(0, 1, g1.end, 500, g1.core);
   EXPECT_FALSE(g2.context_switched);
   EXPECT_EQ(g2.start, 1500);
 }
 
 TEST(CpuPoolTest, DistinctEntitiesUseDistinctCores) {
   CpuPool pool(4, 100);
-  auto g1 = pool.Acquire(1, 0, 1000, -1);
-  auto g2 = pool.Acquire(2, 0, 1000, -1);
+  auto g1 = pool.Acquire(0, 1, 0, 1000, -1);
+  auto g2 = pool.Acquire(0, 2, 0, 1000, -1);
   EXPECT_NE(g1.core, g2.core);
   // Both start at the same (post-switch) time: true parallelism.
   EXPECT_EQ(g1.start, g2.start);
@@ -237,17 +237,29 @@ TEST(CpuPoolTest, DistinctEntitiesUseDistinctCores) {
 
 TEST(CpuPoolTest, OversubscriptionQueues) {
   CpuPool pool(1, 0);
-  auto g1 = pool.Acquire(1, 0, 1000, -1);
-  auto g2 = pool.Acquire(2, 0, 1000, -1);
+  auto g1 = pool.Acquire(0, 1, 0, 1000, -1);
+  auto g2 = pool.Acquire(0, 2, 0, 1000, -1);
   EXPECT_EQ(g2.start, g1.end);
 }
 
 TEST(CpuPoolTest, ContextSwitchCounted) {
   CpuPool pool(1, 50);
-  pool.Acquire(1, 0, 10, -1);
-  pool.Acquire(2, 0, 10, -1);
-  pool.Acquire(1, 0, 10, -1);
+  pool.Acquire(0, 1, 0, 10, -1);
+  pool.Acquire(0, 2, 0, 10, -1);
+  pool.Acquire(0, 1, 0, 10, -1);
   EXPECT_EQ(pool.context_switches(), 3u);
+}
+
+TEST(CpuPoolTest, QueueWaitIsTheWaitForABusyCoreOnTheSameMachine) {
+  CpuPool pool(1, 50);
+  auto g1 = pool.Acquire(0, 1, 0, 100, -1);
+  auto g2 = pool.Acquire(0, 2, 0, 100, -1);
+  EXPECT_EQ(g2.start, g1.end + 50);
+  // Another machine's core is free: no wait there.
+  auto g3 = pool.Acquire(1, 3, 0, 100, -1);
+  EXPECT_EQ(g3.start, 50);
+  // Only entity 2's wait for the busy core counts, not the switch costs.
+  EXPECT_EQ(pool.queue_wait_ns(), g1.end);
 }
 
 TEST(CostModelTest, DilationGrowsWithReplicas) {

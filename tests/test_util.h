@@ -28,9 +28,7 @@ class SimWorld {
   Process* NewProcess(const std::string& name, int replica_index = -1,
                       uint32_t machine = 0) {
     LayoutPlan plan = planner.PlanFor(replica_index < 0 ? next_layout_++ : replica_index);
-    Process* p = kernel.CreateProcess(name, machine, plan);
-    p->replica_index = replica_index;
-    return p;
+    return kernel.CreateProcess(name, machine, plan, replica_index);
   }
 
   // Runs the event loop until quiescent (or the deadline).

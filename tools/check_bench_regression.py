@@ -2,7 +2,7 @@
 """Gate on benchmark regressions against a checked-in baseline.
 
 Usage: check_bench_regression.py CURRENT.json BASELINE.json [--threshold 0.15]
-                                 [--summary FILE]
+                                 [--summary FILE] [--exact]
 
 Both files follow the remon-bench-v1 schema (docs/BENCH_SCHEMA.md): a flat list
 of named metrics, each marked higher_is_better or not. The gate fails (exit 1)
@@ -21,6 +21,13 @@ The simulation is deterministic (pinned seeds, virtual time), so identical code
 produces identical numbers — the threshold only absorbs intended perf-relevant
 changes, not machine noise. A legitimate change that moves a metric is recorded
 by regenerating the committed BENCH_*.json baselines in the same PR.
+
+--exact additionally fails when any baseline metric differs from the current
+run at the JSON's printed precision (six decimals), in either direction, and
+reports it as "stale: regenerate". Since the suites are deterministic, a
+committed baseline that no longer matches a fresh run of the same code is stale:
+a change moved it within the threshold and did not regenerate it. Metrics only
+present in the current output still pass.
 
 --summary FILE appends a per-metric markdown delta table to FILE (append, not
 truncate: the CI gate loop runs once per suite and they all land in the same
@@ -43,7 +50,13 @@ def load_metrics(path):
     return doc.get("bench", "?"), out
 
 
-def write_summary(path, bench, threshold, rows, regressed_count, missing_count):
+def printed(value):
+    """The value as the bench JSON writer prints it (%.6f)."""
+    return f"{value:.6f}"
+
+
+def write_summary(path, bench, threshold, rows, regressed_count, missing_count,
+                  stale_count):
     """Appends one suite's markdown delta table. rows: (name, base, cur, status)
     where base/cur may be None for one-sided metrics."""
     problems = []
@@ -51,6 +64,8 @@ def write_summary(path, bench, threshold, rows, regressed_count, missing_count):
         problems.append(f"{regressed_count} regression(s) beyond {threshold:.0%}")
     if missing_count:
         problems.append(f"{missing_count} baseline metric(s) missing from output")
+    if stale_count:
+        problems.append(f"{stale_count} stale baseline metric(s)")
     verdict = "; ".join(problems) if problems else f"all deltas within {threshold:.0%}"
     with open(path, "a") as f:
         f.write(f"### bench gate: `{bench}` — {verdict}\n\n")
@@ -74,6 +89,9 @@ def main():
     ap.add_argument("--summary", metavar="FILE",
                     help="append a markdown per-metric delta table to FILE "
                          "(for $GITHUB_STEP_SUMMARY)")
+    ap.add_argument("--exact", action="store_true",
+                    help="also fail when any baseline metric differs from the "
+                         "current run at the printed precision (stale baseline)")
     args = ap.parse_args()
 
     bench, current = load_metrics(args.current)
@@ -81,6 +99,7 @@ def main():
 
     regressions = []
     improvements = []
+    stale = []
     rows = []
     for name, (cur, higher_better) in sorted(current.items()):
         if name not in baseline:
@@ -88,6 +107,9 @@ def main():
             rows.append((name, None, cur, "new"))
             continue
         base, _ = baseline[name]
+        is_stale = args.exact and printed(cur) != printed(base)
+        if is_stale:
+            stale.append((name, base, cur))
         if base <= 0:
             rows.append((name, base, cur, "skipped (baseline <= 0)"))
             continue
@@ -102,6 +124,8 @@ def main():
         elif moved_better:
             improvements.append((name, base, cur, ratio))
             rows.append((name, base, cur, "improved"))
+        elif is_stale:
+            rows.append((name, base, cur, "**STALE**"))
         else:
             rows.append((name, base, cur, "ok"))
     missing = sorted(set(baseline) - set(current))
@@ -112,20 +136,23 @@ def main():
 
     if args.summary:
         write_summary(args.summary, bench, args.threshold, rows, len(regressions),
-                      len(missing))
+                      len(missing), len(stale))
 
     for name, base, cur, ratio in improvements:
         print(f"  [better]   {name}: {base:.4f} -> {cur:.4f} ({ratio:.2%} of baseline)")
-    if regressions or missing:
+    if regressions or missing or stale:
         print(f"\nFAIL: {len(regressions)} metric(s) regressed more than "
-              f"{args.threshold:.0%}, {len(missing)} baseline metric(s) missing "
-              f"vs {args.baseline}:")
+              f"{args.threshold:.0%}, {len(missing)} baseline metric(s) missing, "
+              f"{len(stale)} stale vs {args.baseline}:")
         for name, base, cur, ratio in regressions:
             print(f"  [REGRESSED] {name}: {base:.4f} -> {cur:.4f} "
                   f"({ratio:.2%} of baseline)")
         for name in missing:
             print(f"  [MISSING]   {name}: the suite no longer reports it — a "
                   "diverged or aborted run drops its metrics silently")
+        for name, base, cur in stale:
+            print(f"  [STALE]     {name}: {printed(base)} -> {printed(cur)} "
+                  "(stale: regenerate)")
         print("\nIf this movement (or removal) is intended, regenerate the "
               "committed baseline in this PR:\n"
               "  ./build/bench_<suite> --json=BENCH_<suite>.json\n"
