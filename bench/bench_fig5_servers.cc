@@ -94,7 +94,7 @@ void RunScenario(const char* title, const char* scenario_key, LinkParams link,
 // the entry stream (and what a mid-run kill + checkpoint re-seed costs).
 void RunMtRemoteScenario(LinkParams link, BenchJson* json) {
   std::printf("== Multi-threaded remote placement (sync-agent log over RB transport) ==\n");
-  Table table({"benchmark", "3 local", "3 remote", "3 remote+reseed", "3 remote+auth"});
+  Table table({"benchmark", "3 local", "3 remote", "3 remote+reseed"});
   constexpr struct {
     const char* server;
     int connections;
@@ -142,17 +142,10 @@ void RunMtRemoteScenario(LinkParams link, BenchJson* json) {
     reseed.mvee.respawn_dead_replicas = true;
     reseed.kill_remote_replica_at = Millis(4);
 
-    // Wire-v4 authentication: MAC + stream encryption on every cross-machine
-    // frame. The column measures what sealing/verifying the stream adds on top
-    // of the plain remote placement.
-    RunConfig auth = remote;
-    auth.mvee.rb_auth = true;
-
     std::vector<std::string> cells{row.server};
     cells.push_back(Table::Num(norm(local, "sync_local3")));
     cells.push_back(Table::Num(norm(remote, "sync_remote3")));
     cells.push_back(Table::Num(norm(reseed, "sync_remote3_reseed")));
-    cells.push_back(Table::Num(norm(auth, "sync_remote3_auth")));
     table.AddRow(std::move(cells));
   }
   table.Print();

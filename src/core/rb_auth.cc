@@ -13,7 +13,7 @@ namespace {
 constexpr size_t kOffType = 6;
 constexpr size_t kOffEpoch = 8;
 constexpr size_t kOffFrameSeq = 24;
-constexpr size_t kOffTag = 40;  // The v3 crc32+reserved trailer: 8 contiguous bytes.
+constexpr size_t kOffTag = 40;  // The frame trailer: 8 contiguous bytes.
 constexpr size_t kTagSize = 8;
 
 // Domain-separation constants for the KDF and the two SipHash roles.
@@ -132,8 +132,7 @@ void RbAuthContext::SealFrame(std::vector<uint8_t>* frame, RbAuthDirection dir) 
       }
     }
   }
-  // Tag over the whole frame with the tag bytes zeroed (they were the CRC field;
-  // BuildFrame wrote a CRC there, which authenticated streams do not carry).
+  // Tag over the whole frame with the tag bytes zeroed.
   std::memset(frame->data() + kOffTag, 0, kTagSize);
   uint64_t tag = TagFor(*frame, epoch, dir);
   std::memcpy(frame->data() + kOffTag, &tag, kTagSize);

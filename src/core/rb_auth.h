@@ -1,12 +1,11 @@
 // RB transport authentication: keyed per-frame MACs, stream encryption, and the
-// config digest behind the attested join handshake (wire v4, docs/RB_WIRE_FORMAT.md).
+// config digest behind the attested join handshake (docs/RB_WIRE_FORMAT.md).
 //
 // Threat model (ReplicaTEE-style provisioning in an untrusted cloud): the network
 // between the leader and a remote replica is adversarial — frames can be observed,
-// forged, replayed, and injected. On authenticated streams every frame carries a
-// 64-bit SipHash-2-4 tag in place of the CRC trailer (same 8 bytes at offsets
-// 40-47, so the frame layout is version-stable), computed over the whole frame
-// with the tag bytes zeroed. Payloads are encrypted with a SipHash-derived XOR
+// forged, replayed, and injected. Every frame on every cross-machine stream
+// carries a 64-bit SipHash-2-4 tag in its trailer (bytes 40-47), computed over
+// the whole frame with the tag bytes zeroed. Payloads are encrypted with a SipHash-derived XOR
 // keystream before the tag is computed (encrypt-then-MAC).
 //
 // Replay binding: the tag key folds in the flow direction (leader->replica vs
@@ -54,15 +53,15 @@ class RbAuthContext {
   explicit RbAuthContext(const std::string& secret);
 
   // Seals a fully built frame in place: encrypts the payload with the epoch's
-  // session keystream (bound to epoch, frame_seq, type, direction) and overwrites
-  // bytes 40-47 (the v3 crc32+reserved trailer) with the MAC tag. The frame must
+  // session keystream (bound to epoch, frame_seq, type, direction) and writes the
+  // MAC tag into bytes 40-47. The frame must
   // be a complete header+payload as produced by RbWireCodec. Idempotent callers
   // must not seal twice.
   void SealFrame(std::vector<uint8_t>* frame, RbAuthDirection dir) const;
 
   // Verifies a sealed frame's tag and, on success, decrypts the payload in place
-  // (the tag bytes are left zeroed — the CRC check is skipped on authenticated
-  // streams). Returns false on any mismatch without touching the payload.
+  // (the tag bytes are left zeroed). Returns false on any mismatch without
+  // touching the payload.
   bool VerifyAndOpen(std::vector<uint8_t>* frame, RbAuthDirection dir) const;
 
   // The 64-bit tag a sealed `frame` (tag bytes zeroed) should carry — exposed for

@@ -41,8 +41,12 @@ bool SendQueue::DrainInto(StreamSocket* sock) {
 
 // --- RbTransport (leader side) ----------------------------------------------------
 
-RbTransport::RbTransport(Kernel* kernel, uint32_t leader_machine, Options options)
-    : kernel_(kernel), leader_machine_(leader_machine), options_(options) {}
+RbTransport::RbTransport(Kernel* kernel, uint32_t leader_machine,
+                         const RbAuthContext& auth, uint64_t config_digest)
+    : kernel_(kernel),
+      leader_machine_(leader_machine),
+      auth_(auth),
+      config_digest_(config_digest) {}
 
 RbTransport::~RbTransport() {
   for (auto& r : remotes_) {
@@ -93,13 +97,10 @@ void RbTransport::Open(Remote& r, uint32_t machine, uint16_t port) {
   r.unacked.clear();
   r.snapshot_last_seq = 0;
   r.parser = RbFrameParser{};
-  if (options_.auth != nullptr) {
-    r.parser.set_auth(options_.auth, RbAuthDirection::kReplicaToLeader);
-  }
+  r.parser.set_auth(auth_, RbAuthDirection::kReplicaToLeader);
   r.dead = false;
-  // Plain-CRC streams need no handshake; authenticated streams hold all data
-  // until the peer's join attestation verifies.
-  r.attested = options_.auth == nullptr;
+  // All data waits until the peer's join attestation verifies.
+  r.attested = false;
   r.awaiting_snapshot = false;
   r.max_peer_epoch = 0;
   Remote* rp = &r;  // Slots are pooled in unique_ptrs and never erased.
@@ -119,9 +120,10 @@ template <typename Encode>
 uint64_t RbTransport::EnqueueFrame(Remote& r, RbFrameType type, Encode encode) {
   uint64_t seq = ++r.frames_sent;
   std::vector<uint8_t> frame = encode(seq);
-  Seal(&frame);
+  auth_.SealFrame(&frame, RbAuthDirection::kLeaderToReplica);
   SimStats& stats = kernel_->stats();
   RbEpochStats& row = stats.EpochRow(epoch_);
+  ++stats.rb_auth_frames_sealed;
   ++stats.rb_frames_sent;
   stats.rb_frame_bytes_sent += frame.size();
   ++row.frames_sent;
@@ -139,7 +141,7 @@ uint64_t RbTransport::EnqueueFrame(Remote& r, RbFrameType type, Encode encode) {
 void RbTransport::EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot) {
   Remote* r = Find(replica_index);
   if (r == nullptr || r->dead || !r->attested || !r->awaiting_snapshot) {
-    return;  // The link died meanwhile, or a sealed one has not attested yet.
+    return;  // The link died meanwhile, or it has not attested yet.
   }
   r->awaiting_snapshot = false;
   // The checkpoint leads the stream: every data frame published from here on
@@ -176,7 +178,7 @@ void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries)
     return;
   }
   // Broadcast: the payload (entry records + images) is serialized once; only the
-  // per-connection header (frame_seq) and CRC differ per remote.
+  // per-connection header (frame_seq) and the seal differ per remote.
   std::vector<uint8_t> payload = RbWireCodec::EncodeEntriesPayload(entries);
   // Ack-horizon metadata: entries within a rank publish in offset order, so one
   // acked frame advances the rank's delta horizon to its highest entry offset.
@@ -206,7 +208,7 @@ void RbTransport::SendSyncLog(uint64_t start_index,
   }
   kernel_->stats().sync_log_records_streamed += records.size();
   // Broadcast: the record payload is serialized once; only the per-connection
-  // header (frame_seq) and CRC differ per remote.
+  // header (frame_seq) and the seal differ per remote.
   std::vector<uint8_t> payload = RbWireCodec::EncodeSyncLogPayload(start_index, records);
   for (auto& r : remotes_) {
     if (r->dead || r->awaiting_snapshot) {
@@ -242,13 +244,6 @@ bool RbTransport::RemoteLinkDead(int replica_index) const {
 uint64_t RbTransport::SyncCursorFor(int replica_index) const {
   const Remote* r = Find(replica_index);
   return r != nullptr ? r->sync_cursor : 0;
-}
-
-void RbTransport::Seal(std::vector<uint8_t>* frame) {
-  if (options_.auth != nullptr) {
-    options_.auth->SealFrame(frame, RbAuthDirection::kLeaderToReplica);
-    ++kernel_->stats().rb_auth_frames_sealed;
-  }
 }
 
 int RbTransport::live_remotes() const {
@@ -354,8 +349,8 @@ void RbTransport::PumpLink(Remote& r) {
     return;
   }
 
-  // Authenticated streams write nothing before the join attestation verifies —
-  // frames queue locally, and one window of them stalls the leader meanwhile.
+  // Nothing is written before the join attestation verifies — frames queue
+  // locally, and one window of them stalls the leader meanwhile.
   if (r.attested) {
     if (!r.sendq.DrainInto(r.sock.get())) {
       MarkDead(r, "write failed");
@@ -385,9 +380,7 @@ void RbTransport::PumpLink(Remote& r) {
   for (;;) {
     RbFrameParser::Status st = r.parser.Next(&frame);
     if (st == RbFrameParser::Status::kCorrupt) {
-      if (options_.auth != nullptr) {
-        ++stats.rb_auth_frames_rejected;
-      }
+      ++stats.rb_auth_frames_rejected;
       MarkDead(r, r.parser.corrupt_reason());
       return;
     }
@@ -395,8 +388,8 @@ void RbTransport::PumpLink(Remote& r) {
       break;
     }
     // Epoch monotonicity holds on every frame type: a replayed frame of a torn
-    // stream (CRC- or even MAC-valid within its own epoch) identifies itself by
-    // its stale epoch, and the only safe response is to tear the link.
+    // stream (MAC-valid within its own epoch) identifies itself by its stale
+    // epoch, and the only safe response is to tear the link.
     if (frame.epoch == 0 || frame.epoch < r.max_peer_epoch) {
       ++stats.rb_epoch_regressions;
       MarkDead(r, "peer epoch regressed");
@@ -428,35 +421,38 @@ void RbTransport::PumpLink(Remote& r) {
     FoldAckedMeta(r);
     ++stats.rb_frames_acked;
     ++stats.EpochRow(frame.epoch).frames_acked;
-    // v4: acks piggyback the replica's sync-log replay cursor; the latched
-    // maximum is what the master's wraparound gate runs on.
-    if (frame.ack_cursor > r.sync_cursor) {
-      r.sync_cursor = frame.ack_cursor;
+    // Acks piggyback the replica's sync-log replay cursor; the latched maximum is
+    // what the master's wraparound gate runs on.
+    if (RaiseSyncCursor(r, frame.ack_cursor)) {
       ++stats.sync_cursor_acks;
-      if (on_sync_cursor_) {
-        on_sync_cursor_(r.replica_index);
-      }
     }
   }
 }
 
-bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
-  SimStats& stats = kernel_->stats();
-  if (options_.auth == nullptr) {
-    MarkDead(r, "unexpected join attestation on an unauthenticated stream");
+bool RbTransport::RaiseSyncCursor(Remote& r, uint64_t cursor) {
+  if (cursor <= r.sync_cursor) {
     return false;
   }
+  r.sync_cursor = cursor;
+  if (on_sync_cursor_) {
+    on_sync_cursor_(r.replica_index);
+  }
+  return true;
+}
+
+bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
+  SimStats& stats = kernel_->stats();
   if (r.attested) {
     MarkDead(r, "duplicate join attestation");
     return false;
   }
   if (frame.attest_replica != static_cast<uint32_t>(r.replica_index) ||
-      frame.attest_digest != options_.config_digest) {
+      frame.attest_digest != config_digest_) {
     ++stats.rb_auth_join_rejects;
     MarkDead(r, "join attestation refused (identity/config digest mismatch)");
     return false;
   }
-  // v5: the attested placement must be the machine this slot was commanded to
+  // The attested placement must be the machine this slot was commanded to
   // connect to. Respawn-as-migration changes the commanded placement; a peer
   // claiming any other machine is answering a different (or stale) command.
   if (frame.attest_machine != r.machine) {
@@ -466,8 +462,10 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
   }
   r.attested = true;
   r.max_peer_epoch = std::max(r.max_peer_epoch, frame.epoch);
-  r.sync_cursor = std::max(r.sync_cursor, frame.attest_cursor);
   ++stats.rb_auth_joins;
+  // The attested cursor is consumption progress like an ack's: a master parked
+  // on the wrap gate must hear of it, since later acks repeat the same cursor.
+  RaiseSyncCursor(r, frame.attest_cursor);
   if (r.awaiting_snapshot && on_attested_join_) {
     // A replacement: the front end captures the leader checkpoint (deferred to
     // its own event — we are inside the pump) and hands it to EnqueueSnapshot.
@@ -487,8 +485,16 @@ bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
 // --- RemoteSyncAgent (remote side) ------------------------------------------------
 
 RemoteSyncAgent::RemoteSyncAgent(Kernel* kernel, IpMon* mon, uint32_t machine,
-                                 uint16_t port)
-    : kernel_(kernel), mon_(mon), machine_(machine), port_(port) {}
+                                 uint16_t port, const RbAuthContext& auth,
+                                 uint64_t config_digest)
+    : kernel_(kernel),
+      mon_(mon),
+      machine_(machine),
+      port_(port),
+      auth_(auth),
+      config_digest_(config_digest) {
+  parser_.set_auth(auth_, RbAuthDirection::kLeaderToReplica);
+}
 
 RemoteSyncAgent::~RemoteSyncAgent() {
   if (listener_ && listener_observer_ != 0) {
@@ -497,12 +503,6 @@ RemoteSyncAgent::~RemoteSyncAgent() {
   if (conn_ && conn_observer_ != 0) {
     conn_->poll_queue().Remove(conn_observer_);
   }
-}
-
-void RemoteSyncAgent::set_auth(const RbAuthContext* auth, uint64_t config_digest) {
-  auth_ = auth;
-  config_digest_ = config_digest;
-  parser_.set_auth(auth, RbAuthDirection::kLeaderToReplica);
 }
 
 void RemoteSyncAgent::Start() {
@@ -523,21 +523,18 @@ void RemoteSyncAgent::OnListenerPoll() {
   }
   conn_ = std::move(c);
   conn_observer_ = conn_->poll_queue().AddObserver([this] { OnConnPoll(); });
-  if (auth_ != nullptr) {
-    // Attested join: identity + config digest as the connection's very first
-    // frame — the leader ships nothing (data or checkpoint) until it verifies.
-    // The epoch is this agent's best knowledge (1 before any join); the sealed
-    // tag binds it, and the leader only checks it for monotonicity.
-    std::vector<uint8_t> attest = RbWireCodec::EncodeJoinAttest(
-        join_epoch_ > 0 ? join_epoch_ : 1,
-        static_cast<uint32_t>(mon_->config().replica_index), config_digest_,
-        sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0,
-        machine_);  // v5: the placement this agent actually serves.
-    auth_->SealFrame(&attest, RbAuthDirection::kReplicaToLeader);
-    ++kernel_->stats().rb_auth_frames_sealed;
-    ackq_.Push(std::move(attest));
-    FlushAckQueue();
-  }
+  // Attested join: identity + config digest + placement as the connection's very
+  // first frame — the leader ships nothing (data or checkpoint) until it
+  // verifies. The epoch is this agent's best knowledge (1 before any join); the
+  // sealed tag binds it, and the leader only checks it for monotonicity.
+  std::vector<uint8_t> attest = RbWireCodec::EncodeJoinAttest(
+      join_epoch_ > 0 ? join_epoch_ : 1,
+      static_cast<uint32_t>(mon_->config().replica_index), config_digest_,
+      sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0, machine_);
+  auth_.SealFrame(&attest, RbAuthDirection::kReplicaToLeader);
+  ++kernel_->stats().rb_auth_frames_sealed;
+  ackq_.Push(std::move(attest));
+  FlushAckQueue();
   DrainConn();
 }
 
@@ -570,9 +567,7 @@ void RemoteSyncAgent::ProcessParsedFrames() {
       // A reliable in-order stream does not corrupt silently; a bad MAC means an
       // active adversary. Either way: treat it as a torn link — reject, close,
       // and let the leader's transport report the death.
-      if (auth_ != nullptr) {
-        ++kernel_->stats().rb_auth_frames_rejected;
-      }
+      ++kernel_->stats().rb_auth_frames_rejected;
       Reject(parser_.corrupt_reason());
       return;
     }
@@ -602,9 +597,9 @@ void RemoteSyncAgent::HandleFrame(RbWireFrame frame) {
   }
   SimStats& stats = kernel_->stats();
   // Epoch monotonicity holds on every frame type: a replayed frame of an earlier
-  // stream identifies itself by its stale epoch even when its CRC — or its MAC,
-  // valid under that epoch's key — checks out. The only safe response is to tear
-  // the link; dropping and continuing would let an adversary probe freely.
+  // stream identifies itself by its stale epoch even when its MAC, valid under
+  // that epoch's key, checks out. The only safe response is to tear the link;
+  // dropping and continuing would let an adversary probe freely.
   if (frame.epoch == 0 || frame.epoch < max_epoch_seen_) {
     ++stats.rb_epoch_regressions;
     Reject("stale epoch " + std::to_string(frame.epoch) + " on the stream (at " +
@@ -617,9 +612,7 @@ void RemoteSyncAgent::HandleFrame(RbWireFrame frame) {
   // captured frame re-sent. Test-built frames use seq 0 and bypass the gate.
   if (frame.frame_seq != 0) {
     if (frame.frame_seq <= max_data_seq_) {
-      if (auth_ != nullptr) {
-        ++stats.rb_auth_frames_rejected;
-      }
+      ++stats.rb_auth_frames_rejected;
       Reject("replayed frame seq=" + std::to_string(frame.frame_seq) + " (stream at " +
              std::to_string(max_data_seq_) + ")");
       return;
@@ -776,17 +769,15 @@ bool RemoteSyncAgent::ApplySyncLog(const RbWireFrame& frame) {
 
 void RemoteSyncAgent::SendAck(uint32_t epoch, uint64_t frame_seq) {
   // The agent does not originate epochs; it echoes the applied frame's epoch so the
-  // leader can discard acknowledgments that straddle an epoch bump. v4: every ack
+  // leader can discard acknowledgments that straddle an epoch bump. Every ack
   // piggybacks this replica's sync-log replay cursor — the only channel the
   // master's wraparound gate has to a remote replica's consumption progress.
   last_ack_epoch_ = epoch;
   last_ack_seq_ = frame_seq;
   std::vector<uint8_t> ack = RbWireCodec::EncodeAck(
       epoch, frame_seq, sync_agent_ != nullptr ? sync_agent_->read_cursor() : 0);
-  if (auth_ != nullptr) {
-    auth_->SealFrame(&ack, RbAuthDirection::kReplicaToLeader);
-    ++kernel_->stats().rb_auth_frames_sealed;
-  }
+  auth_.SealFrame(&ack, RbAuthDirection::kReplicaToLeader);
+  ++kernel_->stats().rb_auth_frames_sealed;
   ackq_.Push(std::move(ack));
   FlushAckQueue();
 }

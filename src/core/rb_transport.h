@@ -29,8 +29,7 @@
 // remote is stalled while its unread bytes — the local send queue plus what the
 // socket still holds (in flight, or delivered but not yet read by the agent) —
 // reach StreamSocket::kWindowBytes, so per-remote leader memory stays at about
-// two windows, and before a sealed link attests at most one window queues
-// locally. While any remote is stalled the leader's flush points park on
+// two windows, and before a link attests at most one window queues locally. While any remote is stalled the leader's flush points park on
 // stall_queue() (IpMon::StallOnTransport), and each stall feeds the adaptive
 // batch window's AIMD as grow pressure — coalescing more entries per frame is how
 // a slow link is amortized. Acks play no part: a stall clears when the agent
@@ -48,15 +47,17 @@
 //
 // Every slot has one lifecycle: one open path (first join and replacement), one
 // retire path (death and migration) and one per-remote enqueue (entry, sync-log
-// and checkpoint frames alike).
+// and checkpoint frames alike). Every link is sealed (src/core/rb_auth.h): each
+// frame in both directions carries a MAC and an encrypted payload, and a
+// connection carries nothing until the replica's join attestation (identity,
+// config digest, placement) verifies.
 //
 // Replica re-seed: instead of shrinking the set permanently, the front end can
 // attach a *replacement* replica at the post-bump epoch (Remon::SpawnReplacement /
 // --respawn-on-death). AddReplacement revives the dead remote's slot on a fresh
 // connection that carries nothing until EnqueueSnapshot — the only way a
 // checkpoint enters a stream — hands it the leader checkpoint
-// (kSnapshotBegin/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h). Plain
-// streams get it in the event that revives the slot; sealed streams once the
+// (kSnapshotBegin/kSnapshotChunk/kSnapshotEnd, src/core/snapshot.h), once the
 // replacement's join attestation verifies (on_attested_join). Data frames
 // published afterwards queue behind it in order, so the replacement's mirror is
 // exactly the leader's RB at every point it observes. Snapshot frames obey the
@@ -73,9 +74,8 @@
 // Respawn-as-migration: DetachForMigration retires a live remote's link through
 // the death path minus its side effects (no death counted or reported), so the
 // front end can re-attach the same replica on a different machine through the
-// ordinary AddReplacement/EnqueueSnapshot join; under authentication the join
-// attestation carries the placement and the leader verifies it against the
-// machine it commanded.
+// ordinary AddReplacement/EnqueueSnapshot join; the join attestation carries the
+// placement and the leader verifies it against the machine it commanded.
 
 #ifndef SRC_CORE_RB_TRANSPORT_H_
 #define SRC_CORE_RB_TRANSPORT_H_
@@ -141,16 +141,11 @@ class SendQueue {
 // Leader-side frame pump: one connection per remote replica.
 class RbTransport {
  public:
-  struct Options {
-    // Wire v4 authentication (nullptr = plain CRC streams). When set, every frame
-    // is sealed/verified with per-epoch session keys, and no data flows to a
-    // remote until its join attestation (identity + config digest) verifies.
-    const RbAuthContext* auth = nullptr;
-    // The config digest every attesting replica must present (RbConfigDigest).
-    uint64_t config_digest = 0;
-  };
-
-  RbTransport(Kernel* kernel, uint32_t leader_machine, Options options);
+  // Every frame is sealed/verified with `auth`'s per-epoch session keys, and no
+  // data flows to a remote until its join attestation presents `config_digest`
+  // (RbConfigDigest). `auth` must outlive the transport.
+  RbTransport(Kernel* kernel, uint32_t leader_machine, const RbAuthContext& auth,
+              uint64_t config_digest);
   ~RbTransport();
   RbTransport(const RbTransport&) = delete;
   RbTransport& operator=(const RbTransport&) = delete;
@@ -165,8 +160,8 @@ class RbTransport {
 
   // The only way a checkpoint enters a stream: enqueues it for a replacement
   // that is waiting for one (data frames published afterwards queue behind it).
-  // A no-op when the link died meanwhile, or, under Options::auth, before the
-  // replacement's join attestation verified.
+  // A no-op when the link died meanwhile, or before the replacement's join
+  // attestation verified.
   void EnqueueSnapshot(int replica_index, const SnapshotPayloads& snapshot);
 
   // Invoked from inside the pump when a replacement's attestation verifies, with
@@ -206,13 +201,13 @@ class RbTransport {
   // respawn path uses this to tell a migration of a live replica (detach first)
   // from a replacement for a dead one.
   bool RemoteLinkDead(int replica_index) const;
-  // v4 wrap-gate channel: the highest sync-log replay cursor `replica_index` has
-  // piggybacked on its acks (0 before any cursor arrived; frozen across death —
+  // Wrap-gate channel: the highest sync-log replay cursor `replica_index` has
+  // attested or piggybacked on its acks (0 before any arrived; frozen across death —
   // a dead replica's last acknowledged cursor still gates overwrites until its
   // replacement attests a fresh one).
   uint64_t SyncCursorFor(int replica_index) const;
-  // Invoked (with the replica index) whenever an ack advances a replay cursor —
-  // wired to the master sync agent's wraparound gate.
+  // Invoked (with the replica index) whenever an attestation or an ack advances
+  // a replay cursor — wired to the master sync agent's wraparound gate.
   void set_on_sync_cursor(std::function<void(int)> cb) { on_sync_cursor_ = std::move(cb); }
 
   // Leader clock sampled at every entry-frame enqueue; folded into the sender
@@ -267,16 +262,16 @@ class RbTransport {
     RbFrameParser parser;                    // For the ack stream.
     uint64_t observer_id = 0;
     bool dead = false;
-    // v4 state: nothing is written until `attested` (auth off => attested at
-    // creation); a replacement additionally holds data until its checkpoint is
-    // enqueued. max_peer_epoch enforces epoch monotonicity on received frames;
-    // sync_cursor latches the ack-piggybacked replay cursor (monotonic max).
+    // Nothing is written until `attested`; a replacement additionally holds data
+    // until its checkpoint is enqueued. max_peer_epoch enforces epoch
+    // monotonicity on received frames; sync_cursor latches the attested or
+    // ack-piggybacked replay cursor (monotonic max).
     bool attested = false;
     bool awaiting_snapshot = false;
     uint32_t max_peer_epoch = 0;
     uint64_t sync_cursor = 0;
-    // The placement this slot was told to connect to; an authenticated join must
-    // attest exactly it (a replacement cannot claim a machine it was not given).
+    // The placement this slot was told to connect to; the join must attest
+    // exactly it (a replacement cannot claim a machine it was not given).
     uint32_t machine = 0;
     // O(delta) re-seed state: per-frame send metadata awaiting its cumulative
     // ack, and the basis those acks fold into. Both cleared on death/detach
@@ -314,10 +309,11 @@ class RbTransport {
   void PumpLink(Remote& r);
   // Folds newly acked entry frames' metadata into the slot's delta basis.
   void FoldAckedMeta(Remote& r);
-  // Seals `frame` when authentication is on (no-op otherwise).
-  void Seal(std::vector<uint8_t>* frame);
   // Verifies a join attestation; returns false when the link was torn.
   bool HandleAttest(Remote& r, const RbWireFrame& frame);
+  // Latches a newer replay cursor and pokes the wrap gate; false when `cursor`
+  // is not ahead of what the slot already holds.
+  bool RaiseSyncCursor(Remote& r, uint64_t cursor);
   bool RemoteStalled(const Remote& r) const {
     return !r.dead &&
            r.sendq.bytes() + r.sock->unread_by_peer() >= StreamSocket::kWindowBytes;
@@ -325,7 +321,8 @@ class RbTransport {
 
   Kernel* kernel_;
   uint32_t leader_machine_;
-  Options options_;
+  const RbAuthContext& auth_;
+  uint64_t config_digest_;
   uint32_t epoch_ = 1;
   uint64_t deaths_ = 0;
   std::function<void(int)> on_remote_death_;
@@ -343,7 +340,11 @@ class SyncAgent;
 // replica's sync-agent log mirror), and acknowledges.
 class RemoteSyncAgent {
  public:
-  RemoteSyncAgent(Kernel* kernel, IpMon* mon, uint32_t machine, uint16_t port);
+  // Leader frames are verified and opened with `auth`, acks are sealed with it,
+  // and every connection opens with a sealed join attestation presenting
+  // `config_digest`. `auth` must outlive the agent.
+  RemoteSyncAgent(Kernel* kernel, IpMon* mon, uint32_t machine, uint16_t port,
+                  const RbAuthContext& auth, uint64_t config_digest);
   ~RemoteSyncAgent();
   RemoteSyncAgent(const RemoteSyncAgent&) = delete;
   RemoteSyncAgent& operator=(const RemoteSyncAgent&) = delete;
@@ -352,11 +353,6 @@ class RemoteSyncAgent {
   // machine-local log mirror. Unset for single-threaded (agent-less) workloads —
   // receiving a sync frame without one is a configuration divergence.
   void set_sync_agent(SyncAgent* agent) { sync_agent_ = agent; }
-
-  // Wire v4 authentication: verify/open leader frames, seal acks, and present a
-  // sealed join attestation carrying `config_digest` as the connection's first
-  // frame. Call before Start().
-  void set_auth(const RbAuthContext* auth, uint64_t config_digest);
 
   // Binds + listens; call before the leader's RbTransport connects.
   void Start();
@@ -378,7 +374,7 @@ class RemoteSyncAgent {
   // The epoch floor this agent enforces on data frames (0 before any join).
   uint32_t join_epoch() const { return join_epoch_; }
 
-  // v4 wrap gate: a cursor-bearing ack re-announcing the last applied frame, sent
+  // Wrap gate: a cursor-bearing ack re-announcing the last applied frame, sent
   // when the local replica's replay cursor advances with the log full from its
   // perspective — the master parked on the wraparound gate unblocks on it.
   void SendCursorUpdate();
@@ -446,12 +442,12 @@ class RemoteSyncAgent {
   uint32_t join_epoch_ = 0;
   uint64_t joins_ = 0;
   uint64_t last_join_lockstep_cursor_ = 0;
-  // Wire v4: authentication context, the digest attested at accept, and the
-  // replay gates — epoch must never regress across any frame type, and data
-  // frame_seq is strictly increasing per connection. last_ack_* lets cursor
-  // updates re-announce the newest applied frame.
-  const RbAuthContext* auth_ = nullptr;
-  uint64_t config_digest_ = 0;
+  // Authentication context, the digest attested at accept, and the replay gates
+  // — epoch must never regress across any frame type, and data frame_seq is
+  // strictly increasing per connection. last_ack_* lets cursor updates
+  // re-announce the newest applied frame.
+  const RbAuthContext& auth_;
+  uint64_t config_digest_;
   uint32_t max_epoch_seen_ = 0;
   uint64_t max_data_seq_ = 0;
   uint32_t last_ack_epoch_ = 0;

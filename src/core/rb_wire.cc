@@ -41,7 +41,6 @@ constexpr size_t kOffEntryCount = 16;
 constexpr size_t kOffPayloadLen = 20;
 constexpr size_t kOffFrameSeq = 24;
 constexpr size_t kOffAckSeq = 32;
-constexpr size_t kOffCrc = 40;
 
 std::vector<uint8_t> BuildFrame(RbFrameType type, uint32_t epoch, uint32_t rank,
                                 uint32_t entry_count, uint64_t frame_seq,
@@ -59,8 +58,7 @@ std::vector<uint8_t> BuildFrame(RbFrameType type, uint32_t epoch, uint32_t rank,
   if (!payload.empty()) {
     std::memcpy(frame.data() + kRbWireHeaderSize, payload.data(), payload.size());
   }
-  // CRC over the whole frame with the crc field zeroed (it is zero right now).
-  PutU32(&frame, kOffCrc, Crc32(frame.data(), frame.size()));
+  // The tag bytes stay zero: RbAuthContext::SealFrame writes them.
   return frame;
 }
 
@@ -243,21 +241,12 @@ RbFrameParser::Status RbFrameParser::Next(RbWireFrame* out) {
     return Status::kNeedMore;
   }
 
-  // Contiguous copy for CRC/MAC + payload decoding (the deque is chunk-fragmented).
+  // Contiguous copy for MAC + payload decoding (the deque is chunk-fragmented).
+  // The tag is verified and the payload decrypted before any structural parsing.
   std::vector<uint8_t> frame(buf_.begin(),
                              buf_.begin() + static_cast<long>(frame_len));
-  if (auth_ != nullptr) {
-    // Authenticated stream: verify the MAC trailer and decrypt the payload before
-    // any structural parsing (the CRC check is replaced by the tag).
-    if (!auth_->VerifyAndOpen(&frame, auth_dir_)) {
-      return Corrupt("MAC verification failed");
-    }
-  } else {
-    uint32_t wire_crc = PeekU32(kOffCrc);
-    frame[kOffCrc] = frame[kOffCrc + 1] = frame[kOffCrc + 2] = frame[kOffCrc + 3] = 0;
-    if (Crc32(frame.data(), frame.size()) != wire_crc) {
-      return Corrupt("CRC mismatch");
-    }
+  if (!auth_->VerifyAndOpen(&frame, auth_dir_)) {
+    return Corrupt("MAC verification failed");
   }
 
   RbWireFrame f;
@@ -277,7 +266,7 @@ RbFrameParser::Status RbFrameParser::Next(RbWireFrame* out) {
     }
   } else if (f.type == RbFrameType::kSyncLog) {
     // The payload must be exactly the announced records — a count/length mismatch
-    // is structural corruption even under a valid CRC.
+    // is structural corruption even under a valid MAC.
     if (entry_count == 0 ||
         payload_len != kRbWireSyncHeaderSize +
                            static_cast<uint64_t>(entry_count) * kRbWireSyncRecordSize) {

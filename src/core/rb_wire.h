@@ -7,8 +7,9 @@
 // RemoteSyncAgent, which replays them into that replica's private RB mirror.
 //
 // docs/RB_WIRE_FORMAT.md is the normative description of the frame layout, the
-// versioning/epoch rules, and the CRC policy; this header mirrors it. Keep the two
-// in sync: a change here is a wire-format revision and must bump kRbWireVersion.
+// versioning/epoch rules and the authentication trailer; this header mirrors it.
+// Keep the two in sync: a change here is a wire-format revision and must bump
+// kRbWireVersion.
 //
 // Frame layout (all fields little-endian, fixed 48-byte header):
 //
@@ -26,13 +27,13 @@
 //                              kAck: the replica's sync-log replay cursor,
 //                              piggybacked for the leader's wrap gate
 //       32     8  ack_seq      kAck: highest frame_seq applied (cumulative)
-//       40     4  crc32        IEEE CRC-32 over header (crc field zeroed) + payload
-//       44     4  reserved     zero
+//       40     8  tag          SipHash-2-4 MAC (src/core/rb_auth.h) over the whole
+//                              frame with these bytes zeroed
 //
-// On authenticated streams (--rb-auth, src/core/rb_auth.h) bytes 40-47 carry a
-// 64-bit SipHash-2-4 MAC tag instead of crc32+reserved, computed over the whole
-// frame with those bytes zeroed, and the payload is keystream-encrypted before
-// the tag; the CRC check is skipped. The layout is otherwise unchanged.
+// Every frame on every stream is sealed: the encoders below leave the tag zero,
+// the sender's RbAuthContext encrypts the payload with the epoch's keystream and
+// writes the tag, and the receiving parser verifies and decrypts before any
+// structural parsing. There is no unsealed frame and no unverified decode path.
 //
 // kEntries payload: entry_count records, each
 //
@@ -56,7 +57,7 @@
 // against a basis — what the replacement's mirror already holds — and a full one
 // is the cut against the empty basis (docs/RB_WIRE_FORMAT.md, "Snapshot frames").
 //
-// kJoinAttest (agent -> leader) opens an authenticated connection: the
+// kJoinAttest (agent -> leader) is the first frame of every connection: the
 // replica presents its index, its configuration digest (RB geometry, sync-log
 // geometry, descriptor-registry hash — RbConfigDigest in src/core/rb_auth.h),
 // and its sync-log replay cursor. The leader verifies index + digest before any
@@ -82,7 +83,7 @@
 //
 // Record k names absolute log op start_index + k; the receiver replays records
 // into the machine-local log mirror with the slot bytes first and the tail word
-// stored last (forward-only). kSyncLog frames are sequenced, CRC'd, epoch-scoped
+// stored last (forward-only). kSyncLog frames are sequenced, sealed, epoch-scoped
 // data frames exactly like kEntries: they share the frame_seq space, count
 // against the link's window, are cumulatively acked, and obey the join-epoch
 // floor after a re-seed.
@@ -99,8 +100,8 @@ namespace remon {
 
 inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
 // v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame,
-// v7 checkpoints ship entry records.
-inline constexpr uint16_t kRbWireVersion = 7;
+// v7 checkpoints ship entry records, v8 every frame sealed (no CRC trailer).
+inline constexpr uint16_t kRbWireVersion = 8;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
@@ -120,8 +121,8 @@ enum class RbFrameType : uint16_t {
   kSnapshotEnd = 5,
   // Leader -> remote agent: appended sync-agent log records (src/core/sync_agent.h).
   kSyncLog = 6,
-  // Remote agent -> leader: authenticated-join attestation (identity + config
-  // digest + replay cursor), the first frame of an authenticated connection.
+  // Remote agent -> leader: join attestation (identity + config digest + replay
+  // cursor + placement), the first frame of every connection.
   kJoinAttest = 7,
 };
 
@@ -133,7 +134,8 @@ inline constexpr bool IsSnapshotFrameType(RbFrameType t) {
          t == RbFrameType::kSnapshotEnd;
 }
 
-// IEEE 802.3 CRC-32 (reflected, init/xorout 0xffffffff), software table.
+// IEEE 802.3 CRC-32 (reflected, init/xorout 0xffffffff), software table. Frames
+// carry a MAC, not a CRC; the checkpoint chunk chain and the file map use this.
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 
 // One published entry as carried on the wire.
@@ -193,10 +195,10 @@ class RbWireCodec {
   static const char* DecodeEntries(const uint8_t* data, size_t len, uint32_t count,
                                    std::vector<RbWireEntry>* out);
 
-  // Stamps the header (and CRC) of a data frame around a serialized payload. A
-  // broadcast serializes its payload once and stamps it per connection, each with
-  // its own frame_seq. `count` is the header's entry_count: kEntries and kSyncLog
-  // records; 0 for snapshot frames.
+  // Stamps the header of a data frame around a serialized payload (tag zero,
+  // sealed by the sender). A broadcast serializes its payload once and stamps it
+  // per connection, each with its own frame_seq. `count` is the header's
+  // entry_count: kEntries and kSyncLog records; 0 for snapshot frames.
   static std::vector<uint8_t> FrameFromPayload(RbFrameType type, uint32_t epoch,
                                                uint32_t rank, uint64_t frame_seq,
                                                uint32_t count,
@@ -227,11 +229,13 @@ class RbWireCodec {
       uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
 };
 
-// Incremental reassembly of frames from a byte stream. Feed() accepts arbitrary
-// chunk boundaries; Next() yields frames in order. Corruption (bad magic, version,
-// CRC, malformed payload) is unrecoverable for a reliable in-order stream: the
-// parser latches into the corrupt state and Next() keeps returning kCorrupt so the
-// connection owner can tear the link down (docs/RB_WIRE_FORMAT.md, "CRC policy").
+// Incremental reassembly of sealed frames from a byte stream. Feed() accepts
+// arbitrary chunk boundaries; Next() yields verified, decrypted frames in order.
+// Corruption (bad magic, version, MAC, malformed payload) is unrecoverable for a
+// reliable in-order stream: the parser latches into the corrupt state and Next()
+// keeps returning kCorrupt so the connection owner can tear the link down
+// (docs/RB_WIRE_FORMAT.md, "Corruption policy"). A parser that was never keyed
+// with set_auth is latched from the start: it decodes nothing.
 class RbAuthContext;
 enum class RbAuthDirection : uint64_t;
 
@@ -244,19 +248,20 @@ class RbFrameParser {
   // Attempts to decode the next complete frame into `out`.
   Status Next(RbWireFrame* out);
 
-  // Switches the parser to the authenticated stream discipline (MAC trailer):
-  // every frame's tag is verified and its payload decrypted before structural
-  // parsing, and the CRC check is skipped. A bad tag latches corrupt exactly like
-  // a bad CRC. `auth` must outlive the parser; `dir` is the flow this parser
-  // reads (the direction the *sender* sealed with).
-  void set_auth(const RbAuthContext* auth, RbAuthDirection dir) {
-    auth_ = auth;
+  // Keys the parser; call before the first Feed. Every frame's tag is verified
+  // and its payload decrypted before structural parsing; a bad tag latches
+  // corrupt. `auth` must outlive the parser; `dir` is the flow this parser reads
+  // (the direction the *sender* sealed with).
+  void set_auth(const RbAuthContext& auth, RbAuthDirection dir) {
+    auth_ = &auth;
     auth_dir_ = dir;
+    corrupt_ = false;
+    corrupt_reason_ = "";
   }
 
   bool corrupt() const { return corrupt_; }
   // Why the parser latched (static string; "" while healthy). Lets connection
-  // owners attribute teardowns: CRC vs MAC vs structural corruption.
+  // owners attribute teardowns: MAC vs structural corruption.
   const char* corrupt_reason() const { return corrupt_reason_; }
   uint64_t frames_decoded() const { return frames_decoded_; }
 
@@ -272,8 +277,9 @@ class RbFrameParser {
   uint16_t PeekU16(size_t off) const;
 
   std::deque<uint8_t> buf_;
-  bool corrupt_ = false;
-  const char* corrupt_reason_ = "";
+  // Latched until set_auth keys the parser.
+  bool corrupt_ = true;
+  const char* corrupt_reason_ = "no authentication context";
   uint64_t frames_decoded_ = 0;
   const RbAuthContext* auth_ = nullptr;
   RbAuthDirection auth_dir_{};

@@ -1,6 +1,5 @@
 #include "src/core/remon.h"
 
-#include <optional>
 #include <utility>
 
 #include "src/core/snapshot.h"
@@ -206,21 +205,17 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
   // Cross-machine replica sets: one RemoteSyncAgent per remote replica (listening
   // on that machine), one leader-side RbTransport pumping frames to all of them.
   if (any_remote) {
-    // Authenticated wire (v4): one key schedule shared by the leader-side
-    // transport and every remote agent, plus the config digest an attested join
-    // must present — RB geometry, sync-log geometry, and the syscall descriptor
+    // Every link is sealed: one key schedule shared by the leader-side transport
+    // and every remote agent, plus the config digest an attested join must
+    // present — RB geometry, sync-log geometry, and the syscall descriptor
     // registry a well-formed peer would be built from.
-    if (options_.rb_auth) {
-      auth_ = std::make_unique<RbAuthContext>(options_.rb_auth_secret);
-      config_digest_ = RbConfigDigest(
-          options_.rb_size, static_cast<uint32_t>(options_.max_ranks),
-          options_.use_sync_agent ? options_.sync_log_size : 0,
-          DescriptorRegistryDigest());
-    }
-    RbTransport::Options topts;
-    topts.auth = auth_.get();
-    topts.config_digest = config_digest_;
-    transport_ = std::make_unique<RbTransport>(kernel_, options_.machine, topts);
+    auth_ = std::make_unique<RbAuthContext>(options_.rb_auth_secret);
+    config_digest_ = RbConfigDigest(options_.rb_size,
+                                    static_cast<uint32_t>(options_.max_ranks),
+                                    options_.use_sync_agent ? options_.sync_log_size : 0,
+                                    DescriptorRegistryDigest());
+    transport_ =
+        std::make_unique<RbTransport>(kernel_, options_.machine, *auth_, config_digest_);
     remote_agents_.resize(static_cast<size_t>(n));
     for (int i = 1; i < n; ++i) {
       if (machine_for(i) == options_.machine) {
@@ -296,8 +291,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
                            "remote replica " + std::to_string(idx) +
                                " link down (stream epoch bumped)");
     });
-    // Attested join (rb_auth): the leader checkpoints *after* the replacement
-    // proved its identity + config digest, never before. The callback fires from
+    // Attested join: the leader checkpoints *after* the replacement proved its
+    // identity + config digest + placement, never before. The callback fires from
     // inside the transport's Pump; defer the (heavy) checkpoint one event so the
     // capture runs outside the frame-processing path, cancellable like the
     // respawn events.
@@ -380,25 +375,12 @@ bool Remon::SpawnReplacement(int replica_index, int target_machine) {
   remote_agents_[static_cast<size_t>(replica_index)]->Shutdown();
   std::unique_ptr<RemoteSyncAgent> agent = StartRemoteAgent(replica_index, machine, port);
 
-  // Plain streams checkpoint and enqueue within one event, capturing before the
-  // slot revives: no publication can slip between the captured records and the
-  // first data frame behind it on the new connection, and the capture's
-  // quiescent flush drains the sync-log stream while the slot is still dead, so
-  // the checkpoint's sync image ends exactly where the first post-snapshot
-  // kSyncLog frame begins. Sealed streams hold the checkpoint until the
-  // replacement presents a valid attestation (identity + config digest) as the
-  // first frame on the new connection; the on_attested_join deferral captures
-  // it against the cursor the attestation itself carries.
-  std::optional<SnapshotPayloads> snapshot;
-  if (auth_ == nullptr) {
-    SyncAgent* replica_agent = sync_agent(replica_index);
-    snapshot = MakeReseedPayloads(
-        replica_index, replica_agent != nullptr ? replica_agent->read_cursor() : 0);
-  }
+  // The checkpoint waits until the replacement presents a valid attestation
+  // (identity + config digest + placement) as the first frame on the new
+  // connection; the on_attested_join deferral captures it against the cursor the
+  // attestation itself carries. Until then the revived slot takes no data frame,
+  // so the checkpoint still leads everything published after its capture.
   transport_->AddReplacement(replica_index, machine, port);
-  if (snapshot.has_value()) {
-    transport_->EnqueueSnapshot(replica_index, *snapshot);
-  }
   remote_agents_[static_cast<size_t>(replica_index)] = std::move(agent);
   ++respawns_;
   return true;
@@ -408,10 +390,8 @@ std::unique_ptr<RemoteSyncAgent> Remon::StartRemoteAgent(int replica_index,
                                                          uint32_t machine,
                                                          uint16_t port) {
   IpMon* mon = ipmons_[static_cast<size_t>(replica_index)].get();
-  auto agent = std::make_unique<RemoteSyncAgent>(kernel_, mon, machine, port);
-  if (auth_ != nullptr) {
-    agent->set_auth(auth_.get(), config_digest_);
-  }
+  auto agent = std::make_unique<RemoteSyncAgent>(kernel_, mon, machine, port, *auth_,
+                                                 config_digest_);
   agent->Start();  // Listener up before the transport's SYN can arrive.
   mon->set_rb_private_mirror(true);
   if (SyncAgent* local = sync_agent(replica_index)) {

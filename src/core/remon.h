@@ -96,10 +96,9 @@ struct RemonOptions {
   RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
   // §4 extension: periodically migrate the RB to fresh addresses at flush points.
   bool rb_migration = false;
-  // Authenticated RB transport (wire v4): seal every cross-machine frame with a
-  // keyed MAC + stream encryption, require an attested join before a replacement
-  // replica is seeded, and rotate session keys at every epoch bump. Local-only
-  // replica sets ignore the flag (there is no wire to protect).
+  // Read by nothing: every cross-machine stream is sealed (keyed MAC + stream
+  // encryption, attested joins, session keys rotated at every epoch bump).
+  // Kept so callers that still assign it compile.
   bool rb_auth = false;
   // Pre-shared key material both ends derive their session keys from. The
   // simulation models distribution as out-of-band (a deployment would provision
@@ -208,8 +207,8 @@ class Remon {
   // Cross-machine replica sets: the leader-side frame pump and the per-replica
   // remote agents (slots for local replicas stay null). Declared after ipmons_ so
   // they are destroyed first — agents hold raw IpMon pointers.
-  // Authenticated transport (rb_auth): shared key schedule + the config digest
-  // every attested join must present. Transport and agents hold non-owning
+  // Sealed transport: shared key schedule + the config digest every attested
+  // join must present. Transport and agents hold non-owning
   // pointers; declared before them so it outlives their destruction.
   std::unique_ptr<RbAuthContext> auth_;
   uint64_t config_digest_ = 0;

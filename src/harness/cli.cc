@@ -231,9 +231,6 @@ const std::vector<CliFlag> kFlags = {
     {"--rb-link-gbps", "F", "1.0", "leader <-> replica-host bandwidth, (0, 10000]",
      Number([](CliRun* r) { return &r->config.rb_link_bytes_per_ns; }, kPositive, 1e4,
             0.125)},
-    {"--rb-auth", nullptr, nullptr,
-     "authenticated RB transport: sealed frames, attested joins",
-     Switch([](CliRun* r) { return &r->config.mvee.rb_auth; })},
     // Replica re-seed.
     {"--respawn-on-death", nullptr, nullptr,
      "re-seed a replacement when a remote replica dies",

@@ -89,7 +89,7 @@ struct SimStats {
   uint64_t rb_replica_migrations = 0;  // Respawns placed on a different machine.
   uint64_t file_map_grows = 0;         // Live FileMap page-count growths published.
 
-  // RB transport authentication (wire v4, --rb-auth; src/core/rb_auth.h).
+  // RB transport authentication (every cross-machine frame; src/core/rb_auth.h).
   uint64_t rb_auth_frames_sealed = 0;    // Frames MAC-sealed before send (both flows).
   uint64_t rb_auth_frames_rejected = 0;  // Sealed frames refused (bad MAC / forged).
   uint64_t rb_epoch_regressions = 0;     // Stale-epoch frames that tore a link.

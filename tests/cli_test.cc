@@ -41,7 +41,6 @@ TEST(CliTest, DefaultsMatchTheDocumentedCli) {
   EXPECT_EQ(o.rb_batch_max, 0);
   EXPECT_EQ(o.rb_batch_policy, RbBatchPolicy::kFixed);
   EXPECT_FALSE(o.rb_migration);
-  EXPECT_FALSE(o.rb_auth);
   EXPECT_FALSE(o.respawn_dead_replicas);
   EXPECT_EQ(o.reseed_mode, ReseedMode::kDelta);
   EXPECT_FALSE(o.use_sync_agent);
@@ -122,7 +121,6 @@ TEST(CliTest, EveryFlagLandsInItsMember) {
        [](const CliRun& r) { EXPECT_EQ(r.config.rb_link_latency, 500 * kMicrosecond); }},
       {"--rb-link-gbps=10",
        [](const CliRun& r) { EXPECT_DOUBLE_EQ(r.config.rb_link_bytes_per_ns, 1.25); }},
-      {"--rb-auth", [](const CliRun& r) { EXPECT_TRUE(r.config.mvee.rb_auth); }},
       {"--respawn-on-death",
        [](const CliRun& r) { EXPECT_TRUE(r.config.mvee.respawn_dead_replicas); }},
       {"--reseed=full",
@@ -181,7 +179,7 @@ TEST(CliTest, MalformedValuesAreRejected) {
       "--rb-link-gbps=inf", "--reseed=partial", "--respawn-target=0",
       "--kill-replica-at-ms=0", "--sync-log-kb=0", "--sync-log-kb=-4", "--shards=0",
       "--clients=0", "--arrival-rate=0", "--arrival-rate=-5", "--fd-map-pages=0",
-      "--fd-map-pages=1025", "--rb-auth=1", "--list=yes", "--bogus", "positional",
+      "--fd-map-pages=1025", "--rb-auth", "--rb-auth=1", "--list=yes", "--bogus", "positional",
   };
   for (const std::string& arg : bad) {
     CliRun run;

@@ -1,8 +1,9 @@
-// Tests for the RB wire format (src/core/rb_wire.{h,cc}): CRC reference vector,
-// encode/decode round trips under arbitrary stream fragmentation, and rejection of
-// truncated or corrupted frames, including a negative corpus of mutated
-// checkpoint payloads through the snapshot assembler. docs/RB_WIRE_FORMAT.md is
-// the normative spec the expectations here encode.
+// Tests for the RB wire format (src/core/rb_wire.{h,cc}): CRC and SipHash
+// reference vectors, sealed encode/decode round trips under arbitrary stream
+// fragmentation, and rejection of truncated, tampered, unsealed or structurally
+// bad frames, including a negative corpus of mutated checkpoint payloads through
+// the snapshot assembler. docs/RB_WIRE_FORMAT.md is the normative spec the
+// expectations here encode.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,25 @@
 
 namespace remon {
 namespace {
+
+// Every stream is sealed: test frames are sealed under one context for the
+// leader-to-replica flow, as RbTransport seals them, and parsers are keyed with it.
+const RbAuthContext& TestAuth() {
+  static const RbAuthContext auth("wire-test-secret");
+  return auth;
+}
+constexpr RbAuthDirection kTestDir = RbAuthDirection::kLeaderToReplica;
+
+std::vector<uint8_t> Sealed(std::vector<uint8_t> frame) {
+  TestAuth().SealFrame(&frame, kTestDir);
+  return frame;
+}
+
+RbFrameParser KeyedParser() {
+  RbFrameParser parser;
+  parser.set_auth(TestAuth(), kTestDir);
+  return parser;
+}
 
 // Feeds `bytes` into `parser` in random-size chunks (1..17 bytes).
 void FeedFragmented(RbFrameParser* parser, const std::vector<uint8_t>& bytes, Rng* rng) {
@@ -61,11 +81,11 @@ TEST(RbWireTest, EntriesRoundTrip) {
   e.image = {1, 2, 3, 4, 5, 6, 7, 8};
   entries.push_back(e);
 
-  std::vector<uint8_t> frame = RbWireCodec::EncodeEntries(/*epoch=*/7, /*rank=*/3,
-                                                          /*frame_seq=*/42, entries);
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeEntries(
+      /*epoch=*/7, /*rank=*/3, /*frame_seq=*/42, entries));
   ASSERT_GE(frame.size(), kRbWireHeaderSize);
 
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -81,9 +101,9 @@ TEST(RbWireTest, EntriesRoundTrip) {
 }
 
 TEST(RbWireTest, AckRoundTrip) {
-  std::vector<uint8_t> frame = RbWireCodec::EncodeAck(/*epoch=*/2, /*ack_seq=*/99);
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeAck(/*epoch=*/2, /*ack_seq=*/99));
   EXPECT_EQ(frame.size(), kRbWireHeaderSize);
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -104,14 +124,14 @@ TEST(RbWireTest, RandomizedRoundTripUnderFragmentation) {
     for (int f = 0; f < frames; ++f) {
       std::vector<RbWireEntry> entries =
           RandomEntries(&rng, 1 + static_cast<int>(rng.NextBelow(16)));
-      std::vector<uint8_t> frame = RbWireCodec::EncodeEntries(
+      std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeEntries(
           1, static_cast<uint32_t>(rng.NextBelow(16)), static_cast<uint64_t>(f),
-          entries);
+          entries));
       stream.insert(stream.end(), frame.begin(), frame.end());
       sent.push_back(std::move(entries));
     }
 
-    RbFrameParser parser;
+    RbFrameParser parser = KeyedParser();
     FeedFragmented(&parser, stream, &rng);
     for (int f = 0; f < frames; ++f) {
       RbWireFrame out;
@@ -134,12 +154,13 @@ TEST(RbWireTest, RandomizedRoundTripUnderFragmentation) {
 
 TEST(RbWireTest, TruncatedFrameIsNeedMoreNotCorrupt) {
   Rng rng(7);
-  std::vector<uint8_t> frame = RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 3));
-  RbFrameParser parser;
+  std::vector<uint8_t> frame =
+      Sealed(RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 3)));
+  RbFrameParser parser = KeyedParser();
   RbWireFrame out;
   // Every strict prefix is "need more", never a frame and never corruption.
   for (size_t cut = 0; cut < frame.size(); cut += 13) {
-    RbFrameParser fresh;
+    RbFrameParser fresh = KeyedParser();
     fresh.Feed(frame.data(), cut);
     EXPECT_EQ(fresh.Next(&out), RbFrameParser::Status::kNeedMore) << cut;
     EXPECT_FALSE(fresh.corrupt());
@@ -148,27 +169,29 @@ TEST(RbWireTest, TruncatedFrameIsNeedMoreNotCorrupt) {
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
 }
 
-TEST(RbWireTest, CorruptPayloadByteFailsCrc) {
+TEST(RbWireTest, CorruptPayloadByteFailsMac) {
   Rng rng(11);
-  std::vector<uint8_t> frame = RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 2));
+  std::vector<uint8_t> frame =
+      Sealed(RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 2)));
   frame[kRbWireHeaderSize + 5] ^= 0x40;  // One flipped bit in the first entry.
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
   EXPECT_TRUE(parser.corrupt());
+  EXPECT_STREQ(parser.corrupt_reason(), "MAC verification failed");
   // The stream is latched dead: even a pristine follow-up frame is rejected.
-  std::vector<uint8_t> good = RbWireCodec::EncodeAck(1, 1);
+  std::vector<uint8_t> good = Sealed(RbWireCodec::EncodeAck(1, 1));
   parser.Feed(good.data(), good.size());
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
 }
 
 TEST(RbWireTest, BadMagicAndBadVersionRejected) {
-  std::vector<uint8_t> frame = RbWireCodec::EncodeAck(1, 1);
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeAck(1, 1));
   {
     std::vector<uint8_t> bad = frame;
     bad[0] ^= 0xff;
-    RbFrameParser parser;
+    RbFrameParser parser = KeyedParser();
     parser.Feed(bad.data(), bad.size());
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
@@ -176,7 +199,7 @@ TEST(RbWireTest, BadMagicAndBadVersionRejected) {
   {
     std::vector<uint8_t> bad = frame;
     bad[4] = 0x7f;  // version low byte
-    RbFrameParser parser;
+    RbFrameParser parser = KeyedParser();
     parser.Feed(bad.data(), bad.size());
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
@@ -184,10 +207,10 @@ TEST(RbWireTest, BadMagicAndBadVersionRejected) {
 }
 
 TEST(RbWireTest, OversizedPayloadRejectedBeforeBuffering) {
-  std::vector<uint8_t> frame = RbWireCodec::EncodeAck(1, 1);
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeAck(1, 1));
   uint32_t huge = kRbWireMaxPayload + 1;
   std::memcpy(frame.data() + 20, &huge, 4);  // payload_len field.
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   // Rejected from the header alone — no need to feed 16 MiB first.
@@ -206,11 +229,11 @@ TEST(RbWireTest, SnapshotFramesRoundTripWithOpaquePayload) {
   uint64_t seq = 0;
   for (RbFrameType type : {RbFrameType::kSnapshotBegin, RbFrameType::kSnapshotChunk,
                            RbFrameType::kSnapshotEnd}) {
-    std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
-        type, /*epoch=*/3, /*rank=*/2, ++seq, /*count=*/0, payload);
+    std::vector<uint8_t> frame = Sealed(RbWireCodec::FrameFromPayload(
+        type, /*epoch=*/3, /*rank=*/2, ++seq, /*count=*/0, payload));
     stream.insert(stream.end(), frame.begin(), frame.end());
   }
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   FeedFragmented(&parser, stream, &rng);
   for (RbFrameType type : {RbFrameType::kSnapshotBegin, RbFrameType::kSnapshotChunk,
                            RbFrameType::kSnapshotEnd}) {
@@ -226,12 +249,12 @@ TEST(RbWireTest, SnapshotFramesRoundTripWithOpaquePayload) {
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kNeedMore);
 }
 
-TEST(RbWireTest, CorruptSnapshotChunkByteFailsFrameCrc) {
+TEST(RbWireTest, CorruptSnapshotChunkByteFailsFrameMac) {
   std::vector<uint8_t> payload(512, 0x5a);
-  std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
-      RbFrameType::kSnapshotChunk, 2, 1, 7, /*count=*/0, payload);
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotChunk, 2, 1, 7, /*count=*/0, payload));
   frame[kRbWireHeaderSize + 100] ^= 0x08;
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
@@ -240,10 +263,10 @@ TEST(RbWireTest, CorruptSnapshotChunkByteFailsFrameCrc) {
 
 TEST(RbWireTest, TruncatedSnapshotChunkIsNeedMoreUntilComplete) {
   std::vector<uint8_t> payload(4096, 0x11);
-  std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
-      RbFrameType::kSnapshotChunk, 2, 1, 9, /*count=*/0, payload);
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotChunk, 2, 1, 9, /*count=*/0, payload));
   for (size_t cut : {size_t{10}, kRbWireHeaderSize, frame.size() - 1}) {
-    RbFrameParser parser;
+    RbFrameParser parser = KeyedParser();
     parser.Feed(frame.data(), cut);
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kNeedMore) << cut;
@@ -253,20 +276,18 @@ TEST(RbWireTest, TruncatedSnapshotChunkIsNeedMoreUntilComplete) {
 
 TEST(RbWireTest, SnapshotFrameWithEntryCountRejected) {
   // entry_count is meaningful only for kEntries; a snapshot frame claiming entries
-  // is structurally corrupt even with a valid CRC.
+  // is structurally corrupt even with a valid MAC.
   std::vector<uint8_t> payload(64, 0x22);
   std::vector<uint8_t> frame = RbWireCodec::FrameFromPayload(
       RbFrameType::kSnapshotEnd, 2, 0, 3, /*count=*/0, payload);
   uint32_t one = 1;
   std::memcpy(frame.data() + 16, &one, 4);  // entry_count field.
-  uint32_t zero = 0;
-  std::memcpy(frame.data() + 40, &zero, 4);
-  uint32_t crc = Crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + 40, &crc, 4);
-  RbFrameParser parser;
+  frame = Sealed(std::move(frame));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+  EXPECT_STREQ(parser.corrupt_reason(), "snapshot frame carries entries");
 }
 
 // End-to-end: serialized snapshot payloads survive the wire framing + arbitrary
@@ -280,7 +301,7 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
   uint64_t seq = 0;
   auto add = [&](RbFrameType type, const std::vector<uint8_t>& p) {
     std::vector<uint8_t> frame =
-        RbWireCodec::FrameFromPayload(type, 2, 1, ++seq, /*count=*/0, p);
+        Sealed(RbWireCodec::FrameFromPayload(type, 2, 1, ++seq, /*count=*/0, p));
     stream.insert(stream.end(), frame.begin(), frame.end());
   };
   add(RbFrameType::kSnapshotBegin, payloads.begin);
@@ -289,7 +310,7 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
   }
   add(RbFrameType::kSnapshotEnd, payloads.end);
 
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   FeedFragmented(&parser, stream, &rng);
   SnapshotAssembler assembler;
   RbWireFrame out;
@@ -327,10 +348,9 @@ std::vector<RbSyncLogRecord> RandomSyncRecords(Rng* rng, int count) {
 
 TEST(RbWireTest, SyncLogRoundTrip) {
   std::vector<RbSyncLogRecord> records{{42, 1}, {7, 0}, {42, 3}};
-  std::vector<uint8_t> frame =
-      RbWireCodec::EncodeSyncLog(/*epoch=*/5, /*frame_seq=*/9, /*start_index=*/1234,
-                                 records);
-  RbFrameParser parser;
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeSyncLog(
+      /*epoch=*/5, /*frame_seq=*/9, /*start_index=*/1234, records));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -359,8 +379,8 @@ TEST(RbWireTest, RandomizedSyncLogRoundTripUnderFragmentation) {
       if (rng.NextBelow(2) == 0) {
         std::vector<RbSyncLogRecord> records =
             RandomSyncRecords(&rng, 1 + static_cast<int>(rng.NextBelow(16)));
-        std::vector<uint8_t> frame = RbWireCodec::EncodeSyncLog(
-            1, static_cast<uint64_t>(f), index, records);
+        std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeSyncLog(
+            1, static_cast<uint64_t>(f), index, records));
         stream.insert(stream.end(), frame.begin(), frame.end());
         index += records.size();
         sent_sync.emplace_back(index - records.size(), std::move(records));
@@ -368,15 +388,15 @@ TEST(RbWireTest, RandomizedSyncLogRoundTripUnderFragmentation) {
       } else {
         std::vector<RbWireEntry> entries =
             RandomEntries(&rng, 1 + static_cast<int>(rng.NextBelow(8)));
-        std::vector<uint8_t> frame = RbWireCodec::EncodeEntries(
+        std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeEntries(
             1, static_cast<uint32_t>(rng.NextBelow(16)), static_cast<uint64_t>(f),
-            entries);
+            entries));
         stream.insert(stream.end(), frame.begin(), frame.end());
         sent_entries.push_back(std::move(entries));
         is_sync.push_back(false);
       }
     }
-    RbFrameParser parser;
+    RbFrameParser parser = KeyedParser();
     FeedFragmented(&parser, stream, &rng);
     size_t si = 0;
     size_t ei = 0;
@@ -404,22 +424,22 @@ TEST(RbWireTest, RandomizedSyncLogRoundTripUnderFragmentation) {
 TEST(RbWireTest, TruncatedSyncLogFrameIsNeedMoreNotCorrupt) {
   Rng rng(17);
   std::vector<uint8_t> frame =
-      RbWireCodec::EncodeSyncLog(1, 1, 0, RandomSyncRecords(&rng, 5));
+      Sealed(RbWireCodec::EncodeSyncLog(1, 1, 0, RandomSyncRecords(&rng, 5)));
   RbWireFrame out;
   for (size_t cut = 0; cut < frame.size(); cut += 7) {
-    RbFrameParser fresh;
+    RbFrameParser fresh = KeyedParser();
     fresh.Feed(frame.data(), cut);
     EXPECT_EQ(fresh.Next(&out), RbFrameParser::Status::kNeedMore) << cut;
     EXPECT_FALSE(fresh.corrupt());
   }
 }
 
-TEST(RbWireTest, CorruptSyncLogByteFailsCrc) {
+TEST(RbWireTest, CorruptSyncLogByteFailsMac) {
   Rng rng(19);
   std::vector<uint8_t> frame =
-      RbWireCodec::EncodeSyncLog(1, 1, 77, RandomSyncRecords(&rng, 4));
+      Sealed(RbWireCodec::EncodeSyncLog(1, 1, 77, RandomSyncRecords(&rng, 4)));
   frame[kRbWireHeaderSize + 11] ^= 0x10;  // One flipped record bit.
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
@@ -428,41 +448,39 @@ TEST(RbWireTest, CorruptSyncLogByteFailsCrc) {
 
 TEST(RbWireTest, SyncLogCountPayloadMismatchIsStructurallyCorrupt) {
   // A record count disagreeing with payload_len is corruption even under a valid
-  // CRC (mirrors the entry-record overrun vector below).
+  // MAC (mirrors the entry-record overrun vector below).
   Rng rng(23);
   std::vector<uint8_t> frame =
       RbWireCodec::EncodeSyncLog(1, 1, 5, RandomSyncRecords(&rng, 3));
   uint32_t lied = 4;  // Claims one more record than the payload carries.
   std::memcpy(frame.data() + 16, &lied, 4);  // entry_count field.
-  uint32_t zero = 0;
-  std::memcpy(frame.data() + 40, &zero, 4);
-  uint32_t crc = Crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + 40, &crc, 4);
-  RbFrameParser parser;
+  frame = Sealed(std::move(frame));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+  EXPECT_STREQ(parser.corrupt_reason(), "sync-log count/length mismatch");
 }
 
 TEST(RbWireTest, EmptySyncLogFrameIsStructurallyCorrupt) {
   // A flush only happens when records are pending; a zero-record sync frame
   // cannot be produced and is rejected on receive.
   std::vector<uint8_t> payload(kRbWireSyncHeaderSize, 0);
-  std::vector<uint8_t> frame =
-      RbWireCodec::FrameFromPayload(RbFrameType::kSyncLog, 1, 0, 1, /*count=*/0, payload);
-  RbFrameParser parser;
+  std::vector<uint8_t> frame = Sealed(
+      RbWireCodec::FrameFromPayload(RbFrameType::kSyncLog, 1, 0, 1, /*count=*/0, payload));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
 }
 
-// --- Wire v4: ack-piggybacked cursors + join attestation ---------------------------
+// --- Ack-piggybacked cursors + join attestation ------------------------------------
 
 TEST(RbWireTest, AckCursorRoundTrip) {
   std::vector<uint8_t> frame =
-      RbWireCodec::EncodeAck(/*epoch=*/3, /*ack_seq=*/17, /*sync_cursor=*/4242);
+      Sealed(RbWireCodec::EncodeAck(/*epoch=*/3, /*ack_seq=*/17, /*sync_cursor=*/4242));
   EXPECT_EQ(frame.size(), kRbWireHeaderSize);
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -476,10 +494,10 @@ TEST(RbWireTest, AckCursorRoundTrip) {
 }
 
 TEST(RbWireTest, JoinAttestRoundTrip) {
-  std::vector<uint8_t> frame = RbWireCodec::EncodeJoinAttest(
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeJoinAttest(
       /*epoch=*/2, /*replica_index=*/5, /*config_digest=*/0xfeedfacecafebeefull,
-      /*sync_cursor=*/321);
-  RbFrameParser parser;
+      /*sync_cursor=*/321));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -493,12 +511,12 @@ TEST(RbWireTest, JoinAttestRoundTrip) {
 }
 
 TEST(RbWireTest, JoinAttestCarriesPlacementMachine) {
-  // v5: a migrating replacement attests the machine it actually landed on, so
-  // the leader can verify respawn-as-migration placement before serving it.
-  std::vector<uint8_t> frame = RbWireCodec::EncodeJoinAttest(
+  // A migrating replacement attests the machine it actually landed on, so the
+  // leader can verify respawn-as-migration placement before serving it.
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeJoinAttest(
       /*epoch=*/4, /*replica_index=*/2, /*config_digest=*/0x1122334455667788ull,
-      /*sync_cursor=*/99, /*machine=*/7);
-  RbFrameParser parser;
+      /*sync_cursor=*/99, /*machine=*/7));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -509,22 +527,29 @@ TEST(RbWireTest, JoinAttestCarriesPlacementMachine) {
   EXPECT_EQ(out.attest_machine, 7u);
 }
 
-// Rewrites a u16 header field of an unsealed frame and re-stamps its CRC, so only
-// the field's meaning — not the checksum — can reject it.
+// Rewrites a u16 header field of an unsealed frame and seals it, so only the
+// field's meaning — not the tag — can reject it.
 std::vector<uint8_t> RestampU16(std::vector<uint8_t> frame, size_t off, uint16_t v) {
   std::memcpy(frame.data() + off, &v, 2);
-  uint32_t zero = 0;
-  std::memcpy(frame.data() + 40, &zero, 4);
+  return Sealed(std::move(frame));
+}
+
+// The trailer wire v7 and earlier sent on unauthenticated streams: a CRC-32 over
+// the frame with bytes 40-47 zeroed, in bytes 40-43. No v8 parser accepts it.
+std::vector<uint8_t> WithCrcTrailer(std::vector<uint8_t> frame) {
+  std::memset(frame.data() + 40, 0, 8);
   uint32_t crc = Crc32(frame.data(), frame.size());
   std::memcpy(frame.data() + 40, &crc, 4);
   return frame;
 }
 
 // Wire v6 retired the separate delta begin frame (type 8): every checkpoint opens
-// with SNAPSHOT_BEGIN. v7 retired the v6 page-image checkpoint payloads. A type-8
-// frame and a version-5 or version-6 header are all corrupt — nothing speaks an
-// older version — and latch the parser, sealed or not.
-TEST(RbWireTest, RetiredDeltaTypeAndVersion5HeaderLatchCorrupt) {
+// with SNAPSHOT_BEGIN. v7 retired the v6 page-image checkpoint payloads, and v8
+// the unsealed stream. A type-8 frame and a version-5, -6 or -7 header are all
+// corrupt — nothing speaks an older version — and latch the parser even when
+// sealed with the right key; a frame with the CRC trailer and no tag fails the
+// MAC check.
+TEST(RbWireTest, RetiredAndUnsealedFramesLatchCorrupt) {
   std::vector<uint8_t> begin = RbWireCodec::FrameFromPayload(
       RbFrameType::kSnapshotBegin, /*epoch=*/6, /*rank=*/1, /*frame_seq=*/42, /*count=*/0,
       std::vector<uint8_t>(257, 0x3c));
@@ -536,27 +561,34 @@ TEST(RbWireTest, RetiredDeltaTypeAndVersion5HeaderLatchCorrupt) {
       {RestampU16(begin, 6, 8), "unknown frame type"},
       {RestampU16(begin, 4, 5), "bad magic/version"},
       {RestampU16(begin, 4, 6), "bad magic/version"},
+      {RestampU16(begin, 4, 7), "bad magic/version"},
+      {WithCrcTrailer(begin), "MAC verification failed"},
   };
-  RbAuthContext auth("retired-secret");
+  std::vector<uint8_t> good = Sealed(begin);
   for (const Vector& v : vectors) {
-    RbFrameParser plain;
-    plain.Feed(v.frame.data(), v.frame.size());
+    RbFrameParser parser = KeyedParser();
+    parser.Feed(v.frame.data(), v.frame.size());
     RbWireFrame out;
-    EXPECT_EQ(plain.Next(&out), RbFrameParser::Status::kCorrupt);
-    EXPECT_STREQ(plain.corrupt_reason(), v.reason);
-    EXPECT_TRUE(plain.corrupt());
+    EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+    EXPECT_STREQ(parser.corrupt_reason(), v.reason);
+    EXPECT_TRUE(parser.corrupt());
     // Latched: a valid frame behind it is never decoded.
-    plain.Feed(begin.data(), begin.size());
-    EXPECT_EQ(plain.Next(&out), RbFrameParser::Status::kCorrupt);
-
-    std::vector<uint8_t> sealed = v.frame;
-    auth.SealFrame(&sealed, RbAuthDirection::kLeaderToReplica);
-    RbFrameParser authed;
-    authed.set_auth(&auth, RbAuthDirection::kLeaderToReplica);
-    authed.Feed(sealed.data(), sealed.size());
-    EXPECT_EQ(authed.Next(&out), RbFrameParser::Status::kCorrupt);
-    EXPECT_STREQ(authed.corrupt_reason(), v.reason);
+    parser.Feed(good.data(), good.size());
+    EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
   }
+}
+
+// A parser never keyed with set_auth has no decode path at all: it is latched
+// before its first frame and stays latched.
+TEST(RbWireTest, UnkeyedParserLatchesCorrupt) {
+  std::vector<uint8_t> frame = Sealed(RbWireCodec::EncodeAck(1, 1));
+  RbFrameParser parser;
+  parser.Feed(frame.data(), frame.size());
+  RbWireFrame out;
+  EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+  EXPECT_TRUE(parser.corrupt());
+  EXPECT_STREQ(parser.corrupt_reason(), "no authentication context");
+  EXPECT_EQ(parser.frames_decoded(), 0u);
 }
 
 TEST(RbWireTest, TruncatedJoinAttestPayloadRejected) {
@@ -564,18 +596,15 @@ TEST(RbWireTest, TruncatedJoinAttestPayloadRejected) {
   uint32_t short_len = kRbWireAttestPayloadSize - 8;
   std::memcpy(frame.data() + 20, &short_len, 4);  // payload_len field.
   frame.resize(kRbWireHeaderSize + short_len);
-  uint32_t zero = 0;
-  std::memcpy(frame.data() + 40, &zero, 4);
-  uint32_t crc = Crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + 40, &crc, 4);
-  RbFrameParser parser;
+  frame = Sealed(std::move(frame));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
   EXPECT_STREQ(parser.corrupt_reason(), "malformed join attestation");
 }
 
-// --- Wire v4: authenticated streams ------------------------------------------------
+// --- Sealing: keys, directions, epochs ----------------------------------------------
 
 TEST(SipHashTest, MatchesReferenceVectors) {
   // Vectors from the SipHash reference implementation's test program: key
@@ -621,7 +650,7 @@ TEST(RbWireAuthTest, SealedFramesRoundTripAllTypes) {
   }
 
   RbFrameParser parser;
-  parser.set_auth(&auth, RbAuthDirection::kLeaderToReplica);
+  parser.set_auth(auth, RbAuthDirection::kLeaderToReplica);
   FeedFragmented(&parser, stream, &rng);
   RbWireFrame out;
   ASSERT_EQ(parser.Next(&out), RbFrameParser::Status::kFrame);
@@ -649,7 +678,7 @@ TEST(RbWireAuthTest, TamperedSealedFrameRejected) {
     std::vector<uint8_t> bad = frame;
     bad[flip] ^= 0x20;
     RbFrameParser parser;
-    parser.set_auth(&auth, RbAuthDirection::kLeaderToReplica);
+    parser.set_auth(auth, RbAuthDirection::kLeaderToReplica);
     parser.Feed(bad.data(), bad.size());
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt) << flip;
@@ -668,7 +697,7 @@ TEST(RbWireAuthTest, WrongKeyDirectionOrEpochRejected) {
     RbAuthContext other("other-secret");
     std::vector<uint8_t> f = sealed;
     RbFrameParser parser;
-    parser.set_auth(&other, RbAuthDirection::kLeaderToReplica);
+    parser.set_auth(other, RbAuthDirection::kLeaderToReplica);
     parser.Feed(f.data(), f.size());
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
@@ -677,7 +706,7 @@ TEST(RbWireAuthTest, WrongKeyDirectionOrEpochRejected) {
   {
     std::vector<uint8_t> f = sealed;
     RbFrameParser parser;
-    parser.set_auth(&auth, RbAuthDirection::kReplicaToLeader);
+    parser.set_auth(auth, RbAuthDirection::kReplicaToLeader);
     parser.Feed(f.data(), f.size());
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
@@ -690,13 +719,12 @@ TEST(RbWireAuthTest, WrongKeyDirectionOrEpochRejected) {
     uint32_t epoch = 4;
     std::memcpy(f.data() + 8, &epoch, 4);
     RbFrameParser parser;
-    parser.set_auth(&auth, RbAuthDirection::kLeaderToReplica);
+    parser.set_auth(auth, RbAuthDirection::kLeaderToReplica);
     parser.Feed(f.data(), f.size());
     RbWireFrame out;
     EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
   }
-  // Unauthenticated parser: a sealed frame is garbage without the key (its CRC
-  // field holds a MAC tag), never silently accepted.
+  // Unkeyed parser: a sealed frame is never decoded without the key.
   {
     std::vector<uint8_t> f = sealed;
     RbFrameParser parser;
@@ -712,21 +740,39 @@ TEST(RbWireAuthTest, WrongKeyDirectionOrEpochRejected) {
 // Run under ASan/UBSan in CI (frame-parser robustness gate).
 TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
   Rng rng(53);
-  RbAuthContext auth("corpus-secret");
+  std::vector<uint8_t> begin = RbWireCodec::FrameFromPayload(
+      RbFrameType::kSnapshotBegin, 1, 0, 3, /*count=*/0, std::vector<uint8_t>(128, 0x7e));
   std::vector<std::vector<uint8_t>> corpus;
-  corpus.push_back(RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 2)));
-  corpus.push_back(RbWireCodec::EncodeSyncLog(1, 2, 9, RandomSyncRecords(&rng, 3)));
-  corpus.push_back(RbWireCodec::EncodeAck(1, 5, 77));
-  corpus.push_back(RbWireCodec::EncodeJoinAttest(1, 2, 0x1234, 8));
-  corpus.push_back(RbWireCodec::FrameFromPayload(RbFrameType::kSnapshotBegin, 1, 0, 3,
-                                                 /*count=*/0,
-                                                 std::vector<uint8_t>(128, 0x7e)));
-  // The retired delta begin type and version-5/6 headers: corrupt before mutation.
-  corpus.push_back(RestampU16(corpus.back(), 6, 8));
-  corpus.push_back(RestampU16(corpus[corpus.size() - 2], 4, 5));
-  corpus.push_back(RestampU16(corpus[corpus.size() - 3], 4, 6));
-  for (auto& f : corpus) {
-    auth.SealFrame(&f, RbAuthDirection::kLeaderToReplica);
+  corpus.push_back(Sealed(RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 2))));
+  corpus.push_back(Sealed(RbWireCodec::EncodeSyncLog(1, 2, 9, RandomSyncRecords(&rng, 3))));
+  corpus.push_back(Sealed(RbWireCodec::EncodeAck(1, 5, 77)));
+  corpus.push_back(Sealed(RbWireCodec::EncodeJoinAttest(1, 2, 0x1234, 8)));
+  corpus.push_back(Sealed(begin));
+  // Must-latch-corrupt before any mutation: the retired delta begin type and
+  // version-5/6/7 headers sealed with the right key, and frames carrying the
+  // v7 unauthenticated CRC trailer instead of a tag.
+  struct MustLatch {
+    std::vector<uint8_t> frame;
+    const char* reason;
+  };
+  const std::vector<MustLatch> must_latch = {
+      {RestampU16(begin, 6, 8), "unknown frame type"},
+      {RestampU16(begin, 4, 5), "bad magic/version"},
+      {RestampU16(begin, 4, 6), "bad magic/version"},
+      {RestampU16(begin, 4, 7), "bad magic/version"},
+      {WithCrcTrailer(RestampU16(begin, 4, 7)), "bad magic/version"},
+      {WithCrcTrailer(begin), "MAC verification failed"},
+      {WithCrcTrailer(RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 2))),
+       "MAC verification failed"},
+      {WithCrcTrailer(RbWireCodec::EncodeAck(1, 5, 77)), "MAC verification failed"},
+  };
+  for (const MustLatch& v : must_latch) {
+    RbFrameParser parser = KeyedParser();
+    parser.Feed(v.frame.data(), v.frame.size());
+    RbWireFrame out;
+    EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+    EXPECT_STREQ(parser.corrupt_reason(), v.reason);
+    corpus.push_back(v.frame);
   }
 
   std::mt19937_64 mut(0x5eedc0de);  // Deterministic: failures reproduce.
@@ -739,8 +785,7 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
     if (mut() % 4 == 0) {
       frame.resize(mut() % (frame.size() + 1));  // Truncations too.
     }
-    RbFrameParser parser;
-    parser.set_auth(&auth, RbAuthDirection::kLeaderToReplica);
+    RbFrameParser parser = KeyedParser();
     parser.Feed(frame.data(), frame.size());
     RbWireFrame out;
     RbFrameParser::Status st = parser.Next(&out);
@@ -832,36 +877,32 @@ TEST(SnapshotNegativeCorpus, MutatedPayloadsNeverCrashAssembler) {
 
 TEST(RbWireTest, EntryRecordOverrunningPayloadRejected) {
   // Hand-craft a frame whose entry record claims more image bytes than the payload
-  // holds; the CRC is recomputed so only the structural check can catch it.
+  // holds; the frame is sealed after the edit so only the structural check can
+  // catch it.
   Rng rng(13);
   std::vector<RbWireEntry> entries = RandomEntries(&rng, 1);
   std::vector<uint8_t> frame = RbWireCodec::EncodeEntries(1, 0, 1, entries);
   uint32_t lied = static_cast<uint32_t>(entries[0].image.size()) + 64;
   std::memcpy(frame.data() + kRbWireHeaderSize + 12, &lied, 4);  // image_len field.
-  uint32_t zero = 0;
-  std::memcpy(frame.data() + 40, &zero, 4);
-  uint32_t crc = Crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + 40, &crc, 4);
+  frame = Sealed(std::move(frame));
 
-  RbFrameParser parser;
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
+  EXPECT_STREQ(parser.corrupt_reason(), "entry image overruns payload");
 }
 
 TEST(RbWireTest, EntryCountBeyondPayloadRejectedBeforeAllocation) {
-  // A CRC-valid frame claiming 2^32-1 records in a 100-byte payload: the count is
+  // A MAC-valid frame claiming 2^32-1 records in a 100-byte payload: the count is
   // refused from the payload length alone, before it can size an allocation.
   Rng rng(17);
   std::vector<uint8_t> frame =
       RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 1));
   uint32_t lied = 0xffffffffu;
   std::memcpy(frame.data() + 16, &lied, 4);  // entry_count field.
-  uint32_t zero = 0;
-  std::memcpy(frame.data() + 40, &zero, 4);
-  uint32_t crc = Crc32(frame.data(), frame.size());
-  std::memcpy(frame.data() + 40, &crc, 4);
-  RbFrameParser parser;
+  frame = Sealed(std::move(frame));
+  RbFrameParser parser = KeyedParser();
   parser.Feed(frame.data(), frame.size());
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);

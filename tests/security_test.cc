@@ -331,9 +331,9 @@ TEST(SecurityTest, RbMigrationMovesBufferTransparently) {
   EXPECT_LE(resident, PageAlignUp(rb.RankDataEnd(0)) / kPageSize);
 }
 
-// --- Authenticated RB transport (wire v4): active network adversaries --------------
+// --- Authenticated RB transport: active network adversaries ------------------------
 
-// 3 replicas with the last one behind the RB transport, per-frame authentication on.
+// 3 replicas with the last one behind the RB transport (every frame sealed).
 RemonOptions RemoteAuthOptions(SimWorld* w, int replicas = 3) {
   RemonOptions opts;
   opts.mode = MveeMode::kRemon;
@@ -341,7 +341,6 @@ RemonOptions RemoteAuthOptions(SimWorld* w, int replicas = 3) {
   opts.level = PolicyLevel::kNonsocketRw;
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_auth = true;
   uint32_t host = w->net.AddMachine("replica-host-1");
   w->net.SetLink(w->server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
   opts.machine = w->server_machine;
@@ -362,8 +361,8 @@ ProgramFn WriterWorkload(int writes) {
 }
 
 TEST(SecurityTest, AuthenticatedRemoteRunCompletesUntampered) {
-  // Baseline sanity: with --rb-auth every frame is sealed, nothing is rejected,
-  // and the run is indistinguishable from an unauthenticated one in outcome.
+  // Baseline sanity: every frame is sealed, nothing is rejected, and the run
+  // writes what the program wrote.
   SimWorld w(120);
   Remon mvee(&w.kernel, RemoteAuthOptions(&w));
   mvee.Launch(WriterWorkload(60), "auth");
@@ -381,8 +380,8 @@ TEST(SecurityTest, AuthenticatedRemoteRunCompletesUntampered) {
 
 TEST(SecurityTest, ForgedFrameRejectedAndLinkTorn) {
   // An on-path attacker without the secret forges a structurally perfect frame
-  // (valid header, valid CRC under the v3 reading, plausible entry records). The
-  // MAC check rejects it and the link is torn — never applied, never a hang.
+  // (valid header, plausible entry records, a tag under its own key). The MAC
+  // check rejects it and the link is torn — never applied, never a hang.
   SimWorld w(121);
   Remon mvee(&w.kernel, RemoteAuthOptions(&w));
   mvee.Launch(WriterWorkload(40), "forge");

@@ -407,11 +407,12 @@ TEST(RemotePlacementTest, RepeatingKillOnServerRunReturnsOnceClientIsDone) {
   EXPECT_EQ(killed.stats.rb_snapshot_rejects, 0u);
 }
 
-TEST(RemotePlacementTest, AuthenticatedPlacementServesIdenticalTranscript) {
-  // Wire-v4 authentication at the server level: with --rb-auth the cross-machine
-  // multi-threaded benchmark must serve the exact transcript of the
-  // unauthenticated run — MAC trailers and stream encryption change only the
-  // bytes on the link — and the attested-join re-seed must stay transparent too.
+TEST(RemotePlacementTest, SealedPlacementServesShmTranscript) {
+  // Sealing at the server level: the cross-machine multi-threaded benchmark,
+  // whose link is sealed like every link, must serve the exact transcript of the
+  // all-local (SHM placement) run — MAC trailers and stream encryption change
+  // only the bytes on the link — and the attested-join re-seed must stay
+  // transparent too.
   ServerSpec server = ServerByName("memcached");
   server.log_writes = 2;
   ClientSpec client;
@@ -426,33 +427,31 @@ TEST(RemotePlacementTest, AuthenticatedPlacementServesIdenticalTranscript) {
   config.mvee.level = PolicyLevel::kSocketRw;
   config.mvee.rb_batch_max = 16;
   config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  config.placement = {0, 1};  // Replica 2 on its own machine.
   config.mvee.use_sync_agent = true;
-  ServerResult plain = RunServerBench(server, client, config, link);
-  ASSERT_FALSE(plain.diverged);
-  ASSERT_EQ(plain.requests, 120);
-  EXPECT_EQ(plain.stats.rb_auth_frames_sealed, 0u);
+  ServerResult shm = RunServerBench(server, client, config, link);
+  ASSERT_FALSE(shm.diverged);
+  ASSERT_EQ(shm.requests, 120);
 
-  RunConfig authed = config;
-  authed.mvee.rb_auth = true;
-  ServerResult auth = RunServerBench(server, client, authed, link);
-  ASSERT_FALSE(auth.diverged);
-  EXPECT_EQ(auth.requests, plain.requests);
-  EXPECT_EQ(auth.bytes_received, plain.bytes_received);
+  RunConfig sealed = config;
+  sealed.placement = {0, 1};  // Replica 2 on its own machine.
+  ServerResult remote = RunServerBench(server, client, sealed, link);
+  ASSERT_FALSE(remote.diverged);
+  EXPECT_EQ(remote.requests, shm.requests);
+  EXPECT_EQ(remote.bytes_received, shm.bytes_received);
   // Every frame on the link was sealed (leader data + replica acks), the initial
   // join ran through the attest handshake, and nothing was rejected.
-  EXPECT_GT(auth.stats.rb_auth_frames_sealed, auth.stats.rb_frames_sent);
-  EXPECT_EQ(auth.stats.rb_auth_frames_rejected, 0u);
-  EXPECT_GE(auth.stats.rb_auth_joins, 1u);
-  EXPECT_EQ(auth.stats.rb_auth_join_rejects, 0u);
+  EXPECT_GT(remote.stats.rb_auth_frames_sealed, remote.stats.rb_frames_sent);
+  EXPECT_EQ(remote.stats.rb_auth_frames_rejected, 0u);
+  EXPECT_GE(remote.stats.rb_auth_joins, 1u);
+  EXPECT_EQ(remote.stats.rb_auth_join_rejects, 0u);
 
-  RunConfig faulted = authed;
+  RunConfig faulted = sealed;
   faulted.mvee.respawn_dead_replicas = true;
   faulted.kill_remote_replica_at = Millis(3);
   ServerResult reseeded = RunServerBench(server, client, faulted, link);
   EXPECT_FALSE(reseeded.diverged);
-  EXPECT_EQ(reseeded.requests, plain.requests);
-  EXPECT_EQ(reseeded.bytes_received, plain.bytes_received);
+  EXPECT_EQ(reseeded.requests, shm.requests);
+  EXPECT_EQ(reseeded.bytes_received, shm.bytes_received);
   EXPECT_GE(reseeded.stats.rb_remote_deaths, 1u);
   EXPECT_GE(reseeded.stats.rb_replica_joins, 1u);
   // Initial join + replacement join, each attested under its epoch's keys.
@@ -574,10 +573,14 @@ struct LifecycleRun {
   bool migrated = false;            // SpawnReplacement accepted the migration.
   uint32_t final_machine = 0;       // Where replica 1 ended up.
   uint64_t final_agent_joins = 0;   // Joins through the last agent.
+  std::string file;                 // What the replicated program wrote.
   SimStats stats;
 };
 
-LifecycleRun RunRemoteLifecycle(bool rb_auth) {
+// With `faults`, replica 1's link is killed at 3 ms and the respawned replica is
+// migrated at 10 ms; without, the same program runs with its replica never
+// dying.
+LifecycleRun RunRemoteLifecycle(bool faults) {
   SimWorld w(7);
   uint32_t home = w.net.AddMachine("replica-host-1");
   uint32_t target = w.net.AddMachine("replica-host-2");
@@ -593,7 +596,6 @@ LifecycleRun RunRemoteLifecycle(bool rb_auth) {
   opts.machine = w.server_machine;
   opts.replica_machines = {w.server_machine, home};
   opts.respawn_dead_replicas = true;
-  opts.rb_auth = rb_auth;
   Remon mvee(&w.kernel, opts);
   mvee.Launch([](Guest& g) -> GuestTask<void> {
     int64_t fd = co_await g.Open("/tmp/lifecycle", kO_CREAT | kO_RDWR);
@@ -606,53 +608,65 @@ LifecycleRun RunRemoteLifecycle(bool rb_auth) {
   });
 
   LifecycleRun run;
-  w.sim.queue().ScheduleAt(Millis(3), [&mvee] { mvee.remote_agent(1)->Shutdown(); });
-  w.sim.queue().ScheduleAt(Millis(10), [&mvee, &run, target] {
-    run.migrated = mvee.SpawnReplacement(1, static_cast<int>(target));
-  });
+  if (faults) {
+    w.sim.queue().ScheduleAt(Millis(3), [&mvee] { mvee.remote_agent(1)->Shutdown(); });
+    w.sim.queue().ScheduleAt(Millis(10), [&mvee, &run, target] {
+      run.migrated = mvee.SpawnReplacement(1, static_cast<int>(target));
+    });
+  }
   w.Run(Seconds(30));
   run.diverged = mvee.divergence_detected();
   run.finished = mvee.finished();
   run.final_machine = mvee.options().replica_machines[1];
   run.final_agent_joins = mvee.remote_agent(1)->joins();
+  run.file = w.fs.ReadWholeFile("/tmp/lifecycle").value_or("<missing>");
   run.stats = w.sim.stats();
   return run;
 }
 
-TEST(RemotePlacementTest, LinkLifecycleEpochRowsMatchAcrossPlainAndSealedStreams) {
-  LifecycleRun plain = RunRemoteLifecycle(/*rb_auth=*/false);
-  LifecycleRun sealed = RunRemoteLifecycle(/*rb_auth=*/true);
-  for (const LifecycleRun* run : {&plain, &sealed}) {
-    SCOPED_TRACE(run == &plain ? "plain" : "sealed");
+TEST(RemotePlacementTest, LinkLifecycleEpochRowsAndFileMatchNeverDiedRun) {
+  LifecycleRun never_died = RunRemoteLifecycle(/*faults=*/false);
+  LifecycleRun faulted = RunRemoteLifecycle(/*faults=*/true);
+  for (const LifecycleRun* run : {&never_died, &faulted}) {
+    SCOPED_TRACE(run == &never_died ? "never died" : "faulted");
     EXPECT_FALSE(run->diverged);
     EXPECT_TRUE(run->finished);
-    EXPECT_TRUE(run->migrated);
-    EXPECT_EQ(run->stats.rb_remote_deaths, 1u);
-    EXPECT_EQ(run->stats.rb_replica_migrations, 1u);
     EXPECT_EQ(run->stats.rb_snapshot_rejects, 0u);
-    EXPECT_EQ(run->final_agent_joins, 1u);
-    // Epoch 1 is the first join and ends in the kill; the respawn joins epoch 2;
-    // the migration retires that link quietly and its replacement joins epoch 3.
-    const std::vector<RbEpochStats>& rows = run->stats.rb_epochs;
-    ASSERT_EQ(rows.size(), 3u);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i].epoch, i + 1);
-      EXPECT_EQ(rows[i].deaths, i == 0 ? 1u : 0u) << "epoch " << rows[i].epoch;
-      EXPECT_EQ(rows[i].joins, i == 0 ? 0u : 1u) << "epoch " << rows[i].epoch;
-      if (i == 0) {
-        EXPECT_EQ(rows[i].snapshot_frames, 0u);
-      } else {
-        EXPECT_GT(rows[i].snapshot_frames, 0u) << "epoch " << rows[i].epoch;
-      }
+    EXPECT_EQ(run->stats.rb_auth_frames_rejected, 0u);
+  }
+  // The untouched link: one epoch, the first join attested, nothing re-seeded.
+  EXPECT_FALSE(never_died.migrated);
+  EXPECT_EQ(never_died.stats.rb_remote_deaths, 0u);
+  EXPECT_EQ(never_died.stats.rb_auth_joins, 1u);
+  EXPECT_EQ(never_died.final_agent_joins, 0u);
+  ASSERT_EQ(never_died.stats.rb_epochs.size(), 1u);
+  EXPECT_EQ(never_died.stats.rb_epochs[0].deaths, 0u);
+  EXPECT_EQ(never_died.stats.rb_epochs[0].joins, 0u);
+
+  EXPECT_TRUE(faulted.migrated);
+  EXPECT_EQ(faulted.stats.rb_remote_deaths, 1u);
+  EXPECT_EQ(faulted.stats.rb_replica_migrations, 1u);
+  EXPECT_EQ(faulted.final_agent_joins, 1u);
+  EXPECT_NE(faulted.final_machine, never_died.final_machine);
+  // First join, respawn and migration each attested.
+  EXPECT_EQ(faulted.stats.rb_auth_joins, 3u);
+  // Epoch 1 is the first join and ends in the kill; the respawn joins epoch 2;
+  // the migration retires that link quietly and its replacement joins epoch 3.
+  const std::vector<RbEpochStats>& rows = faulted.stats.rb_epochs;
+  ASSERT_EQ(rows.size(), 3u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].epoch, i + 1);
+    EXPECT_EQ(rows[i].deaths, i == 0 ? 1u : 0u) << "epoch " << rows[i].epoch;
+    EXPECT_EQ(rows[i].joins, i == 0 ? 0u : 1u) << "epoch " << rows[i].epoch;
+    if (i == 0) {
+      EXPECT_EQ(rows[i].snapshot_frames, 0u);
+    } else {
+      EXPECT_GT(rows[i].snapshot_frames, 0u) << "epoch " << rows[i].epoch;
     }
   }
-  EXPECT_EQ(plain.final_machine, sealed.final_machine);
-  ASSERT_EQ(plain.stats.rb_epochs.size(), sealed.stats.rb_epochs.size());
-  for (size_t i = 0; i < plain.stats.rb_epochs.size(); ++i) {
-    EXPECT_EQ(plain.stats.rb_epochs[i].epoch, sealed.stats.rb_epochs[i].epoch);
-    EXPECT_EQ(plain.stats.rb_epochs[i].deaths, sealed.stats.rb_epochs[i].deaths);
-    EXPECT_EQ(plain.stats.rb_epochs[i].joins, sealed.stats.rb_epochs[i].joins);
-  }
+  // Neither the death nor the move changed what the program wrote.
+  EXPECT_EQ(faulted.file, never_died.file);
+  EXPECT_EQ(faulted.file.size(), 4000u * 64);
 }
 
 // --- Suite specs -------------------------------------------------------------------
