@@ -1,8 +1,10 @@
 // Ablation: replication buffer size (paper §3.2 uses 16 MiB; §4 relies on its 24 bits
 // of address entropy). A smaller RB forces more GHUMVEE-arbitrated resets, each a
-// full lockstep round trip — this sweep quantifies that trade. The second sweep
-// measures batched RB publication: the master coalescing consecutive small
-// POSTCALL commits into one publication + one slave wakeup instead of one per entry.
+// full lockstep round trip — this sweep quantifies that trade. The next two rows
+// price the paper's per-entry publication (PRECALL args, then POSTCALL results,
+// each with its own wake) on a small-call-heavy workload and on a multi-rank
+// server; they keep the `batch/unbatched` and `server_batch/unbatched` keys of the
+// batching sweeps they were once the baseline of.
 
 #include <cstdio>
 
@@ -13,26 +15,12 @@
 namespace remon {
 namespace {
 
-// One label/config pair of the batching sweeps: fixed windows plus the adaptive
-// policy (window floats in [1, ceiling] on observed slave waiter pressure).
-struct BatchPoint {
-  const char* label;
-  int batch_max;
-  RbBatchPolicy policy;
-};
-
-constexpr BatchPoint kBatchPoints[] = {
-    {"unbatched", 0, RbBatchPolicy::kFixed}, {"2", 2, RbBatchPolicy::kFixed},
-    {"4", 4, RbBatchPolicy::kFixed},         {"8", 8, RbBatchPolicy::kFixed},
-    {"16", 16, RbBatchPolicy::kFixed},       {"adaptive", 16, RbBatchPolicy::kAdaptive},
-};
-
-void RunBatchSweep(BenchJson* json) {
-  std::printf("\n== Ablation: batched vs. unbatched RB publication ==\n");
+void RunSmallCallRow(BenchJson* json) {
+  std::printf("\n== Ablation: per-entry RB publication, small-call workload ==\n");
   // Small-call-heavy workload: many tiny writes, each an IP-MON master call whose
-  // result payload is a few bytes — the case batching amortizes.
+  // result payload is a few bytes.
   WorkloadSpec spec;
-  spec.name = "rb-batch";
+  spec.name = "rb-entry";  // Its length sets path lengths, and so entry sizes.
   spec.suite = "ablation";
   spec.threads = 1;
   spec.iterations = 8000;
@@ -44,41 +32,26 @@ void RunBatchSweep(BenchJson* json) {
   native.mvee.mode = MveeMode::kNative;
   SuiteResult base = RunSuiteWorkload(spec, native);
 
-  Table table({"batch max", "normalized time", "batched entries", "precall coal.",
-               "flushes", "wakes elided"});
-  for (const BatchPoint& point : kBatchPoints) {
-    RunConfig config;
-    config.mvee.mode = MveeMode::kRemon;
-    config.mvee.replicas = 2;
-    config.mvee.level = PolicyLevel::kNonsocketRw;
-    config.mvee.rb_batch_max = point.batch_max;
-    config.mvee.rb_batch_policy = point.policy;
-    SuiteResult run = RunSuiteWorkload(spec, config);
-    table.AddRow({point.label, Table::Num(run.seconds / base.seconds),
-                  Table::Num(static_cast<double>(run.stats.rb_batched_entries), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_precall_coalesced), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_batch_flushes), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_futex_wakes_elided), 0)});
-    if (base.seconds > 0) {
-      json->Add(std::string("batch/") + point.label + "/normalized_time",
-                run.seconds / base.seconds, "x");
-    }
+  RunConfig config;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 2;
+  config.mvee.level = PolicyLevel::kNonsocketRw;
+  SuiteResult run = RunSuiteWorkload(spec, config);
+  Table table({"normalized time", "RB entries", "wakes elided"});
+  table.AddRow({Table::Num(run.seconds / base.seconds),
+                Table::Num(static_cast<double>(run.stats.rb_entries), 0),
+                Table::Num(static_cast<double>(run.stats.rb_futex_wakes_elided), 0)});
+  if (base.seconds > 0) {
+    json->Add("batch/unbatched/normalized_time", run.seconds / base.seconds, "x");
   }
   table.Print();
-  std::printf(
-      "\nBatching defers both sides of an entry: PRECALL argument commits stage as\n"
-      "one contiguous write (\"precall coal.\") and POSTCALL results publish with a\n"
-      "single wakeup; divergence checks still see every entry's arguments before its\n"
-      "POSTCALL. The batch flushes before indefinitely-blocking calls (sockets,\n"
-      "pipes, sleeps), at monitored rounds, and via the kernel park hook; adaptive\n"
-      "grows the window only while slaves are not observed waiting at flushes.\n");
 }
 
-void RunServerBatchSweep(BenchJson* json) {
-  std::printf("\n== Ablation: per-rank batch window on a multi-rank server ==\n");
+void RunServerRow(BenchJson* json) {
+  std::printf("\n== Ablation: per-entry RB publication, multi-rank server ==\n");
   // Four epoll event-loop workers (nginx analog) with chatty per-request logging:
-  // every rank produces its own stream of small unmonitored writes, so each rank's
-  // batch window matters independently. The client keeps all workers busy.
+  // every rank produces its own stream of small unmonitored writes. The client
+  // keeps all workers busy.
   ServerSpec server = ServerByName("nginx");
   server.log_writes = 6;
   ClientSpec client;
@@ -91,45 +64,26 @@ void RunServerBatchSweep(BenchJson* json) {
   native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, link);
 
-  Table table({"batch max", "normalized time", "batched entries", "flushes",
-               "window +/-", "park flushes"});
-  for (const BatchPoint& point : kBatchPoints) {
-    RunConfig config;
-    config.mvee.mode = MveeMode::kRemon;
-    config.mvee.replicas = 3;
-    config.mvee.level = PolicyLevel::kSocketRw;
-    config.mvee.rb_batch_max = point.batch_max;
-    config.mvee.rb_batch_policy = point.policy;
-    ServerResult run = RunServerBench(server, client, config, link);
-    char window[32];
-    std::snprintf(window, sizeof(window), "+%llu/-%llu",
-                  static_cast<unsigned long long>(run.stats.rb_batch_window_grows),
-                  static_cast<unsigned long long>(run.stats.rb_batch_window_shrinks));
-    table.AddRow({point.label,
-                  Table::Num(base.seconds > 0 ? run.seconds / base.seconds : -1),
-                  Table::Num(static_cast<double>(run.stats.rb_batched_entries), 0),
-                  Table::Num(static_cast<double>(run.stats.rb_batch_flushes), 0),
-                  window,
-                  Table::Num(static_cast<double>(run.stats.rb_park_flushes), 0)});
-    if (base.seconds > 0) {
-      json->Add(std::string("server_batch/") + point.label + "/normalized_time",
-                run.seconds / base.seconds, "x");
-    }
+  RunConfig config;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 3;
+  config.mvee.level = PolicyLevel::kSocketRw;
+  ServerResult run = RunServerBench(server, client, config, link);
+  Table table({"normalized time", "RB entries", "wakes elided"});
+  table.AddRow({Table::Num(base.seconds > 0 ? run.seconds / base.seconds : -1),
+                Table::Num(static_cast<double>(run.stats.rb_entries), 0),
+                Table::Num(static_cast<double>(run.stats.rb_futex_wakes_elided), 0)});
+  if (base.seconds > 0) {
+    json->Add("server_batch/unbatched/normalized_time", run.seconds / base.seconds, "x");
   }
   table.Print();
-  std::printf(
-      "\nAdaptive should match or beat the best fixed window here: ranks whose\n"
-      "slaves keep pace grow toward the ceiling, ranks with parked waiters at\n"
-      "flush points shrink back toward per-entry publication.\n");
 }
 
 void RunRemoteLinkSweep(BenchJson* json) {
   std::printf("\n== Ablation: cross-machine replica set, RB-link latency sweep ==\n");
   // A 3-rank replica set with one remote rank (--placement=machine:1): the RB
   // stream to the remote slave rides the simulated network as RbWireCodec frames,
-  // one per flush. The sweep shows adaptive batching degrading gracefully as the
-  // leader <-> replica-host link slows: stalls feed the AIMD window, coalescing
-  // more entries per frame instead of paying per-entry round trips.
+  // one per publication — the args-ready record, then a results-only record.
   ServerSpec server = ServerByName("nginx");
   server.log_writes = 4;
   ClientSpec client;
@@ -142,47 +96,34 @@ void RunRemoteLinkSweep(BenchJson* json) {
   native.mvee.mode = MveeMode::kNative;
   ServerResult base = RunServerBench(server, client, native, client_link);
 
-  Table table({"link latency", "policy", "normalized time", "frames", "frame KiB",
-               "stalls", "window +"});
+  Table table({"link latency", "normalized time", "frames", "frame KiB", "stalls"});
   for (int latency_us : {0, 50, 500}) {
-    for (const BatchPoint& point :
-         {BatchPoint{"unbatched", 0, RbBatchPolicy::kFixed},
-          BatchPoint{"adaptive", 16, RbBatchPolicy::kAdaptive}}) {
-      RunConfig config;
-      config.mvee.mode = MveeMode::kRemon;
-      config.mvee.replicas = 3;
-      config.mvee.level = PolicyLevel::kSocketRw;
-      config.mvee.rb_batch_max = point.batch_max;
-      config.mvee.rb_batch_policy = point.policy;
-      config.placement = {1};
-      config.rb_link_latency = static_cast<DurationNs>(latency_us) * kMicrosecond;
-      ServerResult run = RunServerBench(server, client, config, client_link);
-      char label[32];
-      std::snprintf(label, sizeof(label), "%d us", latency_us);
-      table.AddRow(
-          {label, point.label,
-           Table::Num(base.seconds > 0 && !run.diverged ? run.seconds / base.seconds
-                                                        : -1),
-           Table::Num(static_cast<double>(run.stats.rb_frames_sent), 0),
-           Table::Num(static_cast<double>(run.stats.rb_frame_bytes_sent) / 1024.0, 0),
-           Table::Num(static_cast<double>(run.stats.rb_transport_stalls), 0),
-           Table::Num(static_cast<double>(run.stats.rb_batch_window_grows), 0)});
-      if (base.seconds > 0 && !run.diverged) {
-        json->Add("link/" + std::to_string(latency_us) + "us/" + point.label +
-                      "/normalized_time",
-                  run.seconds / base.seconds, "x");
-      }
+    RunConfig config;
+    config.mvee.mode = MveeMode::kRemon;
+    config.mvee.replicas = 3;
+    config.mvee.level = PolicyLevel::kSocketRw;
+    config.placement = {1};
+    config.rb_link_latency = static_cast<DurationNs>(latency_us) * kMicrosecond;
+    ServerResult run = RunServerBench(server, client, config, client_link);
+    char label[32];
+    std::snprintf(label, sizeof(label), "%d us", latency_us);
+    table.AddRow(
+        {label,
+         Table::Num(base.seconds > 0 && !run.diverged ? run.seconds / base.seconds : -1),
+         Table::Num(static_cast<double>(run.stats.rb_frames_sent), 0),
+         Table::Num(static_cast<double>(run.stats.rb_frame_bytes_sent) / 1024.0, 0),
+         Table::Num(static_cast<double>(run.stats.rb_transport_stalls), 0)});
+    if (base.seconds > 0 && !run.diverged) {
+      json->Add("link/" + std::to_string(latency_us) + "us/unbatched/normalized_time",
+                run.seconds / base.seconds, "x");
     }
   }
   table.Print();
   std::printf(
-      "\nOne flush = one frame: the adaptive batch window doubles as the network\n"
-      "coalescing window. As the link slows, backpressure stalls at the leader's\n"
-      "flush points push the window toward its ceiling (fewer, larger frames), so\n"
-      "the slowdown grows with propagation delay rather than with per-entry wire\n"
-      "round trips. Reproduce one point with:\n"
+      "\nEach entry crosses the link as two frames, and each signature byte once.\n"
+      "Reproduce one point with:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 \\\n"
-      "            --rb-batch=adaptive --rb-link-latency-us=500\n");
+      "            --rb-link-latency-us=500\n");
 }
 
 void RunReseedSweep(BenchJson* json) {
@@ -207,8 +148,6 @@ void RunReseedSweep(BenchJson* json) {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 3;
   config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1};
   config.rb_link_latency = 50 * kMicrosecond;
 
@@ -235,10 +174,10 @@ void RunReseedSweep(BenchJson* json) {
   table.Print();
   std::printf(
       "\nRe-seed is the recovery story of the cross-machine layer: the leader\n"
-      "checkpoints its RB at a quiescent flush point and the replacement joins at\n"
+      "checkpoints its RB and the replacement joins at\n"
       "the post-bump epoch (docs/RB_WIRE_FORMAT.md). Reproduce with:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 \\\n"
-      "            --rb-batch=adaptive --respawn-on-death --kill-replica-at-ms=2\n");
+      "            --respawn-on-death --kill-replica-at-ms=2\n");
 }
 
 void RunReseedDeltaSweep(BenchJson* json) {
@@ -269,8 +208,6 @@ void RunReseedDeltaSweep(BenchJson* json) {
       config.mvee.mode = MveeMode::kRemon;
       config.mvee.replicas = 2;
       config.mvee.level = PolicyLevel::kNonsocketRw;
-      config.mvee.rb_batch_max = 16;
-      config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
       config.placement = {1};
       config.rb_link_latency = 50 * kMicrosecond;
       config.mvee.rb_size = kb * 1024;
@@ -328,9 +265,9 @@ void RunReseedDeltaSweep(BenchJson* json) {
       "--rb-size to push resets toward zero no longer inflates recovery cost. At\n"
       "256 KiB the whole rank sub-buffer is smaller than the steady-state outage\n"
       "window, so deltas sit BELOW the flat line (a delta never costs more than the\n"
-      "buffer) and most attempts fall back to the empty basis — the reset\n"
-      "generation laps the basis between ack and capture, which is exactly the\n"
-      "generation guard doing its job. Reproduce one point:\n"
+      "buffer), and an attempt falls back to the empty basis whenever the reset\n"
+      "generation laps the basis between ack and capture — the generation guard\n"
+      "doing its job (see the full-fallbacks column). Reproduce one point:\n"
       "  remon_cli --server=nginx --replicas=3 --placement=machine:1 --reseed=delta \\\n"
       "            --rb-mb=16 --respawn-on-death --kill-replica-at-ms=2\n");
 }
@@ -372,8 +309,8 @@ void Run(BenchJson* json) {
   std::printf(
       "\nEach reset is a monitored kRemonRbFlush round (all replicas synchronize at\n"
       "GHUMVEE); the default 16 MiB makes resets negligible, as the paper assumes.\n");
-  RunBatchSweep(json);
-  RunServerBatchSweep(json);
+  RunSmallCallRow(json);
+  RunServerRow(json);
   RunRemoteLinkSweep(json);
   RunReseedSweep(json);
   RunReseedDeltaSweep(json);

@@ -32,11 +32,9 @@ std::vector<SuiteColumn> Columns() {
   ip.mvee.level = PolicyLevel::kNonsocketRw;
 
   RunConfig sync_local = ip;
-  sync_local.mvee.rb_batch_max = 16;
-  sync_local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   sync_local.mvee.use_sync_agent = true;
   // A 64-slot circular log: barrier/lock-dominated compute must lap it, so the
-  // wraparound gate and the coalescing window are both on the measured path.
+  // wraparound gate is on the measured path.
   sync_local.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
 
   RunConfig sync_remote = sync_local;

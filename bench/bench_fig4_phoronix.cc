@@ -65,8 +65,6 @@ WorkloadSpec SyncShape(const WorkloadSpec& s) { return SyncVariant(s, 2, 80); }
 
 std::vector<SuiteColumn> SyncColumns() {
   RunConfig sync_local = LevelConfig(PolicyLevel::kNonsocketRw);
-  sync_local.mvee.rb_batch_max = 16;
-  sync_local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   sync_local.mvee.use_sync_agent = true;
   sync_local.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
 

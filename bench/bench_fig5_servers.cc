@@ -35,7 +35,7 @@ constexpr BenchRow kRows[] = {
 void RunScenario(const char* title, const char* scenario_key, LinkParams link,
                  BenchJson* json) {
   std::printf("== Figure 5: %s ==\n", title);
-  Table table({"benchmark", "2 (noIPM)", "2", "3", "4", "5", "6", "7", "4 adpt"});
+  Table table({"benchmark", "2 (noIPM)", "2", "3", "4", "5", "6", "7"});
   for (const BenchRow& row : kRows) {
     ServerSpec server = ServerByName(row.server);
     ClientSpec client;
@@ -73,15 +73,6 @@ void RunScenario(const char* title, const char* scenario_key, LinkParams link,
       cells.push_back(
           Table::Num(norm(ip, ("remon" + std::to_string(replicas)).c_str())));
     }
-    // Beyond the paper: adaptive RB batching at 4 replicas (the per-rank window
-    // follows each worker's observed waiter pressure).
-    RunConfig adaptive;
-    adaptive.mvee.mode = MveeMode::kRemon;
-    adaptive.mvee.replicas = 4;
-    adaptive.mvee.level = PolicyLevel::kSocketRw;
-    adaptive.mvee.rb_batch_max = 16;
-    adaptive.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
-    cells.push_back(Table::Num(norm(adaptive, "remon4_adaptive")));
     table.AddRow(std::move(cells));
   }
   table.Print();
@@ -131,8 +122,6 @@ void RunMtRemoteScenario(LinkParams link, BenchJson* json) {
     local.mvee.mode = MveeMode::kRemon;
     local.mvee.replicas = 3;
     local.mvee.level = PolicyLevel::kSocketRw;
-    local.mvee.rb_batch_max = 16;
-    local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
     local.mvee.use_sync_agent = true;
 
     RunConfig remote = local;

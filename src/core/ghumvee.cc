@@ -158,14 +158,6 @@ GuestTask<void> Ghumvee::HandleEntryStop(Thread* t) {
   int rank = t->rank();
   int ridx = ReplicaIndexOf(t->process());
   REMON_CHECK(ridx >= 0);
-  if (ridx == 0 && !ipmons_.empty() && ipmons_[0] != nullptr) {
-    // The master entering a monitored call leaves the IP-MON fast path: publish any
-    // batched RB results first, or the slaves could sit spinning on deferred entries
-    // while the master parks in this lockstep round.
-    if (ipmons_[0]->FlushRbBatches() > 0) {
-      co_await Work(kernel_->sim()->costs().futex_wake_ns);
-    }
-  }
   RankState& rs = ranks_[rank];
   if (rs.pending.empty()) {
     rs.pending.assign(static_cast<size_t>(num_replicas()), nullptr);

@@ -19,9 +19,6 @@ constexpr uint64_t kRankOffBarrierGen = 8;  // + 8 * replica_index.
 
 // "IPMO": the entry point IP-MON registers with the kernel.
 constexpr uint64_t kEntryCookie = 0x49504d4f;
-// Batched publication only takes results at most this large; bigger payloads
-// publish eagerly.
-constexpr uint64_t kRbBatchEntryBytes = 512;
 
 void AppendU64To(std::vector<uint8_t>* out, uint64_t v) {
   const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
@@ -45,11 +42,7 @@ IpMon::IpMon(Kernel* kernel, IkBroker* broker, RelaxationPolicy policy, FileMap*
       broker_(broker),
       policy_(policy),
       file_map_(file_map),
-      config_(config) {
-  if (config_.rb_batch_policy == RbBatchPolicy::kAdaptive && config_.rb_batch_max <= 0) {
-    config_.rb_batch_max = 16;  // Adaptive with no explicit ceiling: a sane default.
-  }
-}
+      config_(config) {}
 
 GuestTask<void> IpMon::Initialize(Guest& g) {
   process_ = g.process();
@@ -64,7 +57,6 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   cursor_.assign(static_cast<size_t>(config_.max_ranks), 0);
   seq_.assign(static_cast<size_t>(config_.max_ranks), 0);
   varan_flush_gen_.assign(static_cast<size_t>(config_.max_ranks), 0);
-  batch_.assign(static_cast<size_t>(config_.max_ranks), RbBatch{});
   for (int r = 0; r < config_.max_ranks; ++r) {
     cursor_[static_cast<size_t>(r)] = rb_.RankDataStart(r);
   }
@@ -95,55 +87,9 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
                                   static_cast<uint64_t>(rb_addr), kEntryCookie);
   REMON_CHECK_MSG(rc == 0, "IP-MON registration rejected");
 
-  // Liveness backstop for batched publication: if a master thread is about to park
-  // in the kernel for any reason — including one the blocking prediction missed —
-  // its rank's deferred commits publish first, so no slave can wait forever on an
-  // entry whose publisher is asleep. The predictive flush points make this a rare
-  // no-op; the hook makes it a guarantee.
-  if (is_master() && config_.mode == IpmonMode::kRemon &&
-      (config_.rb_batch_max > 0 || sync_log_flush_)) {
-    // The hook lives in the kernel-owned Process, which neither owns nor is owned
-    // by this IpMon — either can be destroyed first. The weak sentinel turns the
-    // hook into a no-op once the IpMon is gone instead of a dangling call.
-    process_->ipmon.on_park = [this, weak = std::weak_ptr<char>(park_guard_)](Thread* t) {
-      if (weak.expired()) {
-        return;
-      }
-      int rank = t->rank();
-      if (static_cast<size_t>(rank) < batch_.size() &&
-          !batch_[static_cast<size_t>(rank)].empty()) {
-        ++kernel_->stats().rb_park_flushes;
-        uint32_t waiters = FlushRbBatch(rank);
-        if (waiters > 0) {
-          // Same FUTEX_WAKE price every in-path flush pays (the hook is a plain
-          // callback, so charge the core directly instead of awaiting ThreadCost);
-          // the ablation columns stay comparable across flush sites.
-          kernel_->RunOnThreadCore(t, kernel_->sim()->costs().futex_wake_ns, [] {});
-        }
-      }
-      if (sync_log_flush_) {
-        // Same liveness contract for the sync-log stream: whatever parked this
-        // thread, its coalesced sync records publish before it sleeps.
-        sync_log_flush_();
-      }
-    };
-  }
-
   if (on_initialized_) {
     on_initialized_();
   }
-}
-
-bool IpMon::MaySleepIndefinitely(const SyscallRequest& req) const {
-  if (!PredictBlocking(req, *file_map_)) {
-    return false;
-  }
-  const SyscallDesc& d = DescOf(req.nr);
-  if (d.block == BlockPred::kFdNonblocking) {
-    FdType ft = file_map_->TypeOf(static_cast<int>(req.arg(d.fd_arg)));
-    return ft != FdType::kRegular && ft != FdType::kDirectory;
-  }
-  return true;  // Explicit sleeps (nanosleep/select/poll/futex/...) are unbounded.
 }
 
 bool IpMon::NeedsGhumvee(Thread* t, const SyscallRequest& req) const {
@@ -265,16 +211,8 @@ GuestTask<void> IpMon::HandleCall(Thread* t, SyscallRequest req, uint64_t token,
   }
 
   // Process-local calls (futex, nanosleep, ...): every replica executes its own,
-  // using its one-time token; nothing to replicate. A local call can sleep
-  // indefinitely (futex, nanosleep), so the master publishes its pending batch
-  // first — a slave could otherwise wait forever on a deferred result.
+  // using its one-time token; nothing to replicate.
   if (RelaxationPolicy::IsLocalCall(req.nr)) {
-    // Guarded so the batching-disabled default pays no coroutine frame here.
-    if (is_master() && config_.rb_batch_max > 0 &&
-        static_cast<size_t>(t->rank()) < batch_.size() &&
-        !batch_[static_cast<size_t>(t->rank())].empty()) {
-      co_await FlushBatchCharged(t, t->rank());
-    }
     int64_t r;
     if (broker_->VerifyToken(t, token, req.nr)) {
       r = co_await ExecDirect{t, req};
@@ -303,155 +241,21 @@ GuestTask<void> IpMon::HandleCall(Thread* t, SyscallRequest req, uint64_t token,
   t->in_ipmon = false;
 }
 
-int IpMon::BatchWindow(int rank) const {
-  if (config_.rb_batch_policy != RbBatchPolicy::kAdaptive) {
-    return config_.rb_batch_max;
+void IpMon::EmitToTransport(int rank, uint64_t entry_off, uint32_t state) {
+  if (transport_ == nullptr || transport_->live_remotes() == 0) {
+    return;  // No one to ship to: skip the image read entirely.
   }
-  if (static_cast<size_t>(rank) >= batch_.size()) {
-    return 1;
-  }
-  int w = batch_[static_cast<size_t>(rank)].window();
-  return w < config_.rb_batch_max ? w : config_.rb_batch_max;
+  transport_->SendEntries(rank, {RbEntryOps::ReadRecord(rb_, entry_off, state)});
 }
 
-void IpMon::EmitToTransport(int rank,
-                            const std::vector<std::pair<uint64_t, uint32_t>>& pubs) {
-  if (transport_ == nullptr || pubs.empty() || transport_->live_remotes() == 0) {
-    return;  // No one to ship to: skip the image reads entirely.
-  }
-  std::vector<RbWireEntry> entries;
-  entries.reserve(pubs.size());
-  for (const auto& [entry_off, state] : pubs) {
-    entries.push_back(RbEntryOps::ReadRecord(rb_, entry_off, state));
-  }
-  transport_->SendEntries(rank, entries);
-}
-
-void IpMon::ObserveTransportBackpressure(int rank) {
-  if (config_.rb_batch_policy == RbBatchPolicy::kAdaptive &&
-      static_cast<size_t>(rank) < batch_.size() &&
-      batch_[static_cast<size_t>(rank)].ObserveBackpressure(config_.rb_batch_max) > 0) {
-    ++kernel_->stats().rb_batch_window_grows;
-  }
-}
-
-GuestTask<void> IpMon::StallOnTransport(Thread* t, int rank) {
-  SimStats& stats = kernel_->stats();
+GuestTask<void> IpMon::StallOnTransport(Thread* t) {
   while (transport_ != nullptr && transport_->Stalled()) {
-    ++stats.rb_transport_stalls;
-    ObserveTransportBackpressure(rank);
-    // The rank's batch must be empty before parking on the stall queue. Parking
-    // runs the kernel park hook, and a non-empty batch would flush right there —
-    // pumping the socket, which may fire the stall-queue wake (a link found dead)
-    // *before* this thread registers as a waiter: a lost wakeup and a permanent
-    // stall. The flush may overshoot the window by one frame; the window is a
-    // watermark, not a hard budget.
-    if (FlushRbBatch(rank) > 0) {
-      co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
-      continue;  // The flush pumped the link; re-evaluate before sleeping.
-    }
+    ++kernel_->stats().rb_transport_stalls;
     co_await WaitOn{t, transport_->stall_queue()};
   }
 }
 
-uint32_t IpMon::FlushRbBatch(int rank) {
-  if (static_cast<size_t>(rank) >= batch_.size()) {
-    return 0;  // Pre-Initialize (batching not set up yet): nothing pending.
-  }
-  RbBatch& batch = batch_[static_cast<size_t>(rank)];
-  if (batch.empty()) {
-    return 0;
-  }
-  SimStats& stats = kernel_->stats();
-  // Waiter-pressure observation, taken before the flips: kRbOffWaiters counts the
-  // slaves parked in futex waits on the covered entries (summed by Commit); any
-  // extra tasks sleeping on the state-word queues are spin-waiters (the simulator
-  // parks spinners on the same queue and charges spin-iteration costs on wake).
-  // Only the adaptive policy consumes the observation, so only it pays for the
-  // per-slot frame-resolve + futex-queue lookups.
-  const bool adaptive = config_.rb_batch_policy == RbBatchPolicy::kAdaptive;
-  uint32_t sleepers = 0;
-  if (adaptive) {
-    for (const RbBatch::Slot& s : batch.slots()) {
-      if (const WaitQueue* q = rb_.FindWordQueue(kernel_->futex(), s.entry_off + kRbOffState)) {
-        sleepers += static_cast<uint32_t>(q->waiter_count());
-      }
-    }
-  }
-  // The coalesced publication: payloads + results land in one pass, the state words
-  // flip oldest-to-newest — args-only slots to kRbArgsReady, the rest straight to
-  // kRbResultsReady — then every covered entry's condvar gets its (single
-  // amortized) wakeup. "Elided" counts result publications that issued no
-  // FUTEX_WAKE of their own — the same meaning as on the eager path, so the
-  // ablation columns compare: a flush with waiters spends one wake for
-  // results_pending() entries.
-  uint32_t waiters = batch.Commit(rb_);
-  uint64_t result_publications = batch.results_pending();
-  if (transport_ != nullptr) {
-    // One flush = one frame: the adaptive batch window doubles as the network
-    // coalescing window, so remote agents see exactly the publications the local
-    // slaves see, in one wire message.
-    std::vector<std::pair<uint64_t, uint32_t>> pubs;
-    pubs.reserve(batch.size());
-    for (const RbBatch::Slot& s : batch.slots()) {
-      pubs.emplace_back(s.entry_off,
-                        s.results_pending ? kRbResultsReady : kRbArgsReady);
-    }
-    EmitToTransport(rank, pubs);
-  }
-  if (adaptive) {
-    uint32_t spinners = sleepers > waiters ? sleepers - waiters : 0;
-    int delta = batch.ObservePressure(waiters, spinners, config_.rb_batch_max);
-    if (delta > 0) {
-      ++stats.rb_batch_window_grows;
-    } else if (delta < 0) {
-      ++stats.rb_batch_window_shrinks;
-    }
-  }
-  // Wake by key, oldest to newest: a wake retires the queue it empties, so no
-  // queue pointer may be held across the loop. Only words a slave waits on have
-  // a queue: the rest need no wake.
-  for (const RbBatch::Slot& s : batch.Take()) {
-    rb_.WakeState(kernel_->futex(), s.entry_off);
-  }
-  ++stats.rb_batch_flushes;
-  if (result_publications > (waiters > 0 ? 1u : 0u)) {
-    stats.rb_futex_wakes_elided += result_publications - (waiters > 0 ? 1 : 0);
-  }
-  return waiters;
-}
-
-uint32_t IpMon::FlushRbBatches() {
-  uint32_t waiters = 0;
-  for (size_t r = 0; r < batch_.size(); ++r) {
-    waiters += FlushRbBatch(static_cast<int>(r));
-  }
-  if (sync_log_flush_) {
-    // Leaving the fast path quiesces the sync-log stream too (monitored-call
-    // entry, RB migration, checkpoint capture): remote slaves never wait on a
-    // sync op coalesced behind a master that went off to lockstep.
-    sync_log_flush_();
-  }
-  return waiters;
-}
-
-GuestTask<void> IpMon::FlushBatchCharged(Thread* t, int rank) {
-  if (FlushRbBatch(rank) > 0) {
-    co_await ThreadCost{t, kernel_->sim()->costs().futex_wake_ns};
-  }
-  // Slow-link backpressure: with a remote link's flow-control window full, the
-  // leader stalls at its flush point (feeding the adaptive window) instead of
-  // queueing unboundedly. After the flush, so the stall parks with an empty batch
-  // (see StallOnTransport for why that matters).
-  if (transport_ != nullptr && transport_->Stalled()) {
-    co_await StallOnTransport(t, rank);
-  }
-}
-
 GuestTask<void> IpMon::ForwardToGhumvee(Thread* t, SyscallRequest req) {
-  // Leaving the fast path: slaves must not be left spinning on deferred results
-  // while this thread parks in a GHUMVEE lockstep round.
-  co_await FlushBatchCharged(t, t->rank());
   // Fig. 2, 4': destroy the token and restart; IK-B routes the restarted call to
   // GHUMVEE, which handles it like a regular CP-MVEE call.
   broker_->RevokeToken(t);
@@ -470,7 +274,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   // reads and the window reopens (or the remote dies and the stream epoch moves
   // on).
   if (transport_ != nullptr && transport_->Stalled()) {
-    co_await StallOnTransport(t, rank);
+    co_await StallOnTransport(t);
   }
 
   // CALCSIZE: compute the entry footprint; both the signature and the out-capacity
@@ -487,29 +291,10 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     co_return;
   }
 
-  // Batched publication (Config::rb_batch_max): a small bounded-latency call may
-  // defer both its PRECALL args-ready publication and its POSTCALL wakeup into the
-  // rank's batch. Oversized calls and calls that can park the master indefinitely
-  // (blocked socket/pipe reads, explicit sleeps) publish every deferred entry
-  // first — the slaves must never sit on deferred entries across an unbounded
-  // master sleep. Together with the other flush points (local calls, GHUMVEE
-  // forwards, RB overflow, monitored entry stops, the kernel park hook) this
-  // bounds how long a deferred publication can stay invisible.
   bool predict_block = PredictBlocking(req, *file_map_);
-  bool batchable = config_.rb_batch_max > 0 &&
-                   out_cap + 16 <= kRbBatchEntryBytes &&
-                   !MaySleepIndefinitely(req);
-  if (config_.rb_batch_max > 0 && !batchable &&
-      !batch_[static_cast<size_t>(rank)].empty()) {
-    co_await FlushBatchCharged(t, rank);
-  }
-
   while (cursor_[static_cast<size_t>(rank)] + entry_size > rb_.RankDataEnd(rank)) {
-    // Linear RB exhausted: GHUMVEE arbitrates the reset (paper §3.2). Slaves must be
-    // able to drain every published entry before the reset round, so the batch goes
-    // out first. The reset trip consumes the authorization; IK-B grants a fresh
-    // token on re-entry.
-    co_await FlushBatchCharged(t, rank);
+    // Linear RB exhausted: GHUMVEE arbitrates the reset (paper §3.2). The reset
+    // trip consumes the authorization; IK-B grants a fresh token on re-entry.
     broker_->RevokeToken(t);
     co_await ExecTraced{t, SyscallRequest{Sys::kRemonRbFlush,
                                           {static_cast<uint64_t>(rank), 0, 0, 0, 0, 0}}};
@@ -533,24 +318,13 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     flags |= kRbFlagForwarded;
   }
 
-  // PRECALL: log arguments + metadata. A batchable call stages the bytes into the
-  // RB (contiguous plain writes, no flag flip, no wake) and defers the args-ready
-  // publication into the rank's batch; everything else commits and wakes eagerly.
-  // Either way the argument bytes are in the RB before execution, so a slave's
-  // divergence check always sees this entry's arguments before its POSTCALL.
-  bool args_deferred = batchable && !signals_pending;
-  if (args_deferred) {
-    RbEntryOps::StageArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
-    batch_[static_cast<size_t>(rank)].StageArgs(entry_off);
-    ++stats.rb_precall_coalesced;
-  } else {
-    RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
-  }
+  // PRECALL: log arguments + metadata, publish and wake. The argument bytes are in
+  // the RB before execution, so a slave's divergence check always sees this
+  // entry's arguments before its POSTCALL.
+  RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
   co_await ThreadCost{t, costs.rb_entry_ns};
-  if (!args_deferred) {
-    rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, {{entry_off, kRbArgsReady}});
-  }
+  rb_.WakeState(kernel_->futex(), entry_off);
+  EmitToTransport(rank, entry_off, kRbArgsReady);
   ++stats.rb_entries;
   stats.rb_bytes += entry_size;
 
@@ -559,7 +333,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     // monitor gets its synchronization point. The forwarded stub keeps slaves in step.
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
     rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
+    EmitToTransport(rank, entry_off, kRbResultsOnly);
     forward_reason_ = "signals_pending";
     co_await ForwardToGhumvee(t, req);
     co_return;
@@ -570,15 +344,11 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   if (!broker_->VerifyToken(t, token, req.nr)) {
     // Token invalid (revoked / forged / wrong call): forced CP execution. Publish a
     // forwarded stub so the slaves follow to GHUMVEE instead of waiting on the RB.
-    // Flush first: the stub must land on an entry the batch no longer owns (a
-    // later flush would downgrade its state word), and older deferred entries must
-    // publish before this one forwards.
-    co_await FlushBatchCharged(t, rank);
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
     rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
+    EmitToTransport(rank, entry_off, kRbResultsOnly);
     forward_reason_ = "token_invalid";
     co_await ForwardToGhumvee(t, req);
     co_return;
@@ -588,46 +358,28 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
 
   if (r == -kEINTR && rb_.SignalsPending()) {
     // §3.8: the blocking call was aborted for signal delivery. Mark the entry
-    // forwarded (slaves will follow us to GHUMVEE) and restart monitored. The park
-    // hook flushed the batch when the call blocked, but an interruptible call can
-    // also abort pre-park, so publish any deferrals (this entry's included) first.
-    co_await FlushBatchCharged(t, rank);
+    // forwarded (slaves will follow us to GHUMVEE) and restart monitored.
     uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
     rb_.WriteU32(entry_off + kRbOffFlags, f);
     RbEntryOps::CommitResults(rb_, entry_off, 0, {});
     rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
+    EmitToTransport(rank, entry_off, kRbResultsOnly);
     forward_reason_ = "eintr_restart";
     co_await ForwardToGhumvee(t, req);
     co_return;
   }
 
-  // POSTCALL: replicate results — eagerly, or deferred into the rank's batch.
+  // POSTCALL: replicate results and wake the slaves.
   std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
-  if (batchable && payload.size() <= kRbBatchEntryBytes) {
-    RbBatch& batch = batch_[static_cast<size_t>(rank)];
-    batch.AddResults(entry_off, r, std::move(payload));
-    ++stats.rb_batched_entries;
-    if (static_cast<int>(batch.size()) >= BatchWindow(rank)) {
-      // One coalesced publication: a single FUTEX_WAKE covers every batched entry.
-      co_await FlushBatchCharged(t, rank);
-    }
+  uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
+  // Memory visibility (free in real hardware).
+  rb_.WakeState(kernel_->futex(), entry_off);
+  EmitToTransport(rank, entry_off, kRbResultsOnly);
+  if (waiters > 0) {
+    co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
   } else {
-    if (batch_[static_cast<size_t>(rank)].ArgsDeferred(entry_off)) {
-      // The payload outgrew the batch limit after the args were staged: publish the
-      // deferred side first so the eager commit below cannot be downgraded later.
-      co_await FlushBatchCharged(t, rank);
-    }
-    uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    // Memory visibility (free in real hardware).
-    rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, {{entry_off, kRbResultsReady}});
-    if (waiters > 0) {
-      co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
-    } else {
-      ++stats.rb_futex_wakes_elided;
-    }
+    ++stats.rb_futex_wakes_elided;
   }
   ++stats.syscalls_unmonitored;
   ++stats.syscalls_mastercall;
@@ -720,8 +472,6 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) 
 void IpMon::OnRbReset(int rank) {
   ++rb_resets_;
   if (is_master()) {
-    // Normally empty by now (the overflow trip flushes); defensive for direct calls.
-    FlushRbBatch(rank);
     ++kernel_->stats().rb_resets;
     // Zero the data area once (shared frames: visible to every leader-local replica).
     rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
@@ -740,7 +490,6 @@ GuestAddr IpMon::MigrateRb() {
   if (!rb_.valid()) {
     return 0;
   }
-  FlushRbBatches();  // Entry offsets survive the move, but publish before remapping.
   AddressSpace& mem = process_->mem();
   // Map the segment's frame table itself at the new address: the move makes no
   // page resident that the old mapping had not touched.

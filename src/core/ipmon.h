@@ -21,7 +21,6 @@
 #define SRC_CORE_IPMON_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -50,16 +49,6 @@ class IpMon {
     uint64_t rb_size = 16 * 1024 * 1024;
     int max_ranks = 16;
     IpmonMode mode = IpmonMode::kRemon;
-    // Batched RB publication (ablation knob): the master coalesces up to this many
-    // consecutive small bounded-latency entries per rank — staged PRECALL argument
-    // commits and deferred POSTCALL results — into one publication with a single
-    // slave wakeup; the batch always flushes before a call that can park the master
-    // indefinitely (sockets, pipes, sleeps) and before leaving the fast path.
-    // 0 disables batching (per-entry wakes). Under kAdaptive this is the window
-    // ceiling; the effective window floats in [1, rb_batch_max] driven by the
-    // waiter pressure observed at flush points.
-    int rb_batch_max = 0;
-    RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
   };
 
   IpMon(Kernel* kernel, IkBroker* broker, RelaxationPolicy policy, FileMap* file_map,
@@ -77,7 +66,7 @@ class IpMon {
   // --- Cross-machine replica sets (src/core/rb_transport.h) ---------------------
 
   // Master only: every publication is additionally serialized into one wire frame
-  // and pumped to the remote replicas' sync agents ("one flush = one frame").
+  // and pumped to the remote replicas' sync agents.
   void set_transport(RbTransport* transport) { transport_ = transport; }
 
   // Remote slaves: this replica's RB is a machine-local mirror fed by its
@@ -88,27 +77,6 @@ class IpMon {
   // Invoked at the end of Initialize, once the RB view is valid (the remote sync
   // agent drains frames that raced ahead of the replica's prologue).
   void set_on_initialized(std::function<void()> cb) { on_initialized_ = std::move(cb); }
-
-  // Master of a cross-machine multi-threaded set: publishes the sync agent's
-  // pending log-stream records (SyncAgent::FlushLogStream). Invoked at the same
-  // liveness points that publish deferred RB batches — FlushRbBatches and the
-  // kernel park hook — so a parked or dying master thread can never strand a
-  // remote slave on an unstreamed sync op. Wire before Initialize runs.
-  void set_sync_log_flush(std::function<void()> cb) { sync_log_flush_ = std::move(cb); }
-
-  // Coalescing window the sync-log stream borrows from this monitor's batching
-  // config: the rank's adaptive/fixed batch window, floored at 1 (batching
-  // disabled streams every append eagerly).
-  int SyncCoalesceWindow(int rank) const {
-    int w = config_.rb_batch_max > 0 ? BatchWindow(rank) : 1;
-    return w > 1 ? w : 1;
-  }
-
-  // One observed transport stall for `rank`: under the adaptive policy the rank's
-  // batch window grows (AIMD) so a slow link amortizes into larger frames. Fed by
-  // this monitor's own flush-point stalls and by the sync agent's append-time
-  // backpressure gate.
-  void ObserveTransportBackpressure(int rank);
 
   // Guest-side initialization prologue: creates/attaches the RB segment (System V
   // IPC, arbitrated by GHUMVEE), maps the file map read-only, and registers with the
@@ -168,49 +136,21 @@ class IpMon {
   const EpollShadowMap& epoll_shadow() const { return epoll_shadow_; }
   uint64_t mismatches_tolerated() const { return mismatches_tolerated_; }
 
-  // Publishes every deferred batched POSTCALL commit (all ranks) and wakes the
-  // slaves; returns the total waiters observed (for the caller's FUTEX_WAKE cost
-  // accounting). GHUMVEE invokes this when the master enters a monitored call, so
-  // slaves can never be left spinning on deferred results while it sits in lockstep.
-  uint32_t FlushRbBatches();
-
  private:
   // Decides whether the active policy requires CP monitoring for this call
   // (MAYBE_CHECKED). Consults the file map (via the descriptor registry's
   // EffectiveFdType) for FD-dependent decisions.
   bool NeedsGhumvee(Thread* t, const SyscallRequest& req) const;
 
-  // Flushes one rank's pending batch; returns the waiters observed (for the
-  // caller's futex-wake cost accounting). Under RbBatchPolicy::kAdaptive the
-  // observation — futex waiters registered on the covered entries vs. tasks
-  // parked spinning on their state words — also drives the window state machine.
-  uint32_t FlushRbBatch(int rank);
-
-  // Effective batch window for a rank: rb_batch_max under kFixed, the rank's
-  // current adaptive window under kAdaptive.
-  int BatchWindow(int rank) const;
-
-  // Whether the call can park the master for an unbounded time (external input or
-  // an explicit sleep). Bounded-latency regular-file I/O returns false even when
-  // the blocking prediction says "blocks": deferring results across it delays the
-  // slaves only by the bounded device latency — the batching trade-off, not a
-  // liveness hazard.
-  bool MaySleepIndefinitely(const SyscallRequest& req) const;
-
-  // Flushes one rank's batch and charges the thread the FUTEX_WAKE cost when the
-  // publication woke someone — the one idiom every coroutine flush point must use
-  // so the fixed-vs-adaptive ablation columns stay comparable.
-  GuestTask<void> FlushBatchCharged(Thread* t, int rank);
-
   // Master + transport: parks the thread while any remote link's flow-control
-  // window is full (slow-link backpressure stalls the leader's flush point
-  // instead of queuing unboundedly); each stall feeds the adaptive window's AIMD
-  // as grow pressure. No-op without a transport.
-  GuestTask<void> StallOnTransport(Thread* t, int rank);
+  // window is full (slow-link backpressure stalls the leader before it publishes
+  // instead of queuing unboundedly). No-op without a transport.
+  GuestTask<void> StallOnTransport(Thread* t);
 
-  // Master + transport: serializes freshly published entries (entry_off,
-  // final-state pairs) into one frame broadcast to every remote agent.
-  void EmitToTransport(int rank, const std::vector<std::pair<uint64_t, uint32_t>>& pubs);
+  // Master + transport: serializes one fresh publication into one frame broadcast
+  // to every remote agent: kRbArgsReady, or kRbResultsOnly for the results — every
+  // entry publishes its args first, so each signature byte crosses the link once.
+  void EmitToTransport(int rank, uint64_t entry_off, uint32_t state);
   GuestTask<void> MasterPath(Thread* t, SyscallRequest req, uint64_t token);
   GuestTask<void> SlavePath(Thread* t, SyscallRequest req, uint64_t token);
   // Forward the call to GHUMVEE (4'): destroy token, restart traced.
@@ -252,7 +192,6 @@ class IpMon {
   RbTransport* transport_ = nullptr;  // Master of a cross-machine set; not owned.
   bool rb_private_mirror_ = false;    // Remote slave: RB is a machine-local mirror.
   std::function<void()> on_initialized_;
-  std::function<void()> sync_log_flush_;  // See set_sync_log_flush.
 
   // Per-rank cursors/sequence numbers: this replica's private positions ("each
   // replica thread only reads and writes its own RB position", §3.2). The master's
@@ -264,12 +203,6 @@ class IpMon {
   // epoll shadow mapping (§3.9): (epfd, fd) <-> this replica's data values, for
   // translating epoll_wait results between replicas.
   EpollShadowMap epoll_shadow_;
-
-  // Per-rank deferred POSTCALL commits (master only; see Config::rb_batch_max).
-  std::vector<RbBatch> batch_;
-  // Liveness sentinel for the on_park hook (see Initialize): expires with this
-  // IpMon, making the Process-held hook a safe no-op afterwards.
-  std::shared_ptr<char> park_guard_ = std::make_shared<char>(0);
 
   const char* forward_reason_ = "?";
   uint64_t rb_resets_ = 0;

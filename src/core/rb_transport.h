@@ -7,7 +7,7 @@
 //
 //   leader machine                               remote machine
 //   ┌────────────────────┐   frames (one per     ┌─────────────────────────┐
-//   │ master IP-MON      │   flush/publication)  │ RemoteSyncAgent         │
+//   │ master IP-MON      │   publication)        │ RemoteSyncAgent         │
 //   │  └─ RbTransport ───┼──────────────────────▶│  └─ applies entry images│
 //   │     (send queue,   │◀──────────────────────┼─     into the RB mirror,│
 //   │      bounded by    │   cumulative acks     │      wakes futex waiters│
@@ -21,7 +21,7 @@
 //
 // Multi-threaded replicas additionally need the master's sync-agent log
 // (src/core/sync_agent.h): its appends stream as kSyncLog data frames over the
-// same connection — coalesced per flush like entry batches — and the remote agent
+// same connection — one frame per append — and the remote agent
 // replays them into the replica's machine-local log mirror with the tail word
 // stored last, so BeforeAcquire replay is placement-transparent too.
 //
@@ -29,12 +29,12 @@
 // remote is stalled while its unread bytes — the local send queue plus what the
 // socket still holds (in flight, or delivered but not yet read by the agent) —
 // reach StreamSocket::kWindowBytes, so per-remote leader memory stays at about
-// two windows, and before a link attests at most one window queues locally. While any remote is stalled the leader's flush points park on
-// stall_queue() (IpMon::StallOnTransport), and each stall feeds the adaptive
-// batch window's AIMD as grow pressure — coalescing more entries per frame is how
-// a slow link is amortized. Acks play no part: a stall clears when the agent
-// reads, the window reopens and kPollOut re-pumps the link, so the pump latches
-// each remote's stall state and wakes the queue on every stalled-to-clear edge.
+// two windows, and before a link attests at most one window queues locally. While
+// any remote is stalled the leader parks on stall_queue() before its next
+// publication (IpMon::StallOnTransport) or sync-log append. Acks play no part: a
+// stall clears when the agent reads, the window reopens and kPollOut re-pumps the
+// link, so the pump latches each remote's stall state and wakes the queue on every
+// stalled-to-clear edge.
 //
 // Remote death: a peer FIN/RST (or an agent Shutdown) marks the remote dead, bumps
 // the stream epoch so stale frames of the torn connection cannot be confused with
@@ -62,7 +62,7 @@
 // published afterwards queue behind it in order, so the replacement's mirror is
 // exactly the leader's RB at every point it observes. Snapshot frames obey the
 // same window and cumulative acks as entry frames — a large checkpoint throttles
-// the leader's flush points instead of ballooning the send queue.
+// the leader's publications instead of ballooning the send queue.
 //
 // O(delta) re-seed: the transport additionally folds every remote's cumulative
 // acks into a per-slot RbDeltaBasis — per rank, the highest entry offset the
@@ -112,7 +112,7 @@ struct RbLeaderClock {
 };
 
 // Framed bytes waiting for a stream socket's window, with a running byte count
-// (the leader's stall rule reads it on every flush point) and the partial-write
+// (the leader's stall rule reads it before every publication) and the partial-write
 // offset into the front frame.
 class SendQueue {
  public:
@@ -172,11 +172,11 @@ class RbTransport {
   }
 
   // Broadcasts one publication — one frame — to every live remote. Never blocks:
-  // frames queue locally; the window is enforced at the leader's flush points via
-  // Stalled()/stall_queue().
+  // frames queue locally; the window is enforced before the leader's next
+  // publication via Stalled()/stall_queue().
   void SendEntries(int rank, const std::vector<RbWireEntry>& entries);
 
-  // Broadcasts one sync-agent log flush — one kSyncLog frame — to every live
+  // Broadcasts sync-agent log records — one kSyncLog frame — to every live
   // remote. Sync frames are ordinary data frames: same sequence space, same
   // window, same cumulative acks as entry frames.
   void SendSyncLog(uint64_t start_index, const std::vector<RbSyncLogRecord>& records);

@@ -2,8 +2,8 @@
 //
 // The SHM replication buffer only reaches replicas on the leader's machine. For
 // cross-machine replica sets the leader's IP-MON serializes each publication —
-// eager commits and batched flushes alike ("one flush = one frame") — into the
-// frames defined here and pumps them over a StreamSocket to the remote machine's
+// an entry's args-ready commit, then its results-ready commit, one frame each —
+// into the frames defined here and pumps them over a StreamSocket to the remote machine's
 // RemoteSyncAgent, which replays them into that replica's private RB mirror.
 //
 // docs/RB_WIRE_FORMAT.md is the normative description of the frame layout, the
@@ -38,12 +38,21 @@
 // kEntries payload: entry_count records, each
 //
 //   u64 entry_off    offset of the entry in the rank's sub-buffer space
-//   u32 final_state  kRbArgsReady or kRbResultsReady (applied *after* the image)
+//   u32 final_state  kRbArgsReady (1), kRbResultsReady (2) or the wire-only
+//                    kRbResultsOnly (3) (applied *after* the image)
 //   u32 image_len    bytes of entry image that follow immediately (no padding)
 //
 // followed by image_len bytes: the entry image starting at the entry header
 // (state and waiter words included for alignment, but the receiver must preserve
-// the mirror's own state/waiter words and flip the state word last).
+// the mirror's own state/waiter words and flip the state word last). A full
+// record's image is the header, the signature and, once results are ready, the
+// out bytes. A results-only record (kRbResultsOnly) is the results of an entry
+// whose args-ready record already went: the header followed directly by the out
+// bytes, which the receiver writes after the signature already in its mirror,
+// then flips the entry to kRbResultsReady. The receiver refuses one unless its
+// mirror entry is args-ready with the same sig_len and the out bytes fill the
+// image and fit the sub-buffer. Live kEntries frames carry both kinds; a
+// checkpoint ships full records only.
 //
 // kSnapshotBegin / kSnapshotChunk / kSnapshotEnd carry the replica re-seed
 // checkpoint (src/core/snapshot.h) that attaches a replacement replica to a live
@@ -100,14 +109,16 @@ namespace remon {
 
 inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
 // v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame,
-// v7 checkpoints ship entry records, v8 every frame sealed (no CRC trailer).
-inline constexpr uint16_t kRbWireVersion = 8;
+// v7 checkpoints ship entry records, v8 every frame sealed (no CRC trailer),
+// v9 results-only records (each signature byte crosses the link once).
+inline constexpr uint16_t kRbWireVersion = 9;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;
 inline constexpr uint64_t kRbWireSyncHeaderSize = 8;  // The u64 start_index.
 // Payloads beyond this are rejected as corrupt before any allocation happens: the
-// largest legitimate frame is one adaptive batch window of entries, far below this.
+// largest legitimate frame is one entry record or one checkpoint chunk, far below
+// this.
 inline constexpr uint32_t kRbWireMaxPayload = 1u << 24;
 
 enum class RbFrameType : uint16_t {
@@ -141,7 +152,7 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 // One published entry as carried on the wire.
 struct RbWireEntry {
   uint64_t entry_off = 0;
-  uint32_t final_state = 0;          // kRbArgsReady | kRbResultsReady.
+  uint32_t final_state = 0;  // kRbArgsReady | kRbResultsReady | kRbResultsOnly.
   std::vector<uint8_t> image;        // Entry bytes from the entry header onward.
 };
 
@@ -182,7 +193,7 @@ struct RbWireFrame {
 
 class RbWireCodec {
  public:
-  // Serializes one publication (a batch flush or an eager commit) into one frame.
+  // Serializes one publication into one frame.
   static std::vector<uint8_t> EncodeEntries(uint32_t epoch, uint32_t rank,
                                             uint64_t frame_seq,
                                             const std::vector<RbWireEntry>& entries);
@@ -219,8 +230,8 @@ class RbWireCodec {
                                                uint64_t sync_cursor,
                                                uint32_t machine = 0);
 
-  // Serializes one sync-log publication (records appended since the last flush)
-  // into one kSyncLog frame; the broadcast path serializes the payload once and
+  // Serializes sync-log records (one append on the live stream) into one kSyncLog
+  // frame; the broadcast path serializes the payload once and
   // stamps it per connection (FrameFromPayload, rank 0).
   static std::vector<uint8_t> EncodeSyncLog(uint32_t epoch, uint64_t frame_seq,
                                             uint64_t start_index,

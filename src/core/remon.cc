@@ -160,8 +160,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       cfg.max_ranks = options_.max_ranks;
       cfg.mode =
           options_.mode == MveeMode::kVaranLike ? IpmonMode::kVaranLike : IpmonMode::kRemon;
-      cfg.rb_batch_max = options_.rb_batch_max;
-      cfg.rb_batch_policy = options_.rb_batch_policy;
       FileMap* fm = options_.mode == MveeMode::kRemon ? ghumvee_->file_map()
                                                       : varan_file_map_.get();
       ipmons_.push_back(
@@ -235,24 +233,13 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
                            clock_mon->epoll_shadow().version()};
     });
     if (!agents_.empty()) {
-      // Master sync agent streams its appends over the transport; the coalescing
-      // window borrows the master IP-MON's (adaptive) batch window, and IP-MON's
-      // flush points + park hook bound how long a record can sit unstreamed.
+      // Master sync agent streams each append over the transport as it happens.
       SyncAgent* master_agent = agents_[0].get();
-      IpMon* master_mon = ipmons_[0].get();
       master_agent->set_transport(transport_.get());
-      master_agent->set_coalesce_window(
-          [master_mon](int rank) { return master_mon->SyncCoalesceWindow(rank); });
-      master_mon->set_sync_log_flush([master_agent] { master_agent->FlushLogStream(); });
       // Wrap gate wakeups: a remote cursor advance arrives as an ack, not a
       // host-side read, so the transport pokes the parked master explicitly.
       transport_->set_on_sync_cursor(
           [master_agent](int) { master_agent->OnRemoteCursorAck(); });
-      // Append-time transport stalls feed the same AIMD the flush-point stalls
-      // do: a saturated link grows the coalescing window instead of letting the
-      // pending stream grow without bound.
-      master_agent->set_on_backpressure(
-          [master_mon](int rank) { master_mon->ObserveTransportBackpressure(rank); });
     }
     respawn_attempts_.assign(static_cast<size_t>(n), 0);
     join_generation_.assign(static_cast<size_t>(n), 0);

@@ -42,6 +42,9 @@ std::string_view MveeModeName(MveeMode mode);
 // baseline the delta sweep compares against).
 enum class ReseedMode { kDelta, kFull };
 
+// Read by nothing (see RemonOptions::rb_batch_max); kept for callers that name it.
+enum class RbBatchPolicy { kFixed, kAdaptive };
+
 struct RemonOptions {
   MveeMode mode = MveeMode::kRemon;
   int replicas = 2;
@@ -87,11 +90,9 @@ struct RemonOptions {
   // Small logs wrap: the master gates appends on the slowest replica's replay
   // cursor instead of failing.
   uint64_t sync_log_size = 1024 * 1024;
-  // Batched RB publication (ablation knob): coalesce up to this many small
-  // non-blocking entries per rank — staged PRECALL commits + deferred POSTCALL
-  // results — into one publication + one slave wakeup. 0 keeps the paper's
-  // per-entry publication. Under kAdaptive this is the ceiling of the
-  // waiter-pressure-driven window (<= 0 picks a default ceiling of 16).
+  // Read by nothing: every RB entry publishes on its own (PRECALL args, then
+  // POSTCALL results, each with its own wake, paper §3.7). Kept so callers that
+  // still assign them compile.
   int rb_batch_max = 0;
   RbBatchPolicy rb_batch_policy = RbBatchPolicy::kFixed;
   // §4 extension: periodically migrate the RB to fresh addresses at flush points.
@@ -132,8 +133,8 @@ class Remon {
   // (sync-agent + IP-MON initialization, as configured) before the workload body.
   void Launch(ProgramFn body, const std::string& name = "app");
 
-  // Checkpoints the leader at a quiescent flush point and attaches a replacement
-  // replica for `replica_index` — a remote replica whose link died — at the
+  // Checkpoints the leader and attaches a replacement replica for
+  // `replica_index` — a remote replica whose link died — at the
   // current (post-bump) stream epoch: fresh agent on a generation-distinct port,
   // snapshot frames leading the new connection's stream. Returns false when there
   // is nothing to replace (not remote, link still live, MVEE shutting down).

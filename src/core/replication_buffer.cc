@@ -103,13 +103,13 @@ RbEntryHeader RbEntryOps::ReadHeader(const RbView& view, uint64_t entry_off) {
   return h;
 }
 
-void RbEntryOps::StageArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
-                           uint64_t seq, uint64_t total_size,
-                           const std::vector<uint8_t>& signature) {
+void RbEntryOps::CommitArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
+                            uint64_t seq, uint64_t total_size,
+                            const std::vector<uint8_t>& signature) {
   // kRbOffWaiters is deliberately left alone: the data area is zeroed at every ring
   // reset and slots are written once per lap, so the word is already 0 unless a
-  // slave ran ahead and registered on this still-empty entry — a count the publish
-  // must see, or its FUTEX_WAKE gets elided under that sleeping waiter.
+  // slave ran ahead and registered on this still-empty entry — a count the
+  // results publication must see, or its FUTEX_WAKE gets elided under that waiter.
   view.WriteU32(entry_off + kRbOffSysno, static_cast<uint32_t>(nr));
   view.WriteU32(entry_off + kRbOffFlags, flags);
   view.WriteU64(entry_off + kRbOffTotalSize, total_size);
@@ -119,36 +119,21 @@ void RbEntryOps::StageArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t fl
   if (!signature.empty()) {
     view.WriteBytes(entry_off + kRbEntryHeaderSize, signature.data(), signature.size());
   }
+  view.WriteU32(entry_off + kRbOffState, kRbArgsReady);
 }
 
-void RbEntryOps::StageResults(RbView& view, uint64_t entry_off, int64_t result,
-                              const std::vector<uint8_t>& payload) {
+uint32_t RbEntryOps::CommitResults(RbView& view, uint64_t entry_off, int64_t result,
+                                   const std::vector<uint8_t>& payload) {
   uint64_t sig_len = view.ReadU64(entry_off + kRbOffSigLen);
   view.WriteU64(entry_off + kRbOffResult, static_cast<uint64_t>(result));
   view.WriteU64(entry_off + kRbOffOutLen, payload.size());
   if (!payload.empty()) {
     view.WriteBytes(entry_off + kRbEntryHeaderSize + sig_len, payload.data(), payload.size());
   }
-}
-
-uint32_t RbEntryOps::PublishState(RbView& view, uint64_t entry_off, uint32_t state) {
   uint32_t waiters = view.ReadU32(entry_off + kRbOffWaiters);
   // State flip last: slaves poll/wait on this word.
-  view.WriteU32(entry_off + kRbOffState, state);
+  view.WriteU32(entry_off + kRbOffState, kRbResultsReady);
   return waiters;
-}
-
-void RbEntryOps::CommitArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
-                            uint64_t seq, uint64_t total_size,
-                            const std::vector<uint8_t>& signature) {
-  StageArgs(view, entry_off, nr, flags, seq, total_size, signature);
-  view.WriteU32(entry_off + kRbOffState, kRbArgsReady);
-}
-
-uint32_t RbEntryOps::CommitResults(RbView& view, uint64_t entry_off, int64_t result,
-                                   const std::vector<uint8_t>& payload) {
-  StageResults(view, entry_off, result, payload);
-  return PublishState(view, entry_off, kRbResultsReady);
 }
 
 std::vector<uint8_t> RbEntryOps::ReadSignature(const RbView& view, uint64_t entry_off) {
@@ -173,15 +158,38 @@ std::vector<uint8_t> RbEntryOps::ReadPayload(const RbView& view, uint64_t entry_
 RbWireEntry RbEntryOps::ReadRecord(const RbView& view, uint64_t entry_off,
                                    uint32_t state) {
   uint64_t sig_len = view.ReadU64(entry_off + kRbOffSigLen);
-  uint64_t out_len =
-      state == kRbResultsReady ? view.ReadU64(entry_off + kRbOffOutLen) : 0;
+  uint64_t out_len = state == kRbArgsReady ? 0 : view.ReadU64(entry_off + kRbOffOutLen);
   RbWireEntry e;
   e.entry_off = entry_off;
   e.final_state = state;
+  if (state == kRbResultsOnly) {
+    e.image.resize(kRbEntryHeaderSize + out_len);
+    view.ReadBytes(entry_off, e.image.data(), kRbEntryHeaderSize);
+    view.ReadBytes(entry_off + kRbEntryHeaderSize + sig_len,
+                   e.image.data() + kRbEntryHeaderSize, out_len);
+    return e;
+  }
   e.image.resize(kRbEntryHeaderSize + sig_len + out_len);
   view.ReadBytes(entry_off, e.image.data(), e.image.size());
   return e;
 }
+
+namespace {
+
+uint64_t ImageU64(const RbWireEntry& e, uint64_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, e.image.data() + off, 8);
+  return v;
+}
+
+// True when the mirror already holds exactly what `e` would write at `at`.
+bool MirrorHolds(const RbView& view, uint64_t at, const uint8_t* bytes, uint64_t len) {
+  std::vector<uint8_t> held(len);
+  view.ReadBytes(at, held.data(), len);
+  return std::memcmp(held.data(), bytes, len) == 0;
+}
+
+}  // namespace
 
 bool RbEntryOps::ReplayRecord(RbView& view, FutexTable& futex, uint32_t rank,
                               const RbWireEntry& e) {
@@ -195,12 +203,48 @@ bool RbEntryOps::ReplayRecord(RbView& view, FutexTable& futex, uint32_t rank,
       // Subtraction form: `entry_off + image.size()` could wrap and sneak a wild
       // write past the range check.
       e.image.size() > data_end - e.entry_off ||
-      (e.final_state != kRbArgsReady && e.final_state != kRbResultsReady)) {
+      (e.final_state != kRbArgsReady && e.final_state != kRbResultsReady &&
+       e.final_state != kRbResultsOnly)) {
     return false;
   }
-  view.WriteBytes(e.entry_off + kRbOffSysno, e.image.data() + kRbOffSysno,
-                  e.image.size() - kRbOffSysno);
-  if (e.final_state > view.ReadU32(e.entry_off + kRbOffState)) {
+  const uint8_t* words = e.image.data() + kRbOffSysno;
+  const uint64_t words_len = kRbEntryHeaderSize - kRbOffSysno;
+  uint32_t held = view.ReadU32(e.entry_off + kRbOffState);
+  if (e.final_state == kRbResultsOnly) {
+    // The signature is already in the mirror: the args-ready record put it
+    // there, so the entry must be args-ready with the same signature length, and
+    // the out bytes must fill the image and fit the sub-buffer after it.
+    uint64_t sig_len = ImageU64(e, kRbOffSigLen);
+    uint64_t out_len = ImageU64(e, kRbOffOutLen);
+    uint64_t out_room = data_end - e.entry_off - kRbEntryHeaderSize;
+    if (held == kRbEmpty || view.ReadU64(e.entry_off + kRbOffSigLen) != sig_len ||
+        out_len != e.image.size() - kRbEntryHeaderSize || sig_len > out_room ||
+        out_len > out_room - sig_len) {
+      return false;
+    }
+    uint64_t out_off = e.entry_off + kRbEntryHeaderSize + sig_len;
+    if (held != kRbArgsReady) {
+      // Replicas co-located on one machine share its mirror, so each agent
+      // replays what the other already applied: only an exact replay passes.
+      if (held != kRbResultsReady ||
+          !MirrorHolds(view, e.entry_off + kRbOffSysno, words, words_len) ||
+          !MirrorHolds(view, out_off, e.image.data() + kRbEntryHeaderSize, out_len)) {
+        return false;
+      }
+      view.WakeState(futex, e.entry_off);
+      return true;
+    }
+    view.WriteBytes(e.entry_off + kRbOffSysno, words, words_len);
+    view.WriteBytes(out_off, e.image.data() + kRbEntryHeaderSize, out_len);
+    view.WriteU32(e.entry_off + kRbOffState, kRbResultsReady);
+    view.WakeState(futex, e.entry_off);
+    return true;
+  }
+  // A full record the mirror is already at or past (a checkpoint's overlap entry,
+  // or a co-located replica's agent that applied it first) writes nothing: an
+  // args-ready body would roll back the result words of a results-ready entry.
+  if (e.final_state > held) {
+    view.WriteBytes(e.entry_off + kRbOffSysno, words, e.image.size() - kRbOffSysno);
     view.WriteU32(e.entry_off + kRbOffState, e.final_state);
   }
   view.WakeState(futex, e.entry_off);

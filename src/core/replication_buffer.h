@@ -45,6 +45,10 @@ inline constexpr int kSyncShmKey = kRemonShmKeyBase + 2;
 inline constexpr uint32_t kRbEmpty = 0;
 inline constexpr uint32_t kRbArgsReady = 1;    // PRECALL data committed by the master.
 inline constexpr uint32_t kRbResultsReady = 2;  // POSTCALL data committed.
+// Wire-only record state, never stored in an entry: the results-ready publication
+// of an entry whose args-ready record already went. Its image is the entry header
+// and the out bytes; the receiver's mirror already holds the signature.
+inline constexpr uint32_t kRbResultsOnly = 3;
 
 // Entry flags.
 inline constexpr uint32_t kRbFlagMasterCall = 1u << 0;   // Only the master executes.
@@ -163,24 +167,6 @@ class RbEntryOps {
 
   static RbEntryHeader ReadHeader(const RbView& view, uint64_t entry_off);
 
-  // Master: writes argument data + header fields WITHOUT flipping the state word.
-  // The entry stays kRbEmpty until PublishState — this is the staging half of
-  // PRECALL coalescing: consecutive entries' argument commits land back to back in
-  // the RB as plain contiguous writes and become visible in one publication pass.
-  static void StageArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
-                        uint64_t seq, uint64_t total_size,
-                        const std::vector<uint8_t>& signature);
-
-  // Master: writes the result + payload bytes WITHOUT flipping the state word
-  // (the staging half of a deferred POSTCALL commit).
-  static void StageResults(RbView& view, uint64_t entry_off, int64_t result,
-                           const std::vector<uint8_t>& payload);
-
-  // Master: flips the entry's state word (the publication). Returns the number of
-  // slave waiters registered on the entry before the flip (0 -> the FUTEX_WAKE can
-  // be elided, §3.7).
-  static uint32_t PublishState(RbView& view, uint64_t entry_off, uint32_t state);
-
   // Master: commits argument data and flips state to kRbArgsReady (eager PRECALL).
   static void CommitArgs(RbView& view, uint64_t entry_off, Sys nr, uint32_t flags,
                          uint64_t seq, uint64_t total_size,
@@ -199,167 +185,25 @@ class RbEntryOps {
 
   // Master: the wire record of a published entry — its header, signature and, once
   // `state` is kRbResultsReady, its result payload; never the entry's unused
-  // reserved capacity. Live flushes and checkpoints both ship these.
+  // reserved capacity. Under kRbResultsOnly the signature is left out: the header
+  // is followed directly by the out bytes. Live publications and checkpoints both
+  // ship these; a checkpoint ships full records only.
   static RbWireEntry ReadRecord(const RbView& view, uint64_t entry_off, uint32_t state);
 
   // Mirror: replays a wire record into rank `rank`'s sub-buffer with the SHM
   // publication order — the body first (the mirror's own state and waiter words
   // preserved), the state word last and only forward — then wakes the entry's
-  // futex queue. Returns false, writing nothing, for a record outside the rank's
-  // sub-buffer or a state that is not a publication.
+  // futex queue. A kRbResultsOnly record writes the header words and then the out
+  // bytes after the signature already in the mirror, and flips the entry to
+  // kRbResultsReady. Returns false, writing nothing, for a record outside the
+  // rank's sub-buffer, a state that is not a publication, or a results-only
+  // record whose mirror entry is not args-ready with the same signature length.
   static bool ReplayRecord(RbView& view, FutexTable& futex, uint32_t rank,
                            const RbWireEntry& e);
 
   // Slave: registers itself as waiting on this entry's condition variable.
   static void AddWaiter(RbView& view, uint64_t entry_off);
   static void RemoveWaiter(RbView& view, uint64_t entry_off);
-};
-
-// How the effective batch window is chosen.
-//   kFixed    — the window is always Config::rb_batch_max (PR 1 behavior).
-//   kAdaptive — the window floats in [1, rb_batch_max], driven by the slave waiter
-//               pressure observed at flush points (see RbBatch::ObservePressure).
-enum class RbBatchPolicy { kFixed, kAdaptive };
-
-// Batched RB publication: the master coalesces the commits of consecutive small,
-// non-blocking unmonitored calls on one rank into a single publication. Both sides
-// are deferred:
-//   PRECALL  — argument bytes are staged into the RB as one contiguous run of plain
-//              writes (RbEntryOps::StageArgs), with the per-entry args-ready flips
-//              held back;
-//   POSTCALL — result payloads are buffered and written back to back at the flush.
-// At the flush the state words flip oldest-to-newest in one cache-line-friendly
-// pass — an entry holding both deferred sides flips straight to kRbResultsReady —
-// and the slaves get *one* wakeup instead of one per entry. Divergence fidelity is
-// preserved: every entry's argument bytes are in the RB before the entry's POSTCALL
-// becomes visible, so a slave always checks the master's arguments before it can
-// consume that entry's results. The batch must be flushed before anything that can
-// park the master indefinitely or leave the fast path (blocked socket/pipe reads,
-// explicit sleeps, local calls, GHUMVEE forwards, RB resets) — IP-MON owns those
-// flush points, with a kernel park hook as the liveness backstop; deferring across
-// bounded-latency regular-file I/O is the intended trade-off.
-class RbBatch {
- public:
-  struct Slot {
-    uint64_t entry_off = 0;
-    bool args_deferred = false;    // Staged args: state word still kRbEmpty.
-    bool results_pending = false;  // Result payload buffered for the flush.
-    int64_t result = 0;
-    std::vector<uint8_t> payload;
-  };
-
-  bool empty() const { return slots_.empty(); }
-  size_t size() const { return slots_.size(); }
-  const std::vector<Slot>& slots() const { return slots_; }
-
-  // Records an entry whose argument bytes were staged (RbEntryOps::StageArgs) with
-  // the args-ready publication deferred to the next flush.
-  void StageArgs(uint64_t entry_off) {
-    slots_.push_back(Slot{entry_off, /*args_deferred=*/true,
-                          /*results_pending=*/false, 0, {}});
-  }
-
-  // Defers an entry's POSTCALL commit. Merges into the entry's staged-args slot
-  // when one is still pending (the common case); otherwise — the staged args were
-  // already published by an intervening flush — appends a results-only slot.
-  void AddResults(uint64_t entry_off, int64_t result, std::vector<uint8_t> payload) {
-    for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
-      if (it->entry_off == entry_off) {
-        it->results_pending = true;
-        it->result = result;
-        it->payload = std::move(payload);
-        return;
-      }
-    }
-    slots_.push_back(Slot{entry_off, /*args_deferred=*/false,
-                          /*results_pending=*/true, result, std::move(payload)});
-  }
-
-  // True while the entry's args-ready publication is still deferred in this batch.
-  bool ArgsDeferred(uint64_t entry_off) const {
-    for (const Slot& s : slots_) {
-      if (s.entry_off == entry_off && s.args_deferred) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Number of deferred POSTCALL commits currently held.
-  size_t results_pending() const {
-    size_t n = 0;
-    for (const Slot& s : slots_) {
-      n += s.results_pending ? 1 : 0;
-    }
-    return n;
-  }
-
-  // The coalesced publication: every pending payload is written first, then the
-  // state words flip oldest-to-newest — straight to kRbResultsReady for slots
-  // carrying results, to kRbArgsReady for args-only slots (an entry mid-execution
-  // when the flush hit). Returns the total waiter count observed before the flips —
-  // zero means even the single batched FUTEX_WAKE can be elided. The caller wakes
-  // the entries' wait queues and clears the batch via Take().
-  uint32_t Commit(RbView& view) {
-    for (const Slot& s : slots_) {
-      if (s.results_pending) {
-        RbEntryOps::StageResults(view, s.entry_off, s.result, s.payload);
-      }
-    }
-    uint32_t waiters = 0;
-    for (const Slot& s : slots_) {
-      waiters += RbEntryOps::PublishState(
-          view, s.entry_off, s.results_pending ? kRbResultsReady : kRbArgsReady);
-    }
-    return waiters;
-  }
-
-  std::vector<Slot> Take() {
-    std::vector<Slot> out = std::move(slots_);
-    slots_.clear();
-    return out;
-  }
-
-  // --- Adaptive window (RbBatchPolicy::kAdaptive) ---------------------------------
-
-  int window() const { return window_; }
-
-  // Feeds one flush-point observation into the AIMD window state machine:
-  //   futex waiters > 0 — slaves were parked on deferred entries; the deferral is
-  //     costing them real sleep/wake round trips: halve the window.
-  //   spinners only     — slaves just arrived and are burning cycles on the state
-  //     word; mild pressure: shrink by one.
-  //   neither           — the slaves lag the master anyway; deferral is free:
-  //     grow by one toward `window_max`.
-  // Returns the signed window change (for the caller's stats).
-  int ObservePressure(uint32_t futex_waiters, uint32_t spinners, int window_max) {
-    int before = window_;
-    if (futex_waiters > 0) {
-      window_ = window_ > 1 ? window_ / 2 : 1;
-    } else if (spinners > 0) {
-      window_ = window_ > 1 ? window_ - 1 : 1;
-    } else if (window_ < window_max) {
-      ++window_;
-    }
-    return window_ - before;
-  }
-
-  // Feeds one transport-backpressure observation (the leader stalled at a flush
-  // point because a remote link's flow-control window is full).
-  // On a slow link the cure is the opposite of local waiter pressure: coalesce
-  // *more* entries per frame, so the window takes the AIMD additive step up.
-  // Returns the signed window change (for the caller's stats).
-  int ObserveBackpressure(int window_max) {
-    if (window_ >= window_max) {
-      return 0;
-    }
-    ++window_;
-    return 1;
-  }
-
- private:
-  std::vector<Slot> slots_;
-  int window_ = 1;  // Effective batch size under kAdaptive; grows on idle flushes.
 };
 
 }  // namespace remon

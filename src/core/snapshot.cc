@@ -165,13 +165,6 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
   // reset generation would make every offset in it meaningless.
   REMON_CHECK_MSG(basis.valid && basis.reset_generation == master->rb_resets(),
                   "capture needs a basis from the current reset generation");
-  // Quiescent flush point: every deferred batched commit publishes first, so the
-  // records never hide a publication the local slaves have already been promised.
-  // This also flushes the sync-log stream (IpMon::set_sync_log_flush), so every
-  // record in the captured slice has left the coalescing buffer — the first
-  // kSyncLog frame behind this checkpoint starts exactly at the captured tail.
-  master->FlushRbBatches();
-
   const RbView& rb = master->rb();
   ReplicaSnapshot snap;
   snap.reset_generation = master->rb_resets();
@@ -195,7 +188,7 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
       off = rb.RankDataStart(r);
     }
     snap.delta_from.push_back(off);
-    // The published entries, each shipped as the record a live flush would send.
+    // The published entries, each shipped as a full record (never results-only).
     // The walk stops at the first unpublished entry (an in-flight tail entry the
     // next data frame completes) and, since the RB is writable by every local
     // replica, at a total_size that would not advance it inside the cursor.

@@ -3,19 +3,18 @@
 // When a remote replica's link dies, the stream epoch bumps and the replica's RB
 // mirror goes stale: every publication the leader makes afterwards is lost to it.
 // Rather than shrinking the replica set permanently, the leader can checkpoint its
-// replication-relevant state at a quiescent flush point and ship it to a
-// *replacement* replica over the RB transport, after which the replacement enters
-// lockstep at the recorded cursor and the transcript is byte-identical to a run
-// that never lost the replica.
+// replication-relevant state and ship it to a *replacement* replica over the RB
+// transport, after which the replacement enters lockstep at the recorded cursor
+// and the transcript is byte-identical to a run that never lost the replica.
 //
 // Every checkpoint is cut against a basis (RbDeltaBasis): what the leader knows
 // the replacement's mirror already holds. An ack-folded basis makes the checkpoint
 // O(what the replica missed); the empty basis (EmptyDeltaBasis) makes it a full
 // one. Either way the checkpoint (ReplicaSnapshot) carries:
 //   * the RB's global header and every rank header;
-//   * per rank, the published entries in [resume offset, cursor) as the records
-//     a live flush ships (RbWireEntry), plus the write cursor, the next sequence
-//     number and the resume offset;
+//   * per rank, the published entries in [resume offset, cursor) as full wire
+//     records (RbWireEntry), plus the write cursor, the next sequence number and
+//     the resume offset;
 //   * the RB reset generation the offsets belong to, and the GHUMVEE lockstep
 //     cursor (rounds completed at capture) — the monitored synchronization point
 //     the replacement resumes from;
@@ -108,12 +107,10 @@ inline RbDeltaBasis EmptyDeltaBasis(uint64_t reset_generation) {
   return basis;
 }
 
-// Checkpoints the leader at a quiescent flush point against `basis`: publishes
-// every deferred batched commit first (so no publication is missing from the
-// records), then captures the global/rank headers, each rank's published entries
-// from the basis offset up to the first unpublished one before the cursor — one
-// acked entry of overlap, idempotent under the forward-only apply discipline —
-// the lockstep cursor, the file-map pages and epoll rows dirtied since the basis,
+// Checkpoints the leader against `basis`: captures the global/rank headers, each
+// rank's published entries from the basis offset up to the first unpublished one
+// before the cursor — one acked entry of overlap, idempotent under the
+// forward-only apply discipline — the lockstep cursor, the file-map pages and epoll rows dirtied since the basis,
 // and the sync-log slots past `sync_read_cursor`.
 // `ghumvee` may be null (lockstep cursor 0). For multi-threaded workloads,
 // `sync_master` is the leader's record/replay agent and `sync_read_cursor` the

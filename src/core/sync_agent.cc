@@ -47,14 +47,6 @@ uint64_t SyncAgent::MinPeerReadCursor() const {
 
 void SyncAgent::OnSlaveConsumed() { wrap_queue_.Wake(); }
 
-void SyncAgent::FlushLogStream() {
-  if (transport_ == nullptr || pending_.empty()) {
-    return;
-  }
-  transport_->SendSyncLog(pending_start_, pending_);
-  pending_.clear();
-}
-
 GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
   REMON_CHECK(log_.valid());
   Thread* t = g.thread();
@@ -64,28 +56,17 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
   co_await ThreadCost{t, 120};
 
   if (is_master()) {
-    // Transport backpressure gates the append itself, not only the flush points:
-    // a master must not run the sync stream arbitrarily far ahead of what a slow
-    // link has carried. Flush before parking — records left in the coalescing
-    // buffer would sit unstreamed for the whole stall while the remote replica
-    // may be waiting on them — and feed the stall into the adaptive batch
-    // window's AIMD exactly like entry frames do.
+    // Transport backpressure gates the append itself: a master must not run the
+    // sync stream arbitrarily far ahead of what a slow link has carried.
     while (transport_ != nullptr && transport_->Stalled()) {
-      FlushLogStream();
       ++kernel_->stats().sync_log_append_stalls;
-      if (on_backpressure_) {
-        on_backpressure_(static_cast<int>(rank));
-      }
       co_await WaitOn{t, transport_->stall_queue()};
     }
 
     // Wraparound gate: op `seq` reuses the slot op `seq - cap` occupied, so the
-    // append must wait until every replica has replayed past that occupant. The
-    // pending stream flushes first — a remote replica cannot drain the log this
-    // thread is parked on while its records sit in the coalescing buffer.
+    // append must wait until every replica has replayed past that occupant.
     uint64_t seq = tail();
     while (seq >= cap + MinPeerReadCursor()) {
-      FlushLogStream();
       ++kernel_->stats().sync_log_wrap_stalls;
       co_await WaitOn{t, &wrap_queue_};
       seq = tail();
@@ -102,16 +83,7 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
     log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
 
     if (transport_ != nullptr) {
-      if (pending_.empty()) {
-        pending_start_ = seq;
-      }
-      pending_.push_back(RbSyncLogRecord{object_id, rank});
-      // The adaptive RB batch window doubles as the sync-log coalescing window;
-      // IP-MON's flush points and the kernel park hook bound the deferral.
-      int window = window_fn_ ? std::max(1, window_fn_(static_cast<int>(rank))) : 1;
-      if (pending_.size() >= static_cast<size_t>(window)) {
-        FlushLogStream();
-      }
+      transport_->SendSyncLog(seq, {RbSyncLogRecord{object_id, rank}});
     }
     co_return;
   }

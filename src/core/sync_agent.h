@@ -27,10 +27,9 @@
 // state.
 //
 // Cross-machine replica sets: the master's appends additionally stream to remote
-// replicas as kSyncLog frames over the RB transport (src/core/rb_wire.h). Appends
-// coalesce into one frame per flush — the adaptive RB batch window doubles as the
-// sync-log coalescing window — and the remote agent replays them into that
-// machine's log mirror with the same publication discipline the master uses
+// replicas as kSyncLog frames over the RB transport (src/core/rb_wire.h), one
+// frame per append, and the remote agent replays them into that machine's log
+// mirror with the same publication discipline the master uses
 // (entry slots first, tail word last, forward-only, futex wake).
 
 #ifndef SRC_CORE_SYNC_AGENT_H_
@@ -112,24 +111,6 @@ class SyncAgent {
   // (wired to RbTransport::set_on_sync_cursor) — re-checks the wraparound gate.
   void OnRemoteCursorAck() { wrap_queue_.Wake(); }
 
-  // Master: invoked once per append-time transport stall with the appending rank
-  // (feeds the adaptive batch window's AIMD, like flush-point stalls do).
-  void set_on_backpressure(std::function<void(int)> fn) {
-    on_backpressure_ = std::move(fn);
-  }
-
-  // Coalescing window for the sync-log stream, per appending rank (wired to the
-  // master IP-MON's adaptive batch window). Unset or <= 1: one frame per append.
-  void set_coalesce_window(std::function<int(int)> fn) { window_fn_ = std::move(fn); }
-
-  // Publishes every pending streamed append as one kSyncLog frame. Invoked from
-  // the window check in BeforeAcquire, from IP-MON's flush points (monitored-call
-  // entry, quiescent checkpoints), and from the kernel park hook — the same
-  // liveness contract batched RB publication has: a parked or dying master thread
-  // never leaves a remote slave waiting on an unstreamed sync op.
-  void FlushLogStream();
-  uint64_t stream_pending() const { return pending_.size(); }
-
   // Remote-side replay (invoked by the RemoteSyncAgent): applies `records`
   // starting at absolute log index `start_index` into this replica's machine-local
   // mirror — entry slots first, tail word last (forward-only), futex wake.
@@ -182,10 +163,6 @@ class SyncAgent {
 
   // Cross-machine streaming state (master only).
   RbTransport* transport_ = nullptr;
-  std::function<int(int)> window_fn_;
-  std::function<void(int)> on_backpressure_;
-  uint64_t pending_start_ = 0;  // Absolute index of pending_[0].
-  std::vector<RbSyncLogRecord> pending_;
   // Remote slave: cursor-update channel to this replica's RemoteSyncAgent
   // (non-null marks the replica remote).
   std::function<void()> on_consumed_;

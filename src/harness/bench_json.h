@@ -30,7 +30,7 @@ class BenchJson {
     return "";
   }
 
-  // Records one metric. Names are hierarchical ("batch/adaptive/normalized_time");
+  // Records one metric. Names are hierarchical ("rb_size/256KiB/normalized_time");
   // characters outside [A-Za-z0-9_/.:+-] are folded to '_' so sweep labels with
   // spaces or parentheses stay valid identifiers.
   void Add(const std::string& name, double value, const char* unit,

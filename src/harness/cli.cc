@@ -117,27 +117,6 @@ bool ApplyPlacement(std::string_view v, CliRun* run) {
   return true;
 }
 
-// N = fixed window; "adaptive" = waiter-pressure-driven window with the default
-// ceiling; "adaptive:MAX" picks the ceiling.
-bool ApplyRbBatch(std::string_view v, CliRun* run) {
-  constexpr std::string_view kAdaptive = "adaptive";
-  int window = 0;
-  RbBatchPolicy policy = RbBatchPolicy::kAdaptive;
-  if (v.substr(0, kAdaptive.size() + 1) == "adaptive:") {
-    if (!ParseNumber(v.substr(kAdaptive.size() + 1), 1, 1024, &window)) {
-      return false;
-    }
-  } else if (v != kAdaptive) {
-    if (!ParseNumber(v, 0, 1024, &window)) {
-      return false;
-    }
-    policy = RbBatchPolicy::kFixed;
-  }
-  run->config.mvee.rb_batch_max = window;
-  run->config.mvee.rb_batch_policy = policy;
-  return true;
-}
-
 // "SERVER:SHARDS[,SERVER:SHARDS...]", front tier first.
 bool ApplyTiers(std::string_view v, CliRun* run) {
   std::vector<std::string_view> items;
@@ -215,8 +194,6 @@ const std::vector<CliFlag> kFlags = {
     {"--rb-mb", "N", "16", "RB size in MiB, 1-1024",
      Number<uint64_t>([](CliRun* r) { return &r->config.mvee.rb_size; }, 1, 1024,
                       1 << 20)},
-    {"--rb-batch", "N|adaptive|adaptive:MAX", "0",
-     "batched RB publication window, 0-1024 (0 = per-entry)", ApplyRbBatch},
     {"--rb-migration", nullptr, nullptr,
      "migrate the RB to fresh addresses at flush points (paper §4)",
      Switch([](CliRun* r) { return &r->config.mvee.rb_migration; })},

@@ -184,12 +184,6 @@ void Kernel::KillThread(Thread* t, bool notify_tracer) {
   if (!t->alive()) {
     return;
   }
-  // A dying thread is the terminal form of a parked one: publish the rank's
-  // deferred RB commits while this publisher still can, or slaves sit on them
-  // forever (e.g. a workload whose final call was batchable).
-  if (t->process()->ipmon.on_park) {
-    t->process()->ipmon.on_park(t);
-  }
   CancelWait(t);
   t->set_state(ThreadState::kExited);
   t->MarkDead();
@@ -339,12 +333,6 @@ void Kernel::BlockThread(Thread* t, std::span<WaitQueue* const> queues, TimeNs d
       Unpin(t);
     });
     return;
-  }
-  // Batched-publication liveness backstop: let the process's IP-MON publish any
-  // deferred RB commits before this thread becomes unable to. Fires before the
-  // thread joins any queue, so the hook's wakes cannot touch it.
-  if (t->process()->ipmon.on_park) {
-    t->process()->ipmon.on_park(t);
   }
   t->wait.active = true;
   t->wait.interruptible = interruptible;

@@ -47,12 +47,6 @@ struct IpmonRegistration {
   std::vector<bool> unmonitored;  // Indexed by Sys.
   GuestAddr rb_addr = 0;
   uint64_t entry_cookie = 0;
-  // Invoked by the kernel just before a thread of this process parks on a wait
-  // queue (Kernel::BlockThread). The master's IP-MON installs this to publish the
-  // rank's deferred batched RB commits: whatever the blocking prediction said, a
-  // parked publisher must never leave slaves waiting on unpublished entries. The
-  // hook runs synchronously and must not block.
-  std::function<void(Thread*)> on_park;
 };
 
 class Process {

@@ -53,13 +53,12 @@ struct SimStats {
   uint64_t rb_spin_waits = 0;
   uint64_t rb_futex_waits = 0;
   uint64_t rb_futex_wakes_elided = 0;
-  uint64_t rb_batched_entries = 0;  // POSTCALL commits deferred into a batch.
-  uint64_t rb_batch_flushes = 0;    // Coalesced publications (one wakeup each).
-  uint64_t rb_precall_coalesced = 0;  // PRECALL publications deferred into a batch.
-  uint64_t rb_batch_window_grows = 0;    // Adaptive window steps up (no pressure).
-  uint64_t rb_batch_window_shrinks = 0;  // Adaptive window steps down (pressure).
-  uint64_t rb_park_flushes = 0;  // Kernel park-hook safety-net flushes.
-  uint64_t rb_migrations = 0;    // RB moves to fresh addresses (§4), all replicas.
+  // Always 0: every entry publishes on its own, nothing is batched. Kept so the
+  // callers that still report them compile.
+  uint64_t rb_batched_entries = 0;
+  uint64_t rb_batch_flushes = 0;
+  uint64_t rb_precall_coalesced = 0;
+  uint64_t rb_migrations = 0;  // RB moves to fresh addresses (§4), all replicas.
 
   // RB network transport (cross-machine replica sets). Cumulative over the whole
   // run — epoch bumps never reset them; rb_epochs below carries the breakdown.
@@ -68,7 +67,7 @@ struct SimStats {
   uint64_t rb_frames_acked = 0;       // Acks consumed by the leader.
   uint64_t rb_frames_applied = 0;     // Frames replayed into remote RB mirrors.
   uint64_t rb_entries_applied = 0;    // Entry images replayed into mirrors.
-  uint64_t rb_transport_stalls = 0;   // Leader flush points parked on backpressure.
+  uint64_t rb_transport_stalls = 0;   // Leader publications parked on backpressure.
   uint64_t rb_remote_deaths = 0;      // Remote links torn down (epoch bumps).
 
   // Replica re-seed (snapshot join after an epoch bump).

@@ -176,8 +176,7 @@ GuestTask<void> ServeRequest(Guest& g, int fd, uint64_t response_bytes,
     co_await g.Setsockopt(fd, 6, 3 /*uncork*/, ws.opt, 4);
   }
   // Per-rank housekeeping burst: each append is a small bounded-latency
-  // unmonitored call on this worker's own RB sub-buffer — the stream the per-rank
-  // batch window adapts to.
+  // unmonitored call on this worker's own RB sub-buffer.
   for (int i = 0; i < spec.log_writes && ws.log_fd >= 0; ++i) {
     co_await g.Write(ws.log_fd, ws.out_buf, 64);
   }

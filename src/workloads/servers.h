@@ -39,9 +39,9 @@ struct ServerSpec {
   // around the response (SOCKET_RW).
   bool log_requests = true;
   int sockopts_per_request = 2;
-  // Access-log appends per request (each an RB-batchable bounded-latency write on
-  // the worker's own rank). >1 models chatty request accounting — error log,
-  // stats counters — and is what the per-rank batch-tuning sweeps crank up.
+  // Access-log appends per request (each a small bounded-latency write on the
+  // worker's own rank). >1 models chatty request accounting — error log, stats
+  // counters — and is what the multi-rank RB ablations crank up.
   int log_writes = 1;
   // Multi-tier chains: when upstream_port != 0, requests that miss the local
   // tier are forwarded as a synchronous sub-request to (upstream_machine,

@@ -38,8 +38,6 @@ TEST(CliTest, DefaultsMatchTheDocumentedCli) {
   EXPECT_EQ(o.level, PolicyLevel::kSocketRw);
   EXPECT_FALSE(o.temporal.enabled);
   EXPECT_EQ(o.rb_size, 16u * 1024 * 1024);
-  EXPECT_EQ(o.rb_batch_max, 0);
-  EXPECT_EQ(o.rb_batch_policy, RbBatchPolicy::kFixed);
   EXPECT_FALSE(o.rb_migration);
   EXPECT_FALSE(o.respawn_dead_replicas);
   EXPECT_EQ(o.reseed_mode, ReseedMode::kDelta);
@@ -98,21 +96,6 @@ TEST(CliTest, EveryFlagLandsInItsMember) {
       {"--requests=600", [](const CliRun& r) { EXPECT_EQ(r.requests, 600); }},
       {"--latency-us=0", [](const CliRun& r) { EXPECT_EQ(r.latency_us, 0); }},
       {"--rb-mb=3", [](const CliRun& r) { EXPECT_EQ(r.config.mvee.rb_size, 3u << 20); }},
-      {"--rb-batch=8",
-       [](const CliRun& r) {
-         EXPECT_EQ(r.config.mvee.rb_batch_max, 8);
-         EXPECT_EQ(r.config.mvee.rb_batch_policy, RbBatchPolicy::kFixed);
-       }},
-      {"--rb-batch=adaptive",
-       [](const CliRun& r) {
-         EXPECT_EQ(r.config.mvee.rb_batch_max, 0);
-         EXPECT_EQ(r.config.mvee.rb_batch_policy, RbBatchPolicy::kAdaptive);
-       }},
-      {"--rb-batch=adaptive:32",
-       [](const CliRun& r) {
-         EXPECT_EQ(r.config.mvee.rb_batch_max, 32);
-         EXPECT_EQ(r.config.mvee.rb_batch_policy, RbBatchPolicy::kAdaptive);
-       }},
       {"--rb-migration", [](const CliRun& r) { EXPECT_TRUE(r.config.mvee.rb_migration); }},
       {"--placement=machine:1,0,2",
        [](const CliRun& r) { EXPECT_EQ(r.config.placement, (std::vector<int>{1, 0, 2})); }},
@@ -172,9 +155,7 @@ TEST(CliTest, MalformedValuesAreRejected) {
       "--tiers=nginx:0", "--tiers=nginx:2,", "--tiers=nginx", "--seed=abc",
       "--seed=-1", "--seed=1.5", "--connections=0", "--requests=-5", "--requests=0",
       "--workload=bogus", "--mode=bogus", "--level=socket", "--temporal-p=1.5",
-      "--temporal-p=-0.1", "--temporal-p=nan", "--rb-batch=4x", "--rb-batch=adaptive4",
-      "--rb-batch=adaptive:0", "--rb-batch=adaptive:1O", "--rb-batch=-1",
-      "--placement=machine:", "--placement=machine:1,", "--placement=machine:-1",
+      "--temporal-p=-0.1", "--temporal-p=nan", "--placement=machine:", "--placement=machine:1,", "--placement=machine:-1",
       "--placement=remote", "--rb-link-latency-us=-1", "--rb-link-gbps=0",
       "--rb-link-gbps=inf", "--reseed=partial", "--respawn-target=0",
       "--kill-replica-at-ms=0", "--sync-log-kb=0", "--sync-log-kb=-4", "--shards=0",

@@ -204,12 +204,12 @@ TEST_P(SuiteSpecTest, PhoronixSpecsRunCleanlyUnderRemon) {
 
 INSTANTIATE_TEST_SUITE_P(AllPhoronix, SuiteSpecTest, ::testing::Range(0, 7));
 
-// --- Randomized lockstep: batched == unbatched under fuzzed interleavings ---------
+// --- Randomized lockstep under fuzzed interleavings --------------------------------
 
 // One fuzzed multi-rank program. A seeded xoshiro RNG (identical in every replica:
 // the stream depends only on seed and rank) drives each rank through a random mix
-// of non-blocking batchable calls (regular-file writes/reads, fstat, base queries),
-// flush-forcing blocking calls (shared-pipe pings, nanosleep), and skewed compute
+// of non-blocking calls (regular-file writes/reads, fstat, base queries),
+// blocking calls (shared-pipe pings, nanosleep), and skewed compute
 // bursts that shuffle the cross-rank interleaving. Every rank logs each op's result
 // into its own transcript file — rank-private, so the bytes depend only on the
 // rank's own deterministic op stream, never on cross-rank races.
@@ -255,22 +255,22 @@ ProgramFn FuzzWorkload(uint64_t seed, FuzzShape shape) {
         for (int i = 0; i < shape.ops; ++i) {
           uint64_t op = rng.NextBelow(100);
           int64_t r = 0;
-          if (op < 40) {  // Batchable: small regular-file append.
+          if (op < 40) {  // Small regular-file append.
             uint64_t len = 16 + rng.NextBelow(200);
             r = co_await wg.Write(static_cast<int>(fd), buf, len);
-          } else if (op < 55) {  // Batchable: metadata query.
+          } else if (op < 55) {  // Metadata query.
             r = co_await wg.Fstat(static_cast<int>(fd), st);
           } else if (op < 65) {  // Base query (different policy class).
             r = co_await wg.Getpid();
-          } else if (op < 80) {  // Blocking flush point: shared-pipe ping.
+          } else if (op < 80) {  // Blocking call: shared-pipe ping.
             // Each rank writes before it reads, so total reads never outrun total
             // writes and the cross-rank ping order is free to fuzz itself.
             wg.Poke(buf, "p", 1);
             co_await wg.Write(pwr, buf, 1);
             r = co_await wg.Read(prd, buf, 1);
-          } else if (op < 90) {  // Local-call flush point: explicit sleep.
+          } else if (op < 90) {  // Local call: explicit sleep.
             r = co_await wg.SleepNs(Micros(1 + rng.NextBelow(20)));
-          } else {  // Batchable read-back.
+          } else {  // Read-back.
             r = co_await wg.Read(static_cast<int>(fd), buf, 64);
           }
           // Skewed compute shuffles which rank reaches the RB first.
@@ -302,7 +302,7 @@ ProgramFn FuzzWorkload(uint64_t seed, FuzzShape shape) {
     co_await self(g);
     // Join with exactly one 1-byte read per worker: a variable-size read here
     // would make the main rank's syscall count depend on worker completion
-    // timing, and the whole point is that batching may only change timing.
+    // timing, and the whole point is that placement may only change timing.
     GuestAddr sink = g.Alloc(4);
     for (int i = 0; i < shape.ranks - 1; ++i) {
       int64_t n = co_await g.Read(join_rd, sink, 1);
@@ -315,7 +315,7 @@ struct FuzzOutcome {
   bool ok = false;
   std::string transcript;     // Concatenated per-rank transcript files.
   uint64_t rb_entries = 0;    // RB stream shape: entry count ...
-  uint64_t rb_bytes = 0;      // ... and total bytes must not depend on batching.
+  uint64_t rb_bytes = 0;      // ... and total bytes must not depend on placement.
   uint64_t remote_deaths = 0;  // Links torn down (kill injection observed).
   uint64_t rejoins = 0;        // Snapshot joins completed (re-seed observed).
   uint64_t join_lockstep_cursor = 0;  // Checkpointed GHUMVEE cursor at last join.
@@ -370,8 +370,8 @@ class TimerChurn {
   std::vector<EventQueue::EventId> armed_;
 };
 
-FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
-                    RbBatchPolicy policy, bool remote_last_replica = false,
+FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas,
+                    bool remote_last_replica = false,
                     TimeNs kill_remote_at = 0, bool disable_ready_lane = false,
                     ReseedMode reseed_mode = ReseedMode::kDelta,
                     bool migrate_respawn = false, bool timer_churn = false) {
@@ -389,8 +389,6 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
   // lets long op streams wrap, folding reset rounds into the fuzzed interleavings.
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = batch_max;
-  opts.rb_batch_policy = policy;
   if (remote_last_replica) {
     // Cross-machine variant: the last replica runs on its own machine, fed by the
     // RB transport instead of shared frames — the transcript must not notice.
@@ -459,38 +457,18 @@ FuzzOutcome RunFuzz(uint64_t seed, FuzzShape shape, int replicas, int batch_max,
   return out;
 }
 
-// 1000 seeded interleavings (8 shards x 125 seeds), each run three ways: unbatched,
-// fixed window, adaptive window. Batching may only change publication timing —
-// the slave-visible results (transcripts) and the RB entry stream must be
-// byte-identical.
+// 1000 seeded interleavings (8 shards x 125 seeds) under per-entry publication:
+// every one finishes without divergence and every rank's transcript is complete.
 class RandomizedLockstepTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(RandomizedLockstepTest, BatchedMatchesUnbatchedUnderFuzzedInterleavings) {
+TEST_P(RandomizedLockstepTest, PerEntryPublicationFinishesUnderFuzzedInterleavings) {
   constexpr int kSeedsPerShard = 125;
   int shard = GetParam();
   for (int i = 0; i < kSeedsPerShard; ++i) {
     uint64_t seed = static_cast<uint64_t>(shard) * kSeedsPerShard + i + 1;
-    FuzzShape shape = ShapeFor(seed);
-    int replicas = ReplicasFor(seed);
-
-    FuzzOutcome unbatched =
-        RunFuzz(seed, shape, replicas, 0, RbBatchPolicy::kFixed);
-    ASSERT_TRUE(unbatched.ok) << "seed " << seed;
-    ASSERT_EQ(unbatched.transcript.find("<missing>"), std::string::npos)
-        << "seed " << seed;
-
-    FuzzOutcome fixed = RunFuzz(seed, shape, replicas, 4, RbBatchPolicy::kFixed);
-    ASSERT_TRUE(fixed.ok) << "seed " << seed;
-    ASSERT_EQ(unbatched.transcript, fixed.transcript) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_entries, fixed.rb_entries) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_bytes, fixed.rb_bytes) << "seed " << seed;
-
-    FuzzOutcome adaptive =
-        RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive);
-    ASSERT_TRUE(adaptive.ok) << "seed " << seed;
-    ASSERT_EQ(unbatched.transcript, adaptive.transcript) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_entries, adaptive.rb_entries) << "seed " << seed;
-    ASSERT_EQ(unbatched.rb_bytes, adaptive.rb_bytes) << "seed " << seed;
+    FuzzOutcome run = RunFuzz(seed, ShapeFor(seed), ReplicasFor(seed));
+    ASSERT_TRUE(run.ok) << "seed " << seed;
+    ASSERT_EQ(run.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
   }
 }
 
@@ -500,28 +478,21 @@ INSTANTIATE_TEST_SUITE_P(ThousandSeeds, RandomizedLockstepTest, ::testing::Range
 // replica moved to its own machine behind the RB transport. The transport may only
 // change *where* slaves read the stream from — the slave-visible results
 // (transcripts) and the RB stream shape must stay byte-identical to the SHM
-// placement, across batching policies, RB wraps, and blocking flush points.
+// placement, across RB wraps and blocking calls.
 TEST(RandomizedLockstepTest, RemoteRankMatchesShmUnderFuzzedInterleavings) {
   for (uint64_t seed : {3, 11, 25, 40, 77, 123, 200, 305, 404, 512, 700, 999}) {
     FuzzShape shape = ShapeFor(seed);
 
-    FuzzOutcome shm = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+    FuzzOutcome shm = RunFuzz(seed, shape, 3);
     ASSERT_TRUE(shm.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    FuzzOutcome remote = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome remote = RunFuzz(seed, shape, 3,
                                  /*remote_last_replica=*/true);
     ASSERT_TRUE(remote.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript, remote.transcript) << "seed " << seed;
     ASSERT_EQ(shm.rb_entries, remote.rb_entries) << "seed " << seed;
     ASSERT_EQ(shm.rb_bytes, remote.rb_bytes) << "seed " << seed;
-
-    // Unbatched remote placement must agree too (eager per-entry frames).
-    FuzzOutcome eager = RunFuzz(seed, shape, 3, 0, RbBatchPolicy::kFixed,
-                                /*remote_last_replica=*/true);
-    ASSERT_TRUE(eager.ok) << "seed " << seed;
-    ASSERT_EQ(shm.transcript, eager.transcript) << "seed " << seed;
-    ASSERT_EQ(shm.rb_entries, eager.rb_entries) << "seed " << seed;
   }
 }
 
@@ -535,12 +506,12 @@ TEST(RandomizedLockstepTest, SealedRemoteMatchesShmPlacementAndNeverDiedRun) {
   for (uint64_t seed : {3, 25, 77, 200, 404, 700}) {
     FuzzShape shape = ShapeFor(seed);
 
-    FuzzOutcome shm = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+    FuzzOutcome shm = RunFuzz(seed, shape, 3);
     ASSERT_TRUE(shm.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
     ASSERT_EQ(shm.frames_sealed, 0u) << "seed " << seed;  // No link, nothing sealed.
 
-    FuzzOutcome sealed = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome sealed = RunFuzz(seed, shape, 3,
                                  /*remote_last_replica=*/true);
     ASSERT_TRUE(sealed.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript, sealed.transcript) << "seed " << seed;
@@ -556,10 +527,10 @@ TEST(RandomizedLockstepTest, SealedRemoteMatchesShmPlacementAndNeverDiedRun) {
   for (uint64_t seed : {19, 131, 333}) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
-    FuzzOutcome never_died = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome never_died = RunFuzz(seed, shape, 3,
                                      /*remote_last_replica=*/true);
     ASSERT_TRUE(never_died.ok) << "seed " << seed;
-    FuzzOutcome reseeded = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome reseeded = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120));
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
@@ -585,12 +556,12 @@ TEST(RandomizedLockstepTest, ReadyLaneMatchesPureHeapUnderFuzzedInterleavings) {
     FuzzShape shape = ShapeFor(seed);
     int replicas = ReplicasFor(seed);
 
-    FuzzOutcome lane = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive);
+    FuzzOutcome lane = RunFuzz(seed, shape, replicas);
     ASSERT_TRUE(lane.ok) << "seed " << seed;
     ASSERT_EQ(lane.transcript.find("<missing>"), std::string::npos)
         << "seed " << seed;
 
-    FuzzOutcome heap = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome heap = RunFuzz(seed, shape, replicas,
                                /*remote_last_replica=*/false, /*kill_remote_at=*/0,
                                /*disable_ready_lane=*/true);
     ASSERT_TRUE(heap.ok) << "seed " << seed;
@@ -602,10 +573,10 @@ TEST(RandomizedLockstepTest, ReadyLaneMatchesPureHeapUnderFuzzedInterleavings) {
 
     // Cancel-heavy: with timer churn compacting the queue mid-run, lane-on and
     // lane-off still agree, and the MVEE's transcript is the churn-free one.
-    FuzzOutcome lane_churn = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome lane_churn = RunFuzz(seed, shape, replicas,
                                      false, 0, /*disable_ready_lane=*/false,
                                      ReseedMode::kDelta, false, /*timer_churn=*/true);
-    FuzzOutcome heap_churn = RunFuzz(seed, shape, replicas, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome heap_churn = RunFuzz(seed, shape, replicas,
                                      false, 0, /*disable_ready_lane=*/true,
                                      ReseedMode::kDelta, false, /*timer_churn=*/true);
     ASSERT_TRUE(lane_churn.ok) << "seed " << seed;
@@ -631,13 +602,13 @@ TEST(RandomizedLockstepTest, ReseedAfterMidRunReplicaDeathMatchesUninterrupted) 
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;  // Long enough that the kill always lands mid-run.
 
-    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3,
                                         /*remote_last_replica=*/true);
     ASSERT_TRUE(uninterrupted.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript.find("<missing>"), std::string::npos)
         << "seed " << seed;
 
-    FuzzOutcome reseeded = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome reseeded = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120));
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
@@ -659,24 +630,6 @@ TEST(RandomizedLockstepTest, ReseedAfterMidRunReplicaDeathMatchesUninterrupted) 
   EXPECT_GE(exercised, 10);
 }
 
-// The unbatched (eager per-entry frame) configuration must survive re-seed too:
-// the snapshot path may not depend on batching's flush points.
-TEST(RandomizedLockstepTest, ReseedWorksUnbatched) {
-  for (uint64_t seed : {7, 42, 1337}) {
-    FuzzShape shape = ShapeFor(seed);
-    shape.ops += 24;
-    FuzzOutcome base = RunFuzz(seed, shape, 3, 0, RbBatchPolicy::kFixed,
-                               /*remote_last_replica=*/true);
-    ASSERT_TRUE(base.ok) << "seed " << seed;
-    FuzzOutcome reseeded = RunFuzz(seed, shape, 3, 0, RbBatchPolicy::kFixed,
-                                   /*remote_last_replica=*/true,
-                                   /*kill_remote_at=*/Micros(120));
-    ASSERT_TRUE(reseeded.ok) << "seed " << seed;
-    ASSERT_EQ(base.transcript, reseeded.transcript) << "seed " << seed;
-    ASSERT_EQ(base.rb_entries, reseeded.rb_entries) << "seed " << seed;
-  }
-}
-
 // Re-seed mode matrix: the same kill-one fuzz run under --reseed=delta,
 // --reseed=full (always the empty basis), and delta with the replacement migrated
 // to a brand-new machine. The basis (and the placement) may only change what
@@ -689,13 +642,13 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
 
-    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3,
                                         /*remote_last_replica=*/true);
     ASSERT_TRUE(uninterrupted.ok) << "seed " << seed;
     ASSERT_EQ(uninterrupted.transcript.find("<missing>"), std::string::npos)
         << "seed " << seed;
 
-    FuzzOutcome delta = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome delta = RunFuzz(seed, shape, 3,
                                 /*remote_last_replica=*/true,
                                 /*kill_remote_at=*/Micros(120),
                                 /*disable_ready_lane=*/false,
@@ -705,7 +658,7 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     ASSERT_EQ(uninterrupted.rb_entries, delta.rb_entries) << "seed " << seed;
     ASSERT_EQ(delta.snapshot_rejects, 0u) << "seed " << seed;
 
-    FuzzOutcome full = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome full = RunFuzz(seed, shape, 3,
                                /*remote_last_replica=*/true,
                                /*kill_remote_at=*/Micros(120),
                                /*disable_ready_lane=*/false,
@@ -717,7 +670,7 @@ TEST(RandomizedLockstepTest, ReseedDeltaFullAndMigrationMatchUninterrupted) {
     // kFull must never cut against an ack-folded basis (the ablation contract).
     ASSERT_EQ(full.delta_captures, 0u) << "seed " << seed;
 
-    FuzzOutcome migrated = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome migrated = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120),
                                    /*disable_ready_lane=*/false,
@@ -758,10 +711,10 @@ TEST(RandomizedLockstepTest, AttestedMigrationMatchesUninterrupted) {
   for (uint64_t seed : {19, 131, 333}) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 24;
-    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome uninterrupted = RunFuzz(seed, shape, 3,
                                         /*remote_last_replica=*/true);
     ASSERT_TRUE(uninterrupted.ok) << "seed " << seed;
-    FuzzOutcome migrated = RunFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    FuzzOutcome migrated = RunFuzz(seed, shape, 3,
                                    /*remote_last_replica=*/true,
                                    /*kill_remote_at=*/Micros(120),
                                    /*disable_ready_lane=*/false,
@@ -801,8 +754,6 @@ BudgetOutcome RunRespawnBudget(uint64_t seed, DurationNs decay,
   opts.level = PolicyLevel::kNonsocketRw;
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   uint32_t host = w.net.AddMachine("replica-host-1");
   w.net.SetLink(w.server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
   opts.machine = w.server_machine;
@@ -877,8 +828,6 @@ ResetRaceOutcome RunResetJoinRace(uint64_t seed,
   // reset rounds land inside the checkpoint-transfer windows the kills open.
   opts.rb_size = 64 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   uint32_t host = w.net.AddMachine("replica-host-1");
   w.net.SetLink(w.server_machine, host, LinkParams{50 * kMicrosecond, 0.125});
   opts.machine = w.server_machine;
@@ -949,7 +898,7 @@ TEST(RandomizedLockstepTest, ResetRoundParksOnInflightReseed) {
 // acquisition on a shared turn word, so the master's acquisition order is pinned
 // by construction and byte-comparisons across placements are meaningful — while
 // everything else fuzzes: filler writes, metadata queries, sleep-poll intervals,
-// and compute bursts shuffle the batching, streaming, and wrap timing. The
+// and compute bursts shuffle the publication, streaming, and wrap timing. The
 // guarded shared-counter pop feeds each transcript line (and the line's write
 // length), so a replica replaying the log wrongly diverges immediately; the tiny
 // 16-slot log wraps several times per run, exercising the circular-log gate over
@@ -1010,7 +959,7 @@ ProgramFn SyncFuzzWorkload(uint64_t seed, FuzzShape shape, std::vector<SyncOp> s
             continue;
           }
           bool burst = k >= burst_lo && k < burst_hi;
-          // Fuzzed rank-private filler (batchable unmonitored calls). The draws
+          // Fuzzed rank-private filler (small unmonitored calls). The draws
           // happen unconditionally so the op-rng stream stays aligned across
           // burst boundaries.
           uint64_t filler_len = 16 + rng.NextBelow(150);
@@ -1081,7 +1030,7 @@ struct SyncFuzzOutcome {
   uint64_t ops_recorded = 0;     // Master log appends.
   uint64_t ops_replayed = 0;     // Sum over slaves.
   uint64_t wrap_stalls = 0;      // Master appends parked on the full circular log.
-  uint64_t transport_stalls = 0;  // Leader flush points parked on a full link window.
+  uint64_t transport_stalls = 0;  // Leader publications parked on a full link window.
   uint64_t sync_frames_applied = 0;  // kSyncLog frames replayed into mirrors.
   uint64_t remote_deaths = 0;
   uint64_t rejoins = 0;
@@ -1095,8 +1044,7 @@ struct SyncFuzzOutcome {
 constexpr uint64_t kSyncFuzzLogSize = kSyncLogOffEntries + 16 * kSyncLogEntrySize;
 
 SyncFuzzOutcome RunSyncFuzz(
-    uint64_t seed, FuzzShape shape, int replicas, int batch_max, RbBatchPolicy policy,
-    bool remote_last_replica = false, TimeNs kill_remote_at = 0,
+    uint64_t seed, FuzzShape shape, int replicas, bool remote_last_replica = false, TimeNs kill_remote_at = 0,
     const std::function<void(Remon&, SimWorld&)>& post_run = nullptr,
     DurationNs link_latency = 50 * kMicrosecond, double link_bytes_per_ns = 0.125,
     const std::function<void(RemonOptions&)>& tune = nullptr) {
@@ -1107,8 +1055,6 @@ SyncFuzzOutcome RunSyncFuzz(
   opts.level = PolicyLevel::kNonsocketRw;
   opts.rb_size = 256 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = batch_max;
-  opts.rb_batch_policy = policy;
   opts.use_sync_agent = true;
   opts.sync_log_size = kSyncFuzzLogSize;
   if (remote_last_replica) {
@@ -1182,14 +1128,13 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
     FuzzShape shape = ShapeFor(seed);
 
     SyncFuzzOutcome local =
-        RunSyncFuzz(seed, shape, ReplicasFor(seed), 8, RbBatchPolicy::kAdaptive);
+        RunSyncFuzz(seed, shape, ReplicasFor(seed));
     ASSERT_TRUE(local.ok) << "seed " << seed;
     ASSERT_EQ(local.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
     ASSERT_EQ(local.ops_recorded, static_cast<uint64_t>(shape.ranks) * shape.ops)
         << "seed " << seed;
 
-    SyncFuzzOutcome remote = RunSyncFuzz(seed, shape, ReplicasFor(seed), 8,
-                                         RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome remote = RunSyncFuzz(seed, shape, ReplicasFor(seed),
                                          /*remote_last_replica=*/true);
     ASSERT_TRUE(remote.ok) << "seed " << seed;
     ASSERT_EQ(local.transcript, remote.transcript) << "seed " << seed;
@@ -1216,14 +1161,6 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
       ASSERT_GT(remote.master_tail, 16u) << "seed " << seed;
     }
     total_wrap_stalls += remote.wrap_stalls;
-
-    // Unbatched (eager one-frame-per-append streaming) must agree too.
-    SyncFuzzOutcome eager = RunSyncFuzz(seed, shape, ReplicasFor(seed), 0,
-                                        RbBatchPolicy::kFixed,
-                                        /*remote_last_replica=*/true);
-    ASSERT_TRUE(eager.ok) << "seed " << seed;
-    ASSERT_EQ(local.transcript, eager.transcript) << "seed " << seed;
-    ASSERT_EQ(local.master_log, eager.master_log) << "seed " << seed;
   }
   EXPECT_GT(wrapped_seeds, 6);  // Most fuzzed schedules outgrow the 16-slot log.
   (void)total_wrap_stalls;  // On the fast link the slave lag stays under one lap.
@@ -1232,8 +1169,8 @@ TEST(SyncLockstepTest, RemoteMultithreadedMatchesShmUnderFuzzedSchedules) {
 // On a slow link the remote replica's replay lag exceeds a full lap of the
 // 16-slot log, so the master MUST park on the wraparound gate (overwriting an
 // unconsumed slot would corrupt the remote's replay) — and the run must still
-// finish byte-identically: the gate's flush-before-park keeps the stream live
-// while the master sleeps. (On a link whose bandwidth binds, the transport's
+// finish byte-identically: every append streamed before the master parked, so the
+// stream stays live while the master sleeps. (On a link whose bandwidth binds, the transport's
 // stream window throttles the master instead — also asserted, as the two gates
 // must compose rather than fight.)
 TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
@@ -1241,11 +1178,11 @@ TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   FuzzShape shape = ShapeFor(seed);
   shape.ops += 20;
 
-  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+  SyncFuzzOutcome local = RunSyncFuzz(seed, shape, 3);
   ASSERT_TRUE(local.ok);
 
   // Latency-bound link: the wraparound gate is the binding constraint.
-  SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+  SyncFuzzOutcome slow = RunSyncFuzz(seed, shape, 3,
                                      /*remote_last_replica=*/true,
                                      /*kill_remote_at=*/0, /*post_run=*/nullptr,
                                      /*link_latency=*/Millis(2));
@@ -1264,10 +1201,10 @@ TEST(SyncLockstepTest, SlowLinkForcesWrapGateWithoutCorruption) {
   FuzzShape long_shape = shape;
   long_shape.ops = 1000;
   SyncFuzzOutcome long_local =
-      RunSyncFuzz(seed, long_shape, 3, 8, RbBatchPolicy::kAdaptive);
+      RunSyncFuzz(seed, long_shape, 3);
   ASSERT_TRUE(long_local.ok);
   SyncFuzzOutcome throttled =
-      RunSyncFuzz(seed, long_shape, 3, 8, RbBatchPolicy::kAdaptive,
+      RunSyncFuzz(seed, long_shape, 3,
                   /*remote_last_replica=*/true, /*kill_remote_at=*/0, /*post_run=*/nullptr,
                   /*link_latency=*/Millis(2), /*link_bytes_per_ns=*/0.0025,
                   [](RemonOptions& o) {
@@ -1291,11 +1228,11 @@ TEST(SyncLockstepTest, SealedSyncStreamMatchesShmPlacementAndNeverDiedRun) {
   for (uint64_t seed : {11, 77, 305, 999}) {
     FuzzShape shape = ShapeFor(seed);
 
-    SyncFuzzOutcome shm = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive);
+    SyncFuzzOutcome shm = RunSyncFuzz(seed, shape, 3);
     ASSERT_TRUE(shm.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    SyncFuzzOutcome sealed = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome sealed = RunSyncFuzz(seed, shape, 3,
                                          /*remote_last_replica=*/true);
     ASSERT_TRUE(sealed.ok) << "seed " << seed;
     ASSERT_EQ(shm.transcript, sealed.transcript) << "seed " << seed;
@@ -1311,10 +1248,10 @@ TEST(SyncLockstepTest, SealedSyncStreamMatchesShmPlacementAndNeverDiedRun) {
   for (uint64_t rs : {19ull, 131ull, 333ull}) {
     FuzzShape rshape = ShapeFor(rs);
     rshape.ops += 12;
-    SyncFuzzOutcome never_died = RunSyncFuzz(rs, rshape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome never_died = RunSyncFuzz(rs, rshape, 3,
                                              /*remote_last_replica=*/true);
     ASSERT_TRUE(never_died.ok) << "seed " << rs;
-    SyncFuzzOutcome reseeded = RunSyncFuzz(rs, rshape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome reseeded = RunSyncFuzz(rs, rshape, 3,
                                            /*remote_last_replica=*/true,
                                            /*kill_remote_at=*/Micros(200));
     ASSERT_TRUE(reseeded.ok) << "seed " << rs;
@@ -1338,12 +1275,12 @@ TEST(SyncLockstepTest, ReseedMidFuzzCarriesSyncLog) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 12;  // Long enough that the kill lands mid-run.
 
-    SyncFuzzOutcome base = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome base = RunSyncFuzz(seed, shape, 3,
                                        /*remote_last_replica=*/true);
     ASSERT_TRUE(base.ok) << "seed " << seed;
     ASSERT_EQ(base.transcript.find("<missing>"), std::string::npos) << "seed " << seed;
 
-    SyncFuzzOutcome reseeded = RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    SyncFuzzOutcome reseeded = RunSyncFuzz(seed, shape, 3,
                                            /*remote_last_replica=*/true,
                                            /*kill_remote_at=*/Micros(200));
     ASSERT_TRUE(reseeded.ok) << "seed " << seed;
@@ -1374,7 +1311,7 @@ TEST(SyncLockstepTest, SyncLogEpochRegressionTearsLink) {
     FuzzShape shape = ShapeFor(seed);
     shape.ops += 12;
     bool gap_probe = seed == 131;
-    RunSyncFuzz(seed, shape, 3, 8, RbBatchPolicy::kAdaptive,
+    RunSyncFuzz(seed, shape, 3,
                 /*remote_last_replica=*/true, /*kill_remote_at=*/Micros(200),
                 [&exercised_stale, &exercised_gap, gap_probe](Remon& mvee,
                                                               SimWorld& w) {
@@ -1476,8 +1413,6 @@ SuiteSyncOutcome RunSuiteSync(const WorkloadSpec& spec, uint64_t seed,
   opts.mode = MveeMode::kRemon;
   opts.replicas = kReplicas;
   opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_batch_max = 16;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   opts.use_sync_agent = true;
   opts.sync_log_size = kSuiteSyncLogSize;
   opts.machine = w.server_machine;

@@ -118,55 +118,6 @@ TEST(ProtocolTest, TemporalExemptionStaysTransparent) {
   EXPECT_GT(w.sim.stats().syscalls_unmonitored, 10u);
 }
 
-TEST(ProtocolTest, BatchedRbPublicationStaysTransparent) {
-  // Batched publication defers only the POSTCALL wakeups; replica outputs must be
-  // byte-identical to a native run, and the liveness flush points (local calls,
-  // monitored rounds, overflow trips) must keep the slaves progressing — the
-  // workload mixes exempt writes, monitored opens, and a mid-stream RB overflow.
-  auto body = [](Guest& g) -> GuestTask<void> {
-    int64_t fd = co_await g.Open("/tmp/batched-out", kO_CREAT | kO_RDWR);
-    GuestAddr buf = g.Alloc(64);
-    for (int i = 0; i < 300; ++i) {
-      std::string line = "B" + std::to_string(i) + ";";
-      g.Poke(buf, line.data(), line.size());
-      co_await g.Write(static_cast<int>(fd), buf, line.size());
-      if (i % 97 == 0) {
-        // A monitored call mid-batch: the entry-stop hook must flush first.
-        int64_t probe = co_await g.Open("/tmp/batched-probe", kO_CREAT | kO_RDWR);
-        co_await g.Close(static_cast<int>(probe));
-      }
-    }
-    co_await g.Close(static_cast<int>(fd));
-  };
-  std::string native_out;
-  {
-    SimWorld w(407);
-    RemonOptions opts;
-    opts.mode = MveeMode::kNative;
-    Remon mvee(&w.kernel, opts);
-    mvee.Launch(body);
-    w.Run();
-    native_out = w.fs.ReadWholeFile("/tmp/batched-out").value_or("");
-  }
-  SimWorld w(407);
-  RemonOptions opts;
-  opts.mode = MveeMode::kRemon;
-  opts.replicas = 2;
-  opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_batch_max = 4;
-  opts.rb_size = 256 * 1024;  // Small enough to force overflow flush trips.
-  opts.max_ranks = 2;
-  Remon mvee(&w.kernel, opts);
-  mvee.Launch(body);
-  w.Run();
-  EXPECT_TRUE(mvee.finished());
-  EXPECT_FALSE(mvee.divergence_detected());
-  EXPECT_EQ(w.fs.ReadWholeFile("/tmp/batched-out").value_or(""), native_out);
-  EXPECT_GT(w.sim.stats().rb_batched_entries, 100u);
-  EXPECT_GT(w.sim.stats().rb_batch_flushes, 0u);
-  EXPECT_LT(w.sim.stats().rb_batch_flushes, w.sim.stats().rb_batched_entries);
-}
-
 TEST(ProtocolTest, MasterRunAheadBoundedByRb) {
   // The master can run ahead of the slaves only until the RB (sub-buffer) fills;
   // then it must wait for the flush barrier. With a slow slave (high per-replica

@@ -1,5 +1,4 @@
-// Unit tests for the replication buffer, two-sided batched publication, and the
-// file map.
+// Unit tests for the replication buffer, its wraparound stress, and the file map.
 
 #include <gtest/gtest.h>
 
@@ -171,224 +170,6 @@ TEST_F(RbTest, EntrySizeAlignsAndCovers) {
   }
 }
 
-// --- RbBatch: two-sided batched publication ---------------------------------------
-
-TEST_F(RbTest, StagedArgsStayInvisibleUntilCommit) {
-  RbBatch batch;
-  uint64_t off = master_view_.RankDataStart(0);
-  std::vector<uint8_t> sig = {7, 7, 7};
-  RbEntryOps::StageArgs(master_view_, off, Sys::kWrite, kRbFlagMasterCall, 0,
-                        RbEntryOps::EntrySize(sig.size(), 64), sig);
-  batch.StageArgs(off);
-
-  // The bytes are in the RB (the divergence data exists) but the entry is not yet
-  // published: a slave polling the state word still sees kRbEmpty.
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off).state, kRbEmpty);
-  EXPECT_EQ(RbEntryOps::ReadSignature(slave_view_, off), sig);
-  EXPECT_TRUE(batch.ArgsDeferred(off));
-
-  batch.Commit(master_view_);
-  batch.Take();
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off).state, kRbArgsReady);
-}
-
-TEST_F(RbTest, CombinedFlipPublishesArgsAndResultsAtOnce) {
-  RbBatch batch;
-  uint64_t off = master_view_.RankDataStart(0);
-  std::vector<uint8_t> sig = {1, 2};
-  std::vector<uint8_t> payload = {9, 8, 7};
-  RbEntryOps::StageArgs(master_view_, off, Sys::kRead, 0, 3,
-                        RbEntryOps::EntrySize(sig.size(), 64), sig);
-  batch.StageArgs(off);
-  batch.AddResults(off, 3, payload);
-  EXPECT_EQ(batch.size(), 1u);  // Both sides merged into one slot.
-
-  batch.Commit(master_view_);
-  batch.Take();
-  RbEntryHeader h = RbEntryOps::ReadHeader(slave_view_, off);
-  // The state word went kRbEmpty -> kRbResultsReady in a single flip; a slave that
-  // arrives now still reads the arguments before consuming the results.
-  EXPECT_EQ(h.state, kRbResultsReady);
-  EXPECT_EQ(h.result, 3);
-  EXPECT_EQ(RbEntryOps::ReadSignature(slave_view_, off), sig);
-  EXPECT_EQ(RbEntryOps::ReadPayload(slave_view_, off), payload);
-}
-
-TEST_F(RbTest, FlushLeavesNoStaleArgsReadyWhenResultsWerePending) {
-  // Three consecutive entries: #0 fully deferred, #1 args-only (mid-execution when
-  // the flush hits), #2 results-only (its args were published by an earlier flush).
-  RbBatch batch;
-  std::vector<uint8_t> sig = {5};
-  uint64_t size = RbEntryOps::EntrySize(sig.size(), 64);
-  uint64_t off0 = master_view_.RankDataStart(1);
-  uint64_t off1 = off0 + size;
-  uint64_t off2 = off1 + size;
-
-  RbEntryOps::StageArgs(master_view_, off0, Sys::kWrite, 0, 0, size, sig);
-  batch.StageArgs(off0);
-  batch.AddResults(off0, 11, {});
-  RbEntryOps::StageArgs(master_view_, off1, Sys::kWrite, 0, 1, size, sig);
-  batch.StageArgs(off1);
-  RbEntryOps::CommitArgs(master_view_, off2, Sys::kWrite, 0, 2, size, sig);
-  batch.AddResults(off2, 22, {});
-  EXPECT_EQ(batch.results_pending(), 2u);
-
-  batch.Commit(master_view_);
-  batch.Take();
-  // Every slot with pending results is results-ready; only the genuinely
-  // mid-execution entry remains args-ready (its POSTCALL has not happened yet).
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off0).state, kRbResultsReady);
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off0).result, 11);
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off1).state, kRbArgsReady);
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off2).state, kRbResultsReady);
-  EXPECT_EQ(RbEntryOps::ReadHeader(slave_view_, off2).result, 22);
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST_F(RbTest, CommitCountsWaitersAcrossSlots) {
-  RbBatch batch;
-  std::vector<uint8_t> sig = {1};
-  uint64_t size = RbEntryOps::EntrySize(sig.size(), 64);
-  uint64_t off0 = master_view_.RankDataStart(2);
-  uint64_t off1 = off0 + size;
-  RbEntryOps::StageArgs(master_view_, off0, Sys::kWrite, 0, 0, size, sig);
-  batch.StageArgs(off0);
-  batch.AddResults(off0, 0, {});
-  RbEntryOps::StageArgs(master_view_, off1, Sys::kWrite, 0, 1, size, sig);
-  batch.StageArgs(off1);
-  batch.AddResults(off1, 0, {});
-  RbEntryOps::AddWaiter(slave_view_, off0);
-  RbEntryOps::AddWaiter(slave_view_, off1);
-  RbEntryOps::AddWaiter(slave_view_, off1);
-  EXPECT_EQ(batch.Commit(master_view_), 3u);
-}
-
-TEST(RbBatchWindowTest, AdaptiveStateMachine) {
-  RbBatch batch;
-  constexpr int kMax = 8;
-  EXPECT_EQ(batch.window(), 1);
-
-  // No pressure: additive growth to the ceiling, one step per flush.
-  for (int expected = 2; expected <= kMax; ++expected) {
-    EXPECT_EQ(batch.ObservePressure(0, 0, kMax), 1);
-    EXPECT_EQ(batch.window(), expected);
-  }
-  EXPECT_EQ(batch.ObservePressure(0, 0, kMax), 0);  // Saturates at the ceiling.
-  EXPECT_EQ(batch.window(), kMax);
-
-  // Spinners only: gentle additive shrink.
-  EXPECT_EQ(batch.ObservePressure(0, 2, kMax), -1);
-  EXPECT_EQ(batch.window(), kMax - 1);
-
-  // Futex waiters: multiplicative decrease (halving).
-  EXPECT_EQ(batch.ObservePressure(3, 0, kMax), -4);  // 7 -> 3.
-  EXPECT_EQ(batch.window(), 3);
-
-  // Floor at 1 regardless of sustained pressure.
-  for (int i = 0; i < 6; ++i) {
-    batch.ObservePressure(5, 5, kMax);
-  }
-  EXPECT_EQ(batch.window(), 1);
-  batch.ObservePressure(1, 0, kMax);
-  EXPECT_EQ(batch.window(), 1);
-
-  // A lower ceiling clamps growth.
-  for (int i = 0; i < 10; ++i) {
-    batch.ObservePressure(0, 0, 3);
-  }
-  EXPECT_EQ(batch.window(), 3);
-}
-
-// --- Wrap-around stress under adaptive batching ------------------------------------
-
-// Fills the (deliberately tiny) linear RB to wrap-around many times per rank while
-// adaptive batching defers publications, and checks the flush ordering end to end:
-// the run finishing at all proves no wakeup was lost (a slave stuck on an
-// unpublished entry would hang the MVEE), and the post-run scan proves no entry was
-// left with a stale kRbArgsReady flag (arguments published, results dropped).
-TEST(RbStressTest, WraparoundUnderAdaptiveBatching) {
-  SimWorld w(91);
-  RemonOptions opts;
-  opts.mode = MveeMode::kRemon;
-  opts.replicas = 3;
-  opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_size = 96 * 1024;
-  opts.max_ranks = 4;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  Remon mvee(&w.kernel, opts);
-
-  constexpr int kWorkers = 3;  // Ranks 0..2 all wrap their sub-buffers.
-  mvee.Launch([](Guest& g) -> GuestTask<void> {
-    auto worker = [](int id) -> ProgramFn {
-      return [id](Guest& wg) -> GuestTask<void> {
-        int64_t fd = co_await wg.Open("/tmp/wrap-" + std::to_string(id),
-                                      kO_CREAT | kO_RDWR);
-        GuestAddr buf = wg.Alloc(256);
-        GuestAddr st = wg.Alloc(sizeof(GuestStat));
-        for (int i = 0; i < 400; ++i) {
-          std::string line = "w" + std::to_string(id) + "-" + std::to_string(i) + ";";
-          wg.Poke(buf, line.data(), line.size());
-          co_await wg.Write(static_cast<int>(fd), buf, 200);
-          if (i % 7 == 0) {
-            co_await wg.Fstat(static_cast<int>(fd), st);
-          }
-          if (i % 23 == 0) {
-            co_await wg.Compute(Micros(30));  // Lets slaves fall behind/catch up.
-          }
-        }
-        co_await wg.Close(static_cast<int>(fd));
-      };
-    };
-    GuestAddr join = g.Alloc(8);
-    co_await g.Pipe(join);
-    int join_rd = static_cast<int>(g.PeekU32(join));
-    int join_wr = static_cast<int>(g.PeekU32(join + 4));
-    for (int i = 1; i < kWorkers; ++i) {
-      auto body = worker(i);
-      uint64_t fn = g.RegisterThreadFn([body, join_wr](Guest& wg) -> GuestTask<void> {
-        co_await body(wg);
-        GuestAddr d = wg.Alloc(1);
-        wg.Poke(d, "D", 1);
-        co_await wg.Write(join_wr, d, 1);
-      });
-      co_await g.SpawnThread(fn);
-    }
-    auto self = worker(0);
-    co_await self(g);
-    GuestAddr sink = g.Alloc(4);
-    for (int i = 0; i < kWorkers - 1; ++i) {
-      int64_t n = co_await g.Read(join_rd, sink, 1);
-      REMON_CHECK(n == 1);
-    }
-  }, "wrap");
-  w.Run();
-
-  EXPECT_TRUE(mvee.finished());
-  EXPECT_FALSE(mvee.divergence_detected());
-  const SimStats& stats = w.sim.stats();
-  EXPECT_GT(stats.rb_resets, 0u);           // The ring actually wrapped.
-  EXPECT_GT(stats.rb_batch_flushes, 0u);    // Batching actually engaged.
-  EXPECT_GT(stats.rb_batched_entries, 0u);
-  EXPECT_GT(stats.rb_precall_coalesced, 0u);
-
-  // Stale-flag scan through the master's own view: whatever survived the final
-  // cycle must be either untouched or fully published — an entry stuck at
-  // kRbArgsReady would mean its deferred POSTCALL was lost in a flush/reset race.
-  const RbView& rb = mvee.ipmon(0)->rb();
-  for (int r = 0; r < opts.max_ranks; ++r) {
-    uint64_t off = rb.RankDataStart(r);
-    while (off + kRbEntryHeaderSize <= rb.RankDataEnd(r)) {
-      RbEntryHeader h = RbEntryOps::ReadHeader(rb, off);
-      if (h.state == kRbEmpty || h.total_size == 0) {
-        break;
-      }
-      EXPECT_NE(h.state, kRbArgsReady) << "rank " << r << " offset " << off;
-      off += h.total_size;
-    }
-  }
-}
-
 // --- Sync-agent circular log: wraparound stress ------------------------------------
 
 // Fills a (deliberately tiny) 32-slot sync log ~28 laps over with free-racing
@@ -406,8 +187,6 @@ TEST(RbStressTest, SyncLogWraparoundUnderRacingRanks) {
   opts.level = PolicyLevel::kNonsocketRw;
   opts.rb_size = 512 * 1024;
   opts.max_ranks = 4;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   opts.use_sync_agent = true;
   constexpr uint64_t kSlots = 32;
   opts.sync_log_size = kSyncLogOffEntries + kSlots * kSyncLogEntrySize;

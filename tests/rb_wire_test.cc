@@ -56,7 +56,7 @@ std::vector<RbWireEntry> RandomEntries(Rng* rng, int count) {
   for (int i = 0; i < count; ++i) {
     RbWireEntry e;
     e.entry_off = off;
-    e.final_state = rng->NextBelow(2) == 0 ? kRbArgsReady : kRbResultsReady;
+    e.final_state = kRbArgsReady + static_cast<uint32_t>(rng->NextBelow(3));  // 1..3.
     e.image.resize(kRbEntryHeaderSize + rng->NextBelow(300));
     for (uint8_t& b : e.image) {
       b = static_cast<uint8_t>(rng->NextBelow(256));
@@ -113,7 +113,7 @@ TEST(RbWireTest, AckRoundTrip) {
   EXPECT_TRUE(out.entries.empty());
 }
 
-// Property: random batched entry sets survive encode -> fragmented stream ->
+// Property: random entry sets survive encode -> fragmented stream ->
 // decode byte-identically, including many frames back to back on one stream.
 TEST(RbWireTest, RandomizedRoundTripUnderFragmentation) {
   Rng rng(20260730);
@@ -907,6 +907,235 @@ TEST(RbWireTest, EntryCountBeyondPayloadRejectedBeforeAllocation) {
   RbWireFrame out;
   EXPECT_EQ(parser.Next(&out), RbFrameParser::Status::kCorrupt);
   EXPECT_STREQ(parser.corrupt_reason(), "entry record overruns payload");
+}
+
+// --- Results-only records (wire v9) ------------------------------------------------
+
+// A leader RB and separate mirror segments, as a remote replica's agent sees them:
+// records are read from the leader and replayed into a mirror.
+class ResultsOnlyRecordTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRbSize = 64 * kPageSize;
+  static constexpr int kRanks = 2;
+  static constexpr uint64_t kSigLen = 40;
+
+  void SetUp() override { leader_ = NewRb(); }
+
+  // A fresh RB segment mapped into a fresh process.
+  RbView NewRb() {
+    GuestAddr base = 0x7100'0000'0000ULL + (next_rb_++) * 0x10'0000'0000ULL;
+    Process* p = w_.NewProcess("rb-" + std::to_string(next_rb_));
+    auto frames = std::make_shared<FrameTable>(kRbSize / kPageSize);
+    EXPECT_TRUE(p->mem().MapShared(base, kRbSize, kProtRead | kProtWrite, "rb", frames, 0));
+    return RbView(p, base, kRbSize, kRanks);
+  }
+
+  // Commits an entry's args in the leader and returns its args-ready record.
+  RbWireEntry CommitArgs(uint64_t off, uint64_t out_cap) {
+    std::vector<uint8_t> sig(kSigLen);
+    for (size_t i = 0; i < sig.size(); ++i) {
+      sig[i] = static_cast<uint8_t>(0x40 + i);
+    }
+    RbEntryOps::CommitArgs(leader_, off, Sys::kRead, kRbFlagMasterCall, 7,
+                           RbEntryOps::EntrySize(kSigLen, out_cap), sig);
+    return RbEntryOps::ReadRecord(leader_, off, kRbArgsReady);
+  }
+
+  // Commits `out_len` result bytes in the leader and returns the results-only record.
+  RbWireEntry CommitResults(uint64_t off, uint64_t out_len) {
+    std::vector<uint8_t> out(out_len);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<uint8_t>(0xa0 + i);
+    }
+    RbEntryOps::CommitResults(leader_, off, static_cast<int64_t>(out_len), out);
+    return RbEntryOps::ReadRecord(leader_, off, kRbResultsOnly);
+  }
+
+  bool Replay(RbView& mirror, const RbWireEntry& e) {
+    return RbEntryOps::ReplayRecord(mirror, w_.kernel.futex(), 0, e);
+  }
+
+  SimWorld w_;
+  RbView leader_;
+  uint64_t next_rb_ = 0;
+};
+
+TEST_F(ResultsOnlyRecordTest, ArgsPlusResultsOnlyReplaysLikeOneFullRecord) {
+  uint64_t off = leader_.RankDataStart(0);
+  RbWireEntry args = CommitArgs(off, 128);
+  RbWireEntry results = CommitResults(off, 100);
+  RbWireEntry full = RbEntryOps::ReadRecord(leader_, off, kRbResultsReady);
+  // The results-only record is the header and the out bytes: no signature.
+  EXPECT_EQ(args.image.size(), kRbEntryHeaderSize + kSigLen);
+  EXPECT_EQ(results.image.size(), kRbEntryHeaderSize + 100);
+  EXPECT_EQ(full.image.size(), kRbEntryHeaderSize + kSigLen + 100);
+
+  // The pair crosses the wire codec unchanged, state 3 included.
+  std::vector<RbWireEntry> decoded;
+  std::vector<uint8_t> payload = RbWireCodec::EncodeEntriesPayload({args, results});
+  ASSERT_EQ(RbWireCodec::DecodeEntries(payload.data(), payload.size(), 2, &decoded),
+            nullptr);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[1].final_state, kRbResultsOnly);
+  EXPECT_EQ(decoded[1].image, results.image);
+
+  RbView pair = NewRb();
+  ASSERT_TRUE(Replay(pair, decoded[0]));
+  EXPECT_EQ(pair.ReadU32(off + kRbOffState), kRbArgsReady);
+  ASSERT_TRUE(Replay(pair, decoded[1]));
+  RbView one = NewRb();
+  ASSERT_TRUE(Replay(one, full));
+  EXPECT_EQ(pair.ReadU32(off + kRbOffState), kRbResultsReady);
+  EXPECT_EQ(ReadView(pair), ReadView(one));
+  EXPECT_EQ(RbEntryOps::ReadPayload(pair, off), RbEntryOps::ReadPayload(leader_, off));
+}
+
+// Every malformed results-only record is refused, and the refusal writes nothing.
+TEST_F(ResultsOnlyRecordTest, MalformedResultsOnlyRecordsRefusedWithoutWriting) {
+  uint64_t off = leader_.RankDataStart(0);
+  RbWireEntry args = CommitArgs(off, 64);
+  RbWireEntry results = CommitResults(off, 48);
+  // An entry whose signature and out bytes cannot both fit the sub-buffer's end.
+  uint64_t tail_off = leader_.RankDataEnd(0) - RbEntryOps::EntrySize(kSigLen, 16);
+  RbWireEntry tail_args = CommitArgs(tail_off, 16);
+  RbWireEntry tail_results = CommitResults(tail_off, 32);
+  ASSERT_LE(tail_results.image.size(), leader_.RankDataEnd(0) - tail_off);
+
+  struct Case {
+    const char* name;
+    std::vector<RbWireEntry> before;  // Replayed first, and accepted.
+    RbWireEntry record;               // Must be refused.
+  };
+  std::vector<Case> cases;
+  cases.push_back({"entry still empty", {}, results});
+  {
+    RbWireEntry other = results;
+    PutImageU64(&other, kRbOffResult, 47);
+    cases.push_back({"entry already results-ready", {args, results}, other});
+  }
+  {
+    RbWireEntry other = results;
+    PutImageU64(&other, kRbOffSigLen, kSigLen + 8);
+    cases.push_back({"sig_len differs from the mirror's", {args}, other});
+  }
+  {
+    RbWireEntry other = results;
+    PutImageU64(&other, kRbOffOutLen, 49);
+    cases.push_back({"out_len past the image", {args}, other});
+  }
+  {
+    RbWireEntry other = results;
+    PutImageU64(&other, kRbOffOutLen, 47);
+    cases.push_back({"image longer than out_len", {args}, other});
+  }
+  cases.push_back({"out bytes past the sub-buffer", {tail_args}, tail_results});
+
+  for (const Case& c : cases) {
+    RbView mirror = NewRb();
+    for (const RbWireEntry& e : c.before) {
+      ASSERT_TRUE(Replay(mirror, e)) << c.name;
+    }
+    std::vector<uint8_t> held = ReadView(mirror);
+    EXPECT_FALSE(Replay(mirror, c.record)) << c.name;
+    EXPECT_EQ(ReadView(mirror), held) << c.name;
+  }
+}
+
+// Replicas co-located on one machine share its mirror, so two agents replay the
+// same stream into it: the second agent's args record writes nothing over the
+// results already there, and its results-only record is accepted as an exact
+// replay.
+TEST_F(ResultsOnlyRecordTest, CoLocatedAgentsReplayOneStreamIntoOneMirror) {
+  uint64_t off = leader_.RankDataStart(1);
+  RbWireEntry args = CommitArgs(off, 64);
+  RbWireEntry results = CommitResults(off, 48);
+  RbView mirror = NewRb();
+  ASSERT_TRUE(RbEntryOps::ReplayRecord(mirror, w_.kernel.futex(), 1, args));
+  ASSERT_TRUE(RbEntryOps::ReplayRecord(mirror, w_.kernel.futex(), 1, results));
+  std::vector<uint8_t> held = ReadView(mirror);
+  EXPECT_TRUE(RbEntryOps::ReplayRecord(mirror, w_.kernel.futex(), 1, args));
+  EXPECT_TRUE(RbEntryOps::ReplayRecord(mirror, w_.kernel.futex(), 1, results));
+  EXPECT_EQ(ReadView(mirror), held);
+}
+
+// A checkpoint ships full records only: a results-only record in a chunk refuses it.
+TEST(SnapshotCodecResultsOnlyTest, ResultsOnlyRecordInSnapshotChunkRefused) {
+  Rng rng(29);
+  ReplicaSnapshot snap;
+  do {
+    snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+  } while (snap.records[0].empty());
+  snap.records[0].back().final_state = kRbResultsOnly;
+  SnapshotPayloads payloads = SerializeSnapshot(snap);
+  SnapshotAssembler assembler;
+  ASSERT_TRUE(assembler.Begin(payloads.begin)) << assembler.error();
+  bool refused = false;
+  for (const std::vector<uint8_t>& chunk : payloads.chunks) {
+    if (!assembler.AddChunk(chunk)) {
+      refused = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(assembler.error(), "snapshot record state is not a publication");
+}
+
+// Byte count: in a remote world every entry crosses the link as an args record
+// (header + signature) and a results-only record (header + out bytes), so the
+// entry images on the wire total sum(header + sig) + sum(header + out) over the
+// leader's entries — no signature byte is shipped twice.
+TEST(ResultsOnlyWireBytesTest, RemoteWorldShipsEachSignatureByteOnce) {
+  SimWorld w(20261019);
+  uint32_t host = w.net.AddMachine("replica-host-1");
+  w.net.SetLink(w.server_machine, host, LinkParams{60 * kMicrosecond, 0.125});
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.replicas = 2;
+  opts.level = PolicyLevel::kNonsocketRw;
+  opts.machine = w.server_machine;
+  opts.replica_machines = {w.server_machine, host};
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int64_t fd = co_await g.Open("/tmp/v9-bytes", kO_CREAT | kO_RDWR);
+    GuestAddr buf = g.Alloc(512);
+    GuestAddr st = g.Alloc(sizeof(GuestStat));
+    for (int i = 0; i < 60; ++i) {
+      std::string line(static_cast<size_t>(16 + 7 * i), static_cast<char>('a' + i % 26));
+      g.Poke(buf, line.data(), line.size());
+      co_await g.Write(static_cast<int>(fd), buf, line.size());
+      co_await g.Fstat(static_cast<int>(fd), st);
+      co_await g.Pread(static_cast<int>(fd), buf, 64, 0);
+    }
+    // Keeps the leader alive while the test reads its RB.
+    co_await g.SleepNs(Millis(50));
+  }, "v9-bytes");
+  w.Run(Millis(20));
+  ASSERT_FALSE(mvee.divergence_detected());
+
+  const RbView& rb = mvee.ipmon(0)->rb();
+  ASSERT_EQ(mvee.ipmon(0)->rb_resets(), 0u);
+  uint64_t expected = 0;
+  uint64_t entries = 0;
+  for (int r = 0; r < rb.max_ranks(); ++r) {
+    for (uint64_t off = rb.RankDataStart(r); off + kRbEntryHeaderSize <= rb.RankDataEnd(r);) {
+      RbEntryHeader h = RbEntryOps::ReadHeader(rb, off);
+      if (h.state == kRbEmpty) {
+        break;
+      }
+      ASSERT_EQ(h.state, kRbResultsReady) << "rank " << r << " offset " << off;
+      expected += (kRbEntryHeaderSize + h.sig_len) + (kRbEntryHeaderSize + h.out_len);
+      ++entries;
+      off += h.total_size;
+    }
+  }
+  const SimStats& stats = w.sim.stats();
+  ASSERT_GE(entries, 180u);
+  // One record per frame, two frames per entry, nothing else on the stream.
+  ASSERT_EQ(stats.rb_frames_sent, 2 * entries);
+  uint64_t images =
+      stats.rb_frame_bytes_sent -
+      stats.rb_frames_sent * (kRbWireHeaderSize + kRbWireEntryHeaderSize);
+  EXPECT_EQ(images, expected);
 }
 
 }  // namespace

@@ -123,20 +123,22 @@ class LiveCheckpointWorld {
     opts.level = PolicyLevel::kNonsocketRw;
     opts.rb_size = 256 * 1024;  // Small enough that the run crosses RB resets.
     opts.max_ranks = 8;
-    opts.rb_batch_max = 8;
-    opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
     opts.use_sync_agent = true;
     opts.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
     opts.machine = w.server_machine;
     opts.replica_machines = {w.server_machine, host};
     mvee = std::make_unique<Remon>(&w.kernel, opts);
-    // Write-heavy enough that 2 KiB results lap the 32 KiB rank sub-buffers.
+    // Write-heavy enough that 2 KiB results lap the 32 KiB rank sub-buffers. Each
+    // entry crosses the link as an args record and a results-only record: at 20 us
+    // of compute per iteration the bursts fill the 1 Gbit/s link, and the acks
+    // that fold the basis queue behind the next burst of resets. 40 us leaves the
+    // link idle between bursts, so the basis catches up with the reset generation.
     WorkloadSpec spec;
     spec.name = "equiv";
     spec.suite = "parsec";
     spec.threads = 4;
     spec.iterations = 200;
-    spec.compute_per_iter = Micros(20);
+    spec.compute_per_iter = Micros(40);
     spec.file_writes = 2;
     spec.io_size = 2048;
     spec.sync_ops = 2;

@@ -101,90 +101,6 @@ TEST(ClientTest, DurationModeStopsOnDeadline) {
   EXPECT_LT(r.seconds, 0.05);  // Bounded by the deadline (plus in-flight requests).
 }
 
-// --- Multi-rank servers under adaptive RB batching ---------------------------------
-
-// The MVEE with waiter-pressure-driven batching must be transparent to multi-rank
-// servers: every request served exactly once, the full response transcript
-// delivered, no divergence — for both the epoll event-loop and the thread-pool
-// concurrency model (each worker is its own RB rank with its own batch window).
-class AdaptiveBatchServerTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(AdaptiveBatchServerTest, TranscriptMatchesUnreplicatedBaseline) {
-  ServerSpec server = ServerByName(GetParam());
-  server.log_writes = 4;  // Chatty per-rank logging: the batchable call stream.
-  ClientSpec client;
-  client.connections = 8;
-  client.total_requests = 80;
-  client.request_bytes = 1024;
-  LinkParams link{60 * kMicrosecond, 0.125};
-
-  RunConfig native;
-  native.mvee.mode = MveeMode::kNative;
-  ServerResult base = RunServerBench(server, client, native, link);
-  ASSERT_EQ(base.requests, 80) << server.name;
-
-  RunConfig config;
-  config.mvee.mode = MveeMode::kRemon;
-  config.mvee.replicas = 3;
-  config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  ServerResult run = RunServerBench(server, client, config, link);
-
-  EXPECT_FALSE(run.diverged) << server.name;
-  // Request/response transcript identical to the unreplicated baseline: same
-  // request count, same response bytes, no client-visible errors.
-  EXPECT_EQ(run.requests, base.requests) << server.name;
-  EXPECT_EQ(run.bytes_received, base.bytes_received) << server.name;
-  // Batching really engaged (the log appends are batchable on every rank).
-  EXPECT_GT(run.stats.rb_batched_entries, 0u) << server.name;
-  EXPECT_GT(run.stats.rb_precall_coalesced, 0u) << server.name;
-  EXPECT_GT(run.stats.rb_batch_flushes, 0u) << server.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(EpollAndPool, AdaptiveBatchServerTest,
-                         ::testing::Values("nginx", "memcached"));
-
-TEST(AdaptiveBatchServerTest, AdaptiveMatchesOrBeatsBestFixedWindow) {
-  // The acceptance check behind the bench_abl_rb sweep, in miniature: on a
-  // multi-rank server workload the adaptive window must be at least competitive
-  // with the best fixed window (virtual time is deterministic, so a small
-  // tolerance only covers cost-model granularity, not noise).
-  ServerSpec server = ServerByName("nginx");
-  server.log_writes = 6;
-  ClientSpec client;
-  client.connections = 16;
-  client.total_requests = 150;
-  client.request_bytes = 512;
-  LinkParams link{Millis(1), 0.125};
-
-  double best_fixed = -1;
-  for (int batch : {0, 2, 4, 8, 16}) {
-    RunConfig config;
-    config.mvee.mode = MveeMode::kRemon;
-    config.mvee.replicas = 3;
-    config.mvee.level = PolicyLevel::kSocketRw;
-    config.mvee.rb_batch_max = batch;
-    ServerResult r = RunServerBench(server, client, config, link);
-    ASSERT_FALSE(r.diverged) << "fixed " << batch;
-    ASSERT_EQ(r.requests, 150) << "fixed " << batch;
-    if (best_fixed < 0 || r.seconds < best_fixed) {
-      best_fixed = r.seconds;
-    }
-  }
-
-  RunConfig adaptive;
-  adaptive.mvee.mode = MveeMode::kRemon;
-  adaptive.mvee.replicas = 3;
-  adaptive.mvee.level = PolicyLevel::kSocketRw;
-  adaptive.mvee.rb_batch_max = 16;
-  adaptive.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
-  ServerResult a = RunServerBench(server, client, adaptive, link);
-  ASSERT_FALSE(a.diverged);
-  ASSERT_EQ(a.requests, 150);
-  EXPECT_LE(a.seconds, best_fixed * 1.02);
-}
-
 // --- Cross-machine replica sets (RB transport over the simulated network) ----------
 
 // Acceptance bar for the transport: a 3-rank replica set with one remote rank must
@@ -206,8 +122,6 @@ TEST_P(RemotePlacementServerTest, TranscriptMatchesShmPlacement) {
   local.mvee.mode = MveeMode::kRemon;
   local.mvee.replicas = 3;
   local.mvee.level = PolicyLevel::kSocketRw;
-  local.mvee.rb_batch_max = 16;
-  local.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   ServerResult shm = RunServerBench(server, client, local, link);
   ASSERT_FALSE(shm.diverged) << server.name;
   ASSERT_EQ(shm.requests, 80) << server.name;
@@ -247,8 +161,6 @@ TEST(RemotePlacementTest, TwoRemoteRanksOnDistinctHosts) {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 3;
   config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 8;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1, 2};
   ServerResult r = RunServerBench(server, client, config,
                                   LinkParams{60 * kMicrosecond, 0.125});
@@ -276,8 +188,6 @@ TEST(RemotePlacementTest, KilledReplicaReseedsAndServesIdenticalTranscript) {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 3;
   config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {1};
   ServerResult uninterrupted = RunServerBench(server, client, config, link);
   ASSERT_FALSE(uninterrupted.diverged);
@@ -326,8 +236,6 @@ TEST(RemotePlacementTest, MultithreadedPoolServerReseedsWithSyncLog) {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 3;
   config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
   config.mvee.use_sync_agent = true;
 
@@ -385,8 +293,6 @@ TEST(RemotePlacementTest, RepeatingKillOnServerRunReturnsOnceClientIsDone) {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 3;
   config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.placement = {0, 1};  // Replica 2 on its own machine.
   config.mvee.use_sync_agent = true;
   ServerResult intact = RunServerBench(server, client, config, link);
@@ -425,8 +331,6 @@ TEST(RemotePlacementTest, SealedPlacementServesShmTranscript) {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 3;
   config.mvee.level = PolicyLevel::kSocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.mvee.use_sync_agent = true;
   ServerResult shm = RunServerBench(server, client, config, link);
   ASSERT_FALSE(shm.diverged);
@@ -470,8 +374,6 @@ TEST(RemotePlacementTest, RemoteLinkDownReportsDivergenceNotHang) {
   opts.mode = MveeMode::kRemon;
   opts.replicas = 3;
   opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   opts.machine = w.server_machine;
   opts.replica_machines = {w.server_machine, w.server_machine, remote_machine};
   Remon mvee(&w.kernel, opts);
@@ -591,8 +493,6 @@ LifecycleRun RunRemoteLifecycle(bool faults) {
   opts.mode = MveeMode::kRemon;
   opts.replicas = 2;
   opts.level = PolicyLevel::kNonsocketRw;
-  opts.rb_batch_max = 8;
-  opts.rb_batch_policy = RbBatchPolicy::kAdaptive;
   opts.machine = w.server_machine;
   opts.replica_machines = {w.server_machine, home};
   opts.respawn_dead_replicas = true;
@@ -763,8 +663,6 @@ RunConfig SyncColumnConfig() {
   config.mvee.mode = MveeMode::kRemon;
   config.mvee.replicas = 2;
   config.mvee.level = PolicyLevel::kNonsocketRw;
-  config.mvee.rb_batch_max = 16;
-  config.mvee.rb_batch_policy = RbBatchPolicy::kAdaptive;
   config.mvee.use_sync_agent = true;
   config.mvee.sync_log_size = kSyncLogOffEntries + 64 * kSyncLogEntrySize;
   return config;
@@ -847,8 +745,6 @@ TEST(SyncSuiteTest, SyncVariantTranscriptsIdenticalAcrossPlacements) {
     opts.mode = config.mvee.mode;
     opts.replicas = config.mvee.replicas;
     opts.level = config.mvee.level;
-    opts.rb_batch_max = config.mvee.rb_batch_max;
-    opts.rb_batch_policy = config.mvee.rb_batch_policy;
     opts.use_sync_agent = true;
     opts.sync_log_size = remote == 2 ? kStarvedSyncLogSize : config.mvee.sync_log_size;
     opts.machine = w.server_machine;

@@ -42,16 +42,6 @@ void PrintStats(const SimStats& stats) {
               static_cast<unsigned long long>(stats.rb_entries),
               static_cast<unsigned long long>(stats.rb_resets),
               static_cast<unsigned long long>(stats.rb_migrations));
-  if (stats.rb_batch_flushes > 0) {
-    std::printf("  rb batching: batched=%llu precall-coalesced=%llu flushes=%llu "
-                "window +%llu/-%llu park-flushes=%llu\n",
-                static_cast<unsigned long long>(stats.rb_batched_entries),
-                static_cast<unsigned long long>(stats.rb_precall_coalesced),
-                static_cast<unsigned long long>(stats.rb_batch_flushes),
-                static_cast<unsigned long long>(stats.rb_batch_window_grows),
-                static_cast<unsigned long long>(stats.rb_batch_window_shrinks),
-                static_cast<unsigned long long>(stats.rb_park_flushes));
-  }
   if (stats.rb_frames_sent > 0) {
     // Cumulative over the whole run: epoch bumps (remote deaths) never reset the
     // transport counters — the per-epoch breakdown below attributes them.
