@@ -59,7 +59,7 @@ int Run(BenchMain* bench) {
     SuiteResult run = RunSuiteWorkload(spec, config);
     // Degenerate-run guard: a native run reporting zero seconds or zero
     // syscalls must render "-" rather than emit inf/nan into the table/JSON.
-    double norm = run.finished && !run.diverged
+    double norm = bench->CheckRun(std::string("designs/") + d.key, run)
                       ? SafeNorm(run.seconds, base.seconds)
                       : -1.0;
     double per_call = norm > 0 && calls > 0

@@ -338,17 +338,25 @@ void RunLockstepSchedulerProfile(BenchJson* json) {
   const double lane_fraction = static_cast<double>(lane) / static_cast<double>(lane + heap);
   const double events_per_syscall =
       static_cast<double>(events) / static_cast<double>(syscalls);
+  // Each stop that finds its rank's monitor lane idle pays one waitpid wakeup.
+  const double wakeups_per_round =
+      static_cast<double>(sim.stats().ptrace_wakeups) /
+      static_cast<double>(sim.stats().syscalls_monitored);
 
   Table table({"metric", "value"});
   table.AddRow({"syscalls (all ranks)", Table::Num(static_cast<double>(syscalls), 0)});
   table.AddRow({"events run", Table::Num(static_cast<double>(events), 0)});
   table.AddRow({"ready-lane share", Table::Num(lane_fraction, 4)});
   table.AddRow({"events per syscall", Table::Num(events_per_syscall, 3)});
+  table.AddRow({"lockstep rounds",
+                Table::Num(static_cast<double>(sim.stats().syscalls_monitored), 0)});
+  table.AddRow({"ptrace wakeups per round", Table::Num(wakeups_per_round, 3)});
   table.Print();
 
   json->Add("event_queue/lockstep_ready_lane_fraction", lane_fraction, "ratio",
             /*higher_is_better=*/true);
   json->Add("event_queue/lockstep_events_per_syscall", events_per_syscall, "count");
+  json->Add("ptrace/wakeups_per_lockstep_round", wakeups_per_round, "count");
 }
 
 }  // namespace

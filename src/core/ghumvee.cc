@@ -28,17 +28,18 @@ bool IsSyncFatalSignal(int sig) {
 
 }  // namespace
 
-Ghumvee::Ghumvee(Kernel* kernel) : kernel_(kernel), hub_(kernel) {}
+Ghumvee::Ghumvee(Kernel* kernel)
+    : kernel_(kernel), hub_(kernel, [this](int rank) { return OpenLane(rank); }) {}
 
 Ghumvee::~Ghumvee() {
-  if (loop_frame_) {
-    loop_frame_.destroy();
+  for (std::coroutine_handle<> frame : loop_frames_) {
+    frame.destroy();
   }
 }
 
-auto Ghumvee::Work(DurationNs d) {
-  return MonitorCost{kernel_, hub_.monitor_machine, hub_.monitor_entity, &hub_.monitor_core,
-                     d};
+auto Ghumvee::Work(int rank, DurationNs d) {
+  PtraceHub::Lane* lane = hub_.lane(rank);
+  return MonitorCost{kernel_, hub_.monitor_machine, lane->entity, &lane->core, d};
 }
 
 void Ghumvee::AddReplica(Process* process) {
@@ -67,17 +68,9 @@ int Ghumvee::ReplicaIndexOf(const Process* p) const {
   return -1;
 }
 
-void Ghumvee::Start() {
-  REMON_CHECK(!replicas_.empty());
-  running_ = true;
-  GuestTask<void> loop = MonitorLoop();
-  loop_frame_ = loop.ReleaseAsRoot(
-      [](void* arg) { static_cast<Ghumvee*>(arg)->running_ = false; }, this);
-  kernel_->sim()->queue().ScheduleAfter(0, [this] {
-    if (loop_frame_) {
-      loop_frame_.resume();
-    }
-  });
+std::coroutine_handle<> Ghumvee::OpenLane(int rank) {
+  loop_frames_.push_back(MonitorLoop(rank).ReleaseAsRoot(nullptr, nullptr));
+  return loop_frames_.back();
 }
 
 void Ghumvee::Divergence(int rank, Sys nr, std::string reason) {
@@ -96,13 +89,11 @@ void Ghumvee::Divergence(int rank, Sys nr, std::string reason) {
   }
 }
 
-GuestTask<void> Ghumvee::MonitorLoop() {
+GuestTask<void> Ghumvee::MonitorLoop(int rank) {
   const CostModel& costs = kernel_->sim()->costs();
-  while (true) {
-    if (replicas_exited_ >= num_replicas() && !hub_.has_events()) {
-      break;  // All replicas gone and nothing left to process.
-    }
-    PtraceEvent ev = co_await hub_.NextEvent();
+  // Ends once the hub is closed (every replica exited) and this lane is drained.
+  while (std::optional<PtraceEvent> next = co_await hub_.NextEvent(rank)) {
+    const PtraceEvent& ev = *next;
     // Every stop costs the monitor a waitpid round + GETREGS + (later) a resume,
     // even when events are queued back to back.
     DurationNs event_cost = costs.monitor_dispatch_ns;
@@ -111,28 +102,14 @@ GuestTask<void> Ghumvee::MonitorLoop() {
         ev.kind == PtraceEvent::Kind::kSignal) {
       event_cost += costs.monitor_event_ns;
     }
-    co_await Work(event_cost);
+    co_await Work(rank, event_cost);
     switch (ev.kind) {
       case PtraceEvent::Kind::kSyscallEntry:
         co_await HandleEntryStop(ev.thread);
         break;
-      case PtraceEvent::Kind::kSyscallExit: {
-        Thread* t = ev.thread;
-        int rank = t->rank();
-        auto it = ranks_.find(rank);
-        if (it != ranks_.end() && it->second.phase == RankState::Phase::kMasterExecuting &&
-            ReplicaIndexOf(t->process()) == 0) {
-          co_await ReplicateMasterResults(rank, it->second, t, t->cur_result);
-          break;
-        }
-        HandleExitStop(t);
-        // A completed drain may unblock a queued lockstep round.
-        if (it != ranks_.end() && it->second.phase == RankState::Phase::kCollecting &&
-            it->second.pending_count == num_replicas()) {
-          co_await RunLockstep(rank, it->second);
-        }
+      case PtraceEvent::Kind::kSyscallExit:
+        co_await HandleExitStop(rank, ev.thread);
         break;
-      }
       case PtraceEvent::Kind::kSignal:
         co_await HandleSignalStop(ev);
         break;
@@ -148,7 +125,6 @@ GuestTask<void> Ghumvee::MonitorLoop() {
     }
     hub_.Done(ev);
   }
-  running_ = false;
 }
 
 GuestTask<void> Ghumvee::HandleEntryStop(Thread* t) {
@@ -209,7 +185,8 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   }
 
   // Promote the pending arrivals to the current round; new arrivals may accumulate
-  // while this round executes and drains.
+  // while this round is in flight.
+  rs.phase = RankState::Phase::kComparing;
   rs.current = std::move(rs.pending);
   rs.pending.assign(static_cast<size_t>(num_replicas()), nullptr);
   rs.pending_count = 0;
@@ -219,9 +196,17 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   Sys nr = rs.req.nr;
 
   // --- Cross-check: deep-compare every replica's argument signature (§2). --------
+  // Other lanes run while this one waits on its core: a member that died meanwhile
+  // ends the round (MemberGone decided whether that is divergence).
+  auto member_gone = [&rs] {
+    return std::find(rs.current.begin(), rs.current.end(), nullptr) != rs.current.end();
+  };
   std::vector<uint8_t> master_sig = SerializeCallSignature(replicas_[0], rs.req);
-  co_await Work(costs.VmCopyCost(master_sig.size()));
+  co_await Work(rank, costs.VmCopyCost(master_sig.size()));
   for (int i = 1; i < num_replicas(); ++i) {
+    if (shutdown_ || member_gone()) {
+      co_return;
+    }
     Thread* t = rs.current[static_cast<size_t>(i)];
     if (t->cur_req.nr != nr) {
       Divergence(rank, nr, "system call number mismatch across replicas");
@@ -229,11 +214,14 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     }
     std::vector<uint8_t> sig = SerializeCallSignature(replicas_[static_cast<size_t>(i)],
                                                       t->cur_req);
-    co_await Work(costs.VmCopyCost(sig.size()) + costs.CompareCost(sig.size()));
+    co_await Work(rank, costs.VmCopyCost(sig.size()) + costs.CompareCost(sig.size()));
     if (sig != master_sig) {
       Divergence(rank, nr, "argument signature mismatch across replicas");
       co_return;
     }
+  }
+  if (shutdown_ || member_gone()) {
+    co_return;
   }
   if (temporal_ != nullptr) {
     temporal_->RecordApproval(nr);
@@ -245,14 +233,14 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   // --- Special monitored calls. ------------------------------------------------
   if (IsSharedMemoryViolation(rs.req)) {
     ++stats.shm_requests_denied;
+    rs.phase = RankState::Phase::kDraining;
+    rs.drain_remaining = num_replicas();
     for (int i = 0; i < num_replicas(); ++i) {
       PtraceAction a;
       a.skip_syscall = true;
       a.injected_result = -kEPERM;
-      kernel_->PtraceResume(rs.current[static_cast<size_t>(i)], a);
+      Resume(rs.current[static_cast<size_t>(i)], a);
     }
-    rs.phase = RankState::Phase::kDraining;
-    rs.drain_remaining = num_replicas();
     co_return;
   }
   if (nr == Sys::kRemonRbFlush) {
@@ -261,7 +249,10 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     // before the replacement acks the End frame dooms the join (the agent
     // refuses a checkpoint from a stale generation, which tears the link and
     // charges the respawn budget for the leader's own reset).
-    co_await AwaitReseedGate();
+    co_await AwaitReseedGate(rank);
+    if (shutdown_ || member_gone()) {
+      co_return;
+    }
     HandleRbFlush(static_cast<int>(rs.req.arg(0)), rs);
     co_return;
   }
@@ -294,104 +285,160 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     rs.phase = RankState::Phase::kDraining;
     rs.drain_remaining = num_replicas();
     for (int i = 0; i < num_replicas(); ++i) {
-      kernel_->PtraceResume(rs.current[static_cast<size_t>(i)], PtraceAction{});
+      Resume(rs.current[static_cast<size_t>(i)], PtraceAction{});
     }
     co_return;
   }
 
-  // Master-call: only the master executes; slaves stay parked at their entry stops
-  // until the results are ready.
-  rs.phase = RankState::Phase::kMasterExecuting;
+  // Master-call: the master executes it while every slave takes a fake (skipped)
+  // call beside it and parks at that call's exit stop for the master's results.
+  rs.phase = RankState::Phase::kMasterCall;
+  rs.legs.assign(static_cast<size_t>(num_replicas()), RankState::Leg::kRunning);
+  rs.drain_remaining = num_replicas();
+  rs.results_ready = false;
   ++stats.syscalls_mastercall;
-  kernel_->PtraceResume(master_thread, PtraceAction{});
+  Resume(master_thread, PtraceAction{});
+  PtraceAction fake;
+  fake.skip_syscall = true;
+  for (int i = 1; i < num_replicas(); ++i) {
+    Resume(rs.current[static_cast<size_t>(i)], fake);
+  }
 }
 
-GuestTask<void> Ghumvee::ReplicateMasterResults(int rank, RankState& rs,
-                                                Thread* master_thread, int64_t result) {
+GuestTask<void> Ghumvee::HandleExitStop(int rank, Thread* t) {
+  auto it = ranks_.find(rank);
+  RankState* rs = it == ranks_.end() ? nullptr : &it->second;
+  int ridx = ReplicaIndexOf(t->process());
+  if (rs != nullptr && rs->phase == RankState::Phase::kMasterCall && ridx >= 0 &&
+      rs->current[static_cast<size_t>(ridx)] == t &&
+      rs->legs[static_cast<size_t>(ridx)] == RankState::Leg::kRunning) {
+    if (ridx == 0) {
+      co_await HandleMasterExit(rank, *rs, t);
+    } else {
+      // The slave's fake call: park it until the master's results exist.
+      rs->legs[static_cast<size_t>(ridx)] = RankState::Leg::kParked;
+      if (rs->results_ready) {
+        co_await DeliverResults(rank, *rs, ridx);
+      }
+    }
+  } else {
+    Resume(t, PtraceAction{});
+    if (rs != nullptr && rs->phase == RankState::Phase::kDraining) {
+      LegDone(*rs);
+    }
+  }
+  // A completed round may unblock a queued one.
+  if (rs != nullptr && !shutdown_ && rs->phase == RankState::Phase::kCollecting &&
+      rs->pending_count == num_replicas()) {
+    co_await RunLockstep(rank, *rs);
+  }
+}
+
+GuestTask<void> Ghumvee::HandleMasterExit(int rank, RankState& rs, Thread* master_thread) {
   const CostModel& costs = kernel_->sim()->costs();
-  Sys nr = rs.req.nr;
+  int64_t result = master_thread->cur_result;
 
   // FD bookkeeping feeds the IP-MON file map (§3.6). The map is shared by every
   // replica and a replacement cross-checks it against its checkpoint, so a
   // round that was executing when the checkpoint was cut — or one that started
   // since — must not move it until the replacement has applied the image.
-  co_await AwaitReseedGate();
-  TrackFds(master_thread->cur_req, result);
-  if ((nr == Sys::kOpen || nr == Sys::kOpenat) && result >= 0) {
-    FilterMapsContent(master_thread, master_thread->cur_req, result);
+  co_await AwaitReseedGate(rank);
+  if (shutdown_ || rs.legs[0] != RankState::Leg::kRunning) {
+    co_return;
+  }
+  TrackFds(rs.req, result);
+  if ((rs.req.nr == Sys::kOpen || rs.req.nr == Sys::kOpenat) && result >= 0) {
+    FilterMapsContent(master_thread, rs.req, result);
   }
 
-  // Copy out-regions from the master and write them into each slave at the slave's
-  // own addresses (process_vm_readv/writev analogs).
-  std::vector<OutRegion> master_regions =
-      CollectOutRegions(replicas_[0], master_thread->cur_req, result);
-  std::vector<std::vector<uint8_t>> blobs;
-  blobs.reserve(master_regions.size());
-  for (const OutRegion& r : master_regions) {
+  // Copy the out-regions from the master (process_vm_readv analog).
+  rs.master_regions = CollectOutRegions(replicas_[0], rs.req, result);
+  rs.blobs.clear();
+  for (const OutRegion& r : rs.master_regions) {
     std::vector<uint8_t> data(r.len);
     kernel_->TracerRead(replicas_[0], r.addr, data.data(), r.len);
-    co_await Work(costs.VmCopyCost(r.len));
-    blobs.push_back(std::move(data));
+    rs.blobs.push_back(std::move(data));
+    co_await Work(rank, costs.VmCopyCost(r.len));
   }
+  if (shutdown_ || rs.legs[0] != RankState::Leg::kRunning) {
+    co_return;
+  }
+  rs.result = result;
+  rs.results_ready = true;
 
-  for (int i = 1; i < num_replicas(); ++i) {
-    Thread* slave = rs.current[static_cast<size_t>(i)];
-    std::vector<OutRegion> slave_regions =
-        CollectOutRegions(replicas_[static_cast<size_t>(i)], slave->cur_req, result);
-    for (size_t r = 0; r < slave_regions.size() && r < blobs.size(); ++r) {
-      std::vector<uint8_t> data = blobs[r];
-      if (master_regions[r].is_epoll_events) {
-        // Translate master data values -> fd -> slave data values (§3.9).
-        int epfd = static_cast<int>(slave->cur_req.arg(0));
-        for (int e = 0; e < master_regions[r].event_count; ++e) {
-          GuestEpollEvent ev;
-          std::memcpy(&ev, data.data() + static_cast<size_t>(e) * sizeof(ev), sizeof(ev));
-          // Resolve master data -> fd, then fd -> slave data; either side may be
-          // authoritative in GHUMVEE's maps (monitored epoll_ctl) or in IP-MON's
-          // (exempt epoll_ctl).
-          int fd_val = -1;
-          if (!epoll_shadow_[0].FdForData(epfd, ev.data, &fd_val) &&
-              ipmons_[0] != nullptr) {
-            ipmons_[0]->LookupEpollFd(epfd, ev.data, &fd_val);
-          }
-          if (fd_val >= 0) {
-            // Aligned staging value: GuestEpollEvent is packed, so &ev.data is a
-            // misaligned uint64_t* the lookup must not store through.
-            uint64_t slave_data = 0;
-            if (epoll_shadow_[static_cast<size_t>(i)].DataForFd(epfd, fd_val,
-                                                                &slave_data) ||
-                (ipmons_[static_cast<size_t>(i)] != nullptr &&
-                 ipmons_[static_cast<size_t>(i)]->LookupEpollData(epfd, fd_val,
-                                                                  &slave_data))) {
-              ev.data = slave_data;
-            }
-          }
-          std::memcpy(data.data() + static_cast<size_t>(e) * sizeof(ev), &ev, sizeof(ev));
-        }
-      }
-      kernel_->TracerWrite(replicas_[static_cast<size_t>(i)], slave_regions[r].addr,
-                           data.data(), std::min<uint64_t>(data.size(), slave_regions[r].len));
-      co_await Work(costs.VmCopyCost(data.size()));
+  // The master runs on at once; each slave gets the results as soon as it is
+  // parked at its fake call's exit stop — now for those already there.
+  rs.legs[0] = RankState::Leg::kDone;
+  Resume(master_thread, PtraceAction{});
+  LegDone(rs);
+  for (int i = 1; i < num_replicas() && rs.phase == RankState::Phase::kMasterCall; ++i) {
+    if (rs.legs[static_cast<size_t>(i)] == RankState::Leg::kParked) {
+      co_await DeliverResults(rank, rs, i);
     }
-    // Abort the slave's call and inject the master's return value.
-    PtraceAction a;
-    a.skip_syscall = true;
-    a.injected_result = result;
-    kernel_->PtraceResume(slave, a);
-  }
-
-  // Resume the master past its exit stop (already consumed by this handler); the
-  // drain then waits only for the slaves' skip-path exit stops.
-  rs.phase = RankState::Phase::kDraining;
-  rs.drain_remaining = num_replicas() - 1;
-  kernel_->PtraceResume(master_thread, PtraceAction{});
-  if (rs.drain_remaining == 0) {
-    rs.phase = RankState::Phase::kCollecting;
-    rs.current.clear();
   }
 }
 
-GuestTask<void> Ghumvee::AwaitReseedGate() {
+GuestTask<void> Ghumvee::DeliverResults(int rank, RankState& rs, int replica) {
+  const CostModel& costs = kernel_->sim()->costs();
+  size_t i = static_cast<size_t>(replica);
+  // Write the master's out-regions into the slave at the slave's own addresses
+  // (process_vm_writev analog). A slave that dies meanwhile has its leg closed by
+  // MemberGone before ReleaseExited drops the round's pointer to it.
+  std::vector<OutRegion> slave_regions =
+      CollectOutRegions(replicas_[i], rs.current[i]->cur_req, rs.result);
+  for (size_t r = 0; r < slave_regions.size() && r < rs.blobs.size(); ++r) {
+    std::vector<uint8_t> data = rs.blobs[r];
+    if (rs.master_regions[r].is_epoll_events) {
+      // Translate master data values -> fd -> slave data values (§3.9).
+      int epfd = static_cast<int>(rs.current[i]->cur_req.arg(0));
+      for (int e = 0; e < rs.master_regions[r].event_count; ++e) {
+        GuestEpollEvent ev;
+        std::memcpy(&ev, data.data() + static_cast<size_t>(e) * sizeof(ev), sizeof(ev));
+        // Resolve master data -> fd, then fd -> slave data; either side may be
+        // authoritative in GHUMVEE's maps (monitored epoll_ctl) or in IP-MON's
+        // (exempt epoll_ctl).
+        int fd_val = -1;
+        if (!epoll_shadow_[0].FdForData(epfd, ev.data, &fd_val) && ipmons_[0] != nullptr) {
+          ipmons_[0]->LookupEpollFd(epfd, ev.data, &fd_val);
+        }
+        if (fd_val >= 0) {
+          // Aligned staging value: GuestEpollEvent is packed, so &ev.data is a
+          // misaligned uint64_t* the lookup must not store through.
+          uint64_t slave_data = 0;
+          if (epoll_shadow_[i].DataForFd(epfd, fd_val, &slave_data) ||
+              (ipmons_[i] != nullptr &&
+               ipmons_[i]->LookupEpollData(epfd, fd_val, &slave_data))) {
+            ev.data = slave_data;
+          }
+        }
+        std::memcpy(data.data() + static_cast<size_t>(e) * sizeof(ev), &ev, sizeof(ev));
+      }
+    }
+    kernel_->TracerWrite(replicas_[i], slave_regions[r].addr, data.data(),
+                         std::min<uint64_t>(data.size(), slave_regions[r].len));
+    co_await Work(rank, costs.VmCopyCost(data.size()));
+    if (shutdown_ || rs.legs[i] != RankState::Leg::kParked) {
+      co_return;
+    }
+  }
+  // The fake call returns the master's result.
+  rs.legs[i] = RankState::Leg::kDone;
+  PtraceAction a;
+  a.override_result = true;
+  a.result_override = rs.result;
+  Resume(rs.current[i], a);
+  LegDone(rs);
+}
+
+void Ghumvee::LegDone(RankState& rs) {
+  if (--rs.drain_remaining == 0) {
+    rs.phase = RankState::Phase::kCollecting;
+    rs.current.clear();
+    rs.blobs.clear();
+  }
+}
+
+GuestTask<void> Ghumvee::AwaitReseedGate(int rank) {
   if (!reseed_gate_ || !reseed_gate_()) {
     co_return;
   }
@@ -399,24 +446,13 @@ GuestTask<void> Ghumvee::AwaitReseedGate() {
   // answering every SYN within one round trip.
   ++kernel_->stats().reseed_gate_stalls;
   while (reseed_gate_() && !shutdown_ && divergences_.empty()) {
-    co_await Work(10 * kMicrosecond);
+    co_await Work(rank, 10 * kMicrosecond);
   }
 }
 
-void Ghumvee::HandleExitStop(Thread* t) {
-  int rank = t->rank();
-  auto it = ranks_.find(rank);
-  if (it == ranks_.end()) {
-    kernel_->PtraceResume(t, PtraceAction{});
-    return;
-  }
-  RankState& rs = it->second;
-  kernel_->PtraceResume(t, PtraceAction{});
-  if (rs.phase == RankState::Phase::kDraining) {
-    if (--rs.drain_remaining == 0) {
-      rs.phase = RankState::Phase::kCollecting;
-      rs.current.clear();
-    }
+void Ghumvee::Resume(Thread* t, const PtraceAction& action) {
+  if (t != nullptr && t->state() == ThreadState::kPtraceStopped) {
+    kernel_->PtraceResume(t, action);
   }
 }
 
@@ -450,7 +486,7 @@ void Ghumvee::HandleRbFlush(int rank, RankState& rs) {
     PtraceAction a;
     a.skip_syscall = true;
     a.injected_result = 0;
-    kernel_->PtraceResume(rs.current[static_cast<size_t>(i)], a);
+    Resume(rs.current[static_cast<size_t>(i)], a);
   }
 }
 
@@ -465,7 +501,7 @@ GuestTask<void> Ghumvee::HandleSignalStop(const PtraceEvent& ev) {
     inj->second &= ~(1ULL << (sig - 1));
     PtraceAction a;
     a.deliver_signal = true;
-    kernel_->PtraceResume(t, a);
+    Resume(t, a);
     co_return;
   }
   if (IsSyncFatalSignal(sig)) {
@@ -477,7 +513,7 @@ GuestTask<void> Ghumvee::HandleSignalStop(const PtraceEvent& ev) {
     reason += std::to_string(sig);
     PtraceAction a;
     a.deliver_signal = true;
-    kernel_->PtraceResume(t, a);
+    Resume(t, a);
     Divergence(t->rank(), t->cur_req.nr, std::move(reason));
     co_return;
   }
@@ -486,7 +522,7 @@ GuestTask<void> Ghumvee::HandleSignalStop(const PtraceEvent& ev) {
   // in the master only — see the execution-mode table).
   PtraceAction a;
   a.deliver_signal = false;
-  kernel_->PtraceResume(t, a);
+  Resume(t, a);
   if (ridx == 0) {
     DeferSignal(t, sig);
   }
@@ -546,22 +582,13 @@ void Ghumvee::SetSignalsPendingFlag(bool pending) {
 
 void Ghumvee::HandleThreadExit(Thread* t) {
   auto it = ranks_.find(t->rank());
-  if (it == ranks_.end()) {
-    return;
-  }
-  RankState& rs = it->second;
-  if (rs.phase == RankState::Phase::kDraining && rs.drain_remaining > 0) {
+  if (it != ranks_.end() && it->second.phase == RankState::Phase::kDraining &&
+      it->second.drain_remaining > 0) {
     // The thread exited instead of reaching its exit stop (exit/exit_group).
-    if (--rs.drain_remaining == 0) {
-      rs.phase = RankState::Phase::kCollecting;
-      rs.current.clear();
-    }
+    LegDone(it->second);
     return;
   }
-  if (rs.phase == RankState::Phase::kCollecting && rs.pending_count > 0 && !shutdown_) {
-    // Peers are waiting in lockstep for a thread that just died: divergence.
-    Divergence(t->rank(), Sys::kInvalid, "replica thread exited while peers wait in lockstep");
-  }
+  MemberGone(t);
 }
 
 void Ghumvee::HandleProcessExit(Process* p) {
@@ -571,21 +598,72 @@ void Ghumvee::HandleProcessExit(Process* p) {
   std::vector<Thread*> threads = p->threads;
   for (Thread* t : threads) {
     if (t->ptrace_held) {
+      MemberGone(t);
       ReleaseExited(t);
     }
   }
   // A clean, synchronized shutdown has every replica exiting in the same lockstep
-  // round; a lone exit while others continue running is divergence. We detect the
-  // latter lazily: if some replicas are still alive and make further calls, their
-  // lockstep rounds will stall with a dead peer — flagged via HandleThreadExit.
+  // round; a lone exit while others continue running is divergence, flagged by
+  // MemberGone when a round waits on the dead thread and otherwise by the next
+  // round's lockstep watchdog.
+  if (replicas_exited_ >= num_replicas()) {
+    hub_.Close();
+  }
+}
+
+void Ghumvee::MemberGone(Thread* t) {
+  auto it = ranks_.find(t->rank());
+  int ridx = ReplicaIndexOf(t->process());
+  if (it == ranks_.end() || ridx < 0 || shutdown_) {
+    return;
+  }
+  RankState& rs = it->second;
+  size_t i = static_cast<size_t>(ridx);
+  bool awaited = false;
+  switch (rs.phase) {
+    case RankState::Phase::kCollecting:
+      // Peers wait in lockstep for a round this thread can no longer complete.
+      awaited = rs.pending_count > 0;
+      break;
+    case RankState::Phase::kComparing:
+      awaited = rs.current[i] == t;
+      break;
+    case RankState::Phase::kMasterCall:
+      // Its leg can never complete: close it so the round's count stays true.
+      if (rs.current[i] == t && rs.legs[i] != RankState::Leg::kDone) {
+        rs.legs[i] = RankState::Leg::kDone;
+        LegDone(rs);
+        awaited = true;
+      }
+      break;
+    case RankState::Phase::kDraining:
+      break;
+  }
+  if (awaited && !ExitingInLockstep()) {
+    Sys nr = rs.phase == RankState::Phase::kCollecting ? Sys::kInvalid : rs.req.nr;
+    Divergence(t->rank(), nr, "replica thread exited while peers wait in lockstep");
+  }
+}
+
+bool Ghumvee::ExitingInLockstep() const {
+  for (const auto& [rank, rs] : ranks_) {
+    if (rs.phase == RankState::Phase::kDraining && rs.req.nr == Sys::kExitGroup) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void Ghumvee::ReleaseExited(Thread* t) {
   auto it = ranks_.find(t->rank());
   if (it != ranks_.end()) {
-    for (std::vector<Thread*>* round : {&it->second.pending, &it->second.current}) {
-      std::replace(round->begin(), round->end(), t, static_cast<Thread*>(nullptr));
+    RankState& rs = it->second;
+    auto arrived = std::find(rs.pending.begin(), rs.pending.end(), t);
+    if (arrived != rs.pending.end()) {
+      *arrived = nullptr;
+      --rs.pending_count;
     }
+    std::replace(rs.current.begin(), rs.current.end(), t, static_cast<Thread*>(nullptr));
   }
   injected_signals_.erase(t);
   kernel_->PtraceRelease(t);

@@ -1,11 +1,15 @@
 // GHUMVEE: the security-oriented cross-process monitor (paper §2, §3).
 //
 // GHUMVEE attaches to every replica with (simulated) ptrace and receives
-// syscall-entry, syscall-exit, and signal-delivery stops. Monitored calls run in
-// lockstep: all replicas' rank-r threads must arrive at the entry stop, their deep-
-// compared argument signatures must match, and then either
-//   * master-call: only the master executes; GHUMVEE copies the results into the
-//     slaves' memory (process_vm_writev analog) and injects the return value, or
+// syscall-entry, syscall-exit, and signal-delivery stops. Like the paper's monitor it
+// runs one monitor thread per set of replica threads: every rank has its own lane in
+// the PtraceHub and its own MonitorLoop, so different ranks' rounds overlap. Monitored
+// calls run in lockstep: all replicas' rank-r threads must arrive at the entry stop,
+// their deep-compared argument signatures must match, and then either
+//   * master-call: the master executes while every slave is resumed into a fake
+//     (skipped) call and parks at its exit stop; at the master's exit stop GHUMVEE
+//     reads the results, resumes the master at once, and copies the results into
+//     each parked slave (process_vm_writev analog) with the master's return value, or
 //   * local call: every replica executes its own (memory management, thread
 //     creation, signal bookkeeping, futexes).
 //
@@ -71,12 +75,8 @@ class Ghumvee {
   void set_reseed_gate(std::function<bool()> gate) { reseed_gate_ = std::move(gate); }
   FileMap* file_map() { return &file_map_; }
 
-  // Starts the monitor event loop.
-  void Start();
-
   // --- Status ---------------------------------------------------------------------
 
-  bool running() const { return running_; }
   bool shutdown_requested() const { return shutdown_; }
   bool divergence_detected() const { return !divergences_.empty(); }
   const std::vector<DivergenceRecord>& divergences() const { return divergences_; }
@@ -92,16 +92,30 @@ class Ghumvee {
  private:
   // Per-rank lockstep state machine. Arrivals accumulate in `pending` (threads stay
   // parked at their entry stops); a round fires when every replica has arrived and no
-  // previous round is still executing/draining. `current` holds the firing round's
-  // threads — arrivals for the *next* round can accumulate while it drains.
+  // previous round is still in flight. `current` holds the firing round's threads —
+  // arrivals for the *next* round can accumulate while it completes.
   struct RankState {
-    enum class Phase { kCollecting, kMasterExecuting, kDraining };
+    // kComparing: the round's signatures are being compared. kMasterCall: the master
+    // executes, the slaves take the fake call. kDraining: every thread passes its own
+    // exit stop (local calls, the shared-memory denial, the RB flush).
+    enum class Phase { kCollecting, kComparing, kMasterCall, kDraining };
+    // A master-call member's progress: running to its exit stop, parked there
+    // awaiting the master's results (slaves only), or done with the round.
+    enum class Leg : uint8_t { kRunning, kParked, kDone };
     Phase phase = Phase::kCollecting;
     std::vector<Thread*> pending;  // Indexed by replica; nullptr until arrival.
     int pending_count = 0;
     std::vector<Thread*> current;  // The in-flight round.
+    // Threads still owed their exit stop (kDraining) or their leg (kMasterCall).
     int drain_remaining = 0;
     SyscallRequest req;
+    // kMasterCall: per-replica legs, and the master's results once its exit stop
+    // has been handled (`results_ready`).
+    std::vector<Leg> legs;
+    bool results_ready = false;
+    int64_t result = 0;
+    std::vector<OutRegion> master_regions;
+    std::vector<std::vector<uint8_t>> blobs;
     // Watchdog: armed while arrivals are partial; fires Divergence if the round
     // never completes (a compromised replica stopped participating in lockstep).
     EventQueue::EventId watchdog = 0;
@@ -116,22 +130,34 @@ class Ghumvee {
 
  private:
 
-  GuestTask<void> MonitorLoop();
+  // Opens rank `rank`'s monitor lane: returns its loop, parked before its first step.
+  std::coroutine_handle<> OpenLane(int rank);
+  GuestTask<void> MonitorLoop(int rank);
   GuestTask<void> HandleEntryStop(Thread* t);
   GuestTask<void> RunLockstep(int rank, RankState& rs);
-  GuestTask<void> ReplicateMasterResults(int rank, RankState& rs, Thread* master_thread,
-                                         int64_t result);
-  void HandleExitStop(Thread* t);
+  GuestTask<void> HandleExitStop(int rank, Thread* t);
+  // The master's exit stop: reads its results, resumes it, feeds every parked slave.
+  GuestTask<void> HandleMasterExit(int rank, RankState& rs, Thread* master_thread);
+  // Writes the master's results into parked slave `replica` and resumes it.
+  GuestTask<void> DeliverResults(int rank, RankState& rs, int replica);
+  // A round member's part is done; the last one returns the rank to collecting.
+  void LegDone(RankState& rs);
   GuestTask<void> HandleSignalStop(const PtraceEvent& ev);
   void HandleThreadExit(Thread* t);
   void HandleProcessExit(Process* p);
+  // Replica thread `t` died: a round waiting on it can never complete.
+  void MemberGone(Thread* t);
+  // True while a lockstepped exit_group drains: every replica is taking itself down.
+  bool ExitingInLockstep() const;
   // Drops every reference to exited thread `t` and releases it to the kernel,
   // which may then reap it (the waitpid that collects a traced zombie).
   void ReleaseExited(Thread* t);
+  // PTRACE_SYSCALL for a thread still at its stop (a killed tracee stays put).
+  void Resume(Thread* t, const PtraceAction& action);
 
-  // Parks the monitor while the re-seed gate is closed (see set_reseed_gate),
+  // Parks rank `rank`'s lane while the re-seed gate is closed (see set_reseed_gate),
   // until the checkpoint is acked, the link dies or the MVEE shuts down.
-  GuestTask<void> AwaitReseedGate();
+  GuestTask<void> AwaitReseedGate(int rank);
 
   // Special monitored calls.
   bool IsSharedMemoryViolation(const SyscallRequest& req) const;
@@ -146,8 +172,8 @@ class Ghumvee {
   void InjectDeferredSignals(int rank);
   void SetSignalsPendingFlag(bool pending);
 
-  // The awaitable cost helper bound to this monitor's scheduling identity.
-  auto Work(DurationNs d);
+  // The awaitable cost helper bound to rank `rank`'s lane.
+  auto Work(int rank, DurationNs d);
 
   int ReplicaIndexOf(const Process* p) const;
 
@@ -173,11 +199,10 @@ class Ghumvee {
   std::vector<DivergenceRecord> divergences_;
   std::function<bool()> reseed_gate_;
   bool rb_migration_ = false;
-  bool running_ = false;
   bool shutdown_ = false;
   int replicas_exited_ = 0;
   uint64_t lockstep_rounds_ = 0;
-  std::coroutine_handle<> loop_frame_;
+  std::vector<std::coroutine_handle<>> loop_frames_;  // One per opened lane.
 };
 
 }  // namespace remon

@@ -315,10 +315,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
     };
     kernel_->SpawnThread(replicas_[static_cast<size_t>(i)], std::move(wrapped));
   }
-
-  if (ghumvee_ != nullptr) {
-    ghumvee_->Start();
-  }
 }
 
 bool Remon::SpawnReplacement(int replica_index, int target_machine) {

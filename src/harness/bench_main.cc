@@ -21,7 +21,23 @@ bool BenchMain::Add(const std::string& name, double value, const char* unit,
   return true;
 }
 
-int BenchMain::Finish() { return json_.WriteTo(path_) ? 0 : 1; }
+bool BenchMain::CheckRun(const std::string& cell, const SuiteResult& run) {
+  if (run.finished && !run.diverged) {
+    return true;
+  }
+  std::fprintf(stderr, "bench_main: %s %s\n", cell.c_str(),
+               run.diverged ? "diverged" : "did not finish");
+  ++failed_runs_;
+  return false;
+}
+
+int BenchMain::Finish() {
+  bool written = json_.WriteTo(path_);
+  if (failed_runs_ > 0) {
+    std::fprintf(stderr, "bench_main: %d benign run(s) failed\n", failed_runs_);
+  }
+  return written && failed_runs_ == 0 ? 0 : 1;
+}
 
 double SafeRate(double count, double seconds) {
   if (seconds <= 0 || count <= 0) {
@@ -70,14 +86,13 @@ void RunSuiteGrid(const std::string& ns, const std::string& title,
       }
       const SuiteResult& base = it->second;
       SuiteResult run = RunSuiteWorkload(shaped, col.config);
-      double norm = run.finished && !run.diverged
-                        ? SafeNorm(run.seconds, base.seconds)
-                        : -1.0;
+      std::string cell = ns + "/" + spec.name + "/" + col.key;
+      double norm =
+          bench->CheckRun(cell, run) ? SafeNorm(run.seconds, base.seconds) : -1.0;
       row.push_back(Table::Num(norm));
       if (norm > 0) {
         col_values[c].push_back(norm);
-        bench->Add(ns + "/" + spec.name + "/" + col.key + "/normalized_time", norm,
-                   "x");
+        bench->Add(cell + "/normalized_time", norm, "x");
       }
       if (col.paper != nullptr) {
         double paper = col.paper(shaped);

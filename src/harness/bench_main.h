@@ -32,13 +32,19 @@ class BenchMain {
   bool Add(const std::string& name, double value, const char* unit = "x",
            bool higher_is_better = false);
 
+  // A benign suite run must finish without diverging. Returns whether `run` did;
+  // otherwise names `cell` on stderr and makes Finish() fail, so a cell cannot
+  // drop out of a baseline unnoticed.
+  bool CheckRun(const std::string& cell, const SuiteResult& run);
+
   // Writes the JSON document when --json=PATH was given; returns the process
-  // exit code for main().
+  // exit code for main(): non-zero if the write or any CheckRun failed.
   int Finish();
 
  private:
   BenchJson json_;
   std::string path_;
+  int failed_runs_ = 0;
 };
 
 // count/seconds with the degenerate-run guard: a native run reporting zero (or
@@ -66,7 +72,8 @@ struct SuiteColumn {
 //   <ns>/<spec>/<key>/normalized_time   per cell, and
 //   <ns>/geomean/<key>/normalized_time  per column
 // into `bench`. Each cell normalizes against a native run of the same
-// (possibly column-reshaped) spec; failed cells render "-" and emit nothing.
+// (possibly column-reshaped) spec; a cell whose run diverged or did not finish
+// renders "-", emits nothing and fails the bench (BenchMain::CheckRun).
 void RunSuiteGrid(const std::string& ns, const std::string& title,
                   const std::vector<WorkloadSpec>& specs,
                   const std::vector<SuiteColumn>& columns, BenchMain* bench);

@@ -137,10 +137,14 @@ struct GuestMsghdr {
   uint32_t msg_flags = 0;
 };
 
+// A sin_addr naming the caller's own machine (127.0.0.1): the same bytes in every
+// replica, wherever each one runs, so a loopback bind/connect compares equal.
+inline constexpr uint32_t kInaddrLoopback = 0x7f000001;
+
 struct GuestSockaddrIn {
   uint16_t sin_family = kAfInet;
   uint16_t sin_port = 0;       // Host byte order (simulation-private ABI).
-  uint32_t sin_addr = 0;       // Simulated machine id.
+  uint32_t sin_addr = 0;       // Simulated machine id, or kInaddrLoopback.
   uint8_t sin_zero[8] = {0};
 };
 

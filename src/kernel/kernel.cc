@@ -626,20 +626,43 @@ bool Kernel::TracerWrite(Process* p, GuestAddr addr, const void* data, uint64_t 
   return p->mem().WriteUnchecked(addr, data, len).ok;
 }
 
-PtraceHub::PtraceHub(Kernel* kernel)
-    : monitor_entity(kernel->NewMonitorEntity()), kernel_(kernel) {}
+PtraceHub::PtraceHub(Kernel* kernel, LaneOpener opener)
+    : kernel_(kernel), opener_(std::move(opener)) {}
 
 void PtraceHub::Push(const PtraceEvent& ev) {
+  int rank = ev.kind == PtraceEvent::Kind::kProcessExit ? 0 : ev.thread->rank();
+  if (static_cast<size_t>(rank) >= lanes_.size()) {
+    lanes_.resize(static_cast<size_t>(rank) + 1);
+  }
+  std::unique_ptr<Lane>& slot = lanes_[static_cast<size_t>(rank)];
+  if (slot == nullptr) {
+    slot = std::make_unique<Lane>();
+    slot->entity = kernel_->NewMonitorEntity();
+    slot->waiter = opener_(rank);
+  }
+  Lane& lane = *slot;
   if (ev.thread != nullptr) {
     ++ev.thread->pins;  // Until the tracer is Done with the event.
   }
-  queue_.push_back(ev);
-  if (waiter_) {
-    std::coroutine_handle<> h = waiter_;
-    waiter_ = nullptr;
-    // waitpid wakeup: the monitor pays a stop-notification cost on its own core.
-    kernel_->RunOnEntity(monitor_machine, monitor_entity, &monitor_core,
+  lane.queue.push_back(ev);
+  if (lane.waiter) {
+    std::coroutine_handle<> h = lane.waiter;
+    lane.waiter = nullptr;
+    // waitpid wakeup: the lane pays a stop-notification cost on its own core.
+    ++kernel_->stats().ptrace_wakeups;
+    kernel_->RunOnEntity(monitor_machine, lane.entity, &lane.core,
                          kernel_->sim()->costs().ptrace_stop_ns, [h] { h.resume(); });
+  }
+}
+
+void PtraceHub::Close() {
+  closed_ = true;
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (lane != nullptr && lane->waiter) {
+      std::coroutine_handle<> h = lane->waiter;
+      lane->waiter = nullptr;
+      kernel_->sim()->queue().ScheduleAfter(0, [h] { h.resume(); });
+    }
   }
 }
 

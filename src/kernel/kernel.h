@@ -232,8 +232,8 @@ class Kernel {
 
   // Adds `delta` to the live-replica count of `machine`.
   void CountReplica(uint32_t machine, int delta);
-  // A fresh scheduling identity for a monitor's CPU charges (PtraceHub), distinct
-  // from every tid and from every other monitor's.
+  // A fresh scheduling identity for a monitor lane's CPU charges (PtraceHub),
+  // distinct from every tid and from every other lane's.
   uint64_t NewMonitorEntity() { return kMonitorEntityBase + next_monitor_entity_++; }
 
   // Thread/process teardown.

@@ -4,9 +4,15 @@
 // syscall-entry/syscall-exit/signal-delivery stops via waitpid, inspects registers and
 // memory, and resumes tracees with PTRACE_SYSCALL. This module reproduces that event
 // model: tracees park at stops, events queue into the tracer's PtraceHub, and the
-// monitor coroutine consumes them with `co_await hub.NextEvent()`. Cost accounting
-// mirrors the expensive parts the paper blames for CP-MVEE overhead: every stop and
-// resume charges context-switch-scale costs on the monitor's core.
+// monitor coroutines consume them with `co_await hub.NextEvent(rank)`.
+//
+// Like the paper's GHUMVEE, the tracer runs one monitor thread per set of replica
+// threads: the hub keeps one lane per rank, each with its own event queue, waiter,
+// scheduling identity and core. A lane opens on its rank's first event (never at
+// launch); a process-exit event goes to lane 0. Cost accounting mirrors the expensive
+// parts the paper blames for CP-MVEE overhead: every stop and resume charges
+// context-switch-scale costs on the lane's core, and each lane pays its own waitpid
+// wakeup whenever a stop finds it idle.
 
 #ifndef SRC_KERNEL_PTRACE_H_
 #define SRC_KERNEL_PTRACE_H_
@@ -15,6 +21,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "src/kernel/thread.h"
 
@@ -40,37 +49,61 @@ struct PtraceEvent {
 
 class Kernel;
 
-// Per-tracer event channel. One GHUMVEE instance owns one hub covering all replicas.
+// Per-tracer event channel. One GHUMVEE instance owns one hub covering all replicas,
+// split into one lane per rank.
 class PtraceHub {
  public:
-  explicit PtraceHub(Kernel* kernel);
+  // One monitor thread's share of the channel: the events of one rank's threads.
+  struct Lane {
+    std::deque<PtraceEvent> queue;
+    std::coroutine_handle<> waiter;
+    // Scheduling identity for CPU cost accounting: a kernel-issued id no tid or
+    // other monitor lane shares, and the core it last ran on.
+    uint64_t entity = 0;
+    int core = -1;
+  };
+  // Returns the coroutine that serves a newly opened lane; it starts parked as the
+  // lane's waiter, so the lane's first event pays the wakeup like every later one.
+  using LaneOpener = std::function<std::coroutine_handle<>(int rank)>;
+
+  PtraceHub(Kernel* kernel, LaneOpener opener);
   PtraceHub(const PtraceHub&) = delete;
   PtraceHub& operator=(const PtraceHub&) = delete;
 
-  // Monitor identity for CPU cost accounting: a kernel-issued id no tid or other
-  // monitor shares, and the machine whose cores the monitor runs on (its leader's).
-  uint64_t monitor_entity;
+  // The machine whose cores every lane runs on (the leader's).
   uint32_t monitor_machine = 0;
-  int monitor_core = -1;
 
-  bool has_events() const { return !queue_.empty(); }
-  size_t queue_depth() const { return queue_.size(); }
+  // The lane serving `rank`, or nullptr before its first event.
+  Lane* lane(int rank) const {
+    return rank >= 0 && static_cast<size_t>(rank) < lanes_.size()
+               ? lanes_[static_cast<size_t>(rank)].get()
+               : nullptr;
+  }
 
-  // Pushes an event and wakes the waiting monitor (charging the waitpid-wakeup cost).
+  // Pushes an event onto its rank's lane (kProcessExit: lane 0), opening the lane on
+  // first use, and wakes the lane's waiting monitor (charging the waitpid wakeup).
   void Push(const PtraceEvent& ev);
+  // The last replica exited: every lane's NextEvent yields nullopt once its queue
+  // is drained, which ends its monitor.
+  void Close();
 
-  // Awaitable used by the monitor coroutine: resumes when an event is available.
+  // Awaitable used by a lane's monitor coroutine: resumes when an event is available
+  // (or with nullopt when the hub is closed and the lane drained).
   struct EventAwaiter {
     PtraceHub* hub;
-    bool await_ready() const { return hub->has_events(); }
-    void await_suspend(std::coroutine_handle<> h) { hub->waiter_ = h; }
-    PtraceEvent await_resume() {
-      PtraceEvent ev = hub->queue_.front();
-      hub->queue_.pop_front();
+    Lane* lane;
+    bool await_ready() const { return !lane->queue.empty() || hub->closed_; }
+    void await_suspend(std::coroutine_handle<> h) { lane->waiter = h; }
+    std::optional<PtraceEvent> await_resume() {
+      if (lane->queue.empty()) {
+        return std::nullopt;
+      }
+      PtraceEvent ev = lane->queue.front();
+      lane->queue.pop_front();
       return ev;
     }
   };
-  EventAwaiter NextEvent() { return EventAwaiter{this}; }
+  EventAwaiter NextEvent(int rank) { return EventAwaiter{this, lane(rank)}; }
   // The tracer has handled `ev` and keeps no reference to its thread through it.
   // An event pins its thread from Push to Done — a dead thread can still post its
   // exit stop after its kThreadExit — so the kernel never reaps a thread the
@@ -78,11 +111,10 @@ class PtraceHub {
   void Done(const PtraceEvent& ev);
 
  private:
-  friend class Kernel;
-
   Kernel* kernel_;
-  std::deque<PtraceEvent> queue_;
-  std::coroutine_handle<> waiter_;
+  LaneOpener opener_;
+  std::vector<std::unique_ptr<Lane>> lanes_;  // Indexed by rank; null until opened.
+  bool closed_ = false;
 };
 
 }  // namespace remon

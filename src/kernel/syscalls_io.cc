@@ -466,7 +466,8 @@ void Kernel::SysConnect(Thread* t, const SyscallRequest& req, Done done) {
   if (CopyIn(t->process(), &sa, req.arg(1), sizeof(sa)) != 0) {
     return done(-kEFAULT);
   }
-  int rc = sock->ConnectTo(SockAddr{sa.sin_addr, sa.sin_port});
+  uint32_t machine = sa.sin_addr == kInaddrLoopback ? t->process()->machine() : sa.sin_addr;
+  int rc = sock->ConnectTo(SockAddr{machine, sa.sin_port});
   if (rc != -kEINPROGRESS) {
     return done(rc);
   }

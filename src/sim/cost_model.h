@@ -31,7 +31,9 @@ struct CostModel {
 
   // --- ptrace (cross-process monitoring) ------------------------------------------
   // One ptrace stop: tracee halts, the kernel wakes the tracer (waitpid returns).
-  // Costs one context switch plus fixed kernel bookkeeping on each side.
+  // Costs one context switch plus fixed kernel bookkeeping on each side. Billed to
+  // the rank's monitor lane when the stop finds it idle (SimStats::ptrace_wakeups):
+  // every lane pays its own wakeups, and a stop queued behind a busy lane none.
   DurationNs ptrace_stop_ns = 2800;
   // PTRACE_SYSCALL/PTRACE_CONT resume of a stopped tracee.
   DurationNs ptrace_resume_ns = 1800;

@@ -36,6 +36,9 @@ struct SimStats {
   // ptrace traffic.
   uint64_t ptrace_stops = 0;
   uint64_t ptrace_resumes = 0;
+  // Stops that found their monitor lane idle: each bills one waitpid wakeup
+  // (ptrace_stop_ns) to the lane; a stop queued behind a busy lane bills none.
+  uint64_t ptrace_wakeups = 0;
   uint64_t vm_copies = 0;
   uint64_t vm_copy_bytes = 0;
 

@@ -274,7 +274,7 @@ ProgramFn SuiteProgram(const WorkloadSpec& spec) {
       GuestAddr sa = g.Alloc(sizeof(GuestSockaddrIn));
       GuestSockaddrIn addr;
       addr.sin_port = port;
-      addr.sin_addr = g.process()->machine();
+      addr.sin_addr = kInaddrLoopback;  // Bind binds the caller's own machine.
       g.Poke(sa, &addr, sizeof(addr));
       REMON_CHECK(0 == co_await g.Bind(static_cast<int>(lfd), sa, sizeof(addr)));
       REMON_CHECK(0 == co_await g.Listen(static_cast<int>(lfd), spec.threads + 1));
@@ -346,7 +346,7 @@ ProgramFn SuiteProgram(const WorkloadSpec& spec) {
           GuestAddr sa = wg.Alloc(sizeof(GuestSockaddrIn));
           GuestSockaddrIn addr;
           addr.sin_port = port;
-          addr.sin_addr = wg.process()->machine();
+          addr.sin_addr = kInaddrLoopback;
           wg.Poke(sa, &addr, sizeof(addr));
           int64_t crc = co_await wg.Connect(static_cast<int>(s), sa, sizeof(addr));
           REMON_CHECK(crc == 0);

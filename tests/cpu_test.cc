@@ -140,27 +140,50 @@ TEST(CpuModelTest, TwoMonitorsOnOneMachineSwitchContext) {
   opts.machine = w.server_machine;
   Remon first(&w.kernel, opts);
   Remon second(&w.kernel, opts);
-  first.Launch([](Guest& g) -> GuestTask<void> { co_await g.Getpid(); }, "first");
-  second.Launch([](Guest& g) -> GuestTask<void> { co_await g.Getpid(); }, "second");
+  // Two ranks per replica set, so each monitor opens two lanes.
+  std::vector<uint64_t> tids;
+  auto body = [&tids](Guest& g) -> GuestTask<void> {
+    tids.push_back(static_cast<uint64_t>(g.thread()->tid()));
+    uint64_t helper = g.RegisterThreadFn([&tids](Guest& hg) -> GuestTask<void> {
+      tids.push_back(static_cast<uint64_t>(hg.thread()->tid()));
+      co_await hg.Getpid();
+    });
+    co_await g.SpawnThread(helper);
+    co_await g.Getpid();
+  };
+  first.Launch(body, "first");
+  second.Launch(body, "second");
   std::vector<PtraceHub*> hubs = {first.master()->tracer, second.master()->tracer};
-  EXPECT_NE(hubs[0]->monitor_entity, hubs[1]->monitor_entity);
   for (PtraceHub* hub : hubs) {
-    EXPECT_EQ(hub->monitor_machine, w.server_machine);
-    for (const Remon* set : {&first, &second}) {
-      for (const Process* p : set->replicas()) {
-        EXPECT_NE(hub->monitor_entity, static_cast<uint64_t>(p->threads.front()->tid()));
-      }
-    }
+    EXPECT_EQ(hub->lane(0), nullptr);  // Lanes open on their rank's first event.
   }
   w.Run();
   ASSERT_TRUE(first.finished() && second.finished());
+  ASSERT_EQ(tids.size(), 8u);
+  std::vector<PtraceHub::Lane*> lanes;
+  for (PtraceHub* hub : hubs) {
+    EXPECT_EQ(hub->monitor_machine, w.server_machine);
+    EXPECT_EQ(hub->lane(2), nullptr);
+    for (int rank = 0; rank < 2; ++rank) {
+      ASSERT_NE(hub->lane(rank), nullptr);
+      lanes.push_back(hub->lane(rank));
+    }
+  }
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    for (size_t j = i + 1; j < lanes.size(); ++j) {
+      EXPECT_NE(lanes[i]->entity, lanes[j]->entity);
+    }
+    for (uint64_t tid : tids) {
+      EXPECT_NE(lanes[i]->entity, tid);
+    }
+  }
+  // Alternating lanes on the machine's one core: every charge switches context.
   uint64_t switches = w.sim.cpus().context_switches();
-  for (PtraceHub* hub : {hubs[0], hubs[1], hubs[0]}) {
-    w.kernel.RunOnEntity(hub->monitor_machine, hub->monitor_entity, &hub->monitor_core,
-                         Micros(1), [] {});
+  for (PtraceHub::Lane* lane : {lanes[0], lanes[1], lanes[2], lanes[0]}) {
+    w.kernel.RunOnEntity(w.server_machine, lane->entity, &lane->core, Micros(1), [] {});
   }
   w.Run();
-  EXPECT_EQ(w.sim.cpus().context_switches(), switches + 3);
+  EXPECT_EQ(w.sim.cpus().context_switches(), switches + 4);
 }
 
 }  // namespace

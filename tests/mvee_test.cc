@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "src/core/remon.h"
@@ -445,6 +446,175 @@ TEST(MveeTest, EpollDataPointersTranslatedUnderGhumvee) {
   EXPECT_FALSE(mvee.divergence_detected());
   EXPECT_TRUE(data_ok_master);
   EXPECT_TRUE(data_ok_slave);
+}
+
+// What each replica's GHUMVEE-only epoll_wait returned: the result and the event
+// bytes it found in its own memory.
+struct EpollWaitSeen {
+  int64_t n[2] = {-1, -1};
+  std::string events[2];
+  uint64_t cookie[2] = {0, 0};
+};
+
+// One epoll_wait master call over a timerfd armed for 1 ms. With `timer_fired`
+// the replicas first sleep past the expiry, so the master's call completes as
+// it starts and its exit stop reaches GHUMVEE before the slave's fake-call exit
+// stop; otherwise the master blocks and the slave's fake call parks first.
+EpollWaitSeen RunTimerfdEpollWait(bool timer_fired) {
+  SimWorld w(71);
+  RemonOptions opts;
+  opts.mode = MveeMode::kGhumveeOnly;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  EpollWaitSeen seen;
+  mvee.Launch([&seen, timer_fired](Guest& g) -> GuestTask<void> {
+    size_t r = static_cast<size_t>(g.process()->replica_index);
+    GuestAddr cookie = g.Alloc(64);  // A replica-local "pointer" as epoll data.
+    seen.cookie[r] = cookie;
+    int tfd = static_cast<int>(co_await g.TimerfdCreate());
+    int epfd = static_cast<int>(co_await g.EpollCreate1());
+    GuestAddr ev = g.Alloc(sizeof(GuestEpollEvent));
+    GuestEpollEvent e{kPollIn, cookie};
+    g.Poke(ev, &e, sizeof(e));
+    co_await g.EpollCtl(epfd, kEpollCtlAdd, tfd, ev);
+    GuestAddr its = g.Alloc(sizeof(GuestItimerspec));
+    GuestItimerspec spec;
+    spec.it_value.tv_nsec = Millis(1);
+    g.Poke(its, &spec, sizeof(spec));
+    co_await g.TimerfdSettime(tfd, its);
+    if (timer_fired) {
+      GuestAddr ts = g.Alloc(sizeof(GuestTimespec));
+      GuestTimespec sleep{0, Millis(2)};
+      g.Poke(ts, &sleep, sizeof(sleep));
+      co_await g.Nanosleep(ts);
+    }
+    GuestAddr events = g.Alloc(4 * sizeof(GuestEpollEvent));
+    seen.n[r] = co_await g.EpollWait(epfd, events, 4, -1);
+    seen.events[r] = g.PeekString(events, sizeof(GuestEpollEvent));
+  });
+  w.Run();
+  EXPECT_FALSE(mvee.divergence_detected());
+  return seen;
+}
+
+TEST(MveeTest, FakeCallEpollResultsIndependentOfExitStopOrder) {
+  EpollWaitSeen master_first = RunTimerfdEpollWait(/*timer_fired=*/true);
+  EpollWaitSeen slave_first = RunTimerfdEpollWait(/*timer_fired=*/false);
+  for (const EpollWaitSeen* seen : {&master_first, &slave_first}) {
+    for (size_t r = 0; r < 2; ++r) {
+      ASSERT_EQ(seen->n[r], 1);
+      GuestEpollEvent got;
+      std::memcpy(&got, seen->events[r].data(), sizeof(got));
+      // Copies: GuestEpollEvent is packed, so its fields cannot bind references.
+      uint32_t events = got.events;
+      uint64_t data = got.data;
+      EXPECT_EQ(events, static_cast<uint32_t>(kPollIn));
+      EXPECT_EQ(data, seen->cookie[r]);  // Each replica sees its own cookie.
+    }
+  }
+  EXPECT_EQ(master_first.events[1], slave_first.events[1]);
+}
+
+TEST(MveeTest, SlaveKilledAtFakeCallExitStopEndsRound) {
+  SimWorld w(67);
+  RemonOptions opts;
+  opts.mode = MveeMode::kGhumveeOnly;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    GuestAddr pfd = g.Alloc(8);
+    co_await g.Pipe(pfd);
+    GuestAddr buf = g.Alloc(8);
+    // Nobody writes: the master blocks in its read while the slave's fake read
+    // parks at its exit stop.
+    co_await g.Read(static_cast<int>(g.PeekU32(pfd)), buf, 8);
+  });
+  const TimeNs kill_at = Millis(1);
+  bool slave_parked = false;
+  w.sim.queue().ScheduleAt(kill_at, [&] {
+    Thread* master = mvee.replicas()[0]->threads.front();
+    Thread* slave = mvee.replicas()[1]->threads.front();
+    slave_parked = master->state() == ThreadState::kBlocked &&
+                   slave->state() == ThreadState::kPtraceStopped;
+    w.kernel.KillProcessBySignal(mvee.replicas()[1], kSIGKILL);
+  });
+  w.Run(kill_at + mvee.ghumvee()->lockstep_timeout_ns);
+  EXPECT_TRUE(slave_parked);
+  ASSERT_TRUE(mvee.divergence_detected());
+  // The dead slave ends the round at once, not at the lockstep watchdog.
+  EXPECT_LT(mvee.ghumvee()->divergences()[0].when, kill_at + Millis(1));
+  EXPECT_TRUE(mvee.finished());
+}
+
+TEST(MveeTest, ExitGroupWhileARankWaitsInAMasterCallIsClean) {
+  SimWorld w(69);
+  RemonOptions opts;
+  opts.mode = MveeMode::kGhumveeOnly;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    GuestAddr pfd = g.Alloc(8);
+    co_await g.Pipe(pfd);
+    int rfd = static_cast<int>(g.PeekU32(pfd));
+    uint64_t reader = g.RegisterThreadFn([rfd](Guest& rg) -> GuestTask<void> {
+      GuestAddr buf = rg.Alloc(8);
+      co_await rg.Read(rfd, buf, 8);  // Never answered: exit_group ends it.
+    });
+    co_await g.SpawnThread(reader);
+    co_await g.Compute(Micros(200));
+    co_await g.ExitGroup(0);
+  });
+  w.Run(Seconds(1));
+  // Every replica's exit_group takes the waiting rank down with it, in lockstep.
+  EXPECT_TRUE(mvee.finished());
+  EXPECT_FALSE(mvee.divergence_detected());
+}
+
+// Virtual time of a GHUMVEE-only run in which each of `threads` threads makes
+// `calls` monitored getpid calls.
+TimeNs MonitoredGetpidRunTime(int threads, int calls) {
+  SimWorld w(73);
+  RemonOptions opts;
+  opts.mode = MveeMode::kGhumveeOnly;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([threads, calls](Guest& g) -> GuestTask<void> {
+    GuestAddr pfd = g.Alloc(8);
+    co_await g.Pipe(pfd);
+    int rfd = static_cast<int>(g.PeekU32(pfd));
+    int wfd = static_cast<int>(g.PeekU32(pfd + 4));
+    for (int t = 1; t < threads; ++t) {
+      uint64_t fn = g.RegisterThreadFn([calls, wfd](Guest& hg) -> GuestTask<void> {
+        for (int i = 0; i < calls; ++i) {
+          co_await hg.Getpid();
+        }
+        GuestAddr done = hg.Alloc(8);
+        co_await hg.Write(wfd, done, 1);
+      });
+      co_await g.SpawnThread(fn);
+    }
+    for (int i = 0; i < calls; ++i) {
+      co_await g.Getpid();
+    }
+    GuestAddr buf = g.Alloc(8);
+    for (int t = 1; t < threads; ++t) {
+      co_await g.Read(rfd, buf, 1);
+    }
+  });
+  w.Run();
+  EXPECT_TRUE(mvee.finished());
+  EXPECT_FALSE(mvee.divergence_detected());
+  return w.sim.now();
+}
+
+TEST(MveeTest, RanksLockstepInParallel) {
+  constexpr int kCalls = 400;
+  TimeNs one_rank = MonitoredGetpidRunTime(1, kCalls);
+  TimeNs four_ranks = MonitoredGetpidRunTime(4, kCalls);
+  // Each rank has its own monitor lane, so the ranks' rounds overlap instead of
+  // queueing behind one another (one monitor for every rank takes about twice
+  // as long here).
+  EXPECT_LT(static_cast<double>(four_ranks), 1.25 * static_cast<double>(one_rank));
 }
 
 TEST(MveeTest, RbOverflowTriggersArbitratedReset) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/sync_agent.h"
+#include "src/harness/bench_main.h"
 #include "src/harness/runner.h"
 #include "tests/test_util.h"
 
@@ -1128,6 +1129,49 @@ TEST(MemoryBudgetTest, FourShardNginxFleetStaysWithinBudget) {
   }
   EXPECT_EQ(completed, kClients * 1500);
   EXPECT_FALSE(fleet.divergence_detected());
+}
+
+// --- Benign-run checks --------------------------------------------------------
+
+TEST(BenchMainTest, FailedBenignRunFailsTheBench) {
+  char name[] = "bench";
+  char* argv[] = {name};
+  SuiteResult ok;
+  ok.finished = true;
+  BenchMain clean("t", 1, argv);
+  EXPECT_TRUE(clean.CheckRun("suite/spec/col", ok));
+  EXPECT_EQ(clean.Finish(), 0);
+
+  SuiteResult diverged = ok;
+  diverged.diverged = true;
+  SuiteResult stuck;
+  for (const SuiteResult* bad : {&diverged, &stuck}) {
+    BenchMain bench("t", 1, argv);
+    EXPECT_FALSE(bench.CheckRun("suite/spec/col", *bad));
+    EXPECT_NE(bench.Finish(), 0);
+  }
+}
+
+// The loopback echo service binds and connects kInaddrLoopback, the same bytes in
+// every replica, so a replica on another machine passes GHUMVEE's bind/connect
+// signature compare.
+TEST(SyncSuiteTest, LoopbackEchoRunsWithARemoteReplica) {
+  WorkloadSpec spec;
+  for (const WorkloadSpec& s : PhoronixSuite()) {
+    if (s.name == "unpack-linux") {
+      spec = SyncVariant(s, 2, 80);
+    }
+  }
+  ASSERT_GT(spec.sock_echoes, 0);
+  RunConfig config;
+  config.mvee.mode = MveeMode::kRemon;
+  config.mvee.replicas = 2;
+  config.mvee.level = PolicyLevel::kNonsocketRw;
+  config.mvee.use_sync_agent = true;
+  config.placement = {1};
+  SuiteResult run = RunSuiteWorkload(spec, config);
+  EXPECT_TRUE(run.finished);
+  EXPECT_FALSE(run.diverged);
 }
 
 }  // namespace

@@ -42,6 +42,15 @@ void PrintStats(const SimStats& stats) {
               static_cast<unsigned long long>(stats.rb_entries),
               static_cast<unsigned long long>(stats.rb_resets),
               static_cast<unsigned long long>(stats.rb_migrations));
+  if (stats.syscalls_monitored > 0) {
+    // A stop that finds its monitor lane idle pays a waitpid wakeup; one queued
+    // behind a busy lane does not.
+    std::printf("  lockstep rounds=%llu | ptrace wakeups=%llu (%.2f per round)\n",
+                static_cast<unsigned long long>(stats.syscalls_monitored),
+                static_cast<unsigned long long>(stats.ptrace_wakeups),
+                static_cast<double>(stats.ptrace_wakeups) /
+                    static_cast<double>(stats.syscalls_monitored));
+  }
   if (stats.rb_frames_sent > 0) {
     // Cumulative over the whole run: epoch bumps (remote deaths) never reset the
     // transport counters — the per-epoch breakdown below attributes them.
