@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,8 +30,8 @@ namespace remon {
 //
 // One byte per FD. The map spans a configurable whole number of pages so
 // high-connection-count servers (a fleet shard under a 10^4-connection swarm)
-// can track descriptors past the first 4096; all pages are mapped read-only
-// into every replica as one contiguous region.
+// can track descriptors past the first 4096; the map's FrameTable is mapped
+// read-only into every replica as one contiguous region.
 class FileMap : public FdInfoSource {
  public:
   // Default capacity: a single page, enough for the classic one-process runs.
@@ -43,16 +44,13 @@ class FileMap : public FdInfoSource {
   FileMap() { Configure(1, ""); }
 
   // Resizes to `pages` pages and tags warnings with `label` (the fleet passes
-  // the shard name). Must run before replicas map the region — IP-MON maps the
-  // page list at attach time, so a later resize would go unseen.
+  // the shard name). Must run before replicas map the region — it starts a fresh
+  // table, and IP-MON maps the table at attach time.
   void Configure(int pages, std::string label) {
     REMON_CHECK(pages >= 1 && pages <= kMaxPages);
-    pages_.clear();
+    frames_ = std::make_shared<FrameTable>();
     page_versions_.clear();
-    for (int i = 0; i < pages; ++i) {
-      pages_.push_back(NewPage());
-      page_versions_.push_back(0);
-    }
+    AddPages(pages, 0);
     label_ = std::move(label);
     out_of_range_sets_ = 0;
     warned_out_of_range_ = false;
@@ -65,13 +63,9 @@ class FileMap : public FdInfoSource {
   // geometry to them — Remon routes that through the normal epoch-bump path).
   // New pages start dirty (version = current) so delta checkpoints ship them.
   void Grow(int new_page_count) {
-    REMON_CHECK(new_page_count > static_cast<int>(pages_.size()) &&
-                new_page_count <= kMaxPages);
+    REMON_CHECK(new_page_count > page_count() && new_page_count <= kMaxPages);
     ++version_;
-    while (static_cast<int>(pages_.size()) < new_page_count) {
-      pages_.push_back(NewPage());
-      page_versions_.push_back(version_);
-    }
+    AddPages(new_page_count, version_);
     ++grows_;
     if (on_grow_) {
       on_grow_(new_page_count);
@@ -86,10 +80,12 @@ class FileMap : public FdInfoSource {
   // Runs after Grow() appends pages, with the new page count.
   void set_on_grow(std::function<void(int)> fn) { on_grow_ = std::move(fn); }
 
-  // The backing frames, mapped read-only into every replica, in order.
-  const std::vector<PageRef>& pages() const { return pages_; }
-  uint64_t size_bytes() const { return pages_.size() * kPageSize; }
-  int max_fds() const { return static_cast<int>(pages_.size() * kPageSize); }
+  // The map's pages, mapped read-only into every replica. Every page is resident.
+  const std::shared_ptr<FrameTable>& frames() const { return frames_; }
+  const Page& page(uint64_t index) const { return *frames_->Get(index); }
+  int page_count() const { return static_cast<int>(frames_->size()); }
+  uint64_t size_bytes() const { return frames_->size() * kPageSize; }
+  int max_fds() const { return static_cast<int>(size_bytes()); }
 
   void Set(int fd, FdType type, bool nonblocking) {
     if (!InRange(fd) && auto_grow_ && fd >= 0 &&
@@ -110,7 +106,7 @@ class FileMap : public FdInfoSource {
                      "raise file_map_pages / --fd-map-pages\n",
                      label_.empty() ? "" : " [", label_.c_str(),
                      label_.empty() ? "" : "]", fd,
-                     static_cast<int>(pages_.size()), max_fds());
+                     page_count(), max_fds());
       }
       return;
     }
@@ -174,20 +170,30 @@ class FileMap : public FdInfoSource {
 
   bool InRange(int fd) const { return fd >= 0 && fd < max_fds(); }
 
+  // Grows the table to `count` pages and materializes the new ones, so ByteAt
+  // and page() never meet a hole.
+  void AddPages(int count, uint64_t version) {
+    frames_->Resize(static_cast<uint64_t>(count));
+    for (uint64_t i = page_versions_.size(); i < frames_->size(); ++i) {
+      frames_->Materialize(i);
+      page_versions_.push_back(version);
+    }
+  }
+
   void Touch(int fd) {
     page_versions_[static_cast<size_t>(fd) / kPageSize] = ++version_;
   }
 
   uint8_t& ByteAt(int fd) {
-    return pages_[static_cast<size_t>(fd) / kPageSize]
-        ->bytes[static_cast<size_t>(fd) % kPageSize];
+    return frames_->Get(static_cast<uint64_t>(fd) / kPageSize)
+        ->bytes[static_cast<uint64_t>(fd) % kPageSize];
   }
-  const uint8_t& ByteAt(int fd) const {
-    return pages_[static_cast<size_t>(fd) / kPageSize]
-        ->bytes[static_cast<size_t>(fd) % kPageSize];
+  uint8_t ByteAt(int fd) const {
+    return page(static_cast<uint64_t>(fd) / kPageSize)
+        .bytes[static_cast<uint64_t>(fd) % kPageSize];
   }
 
-  std::vector<PageRef> pages_;
+  std::shared_ptr<FrameTable> frames_;
   std::vector<uint64_t> page_versions_;
   std::string label_;
   uint64_t out_of_range_sets_ = 0;

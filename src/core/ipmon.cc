@@ -65,9 +65,8 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   fm_addr_ = process_->mem().FindFreeRange(process_->layout.mmap_hint,
                                            file_map_->size_bytes());
   REMON_CHECK(fm_addr_ != 0);
-  REMON_CHECK(process_->mem().MapFixedBacked(fm_addr_, file_map_->size_bytes(),
-                                             kProtRead, true, "ipmon-filemap",
-                                             file_map_->pages()));
+  REMON_CHECK(process_->mem().MapShared(fm_addr_, file_map_->size_bytes(), kProtRead,
+                                        "ipmon-filemap", file_map_->frames(), 0));
   fm_mapped_bytes_ = file_map_->size_bytes();
 
   // Register with the kernel (paper §3.5): the set of calls IP-MON may handle, the
@@ -494,12 +493,12 @@ GuestAddr IpMon::MigrateRb() {
   // Map the segment's frame table itself at the new address: the move makes no
   // page resident that the old mapping had not touched.
   const Vma* vma = mem.FindVma(rb_.base());
-  if (vma == nullptr || vma->backing == nullptr || vma->start != rb_.base() ||
+  if (vma == nullptr || vma->private_table || vma->start != rb_.base() ||
       vma->length < rb_.size()) {
     return 0;
   }
-  std::shared_ptr<FrameTable> table = vma->backing;
-  uint64_t first_page = vma->backing_page;
+  std::shared_ptr<FrameTable> table = vma->table;
+  uint64_t first_page = vma->first_page;
   // Fresh randomized location in this replica's mmap window (same entropy as the
   // original placement).
   GuestAddr hint = process_->layout.mmap_hint -
@@ -530,8 +529,8 @@ bool IpMon::RemapFileMap() {
   if (fresh == 0) {
     return false;
   }
-  if (!mem.MapFixedBacked(fresh, file_map_->size_bytes(), kProtRead, true,
-                          "ipmon-filemap", file_map_->pages())) {
+  if (!mem.MapShared(fresh, file_map_->size_bytes(), kProtRead, "ipmon-filemap",
+                     file_map_->frames(), 0)) {
     return false;
   }
   mem.Unmap(fm_addr_, fm_mapped_bytes_);

@@ -143,8 +143,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
     }
     // The IP-MON "shared library" text region (hidden from /proc/maps by GHUMVEE).
     if (options_.mode == MveeMode::kRemon || options_.mode == MveeMode::kVaranLike) {
-      REMON_CHECK(p->mem().MapFixedLazy(plan.ipmon_base, plan.ipmon_size,
-                                        kProtRead | kProtExec, "libipmon"));
+      REMON_CHECK(p->mem().MapFixed(plan.ipmon_base, plan.ipmon_size, kProtRead | kProtExec,
+                                    /*shared=*/false, "libipmon"));
     }
     replicas_.push_back(p);
 

@@ -208,17 +208,17 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
   // File map: dirty pages since the basis, plus a whole-map CRC so the pages the
   // checkpoint does NOT carry are still covered by the join's divergence check.
   const FileMap* fm = master->file_map();
-  snap.file_map_page_count = static_cast<uint32_t>(fm->pages().size());
+  snap.file_map_page_count = static_cast<uint32_t>(fm->page_count());
   uint32_t fm_crc = 0;
-  for (const PageRef& fm_page : fm->pages()) {
-    fm_crc = Crc32(fm_page->bytes.data(), kPageSize, fm_crc);
+  for (int p = 0; p < fm->page_count(); ++p) {
+    fm_crc = Crc32(fm->page(p).bytes.data(), kPageSize, fm_crc);
   }
   snap.file_map_crc = fm_crc;
-  for (size_t p = 0; p < fm->pages().size(); ++p) {
+  for (int p = 0; p < fm->page_count(); ++p) {
     if (fm->page_version(p) > basis.fm_version) {
       snap.file_map_pages.push_back(static_cast<uint32_t>(p));
-      snap.file_map.insert(snap.file_map.end(), fm->pages()[p]->bytes.begin(),
-                           fm->pages()[p]->bytes.end());
+      snap.file_map.insert(snap.file_map.end(), fm->page(p).bytes.begin(),
+                           fm->page(p).bytes.end());
     }
   }
 
@@ -574,25 +574,25 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   // checkpoint carries only the dirty pages; the whole-map CRC extends the check
   // over the pages it omitted.
   const FileMap* fm = mon->file_map();
-  if (snap.file_map_page_count != fm->pages().size()) {
+  if (snap.file_map_page_count != static_cast<uint32_t>(fm->page_count())) {
     return ApplyFail("file map geometry diverged from the leader checkpoint");
   }
   if (snap.file_map.size() != snap.file_map_pages.size() * kPageSize) {
     return ApplyFail("file map diverged from the leader checkpoint");
   }
   for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
-    if (snap.file_map_pages[i] >= fm->pages().size()) {
+    if (snap.file_map_pages[i] >= static_cast<uint32_t>(fm->page_count())) {
       return ApplyFail("file map diverged from the leader checkpoint");
     }
-    const PageRef& fm_page = fm->pages()[snap.file_map_pages[i]];
-    if (!std::equal(fm_page->bytes.begin(), fm_page->bytes.end(),
+    const Page& fm_page = fm->page(snap.file_map_pages[i]);
+    if (!std::equal(fm_page.bytes.begin(), fm_page.bytes.end(),
                     snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
       return ApplyFail("file map diverged from the leader checkpoint");
     }
   }
   uint32_t fm_crc = 0;
-  for (const PageRef& fm_page : fm->pages()) {
-    fm_crc = Crc32(fm_page->bytes.data(), kPageSize, fm_crc);
+  for (int p = 0; p < fm->page_count(); ++p) {
+    fm_crc = Crc32(fm->page(p).bytes.data(), kPageSize, fm_crc);
   }
   if (fm_crc != snap.file_map_crc) {
     return ApplyFail("file map diverged from the leader checkpoint");

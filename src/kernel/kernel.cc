@@ -10,7 +10,6 @@ namespace remon {
 
 namespace {
 
-constexpr uint64_t kHeapRegionSize = 64 * 1024 * 1024;
 constexpr uint64_t kStackSize = 1024 * 1024;
 constexpr uint64_t kStackStride = 4 * 1024 * 1024;
 
@@ -90,13 +89,13 @@ Process* Kernel::CreateProcess(std::string name, uint32_t machine, const LayoutP
   if (replica_index >= 0) {
     CountReplica(machine, 1);
   }
-  // Map the standard regions: program text, IP-MON text (populated lazily by the
-  // broker when IP-MON is loaded), and the heap. Demand-paged: a replica set costs
-  // VMA bookkeeping at creation, not tens of MiB of zeroed frames per process.
-  REMON_CHECK(p->mem().MapFixedLazy(plan.code_base, plan.code_size, kProtRead | kProtExec,
-                                    p->name() + "-text"));
-  REMON_CHECK(
-      p->mem().MapFixedLazy(plan.heap_base, kHeapRegionSize, kProtRead | kProtWrite, "[heap]"));
+  // Map the standard regions: program text and the heap. Demand-paged like every
+  // mapping: a replica set costs VMA bookkeeping at creation, not tens of MiB of
+  // zeroed frames per process.
+  REMON_CHECK(p->mem().MapFixed(plan.code_base, plan.code_size, kProtRead | kProtExec,
+                                /*shared=*/false, p->name() + "-text"));
+  REMON_CHECK(p->mem().MapFixed(plan.heap_base, kHeapRegionSize, kProtRead | kProtWrite,
+                                /*shared=*/false, "[heap]"));
   p->brk_start = plan.heap_base + kHeapRegionSize / 2;
   p->brk_cur = p->brk_start;
   p->alloc_cursor = plan.heap_base;
@@ -134,9 +133,9 @@ Thread* Kernel::SpawnThread(Process* process, ProgramFn fn) {
   Thread* t = thread.get();
   process->threads.push_back(t);
 
-  // Per-thread stack region (demand-paged like the heap).
-  REMON_CHECK(process->mem().MapFixedLazy(ThreadStackTop(*process, rank) - kStackSize,
-                                          kStackSize, kProtRead | kProtWrite, "[stack]"));
+  // Per-thread stack region.
+  REMON_CHECK(process->mem().MapFixed(ThreadStackTop(*process, rank) - kStackSize, kStackSize,
+                                      kProtRead | kProtWrite, /*shared=*/false, "[stack]"));
 
   t->guest_facade = std::make_unique<Guest>(t);
   // The coroutine frame references the lambda object's captures, so the callable

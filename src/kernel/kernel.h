@@ -299,6 +299,8 @@ class Kernel {
 
   // Monitor entities start above every possible tid (an int).
   static constexpr uint64_t kMonitorEntityBase = uint64_t{1} << 32;
+  // The heap VMA every process maps at layout.heap_base; brk moves in its upper half.
+  static constexpr uint64_t kHeapRegionSize = 64 * 1024 * 1024;
 
   int next_pid_ = 100;
   int next_tid_ = 100;

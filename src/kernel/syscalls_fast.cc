@@ -618,7 +618,7 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
     }
     case Sys::kBrk: {
       GuestAddr want = req.arg(0);
-      if (want >= p->brk_start && want < p->layout.heap_base + 64 * 1024 * 1024) {
+      if (want >= p->brk_start && want < p->layout.heap_base + kHeapRegionSize) {
         p->brk_cur = want;
       }
       return static_cast<int64_t>(p->brk_cur);
@@ -703,8 +703,9 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       GuestRusage ru;
       DurationNs cpu = p->TotalCpuNs();
       ru.ru_utime = GuestTimeval{cpu / kSecond, (cpu % kSecond) / 1000};
-      // Like Linux, only the pages this process touched: an attached segment's
-      // untouched pages, or pages only another attacher used, do not count.
+      // The frames of this process's private mappings. A shared table (a SysV
+      // segment such as the RB, the file map) is not charged to any attacher:
+      // segments count once, in ShmRegistry::resident_pages().
       ru.ru_maxrss = static_cast<int64_t>(p->mem().mapped_bytes() / 1024);
       return CopyOut(p, req.arg(1), &ru, sizeof(ru));
     }

@@ -31,51 +31,42 @@ bool AddressSpace::VmaOverlaps(GuestAddr start, uint64_t length) const {
 }
 
 bool AddressSpace::RangeFree(GuestAddr start, uint64_t length) const {
-  // The VMA check alone is authoritative: every page-table insertion
-  // (MapFixedBacked, Remap's grow, MaterializeIfLazy) maintains a covering VMA and
-  // Unmap erases pages and VMAs over the same split-aligned range, so a page
-  // without a VMA cannot exist. No per-page scan — mapping a lazy region must stay
-  // O(log vmas), not O(pages).
+  // A page exists only inside a VMA, so the VMA check is the whole answer: mapping
+  // stays O(log vmas), however long the region.
   return !VmaOverlaps(PageAlignDown(start), PageAlignUp(length + (start & kPageMask)));
 }
 
-Page* AddressSpace::MaterializeIfLazy(GuestAddr addr, uint32_t required_prot) const {
-  const Vma* vma = FindVma(addr);
-  if (vma == nullptr || !vma->lazy) {
-    return nullptr;
+Page* AddressSpace::FrameIn(const Vma& vma, GuestAddr addr, bool materialize) const {
+  uint64_t page = vma.PageOf(addr);
+  Page* frame = vma.table->Get(page);
+  if (frame == nullptr && materialize) {
+    frame = vma.table->Materialize(page);
+    private_resident_ += vma.private_table ? 1 : 0;
   }
-  // Check the VMA protection before allocating: a denied access must fault without
-  // materializing the page, or probing a read-only lazy region with writes would
-  // make every probed page resident.
-  if ((vma->prot & required_prot) != required_prot) {
-    return nullptr;
-  }
-  PageEntry& entry = page_table_[addr >> kPageShift];
-  entry.frame = vma->backing != nullptr
-                    ? vma->backing->Materialize(vma->backing_page +
-                                                ((addr - vma->start) >> kPageShift))
-                    : NewPage();
-  entry.prot = vma->prot;
-  return entry.frame.get();
+  return frame;
 }
 
-const PageRef* AddressSpace::SharedFrame(const Vma& vma, GuestAddr addr) {
-  if (vma.backing == nullptr) {
-    return nullptr;
+template <typename Visit>
+AccessResult AddressSpace::Walk(GuestAddr addr, uint64_t len, uint32_t prot, bool materialize,
+                                Visit&& visit) const {
+  while (len > 0) {
+    const Vma* vma = FindVma(addr);
+    // Checked before any frame is allocated: a denied access faults without
+    // materializing the page.
+    if (vma == nullptr || (vma->prot & prot) != prot) {
+      return AccessResult::Fault(addr);
+    }
+    do {
+      uint64_t off = addr & kPageMask;
+      uint64_t n = std::min<uint64_t>(len, kPageSize - off);
+      if (!visit(FrameIn(*vma, addr, materialize), off, n)) {
+        return AccessResult::Ok();
+      }
+      addr += n;
+      len -= n;
+    } while (len > 0 && addr < vma->end());
   }
-  const PageRef& frame = vma.backing->Get(vma.backing_page + ((addr - vma.start) >> kPageShift));
-  return frame != nullptr ? &frame : nullptr;
-}
-
-bool AddressSpace::MapFixed(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
-                            std::string_view name) {
-  uint64_t len = PageAlignUp(length);
-  std::vector<PageRef> frames;
-  frames.reserve(len / kPageSize);
-  for (uint64_t i = 0; i < len / kPageSize; ++i) {
-    frames.push_back(NewPage());
-  }
-  return MapFixedBacked(start, length, prot, shared, name, frames);
+  return AccessResult::Ok();
 }
 
 bool AddressSpace::ValidateFixedRange(GuestAddr start, uint64_t length,
@@ -94,15 +85,14 @@ bool AddressSpace::ValidateFixedRange(GuestAddr start, uint64_t length,
   return true;
 }
 
-bool AddressSpace::MapFixedLazy(GuestAddr start, uint64_t length, uint32_t prot,
-                                std::string_view name) {
+bool AddressSpace::MapFixed(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
+                            std::string_view name) {
   uint64_t len = 0;
   if (!ValidateFixedRange(start, length, &len)) {
     return false;
   }
-  Vma vma{start, len, prot, /*shared=*/false, std::string(name)};
-  vma.lazy = true;
-  vmas_[start] = std::move(vma);
+  vmas_[start] = Vma{start, len, prot, shared, std::string(name),
+                     std::make_shared<FrameTable>(len / kPageSize), 0, /*private_table=*/true};
   return true;
 }
 
@@ -114,25 +104,8 @@ bool AddressSpace::MapShared(GuestAddr start, uint64_t length, uint32_t prot,
     return false;
   }
   REMON_CHECK(table != nullptr && first_page + len / kPageSize <= table->size());
-  Vma vma{start, len, prot, /*shared=*/true, std::string(name)};
-  vma.lazy = true;
-  vma.backing = std::move(table);
-  vma.backing_page = first_page;
-  vmas_[start] = std::move(vma);
-  return true;
-}
-
-bool AddressSpace::MapFixedBacked(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
-                                  std::string_view name, const std::vector<PageRef>& frames) {
-  uint64_t len = 0;
-  if (!ValidateFixedRange(start, length, &len)) {
-    return false;
-  }
-  REMON_CHECK(frames.size() >= len / kPageSize);
-  for (uint64_t i = 0; i < len / kPageSize; ++i) {
-    page_table_[(start >> kPageShift) + i] = PageEntry{frames[i], prot};
-  }
-  vmas_[start] = Vma{start, len, prot, shared, std::string(name)};
+  vmas_[start] = Vma{start, len, prot, /*shared=*/true, std::string(name), std::move(table),
+                     first_page, /*private_table=*/false};
   return true;
 }
 
@@ -175,7 +148,7 @@ void AddressSpace::SplitAround(GuestAddr start, uint64_t length) {
       Vma tail = v;
       tail.start = edge;
       tail.length = v.end() - edge;
-      tail.backing_page = v.backing_page + ((edge - v.start) >> kPageShift);
+      tail.first_page = v.PageOf(edge);
       v.length = edge - v.start;
       vmas_[edge] = tail;
     }
@@ -189,11 +162,13 @@ void AddressSpace::Unmap(GuestAddr start, uint64_t length) {
   start = PageAlignDown(start);
   uint64_t len = PageAlignUp(length);
   SplitAround(start, len);
-  for (GuestAddr p = start; p < start + len; p += kPageSize) {
-    page_table_.erase(p >> kPageShift);
-  }
   auto it = vmas_.lower_bound(start);
   while (it != vmas_.end() && it->second.start < start + len) {
+    const Vma& vma = it->second;
+    if (vma.private_table) {
+      private_resident_ -= vma.table->Release(vma.first_page, vma.length / kPageSize);
+    }
+    std::ranges::replace(recent_vmas_, &vma, nullptr);
     it = vmas_.erase(it);
   }
 }
@@ -205,57 +180,13 @@ bool AddressSpace::Protect(GuestAddr start, uint64_t length, uint32_t prot) {
   start = PageAlignDown(start);
   uint64_t len = PageAlignUp(length);
   GuestAddr end = start + len;
-
-  // Validate at VMA granularity: the range must be contiguously covered by VMAs
-  // (every page-table insertion maintains a covering VMA, so a gap in VMA coverage
-  // is exactly "some page in the range is unmapped"). O(VMAs in range) — never a
-  // page walk, however large a lazy region is.
-  GuestAddr pos = start;
-  auto cover = vmas_.upper_bound(start);
-  if (cover != vmas_.begin()) {
-    auto prev = std::prev(cover);
-    if (prev->second.end() > start) {
-      cover = prev;
-    }
+  // The range must be covered by VMAs without a gap.
+  if (!Covers(start, len, kProtNone)) {
+    return false;
   }
-  bool any_lazy = false;
-  while (pos < end) {
-    if (cover == vmas_.end() || cover->second.start > pos) {
-      return false;
-    }
-    any_lazy |= cover->second.lazy;
-    pos = cover->second.end();
-    ++cover;
-  }
-
   SplitAround(start, len);
-
-  // Update materialized pages only. A range touching a lazy VMA may be sparsely
-  // populated, so walk the page table (O(resident pages of this address space))
-  // when that is cheaper than iterating the range (O(range pages)) — a small
-  // mprotect over a lazy guard region must not scan a process's every resident
-  // page, and a huge lazy range must not be walked page by page.
-  if (any_lazy && len / kPageSize > page_table_.size()) {
-    for (auto& [vpn, entry] : page_table_) {
-      GuestAddr addr = vpn << kPageShift;
-      if (addr >= start && addr < end) {
-        entry.prot = prot;
-      }
-    }
-  } else {
-    for (GuestAddr p = start; p < end; p += kPageSize) {
-      auto it = page_table_.find(p >> kPageShift);
-      if (it != page_table_.end()) {
-        it->second.prot = prot;
-      }
-    }
-  }
-  // Untouched lazy pages inherit the new protection from their VMA when they
-  // materialize.
-  auto it = vmas_.lower_bound(start);
-  while (it != vmas_.end() && it->second.start < end) {
+  for (auto it = vmas_.lower_bound(start); it != vmas_.end() && it->second.start < end; ++it) {
     it->second.prot = prot;
-    ++it;
   }
   return true;
 }
@@ -267,129 +198,49 @@ GuestAddr AddressSpace::Remap(GuestAddr old_start, uint64_t old_len, uint64_t ne
   if (it == vmas_.end() || it->second.length != old_len) {
     return 0;
   }
-  if (new_len == old_len) {
-    return old_start;
-  }
-  Vma vma = it->second;
   if (new_len < old_len) {
     Unmap(old_start + new_len, old_len - new_len);
-    vmas_[old_start].length = new_len;
     return old_start;
   }
-  if (vma.backing != nullptr) {
-    return 0;  // The segment's size is fixed; growing would append private frames.
+  // Grow in place when the tail is free. The table pages under a free tail hold no
+  // frame: an unmap released them, or nothing ever touched them.
+  Vma& vma = it->second;
+  if (new_len > old_len) {
+    if (!vma.private_table || !RangeFree(old_start + old_len, new_len - old_len)) {
+      return 0;  // A shared table's size is fixed; an occupied tail stays put.
+    }
+    vma.table->Resize(std::max(vma.table->size(), vma.first_page + new_len / kPageSize));
+    vma.length = new_len;
   }
-  // Grow in place when the tail is free.
-  if (RangeFree(old_start + old_len, new_len - old_len)) {
-    if (!vma.lazy) {
-      for (GuestAddr p = old_start + old_len; p < old_start + new_len; p += kPageSize) {
-        page_table_[p >> kPageShift] = PageEntry{NewPage(), vma.prot};
-      }
-    }  // Lazy regions materialize the grown tail on first touch.
-    vmas_[old_start].length = new_len;
-    return old_start;
-  }
-  return 0;
+  return old_start;
 }
 
-AccessResult AddressSpace::Read(GuestAddr addr, void* out, uint64_t len) const {
+AccessResult AddressSpace::ReadAs(GuestAddr addr, void* out, uint64_t len,
+                                  uint32_t prot) const {
   uint8_t* dst = static_cast<uint8_t*>(out);
-  while (len > 0) {
-    uint64_t off = addr & kPageMask;
-    uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
-      const Vma* vma = FindVma(addr);
-      if (vma == nullptr || !vma->lazy || (vma->prot & kProtRead) == 0) {
-        return AccessResult::Fault(addr);
-      }
-      it = InstallSharedFrame(*vma, addr);
-    }
-    if (it == page_table_.end()) {
-      // Untouched lazy pages read as zeroes without becoming resident — a read
-      // sweep over a large lazy region must not materialize it.
-      std::memset(dst, 0, n);
-    } else {
-      if ((it->second.prot & kProtRead) == 0) {
-        return AccessResult::Fault(addr);
-      }
-      std::memcpy(dst, it->second.frame->bytes.data() + off, n);
-    }
-    dst += n;
-    addr += n;
-    len -= n;
-  }
-  return AccessResult::Ok();
+  // A hole reads as zeroes without becoming resident: a read sweep over a large
+  // region must not materialize it.
+  return Walk(addr, len, prot, /*materialize=*/false,
+              [&dst](const Page* frame, uint64_t off, uint64_t n) {
+                if (frame != nullptr) {
+                  std::memcpy(dst, frame->bytes.data() + off, n);
+                } else {
+                  std::memset(dst, 0, n);
+                }
+                dst += n;
+                return true;
+              });
 }
 
-AccessResult AddressSpace::Write(GuestAddr addr, const void* data, uint64_t len) {
+AccessResult AddressSpace::WriteAs(GuestAddr addr, const void* data, uint64_t len,
+                                   uint32_t prot) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
-  while (len > 0) {
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
-      if (MaterializeIfLazy(addr, kProtWrite) == nullptr) {
-        return AccessResult::Fault(addr);
-      }
-      it = page_table_.find(addr >> kPageShift);
-    }
-    if ((it->second.prot & kProtWrite) == 0) {
-      return AccessResult::Fault(addr);
-    }
-    uint64_t off = addr & kPageMask;
-    uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    std::memcpy(it->second.frame->bytes.data() + off, src, n);
-    src += n;
-    addr += n;
-    len -= n;
-  }
-  return AccessResult::Ok();
-}
-
-AccessResult AddressSpace::ReadUnchecked(GuestAddr addr, void* out, uint64_t len) const {
-  uint8_t* dst = static_cast<uint8_t*>(out);
-  while (len > 0) {
-    uint64_t off = addr & kPageMask;
-    uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
-      const Vma* vma = FindVma(addr);
-      if (vma == nullptr || !vma->lazy) {
-        return AccessResult::Fault(addr);
-      }
-      it = InstallSharedFrame(*vma, addr);
-    }
-    if (it == page_table_.end()) {
-      // Unchecked bypasses protection but not mapping: lazy pages read as zeroes
-      // without materializing (see Read).
-      std::memset(dst, 0, n);
-    } else {
-      std::memcpy(dst, it->second.frame->bytes.data() + off, n);
-    }
-    dst += n;
-    addr += n;
-    len -= n;
-  }
-  return AccessResult::Ok();
-}
-
-AccessResult AddressSpace::WriteUnchecked(GuestAddr addr, const void* data, uint64_t len) {
-  const uint8_t* src = static_cast<const uint8_t*>(data);
-  while (len > 0) {
-    auto it = page_table_.find(addr >> kPageShift);
-    if (it == page_table_.end()) {
-      if (MaterializeIfLazy(addr) == nullptr) {
-        return AccessResult::Fault(addr);
-      }
-      it = page_table_.find(addr >> kPageShift);
-    }
-    uint64_t off = addr & kPageMask;
-    uint64_t n = std::min<uint64_t>(len, kPageSize - off);
-    std::memcpy(it->second.frame->bytes.data() + off, src, n);
-    src += n;
-    addr += n;
-    len -= n;
-  }
-  return AccessResult::Ok();
+  return Walk(addr, len, prot, /*materialize=*/true,
+              [&src](Page* frame, uint64_t off, uint64_t n) {
+                std::memcpy(frame->bytes.data() + off, src, n);
+                src += n;
+                return true;
+              });
 }
 
 std::optional<uint64_t> AddressSpace::ReadU64(GuestAddr addr) const {
@@ -413,17 +264,23 @@ bool AddressSpace::WriteU32(GuestAddr addr, uint32_t v) { return Write(addr, &v,
 
 std::optional<std::string> AddressSpace::ReadCString(GuestAddr addr, uint64_t max_len) const {
   std::string out;
-  for (uint64_t i = 0; i < max_len; ++i) {
-    char c = 0;
-    if (!Read(addr + i, &c, 1).ok) {
-      return std::nullopt;
-    }
-    if (c == '\0') {
-      return out;
-    }
-    out.push_back(c);
+  // Page by page, so a string faults only if a page before its NUL is unreadable.
+  AccessResult r = Walk(addr, max_len, kProtRead, /*materialize=*/false,
+                        [&out](const Page* frame, uint64_t off, uint64_t n) {
+                          if (frame == nullptr) {
+                            return false;  // A hole reads as zeroes: the string ends.
+                          }
+                          const char* chars =
+                              reinterpret_cast<const char*>(frame->bytes.data()) + off;
+                          const void* nul = std::memchr(chars, '\0', n);
+                          out.append(chars, nul != nullptr ? static_cast<const char*>(nul) - chars
+                                                           : n);
+                          return nul == nullptr;
+                        });
+  if (!r.ok) {
+    return std::nullopt;
   }
-  return out;  // Truncated at max_len.
+  return out;  // Truncated at max_len when no NUL came first.
 }
 
 std::optional<std::vector<uint8_t>> AddressSpace::ReadBytes(GuestAddr addr, uint64_t len) const {
@@ -435,12 +292,18 @@ std::optional<std::vector<uint8_t>> AddressSpace::ReadBytes(GuestAddr addr, uint
 }
 
 const Vma* AddressSpace::FindVma(GuestAddr addr) const {
+  for (const Vma* vma : recent_vmas_) {
+    if (vma != nullptr && addr - vma->start < vma->length) {
+      return vma;
+    }
+  }
   auto it = vmas_.upper_bound(addr);
   if (it == vmas_.begin()) {
     return nullptr;
   }
   --it;
   if (addr >= it->second.start && addr < it->second.end()) {
+    recent_vmas_[next_recent_++ % recent_vmas_.size()] = &it->second;
     return &it->second;
   }
   return nullptr;
@@ -479,57 +342,6 @@ std::vector<Vma> AddressSpace::Vmas() const {
   return out;
 }
 
-bool AddressSpace::PageMaterialized(GuestAddr addr) const {
-  if (page_table_.find(addr >> kPageShift) != page_table_.end()) {
-    return true;
-  }
-  const Vma* vma = FindVma(addr);
-  return vma != nullptr && SharedFrame(*vma, addr) != nullptr;
-}
-
-AddressSpace::PageTable::iterator AddressSpace::InstallSharedFrame(const Vma& vma,
-                                                                   GuestAddr addr) const {
-  const PageRef* frame = SharedFrame(vma, addr);
-  if (frame == nullptr) {
-    return page_table_.end();
-  }
-  return page_table_.emplace(addr >> kPageShift, PageEntry{*frame, vma.prot}).first;
-}
-
-Page* AddressSpace::ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const {
-  auto it = page_table_.find(addr >> kPageShift);
-  if (it == page_table_.end()) {
-    // Futex keys and page sharing need a stable frame: materialize lazy pages.
-    Page* frame = MaterializeIfLazy(addr);
-    if (frame == nullptr) {
-      return nullptr;
-    }
-    if (offset_in_page != nullptr) {
-      *offset_in_page = addr & kPageMask;
-    }
-    return frame;
-  }
-  if (offset_in_page != nullptr) {
-    *offset_in_page = addr & kPageMask;
-  }
-  return it->second.frame.get();
-}
-
-Page* AddressSpace::ResidentFrame(GuestAddr addr, uint64_t* offset_in_page) const {
-  Page* frame = nullptr;
-  auto it = page_table_.find(addr >> kPageShift);
-  if (it != page_table_.end()) {
-    frame = it->second.frame.get();
-  } else if (const Vma* vma = FindVma(addr)) {
-    const PageRef* shared = SharedFrame(*vma, addr);
-    frame = shared != nullptr ? shared->get() : nullptr;
-  }
-  if (frame != nullptr && offset_in_page != nullptr) {
-    *offset_in_page = addr & kPageMask;
-  }
-  return frame;
-}
-
 std::string AddressSpace::RenderMaps() const {
   std::ostringstream os;
   for (const auto& [start, vma] : vmas_) {
@@ -551,10 +363,6 @@ std::string AddressSpace::RenderMaps() const {
     os << "\n";
   }
   return os.str();
-}
-
-uint64_t AddressSpace::mapped_bytes() const {
-  return static_cast<uint64_t>(page_table_.size()) * kPageSize;
 }
 
 }  // namespace remon

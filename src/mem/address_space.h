@@ -1,7 +1,13 @@
-// Per-process virtual address space: page table + VMA list.
+// Per-process virtual address space: a VMA list over frame tables.
+//
+// Every mapping is a window onto a FrameTable (src/mem/page.h): page i of a VMA is
+// page `first_page + i` of its table, and the VMA alone holds the protection.
+// MapFixed gives a mapping a table of its own, demand-paged like Linux anonymous
+// memory; MapShared maps a caller's table (a System V segment, the IP-MON file
+// map), so a frame one space materializes is the same bytes in every other.
 //
 // Responsibilities:
-//  * mapping/unmapping/protecting regions (mmap/munmap/mprotect/brk semantics),
+//  * mapping/unmapping/protecting regions (mmap/munmap/mprotect/mremap/brk semantics),
 //  * permission-checked reads and writes used by guests, the kernel, and the monitors,
 //  * /proc/<pid>/maps rendering (GHUMVEE filters this to hide IP-MON and the RB),
 //  * exposing backing frames so futex keys and shared mappings work across processes.
@@ -9,6 +15,7 @@
 #ifndef SRC_MEM_ADDRESS_SPACE_H_
 #define SRC_MEM_ADDRESS_SPACE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -16,31 +23,29 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/mem/page.h"
 
 namespace remon {
 
-// A mapped region.
+// A mapped region: pages [first_page, first_page + length / kPageSize) of `table`.
 struct Vma {
   GuestAddr start = 0;
   uint64_t length = 0;  // Always page-aligned.
   uint32_t prot = kProtNone;
   bool shared = false;  // MAP_SHARED-like: writes are visible through other mappings.
   std::string name;     // Region label, shown in /proc/maps ("[heap]", "libipmon", ...).
-  // Demand-paged region: backing frames materialize on first touch instead of at
-  // map time. Large private regions (heap, stacks, text) use this so creating a
-  // replica process costs VMA bookkeeping, not tens of MiB of zeroed frames.
-  bool lazy = false;
-  // Shared lazy region (a System V attach): page i of the VMA is slot
-  // `backing_page + i` of `backing`, materialized there for every attacher. Null
-  // for private lazy regions, whose frames live only in this page table.
-  std::shared_ptr<FrameTable> backing = nullptr;
-  uint64_t backing_page = 0;
+  std::shared_ptr<FrameTable> table;
+  uint64_t first_page = 0;
+  // The table belongs to this address space (MapFixed): unmapping a slice frees
+  // its frames, and its frames count in mapped_bytes(). A table passed to
+  // MapShared never loses a frame to an unmap.
+  bool private_table = false;
 
   GuestAddr end() const { return start + length; }
+  // The table page backing `addr`, which must lie in the VMA.
+  uint64_t PageOf(GuestAddr addr) const { return first_page + ((addr - start) >> kPageShift); }
 };
 
 // Result of a guest memory access attempt.
@@ -60,27 +65,18 @@ class AddressSpace {
 
   // --- Mapping operations -----------------------------------------------------
 
-  // Maps `length` bytes (rounded up to pages) at exactly `start` (page-aligned).
-  // Fails (returns false) if any page in the range is already mapped.
+  // Maps `length` bytes (rounded up to pages) at exactly `start` (page-aligned)
+  // onto a fresh private table: no frame exists until a page is first written or
+  // its frame resolved, and an untouched page reads as zeroes. Fails (returns
+  // false) if any page in the range is already mapped.
   bool MapFixed(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
                 std::string_view name);
 
-  // Like MapFixed, but demand-paged: no frames are allocated until a page is first
-  // written or its frame resolved; a read of an untouched page returns zeroes and
-  // allocates nothing. The frames are private to this address space.
-  bool MapFixedLazy(GuestAddr start, uint64_t length, uint32_t prot,
-                    std::string_view name);
-
-  // Demand-paged shared mapping (shmat): pages [first_page, first_page + pages) of
-  // `table` back the range. A page one attacher materializes is the same frame in
-  // every other mapping of the table, including futex keys.
+  // Maps pages [first_page, first_page + pages) of `table` (shmat, the IP-MON file
+  // map). A page one mapping materializes is the same frame in every other mapping
+  // of the table, including futex keys.
   bool MapShared(GuestAddr start, uint64_t length, uint32_t prot, std::string_view name,
                  std::shared_ptr<FrameTable> table, uint64_t first_page);
-
-  // Maps with existing, already-allocated frames (IP-MON's file map). `frames`
-  // must cover the rounded-up length.
-  bool MapFixedBacked(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
-                      std::string_view name, const std::vector<PageRef>& frames);
 
   // Finds a free gap of `length` bytes at or below `hint`, searching downward.
   // Returns 0 when no gap exists.
@@ -89,27 +85,35 @@ class AddressSpace {
   // Unmaps [start, start+length). Unmapping unmapped pages is a no-op (POSIX).
   void Unmap(GuestAddr start, uint64_t length);
 
-  // Changes protection on [start, start+length). Returns false if any page in the
-  // range is unmapped.
+  // Changes protection on [start, start+length), O(VMAs in the range). Returns
+  // false if any page in the range is unmapped.
   bool Protect(GuestAddr start, uint64_t length, uint32_t prot);
 
   // Remaps a region to a new size in place when possible; returns new start or 0.
-  // A shared-table mapping cannot grow: the segment's size is fixed.
+  // A private table grows with its mapping; a shared-table mapping cannot grow.
   GuestAddr Remap(GuestAddr old_start, uint64_t old_len, uint64_t new_len);
 
   // --- Access -------------------------------------------------------------------
 
-  AccessResult Read(GuestAddr addr, void* out, uint64_t len) const;
-  AccessResult Write(GuestAddr addr, const void* data, uint64_t len);
+  AccessResult Read(GuestAddr addr, void* out, uint64_t len) const {
+    return ReadAs(addr, out, len, kProtRead);
+  }
+  AccessResult Write(GuestAddr addr, const void* data, uint64_t len) {
+    return WriteAs(addr, data, len, kProtWrite);
+  }
 
   // True when VMAs granting `prot` cover [addr, addr+len) without a gap. Touches no
   // page: the kernel checks a write's source with it before sizing a buffer by it.
   bool Covers(GuestAddr addr, uint64_t len, uint32_t prot) const;
 
-  // Access that ignores page protections (used by ptrace-style monitor access, which
+  // Access that ignores protection (used by ptrace-style monitor access, which
   // goes through the kernel and may inspect read-protected pages).
-  AccessResult ReadUnchecked(GuestAddr addr, void* out, uint64_t len) const;
-  AccessResult WriteUnchecked(GuestAddr addr, const void* data, uint64_t len);
+  AccessResult ReadUnchecked(GuestAddr addr, void* out, uint64_t len) const {
+    return ReadAs(addr, out, len, kProtNone);
+  }
+  AccessResult WriteUnchecked(GuestAddr addr, const void* data, uint64_t len) {
+    return WriteAs(addr, data, len, kProtNone);
+  }
 
   // Typed helpers.
   std::optional<uint64_t> ReadU64(GuestAddr addr) const;
@@ -132,67 +136,83 @@ class AddressSpace {
   // All VMAs in address order.
   std::vector<Vma> Vmas() const;
 
-  // True when the page containing `addr` has a backing frame — in this page table
-  // or, for a shared mapping, in its segment's table. Unlike ResolveFrame, this
-  // never materializes a lazy page — snapshot capture uses it to record lazy holes
-  // as holes instead of forcing the whole region resident.
-  bool PageMaterialized(GuestAddr addr) const;
+  // True when the page containing `addr` has a frame in its table. Never
+  // materializes: snapshot capture uses it to record holes as holes instead of
+  // forcing the whole region resident.
+  bool PageMaterialized(GuestAddr addr) const { return Frame(addr, false) != nullptr; }
 
-  // Resolves an address to its backing frame; nullptr when unmapped. Used for futex
-  // keys (shared frames give shared keys) and zero-copy page sharing.
-  Page* ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const;
-  // The frame backing `addr` if it is resident — in this page table or, for a
-  // shared mapping, in its segment — else nullptr. Never materializes a page: a
-  // futex wake looks its key up with it, since nobody waits on an untouched word.
-  Page* ResidentFrame(GuestAddr addr, uint64_t* offset_in_page) const;
+  // Resolves an address to its backing frame, materializing it; nullptr when
+  // unmapped. Used for futex keys (shared frames give shared keys).
+  Page* ResolveFrame(GuestAddr addr, uint64_t* offset_in_page) const {
+    return WithOffset(Frame(addr, true), addr, offset_in_page);
+  }
+  // The frame backing `addr` if it is resident, else nullptr. Never materializes a
+  // page: a futex wake looks its key up with it, since nobody waits on an
+  // untouched word.
+  Page* ResidentFrame(GuestAddr addr, uint64_t* offset_in_page) const {
+    return WithOffset(Frame(addr, false), addr, offset_in_page);
+  }
 
   // Renders /proc/<pid>/maps content.
   std::string RenderMaps() const;
 
-  // Bytes of the pages this address space has touched (its page table), the
-  // simulated resident set: shared pages count in every space that used them.
-  uint64_t mapped_bytes() const;
+  // Bytes of the frames resident in this space's private tables, the simulated
+  // resident set. A shared table is charged to no attacher: segments count once,
+  // in ShmRegistry::resident_pages().
+  uint64_t mapped_bytes() const { return private_resident_ * kPageSize; }
 
  private:
-  struct PageEntry {
-    PageRef frame;
-    uint32_t prot = kProtNone;
-  };
-
   bool RangeFree(GuestAddr start, uint64_t length) const;
 
-  // Shared validation prologue of the MapFixed* entry points: page-aligned start,
-  // non-empty, inside the user range, and free. On success *len_out holds the
-  // page-rounded length.
+  // Validation prologue of MapFixed and MapShared: page-aligned start, non-empty,
+  // inside the user range, and free. On success *len_out holds the page-rounded
+  // length.
   bool ValidateFixedRange(GuestAddr start, uint64_t length, uint64_t* len_out) const;
 
-  // True when [start, start+length) intersects any VMA (materialized or lazy).
+  // True when [start, start+length) intersects any VMA.
   bool VmaOverlaps(GuestAddr start, uint64_t length) const;
 
-  // Installs the backing frame of an untouched page of a lazy VMA: the shared
-  // table's frame (allocated there if no attacher has yet) or a fresh private one.
-  // Returns null if the address has no lazy VMA or the VMA lacks `required_prot`
-  // (0 = any). Const because demand paging is transparent to callers (page_table_
-  // is the cache it fills).
-  Page* MaterializeIfLazy(GuestAddr addr, uint32_t required_prot = 0) const;
+  // The frame backing `addr` in `vma`: allocated there on first use when
+  // `materialize`, else null for a hole. Const because demand paging is
+  // transparent to callers.
+  Page* FrameIn(const Vma& vma, GuestAddr addr, bool materialize) const;
+  // FrameIn over the VMA holding `addr`; null when `addr` is unmapped.
+  Page* Frame(GuestAddr addr, bool materialize) const {
+    const Vma* vma = FindVma(addr);
+    return vma != nullptr ? FrameIn(*vma, addr, materialize) : nullptr;
+  }
+  static Page* WithOffset(Page* frame, GuestAddr addr, uint64_t* offset_in_page) {
+    if (frame != nullptr && offset_in_page != nullptr) {
+      *offset_in_page = addr & kPageMask;
+    }
+    return frame;
+  }
 
-  // The shared-table frame already backing `addr`, or null (private VMA, or no
-  // attacher has materialized the page). Never allocates.
-  static const PageRef* SharedFrame(const Vma& vma, GuestAddr addr);
+  // Read and Write, requiring `prot` of every VMA they cross.
+  AccessResult ReadAs(GuestAddr addr, void* out, uint64_t len, uint32_t prot) const;
+  AccessResult WriteAs(GuestAddr addr, const void* data, uint64_t len, uint32_t prot);
 
-  using PageTable = std::unordered_map<uint64_t, PageEntry>;  // Keyed by VPN.
-
-  // Page-table miss on a read: installs the frame another attacher of `vma`'s
-  // shared table already materialized. Returns page_table_.end() when the page
-  // is still a hole (it reads as zeroes).
-  PageTable::iterator InstallSharedFrame(const Vma& vma, GuestAddr addr) const;
+  // The page loop behind every access: hands `visit(frame, offset, n)` each
+  // page-sized piece of [addr, addr+len) in order, with the piece's frame (null for
+  // a hole when `!materialize`), until `visit` returns false. Faults at the first
+  // piece whose VMA is missing or lacks `prot` (0 = any).
+  template <typename Visit>
+  AccessResult Walk(GuestAddr addr, uint64_t len, uint32_t prot, bool materialize,
+                    Visit&& visit) const;
 
   // Splits VMAs so that `start` and `start+length` fall on VMA boundaries.
   void SplitAround(GuestAddr start, uint64_t length);
 
   std::map<GuestAddr, Vma> vmas_;  // Keyed by start address.
-  // Mutable: lazy VMAs materialize frames inside const accessors.
-  mutable PageTable page_table_;
+  // The last two VMAs FindVma found, replaced in turn. Accesses alternate between
+  // two regions: on the perfbench workloads (seed 1) one entry misses 6-10% of
+  // lookups, and two or four miss under 0.01%. Map nodes never move, and a split
+  // only shrinks a node, so only an erase clears an entry.
+  mutable std::array<const Vma*, 2> recent_vmas_{};
+  mutable uint32_t next_recent_ = 0;
+  // Frames in this space's private tables. Mutable: pages materialize inside
+  // const accessors.
+  mutable uint64_t private_resident_ = 0;
 };
 
 }  // namespace remon

@@ -270,7 +270,7 @@ uint64_t FileData::Read(uint64_t offset, void* out, uint64_t len) const {
     uint64_t page = (offset + done) >> kPageShift;
     uint64_t in_page = (offset + done) & kPageMask;
     uint64_t chunk = std::min(n - done, kPageSize - in_page);
-    const Page* frame = page < frames_.size() ? frames_.Get(page).get() : nullptr;
+    const Page* frame = page < frames_.size() ? frames_.Get(page) : nullptr;
     if (frame != nullptr) {
       std::memcpy(dst + done, frame->bytes.data() + in_page, chunk);
     } else {

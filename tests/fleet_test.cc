@@ -205,7 +205,7 @@ TEST(FleetFileMapTest, MultiPageMapTracksFdsPastTheClassicPage) {
   fm.Configure(2, "fe-s0");
   EXPECT_EQ(fm.max_fds(), 2 * FileMap::kMaxFds);
   EXPECT_EQ(fm.size_bytes(), 2 * kPageSize);
-  ASSERT_EQ(fm.pages().size(), 2u);
+  ASSERT_EQ(fm.page_count(), 2);
 
   // The exact boundary: last FD of page 0, first FD of page 1.
   fm.Set(FileMap::kMaxFds - 1, FdType::kSocket, true);
@@ -215,8 +215,8 @@ TEST(FleetFileMapTest, MultiPageMapTracksFdsPastTheClassicPage) {
   EXPECT_TRUE(fm.IsNonblocking(FileMap::kMaxFds - 1));
   EXPECT_FALSE(fm.IsNonblocking(FileMap::kMaxFds));
   // Bytes land on the right backing frames (replicas map these read-only).
-  EXPECT_NE(fm.pages()[0]->bytes[kPageSize - 1], 0);
-  EXPECT_NE(fm.pages()[1]->bytes[0], 0);
+  EXPECT_NE(fm.page(0).bytes[kPageSize - 1], 0);
+  EXPECT_NE(fm.page(1).bytes[0], 0);
   EXPECT_EQ(fm.out_of_range_sets(), 0u);
 
   // One past the end: dropped and counted, map untouched.

@@ -337,6 +337,7 @@ TEST(FutexLifetimeTest, WakeFaultsNoPageIn) {
     EXPECT_EQ(w.shm.resident_pages(), resident);
     EXPECT_EQ(co_await g.Futex(base + kPageSize, kFutexWake, 1), 1);
     EXPECT_EQ(waker->mem().mapped_bytes(), mapped);
+    EXPECT_EQ(w.shm.resident_pages(), resident);
     EXPECT_EQ(co_await g.Futex(base + 64 * kPageSize, kFutexWake, 1), -kEFAULT);
   });
   w.Run();
@@ -666,6 +667,145 @@ TEST(KernelTest, MmapMunmapLifecycle) {
     bool ok = co_await g.TryPeek(static_cast<GuestAddr>(addr), nullptr, 0);
     (void)ok;
     co_return;
+  });
+  w.Run();
+}
+
+// Anonymous mmap is demand-paged, as on Linux: mapping 64 MiB allocates no frame,
+// and the first write to a page makes exactly that page resident. MAP_FIXED onto
+// a mapped range fails.
+TEST(MemorySyscallTest, MmapIsDemandPaged) {
+  SimWorld w;
+  Process* p = w.NewProcess("lazy-mmap");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    constexpr uint64_t kLen = 64 * 1024 * 1024;
+    uint64_t before = p->mem().mapped_bytes();
+    int64_t addr = co_await g.Mmap(0, kLen, kProtRead | kProtWrite, kMapPrivate);
+    EXPECT_GT(addr, 0);
+    EXPECT_EQ(p->mem().mapped_bytes(), before);
+    GuestAddr base = static_cast<GuestAddr>(addr);
+    EXPECT_EQ(g.PeekU64(base + kLen / 2), 0u);  // A read makes nothing resident.
+    EXPECT_EQ(p->mem().mapped_bytes(), before);
+    g.PokeU64(base + kLen / 2, 7);
+    EXPECT_EQ(p->mem().mapped_bytes(), before + kPageSize);
+    EXPECT_EQ(co_await g.Mmap(base + kPageSize, kPageSize, kProtRead,
+                              kMapPrivate | kMapFixed),
+              -kENOMEM);
+    EXPECT_EQ(g.PeekU64(base + kLen / 2), 7u);
+  });
+  w.Run();
+}
+
+TEST(MemorySyscallTest, MunmapOfAPrivateSliceReleasesItsFrames) {
+  SimWorld w;
+  Process* p = w.NewProcess("munmap-slice");
+  GuestAddr base = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 4 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    for (uint64_t page = 0; page < 4; ++page) {
+      g.PokeU64(base + page * kPageSize, 100 + page);
+    }
+    uint64_t touched = p->mem().mapped_bytes();
+    EXPECT_EQ(co_await g.Munmap(base + kPageSize, 2 * kPageSize), 0);
+    EXPECT_EQ(p->mem().mapped_bytes(), touched - 2 * kPageSize);
+    EXPECT_EQ(g.PeekU64(base), 100u);
+    EXPECT_EQ(g.PeekU64(base + 3 * kPageSize), 103u);
+  });
+  w.Run();
+  uint64_t v = 0;
+  EXPECT_FALSE(p->mem().Read(base + kPageSize, &v, sizeof(v)).ok);
+  EXPECT_FALSE(p->mem().Read(base + 2 * kPageSize, &v, sizeof(v)).ok);
+}
+
+// A shrink releases the tail's frames, so growing back exposes zeroes, not the
+// bytes the tail held before.
+TEST(MemorySyscallTest, MremapShrinkThenGrowReadsZeroesInTheTail) {
+  SimWorld w;
+  Process* p = w.NewProcess("mremap");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 4 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    for (uint64_t page = 0; page < 4; ++page) {
+      g.PokeU64(base + page * kPageSize + 8, 0xabcd00 + page);
+    }
+    uint64_t touched = p->mem().mapped_bytes();
+    EXPECT_EQ(co_await g.Syscall(Sys::kMremap, base, 4 * kPageSize, kPageSize),
+              static_cast<int64_t>(base));
+    EXPECT_EQ(p->mem().mapped_bytes(), touched - 3 * kPageSize);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMremap, base, kPageSize, 4 * kPageSize),
+              static_cast<int64_t>(base));
+    EXPECT_EQ(g.PeekU64(base + 8), 0xabcd00u);
+    for (uint64_t page = 1; page < 4; ++page) {
+      EXPECT_EQ(g.PeekU64(base + page * kPageSize + 8), 0u) << page;
+    }
+    EXPECT_EQ(p->mem().mapped_bytes(), touched - 3 * kPageSize);
+  });
+  w.Run();
+}
+
+TEST(MemorySyscallTest, MremapOfASysvAttachCannotGrow) {
+  SimWorld w;
+  Process* p = w.NewProcess("mremap-shm");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int64_t id = co_await g.Shmget(ShmRegistry::kIpcPrivate, 2 * kPageSize, kIpcCreat);
+    GuestAddr base = static_cast<GuestAddr>(co_await g.Shmat(static_cast<int>(id)));
+    EXPECT_EQ(co_await g.Syscall(Sys::kMremap, base, 2 * kPageSize, 4 * kPageSize),
+              -kENOMEM);
+    g.PokeU64(base + kPageSize, 5);
+    EXPECT_EQ(g.PeekU64(base + kPageSize), 5u);
+  });
+  w.Run();
+}
+
+// Two processes attach one segment: the first to detach leaves the other's view,
+// and the bytes either one wrote, intact.
+TEST(MemorySyscallTest, ShmdtOfOneAttacherLeavesTheOthersBytes) {
+  SimWorld w;
+  Process* a = w.NewProcess("shmdt-a");
+  Process* b = w.NewProcess("shmdt-b");
+  GuestAddr a_base = 0;
+  uint64_t seen_by_b = 0;
+  w.kernel.SpawnThread(a, [&](Guest& g) -> GuestTask<void> {
+    int64_t id = co_await g.Shmget(4343, 2 * kPageSize, kIpcCreat);
+    a_base = static_cast<GuestAddr>(co_await g.Shmat(static_cast<int>(id)));
+    g.PokeU64(a_base, 11);
+    co_await g.Compute(Millis(1));  // B attaches and writes.
+    EXPECT_EQ(co_await g.Shmdt(a_base), 0);
+    EXPECT_EQ(co_await g.Shmdt(a_base), -kEINVAL);
+  });
+  w.kernel.SpawnThread(b, [&](Guest& g) -> GuestTask<void> {
+    co_await g.Compute(Micros(500));
+    int64_t id = co_await g.Shmget(4343, 2 * kPageSize, 0);
+    GuestAddr base = static_cast<GuestAddr>(co_await g.Shmat(static_cast<int>(id)));
+    g.PokeU64(base + kPageSize, 22);
+    co_await g.Compute(Millis(1));  // A detaches.
+    seen_by_b = g.PeekU64(base) * 100 + g.PeekU64(base + kPageSize);
+  });
+  w.Run();
+  EXPECT_EQ(seen_by_b, 11u * 100 + 22u);
+  uint64_t v = 0;
+  EXPECT_FALSE(a->mem().Read(a_base, &v, sizeof(v)).ok);
+}
+
+// IPC_RMID while attached only marks the segment: its frames stay until the last
+// attacher detaches, then the segment and its frames go.
+TEST(MemorySyscallTest, ShmctlRmidKeepsTheFramesUntilTheLastDetach) {
+  SimWorld w;
+  Process* p = w.NewProcess("shm-rmid");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int id = static_cast<int>(co_await g.Shmget(ShmRegistry::kIpcPrivate, kPageSize, kIpcCreat));
+    GuestAddr first = static_cast<GuestAddr>(co_await g.Shmat(id));
+    GuestAddr second = static_cast<GuestAddr>(co_await g.Shmat(id));
+    g.PokeU64(first, 0x5eed);
+    EXPECT_EQ(co_await g.Syscall(Sys::kShmctl, static_cast<uint64_t>(id), kIpcRmid), 0);
+    EXPECT_NE(w.shm.Find(id), nullptr);
+    EXPECT_EQ(co_await g.Shmdt(first), 0);
+    EXPECT_EQ(w.shm.resident_pages(), 1u);
+    EXPECT_EQ(g.PeekU64(second), 0x5eedu);
+    EXPECT_EQ(co_await g.Shmdt(second), 0);
+    EXPECT_EQ(w.shm.Find(id), nullptr);
+    EXPECT_EQ(w.shm.resident_pages(), 0u);
   });
   w.Run();
 }

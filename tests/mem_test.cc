@@ -56,7 +56,7 @@ TEST(AddressSpaceTest, ProtectHugeLazyRegionIsVmaGranular) {
   AddressSpace as;
   constexpr GuestAddr kBase = 0x10000;
   constexpr uint64_t kTiB = 1ULL << 40;
-  ASSERT_TRUE(as.MapFixedLazy(kBase, kTiB, kProtRead | kProtWrite, "huge-lazy"));
+  ASSERT_TRUE(as.MapFixed(kBase, kTiB, kProtRead | kProtWrite, false, "huge-lazy"));
   uint64_t v = 0xabcdef;
   ASSERT_TRUE(as.Write(kBase + (5ULL << 30), &v, 8).ok);  // Materialize two pages,
   ASSERT_TRUE(as.Write(kBase + (9ULL << 30), &v, 8).ok);  // far apart.
@@ -85,7 +85,7 @@ TEST(AddressSpaceTest, ProtectHugeLazyRegionIsVmaGranular) {
 TEST(AddressSpaceTest, ProtectRejectsRangesWithGaps) {
   AddressSpace as;
   ASSERT_TRUE(as.MapFixed(0x10000, 4096, kProtRead | kProtWrite, false, "a"));
-  ASSERT_TRUE(as.MapFixedLazy(0x13000, 4096, kProtRead | kProtWrite, "b"));
+  ASSERT_TRUE(as.MapFixed(0x13000, 4096, kProtRead | kProtWrite, false, "b"));
   // [0x10000, 0x14000) has a hole at 0x11000..0x13000: mprotect must fail without
   // changing either mapping.
   EXPECT_FALSE(as.Protect(0x10000, 0x4000, kProtRead));
@@ -107,7 +107,7 @@ TEST(AddressSpaceTest, DoubleMapFails) {
 TEST(AddressSpaceTest, LazyMappingMaterializesOnTouch) {
   AddressSpace as;
   // A 64 MiB demand-paged region costs nothing at map time...
-  ASSERT_TRUE(as.MapFixedLazy(0x10000, 64 * 1024 * 1024, kProtRead | kProtWrite, "lazy"));
+  ASSERT_TRUE(as.MapFixed(0x10000, 64 * 1024 * 1024, kProtRead | kProtWrite, false, "lazy"));
   EXPECT_EQ(as.mapped_bytes(), 0u);
   // ...occupies the address range (overlap rejected, VMA visible)...
   EXPECT_FALSE(as.MapFixed(0x10000, 4096, kProtRead, false, "clash"));
@@ -127,7 +127,7 @@ TEST(AddressSpaceTest, LazyMappingMaterializesOnTouch) {
 
 TEST(AddressSpaceTest, LazyMappingHonorsProtection) {
   AddressSpace as;
-  ASSERT_TRUE(as.MapFixedLazy(0x10000, 1 << 20, kProtRead, "lazy-ro"));
+  ASSERT_TRUE(as.MapFixed(0x10000, 1 << 20, kProtRead, false, "lazy-ro"));
   uint8_t b = 1;
   EXPECT_FALSE(as.Write(0x10000, &b, 1).ok);   // Untouched page: prot from the VMA.
   EXPECT_TRUE(as.Read(0x10000, &b, 1).ok);
@@ -140,7 +140,7 @@ TEST(AddressSpaceTest, LazyMappingHonorsProtection) {
 
 TEST(AddressSpaceTest, LazyMappingResolvesFramesForFutexKeys) {
   AddressSpace as;
-  ASSERT_TRUE(as.MapFixedLazy(0x10000, 1 << 20, kProtRead | kProtWrite, "lazy"));
+  ASSERT_TRUE(as.MapFixed(0x10000, 1 << 20, kProtRead | kProtWrite, false, "lazy"));
   uint64_t off = 0;
   Page* f1 = as.ResolveFrame(0x13008, &off);
   ASSERT_NE(f1, nullptr);
@@ -148,7 +148,7 @@ TEST(AddressSpaceTest, LazyMappingResolvesFramesForFutexKeys) {
   // The frame is stable: a second resolution and a read see the same page.
   Page* f2 = as.ResolveFrame(0x13000, nullptr);
   EXPECT_EQ(f1, f2);
-  EXPECT_FALSE(as.MapFixedLazy(0x100000, 4096, kProtRead, "clash"));
+  EXPECT_FALSE(as.MapFixed(0x100000, 4096, kProtRead, false, "clash"));
 }
 
 TEST(AddressSpaceTest, UnmapThenRemap) {
@@ -183,9 +183,9 @@ TEST(AddressSpaceTest, FindFreeRangeAvoidsMappings) {
 TEST(AddressSpaceTest, SharedFramesAliasAcrossSpaces) {
   AddressSpace a;
   AddressSpace b;
-  std::vector<PageRef> frames = {NewPage()};
-  ASSERT_TRUE(a.MapFixedBacked(0x10000, 4096, kProtRead | kProtWrite, true, "shm", frames));
-  ASSERT_TRUE(b.MapFixedBacked(0x90000, 4096, kProtRead | kProtWrite, true, "shm", frames));
+  auto frames = std::make_shared<FrameTable>(1);
+  ASSERT_TRUE(a.MapShared(0x10000, 4096, kProtRead | kProtWrite, "shm", frames, 0));
+  ASSERT_TRUE(b.MapShared(0x90000, 4096, kProtRead | kProtWrite, "shm", frames, 0));
   uint32_t v = 12345;
   ASSERT_TRUE(a.Write(0x10010, &v, 4).ok);
   uint32_t r = 0;
@@ -217,6 +217,33 @@ TEST(AddressSpaceTest, ReadCString) {
   auto s = as.ReadCString(0x10000);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(*s, "hello");
+}
+
+// ReadCString scans page by page: a string running into an unmapped page faults
+// unless its NUL comes first, and one that crosses into a mapped page reads whole.
+TEST(AddressSpaceTest, ReadCStringFaultsOnlyPastItsNul) {
+  AddressSpace as;
+  ASSERT_TRUE(as.MapFixed(0x10000, 2 * kPageSize, kProtRead | kProtWrite, false, "s"));
+  const GuestAddr kLastByte = 0x10000 + 2 * kPageSize - 1;
+  ASSERT_TRUE(as.Write(kLastByte - 2, "ab", 3).ok);  // "ab\0" ends the mapping.
+  EXPECT_EQ(as.ReadCString(kLastByte - 2), std::optional<std::string>("ab"));
+  ASSERT_TRUE(as.Write(kLastByte - 2, "abc", 3).ok);  // No NUL before the gap.
+  EXPECT_EQ(as.ReadCString(kLastByte - 2), std::nullopt);
+  // max_len stops the scan before the gap.
+  EXPECT_EQ(as.ReadCString(kLastByte - 2, 3), std::optional<std::string>("abc"));
+  // Across a page boundary inside the mapping.
+  ASSERT_TRUE(as.Write(0x11000 - 3, "xyz12", 6).ok);
+  EXPECT_EQ(as.ReadCString(0x11000 - 3), std::optional<std::string>("xyz12"));
+  // A read-protected page faults like an unmapped one.
+  ASSERT_TRUE(as.Write(0x11000 - 2, "pq", 2).ok);
+  ASSERT_TRUE(as.Protect(0x11000, kPageSize, kProtNone));
+  EXPECT_EQ(as.ReadCString(0x11000 - 2), std::nullopt);
+  // An untouched page reads as zeroes, which end the string.
+  AddressSpace lazy;
+  ASSERT_TRUE(lazy.MapFixed(0x10000, 2 * kPageSize, kProtRead | kProtWrite, false, "l"));
+  ASSERT_TRUE(lazy.Write(0x11000 - 2, "hi", 2).ok);
+  EXPECT_EQ(lazy.ReadCString(0x11000 - 2), std::optional<std::string>("hi"));
+  EXPECT_EQ(lazy.mapped_bytes(), kPageSize);
 }
 
 TEST(LayoutTest, DclWindowsAreDisjoint) {
@@ -339,7 +366,9 @@ TEST_F(ShmDemandPagingTest, PageOnlyOneAttacherWroteIsMaterializedInBoth) {
   EXPECT_TRUE(a_.PageMaterialized(kA + 5 * kPageSize));
   EXPECT_TRUE(b_.PageMaterialized(kB + 5 * kPageSize));
   EXPECT_FALSE(b_.PageMaterialized(kB + 4 * kPageSize));
-  // The probe is read-only: B's page table stays empty until B touches the page.
+  // The probes are read-only: the segment holds only the frame A wrote, and a
+  // shared table is charged to no attacher's mapped_bytes().
+  EXPECT_EQ(reg_.resident_pages(), 1u);
   EXPECT_EQ(b_.mapped_bytes(), 0u);
 }
 

@@ -327,8 +327,8 @@ TEST(FileMapTest, SharedPageVisibleThroughGuestMapping) {
   SimWorld w;
   Process* p = w.NewProcess("fm");
   FileMap fm;
-  ASSERT_TRUE(p->mem().MapFixedBacked(0x7e00'0000'0000ULL, kPageSize, kProtRead, true,
-                                      "ipmon-filemap", fm.pages()));
+  ASSERT_TRUE(p->mem().MapShared(0x7e00'0000'0000ULL, kPageSize, kProtRead, "ipmon-filemap",
+                                 fm.frames(), 0));
   fm.Set(9, FdType::kSocket, true);
   uint8_t byte = 0;
   ASSERT_TRUE(p->mem().Read(0x7e00'0000'0000ULL + 9, &byte, 1).ok);

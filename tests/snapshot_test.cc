@@ -519,8 +519,8 @@ TEST(SnapshotEquivalenceTest, EmptyAndFoldedBasisRestoreIdenticalMirrors) {
   EXPECT_EQ(log_empty, log_folded);
   EXPECT_EQ(replica_sync->tail(), empty.sync_tail);
   uint32_t fm_crc = 0;
-  for (const PageRef& page : mirror->file_map()->pages()) {
-    fm_crc = Crc32(page->bytes.data(), kPageSize, fm_crc);
+  for (int page = 0; page < mirror->file_map()->page_count(); ++page) {
+    fm_crc = Crc32(mirror->file_map()->page(page).bytes.data(), kPageSize, fm_crc);
   }
   EXPECT_EQ(fm_crc, empty.file_map_crc);
 }
