@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "src/core/await.h"
 #include "src/core/ipmon.h"
@@ -50,13 +49,19 @@ void Ghumvee::AddReplica(Process* process) {
   }
   replicas_.push_back(process);
   ipmons_.push_back(nullptr);
-  epoll_shadow_.emplace_back();
+  own_epoll_shadow_.push_back(std::make_unique<EpollShadowMap>());
   kernel_->PtraceAttach(process, &hub_);
 }
 
 void Ghumvee::AttachIpmon(int replica_index, IpMon* mon) {
   REMON_CHECK(replica_index >= 0 && replica_index < static_cast<int>(ipmons_.size()));
   ipmons_[static_cast<size_t>(replica_index)] = mon;
+  own_epoll_shadow_[static_cast<size_t>(replica_index)].reset();
+}
+
+EpollShadowMap& Ghumvee::EpollShadow(int replica) {
+  size_t i = static_cast<size_t>(replica);
+  return ipmons_[i] != nullptr ? ipmons_[i]->epoll_shadow() : *own_epoll_shadow_[i];
 }
 
 int Ghumvee::ReplicaIndexOf(const Process* p) const {
@@ -257,8 +262,9 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
     co_return;
   }
 
-  // epoll_ctl: record every replica's own (epfd, fd) -> data association so
-  // epoll_wait results can be translated per replica (§3.9).
+  // epoll_ctl: record every replica's own (epfd, fd) -> data association in its
+  // one shadow, so epoll_wait results can be translated per replica (§3.9)
+  // whichever monitor replicates them.
   if (nr == Sys::kEpollCtl) {
     for (int i = 0; i < num_replicas(); ++i) {
       Thread* t = rs.current[static_cast<size_t>(i)];
@@ -270,12 +276,7 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
           !kernel_->TracerRead(t->process(), t->cur_req.arg(3), &ev, sizeof(ev))) {
         continue;
       }
-      epoll_shadow_[static_cast<size_t>(i)].Record(epfd, op, fd, ev.data);
-      // Keep IP-MON's shadow in sync: at some policy levels epoll_ctl is monitored
-      // while epoll_wait is exempt (paper Table 1, SOCKET_RO).
-      if (ipmons_[static_cast<size_t>(i)] != nullptr) {
-        ipmons_[static_cast<size_t>(i)]->RecordEpollShadowDirect(epfd, op, fd, ev.data);
-      }
+      EpollShadow(i).Record(epfd, op, fd, ev.data);
     }
   }
 
@@ -351,12 +352,16 @@ GuestTask<void> Ghumvee::HandleMasterExit(int rank, RankState& rs, Thread* maste
     FilterMapsContent(master_thread, rs.req, result);
   }
 
-  // Copy the out-regions from the master (process_vm_readv analog).
-  rs.master_regions = CollectOutRegions(replicas_[0], rs.req, result);
+  // Copy the out-regions from the master (process_vm_readv analog). The master's
+  // epoll cookies become fds here, once, through its shadow as of this stop (§3.9).
   rs.blobs.clear();
-  for (const OutRegion& r : rs.master_regions) {
+  for (const OutRegion& r : CollectOutRegions(replicas_[0], rs.req, result)) {
     std::vector<uint8_t> data(r.len);
     kernel_->TracerRead(replicas_[0], r.addr, data.data(), r.len);
+    if (r.is_epoll_events) {
+      EpollShadow(0).CookiesToFds(static_cast<int>(rs.req.arg(0)), data.data(),
+                                  data.size());
+    }
     rs.blobs.push_back(std::move(data));
     co_await Work(rank, costs.VmCopyCost(r.len));
   }
@@ -388,31 +393,10 @@ GuestTask<void> Ghumvee::DeliverResults(int rank, RankState& rs, int replica) {
       CollectOutRegions(replicas_[i], rs.current[i]->cur_req, rs.result);
   for (size_t r = 0; r < slave_regions.size() && r < rs.blobs.size(); ++r) {
     std::vector<uint8_t> data = rs.blobs[r];
-    if (rs.master_regions[r].is_epoll_events) {
-      // Translate master data values -> fd -> slave data values (§3.9).
-      int epfd = static_cast<int>(rs.current[i]->cur_req.arg(0));
-      for (int e = 0; e < rs.master_regions[r].event_count; ++e) {
-        GuestEpollEvent ev;
-        std::memcpy(&ev, data.data() + static_cast<size_t>(e) * sizeof(ev), sizeof(ev));
-        // Resolve master data -> fd, then fd -> slave data; either side may be
-        // authoritative in GHUMVEE's maps (monitored epoll_ctl) or in IP-MON's
-        // (exempt epoll_ctl).
-        int fd_val = -1;
-        if (!epoll_shadow_[0].FdForData(epfd, ev.data, &fd_val) && ipmons_[0] != nullptr) {
-          ipmons_[0]->LookupEpollFd(epfd, ev.data, &fd_val);
-        }
-        if (fd_val >= 0) {
-          // Aligned staging value: GuestEpollEvent is packed, so &ev.data is a
-          // misaligned uint64_t* the lookup must not store through.
-          uint64_t slave_data = 0;
-          if (epoll_shadow_[i].DataForFd(epfd, fd_val, &slave_data) ||
-              (ipmons_[i] != nullptr &&
-               ipmons_[i]->LookupEpollData(epfd, fd_val, &slave_data))) {
-            ev.data = slave_data;
-          }
-        }
-        std::memcpy(data.data() + static_cast<size_t>(e) * sizeof(ev), &ev, sizeof(ev));
-      }
+    if (slave_regions[r].is_epoll_events) {
+      // The master's fds become this slave's own cookies (§3.9).
+      EpollShadow(replica).FdsToCookies(static_cast<int>(rs.current[i]->cur_req.arg(0)),
+                                        data.data(), data.size());
     }
     kernel_->TracerWrite(replicas_[i], slave_regions[r].addr, data.data(),
                          std::min<uint64_t>(data.size(), slave_regions[r].len));

@@ -114,7 +114,7 @@ class Ghumvee {
     std::vector<Leg> legs;
     bool results_ready = false;
     int64_t result = 0;
-    std::vector<OutRegion> master_regions;
+    // The master's out-regions, epoll cookies already turned into fds.
     std::vector<std::vector<uint8_t>> blobs;
     // Watchdog: armed while arrivals are partial; fires Divergence if the round
     // never completes (a compromised replica stopped participating in lockstep).
@@ -176,6 +176,9 @@ class Ghumvee {
   auto Work(int rank, DurationNs d);
 
   int ReplicaIndexOf(const Process* p) const;
+  // Replica `replica`'s one epoll shadow (§3.9): its IP-MON's, or for a replica
+  // without IP-MON the map GHUMVEE keeps for it.
+  EpollShadowMap& EpollShadow(int replica);
 
   Kernel* kernel_;
   PtraceHub hub_;
@@ -190,11 +193,8 @@ class Ghumvee {
   // than be deferred again. Keyed by thread, value is a signal bitmask.
   std::map<Thread*, uint64_t> injected_signals_;
 
-  // epoll shadow mappings (§3.9): per replica (epfd, fd) -> data, plus the master's
-  // reverse direction for translating replicated epoll_wait results.
-  // Per-replica epoll data shadow maps (§3.9); replica 0's doubles as the reverse
-  // (data -> fd) source when canonicalizing the master's epoll_wait results.
-  std::vector<EpollShadowMap> epoll_shadow_;
+  // The epoll shadow of each replica without IP-MON; null once one is attached.
+  std::vector<std::unique_ptr<EpollShadowMap>> own_epoll_shadow_;
 
   std::vector<DivergenceRecord> divergences_;
   std::function<bool()> reseed_gate_;

@@ -108,20 +108,8 @@ void IpMon::RecordEpollShadow(Thread* t, const SyscallRequest& req) {
       !process_->mem().Read(req.arg(3), &ev, sizeof(ev)).ok) {
     return;
   }
-  RecordEpollShadowDirect(static_cast<int>(req.arg(0)), static_cast<int>(req.arg(1)),
-                          static_cast<int>(req.arg(2)), ev.data);
-}
-
-bool IpMon::LookupEpollFd(int epfd, uint64_t data, int* fd_out) const {
-  return epoll_shadow_.FdForData(epfd, data, fd_out);
-}
-
-bool IpMon::LookupEpollData(int epfd, int fd, uint64_t* data_out) const {
-  return epoll_shadow_.DataForFd(epfd, fd, data_out);
-}
-
-void IpMon::RecordEpollShadowDirect(int epfd, int op, int fd, uint64_t data) {
-  epoll_shadow_.Record(epfd, op, fd, data);
+  epoll_shadow_.Record(static_cast<int>(req.arg(0)), static_cast<int>(req.arg(1)),
+                       static_cast<int>(req.arg(2)), ev.data);
 }
 
 std::vector<uint8_t> IpMon::BuildResultPayload(Thread* t, const SyscallRequest& req,
@@ -137,16 +125,7 @@ std::vector<uint8_t> IpMon::BuildResultPayload(Thread* t, const SyscallRequest& 
     if (r.is_epoll_events) {
       // §3.9: replace this replica's opaque data values with FDs so slaves can map
       // them back onto their own values.
-      int epfd = static_cast<int>(req.arg(0));
-      for (int i = 0; i < r.event_count; ++i) {
-        GuestEpollEvent ev;
-        std::memcpy(&ev, data.data() + static_cast<size_t>(i) * sizeof(ev), sizeof(ev));
-        int fd = -1;
-        if (epoll_shadow_.FdForData(epfd, ev.data, &fd)) {
-          ev.data = static_cast<uint64_t>(fd);
-        }
-        std::memcpy(data.data() + static_cast<size_t>(i) * sizeof(ev), &ev, sizeof(ev));
-      }
+      epoll_shadow_.CookiesToFds(static_cast<int>(req.arg(0)), data.data(), data.size());
     }
     AppendU64To(&payload, r.len);
     payload.insert(payload.end(), data.begin(), data.end());
@@ -169,16 +148,7 @@ void IpMon::ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret
                               payload.begin() + static_cast<long>(pos + len));
     pos += len;
     if (r.is_epoll_events) {
-      int epfd = static_cast<int>(req.arg(0));
-      for (int e = 0; e < r.event_count; ++e) {
-        GuestEpollEvent ev;
-        std::memcpy(&ev, data.data() + static_cast<size_t>(e) * sizeof(ev), sizeof(ev));
-        uint64_t local_data = 0;
-        if (epoll_shadow_.DataForFd(epfd, static_cast<int>(ev.data), &local_data)) {
-          ev.data = local_data;
-        }
-        std::memcpy(data.data() + static_cast<size_t>(e) * sizeof(ev), &ev, sizeof(ev));
-      }
+      epoll_shadow_.FdsToCookies(static_cast<int>(req.arg(0)), data.data(), data.size());
     }
     uint64_t n = std::min<uint64_t>(len, r.len);
     // A write fault here means this replica's buffer pointer differs in validity
@@ -188,7 +158,7 @@ void IpMon::ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret
   }
 }
 
-void IpMon::IntentionalCrash(Thread* t, const SyscallRequest& req, uint64_t seq) {
+void IpMon::IntentionalCrash(Thread* t) {
   // The paper's IP-MON triggers a deliberate crash so the ptrace machinery informs
   // GHUMVEE, which then shuts the MVEE down.
   ++kernel_->stats().divergences_detected;
@@ -226,7 +196,6 @@ GuestTask<void> IpMon::HandleCall(Thread* t, SyscallRequest req, uint64_t token,
 
   // MAYBE_CHECKED: conditional relaxation policies (paper listing 1).
   if (!temporal_exempt && NeedsGhumvee(t, req)) {
-    forward_reason_ = "maybe_checked";
     co_await ForwardToGhumvee(t, req);
     t->in_ipmon = false;
     co_return;
@@ -235,7 +204,7 @@ GuestTask<void> IpMon::HandleCall(Thread* t, SyscallRequest req, uint64_t token,
   if (is_master()) {
     co_await MasterPath(t, req, token);
   } else {
-    co_await SlavePath(t, req, token);
+    co_await SlavePath(t, req);
   }
   t->in_ipmon = false;
 }
@@ -262,9 +231,142 @@ GuestTask<void> IpMon::ForwardToGhumvee(Thread* t, SyscallRequest req) {
   kernel_->CompleteSyscall(t, r);
 }
 
-GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token) {
+GuestTask<IpMon::RbSlot> IpMon::SizeEntry(Thread* t, const SyscallRequest& req) {
+  // CALCSIZE: both the signature and the out-capacity derive from argument values
+  // that are identical across replicas, so every replica computes the same size and
+  // the cursors stay in lockstep.
+  RbSlot e;
+  e.sig = SerializeCallSignature(process_, req);
+  e.size = RbEntryOps::EntrySize(e.sig.size(), EstimateDataSize(process_, req) + 16);
+  co_await ThreadCost{t, kernel_->sim()->costs().RbCopyCost(e.sig.size())};
+  co_return e;
+}
+
+bool IpMon::FitsSubBuffer(int rank, const RbSlot& e) const {
+  return e.size <= rb_.RankDataEnd(rank) - rb_.RankDataStart(rank);
+}
+
+bool IpMon::RankFull(int rank, const RbSlot& e) const {
+  return cursor_[static_cast<size_t>(rank)] + e.size > rb_.RankDataEnd(rank);
+}
+
+void IpMon::ClaimSlot(Thread* t, const SyscallRequest& req, int rank, RbSlot* e) {
+  e->off = cursor_[static_cast<size_t>(rank)];
+  cursor_[static_cast<size_t>(rank)] += e->size;
+  e->seq = seq_[static_cast<size_t>(rank)]++;
+  // Every replica records its own epoll_ctl arguments, slaves before their call is
+  // aborted.
+  RecordEpollShadow(t, req);
+}
+
+GuestTask<uint64_t> IpMon::ResetRankThroughGhumvee(Thread* t, const SyscallRequest& req,
+                                                   int rank) {
+  // Linear RB exhausted: GHUMVEE arbitrates the reset (paper §3.2). The reset trip
+  // consumes the authorization and overwrites the thread's current request;
+  // re-enter through IK-B: fresh token, original call restored.
+  broker_->RevokeToken(t);
+  co_await ExecTraced{t, SyscallRequest{Sys::kRemonRbFlush,
+                                        {static_cast<uint64_t>(rank), 0, 0, 0, 0, 0}}};
+  t->cur_req = req;
+  co_return broker_->IssueToken(t);
+}
+
+GuestTask<void> IpMon::PublishArgs(Thread* t, int rank, const SyscallRequest& req,
+                                   const RbSlot& e, uint32_t flags) {
+  // PRECALL: the argument bytes are in the RB before execution, so a slave's
+  // divergence check always sees this entry's arguments before its POSTCALL.
+  RbEntryOps::CommitArgs(rb_, e.off, req.nr, flags, e.seq, e.size, e.sig);
+  co_await ThreadCost{t, kernel_->sim()->costs().rb_entry_ns};
+  rb_.WakeState(kernel_->futex(), e.off);
+  EmitToTransport(rank, e.off, kRbArgsReady);
+  ++kernel_->stats().rb_entries;
+  kernel_->stats().rb_bytes += e.size;
+}
+
+uint32_t IpMon::CommitResults(int rank, uint64_t entry_off, int64_t result,
+                              const std::vector<uint8_t>& payload) {
+  uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, result, payload);
+  rb_.WakeState(kernel_->futex(), entry_off);  // Memory visibility (free in hardware).
+  EmitToTransport(rank, entry_off, kRbResultsOnly);
+  return waiters;
+}
+
+GuestTask<void> IpMon::PublishResults(Thread* t, int rank, const SyscallRequest& req,
+                                      uint64_t entry_off, int64_t result) {
+  // POSTCALL: replicate results and wake the slaves.
+  const CostModel& costs = kernel_->sim()->costs();
+  std::vector<uint8_t> payload = BuildResultPayload(t, req, result);
+  co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
+  SimStats& stats = kernel_->stats();
+  if (CommitResults(rank, entry_off, result, payload) > 0) {
+    co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
+  } else {
+    ++stats.rb_futex_wakes_elided;
+  }
+  ++stats.syscalls_unmonitored;
+  ++stats.syscalls_mastercall;
+  kernel_->CompleteSyscall(t, result);
+}
+
+GuestTask<void> IpMon::ForwardWithStub(Thread* t, const SyscallRequest& req, int rank,
+                                       uint64_t entry_off) {
+  // The entry is marked forwarded and its results stay empty: the slaves follow the
+  // master to GHUMVEE instead of waiting on the RB.
+  uint32_t flags = rb_.ReadU32(entry_off + kRbOffFlags);
+  if ((flags & kRbFlagForwarded) == 0) {
+    rb_.WriteU32(entry_off + kRbOffFlags, flags | kRbFlagForwarded);
+  }
+  CommitResults(rank, entry_off, 0, {});
+  co_await ForwardToGhumvee(t, req);
+}
+
+GuestTask<void> IpMon::AwaitState(Thread* t, uint64_t entry_off, uint32_t state,
+                                  bool spin) {
   const CostModel& costs = kernel_->sim()->costs();
   SimStats& stats = kernel_->stats();
+  while (rb_.ReadU32(entry_off + kRbOffState) < state) {
+    if (spin) {
+      ++stats.rb_spin_waits;
+      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
+      co_await ThreadCost{t, costs.spin_iteration_ns};
+    } else {
+      RbEntryOps::AddWaiter(rb_, entry_off);
+      ++stats.rb_futex_waits;
+      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
+      RbEntryOps::RemoveWaiter(rb_, entry_off);
+      co_await ThreadCost{t, costs.futex_wait_ns};
+    }
+  }
+}
+
+GuestTask<bool> IpMon::ArgsMatch(Thread* t, const RbSlot& e) {
+  // Wait for the master's PRECALL commit, then compare our deep-copied arguments
+  // against the master's (paper §3: "minimizes opportunities for asymmetrical
+  // attacks").
+  co_await AwaitState(t, e.off, kRbArgsReady, /*spin=*/false);
+  std::vector<uint8_t> master_sig = RbEntryOps::ReadSignature(rb_, e.off);
+  co_await ThreadCost{t, kernel_->sim()->costs().CompareCost(e.sig.size())};
+  co_return master_sig == e.sig;
+}
+
+GuestTask<RbEntryHeader> IpMon::AwaitResults(Thread* t, uint64_t entry_off) {
+  // Per-invocation condition variable (futex) when the call was predicted to block,
+  // spin-read otherwise (paper §3.7).
+  uint32_t flags = RbEntryOps::ReadHeader(rb_, entry_off).flags;
+  co_await AwaitState(t, entry_off, kRbResultsReady, (flags & kRbFlagMaybeBlocking) == 0);
+  co_return RbEntryOps::ReadHeader(rb_, entry_off);
+}
+
+GuestTask<void> IpMon::ConsumeResults(Thread* t, const SyscallRequest& req,
+                                      uint64_t entry_off, int64_t result) {
+  std::vector<uint8_t> payload = RbEntryOps::ReadPayload(rb_, entry_off);
+  co_await ThreadCost{t, kernel_->sim()->costs().RbCopyCost(payload.size())};
+  ApplyResultPayload(t, req, result, payload);
+  ++kernel_->stats().syscalls_unmonitored;
+  kernel_->CompleteSyscall(t, result);
+}
+
+GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token) {
   int rank = t->rank();
   REMON_CHECK(rank < config_.max_ranks);
 
@@ -276,196 +378,70 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
     co_await StallOnTransport(t);
   }
 
-  // CALCSIZE: compute the entry footprint; both the signature and the out-capacity
-  // derive from argument values that are identical across replicas, so every replica
-  // computes the same size and the cursors stay in lockstep.
-  std::vector<uint8_t> sig = SerializeCallSignature(process_, req);
-  uint64_t out_cap = EstimateDataSize(process_, req);
-  uint64_t entry_size = RbEntryOps::EntrySize(sig.size(), out_cap + 16);
-  co_await ThreadCost{t, costs.RbCopyCost(sig.size())};
-
-  uint64_t sub_cap = rb_.RankDataEnd(rank) - rb_.RankDataStart(rank);
-  if (entry_size > sub_cap) {
+  RbSlot e = co_await SizeEntry(t, req);
+  if (!FitsSubBuffer(rank, e)) {
     co_await ForwardToGhumvee(t, req);
     co_return;
   }
-
   bool predict_block = PredictBlocking(req, *file_map_);
-  while (cursor_[static_cast<size_t>(rank)] + entry_size > rb_.RankDataEnd(rank)) {
-    // Linear RB exhausted: GHUMVEE arbitrates the reset (paper §3.2). The reset
-    // trip consumes the authorization; IK-B grants a fresh token on re-entry.
-    broker_->RevokeToken(t);
-    co_await ExecTraced{t, SyscallRequest{Sys::kRemonRbFlush,
-                                          {static_cast<uint64_t>(rank), 0, 0, 0, 0, 0}}};
-    // The flush trip consumed the authorization and overwrote the thread's current
-    // request; re-enter through IK-B: fresh token, original call restored.
-    t->cur_req = req;
-    token = broker_->IssueToken(t);
+  while (RankFull(rank, e)) {
+    token = co_await ResetRankThroughGhumvee(t, req, rank);
   }
-  uint64_t entry_off = cursor_[static_cast<size_t>(rank)];
-  cursor_[static_cast<size_t>(rank)] += entry_size;
-  uint64_t my_seq = seq_[static_cast<size_t>(rank)]++;
+  ClaimSlot(t, req, rank, &e);
 
-  RecordEpollShadow(t, req);
-
+  // §3.8: with a signal GHUMVEE deferred, this call restarts as a *monitored* call
+  // so the monitor gets its synchronization point.
   bool signals_pending = rb_.SignalsPending();
-  uint32_t flags = kRbFlagMasterCall;
-  if (predict_block) {
-    flags |= kRbFlagMaybeBlocking;
-  }
-  if (signals_pending) {
-    flags |= kRbFlagForwarded;
-  }
-
-  // PRECALL: log arguments + metadata, publish and wake. The argument bytes are in
-  // the RB before execution, so a slave's divergence check always sees this
-  // entry's arguments before its POSTCALL.
-  RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
-  co_await ThreadCost{t, costs.rb_entry_ns};
-  rb_.WakeState(kernel_->futex(), entry_off);
-  EmitToTransport(rank, entry_off, kRbArgsReady);
-  ++stats.rb_entries;
-  stats.rb_bytes += entry_size;
-
-  if (signals_pending) {
-    // §3.8: GHUMVEE deferred a signal; restart this call as a *monitored* call so the
-    // monitor gets its synchronization point. The forwarded stub keeps slaves in step.
-    RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, entry_off, kRbResultsOnly);
-    forward_reason_ = "signals_pending";
-    co_await ForwardToGhumvee(t, req);
-    co_return;
-  }
+  uint32_t flags = kRbFlagMasterCall | (predict_block ? kRbFlagMaybeBlocking : 0) |
+                   (signals_pending ? kRbFlagForwarded : 0);
+  co_await PublishArgs(t, rank, req, e, flags);
 
   // Execute: restart the call with the token intact; the IK-B verifier admits it
-  // without reporting to GHUMVEE (fig. 2, steps 3-4).
-  if (!broker_->VerifyToken(t, token, req.nr)) {
-    // Token invalid (revoked / forged / wrong call): forced CP execution. Publish a
-    // forwarded stub so the slaves follow to GHUMVEE instead of waiting on the RB.
-    uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
-    rb_.WriteU32(entry_off + kRbOffFlags, f);
-    RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, entry_off, kRbResultsOnly);
-    forward_reason_ = "token_invalid";
-    co_await ForwardToGhumvee(t, req);
+  // without reporting to GHUMVEE (fig. 2, steps 3-4). An invalid token (revoked /
+  // forged / wrong call) forces CP execution.
+  if (signals_pending || !broker_->VerifyToken(t, token, req.nr)) {
+    co_await ForwardWithStub(t, req, rank, e.off);
     co_return;
   }
-  co_await ThreadCost{t, costs.token_check_ns};
+  co_await ThreadCost{t, kernel_->sim()->costs().token_check_ns};
   int64_t r = co_await ExecDirect{t, req};
-
   if (r == -kEINTR && rb_.SignalsPending()) {
-    // §3.8: the blocking call was aborted for signal delivery. Mark the entry
-    // forwarded (slaves will follow us to GHUMVEE) and restart monitored.
-    uint32_t f = rb_.ReadU32(entry_off + kRbOffFlags) | kRbFlagForwarded;
-    rb_.WriteU32(entry_off + kRbOffFlags, f);
-    RbEntryOps::CommitResults(rb_, entry_off, 0, {});
-    rb_.WakeState(kernel_->futex(), entry_off);
-    EmitToTransport(rank, entry_off, kRbResultsOnly);
-    forward_reason_ = "eintr_restart";
-    co_await ForwardToGhumvee(t, req);
+    // §3.8: the blocking call was aborted for signal delivery; restart monitored.
+    co_await ForwardWithStub(t, req, rank, e.off);
     co_return;
   }
 
-  // POSTCALL: replicate results and wake the slaves.
-  std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
-  co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
-  uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-  // Memory visibility (free in real hardware).
-  rb_.WakeState(kernel_->futex(), entry_off);
-  EmitToTransport(rank, entry_off, kRbResultsOnly);
-  if (waiters > 0) {
-    co_await ThreadCost{t, costs.futex_wake_ns};  // FUTEX_WAKE needed.
-  } else {
-    ++stats.rb_futex_wakes_elided;
-  }
-  ++stats.syscalls_unmonitored;
-  ++stats.syscalls_mastercall;
-  kernel_->CompleteSyscall(t, r);
+  co_await PublishResults(t, rank, req, e.off, r);
 }
 
-GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req, uint64_t token) {
-  const CostModel& costs = kernel_->sim()->costs();
-  SimStats& stats = kernel_->stats();
+GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req) {
   int rank = t->rank();
   REMON_CHECK(rank < config_.max_ranks);
 
   // Same CALCSIZE as the master: identical entry size, identical overflow decision.
-  std::vector<uint8_t> sig = SerializeCallSignature(process_, req);
-  uint64_t out_cap = EstimateDataSize(process_, req);
-  uint64_t entry_size = RbEntryOps::EntrySize(sig.size(), out_cap + 16);
-  co_await ThreadCost{t, costs.RbCopyCost(sig.size())};
-
-  uint64_t sub_cap = rb_.RankDataEnd(rank) - rb_.RankDataStart(rank);
-  if (entry_size > sub_cap) {
+  RbSlot e = co_await SizeEntry(t, req);
+  if (!FitsSubBuffer(rank, e)) {
     co_await ForwardToGhumvee(t, req);
     co_return;
   }
-  while (cursor_[static_cast<size_t>(rank)] + entry_size > rb_.RankDataEnd(rank)) {
-    broker_->RevokeToken(t);
-    co_await ExecTraced{t, SyscallRequest{Sys::kRemonRbFlush,
-                                          {static_cast<uint64_t>(rank), 0, 0, 0, 0, 0}}};
-    t->cur_req = req;
-    token = broker_->IssueToken(t);
+  while (RankFull(rank, e)) {
+    co_await ResetRankThroughGhumvee(t, req, rank);
   }
-  uint64_t entry_off = cursor_[static_cast<size_t>(rank)];
-  cursor_[static_cast<size_t>(rank)] += entry_size;
-  uint64_t my_seq = seq_[static_cast<size_t>(rank)]++;
+  ClaimSlot(t, req, rank, &e);
 
-  RecordEpollShadow(t, req);
-
-  // Wait for the master's PRECALL commit.
-  while (rb_.ReadU32(entry_off + kRbOffState) < kRbArgsReady) {
-    RbEntryOps::AddWaiter(rb_, entry_off);
-    ++stats.rb_futex_waits;
-    co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
-    RbEntryOps::RemoveWaiter(rb_, entry_off);
-    co_await ThreadCost{t, costs.futex_wait_ns};
-  }
-
-  // Sanity check: compare our deep-copied arguments against the master's (paper §3:
-  // "minimizes opportunities for asymmetrical attacks").
-  std::vector<uint8_t> master_sig = RbEntryOps::ReadSignature(rb_, entry_off);
-  co_await ThreadCost{t, costs.CompareCost(sig.size())};
-  if (master_sig != sig) {
-    IntentionalCrash(t, req, my_seq);
+  if (!co_await ArgsMatch(t, e)) {
+    IntentionalCrash(t);
     co_return;  // The syscall never completes; GHUMVEE shuts the MVEE down.
   }
-
-  // Wait for results: per-invocation condition variable (futex) when the call was
-  // predicted to block, spin-read otherwise (paper §3.7).
-  RbEntryHeader hdr = RbEntryOps::ReadHeader(rb_, entry_off);
-  bool use_futex = (hdr.flags & kRbFlagMaybeBlocking) != 0;
-  while (rb_.ReadU32(entry_off + kRbOffState) < kRbResultsReady) {
-    if (use_futex) {
-      RbEntryOps::AddWaiter(rb_, entry_off);
-      ++stats.rb_futex_waits;
-      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
-      RbEntryOps::RemoveWaiter(rb_, entry_off);
-      co_await ThreadCost{t, costs.futex_wait_ns};
-    } else {
-      ++stats.rb_spin_waits;
-      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
-      co_await ThreadCost{t, costs.spin_iteration_ns};
-    }
-  }
-
-  hdr = RbEntryOps::ReadHeader(rb_, entry_off);
+  RbEntryHeader hdr = co_await AwaitResults(t, e.off);
   if ((hdr.flags & kRbFlagForwarded) != 0) {
     // The master routed this invocation to GHUMVEE (signals pending / aborted
     // blocking call); follow it so the monitor sees all replicas in lockstep.
-    forward_reason_ = "follow_master_stub";
     co_await ForwardToGhumvee(t, req);
     co_return;
   }
-
-  std::vector<uint8_t> payload = RbEntryOps::ReadPayload(rb_, entry_off);
-  co_await ThreadCost{t, costs.RbCopyCost(payload.size())};
-  ApplyResultPayload(t, req, hdr.result, payload);
   broker_->RevokeToken(t);
-  ++stats.syscalls_unmonitored;
-  kernel_->CompleteSyscall(t, hdr.result);
+  co_await ConsumeResults(t, req, e.off, hdr.result);
 }
 
 void IpMon::OnRbReset(int rank) {
@@ -574,7 +550,6 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
 }
 
 GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
-  const CostModel& costs = kernel_->sim()->costs();
   SimStats& stats = kernel_->stats();
 
   // Local-resource calls (memory management, threads, signals, futexes) execute in
@@ -588,88 +563,34 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
 
   int rank = t->rank();
   REMON_CHECK(rank < config_.max_ranks);
-  std::vector<uint8_t> sig = SerializeCallSignature(process_, req);
-  uint64_t out_cap = EstimateDataSize(process_, req);
-  uint64_t entry_size = RbEntryOps::EntrySize(sig.size(), out_cap + 16);
-  co_await ThreadCost{t, costs.RbCopyCost(sig.size())};
-
-  uint64_t sub_cap = rb_.RankDataEnd(rank) - rb_.RankDataStart(rank);
-  if (entry_size > sub_cap) {
+  RbSlot e = co_await SizeEntry(t, req);
+  if (!FitsSubBuffer(rank, e)) {
     // Oversized transfer: fall back to local execution in every replica (VARAN has
     // no CP monitor to escalate to).
     int64_t r = co_await ExecDirect{t, req};
     kernel_->CompleteSyscall(t, r);
     co_return;
   }
-  while (cursor_[static_cast<size_t>(rank)] + entry_size > rb_.RankDataEnd(rank)) {
+  while (RankFull(rank, e)) {
     co_await VaranFlushBarrier(t, rank);
   }
-  uint64_t entry_off = cursor_[static_cast<size_t>(rank)];
-  cursor_[static_cast<size_t>(rank)] += entry_size;
-  uint64_t my_seq = seq_[static_cast<size_t>(rank)]++;
-
-  RecordEpollShadow(t, req);
+  ClaimSlot(t, req, rank, &e);
 
   if (is_master()) {
     uint32_t flags =
         kRbFlagMasterCall | (PredictBlocking(req, *file_map_) ? kRbFlagMaybeBlocking : 0);
-    RbEntryOps::CommitArgs(rb_, entry_off, req.nr, flags, my_seq, entry_size, sig);
-    co_await ThreadCost{t, costs.rb_entry_ns};
-    rb_.WakeState(kernel_->futex(), entry_off);
-    ++stats.rb_entries;
-    stats.rb_bytes += entry_size;
-
+    co_await PublishArgs(t, rank, req, e, flags);
     int64_t r = co_await ExecDirect{t, req};
-
-    std::vector<uint8_t> payload = BuildResultPayload(t, req, r);
-    co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
-    uint32_t waiters = RbEntryOps::CommitResults(rb_, entry_off, r, payload);
-    rb_.WakeState(kernel_->futex(), entry_off);
-    if (waiters > 0) {
-      co_await ThreadCost{t, costs.futex_wake_ns};
-    } else {
-      ++stats.rb_futex_wakes_elided;
-    }
-    ++stats.syscalls_unmonitored;
-    ++stats.syscalls_mastercall;
-    kernel_->CompleteSyscall(t, r);
-  } else {
-    while (rb_.ReadU32(entry_off + kRbOffState) < kRbArgsReady) {
-      RbEntryOps::AddWaiter(rb_, entry_off);
-      ++stats.rb_futex_waits;
-      co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
-      RbEntryOps::RemoveWaiter(rb_, entry_off);
-      co_await ThreadCost{t, costs.futex_wait_ns};
-    }
-    std::vector<uint8_t> master_sig = RbEntryOps::ReadSignature(rb_, entry_off);
-    co_await ThreadCost{t, costs.CompareCost(sig.size())};
-    if (master_sig != sig) {
-      // Reliability-oriented: tolerate small discrepancies rather than shutting down
-      // (paper §6 on VARAN's loose consistency checking).
-      ++mismatches_tolerated_;
-    }
-    RbEntryHeader hdr = RbEntryOps::ReadHeader(rb_, entry_off);
-    bool use_futex = (hdr.flags & kRbFlagMaybeBlocking) != 0;
-    while (rb_.ReadU32(entry_off + kRbOffState) < kRbResultsReady) {
-      if (use_futex) {
-        RbEntryOps::AddWaiter(rb_, entry_off);
-        ++stats.rb_futex_waits;
-        co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
-        RbEntryOps::RemoveWaiter(rb_, entry_off);
-        co_await ThreadCost{t, costs.futex_wait_ns};
-      } else {
-        ++stats.rb_spin_waits;
-        co_await WaitOn{t, &rb_.StateQueue(kernel_->futex(), entry_off)};
-        co_await ThreadCost{t, costs.spin_iteration_ns};
-      }
-    }
-    hdr = RbEntryOps::ReadHeader(rb_, entry_off);
-    std::vector<uint8_t> payload = RbEntryOps::ReadPayload(rb_, entry_off);
-    co_await ThreadCost{t, costs.RbCopyCost(payload.size())};
-    ApplyResultPayload(t, req, hdr.result, payload);
-    ++stats.syscalls_unmonitored;
-    kernel_->CompleteSyscall(t, hdr.result);
+    co_await PublishResults(t, rank, req, e.off, r);
+    co_return;
   }
+  if (!co_await ArgsMatch(t, e)) {
+    // Reliability-oriented: tolerate small discrepancies rather than shutting down
+    // (paper §6 on VARAN's loose consistency checking).
+    ++mismatches_tolerated_;
+  }
+  RbEntryHeader hdr = co_await AwaitResults(t, e.off);
+  co_await ConsumeResults(t, req, e.off, hdr.result);
 }
 
 }  // namespace remon

@@ -59,10 +59,6 @@ class IpMon {
   const RbView& rb() const { return rb_; }
   Process* process() const { return process_; }
 
-  // Fellow replicas' IP-MON instances, in replica order (set by the front end; used
-  // to locate the master's RB view for cross-replica waits).
-  void set_peers(std::vector<IpMon*> peers) { peers_ = std::move(peers); }
-
   // --- Cross-machine replica sets (src/core/rb_transport.h) ---------------------
 
   // Master only: every publication is additionally serialized into one wire frame
@@ -93,10 +89,11 @@ class IpMon {
   // zeroes the shared bytes; every replica resets its own cursor).
   void OnRbReset(int rank);
 
-  // GHUMVEE feeds IP-MON the epoll registrations it observes on monitored epoll_ctl
-  // calls, so epoll_wait results can be translated even when the policy level
-  // monitors epoll_ctl but exempts epoll_wait (e.g. SOCKET_RO).
-  void RecordEpollShadowDirect(int epfd, int op, int fd, uint64_t data);
+  // The replica's one epoll shadow (§3.9). GHUMVEE records the epoll_ctl calls it
+  // monitors here and translates the epoll_wait results it replicates through it,
+  // so the translation holds when the policy level monitors epoll_ctl but exempts
+  // epoll_wait (e.g. SOCKET_RO), and the other way round.
+  EpollShadowMap& epoll_shadow() { return epoll_shadow_; }
 
   // The paper's §4 extension: IK-B periodically moves the RB to a fresh virtual
   // address by remapping the replica's page-table entries, shrinking the window for
@@ -111,11 +108,6 @@ class IpMon {
   // Initialize (the initial mapping then covers the grown geometry already) or
   // when no free range fits.
   bool RemapFileMap();
-
-  // Shadow-map lookups for GHUMVEE: when an occasionally-forwarded epoll_wait is
-  // replicated by the CP monitor, the authoritative mapping may live in IP-MON.
-  bool LookupEpollFd(int epfd, uint64_t data, int* fd_out) const;
-  bool LookupEpollData(int epfd, int fd, uint64_t* data_out) const;
 
   // Number of RB resets this replica has observed.
   uint64_t rb_resets() const { return rb_resets_; }
@@ -134,6 +126,7 @@ class IpMon {
   // consults and its epoll data shadow.
   const FileMap* file_map() const { return file_map_; }
   const EpollShadowMap& epoll_shadow() const { return epoll_shadow_; }
+  // Slave argument mismatches the VARAN-like mode let through.
   uint64_t mismatches_tolerated() const { return mismatches_tolerated_; }
 
  private:
@@ -151,8 +144,60 @@ class IpMon {
   // to every remote agent: kRbArgsReady, or kRbResultsOnly for the results — every
   // entry publishes its args first, so each signature byte crosses the link once.
   void EmitToTransport(int rank, uint64_t entry_off, uint32_t state);
+
+  // --- One RB entry protocol (§3.2, §3.7) -----------------------------------------
+  // ReMon's master and slave paths and the VARAN-like path all run these steps;
+  // only what each does on an oversized entry, a full sub-buffer, a mismatch or a
+  // forward stays in the callers.
+
+  // An entry as this replica sees it: CALCSIZE's signature and size, then the slot
+  // ClaimSlot gave it.
+  struct RbSlot {
+    std::vector<uint8_t> sig;
+    uint64_t size = 0;
+    uint64_t off = 0;
+    uint64_t seq = 0;
+  };
+  // CALCSIZE, charged as one signature copy.
+  GuestTask<RbSlot> SizeEntry(Thread* t, const SyscallRequest& req);
+  // False when the entry is larger than the rank's whole sub-buffer.
+  bool FitsSubBuffer(int rank, const RbSlot& e) const;
+  // True when the entry does not fit behind the rank's cursor: reset first.
+  bool RankFull(int rank, const RbSlot& e) const;
+  // Takes the next offset and sequence number, and records the call's epoll_ctl.
+  void ClaimSlot(Thread* t, const SyscallRequest& req, int rank, RbSlot* e);
+  // ReMon's overflow: a GHUMVEE reset round; returns the fresh token.
+  GuestTask<uint64_t> ResetRankThroughGhumvee(Thread* t, const SyscallRequest& req,
+                                              int rank);
+  // Master: commits the signature, wakes the slaves and ships kRbArgsReady.
+  GuestTask<void> PublishArgs(Thread* t, int rank, const SyscallRequest& req,
+                              const RbSlot& e, uint32_t flags);
+  // Master: commits results, wakes the slaves, ships kRbResultsOnly; returns the
+  // number of futex waiters.
+  uint32_t CommitResults(int rank, uint64_t entry_off, int64_t result,
+                         const std::vector<uint8_t>& payload);
+  // Master: builds and commits the result payload, charging the copy and the
+  // FUTEX_WAKE (or counting it elided), and completes the call.
+  GuestTask<void> PublishResults(Thread* t, int rank, const SyscallRequest& req,
+                                 uint64_t entry_off, int64_t result);
+  // Master: marks the entry forwarded, publishes an empty results stub so the
+  // slaves follow, and forwards the call to GHUMVEE.
+  GuestTask<void> ForwardWithStub(Thread* t, const SyscallRequest& req, int rank,
+                                  uint64_t entry_off);
+  // Slave: waits until the entry reaches `state`, spinning or on the futex.
+  GuestTask<void> AwaitState(Thread* t, uint64_t entry_off, uint32_t state, bool spin);
+  // Slave: waits for the master's arguments and compares its own against them.
+  GuestTask<bool> ArgsMatch(Thread* t, const RbSlot& e);
+  // Slave: waits for the results (futex if the master predicted a block) and
+  // returns the entry's header.
+  GuestTask<RbEntryHeader> AwaitResults(Thread* t, uint64_t entry_off);
+  // Slave: copies the results into this replica, charging the copy, and completes
+  // the call with the master's result.
+  GuestTask<void> ConsumeResults(Thread* t, const SyscallRequest& req,
+                                 uint64_t entry_off, int64_t result);
+
   GuestTask<void> MasterPath(Thread* t, SyscallRequest req, uint64_t token);
-  GuestTask<void> SlavePath(Thread* t, SyscallRequest req, uint64_t token);
+  GuestTask<void> SlavePath(Thread* t, SyscallRequest req);
   // Forward the call to GHUMVEE (4'): destroy token, restart traced.
   GuestTask<void> ForwardToGhumvee(Thread* t, SyscallRequest req);
 
@@ -175,7 +220,7 @@ class IpMon {
   void RecordEpollShadow(Thread* t, const SyscallRequest& req);
 
   // Raises the intentional crash that signals GHUMVEE about an argument mismatch.
-  void IntentionalCrash(Thread* t, const SyscallRequest& req, uint64_t seq);
+  void IntentionalCrash(Thread* t);
 
   Kernel* kernel_;
   IkBroker* broker_;
@@ -188,7 +233,6 @@ class IpMon {
   // moves it when the map grows live.
   GuestAddr fm_addr_ = 0;
   uint64_t fm_mapped_bytes_ = 0;
-  std::vector<IpMon*> peers_;
   RbTransport* transport_ = nullptr;  // Master of a cross-machine set; not owned.
   bool rb_private_mirror_ = false;    // Remote slave: RB is a machine-local mirror.
   std::function<void()> on_initialized_;
@@ -204,7 +248,6 @@ class IpMon {
   // translating epoll_wait results between replicas.
   EpollShadowMap epoll_shadow_;
 
-  const char* forward_reason_ = "?";
   uint64_t rb_resets_ = 0;
   uint64_t rb_migrations_ = 0;
   uint64_t mismatches_tolerated_ = 0;  // VARAN-like mode tolerates small mismatches.

@@ -183,15 +183,7 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
     }
   }
 
-  // Set peer lists (IP-MONs need to know the replica set for barriers; sync
-  // agents gate circular-log wraparound on the slowest peer's replay cursor).
-  std::vector<IpMon*> peer_ptrs;
-  for (auto& m : ipmons_) {
-    peer_ptrs.push_back(m.get());
-  }
-  for (auto& m : ipmons_) {
-    m->set_peers(peer_ptrs);
-  }
+  // Sync agents gate circular-log wraparound on the slowest peer's replay cursor.
   std::vector<SyncAgent*> agent_ptrs;
   for (auto& a : agents_) {
     agent_ptrs.push_back(a.get());

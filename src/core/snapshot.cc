@@ -613,8 +613,7 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   // consumer lag (its epoll_ctl replay may trail the leader), so they are counted,
   // not fatal; the divergence checks catch real mismatches at the next entry.
   for (const EpollShadowTriple& t : snap.epoll) {
-    uint64_t local_data = 0;
-    if (!mon->LookupEpollData(t.epfd, t.fd, &local_data)) {
+    if (!mon->epoll_shadow().Contains(t.epfd, t.fd)) {
       ++result.epoll_lag;
     }
   }

@@ -591,6 +591,9 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       int flags = static_cast<int>(req.arg(3));
       bool shared = (flags & kMapShared) != 0;
       if ((flags & kMapFixed) != 0) {
+        if (addr % kPageSize != 0) {
+          return -kEINVAL;
+        }
         if (!mem.MapFixed(addr, len, prot, shared, "anon-fixed")) {
           return -kENOMEM;
         }
@@ -606,13 +609,23 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       }
       return static_cast<int64_t>(where);
     }
+    // As on Linux, a start address inside a page is EINVAL, not rounded down.
     case Sys::kMunmap:
+      if (req.arg(0) % kPageSize != 0 || req.arg(1) == 0) {
+        return -kEINVAL;
+      }
       mem.Unmap(req.arg(0), req.arg(1));
       return 0;
     case Sys::kMprotect:
+      if (req.arg(0) % kPageSize != 0) {
+        return -kEINVAL;
+      }
       return mem.Protect(req.arg(0), req.arg(1), static_cast<uint32_t>(req.arg(2))) ? 0
                                                                                     : -kENOMEM;
     case Sys::kMremap: {
+      if (req.arg(0) % kPageSize != 0) {
+        return -kEINVAL;
+      }
       GuestAddr na = mem.Remap(req.arg(0), req.arg(1), req.arg(2));
       return na == 0 ? -kENOMEM : static_cast<int64_t>(na);
     }

@@ -744,6 +744,58 @@ TEST(MemorySyscallTest, MremapShrinkThenGrowReadsZeroesInTheTail) {
   w.Run();
 }
 
+// As on Linux, a start address that is not page-aligned is EINVAL for every call
+// that takes one, and the mapping it points into is left as it was.
+TEST(MemorySyscallTest, MisalignedStartAddressIsEinval) {
+  SimWorld w;
+  Process* p = w.NewProcess("misaligned");
+  GuestAddr base = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 2 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base, 41);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMprotect, base + 1, kPageSize, kProtRead),
+              -kEINVAL);
+    EXPECT_EQ(co_await g.Mmap(base + 5, kPageSize, kProtRead, kMapPrivate | kMapFixed),
+              -kEINVAL);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMremap, base + 1, kPageSize, 2 * kPageSize),
+              -kEINVAL);
+  });
+  w.Run();
+  uint64_t v = 42;
+  EXPECT_TRUE(p->mem().Write(base + 8, &v, sizeof(v)).ok);  // The mprotect did not apply.
+  EXPECT_TRUE(p->mem().Read(base, &v, sizeof(v)).ok);
+  EXPECT_EQ(v, 41u);
+}
+
+TEST(MemorySyscallTest, MunmapOfAMisalignedStartKeepsTheFirstPage) {
+  SimWorld w;
+  Process* p = w.NewProcess("munmap-misaligned");
+  GuestAddr base = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 2 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base, 17);
+    EXPECT_EQ(co_await g.Munmap(base + 1, 1), -kEINVAL);
+  });
+  w.Run();
+  uint64_t v = 0;
+  EXPECT_TRUE(p->mem().Read(base, &v, sizeof(v)).ok);
+  EXPECT_EQ(v, 17u);
+}
+
+TEST(MemorySyscallTest, MunmapOfLengthZeroIsEinval) {
+  SimWorld w;
+  Process* p = w.NewProcess("munmap-zero");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    EXPECT_EQ(co_await g.Munmap(base, 0), -kEINVAL);
+    EXPECT_EQ(co_await g.Munmap(base, kPageSize), 0);
+  });
+  w.Run();
+}
+
 TEST(MemorySyscallTest, MremapOfASysvAttachCannotGrow) {
   SimWorld w;
   Process* p = w.NewProcess("mremap-shm");

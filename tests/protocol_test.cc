@@ -1,8 +1,11 @@
 // Protocol-level tests for the trickiest split-monitor interactions: the VARAN-like
-// flush barrier, the §3.8 blocked-master abort/restart, temporal exemption end to
-// end, and master-run-ahead bounds.
+// flush barrier and tolerated mismatch, the §3.8 blocked-master abort/restart,
+// temporal exemption end to end, master-run-ahead bounds, and epoll cookies that
+// cross from IP-MON's shadow into a GHUMVEE-replicated epoll_wait.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/core/remon.h"
 #include "tests/test_util.h"
@@ -191,6 +194,96 @@ TEST(ProtocolTest, DivergenceInSeventhReplicaDetected) {
   });
   w.Run();
   EXPECT_TRUE(mvee.divergence_detected());
+}
+
+TEST(ProtocolTest, VaranToleratesAnArgumentMismatch) {
+  // The VARAN-like monitor is reliability-oriented (paper §6): a slave whose
+  // arguments differ from the master's is counted, not shut down, and it still
+  // takes the master's results instead of executing its own call.
+  SimWorld w(407);
+  RemonOptions opts;
+  opts.mode = MveeMode::kVaranLike;
+  opts.replicas = 2;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int64_t fd = co_await g.Open("/tmp/varan-mismatch", kO_CREAT | kO_RDWR);
+    GuestAddr buf = g.Alloc(16);
+    std::string mine = "replica-" + std::to_string(g.process()->replica_index);
+    g.Poke(buf, mine.data(), mine.size());
+    co_await g.Write(static_cast<int>(fd), buf, mine.size());
+    co_await g.Close(static_cast<int>(fd));
+  });
+  w.Run();
+  EXPECT_TRUE(mvee.finished());
+  EXPECT_FALSE(mvee.divergence_detected());
+  EXPECT_EQ(*w.fs.ReadWholeFile("/tmp/varan-mismatch"), "replica-0");
+  EXPECT_EQ(mvee.ipmon(0)->mismatches_tolerated(), 0u);
+  EXPECT_EQ(mvee.ipmon(1)->mismatches_tolerated(), 1u);
+}
+
+// What each replica's epoll_wait returned, and the run's monitored-call count.
+struct CrossMonitorEpollRun {
+  bool own_cookie[2] = {false, false};
+  uint64_t monitored = 0;
+  bool divergence = true;
+};
+
+// epoll_ctl ADD with cookie A, then MOD to cookie B, both replicated by IP-MON at
+// SOCKET_RW, then one epoll_wait with `maxevents` slots. A small out-buffer fits
+// the rank's RB sub-buffer; 8192 slots (96 KiB) do not, so IP-MON forwards that
+// epoll_wait to GHUMVEE, which must translate the master's cookie through the
+// shadow IP-MON recorded.
+CrossMonitorEpollRun RunCrossMonitorEpoll(int maxevents) {
+  SimWorld w(408);
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.replicas = 2;
+  opts.level = PolicyLevel::kSocketRw;
+  opts.rb_size = 128 * 1024;
+  opts.max_ranks = 2;
+  Remon mvee(&w.kernel, opts);
+  CrossMonitorEpollRun run;
+  mvee.Launch([&run, maxevents](Guest& g) -> GuestTask<void> {
+    GuestAddr cookie_a = g.Alloc(64);  // Replica-local "pointers" (paper §3.9).
+    GuestAddr cookie_b = g.Alloc(64);
+    GuestAddr pfd = g.Alloc(8);
+    co_await g.Pipe(pfd);
+    int rfd = static_cast<int>(g.PeekU32(pfd));
+    int wfd = static_cast<int>(g.PeekU32(pfd + 4));
+    int epfd = static_cast<int>(co_await g.EpollCreate1());
+    GuestAddr ev = g.Alloc(sizeof(GuestEpollEvent));
+    GuestEpollEvent e{kPollIn, cookie_a};
+    g.Poke(ev, &e, sizeof(e));
+    co_await g.EpollCtl(epfd, kEpollCtlAdd, rfd, ev);
+    e.data = cookie_b;
+    g.Poke(ev, &e, sizeof(e));
+    co_await g.EpollCtl(epfd, kEpollCtlMod, rfd, ev);
+    GuestAddr buf = g.Alloc(8);
+    g.Poke(buf, "!", 1);
+    co_await g.Write(wfd, buf, 1);
+    GuestAddr events =
+        g.Alloc(static_cast<uint64_t>(maxevents) * sizeof(GuestEpollEvent));
+    int64_t n = co_await g.EpollWait(epfd, events, maxevents, -1);
+    GuestEpollEvent got{0, 0};
+    g.Peek(events, &got, sizeof(got));
+    run.own_cookie[g.process()->replica_index] = n == 1 && got.data == cookie_b;
+  });
+  w.Run();
+  run.monitored = w.sim.stats().syscalls_monitored;
+  run.divergence = mvee.divergence_detected();
+  return run;
+}
+
+TEST(ProtocolTest, EpollWaitForwardedToGhumveeUsesIpmonsShadow) {
+  CrossMonitorEpollRun in_rb = RunCrossMonitorEpoll(4);
+  CrossMonitorEpollRun forwarded = RunCrossMonitorEpoll(8192);
+  for (const CrossMonitorEpollRun* run : {&in_rb, &forwarded}) {
+    EXPECT_FALSE(run->divergence);
+    EXPECT_TRUE(run->own_cookie[0]);
+    EXPECT_TRUE(run->own_cookie[1]);
+  }
+  // The oversized epoll_wait took one lockstep round; every other call is the same.
+  EXPECT_EQ(forwarded.monitored, in_rb.monitored + 1);
 }
 
 }  // namespace
