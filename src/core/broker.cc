@@ -12,13 +12,6 @@ void IkBroker::AttachReplica(Process* process, IpMon* mon) {
   process->gate = this;
 }
 
-void IkBroker::DetachReplica(Process* process) {
-  replicas_.erase(process);
-  if (process->gate == this) {
-    process->gate = nullptr;
-  }
-}
-
 bool IkBroker::Intercept(Thread* t) {
   Process* p = t->process();
   auto it = replicas_.find(p);
@@ -77,7 +70,6 @@ uint64_t IkBroker::IssueToken(Thread* t) {
 
 bool IkBroker::VerifyToken(Thread* t, uint64_t token, Sys restarted_nr) {
   SimStats& stats = kernel_->stats();
-  ++stats.tokens_verified;
   // The token must be intact, and the restarted call must be the forwarded one: a
   // different call (or a replayed/guessed token) is revoked and forced to GHUMVEE.
   if (t->ipmon_token_valid && token == t->ipmon_token && t->cur_req.nr == restarted_nr) {

@@ -33,7 +33,6 @@ class IkBroker : public SyscallGate {
 
   // Wires a registered replica to its IP-MON instance and installs the gate.
   void AttachReplica(Process* process, IpMon* mon);
-  void DetachReplica(Process* process);
 
   // Optional temporal-exemption state (owned by the ReMon front end).
   void set_temporal(TemporalExemptionState* temporal) { temporal_ = temporal; }

@@ -74,15 +74,6 @@ class EpollShadowMap {
   // basis version ships exactly the rows from ForEachSince(basis).
   uint64_t version() const { return version_; }
 
-  // Enumerates every (epfd, fd) -> data association (replica checkpointing: the
-  // leader ships its shadow so a rejoining replica can cross-check coverage).
-  template <typename Fn>  // Fn(int epfd, int fd, uint64_t data)
-  void ForEach(Fn&& fn) const {
-    for (const auto& [key, row] : data_) {
-      fn(static_cast<int>(key >> 32), static_cast<int>(key & 0xffffffffu), row.data);
-    }
-  }
-
   // Rows written after `since` (delta checkpointing; deleted rows simply do not
   // appear — the shadow section is a coverage cross-check, not a restore).
   template <typename Fn>  // Fn(int epfd, int fd, uint64_t data)

@@ -64,15 +64,6 @@ EpollShadowMap& Ghumvee::EpollShadow(int replica) {
   return ipmons_[i] != nullptr ? ipmons_[i]->epoll_shadow() : *own_epoll_shadow_[i];
 }
 
-int Ghumvee::ReplicaIndexOf(const Process* p) const {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (replicas_[i] == p) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 std::coroutine_handle<> Ghumvee::OpenLane(int rank) {
   loop_frames_.push_back(MonitorLoop(rank).ReleaseAsRoot(nullptr, nullptr));
   return loop_frames_.back();
@@ -119,7 +110,7 @@ GuestTask<void> Ghumvee::MonitorLoop(int rank) {
         co_await HandleSignalStop(ev);
         break;
       case PtraceEvent::Kind::kThreadExit:
-        HandleThreadExit(ev.thread);
+        MemberGone(ev.thread, ExitingInLockstep());
         ReleaseExited(ev.thread);
         break;
       case PtraceEvent::Kind::kProcessExit:
@@ -137,8 +128,7 @@ GuestTask<void> Ghumvee::HandleEntryStop(Thread* t) {
     co_return;
   }
   int rank = t->rank();
-  int ridx = ReplicaIndexOf(t->process());
-  REMON_CHECK(ridx >= 0);
+  int ridx = t->process()->replica_index;
   RankState& rs = ranks_[rank];
   if (rs.pending.empty()) {
     rs.pending.assign(static_cast<size_t>(num_replicas()), nullptr);
@@ -238,14 +228,10 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   // --- Special monitored calls. ------------------------------------------------
   if (IsSharedMemoryViolation(rs.req)) {
     ++stats.shm_requests_denied;
-    rs.phase = RankState::Phase::kDraining;
-    rs.drain_remaining = num_replicas();
-    for (int i = 0; i < num_replicas(); ++i) {
-      PtraceAction a;
-      a.skip_syscall = true;
-      a.injected_result = -kEPERM;
-      Resume(rs.current[static_cast<size_t>(i)], a);
-    }
+    PtraceAction deny;
+    deny.skip_syscall = true;
+    deny.injected_result = -kEPERM;
+    ExecuteRound(rs, /*master_call=*/false, deny, deny);
     co_return;
   }
   if (nr == Sys::kRemonRbFlush) {
@@ -283,49 +269,53 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   // --- Execution mode. -----------------------------------------------------------
   if (RelaxationPolicy::IsLocalCall(nr)) {
     // Local-resource call: every replica executes its own instance.
-    rs.phase = RankState::Phase::kDraining;
-    rs.drain_remaining = num_replicas();
-    for (int i = 0; i < num_replicas(); ++i) {
-      Resume(rs.current[static_cast<size_t>(i)], PtraceAction{});
-    }
+    ExecuteRound(rs, /*master_call=*/false, PtraceAction{}, PtraceAction{});
     co_return;
   }
 
   // Master-call: the master executes it while every slave takes a fake (skipped)
   // call beside it and parks at that call's exit stop for the master's results.
-  rs.phase = RankState::Phase::kMasterCall;
-  rs.legs.assign(static_cast<size_t>(num_replicas()), RankState::Leg::kRunning);
-  rs.drain_remaining = num_replicas();
-  rs.results_ready = false;
   ++stats.syscalls_mastercall;
-  Resume(master_thread, PtraceAction{});
   PtraceAction fake;
   fake.skip_syscall = true;
+  ExecuteRound(rs, /*master_call=*/true, PtraceAction{}, fake);
+}
+
+void Ghumvee::ExecuteRound(RankState& rs, bool master_call,
+                           const PtraceAction& master_action,
+                           const PtraceAction& slave_action) {
+  rs.phase = RankState::Phase::kExecuting;
+  rs.legs.assign(static_cast<size_t>(num_replicas()), RankState::Leg::kRunning);
+  rs.open_legs = num_replicas();
+  rs.master_call = master_call;
+  rs.results_ready = false;
+  Resume(rs.current[0], master_action);
   for (int i = 1; i < num_replicas(); ++i) {
-    Resume(rs.current[static_cast<size_t>(i)], fake);
+    Resume(rs.current[static_cast<size_t>(i)], slave_action);
   }
 }
 
 GuestTask<void> Ghumvee::HandleExitStop(int rank, Thread* t) {
   auto it = ranks_.find(rank);
   RankState* rs = it == ranks_.end() ? nullptr : &it->second;
-  int ridx = ReplicaIndexOf(t->process());
-  if (rs != nullptr && rs->phase == RankState::Phase::kMasterCall && ridx >= 0 &&
-      rs->current[static_cast<size_t>(ridx)] == t &&
-      rs->legs[static_cast<size_t>(ridx)] == RankState::Leg::kRunning) {
+  int ridx = t->process()->replica_index;
+  size_t i = static_cast<size_t>(ridx);
+  bool running_leg = rs != nullptr && rs->phase == RankState::Phase::kExecuting &&
+                     rs->current[i] == t && rs->legs[i] == RankState::Leg::kRunning;
+  if (running_leg && rs->master_call) {
     if (ridx == 0) {
       co_await HandleMasterExit(rank, *rs, t);
     } else {
       // The slave's fake call: park it until the master's results exist.
-      rs->legs[static_cast<size_t>(ridx)] = RankState::Leg::kParked;
+      rs->legs[i] = RankState::Leg::kParked;
       if (rs->results_ready) {
         co_await DeliverResults(rank, *rs, ridx);
       }
     }
   } else {
     Resume(t, PtraceAction{});
-    if (rs != nullptr && rs->phase == RankState::Phase::kDraining) {
-      LegDone(*rs);
+    if (running_leg) {
+      LegDone(*rs, ridx);
     }
   }
   // A completed round may unblock a queued one.
@@ -373,10 +363,9 @@ GuestTask<void> Ghumvee::HandleMasterExit(int rank, RankState& rs, Thread* maste
 
   // The master runs on at once; each slave gets the results as soon as it is
   // parked at its fake call's exit stop — now for those already there.
-  rs.legs[0] = RankState::Leg::kDone;
   Resume(master_thread, PtraceAction{});
-  LegDone(rs);
-  for (int i = 1; i < num_replicas() && rs.phase == RankState::Phase::kMasterCall; ++i) {
+  LegDone(rs, 0);
+  for (int i = 1; i < num_replicas() && rs.phase == RankState::Phase::kExecuting; ++i) {
     if (rs.legs[static_cast<size_t>(i)] == RankState::Leg::kParked) {
       co_await DeliverResults(rank, rs, i);
     }
@@ -406,16 +395,16 @@ GuestTask<void> Ghumvee::DeliverResults(int rank, RankState& rs, int replica) {
     }
   }
   // The fake call returns the master's result.
-  rs.legs[i] = RankState::Leg::kDone;
   PtraceAction a;
   a.override_result = true;
   a.result_override = rs.result;
   Resume(rs.current[i], a);
-  LegDone(rs);
+  LegDone(rs, replica);
 }
 
-void Ghumvee::LegDone(RankState& rs) {
-  if (--rs.drain_remaining == 0) {
+void Ghumvee::LegDone(RankState& rs, int replica) {
+  rs.legs[static_cast<size_t>(replica)] = RankState::Leg::kDone;
+  if (--rs.open_legs == 0) {
     rs.phase = RankState::Phase::kCollecting;
     rs.current.clear();
     rs.blobs.clear();
@@ -464,20 +453,15 @@ void Ghumvee::HandleRbFlush(int rank, RankState& rs) {
       }
     }
   }
-  rs.phase = RankState::Phase::kDraining;
-  rs.drain_remaining = num_replicas();
-  for (int i = 0; i < num_replicas(); ++i) {
-    PtraceAction a;
-    a.skip_syscall = true;
-    a.injected_result = 0;
-    Resume(rs.current[static_cast<size_t>(i)], a);
-  }
+  PtraceAction skip;
+  skip.skip_syscall = true;
+  ExecuteRound(rs, /*master_call=*/false, skip, skip);
 }
 
 GuestTask<void> Ghumvee::HandleSignalStop(const PtraceEvent& ev) {
   Thread* t = ev.thread;
   int sig = ev.signal;
-  int ridx = ReplicaIndexOf(t->process());
+  int ridx = t->process()->replica_index;
   // A signal we injected ourselves: all replicas are at equivalent points, let it
   // through to the handler.
   auto inj = injected_signals_.find(t);
@@ -564,25 +548,18 @@ void Ghumvee::SetSignalsPendingFlag(bool pending) {
   }
 }
 
-void Ghumvee::HandleThreadExit(Thread* t) {
-  auto it = ranks_.find(t->rank());
-  if (it != ranks_.end() && it->second.phase == RankState::Phase::kDraining &&
-      it->second.drain_remaining > 0) {
-    // The thread exited instead of reaching its exit stop (exit/exit_group).
-    LegDone(it->second);
-    return;
-  }
-  MemberGone(t);
-}
-
 void Ghumvee::HandleProcessExit(Process* p) {
   ++replicas_exited_;
+  // The process's threads die together, so whether they take part in a
+  // lockstepped exit is decided once: closing their legs can end the exit_group
+  // round itself before the last of them is handled.
+  bool lockstep_exit = ExitingInLockstep();
   // Threads exit_group took down sent no kThreadExit: this is their last event.
   // Copy: a release can reap the thread out of p->threads.
   std::vector<Thread*> threads = p->threads;
   for (Thread* t : threads) {
     if (t->ptrace_held) {
-      MemberGone(t);
+      MemberGone(t, lockstep_exit);
       ReleaseExited(t);
     }
   }
@@ -595,13 +572,13 @@ void Ghumvee::HandleProcessExit(Process* p) {
   }
 }
 
-void Ghumvee::MemberGone(Thread* t) {
+void Ghumvee::MemberGone(Thread* t, bool lockstep_exit) {
   auto it = ranks_.find(t->rank());
-  int ridx = ReplicaIndexOf(t->process());
-  if (it == ranks_.end() || ridx < 0 || shutdown_) {
+  if (it == ranks_.end() || shutdown_) {
     return;
   }
   RankState& rs = it->second;
+  int ridx = t->process()->replica_index;
   size_t i = static_cast<size_t>(ridx);
   bool awaited = false;
   switch (rs.phase) {
@@ -612,18 +589,16 @@ void Ghumvee::MemberGone(Thread* t) {
     case RankState::Phase::kComparing:
       awaited = rs.current[i] == t;
       break;
-    case RankState::Phase::kMasterCall:
+    case RankState::Phase::kExecuting:
       // Its leg can never complete: close it so the round's count stays true.
+      // Only a master call's slaves wait on another member (the master's results).
       if (rs.current[i] == t && rs.legs[i] != RankState::Leg::kDone) {
-        rs.legs[i] = RankState::Leg::kDone;
-        LegDone(rs);
-        awaited = true;
+        awaited = rs.master_call;
+        LegDone(rs, ridx);
       }
       break;
-    case RankState::Phase::kDraining:
-      break;
   }
-  if (awaited && !ExitingInLockstep()) {
+  if (awaited && !lockstep_exit) {
     Sys nr = rs.phase == RankState::Phase::kCollecting ? Sys::kInvalid : rs.req.nr;
     Divergence(t->rank(), nr, "replica thread exited while peers wait in lockstep");
   }
@@ -631,11 +606,16 @@ void Ghumvee::MemberGone(Thread* t) {
 
 bool Ghumvee::ExitingInLockstep() const {
   for (const auto& [rank, rs] : ranks_) {
-    if (rs.phase == RankState::Phase::kDraining && rs.req.nr == Sys::kExitGroup) {
+    if (rs.phase == RankState::Phase::kExecuting && rs.req.nr == Sys::kExitGroup) {
       return true;
     }
   }
   return false;
+}
+
+bool Ghumvee::RoundExecuting(int rank) const {
+  auto it = ranks_.find(rank);
+  return it != ranks_.end() && it->second.phase == RankState::Phase::kExecuting;
 }
 
 void Ghumvee::ReleaseExited(Thread* t) {

@@ -84,6 +84,8 @@ class Ghumvee {
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   Process* master() const { return replicas_.empty() ? nullptr : replicas_[0]; }
   uint64_t lockstep_rounds() const { return lockstep_rounds_; }
+  // True while rank `rank`'s round executes: some member's leg is still open.
+  bool RoundExecuting(int rank) const;
 
   // Declares divergence and shuts down all replicas (also used by tests to model
   // IP-MON's intentional-crash escalation).
@@ -95,23 +97,26 @@ class Ghumvee {
   // previous round is still in flight. `current` holds the firing round's threads —
   // arrivals for the *next* round can accumulate while it completes.
   struct RankState {
-    // kComparing: the round's signatures are being compared. kMasterCall: the master
-    // executes, the slaves take the fake call. kDraining: every thread passes its own
-    // exit stop (local calls, the shared-memory denial, the RB flush).
-    enum class Phase { kCollecting, kComparing, kMasterCall, kDraining };
-    // A master-call member's progress: running to its exit stop, parked there
-    // awaiting the master's results (slaves only), or done with the round.
+    // kComparing: the round's signatures are being compared. kExecuting: each
+    // replica runs one leg of the call, and the round closes with its last leg.
+    // In a master call the master executes and every slave takes the fake call;
+    // otherwise (a local call, the shared-memory denial, the RB flush) each
+    // replica's leg ends at its own exit stop. A member that dies closes its leg.
+    enum class Phase { kCollecting, kComparing, kExecuting };
+    // A member's progress: running to its exit stop, parked there awaiting the
+    // master's results (master-call slaves only), or done with the round.
     enum class Leg : uint8_t { kRunning, kParked, kDone };
     Phase phase = Phase::kCollecting;
     std::vector<Thread*> pending;  // Indexed by replica; nullptr until arrival.
     int pending_count = 0;
     std::vector<Thread*> current;  // The in-flight round.
-    // Threads still owed their exit stop (kDraining) or their leg (kMasterCall).
-    int drain_remaining = 0;
     SyscallRequest req;
-    // kMasterCall: per-replica legs, and the master's results once its exit stop
-    // has been handled (`results_ready`).
+    // kExecuting: per-replica legs and how many are still open, whether the round
+    // is a master call, and its master's results once the master's exit stop has
+    // been handled (`results_ready`).
     std::vector<Leg> legs;
+    int open_legs = 0;
+    bool master_call = false;
     bool results_ready = false;
     int64_t result = 0;
     // The master's out-regions, epoll cookies already turned into fds.
@@ -140,14 +145,19 @@ class Ghumvee {
   GuestTask<void> HandleMasterExit(int rank, RankState& rs, Thread* master_thread);
   // Writes the master's results into parked slave `replica` and resumes it.
   GuestTask<void> DeliverResults(int rank, RankState& rs, int replica);
-  // A round member's part is done; the last one returns the rank to collecting.
-  void LegDone(RankState& rs);
+  // Executes the compared round: opens one running leg per replica and resumes
+  // the master with `master_action`, then slaves 1..n-1 with `slave_action`.
+  void ExecuteRound(RankState& rs, bool master_call, const PtraceAction& master_action,
+                    const PtraceAction& slave_action);
+  // Replica `replica`'s leg is done; the last one returns the rank to collecting.
+  void LegDone(RankState& rs, int replica);
   GuestTask<void> HandleSignalStop(const PtraceEvent& ev);
-  void HandleThreadExit(Thread* t);
   void HandleProcessExit(Process* p);
-  // Replica thread `t` died: a round waiting on it can never complete.
-  void MemberGone(Thread* t);
-  // True while a lockstepped exit_group drains: every replica is taking itself down.
+  // Replica thread `t` died: its open leg closes, and a round waiting on it can
+  // never complete, which is divergence unless `lockstep_exit` (every replica is
+  // taking itself down).
+  void MemberGone(Thread* t, bool lockstep_exit);
+  // True while a lockstepped exit_group executes: every replica is taking itself down.
   bool ExitingInLockstep() const;
   // Drops every reference to exited thread `t` and releases it to the kernel,
   // which may then reap it (the waitpid that collects a traced zombie).
@@ -175,7 +185,6 @@ class Ghumvee {
   // The awaitable cost helper bound to rank `rank`'s lane.
   auto Work(int rank, DurationNs d);
 
-  int ReplicaIndexOf(const Process* p) const;
   // Replica `replica`'s one epoll shadow (§3.9): its IP-MON's, or for a replica
   // without IP-MON the map GHUMVEE keeps for it.
   EpollShadowMap& EpollShadow(int replica);

@@ -568,6 +568,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
     // Oversized transfer: fall back to local execution in every replica (VARAN has
     // no CP monitor to escalate to).
     int64_t r = co_await ExecDirect{t, req};
+    ++stats.syscalls_unmonitored;
     kernel_->CompleteSyscall(t, r);
     co_return;
   }

@@ -173,32 +173,36 @@ bool RbTransport::SnapshotInflight() const {
   return false;
 }
 
-void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries) {
-  if (entries.empty() || live_remotes() == 0) {
-    return;
-  }
-  // Broadcast: the payload (entry records + images) is serialized once; only the
-  // per-connection header (frame_seq) and the seal differ per remote.
-  std::vector<uint8_t> payload = RbWireCodec::EncodeEntriesPayload(entries);
-  // Ack-horizon metadata: entries within a rank publish in offset order, so one
-  // acked frame advances the rank's delta horizon to its highest entry offset.
-  uint64_t max_off = 0;
-  for (const RbWireEntry& e : entries) {
-    max_off = std::max(max_off, e.entry_off);
-  }
-  RbLeaderClock clock = leader_clock_ ? leader_clock_() : RbLeaderClock{};
+void RbTransport::Broadcast(RbFrameType type, uint32_t rank, uint32_t count,
+                            const std::vector<uint8_t>& payload, const FrameMeta* meta) {
   for (auto& r : remotes_) {
     if (r->dead || r->awaiting_snapshot) {
       continue;  // A replacement's stream starts with its checkpoint, never data.
     }
-    uint64_t seq = EnqueueFrame(*r, RbFrameType::kEntries, [&](uint64_t s) {
-      return RbWireCodec::FrameFromPayload(
-          RbFrameType::kEntries, epoch_, static_cast<uint32_t>(rank), s,
-          static_cast<uint32_t>(entries.size()), payload);
+    uint64_t seq = EnqueueFrame(*r, type, [&](uint64_t s) {
+      return RbWireCodec::FrameFromPayload(type, epoch_, rank, s, count, payload);
     });
-    r->unacked.push_back(FrameMeta{seq, static_cast<uint32_t>(rank), max_off, clock});
+    if (meta != nullptr) {
+      r->unacked.push_back(*meta);
+      r->unacked.back().frame_seq = seq;
+    }
     Pump(*r);
   }
+}
+
+void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries) {
+  if (entries.empty() || live_remotes() == 0) {
+    return;
+  }
+  // Ack-horizon metadata: entries within a rank publish in offset order, so one
+  // acked frame advances the rank's delta horizon to its highest entry offset.
+  FrameMeta meta{0, static_cast<uint32_t>(rank), 0,
+                 leader_clock_ ? leader_clock_() : RbLeaderClock{}};
+  for (const RbWireEntry& e : entries) {
+    meta.max_entry_off = std::max(meta.max_entry_off, e.entry_off);
+  }
+  Broadcast(RbFrameType::kEntries, meta.rank, static_cast<uint32_t>(entries.size()),
+            RbWireCodec::EncodeEntriesPayload(entries), &meta);
 }
 
 void RbTransport::SendSyncLog(uint64_t start_index,
@@ -207,20 +211,8 @@ void RbTransport::SendSyncLog(uint64_t start_index,
     return;
   }
   kernel_->stats().sync_log_records_streamed += records.size();
-  // Broadcast: the record payload is serialized once; only the per-connection
-  // header (frame_seq) and the seal differ per remote.
-  std::vector<uint8_t> payload = RbWireCodec::EncodeSyncLogPayload(start_index, records);
-  for (auto& r : remotes_) {
-    if (r->dead || r->awaiting_snapshot) {
-      continue;  // A replacement's stream starts with its checkpoint, never data.
-    }
-    EnqueueFrame(*r, RbFrameType::kSyncLog, [&](uint64_t seq) {
-      return RbWireCodec::FrameFromPayload(RbFrameType::kSyncLog, epoch_, /*rank=*/0,
-                                           seq, static_cast<uint32_t>(records.size()),
-                                           payload);
-    });
-    Pump(*r);
-  }
+  Broadcast(RbFrameType::kSyncLog, /*rank=*/0, static_cast<uint32_t>(records.size()),
+            RbWireCodec::EncodeSyncLogPayload(start_index, records), nullptr);
 }
 
 bool RbTransport::Stalled() const {
@@ -423,21 +415,18 @@ void RbTransport::PumpLink(Remote& r) {
     ++stats.EpochRow(frame.epoch).frames_acked;
     // Acks piggyback the replica's sync-log replay cursor; the latched maximum is
     // what the master's wraparound gate runs on.
-    if (RaiseSyncCursor(r, frame.ack_cursor)) {
-      ++stats.sync_cursor_acks;
-    }
+    RaiseSyncCursor(r, frame.ack_cursor);
   }
 }
 
-bool RbTransport::RaiseSyncCursor(Remote& r, uint64_t cursor) {
+void RbTransport::RaiseSyncCursor(Remote& r, uint64_t cursor) {
   if (cursor <= r.sync_cursor) {
-    return false;
+    return;
   }
   r.sync_cursor = cursor;
   if (on_sync_cursor_) {
     on_sync_cursor_(r.replica_index);
   }
-  return true;
 }
 
 bool RbTransport::HandleAttest(Remote& r, const RbWireFrame& frame) {
@@ -668,9 +657,6 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
     case RbFrameType::kSnapshotChunk:
       ok = assembler_.AddChunk(frame.payload);
       why = assembler_.error();
-      if (ok) {
-        ++stats.rb_snapshot_chunks_applied;
-      }
       break;
     case RbFrameType::kSnapshotEnd: {
       ok = assembler_.End(frame.payload);
@@ -718,24 +704,24 @@ void RemoteSyncAgent::OnReplicaRbReady() {
 }
 
 void RemoteSyncAgent::ApplyFrame(const RbWireFrame& frame) {
-  bool ok = true;
+  const char* why = nullptr;
   if (frame.type == RbFrameType::kSyncLog) {
-    ok = ApplySyncLog(frame);
+    why = ApplySyncLog(frame);
   } else {
     RbView rb = mon_->rb();
     for (const RbWireEntry& e : frame.entries) {
       if (RbEntryOps::ReplayRecord(rb, kernel_->futex(), frame.rank, e)) {
         ++kernel_->stats().rb_entries_applied;
       } else {
-        ok = false;
+        why = "stream diverged";
       }
     }
   }
-  if (!ok) {
+  if (why != nullptr) {
     // A malformed record means the streams have diverged.
     Reject(std::string("rejected ") +
            (frame.type == RbFrameType::kSyncLog ? "sync-log" : "entries") +
-           " frame seq=" + std::to_string(frame.frame_seq) + " (stream diverged)");
+           " frame seq=" + std::to_string(frame.frame_seq) + " (" + why + ")");
     return;
   }
   Accept(frame);
@@ -756,15 +742,17 @@ void RemoteSyncAgent::Reject(const std::string& why) {
   Shutdown();
 }
 
-bool RemoteSyncAgent::ApplySyncLog(const RbWireFrame& frame) {
-  if (sync_agent_ == nullptr ||
-      !sync_agent_->ApplyRemoteLog(frame.sync_start, frame.sync_records)) {
-    return false;
+const char* RemoteSyncAgent::ApplySyncLog(const RbWireFrame& frame) {
+  if (sync_agent_ == nullptr) {
+    return "the replica runs no sync agent";
+  }
+  if (const char* why = sync_agent_->ApplyLog(frame.sync_start, frame.sync_records)) {
+    return why;
   }
   SimStats& stats = kernel_->stats();
   ++stats.sync_log_frames_applied;
   stats.sync_log_records_applied += frame.sync_records.size();
-  return true;
+  return nullptr;
 }
 
 void RemoteSyncAgent::SendAck(uint32_t epoch, uint64_t frame_seq) {

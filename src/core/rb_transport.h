@@ -303,6 +303,12 @@ class RbTransport {
   // and in the epoch row) and queues it. Returns the sequence number.
   template <typename Encode>
   uint64_t EnqueueFrame(Remote& r, RbFrameType type, Encode encode);
+  // The data-frame broadcast: `payload`, serialized once, goes to every live
+  // link not awaiting its checkpoint — only the per-connection header
+  // (frame_seq) and the seal differ per remote. Each enqueue records `meta`,
+  // when set, as the frame's unacked metadata, then pumps.
+  void Broadcast(RbFrameType type, uint32_t rank, uint32_t count,
+                 const std::vector<uint8_t>& payload, const FrameMeta* meta);
   // Drains sendq into the socket and reads acks (PumpLink), then wakes
   // stall_queue_ if that cleared the remote's stall. Every enqueue pumps.
   void Pump(Remote& r);
@@ -311,9 +317,9 @@ class RbTransport {
   void FoldAckedMeta(Remote& r);
   // Verifies a join attestation; returns false when the link was torn.
   bool HandleAttest(Remote& r, const RbWireFrame& frame);
-  // Latches a newer replay cursor and pokes the wrap gate; false when `cursor`
-  // is not ahead of what the slot already holds.
-  bool RaiseSyncCursor(Remote& r, uint64_t cursor);
+  // Latches a newer replay cursor and pokes the wrap gate; a `cursor` not ahead
+  // of what the slot already holds changes nothing.
+  void RaiseSyncCursor(Remote& r, uint64_t cursor);
   bool RemoteStalled(const Remote& r) const {
     return !r.dead &&
            r.sendq.bytes() + r.sock->unread_by_peer() >= StreamSocket::kWindowBytes;
@@ -409,7 +415,8 @@ class RemoteSyncAgent {
   // attached; frames arriving earlier wait in pending_.
   bool ReadyFor(const RbWireFrame& frame) const;
   void ApplyFrame(const RbWireFrame& frame);
-  bool ApplySyncLog(const RbWireFrame& frame);
+  // Replays a kSyncLog frame through SyncAgent::ApplyLog; nullptr or its reason.
+  const char* ApplySyncLog(const RbWireFrame& frame);
   void HandleSnapshotFrame(const RbWireFrame& frame);
   // The accept tail every applied frame (data or checkpoint) shares: count it,
   // attribute it to its epoch row, acknowledge it.

@@ -24,7 +24,8 @@ constexpr uint32_t kMaxSnapshotRanks = 4096;
 // follow: rank records (cursor, seq, delta_from — 24 bytes each), the RB headers
 // (the global header, then one header per rank), dirty file-map pages (u32 page
 // index + one page of bytes each), dirty epoll shadow rows, and the sync-log
-// slice [sync_from, sync_tail) in seq order.
+// slice [sync_from, sync_tail) in seq order, op `sync_from + k` as the 16-byte
+// slot {u32 object, u32 rank, u64 seq = sync_from + k}.
 constexpr size_t kBeginOffRbSize = 0;
 constexpr size_t kBeginOffMaxRanks = 8;
 constexpr size_t kBeginOffRankCount = 12;
@@ -41,7 +42,7 @@ constexpr size_t kBeginOffSyncLogSize = 64;
 constexpr size_t kBeginOffSyncTail = 72;
 constexpr size_t kBeginOffSyncCursor = 80;
 constexpr size_t kBeginOffSyncFrom = 88;
-constexpr size_t kBeginOffSyncImageLen = 96;
+constexpr size_t kBeginOffSyncSliceLen = 96;
 constexpr size_t kBeginHeaderSize = 104;
 constexpr size_t kBeginRankRecordSize = 24;
 constexpr size_t kBeginFmPageRecordSize = 4 + kPageSize;
@@ -140,6 +141,33 @@ const char* CheckRecord(const ReplicaSnapshot& snap, int rank, const RbWireEntry
   uint64_t total = RecordTotal(e);
   if (total < e.image.size() || (total & 7) != 0 || total > cursor - e.entry_off) {
     return "snapshot record total_size does not chain";
+  }
+  return nullptr;
+}
+
+// What a sync slice must satisfy as a checkpoint, against `agent`'s mirror: the
+// log geometry, a slice within one lap whose length matches its tail, and the
+// carried read cursor equal to the replica's with sync_from <= cursor <= tail.
+const char* CheckSyncSlice(const ReplicaSnapshot& snap, const SyncAgent& agent) {
+  if (snap.sync_log_size != agent.config().log_size) {
+    return "sync log geometry does not match the replica";
+  }
+  if (snap.sync_from > snap.sync_tail || snap.sync_tail - snap.sync_from > agent.capacity()) {
+    return "sync delta slice wrapped past the replica cursor";
+  }
+  if (snap.sync_records.size() != snap.sync_tail - snap.sync_from) {
+    return "sync delta slice length disagrees with its tail";
+  }
+  if (snap.sync_read_cursor != agent.read_cursor()) {
+    return "sync read cursor diverged from the leader checkpoint";
+  }
+  if (snap.sync_read_cursor > snap.sync_tail) {
+    return "sync read cursor past the leader tail";
+  }
+  if (snap.sync_from > snap.sync_read_cursor) {
+    // Ops in (cursor, sync_from) would never reach this replica: the slice must
+    // start at or before what it still has to replay.
+    return "sync delta starts past the replica replay cursor";
   }
   return nullptr;
 }
@@ -244,7 +272,7 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
     REMON_CHECK_MSG(snap.sync_from <= snap.sync_tail &&
                         snap.sync_tail - snap.sync_from <= sync_master->capacity(),
                     "capture after the sync log wrapped past the replica cursor");
-    snap.sync_image = sync_master->CaptureLogDelta(snap.sync_from);
+    snap.sync_records = sync_master->CaptureLogDelta(snap.sync_from);
   }
   return snap;
 }
@@ -286,7 +314,7 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   size_t fm_dirty = snap.file_map_pages.size();
   out.begin.assign(kBeginHeaderSize + rank_count * kBeginRankRecordSize +
                        snap.rb_headers.size() + fm_dirty * kBeginFmPageRecordSize +
-                       snap.epoll.size() * 16 + snap.sync_image.size(),
+                       snap.epoll.size() * 16 + snap.sync_records.size() * kSyncLogEntrySize,
                    0);
   PutU64(&out.begin, kBeginOffRbSize, snap.rb_size);
   PutU32(&out.begin, kBeginOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
@@ -304,7 +332,7 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   PutU64(&out.begin, kBeginOffSyncTail, snap.sync_tail);
   PutU64(&out.begin, kBeginOffSyncCursor, snap.sync_read_cursor);
   PutU64(&out.begin, kBeginOffSyncFrom, snap.sync_from);
-  PutU64(&out.begin, kBeginOffSyncImageLen, snap.sync_image.size());
+  PutU64(&out.begin, kBeginOffSyncSliceLen, snap.sync_records.size() * kSyncLogEntrySize);
   size_t pos = kBeginHeaderSize;
   for (size_t r = 0; r < rank_count; ++r) {
     PutU64(&out.begin, pos, snap.cursors[r]);
@@ -328,8 +356,11 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
     PutU64(&out.begin, pos + 8, t.data);
     pos += 16;
   }
-  if (!snap.sync_image.empty()) {
-    std::memcpy(out.begin.data() + pos, snap.sync_image.data(), snap.sync_image.size());
+  for (size_t k = 0; k < snap.sync_records.size(); ++k) {
+    PutU32(&out.begin, pos, snap.sync_records[k].object_id);
+    PutU32(&out.begin, pos + 4, snap.sync_records[k].rank);
+    PutU64(&out.begin, pos + 8, snap.sync_from + k);
+    pos += kSyncLogEntrySize;
   }
 
   out.end.assign(kEndSize, 0);
@@ -376,9 +407,9 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   uint64_t sync_tail = GetU64(payload, kBeginOffSyncTail);
   uint64_t sync_cursor = GetU64(payload, kBeginOffSyncCursor);
   uint64_t sync_from = GetU64(payload, kBeginOffSyncFrom);
-  uint64_t sync_image_len = GetU64(payload, kBeginOffSyncImageLen);
+  uint64_t sync_slice_len = GetU64(payload, kBeginOffSyncSliceLen);
   if (sync_log_size == 0) {
-    if (sync_tail != 0 || sync_cursor != 0 || sync_from != 0 || sync_image_len != 0) {
+    if (sync_tail != 0 || sync_cursor != 0 || sync_from != 0 || sync_slice_len != 0) {
       return Fail("snapshot sync section inconsistent with zero log size");
     }
   } else {
@@ -394,14 +425,14 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
     if (sync_tail - sync_from > cap) {
       return Fail("snapshot sync slice wrapped past the replica cursor");
     }
-    if (sync_image_len != (sync_tail - sync_from) * kSyncLogEntrySize) {
+    if (sync_slice_len != (sync_tail - sync_from) * kSyncLogEntrySize) {
       return Fail("snapshot sync section out of bounds");
     }
   }
   uint64_t headers = RbHeadersSize(static_cast<int>(max_ranks));
   uint64_t variable = static_cast<uint64_t>(rank_count) * kBeginRankRecordSize + headers +
                       static_cast<uint64_t>(fm_dirty_count) * kBeginFmPageRecordSize +
-                      static_cast<uint64_t>(epoll_count) * 16 + sync_image_len;
+                      static_cast<uint64_t>(epoll_count) * 16 + sync_slice_len;
   if (payload.size() != kBeginHeaderSize + variable) {
     return Fail("snapshot begin payload size mismatch");
   }
@@ -460,8 +491,15 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
     snap_.epoll.push_back(t);
     pos += 16;
   }
-  snap_.sync_image.assign(payload.begin() + static_cast<long>(pos),
-                          payload.begin() + static_cast<long>(pos + sync_image_len));
+  // Each slot names its op: a slot whose seq is not its position's cannot be
+  // replayed as the op it claims.
+  for (uint64_t seq = sync_from; seq < sync_tail; ++seq) {
+    if (GetU64(payload, pos + 8) != seq) {
+      return Fail("snapshot sync slot names the wrong op");
+    }
+    snap_.sync_records.push_back(RbSyncLogRecord{GetU32(payload, pos), GetU32(payload, pos + 4)});
+    pos += kSyncLogEntrySize;
+  }
   snap_.records.resize(max_ranks);
   state_ = State::kAssembling;
   return true;
@@ -617,16 +655,19 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
       ++result.epoll_lag;
     }
   }
-  // The log restore is the last check: ApplyLogDelta validates geometry, replay
-  // cursor and every slot before it writes anything, and nothing below can fail.
+  // The log restore is the last check before any RB write: after the
+  // checkpoint's own checks the slice replays through ApplyLog, the function a
+  // live kSyncLog frame goes through, which checks every slot before it writes
+  // anything. Nothing below can fail.
   if (replica_has_sync) {
-    const char* sync_err =
-        sync_agent->ApplyLogDelta(snap.sync_log_size, snap.sync_tail, snap.sync_from,
-                                  snap.sync_read_cursor, snap.sync_image);
-    if (sync_err != nullptr) {
-      return ApplyFail(sync_err);
+    const char* why = CheckSyncSlice(snap, *sync_agent);
+    if (why == nullptr) {
+      why = sync_agent->ApplyLog(snap.sync_from, snap.sync_records);
     }
-    result.sync_slots_restored = snap.sync_image.size() / kSyncLogEntrySize;
+    if (why != nullptr) {
+      return ApplyFail(why);
+    }
+    result.sync_slots_restored = snap.sync_records.size();
   }
 
   // Global header (signals-pending flag, generation) exactly as the leader saw it.

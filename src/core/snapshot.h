@@ -20,10 +20,11 @@
 //     the replacement resumes from;
 //   * the file-map pages and epoll-shadow rows dirtied since the basis, plus a
 //     whole-map CRC, which the rejoining side cross-checks against its own state;
-//   * the sync-agent log slots past the target replica's replay cursor, so
+//   * the sync-agent log ops past the target replica's replay cursor, so
 //     multi-threaded replacements resume BeforeAcquire replay exactly where they
 //     left off (src/core/sync_agent.h; absent — all zero — for agent-less
-//     workloads).
+//     workloads). They are the records a live kSyncLog frame carries, and the
+//     replacement replays them through the same SyncAgent::ApplyLog.
 //
 // On the wire the snapshot rides the normal RB stream as three sequenced,
 // CRC-protected frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
@@ -81,8 +82,8 @@ struct ReplicaSnapshot {
   uint64_t sync_log_size = 0;      // Log segment geometry (validated by the joiner).
   uint64_t sync_tail = 0;          // Absolute op count at capture.
   uint64_t sync_read_cursor = 0;   // The target replica's replay cursor at capture.
-  uint64_t sync_from = 0;          // First op in sync_image.
-  std::vector<uint8_t> sync_image;  // Slots [sync_from, sync_tail), seq order.
+  uint64_t sync_from = 0;          // First op in sync_records.
+  std::vector<RbSyncLogRecord> sync_records;  // Ops [sync_from, sync_tail), seq order.
 };
 
 // What the leader knows a replacement's mirror already holds: the horizon a
@@ -145,8 +146,9 @@ struct SnapshotPayloads {
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap);
 
 // Reassembles a snapshot from Begin/Chunk/End payloads on the receiving side.
-// Begin checks every rank's window and each chunk's records are checked on
-// arrival, as ApplySnapshotToMirror checks them. Any malformed payload, bounds
+// Begin checks every rank's window and that each sync slot names its position's
+// op (seq = sync_from + k); each chunk's records are checked on arrival, as
+// ApplySnapshotToMirror checks them. Any malformed payload, bounds
 // violation, count/byte/CRC mismatch, or out-of-protocol call latches the
 // assembler into the failed state.
 class SnapshotAssembler {
@@ -199,8 +201,11 @@ struct SnapshotApplyResult {
 //     ends (the first at delta_from), and ending at or before the cursor;
 //   * the dirty file-map pages and the whole-map CRC match; epoll-shadow keys the
 //     replica lacks are counted, not refused (its consumers may lag);
-//   * a sync slice is carried exactly when the replica runs an agent, and passes
-//     SyncAgent::ApplyLogDelta's checks, the last before any write.
+//   * a sync slice is carried exactly when the replica runs an agent; it matches
+//     the log geometry, spans at most one lap, and its carried read cursor equals
+//     the replica's with sync_from <= cursor <= sync_tail. It then replays
+//     through SyncAgent::ApplyLog, as a live kSyncLog frame does; those checks
+//     are the last before any RB write.
 // Then the headers are written, each rank's records replay through
 // RbEntryOps::ReplayRecord, and the resume entry's futex queue is woken so a
 // parked consumer re-examines the world. Bytes past the cursor stay: the reset

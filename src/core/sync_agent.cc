@@ -1,7 +1,6 @@
 #include "src/core/sync_agent.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/core/await.h"
 #include "src/core/rb_transport.h"
@@ -132,22 +131,26 @@ GuestTask<void> SyncAgent::BeforeAcquire(Guest& g, uint32_t object_id) {
   }
 }
 
-bool SyncAgent::ApplyRemoteLog(uint64_t start_index,
-                               const std::vector<RbSyncLogRecord>& records) {
-  if (!log_.valid() || records.empty()) {
-    return false;
+const char* SyncAgent::ApplyLog(uint64_t start_index,
+                                const std::vector<RbSyncLogRecord>& records) {
+  if (!log_.valid()) {
+    return "sync log mirror not initialized";
   }
   uint64_t cap = capacity();
   uint64_t log_tail = tail();
-  // The stream is reliable and in-order and every flush starts where the previous
-  // one ended, so a frame starting past the mirror tail belongs to a different
-  // log history: reject. A frame starting *behind* the tail is legitimate —
+  // The stream is reliable and in-order and every frame starts where the previous
+  // one ended, so a slice starting past the mirror tail belongs to a different
+  // log history: reject. A slice starting *behind* the tail is legitimate —
   // replicas co-located on one machine share the mirror segment, so each agent
-  // sees the other's applications — but only as an exact replay: every
-  // overlapping record must match the slot it claims (same op, or superseded by
-  // a whole number of laps), or the streams have diverged.
-  if (start_index > log_tail || records.size() > cap) {
-    return false;
+  // sees the other's applications, and a checkpoint re-ships what the replica
+  // has yet to replay — but only as an exact replay: every overlapping record
+  // must match the slot it claims (same op, or superseded by a whole number of
+  // laps), or the streams have diverged. The overlap precedes the first write.
+  if (start_index > log_tail) {
+    return "sync log slice starts past the mirror tail";
+  }
+  if (records.size() > cap) {
+    return "sync log slice longer than the log";
   }
   for (size_t k = 0; k < records.size(); ++k) {
     uint64_t seq = start_index + static_cast<uint64_t>(k);
@@ -157,25 +160,26 @@ bool SyncAgent::ApplyRemoteLog(uint64_t start_index,
       if (slot_seq == seq) {
         if (log_.ReadU32(entry_off) != records[k].object_id ||
             log_.ReadU32(entry_off + 4) != records[k].rank) {
-          return false;  // Same op, different content: diverged.
+          return "sync log diverged from the leader";  // Same op, different content.
         }
       } else if (slot_seq < seq || (slot_seq - seq) % cap != 0) {
-        return false;  // Neither this op nor a later lap over its slot.
+        // Neither this op nor a later lap over its slot.
+        return "sync log slot sequence diverged from the leader";
       }
-      continue;  // Already applied (possibly by a co-located replica's agent).
+      continue;  // Already applied (by a co-located replica's agent, or live).
     }
     log_.WriteU32(entry_off, records[k].object_id);
     log_.WriteU32(entry_off + 4, records[k].rank);
     log_.WriteU64(entry_off + 8, seq);
   }
   // Same publication discipline as the master's append: tail word last,
-  // forward-only, then wake parked consumers.
+  // forward-only, then wake parked consumers — for an empty slice too.
   uint64_t new_tail = start_index + records.size();
   if (new_tail > log_tail) {
     log_.WriteU64(kSyncLogOffTail, new_tail);
   }
   log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
-  return true;
+  return nullptr;
 }
 
 std::vector<uint8_t> SyncAgent::CaptureLogImage() const {
@@ -188,93 +192,19 @@ std::vector<uint8_t> SyncAgent::CaptureLogImage() const {
   return image;
 }
 
-std::vector<uint8_t> SyncAgent::CaptureLogDelta(uint64_t from) const {
+std::vector<RbSyncLogRecord> SyncAgent::CaptureLogDelta(uint64_t from) const {
   REMON_CHECK(log_.valid());
   uint64_t cap = capacity();
   uint64_t log_tail = tail();
   REMON_CHECK_MSG(from <= log_tail && log_tail - from <= cap,
                   "sync delta capture outside the live lap");
-  std::vector<uint8_t> image((log_tail - from) * kSyncLogEntrySize);
-  for (uint64_t k = 0; from + k < log_tail; ++k) {
-    uint64_t entry_off =
-        kSyncLogOffEntries + ((from + k) % cap) * kSyncLogEntrySize;
-    log_.ReadBytes(entry_off, image.data() + k * kSyncLogEntrySize,
-                   kSyncLogEntrySize);
+  std::vector<RbSyncLogRecord> records;
+  records.reserve(log_tail - from);
+  for (uint64_t seq = from; seq < log_tail; ++seq) {
+    uint64_t entry_off = kSyncLogOffEntries + (seq % cap) * kSyncLogEntrySize;
+    records.push_back(RbSyncLogRecord{log_.ReadU32(entry_off), log_.ReadU32(entry_off + 4)});
   }
-  return image;
-}
-
-const char* SyncAgent::ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
-                                     uint64_t sync_from, uint64_t snap_read_cursor,
-                                     const std::vector<uint8_t>& image) {
-  if (!log_.valid()) {
-    return "sync log mirror not initialized";
-  }
-  if (log_size != config_.log_size) {
-    return "sync log geometry does not match the replica";
-  }
-  uint64_t cap = capacity();
-  if (sync_from > snap_tail || snap_tail - sync_from > cap) {
-    return "sync delta slice wrapped past the replica cursor";
-  }
-  if (image.size() != (snap_tail - sync_from) * kSyncLogEntrySize) {
-    return "sync delta image size disagrees with its slice";
-  }
-  if (snap_read_cursor != read_cursor_) {
-    return "sync read cursor diverged from the leader checkpoint";
-  }
-  if (snap_read_cursor > snap_tail) {
-    return "sync read cursor past the leader tail";
-  }
-  if (sync_from > read_cursor_) {
-    // Ops in (read_cursor_, sync_from) would never reach this replica: the slice
-    // must start at or before what it still has to replay.
-    return "sync delta starts past the replica replay cursor";
-  }
-  uint64_t local_tail = tail();
-  // Validation before any mutation: every slice record must name the op its
-  // position claims (embedded seq), and wherever the mirror already holds an op
-  // for the same slot the two must agree byte for byte or differ by whole laps
-  // (the lap-congruence rule ApplyRemoteLog uses).
-  uint8_t local_slot[kSyncLogEntrySize];
-  for (uint64_t k = 0; k < snap_tail - sync_from; ++k) {
-    uint64_t seq = sync_from + k;
-    const uint8_t* image_slot = image.data() + k * kSyncLogEntrySize;
-    uint64_t image_seq = 0;
-    std::memcpy(&image_seq, image_slot + 8, 8);
-    if (image_seq != seq) {
-      return "sync delta slot names the wrong op";
-    }
-    if (seq < local_tail) {
-      uint64_t off = kSyncLogOffEntries + (seq % cap) * kSyncLogEntrySize;
-      log_.ReadBytes(off, local_slot, kSyncLogEntrySize);
-      uint64_t local_seq = 0;
-      std::memcpy(&local_seq, local_slot + 8, 8);
-      if (local_seq == seq) {
-        if (std::memcmp(local_slot, image_slot, kSyncLogEntrySize) != 0) {
-          return "sync log diverged from the leader checkpoint";
-        }
-      } else if (local_seq < seq || (local_seq - seq) % cap != 0) {
-        return "sync log slot sequence diverged from the leader checkpoint";
-      }
-    }
-  }
-  // Restore with the live publication discipline: slots first (skipping ops the
-  // mirror already published — a co-located agent may have applied newer frames
-  // since the capture), tail word last (forward-only), wake parked consumers.
-  for (uint64_t k = 0; k < snap_tail - sync_from; ++k) {
-    uint64_t seq = sync_from + k;
-    if (seq < local_tail) {
-      continue;
-    }
-    uint64_t off = kSyncLogOffEntries + (seq % cap) * kSyncLogEntrySize;
-    log_.WriteBytes(off, image.data() + k * kSyncLogEntrySize, kSyncLogEntrySize);
-  }
-  if (snap_tail > local_tail) {
-    log_.WriteU64(kSyncLogOffTail, snap_tail);
-  }
-  log_.WakeWord(kernel_->futex(), kSyncLogOffTail);
-  return nullptr;
+  return records;
 }
 
 }  // namespace remon

@@ -30,7 +30,9 @@
 // replicas as kSyncLog frames over the RB transport (src/core/rb_wire.h), one
 // frame per append, and the remote agent replays them into that machine's log
 // mirror with the same publication discipline the master uses
-// (entry slots first, tail word last, forward-only, futex wake).
+// (entry slots first, tail word last, forward-only, futex wake). A re-seed
+// checkpoint's sync slice (src/core/snapshot.h) replays through the same
+// function, ApplyLog, so both paths refuse a diverged slot by one rule.
 
 #ifndef SRC_CORE_SYNC_AGENT_H_
 #define SRC_CORE_SYNC_AGENT_H_
@@ -111,12 +113,14 @@ class SyncAgent {
   // (wired to RbTransport::set_on_sync_cursor) — re-checks the wraparound gate.
   void OnRemoteCursorAck() { wrap_queue_.Wake(); }
 
-  // Remote-side replay (invoked by the RemoteSyncAgent): applies `records`
-  // starting at absolute log index `start_index` into this replica's machine-local
-  // mirror — entry slots first, tail word last (forward-only), futex wake.
-  // Returns false when the frame cannot belong to this log's state (a gap after
-  // the mirror tail, an overflow past capacity, or geometry violations).
-  bool ApplyRemoteLog(uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
+  // Replays `records`, op `start_index + k` at record k, into this replica's
+  // machine-local mirror: a kSyncLog frame (RemoteSyncAgent) or a checkpoint's
+  // slice (ApplySnapshotToMirror). Every check runs before the first write: the
+  // slice may not start past the mirror tail or span more than the log, and each
+  // record over a slot the mirror already holds must match it or be whole laps
+  // behind it. Then entry slots, tail word last (forward-only), futex wake — also
+  // for an empty slice. Returns nullptr on success or a static reason string.
+  const char* ApplyLog(uint64_t start_index, const std::vector<RbSyncLogRecord>& records);
 
   // --- Replica re-seed (src/core/snapshot.h) --------------------------------------
 
@@ -126,23 +130,13 @@ class SyncAgent {
   // Captures the occupied slot region (slot order, min(tail, capacity) slots):
   // the whole-log reference two replicas' logs are compared by.
   std::vector<uint8_t> CaptureLogImage() const;
-  // Captures the slots [from, tail) in seq order (op `from + k` at record k, its
-  // seq embedded in the slot bytes) for a leader checkpoint. `from` must be
-  // within one lap of the tail — the wrap gate never overwrites a slot the
-  // replica has not replayed, so its un-replayed suffix always fits.
-  std::vector<uint8_t> CaptureLogDelta(uint64_t from) const;
+  // Captures the ops [from, tail), op `from + k` at record k, for a leader
+  // checkpoint. `from` must be within one lap of the tail — the wrap gate never
+  // overwrites a slot the replica has not replayed, so its un-replayed suffix
+  // always fits.
+  std::vector<RbSyncLogRecord> CaptureLogDelta(uint64_t from) const;
   // The absolute tail as published in this replica's log view.
   uint64_t tail() const;
-
-  // Restores a leader checkpoint's seq-ordered slice [sync_from, snap_tail), cut
-  // by CaptureLogDelta, into this replica's mirror. Validates geometry, the
-  // carried read cursor, the embedded seqs, and every slot the mirror already
-  // holds (byte-equal or whole laps apart — a mismatch means the streams
-  // diverged) before any write; then slots first, tail word last (forward-only),
-  // futex wake. Returns nullptr on success or a static reason string on refusal.
-  const char* ApplyLogDelta(uint64_t log_size, uint64_t snap_tail,
-                            uint64_t sync_from, uint64_t snap_read_cursor,
-                            const std::vector<uint8_t>& image);
 
  private:
   // Co-located slaves wake a master parked on a full log (the shared-segment

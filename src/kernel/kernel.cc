@@ -510,9 +510,6 @@ void Kernel::ExecuteSyscallTraced(Thread* t, Done done) {
   auto boxed = std::make_shared<Done>(std::move(done));
   PtraceStop(t, PtraceEvent::Kind::kSyscallEntry, 0,
              [this, t, boxed](const PtraceAction& a) {
-               if (a.rewrite) {
-                 t->cur_req = a.new_req;
-               }
                auto to_exit_stop = [this, t, boxed](int64_t r) {
                  t->cur_result = r;
                  PtraceStop(t, PtraceEvent::Kind::kSyscallExit, 0,
@@ -591,7 +588,6 @@ void Kernel::PtraceStop(Thread* t, PtraceEvent::Kind kind, int sig, ResumeFn on_
 void Kernel::PtraceResume(Thread* t, const PtraceAction& action) {
   REMON_CHECK(t->state() == ThreadState::kPtraceStopped);
   REMON_CHECK(t->on_ptrace_resume != nullptr);
-  ++sim_->stats().ptrace_resumes;
   t->set_state(ThreadState::kRunnable);
   // The continuation stays parked on the thread and the action rides alongside it,
   // so the scheduled event captures only the thread pointer.
@@ -614,13 +610,11 @@ void Kernel::PtraceResume(Thread* t, const PtraceAction& action) {
 }
 
 bool Kernel::TracerRead(Process* p, GuestAddr addr, void* out, uint64_t len) {
-  ++sim_->stats().vm_copies;
   sim_->stats().vm_copy_bytes += len;
   return p->mem().ReadUnchecked(addr, out, len).ok;
 }
 
 bool Kernel::TracerWrite(Process* p, GuestAddr addr, const void* data, uint64_t len) {
-  ++sim_->stats().vm_copies;
   sim_->stats().vm_copy_bytes += len;
   return p->mem().WriteUnchecked(addr, data, len).ok;
 }

@@ -225,7 +225,6 @@ class Kernel {
 
   // Default path after the gate declined: ptrace stops when traced, else direct.
   void DefaultSyscallPath(Thread* t);
-  void FinishTracedSyscall(Thread* t, int64_t result);
   void PtraceStop(Thread* t, PtraceEvent::Kind kind, int sig, ResumeFn on_resume);
   // CompleteSyscall tail once signal delivery (if any) has been handled.
   void FinishCompleteSyscall(Thread* t, int64_t result);

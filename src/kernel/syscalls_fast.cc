@@ -594,6 +594,12 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
         if (addr % kPageSize != 0) {
           return -kEINVAL;
         }
+        // As on Linux, the new mapping replaces whatever it overlaps: the overlap
+        // is unmapped first, exactly as munmap would.
+        if (!AddressSpace::InUserRange(addr, len)) {
+          return -kENOMEM;
+        }
+        mem.Unmap(addr, len);
         if (!mem.MapFixed(addr, len, prot, shared, "anon-fixed")) {
           return -kENOMEM;
         }

@@ -45,9 +45,6 @@ struct PtraceAction {
   // (GHUMVEE aborts slave calls this way).
   bool skip_syscall = false;
   int64_t injected_result = 0;
-  // Syscall-entry: replace the request (argument rewriting).
-  bool rewrite = false;
-  SyscallRequest new_req;
   // Syscall-exit: override the return value.
   bool override_result = false;
   int64_t result_override = 0;

@@ -71,18 +71,21 @@ AccessResult AddressSpace::Walk(GuestAddr addr, uint64_t len, uint32_t prot, boo
 
 bool AddressSpace::ValidateFixedRange(GuestAddr start, uint64_t length,
                                       uint64_t* len_out) const {
-  if ((start & kPageMask) != 0 || length == 0) {
+  if ((start & kPageMask) != 0 || length == 0 || !InUserRange(start, length)) {
     return false;
   }
   uint64_t len = PageAlignUp(length);
-  if (start < kUserLow || start + len > kUserHigh) {
-    return false;
-  }
   if (!RangeFree(start, len)) {
     return false;
   }
   *len_out = len;
   return true;
+}
+
+bool AddressSpace::InUserRange(GuestAddr start, uint64_t length) {
+  uint64_t len = PageAlignUp(length);
+  return start >= kUserLow && start <= kUserHigh && len >= length &&
+         len <= kUserHigh - start;
 }
 
 bool AddressSpace::MapFixed(GuestAddr start, uint64_t length, uint32_t prot, bool shared,

@@ -85,6 +85,9 @@ class AddressSpace {
   // Unmaps [start, start+length). Unmapping unmapped pages is a no-op (POSIX).
   void Unmap(GuestAddr start, uint64_t length);
 
+  // True when [start, start+length), rounded up to pages, lies in user space.
+  static bool InUserRange(GuestAddr start, uint64_t length);
+
   // Changes protection on [start, start+length), O(VMAs in the range). Returns
   // false if any page in the range is unmapped.
   bool Protect(GuestAddr start, uint64_t length, uint32_t prot);

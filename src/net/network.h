@@ -57,8 +57,6 @@ class Network {
 
   // Sets parameters for traffic between two distinct machines (both directions).
   void SetLink(uint32_t a, uint32_t b, LinkParams params);
-  // Loopback (same-machine) parameters; default ~5us latency, 10 GB/s.
-  void SetLoopback(LinkParams params) { loopback_ = params; }
 
   std::shared_ptr<StreamSocket> CreateStream(uint32_t machine);
 
@@ -160,7 +158,6 @@ class StreamSocket : public File, public std::enable_shared_from_this<StreamSock
   void DeliverBytes(const std::vector<uint8_t>& data);
   void DeliverFin();
   void DeliverConnected(std::shared_ptr<StreamSocket> peer_sock);
-  void OnAcceptedBy(std::shared_ptr<StreamSocket> server_side);
 
   Network* net_;
   uint32_t machine_;

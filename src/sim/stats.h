@@ -35,16 +35,13 @@ struct SimStats {
 
   // ptrace traffic.
   uint64_t ptrace_stops = 0;
-  uint64_t ptrace_resumes = 0;
   // Stops that found their monitor lane idle: each bills one waitpid wakeup
   // (ptrace_stop_ns) to the lane; a stop queued behind a busy lane bills none.
   uint64_t ptrace_wakeups = 0;
-  uint64_t vm_copies = 0;
   uint64_t vm_copy_bytes = 0;
 
   // IK-B broker.
   uint64_t tokens_issued = 0;
-  uint64_t tokens_verified = 0;
   uint64_t tokens_revoked = 0;
   uint64_t ikb_forward_ipmon = 0;
   uint64_t ikb_forward_ghumvee = 0;
@@ -78,7 +75,6 @@ struct SimStats {
   uint64_t rb_replica_joins = 0;          // Snapshots applied: replica back in the set.
   uint64_t rb_snapshot_frames_sent = 0;   // Begin/chunk/end frames enqueued.
   uint64_t rb_snapshot_bytes_sent = 0;    // Framed snapshot bytes.
-  uint64_t rb_snapshot_chunks_applied = 0;
   uint64_t rb_snapshot_rejects = 0;       // Joins refused (validation/CRC/protocol).
   uint64_t rb_snapshot_entries_restored = 0;  // Entries re-published by restores.
   uint64_t rb_snapshot_epoll_lag = 0;     // Leader shadow keys the joiner lacked.
@@ -124,7 +120,6 @@ struct SimStats {
   uint64_t sync_log_records_applied = 0;  // Records replayed into mirrors.
   uint64_t sync_log_wrap_stalls = 0;      // Master appends parked on a full log.
   uint64_t sync_log_append_stalls = 0;    // Master appends parked on transport backpressure.
-  uint64_t sync_cursor_acks = 0;          // Acks that advanced a remote replay cursor.
 
   // Signals.
   uint64_t signals_raised = 0;

@@ -673,7 +673,7 @@ TEST(KernelTest, MmapMunmapLifecycle) {
 
 // Anonymous mmap is demand-paged, as on Linux: mapping 64 MiB allocates no frame,
 // and the first write to a page makes exactly that page resident. MAP_FIXED onto
-// a mapped range fails.
+// a mapped range replaces the pages it overlaps and leaves the rest.
 TEST(MemorySyscallTest, MmapIsDemandPaged) {
   SimWorld w;
   Process* p = w.NewProcess("lazy-mmap");
@@ -688,9 +688,11 @@ TEST(MemorySyscallTest, MmapIsDemandPaged) {
     EXPECT_EQ(p->mem().mapped_bytes(), before);
     g.PokeU64(base + kLen / 2, 7);
     EXPECT_EQ(p->mem().mapped_bytes(), before + kPageSize);
+    g.PokeU64(base + kPageSize, 9);
     EXPECT_EQ(co_await g.Mmap(base + kPageSize, kPageSize, kProtRead,
                               kMapPrivate | kMapFixed),
-              -kENOMEM);
+              static_cast<int64_t>(base + kPageSize));
+    EXPECT_EQ(g.PeekU64(base + kPageSize), 0u);  // The replaced page is fresh.
     EXPECT_EQ(g.PeekU64(base + kLen / 2), 7u);
   });
   w.Run();

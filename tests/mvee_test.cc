@@ -570,6 +570,47 @@ TEST(MveeTest, ExitGroupWhileARankWaitsInAMasterCallIsClean) {
   EXPECT_FALSE(mvee.divergence_detected());
 }
 
+// Each replica's leg of a local call closes at that replica's own exit stop. The
+// master's waiter returns from its body right after its futex call while the
+// slave's waiter still blocks in the same call: the master's exit does not close
+// the slave's leg, the round stays open until the slave's own exit stop, and
+// nothing diverges.
+TEST(MveeTest, LocalCallLegClosesAtEachReplicasOwnExitStop) {
+  SimWorld w(71);
+  RemonOptions opts;
+  opts.mode = MveeMode::kRemon;
+  opts.replicas = 2;
+  opts.level = PolicyLevel::kBase;  // futex stays a GHUMVEE local call.
+  Remon mvee(&w.kernel, opts);
+  bool master_waiter_done = false;
+  bool open_after_master_exit = false;
+  mvee.Launch([&](Guest& g) -> GuestTask<void> {
+    GuestAddr word = g.Alloc(8);
+    // The master's futex word already moved on and the slave's has not, so the
+    // master's wait returns at once (EAGAIN) while the slave's blocks until woken.
+    bool master = g.process()->replica_index == 0;
+    g.PokeU32(word, master ? 1 : 0);
+    uint64_t waiter = g.RegisterThreadFn([&, word](Guest& tg) -> GuestTask<void> {
+      co_await tg.Futex(word, kFutexWait, 0);
+      master_waiter_done |= tg.process()->replica_index == 0;
+    });
+    co_await g.SpawnThread(waiter);
+    while (!master_waiter_done) {
+      co_await g.Compute(Micros(10));
+    }
+    co_await g.Compute(Millis(1));  // GHUMVEE handles the master waiter's exit.
+    if (master) {
+      open_after_master_exit = mvee.ghumvee()->RoundExecuting(/*rank=*/1);
+    }
+    co_await g.Futex(word, kFutexWake, 1);
+  });
+  w.Run(Seconds(1));
+  EXPECT_TRUE(open_after_master_exit);
+  EXPECT_FALSE(mvee.ghumvee()->RoundExecuting(1));
+  EXPECT_TRUE(mvee.finished());
+  EXPECT_FALSE(mvee.divergence_detected());
+}
+
 // Virtual time of a GHUMVEE-only run in which each of `threads` threads makes
 // `calls` monitored getpid calls.
 TimeNs MonitoredGetpidRunTime(int threads, int calls) {

@@ -38,6 +38,30 @@ TEST(ProtocolTest, VaranFlushBarrierRecyclesBuffer) {
   EXPECT_EQ(w.sim.stats().ptrace_stops, 0u);  // Still zero CP involvement.
 }
 
+TEST(ProtocolTest, VaranOversizedCallCountsAsUnmonitored) {
+  // An entry larger than the rank's sub-buffer runs in every replica without the
+  // RB (VARAN has no CP monitor to escalate to): still an unmonitored call.
+  SimWorld w(403);
+  RemonOptions opts;
+  opts.mode = MveeMode::kVaranLike;
+  opts.replicas = 2;
+  opts.rb_size = 128 * 1024;
+  opts.max_ranks = 2;
+  Remon mvee(&w.kernel, opts);
+  mvee.Launch([](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/varan-oversize", kO_CREAT | kO_RDWR));
+    GuestAddr buf = g.Alloc(96 * 1024);
+    co_await g.Write(fd, buf, 64);
+    co_await g.Read(fd, buf, 96 * 1024);  // Oversized for a 64 KiB sub-buffer.
+    co_await g.Close(fd);
+  });
+  w.Run();
+  EXPECT_TRUE(mvee.finished());
+  EXPECT_EQ(w.sim.stats().syscalls_monitored, 0u);
+  // Open, write, read and close, in each of the two replicas.
+  EXPECT_EQ(w.sim.stats().syscalls_unmonitored, 8u);
+}
+
 TEST(ProtocolTest, BlockedMasterAbortedForSignalDelivery) {
   // §3.8 end to end: the master blocks in an unmonitored read (empty pipe) while
   // GHUMVEE must deliver a deferred timer signal. GHUMVEE sets the RB flag and

@@ -22,7 +22,7 @@
 namespace remon {
 namespace {
 
-// Adds a sync-log section: slots [from, tail) of a `cap`-slot log in seq order,
+// Adds a sync-log section: ops [from, tail) of a `cap`-slot log in seq order,
 // the replay cursor somewhere inside the slice, slice length within one lap.
 void AddSyncSection(ReplicaSnapshot* snap, Rng* rng, uint64_t cap, uint64_t from,
                     uint64_t tail) {
@@ -30,15 +30,11 @@ void AddSyncSection(ReplicaSnapshot* snap, Rng* rng, uint64_t cap, uint64_t from
   snap->sync_from = from;
   snap->sync_tail = tail;
   snap->sync_read_cursor = from + rng->NextBelow(tail - from + 1);
-  snap->sync_image.assign((tail - from) * kSyncLogEntrySize, 0);
+  snap->sync_records.clear();
   for (uint64_t i = 0; i < tail - from; ++i) {
     uint32_t obj = static_cast<uint32_t>(rng->NextBelow(1000));
     uint32_t rank = static_cast<uint32_t>(rng->NextBelow(4));
-    uint64_t seq = from + i;  // Seq order, embedded seqs.
-    uint8_t* slot = snap->sync_image.data() + i * kSyncLogEntrySize;
-    std::memcpy(slot, &obj, 4);
-    std::memcpy(slot + 4, &rank, 4);
-    std::memcpy(slot + 8, &seq, 8);
+    snap->sync_records.push_back(RbSyncLogRecord{obj, rank});
   }
 }
 
@@ -93,7 +89,7 @@ TEST(SnapshotCodecTest, SerializeAssembleRoundTrip) {
     EXPECT_EQ(out.sync_from, snap.sync_from);
     EXPECT_EQ(out.sync_tail, snap.sync_tail);
     EXPECT_EQ(out.sync_read_cursor, snap.sync_read_cursor);
-    EXPECT_EQ(out.sync_image, snap.sync_image) << "iter " << iter;
+    EXPECT_EQ(out.sync_records, snap.sync_records) << "iter " << iter;
     ExpectSameRecords(out.records, snap.records);
     // Chunks pack one rank's records up to kSnapshotChunkBytes; only a lone
     // record may exceed it.
@@ -144,7 +140,7 @@ TEST(SnapshotCodecTest, SyncImageLengthDisagreeingWithSliceRejected) {
   Rng rng(43);
   ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
   AddSyncSection(&snap, &rng, 16, 2, 10);
-  snap.sync_image.resize(snap.sync_image.size() - kSyncLogEntrySize);  // One short.
+  snap.sync_records.pop_back();  // One short of the slice.
   SnapshotAssembler asm_;
   EXPECT_FALSE(BeginSerialized(snap, &asm_));
   EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
@@ -181,6 +177,46 @@ TEST(SnapshotCodecTest, LapStaleSyncSliceRejected) {
   EXPECT_FALSE(BeginSerialized(snap, &asm_));
   EXPECT_EQ(asm_.state(), SnapshotAssembler::State::kFailed);
   EXPECT_NE(asm_.error().find("wrapped past"), std::string::npos) << asm_.error();
+}
+
+// The sync slice travels as 16-byte slots {u32 object, u32 rank, u64 seq}, op
+// `sync_from + k` at slot k: the same bytes a copy of the log's own slots gave
+// before the checkpoint carried records. The payload's size and CRC-32 are the
+// values this snapshot serialized to when it did.
+TEST(SnapshotCodecTest, BeginPayloadMatchesGoldenVector) {
+  Rng rng(59);
+  ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+  AddSyncSection(&snap, &rng, 16, /*from=*/14, /*tail=*/22);  // Crosses a lap.
+  std::vector<uint8_t> begin = SerializeSnapshot(snap).begin;
+  EXPECT_EQ(begin.size(), 12852u);
+  EXPECT_EQ(Crc32(begin.data(), begin.size()), 0xa1d7d156u);
+  const uint32_t kObjects[] = {805, 215, 288, 560, 413, 598, 738, 221};
+  const uint32_t kRanks[] = {2, 3, 2, 0, 0, 2, 3, 2};
+  size_t pos = begin.size() - 8 * kSyncLogEntrySize;
+  for (uint64_t k = 0; k < 8; ++k, pos += kSyncLogEntrySize) {
+    uint32_t obj = 0;
+    uint32_t rank = 0;
+    uint64_t seq = 0;
+    std::memcpy(&obj, begin.data() + pos, 4);
+    std::memcpy(&rank, begin.data() + pos + 4, 4);
+    std::memcpy(&seq, begin.data() + pos + 8, 8);
+    EXPECT_EQ(obj, kObjects[k]) << "slot " << k;
+    EXPECT_EQ(rank, kRanks[k]) << "slot " << k;
+    EXPECT_EQ(seq, 14 + k) << "slot " << k;
+  }
+}
+
+TEST(SnapshotCodecTest, SyncSlotNamingTheWrongOpRejected) {
+  Rng rng(61);
+  ReplicaSnapshot snap = MakeSnapshot(&rng, 64 * kPageSize, 2);
+  AddSyncSection(&snap, &rng, 16, 2, 10);
+  std::vector<uint8_t> begin = SerializeSnapshot(snap).begin;
+  // Slot 3 claims op 9 instead of op 5: it cannot be replayed as the op it names.
+  uint64_t wrong = 9;
+  std::memcpy(begin.data() + begin.size() - 5 * kSyncLogEntrySize + 8, &wrong, 8);
+  SnapshotAssembler asm_;
+  EXPECT_FALSE(asm_.Begin(begin));
+  EXPECT_EQ(asm_.error(), "snapshot sync slot names the wrong op");
 }
 
 TEST(SnapshotCodecTest, FileMapPagesOutOfOrderRejected) {
@@ -558,7 +594,7 @@ TEST(SnapshotEquivalenceTest, BadRecordInTheLastRankRefusesBeforeAnyWrite) {
   RbView rb = mirror->rb();
   RbView log = replica_sync->log();
   ReplicaSnapshot snap = live.Capture(EmptyDeltaBasis(live.mvee->ipmon(0)->rb_resets()));
-  ASSERT_FALSE(snap.sync_image.empty());
+  ASSERT_FALSE(snap.sync_records.empty());
   size_t first = snap.records.size();
   size_t last = 0;
   for (size_t r = 0; r < snap.records.size(); ++r) {
@@ -586,6 +622,117 @@ TEST(SnapshotEquivalenceTest, BadRecordInTheLastRankRefusesBeforeAnyWrite) {
       << res.error;
   EXPECT_EQ(ReadView(rb), rb_before);
   EXPECT_EQ(replica_sync->CaptureLogImage(), log_before);
+}
+
+// --- One sync-log replay: live kSyncLog frames and the checkpoint slice --------------
+
+// The replica's sync mirror rewound to just before `snap`'s slice: its tail falls
+// back to sync_from and the slice's slots are scrubbed, so a replay writes every op.
+void RewindSyncMirror(SyncAgent* agent, const std::vector<uint8_t>& saved,
+                      const ReplicaSnapshot& snap) {
+  RbView log = agent->log();
+  log.WriteBytes(0, saved.data(), saved.size());
+  log.WriteU64(kSyncLogOffTail, snap.sync_from);
+  const uint8_t zeros[kSyncLogEntrySize] = {};
+  for (uint64_t seq = snap.sync_from; seq < snap.sync_tail; ++seq) {
+    log.WriteBytes(kSyncLogOffEntries + (seq % agent->capacity()) * kSyncLogEntrySize,
+                   zeros, kSyncLogEntrySize);
+  }
+}
+
+// One kSyncLog frame of the leader's current stream.
+RbWireFrame SyncLogFrame(const LiveCheckpointWorld& live, uint64_t start,
+                         const RbSyncLogRecord& record) {
+  RbWireFrame f;
+  f.type = RbFrameType::kSyncLog;
+  f.epoch = live.mvee->transport()->epoch();
+  f.sync_start = start;
+  f.sync_records = {record};
+  return f;
+}
+
+TEST(SyncReplayTest, LiveFramesAndCheckpointSliceReplayIdentically) {
+  LiveCheckpointWorld live;
+  ASSERT_TRUE(live.RunToFoldedBasis());
+  SyncAgent* replica_sync = live.mvee->sync_agent(1);
+  RemoteSyncAgent* agent = live.mvee->remote_agent(1);
+  ReplicaSnapshot snap = live.Capture(live.basis);
+  ASSERT_GT(snap.sync_records.size(), 1u);
+  const std::vector<uint8_t> saved = ReadView(replica_sync->log());
+
+  // Once as the leader streamed them: one kSyncLog frame per append.
+  RewindSyncMirror(replica_sync, saved, snap);
+  for (size_t k = 0; k < snap.sync_records.size(); ++k) {
+    ASSERT_TRUE(agent->InjectFrameForTest(
+        SyncLogFrame(live, snap.sync_from + k, snap.sync_records[k])));
+  }
+  const std::vector<uint8_t> live_image = replica_sync->CaptureLogImage();
+  const std::vector<uint8_t> live_log = ReadView(replica_sync->log());
+  EXPECT_EQ(replica_sync->tail(), snap.sync_tail);
+
+  // Once as a checkpoint carries them, through the receiver's codec.
+  RewindSyncMirror(replica_sync, saved, snap);
+  SnapshotAssembler asm_ = Reassemble(snap);
+  SnapshotApplyResult res = ApplySnapshotToMirror(&live.w.kernel, live.mvee->ipmon(1),
+                                                  replica_sync, asm_.snapshot());
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.sync_slots_restored, snap.sync_records.size());
+  EXPECT_EQ(replica_sync->CaptureLogImage(), live_image);
+  EXPECT_EQ(ReadView(replica_sync->log()), live_log);
+}
+
+TEST(SyncReplayTest, DivergedSlotRefusedByBothPathsWithOneReason) {
+  LiveCheckpointWorld live;
+  ASSERT_TRUE(live.RunToFoldedBasis());
+  SyncAgent* replica_sync = live.mvee->sync_agent(1);
+  RemoteSyncAgent* agent = live.mvee->remote_agent(1);
+  ReplicaSnapshot snap = live.Capture(live.basis);
+  ASSERT_FALSE(snap.sync_records.empty());
+  const std::vector<uint8_t> saved = ReadView(replica_sync->log());
+  RbView log = replica_sync->log();
+  uint64_t slot = kSyncLogOffEntries +
+                  (snap.sync_from % replica_sync->capacity()) * kSyncLogEntrySize;
+
+  // The mirror already holds the slice, its first slot changed: a different
+  // object under the same op, then a seq that is neither this op nor whole laps
+  // past it.
+  struct Case {
+    uint64_t field;
+    uint64_t value;
+    const char* reason;
+  };
+  const RbSyncLogRecord& first = snap.sync_records[0];
+  const Case cases[] = {
+      {slot, first.object_id + 1u, "sync log diverged from the leader"},
+      {slot + 8, snap.sync_from + 1, "sync log slot sequence diverged from the leader"},
+  };
+  for (const Case& c : cases) {
+    RewindSyncMirror(replica_sync, saved, snap);
+    ASSERT_EQ(replica_sync->ApplyLog(snap.sync_from, snap.sync_records), nullptr);
+    if (c.field == slot) {
+      log.WriteU32(c.field, static_cast<uint32_t>(c.value));
+    } else {
+      log.WriteU64(c.field, c.value);
+    }
+    const std::vector<uint8_t> before = ReadView(log);
+
+    // The live path: the function a kSyncLog frame replays through.
+    const char* live_why = replica_sync->ApplyLog(snap.sync_from, {first});
+    ASSERT_NE(live_why, nullptr);
+    EXPECT_STREQ(live_why, c.reason);
+    EXPECT_EQ(ReadView(log), before);
+
+    // The checkpoint path refuses the join with the same reason, unwritten.
+    SnapshotAssembler asm_ = Reassemble(snap);
+    SnapshotApplyResult res = ApplySnapshotToMirror(&live.w.kernel, live.mvee->ipmon(1),
+                                                    replica_sync, asm_.snapshot());
+    EXPECT_FALSE(res.ok);
+    EXPECT_STREQ(res.error, c.reason);
+    EXPECT_EQ(ReadView(log), before);
+  }
+  // And the agent tears the link for the frame itself.
+  EXPECT_FALSE(agent->InjectFrameForTest(SyncLogFrame(live, snap.sync_from, first)));
+  EXPECT_TRUE(agent->link_torn());
 }
 
 TEST(SnapshotEquivalenceTest, DeltaReseedMaterializesOnlyWhatItShips) {
