@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,7 +30,9 @@ namespace remon {
 // One byte per FD. The map spans a configurable whole number of pages so
 // high-connection-count servers (a fleet shard under a 10^4-connection swarm)
 // can track descriptors past the first 4096; the map's FrameTable is mapped
-// read-only into every replica as one contiguous region.
+// read-only into every replica as one contiguous region. The size is fixed at
+// Configure for the replica set's lifetime: Remon raises each replica's FD limit
+// to exactly the map's size, so no descriptor a replica can open falls outside it.
 class FileMap : public FdInfoSource {
  public:
   // Default capacity: a single page, enough for the classic one-process runs.
@@ -43,42 +44,23 @@ class FileMap : public FdInfoSource {
 
   FileMap() { Configure(1, ""); }
 
-  // Resizes to `pages` pages and tags warnings with `label` (the fleet passes
-  // the shard name). Must run before replicas map the region — it starts a fresh
-  // table, and IP-MON maps the table at attach time.
+  // Sizes the map to `pages` pages, every one resident so ByteAt and page() never
+  // meet a hole, and tags warnings with `label` (the fleet passes the shard name).
+  // Must run before replicas map the region — it starts a fresh table, and IP-MON
+  // maps the table at attach time.
   void Configure(int pages, std::string label) {
     REMON_CHECK(pages >= 1 && pages <= kMaxPages);
     frames_ = std::make_shared<FrameTable>();
-    page_versions_.clear();
-    AddPages(pages, 0);
+    frames_->Resize(static_cast<uint64_t>(pages));
+    for (uint64_t i = 0; i < frames_->size(); ++i) {
+      frames_->Materialize(i);
+    }
+    page_versions_.assign(frames_->size(), 0);
     label_ = std::move(label);
     out_of_range_sets_ = 0;
     warned_out_of_range_ = false;
     version_ = 0;
-    grows_ = 0;
   }
-
-  // Appends pages at runtime, preserving the existing frames (attached replicas
-  // keep valid mappings of the old prefix; the owner re-publishes the new
-  // geometry to them — Remon routes that through the normal epoch-bump path).
-  // New pages start dirty (version = current) so delta checkpoints ship them.
-  void Grow(int new_page_count) {
-    REMON_CHECK(new_page_count > page_count() && new_page_count <= kMaxPages);
-    ++version_;
-    AddPages(new_page_count, version_);
-    ++grows_;
-    if (on_grow_) {
-      on_grow_(new_page_count);
-    }
-  }
-
-  // Opt-in: Set() on an FD past the map grows the map to cover it (up to
-  // kMaxPages) instead of warn-once dropping. Off by default — bare maps keep
-  // the counted-drop contract; Remon turns it on when it can re-publish the
-  // geometry to attached replicas (see satellite: live FileMap growth).
-  void set_auto_grow(bool enabled) { auto_grow_ = enabled; }
-  // Runs after Grow() appends pages, with the new page count.
-  void set_on_grow(std::function<void(int)> fn) { on_grow_ = std::move(fn); }
 
   // The map's pages, mapped read-only into every replica. Every page is resident.
   const std::shared_ptr<FrameTable>& frames() const { return frames_; }
@@ -88,15 +70,11 @@ class FileMap : public FdInfoSource {
   int max_fds() const { return static_cast<int>(size_bytes()); }
 
   void Set(int fd, FdType type, bool nonblocking) {
-    if (!InRange(fd) && auto_grow_ && fd >= 0 &&
-        fd / static_cast<int>(kPageSize) < kMaxPages) {
-      Grow(fd / static_cast<int>(kPageSize) + 1);
-    }
     if (!InRange(fd)) {
       // An FD beyond the map would be tracked nowhere: every later policy and
       // blocking-prediction lookup on it silently degrades to "unknown". Count
-      // it and warn once — naming the owner — so a workload outgrowing the map
-      // is visible instead of masked, and points at the --fd-map-pages knob.
+      // it and warn once — naming the owner — so a bare map given an FD past its
+      // end is visible instead of masked, and points at the --fd-map-pages knob.
       ++out_of_range_sets_;
       if (!warned_out_of_range_) {
         warned_out_of_range_ = true;
@@ -156,10 +134,8 @@ class FileMap : public FdInfoSource {
 
   // Number of Set() calls dropped because the FD fell outside the map.
   uint64_t out_of_range_sets() const { return out_of_range_sets_; }
-  // Number of runtime Grow() calls since Configure().
-  uint64_t grows() const { return grows_; }
 
-  // Monotone mutation clock: bumped on every Set/SetNonblocking/Clear/Grow, with
+  // Monotone mutation clock: bumped on every Set/SetNonblocking/Clear, with
   // the touched page latching the new value. A delta checkpoint against a basis
   // version ships exactly the pages with page_version > basis.
   uint64_t version() const { return version_; }
@@ -169,16 +145,6 @@ class FileMap : public FdInfoSource {
   static constexpr int kMaxPages = 1024;
 
   bool InRange(int fd) const { return fd >= 0 && fd < max_fds(); }
-
-  // Grows the table to `count` pages and materializes the new ones, so ByteAt
-  // and page() never meet a hole.
-  void AddPages(int count, uint64_t version) {
-    frames_->Resize(static_cast<uint64_t>(count));
-    for (uint64_t i = page_versions_.size(); i < frames_->size(); ++i) {
-      frames_->Materialize(i);
-      page_versions_.push_back(version);
-    }
-  }
 
   void Touch(int fd) {
     page_versions_[static_cast<size_t>(fd) / kPageSize] = ++version_;
@@ -199,9 +165,6 @@ class FileMap : public FdInfoSource {
   uint64_t out_of_range_sets_ = 0;
   bool warned_out_of_range_ = false;
   uint64_t version_ = 0;
-  uint64_t grows_ = 0;
-  bool auto_grow_ = false;
-  std::function<void(int)> on_grow_;
 };
 
 }  // namespace remon

@@ -41,6 +41,12 @@ auto Ghumvee::Work(int rank, DurationNs d) {
   return MonitorCost{kernel_, hub_.monitor_machine, lane->entity, &lane->core, d};
 }
 
+auto Ghumvee::TracerReader(Process* p) {
+  return [this, p](GuestAddr addr, void* out, uint64_t len) {
+    return kernel_->TracerRead(p, addr, out, len);
+  };
+}
+
 void Ghumvee::AddReplica(Process* process) {
   // Created as replica `replicas_.size()` (Kernel::CreateProcess counts it).
   REMON_CHECK(process->replica_index == static_cast<int>(replicas_.size()));
@@ -251,19 +257,9 @@ GuestTask<void> Ghumvee::RunLockstep(int rank, RankState& rs) {
   // epoll_ctl: record every replica's own (epfd, fd) -> data association in its
   // one shadow, so epoll_wait results can be translated per replica (§3.9)
   // whichever monitor replicates them.
-  if (nr == Sys::kEpollCtl) {
-    for (int i = 0; i < num_replicas(); ++i) {
-      Thread* t = rs.current[static_cast<size_t>(i)];
-      int epfd = static_cast<int>(t->cur_req.arg(0));
-      int op = static_cast<int>(t->cur_req.arg(1));
-      int fd = static_cast<int>(t->cur_req.arg(2));
-      GuestEpollEvent ev{0, 0};
-      if (op != kEpollCtlDel &&
-          !kernel_->TracerRead(t->process(), t->cur_req.arg(3), &ev, sizeof(ev))) {
-        continue;
-      }
-      EpollShadow(i).Record(epfd, op, fd, ev.data);
-    }
+  for (int i = 0; i < num_replicas(); ++i) {
+    Thread* t = rs.current[static_cast<size_t>(i)];
+    RecordEpollCtl(t->cur_req, EpollShadow(i), TracerReader(t->process()));
   }
 
   // --- Execution mode. -----------------------------------------------------------
@@ -342,22 +338,22 @@ GuestTask<void> Ghumvee::HandleMasterExit(int rank, RankState& rs, Thread* maste
     FilterMapsContent(master_thread, rs.req, result);
   }
 
-  // Copy the out-regions from the master (process_vm_readv analog). The master's
-  // epoll cookies become fds here, once, through its shadow as of this stop (§3.9).
-  rs.blobs.clear();
-  for (const OutRegion& r : CollectOutRegions(replicas_[0], rs.req, result)) {
-    std::vector<uint8_t> data(r.len);
-    kernel_->TracerRead(replicas_[0], r.addr, data.data(), r.len);
-    if (r.is_epoll_events) {
-      EpollShadow(0).CookiesToFds(static_cast<int>(rs.req.arg(0)), data.data(),
-                                  data.size());
-    }
-    rs.blobs.push_back(std::move(data));
-    co_await Work(rank, costs.VmCopyCost(r.len));
+  // Copy the out-regions from the master (process_vm_readv analog) into IP-MON's
+  // result payload. The master's epoll cookies become fds here, once, through its
+  // shadow as of this stop (§3.9). One charge per region: VmCopyCost is affine.
+  std::vector<uint8_t> payload;
+  CaptureResults(replicas_[0], rs.req, result, EpollShadow(0),
+                 TracerReader(replicas_[0]), &payload);
+  ResultPayloadReader regions(payload);
+  const uint8_t* data = nullptr;
+  uint64_t len = 0;
+  while (regions.Next(&data, &len)) {
+    co_await Work(rank, costs.VmCopyCost(len));
   }
   if (shutdown_ || rs.legs[0] != RankState::Leg::kRunning) {
     co_return;
   }
+  rs.payload = std::move(payload);
   rs.result = result;
   rs.results_ready = true;
 
@@ -376,20 +372,21 @@ GuestTask<void> Ghumvee::DeliverResults(int rank, RankState& rs, int replica) {
   const CostModel& costs = kernel_->sim()->costs();
   size_t i = static_cast<size_t>(replica);
   // Write the master's out-regions into the slave at the slave's own addresses
-  // (process_vm_writev analog). A slave that dies meanwhile has its leg closed by
-  // MemberGone before ReleaseExited drops the round's pointer to it.
-  std::vector<OutRegion> slave_regions =
-      CollectOutRegions(replicas_[i], rs.current[i]->cur_req, rs.result);
-  for (size_t r = 0; r < slave_regions.size() && r < rs.blobs.size(); ++r) {
-    std::vector<uint8_t> data = rs.blobs[r];
-    if (slave_regions[r].is_epoll_events) {
-      // The master's fds become this slave's own cookies (§3.9).
-      EpollShadow(replica).FdsToCookies(static_cast<int>(rs.current[i]->cur_req.arg(0)),
-                                        data.data(), data.size());
-    }
-    kernel_->TracerWrite(replicas_[i], slave_regions[r].addr, data.data(),
-                         std::min<uint64_t>(data.size(), slave_regions[r].len));
-    co_await Work(rank, costs.VmCopyCost(data.size()));
+  // (process_vm_writev analog); its fds become this slave's own cookies (§3.9).
+  // Each applied region is charged at the master's length. A slave that dies
+  // meanwhile has its leg closed by MemberGone before ReleaseExited drops the
+  // round's pointer to it.
+  Process* slave = replicas_[i];
+  uint64_t applied =
+      ApplyResults(slave, rs.current[i]->cur_req, rs.result, EpollShadow(replica),
+                   rs.payload, [this, slave](GuestAddr addr, const void* data, uint64_t len) {
+                     return kernel_->TracerWrite(slave, addr, data, len);
+                   });
+  ResultPayloadReader regions(rs.payload);
+  const uint8_t* data = nullptr;
+  uint64_t len = 0;
+  for (uint64_t r = 0; r < applied && regions.Next(&data, &len); ++r) {
+    co_await Work(rank, costs.VmCopyCost(len));
     if (shutdown_ || rs.legs[i] != RankState::Leg::kParked) {
       co_return;
     }
@@ -407,7 +404,7 @@ void Ghumvee::LegDone(RankState& rs, int replica) {
   if (--rs.open_legs == 0) {
     rs.phase = RankState::Phase::kCollecting;
     rs.current.clear();
-    rs.blobs.clear();
+    rs.payload.clear();
   }
 }
 

@@ -8,8 +8,9 @@
 // their deep-compared argument signatures must match, and then either
 //   * master-call: the master executes while every slave is resumed into a fake
 //     (skipped) call and parks at its exit stop; at the master's exit stop GHUMVEE
-//     reads the results, resumes the master at once, and copies the results into
-//     each parked slave (process_vm_writev analog) with the master's return value, or
+//     captures the results into IP-MON's result payload, resumes the master at
+//     once, and applies the payload to each parked slave (process_vm_writev
+//     analog) with the master's return value, or
 //   * local call: every replica executes its own (memory management, thread
 //     creation, signal bookkeeping, futexes).
 //
@@ -119,8 +120,9 @@ class Ghumvee {
     bool master_call = false;
     bool results_ready = false;
     int64_t result = 0;
-    // The master's out-regions, epoll cookies already turned into fds.
-    std::vector<std::vector<uint8_t>> blobs;
+    // The master's results as IP-MON's result payload (CaptureResults), epoll
+    // cookies already turned into fds; set with `results_ready`.
+    std::vector<uint8_t> payload;
     // Watchdog: armed while arrivals are partial; fires Divergence if the round
     // never completes (a compromised replica stopped participating in lockstep).
     EventQueue::EventId watchdog = 0;
@@ -184,6 +186,9 @@ class Ghumvee {
 
   // The awaitable cost helper bound to rank `rank`'s lane.
   auto Work(int rank, DurationNs d);
+  // The result codec's read access to replica `p`: unchecked, and counted as
+  // process_vm_readv bytes (Kernel::TracerRead).
+  auto TracerReader(Process* p);
 
   // Replica `replica`'s one epoll shadow (§3.9): its IP-MON's, or for a replica
   // without IP-MON the map GHUMVEE keeps for it.

@@ -1,8 +1,6 @@
 #include "src/core/ipmon.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "src/core/await.h"
 #include "src/core/broker.h"
@@ -20,21 +18,23 @@ constexpr uint64_t kRankOffBarrierGen = 8;  // + 8 * replica_index.
 // "IPMO": the entry point IP-MON registers with the kernel.
 constexpr uint64_t kEntryCookie = 0x49504d4f;
 
-void AppendU64To(std::vector<uint8_t>* out, uint64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), p, p + 8);
-}
-
-uint64_t TakeU64(const std::vector<uint8_t>& in, size_t* pos) {
-  uint64_t v = 0;
-  if (*pos + 8 <= in.size()) {
-    std::memcpy(&v, in.data() + *pos, 8);
-  }
-  *pos += 8;
-  return v;
-}
-
 }  // namespace
+
+bool ResultPayloadReader::Next(const uint8_t** data, uint64_t* len) {
+  // Subtraction forms: a hostile length must not wrap the bounds check.
+  if (left_ == 0 || payload_.size() - pos_ < 8) {
+    return false;
+  }
+  uint64_t n = GetU64(payload_, pos_);
+  if (n > payload_.size() - pos_ - 8) {
+    return false;
+  }
+  *data = payload_.data() + pos_ + 8;
+  *len = n;
+  pos_ += 8 + n;
+  --left_;
+  return true;
+}
 
 IpMon::IpMon(Kernel* kernel, IkBroker* broker, RelaxationPolicy policy, FileMap* file_map,
              Config config)
@@ -62,12 +62,11 @@ GuestTask<void> IpMon::Initialize(Guest& g) {
   }
 
   // Map the (GHUMVEE-maintained) file map read-only — all pages, contiguously.
-  fm_addr_ = process_->mem().FindFreeRange(process_->layout.mmap_hint,
-                                           file_map_->size_bytes());
-  REMON_CHECK(fm_addr_ != 0);
-  REMON_CHECK(process_->mem().MapShared(fm_addr_, file_map_->size_bytes(), kProtRead,
+  GuestAddr fm_addr = process_->mem().FindFreeRange(process_->layout.mmap_hint,
+                                                    file_map_->size_bytes());
+  REMON_CHECK(fm_addr != 0);
+  REMON_CHECK(process_->mem().MapShared(fm_addr, file_map_->size_bytes(), kProtRead,
                                         "ipmon-filemap", file_map_->frames(), 0));
-  fm_mapped_bytes_ = file_map_->size_bytes();
 
   // Register with the kernel (paper §3.5): the set of calls IP-MON may handle, the
   // RB pointer, and the entry-point cookie. The call is always monitored, so GHUMVEE
@@ -97,65 +96,6 @@ bool IpMon::NeedsGhumvee(Thread* t, const SyscallRequest& req) const {
     return true;
   }
   return !policy_.AllowsUnmonitored(req.nr, EffectiveFdType(process_, req, *file_map_));
-}
-
-void IpMon::RecordEpollShadow(Thread* t, const SyscallRequest& req) {
-  if (req.nr != Sys::kEpollCtl) {
-    return;
-  }
-  GuestEpollEvent ev;
-  if (static_cast<int>(req.arg(1)) != kEpollCtlDel &&
-      !process_->mem().Read(req.arg(3), &ev, sizeof(ev)).ok) {
-    return;
-  }
-  epoll_shadow_.Record(static_cast<int>(req.arg(0)), static_cast<int>(req.arg(1)),
-                       static_cast<int>(req.arg(2)), ev.data);
-}
-
-std::vector<uint8_t> IpMon::BuildResultPayload(Thread* t, const SyscallRequest& req,
-                                               int64_t ret) {
-  std::vector<OutRegion> regions = CollectOutRegions(process_, req, ret);
-  std::vector<uint8_t> payload;
-  AppendU64To(&payload, regions.size());
-  for (const OutRegion& r : regions) {
-    std::vector<uint8_t> data(r.len);
-    if (!process_->mem().ReadUnchecked(r.addr, data.data(), r.len).ok) {
-      data.assign(r.len, 0);
-    }
-    if (r.is_epoll_events) {
-      // §3.9: replace this replica's opaque data values with FDs so slaves can map
-      // them back onto their own values.
-      epoll_shadow_.CookiesToFds(static_cast<int>(req.arg(0)), data.data(), data.size());
-    }
-    AppendU64To(&payload, r.len);
-    payload.insert(payload.end(), data.begin(), data.end());
-  }
-  return payload;
-}
-
-void IpMon::ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret,
-                               const std::vector<uint8_t>& payload) {
-  std::vector<OutRegion> regions = CollectOutRegions(process_, req, ret);
-  size_t pos = 0;
-  uint64_t count = TakeU64(payload, &pos);
-  for (uint64_t i = 0; i < count && i < regions.size(); ++i) {
-    uint64_t len = TakeU64(payload, &pos);
-    if (pos + len > payload.size()) {
-      break;
-    }
-    const OutRegion& r = regions[i];
-    std::vector<uint8_t> data(payload.begin() + static_cast<long>(pos),
-                              payload.begin() + static_cast<long>(pos + len));
-    pos += len;
-    if (r.is_epoll_events) {
-      epoll_shadow_.FdsToCookies(static_cast<int>(req.arg(0)), data.data(), data.size());
-    }
-    uint64_t n = std::min<uint64_t>(len, r.len);
-    // A write fault here means this replica's buffer pointer differs in validity
-    // from the master's — a divergence GHUMVEE-style monitors would also hit; the
-    // region is skipped and the next consistency check will catch it.
-    process_->mem().Write(r.addr, data.data(), n);
-  }
 }
 
 void IpMon::IntentionalCrash(Thread* t) {
@@ -250,13 +190,13 @@ bool IpMon::RankFull(int rank, const RbSlot& e) const {
   return cursor_[static_cast<size_t>(rank)] + e.size > rb_.RankDataEnd(rank);
 }
 
-void IpMon::ClaimSlot(Thread* t, const SyscallRequest& req, int rank, RbSlot* e) {
+void IpMon::ClaimSlot(const SyscallRequest& req, int rank, RbSlot* e) {
   e->off = cursor_[static_cast<size_t>(rank)];
   cursor_[static_cast<size_t>(rank)] += e->size;
   e->seq = seq_[static_cast<size_t>(rank)]++;
-  // Every replica records its own epoll_ctl arguments, slaves before their call is
-  // aborted.
-  RecordEpollShadow(t, req);
+  RecordEpollCtl(req, epoll_shadow_, [this](GuestAddr addr, void* out, uint64_t len) {
+    return process_->mem().Read(addr, out, len).ok;
+  });
 }
 
 GuestTask<uint64_t> IpMon::ResetRankThroughGhumvee(Thread* t, const SyscallRequest& req,
@@ -295,7 +235,12 @@ GuestTask<void> IpMon::PublishResults(Thread* t, int rank, const SyscallRequest&
                                       uint64_t entry_off, int64_t result) {
   // POSTCALL: replicate results and wake the slaves.
   const CostModel& costs = kernel_->sim()->costs();
-  std::vector<uint8_t> payload = BuildResultPayload(t, req, result);
+  std::vector<uint8_t> payload;
+  CaptureResults(process_, req, result, epoll_shadow_,
+                 [this](GuestAddr addr, void* out, uint64_t len) {
+                   return process_->mem().ReadUnchecked(addr, out, len).ok;
+                 },
+                 &payload);
   co_await ThreadCost{t, costs.RbCopyCost(payload.size() + 16)};
   SimStats& stats = kernel_->stats();
   if (CommitResults(rank, entry_off, result, payload) > 0) {
@@ -361,7 +306,10 @@ GuestTask<void> IpMon::ConsumeResults(Thread* t, const SyscallRequest& req,
                                       uint64_t entry_off, int64_t result) {
   std::vector<uint8_t> payload = RbEntryOps::ReadPayload(rb_, entry_off);
   co_await ThreadCost{t, kernel_->sim()->costs().RbCopyCost(payload.size())};
-  ApplyResultPayload(t, req, result, payload);
+  ApplyResults(process_, req, result, epoll_shadow_, payload,
+               [this](GuestAddr addr, const void* data, uint64_t len) {
+                 return process_->mem().Write(addr, data, len).ok;
+               });
   ++kernel_->stats().syscalls_unmonitored;
   kernel_->CompleteSyscall(t, result);
 }
@@ -387,7 +335,7 @@ GuestTask<void> IpMon::MasterPath(Thread* t, SyscallRequest req, uint64_t token)
   while (RankFull(rank, e)) {
     token = co_await ResetRankThroughGhumvee(t, req, rank);
   }
-  ClaimSlot(t, req, rank, &e);
+  ClaimSlot(req, rank, &e);
 
   // §3.8: with a signal GHUMVEE deferred, this call restarts as a *monitored* call
   // so the monitor gets its synchronization point.
@@ -427,7 +375,7 @@ GuestTask<void> IpMon::SlavePath(Thread* t, SyscallRequest req) {
   while (RankFull(rank, e)) {
     co_await ResetRankThroughGhumvee(t, req, rank);
   }
-  ClaimSlot(t, req, rank, &e);
+  ClaimSlot(req, rank, &e);
 
   if (!co_await ArgsMatch(t, e)) {
     IntentionalCrash(t);
@@ -495,26 +443,6 @@ GuestAddr IpMon::MigrateRb() {
   return fresh;
 }
 
-bool IpMon::RemapFileMap() {
-  if (process_ == nullptr || fm_addr_ == 0) {
-    return false;  // Initialize has not mapped yet; it will map the grown geometry.
-  }
-  AddressSpace& mem = process_->mem();
-  GuestAddr fresh = mem.FindFreeRange(process_->layout.mmap_hint,
-                                      file_map_->size_bytes());
-  if (fresh == 0) {
-    return false;
-  }
-  if (!mem.MapShared(fresh, file_map_->size_bytes(), kProtRead, "ipmon-filemap",
-                     file_map_->frames(), 0)) {
-    return false;
-  }
-  mem.Unmap(fm_addr_, fm_mapped_bytes_);
-  fm_addr_ = fresh;
-  fm_mapped_bytes_ = file_map_->size_bytes();
-  return true;
-}
-
 GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
   // Every replica computes the same overflow decision at the same invocation index,
   // so all of them enter the barrier with the same generation. The buffer resets once
@@ -575,7 +503,7 @@ GuestTask<void> IpMon::VaranPath(Thread* t, SyscallRequest req) {
   while (RankFull(rank, e)) {
     co_await VaranFlushBarrier(t, rank);
   }
-  ClaimSlot(t, req, rank, &e);
+  ClaimSlot(req, rank, &e);
 
   if (is_master()) {
     uint32_t flags =

@@ -20,7 +20,9 @@
 #ifndef SRC_CORE_IPMON_H_
 #define SRC_CORE_IPMON_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -40,6 +42,97 @@ class RbTransport;
 // Monitor flavor: ReMon's IP-MON (split-monitor, GHUMVEE fallback) or a VARAN-like
 // reliability-oriented monitor (everything in-process, no lockstep, no CP fallback).
 enum class IpmonMode { kRemon, kVaranLike };
+
+// --- One master-call result payload (§2, §3.2, §3.9) --------------------------------
+// A master call's results on their way to the slaves, whichever monitor carries
+// them: GHUMVEE with process_vm_readv/writev, IP-MON through the RB. Layout: u64
+// region count, then per out-region a u64 length and its bytes, with epoll cookies
+// rewritten to fds. Memory access is the caller's, as `read(addr, out, len)` and
+// `write(addr, data, len)` returning true on success: GHUMVEE passes the kernel's
+// tracer access, IP-MON its replica's own.
+
+// Replaces `*payload` with the out-regions the call `req` (returning `ret`) wrote in
+// `p`. A region whose read fails travels as zeroes; epoll cookies become fds
+// through `shadow`, the capturing replica's.
+template <typename Read>
+void CaptureResults(Process* p, const SyscallRequest& req, int64_t ret,
+                    const EpollShadowMap& shadow, Read&& read,
+                    std::vector<uint8_t>* payload) {
+  std::vector<OutRegion> regions = CollectOutRegions(p, req, ret);
+  payload->assign(8, 0);
+  PutU64(payload, 0, regions.size());
+  for (const OutRegion& r : regions) {
+    size_t off = payload->size() + 8;
+    payload->resize(off + r.len);
+    PutU64(payload, off - 8, r.len);
+    uint8_t* data = payload->data() + off;
+    if (!read(r.addr, data, r.len)) {
+      std::memset(data, 0, r.len);
+    }
+    if (r.is_epoll_events) {
+      shadow.CookiesToFds(static_cast<int>(req.arg(0)), data, r.len);
+    }
+  }
+}
+
+// Steps through a payload's regions in order. Next() fails after the last counted
+// region, and at a region whose length runs past the payload. The payload must
+// not change while a reader walks it.
+class ResultPayloadReader {
+ public:
+  explicit ResultPayloadReader(const std::vector<uint8_t>& payload)
+      : payload_(payload), left_(payload.size() >= 8 ? GetU64(payload, 0) : 0) {}
+  bool Next(const uint8_t** data, uint64_t* len);
+
+ private:
+  const std::vector<uint8_t>& payload_;
+  size_t pos_ = 8;
+  uint64_t left_;
+};
+
+// Writes `payload` into the call's out-regions in `p` at `p`'s own addresses, up to
+// the smaller of the two region counts; a region running past the payload ends the
+// walk unwritten. fds become `p`'s cookies through `shadow`; each region gets
+// min(payload length, its own length). Returns the number of regions applied.
+template <typename Write>
+uint64_t ApplyResults(Process* p, const SyscallRequest& req, int64_t ret,
+                      const EpollShadowMap& shadow, const std::vector<uint8_t>& payload,
+                      Write&& write) {
+  std::vector<OutRegion> regions = CollectOutRegions(p, req, ret);
+  ResultPayloadReader reader(payload);
+  std::vector<uint8_t> events;
+  uint64_t applied = 0;
+  const uint8_t* data = nullptr;
+  uint64_t len = 0;
+  for (; applied < regions.size() && reader.Next(&data, &len); ++applied) {
+    const OutRegion& r = regions[applied];
+    if (r.is_epoll_events) {
+      events.assign(data, data + len);
+      shadow.FdsToCookies(static_cast<int>(req.arg(0)), events.data(), len);
+      data = events.data();
+    }
+    // A write fault means this replica's buffer differs in validity from the
+    // master's: the region is skipped and the next consistency check catches it.
+    write(r.addr, data, std::min<uint64_t>(len, r.len));
+  }
+  return applied;
+}
+
+// Records the (epfd, fd) -> data association an epoll_ctl `req` establishes into
+// `shadow`, reading the event through `read` (not for EPOLL_CTL_DEL). Any other
+// call, or a failed read, records nothing.
+template <typename Read>
+void RecordEpollCtl(const SyscallRequest& req, EpollShadowMap& shadow, Read&& read) {
+  if (req.nr != Sys::kEpollCtl) {
+    return;
+  }
+  GuestEpollEvent ev{0, 0};
+  int op = static_cast<int>(req.arg(1));
+  if (op != kEpollCtlDel && !read(req.arg(3), &ev, sizeof(ev))) {
+    return;
+  }
+  shadow.Record(static_cast<int>(req.arg(0)), op, static_cast<int>(req.arg(2)), ev.data);
+}
 
 class IpMon {
  public:
@@ -102,13 +195,6 @@ class IpMon {
   GuestAddr MigrateRb();
   uint64_t rb_migrations() const { return rb_migrations_; }
 
-  // Live FileMap growth (FileMap::Grow): remaps the grown map into this replica
-  // at a fresh range with the same page-table epoch-bump idiom MigrateRb uses, so
-  // every page of the new geometry is reachable read-only. Returns false before
-  // Initialize (the initial mapping then covers the grown geometry already) or
-  // when no free range fits.
-  bool RemapFileMap();
-
   // Number of RB resets this replica has observed.
   uint64_t rb_resets() const { return rb_resets_; }
   // This replica's RB cursor for `rank` (diagnostics/tests): the offset of the
@@ -164,8 +250,9 @@ class IpMon {
   bool FitsSubBuffer(int rank, const RbSlot& e) const;
   // True when the entry does not fit behind the rank's cursor: reset first.
   bool RankFull(int rank, const RbSlot& e) const;
-  // Takes the next offset and sequence number, and records the call's epoll_ctl.
-  void ClaimSlot(Thread* t, const SyscallRequest& req, int rank, RbSlot* e);
+  // Takes the next offset and sequence number, and records the call's epoll_ctl
+  // (slaves too, before their call is aborted).
+  void ClaimSlot(const SyscallRequest& req, int rank, RbSlot* e);
   // ReMon's overflow: a GHUMVEE reset round; returns the fresh token.
   GuestTask<uint64_t> ResetRankThroughGhumvee(Thread* t, const SyscallRequest& req,
                                               int rank);
@@ -176,7 +263,7 @@ class IpMon {
   // number of futex waiters.
   uint32_t CommitResults(int rank, uint64_t entry_off, int64_t result,
                          const std::vector<uint8_t>& payload);
-  // Master: builds and commits the result payload, charging the copy and the
+  // Master: captures and commits the result payload, charging the copy and the
   // FUTEX_WAKE (or counting it elided), and completes the call.
   GuestTask<void> PublishResults(Thread* t, int rank, const SyscallRequest& req,
                                  uint64_t entry_off, int64_t result);
@@ -206,19 +293,6 @@ class IpMon {
   GuestTask<void> VaranPath(Thread* t, SyscallRequest req);
   GuestTask<void> VaranFlushBarrier(Thread* t, int rank);
 
-  // Builds the result payload from this (master) replica's memory after execution:
-  // concatenated out-regions, with epoll_event.data values translated to FDs through
-  // the shadow mapping (paper §3.9).
-  std::vector<uint8_t> BuildResultPayload(Thread* t, const SyscallRequest& req, int64_t ret);
-  // Applies a payload to this (slave) replica's memory, translating FDs back to this
-  // replica's epoll data values.
-  void ApplyResultPayload(Thread* t, const SyscallRequest& req, int64_t ret,
-                          const std::vector<uint8_t>& payload);
-
-  // Records the (epfd, fd) -> data association from this replica's own epoll_ctl
-  // arguments (both master and slaves record before the call is aborted in slaves).
-  void RecordEpollShadow(Thread* t, const SyscallRequest& req);
-
   // Raises the intentional crash that signals GHUMVEE about an argument mismatch.
   void IntentionalCrash(Thread* t);
 
@@ -229,10 +303,6 @@ class IpMon {
   Config config_;
   Process* process_ = nullptr;
   RbView rb_;
-  // Where (and how much of) the file map is mapped in this replica; RemapFileMap
-  // moves it when the map grows live.
-  GuestAddr fm_addr_ = 0;
-  uint64_t fm_mapped_bytes_ = 0;
   RbTransport* transport_ = nullptr;  // Master of a cross-machine set; not owned.
   bool rb_private_mirror_ = false;    // Remote slave: RB is a machine-local mirror.
   std::function<void()> on_initialized_;

@@ -100,8 +100,6 @@ class TemporalExemptionState {
         num_replicas_(num_replicas),
         approvals_(kNumSyscalls, 0) {}
 
-  void set_num_replicas(int n) { num_replicas_ = n; }
-
   // Called when GHUMVEE approves a monitored call.
   void RecordApproval(Sys nr) { ++approvals_[static_cast<size_t>(nr)]; }
 

@@ -43,18 +43,6 @@ void SipRound(uint64_t& v0, uint64_t& v1, uint64_t& v2, uint64_t& v3) {
   v2 = Rotl(v2, 32);
 }
 
-uint32_t ReadU32(const std::vector<uint8_t>& frame, size_t off) {
-  uint32_t v = 0;
-  std::memcpy(&v, frame.data() + off, 4);
-  return v;
-}
-
-uint64_t ReadU64(const std::vector<uint8_t>& frame, size_t off) {
-  uint64_t v = 0;
-  std::memcpy(&v, frame.data() + off, 8);
-  return v;
-}
-
 }  // namespace
 
 uint64_t SipHash24(uint64_t k0, uint64_t k1, const void* data, size_t len) {
@@ -107,7 +95,7 @@ const RbAuthContext::SessionKey& RbAuthContext::KeyFor(uint32_t epoch) const {
 }
 
 void RbAuthContext::SealFrame(std::vector<uint8_t>* frame, RbAuthDirection dir) const {
-  const uint32_t epoch = ReadU32(*frame, kOffEpoch);
+  const uint32_t epoch = GetU32(*frame, kOffEpoch);
   const SessionKey& key = KeyFor(epoch);
   // Encrypt the payload: XOR keystream of SipHash blocks bound to the frame's
   // identity (epoch, frame_seq, type, direction, block index). Header fields stay
@@ -115,7 +103,7 @@ void RbAuthContext::SealFrame(std::vector<uint8_t>* frame, RbAuthDirection dir) 
   // and they are authenticated by the tag below.
   const size_t payload_len = frame->size() - kRbWireHeaderSize;
   if (payload_len > 0) {
-    uint64_t nonce[3] = {ReadU64(*frame, kOffFrameSeq),
+    uint64_t nonce[3] = {GetU64(*frame, kOffFrameSeq),
                          (static_cast<uint64_t>(epoch) << 16) |
                              static_cast<uint64_t>((*frame)[kOffType]),
                          0};
@@ -150,8 +138,8 @@ bool RbAuthContext::VerifyAndOpen(std::vector<uint8_t>* frame,
   if (frame->size() < kRbWireHeaderSize) {
     return false;
   }
-  const uint32_t epoch = ReadU32(*frame, kOffEpoch);
-  uint64_t wire_tag = ReadU64(*frame, kOffTag);
+  const uint32_t epoch = GetU32(*frame, kOffEpoch);
+  uint64_t wire_tag = GetU64(*frame, kOffTag);
   std::memset(frame->data() + kOffTag, 0, kTagSize);
   uint64_t want = TagFor(*frame, epoch, dir);
   if (want != wire_tag) {
@@ -163,7 +151,7 @@ bool RbAuthContext::VerifyAndOpen(std::vector<uint8_t>* frame,
   const size_t payload_len = frame->size() - kRbWireHeaderSize;
   if (payload_len > 0) {
     const SessionKey& key = KeyFor(epoch);
-    uint64_t nonce[3] = {ReadU64(*frame, kOffFrameSeq),
+    uint64_t nonce[3] = {GetU64(*frame, kOffFrameSeq),
                          (static_cast<uint64_t>(epoch) << 16) |
                              static_cast<uint64_t>((*frame)[kOffType]),
                          0};

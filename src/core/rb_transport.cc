@@ -42,11 +42,13 @@ bool SendQueue::DrainInto(StreamSocket* sock) {
 // --- RbTransport (leader side) ----------------------------------------------------
 
 RbTransport::RbTransport(Kernel* kernel, uint32_t leader_machine,
-                         const RbAuthContext& auth, uint64_t config_digest)
+                         const RbAuthContext& auth, uint64_t config_digest,
+                         const IpMon* leader)
     : kernel_(kernel),
       leader_machine_(leader_machine),
       auth_(auth),
-      config_digest_(config_digest) {}
+      config_digest_(config_digest),
+      leader_(leader) {}
 
 RbTransport::~RbTransport() {
   for (auto& r : remotes_) {
@@ -195,9 +197,12 @@ void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries)
     return;
   }
   // Ack-horizon metadata: entries within a rank publish in offset order, so one
-  // acked frame advances the rank's delta horizon to its highest entry offset.
+  // acked frame advances the rank's delta horizon to its highest entry offset,
+  // and the leader's reset generation and file-map/epoll versions at send time
+  // make the acked horizon a delta-capture basis.
   FrameMeta meta{0, static_cast<uint32_t>(rank), 0,
-                 leader_clock_ ? leader_clock_() : RbLeaderClock{}};
+                 RbLeaderClock{leader_->rb_resets(), leader_->file_map()->version(),
+                               leader_->epoll_shadow().version()}};
   for (const RbWireEntry& e : entries) {
     meta.max_entry_off = std::max(meta.max_entry_off, e.entry_off);
   }

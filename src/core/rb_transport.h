@@ -143,9 +143,10 @@ class RbTransport {
  public:
   // Every frame is sealed/verified with `auth`'s per-epoch session keys, and no
   // data flows to a remote until its join attestation presents `config_digest`
-  // (RbConfigDigest). `auth` must outlive the transport.
+  // (RbConfigDigest). Every entry frame is stamped with `leader`'s clock
+  // (RbLeaderClock) at send. `auth` and `leader` must outlive the transport.
   RbTransport(Kernel* kernel, uint32_t leader_machine, const RbAuthContext& auth,
-              uint64_t config_digest);
+              uint64_t config_digest, const IpMon* leader);
   ~RbTransport();
   RbTransport(const RbTransport&) = delete;
   RbTransport& operator=(const RbTransport&) = delete;
@@ -209,14 +210,6 @@ class RbTransport {
   // Invoked (with the replica index) whenever an attestation or an ack advances
   // a replay cursor — wired to the master sync agent's wraparound gate.
   void set_on_sync_cursor(std::function<void(int)> cb) { on_sync_cursor_ = std::move(cb); }
-
-  // Leader clock sampled at every entry-frame enqueue; folded into the sender
-  // slot's delta basis when the frame's cumulative ack arrives. Unset, acks still
-  // advance the per-rank offsets but the version horizons stay 0 (a delta then
-  // ships every dirty file-map page and epoll row — correct, just larger).
-  void set_leader_clock(std::function<RbLeaderClock()> fn) {
-    leader_clock_ = std::move(fn);
-  }
 
   // What the leader knows `replica_index`'s mirror already holds, folded from its
   // cumulative acks: the horizon Remon::MakeReseedPayloads cuts an O(delta)
@@ -334,7 +327,7 @@ class RbTransport {
   std::function<void(int)> on_remote_death_;
   std::function<void(int)> on_sync_cursor_;
   std::function<void(int, uint64_t)> on_attested_join_;
-  std::function<RbLeaderClock()> leader_clock_;
+  const IpMon* leader_;  // The leader's clock source; not owned.
   WaitQueue stall_queue_;
   std::vector<std::unique_ptr<Remote>> remotes_;
 };

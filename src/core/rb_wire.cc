@@ -24,12 +24,6 @@ std::array<uint32_t, 256> BuildCrcTable() {
 void PutU16(std::vector<uint8_t>* out, size_t off, uint16_t v) {
   std::memcpy(out->data() + off, &v, 2);
 }
-void PutU32(std::vector<uint8_t>* out, size_t off, uint32_t v) {
-  std::memcpy(out->data() + off, &v, 4);
-}
-void PutU64(std::vector<uint8_t>* out, size_t off, uint64_t v) {
-  std::memcpy(out->data() + off, &v, 8);
-}
 
 // Header field offsets (see the layout table in rb_wire.h).
 constexpr size_t kOffMagic = 0;

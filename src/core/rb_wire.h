@@ -102,10 +102,30 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <vector>
 
 namespace remon {
+
+// Little-endian field access at a byte offset the caller has bounds-checked: the
+// wire codec, the checkpoint codec and the master-call result payload share them.
+inline void PutU32(std::vector<uint8_t>* out, size_t off, uint32_t v) {
+  std::memcpy(out->data() + off, &v, 4);
+}
+inline void PutU64(std::vector<uint8_t>* out, size_t off, uint64_t v) {
+  std::memcpy(out->data() + off, &v, 8);
+}
+inline uint32_t GetU32(const std::vector<uint8_t>& in, size_t off) {
+  uint32_t v = 0;
+  std::memcpy(&v, in.data() + off, 4);
+  return v;
+}
+inline uint64_t GetU64(const std::vector<uint8_t>& in, size_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, in.data() + off, 8);
+  return v;
+}
 
 inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
 // v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame,

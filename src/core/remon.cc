@@ -113,20 +113,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
   } else if (varan_file_map_ != nullptr) {
     varan_file_map_->Configure(options_.file_map_pages, name);
   }
-  // Live growth: a workload that outgrows the configured map grows it instead of
-  // silently dropping FD metadata past the boundary. Every replica re-publishes
-  // the new geometry through the same fresh-range remap path RB migration uses,
-  // so the larger map is visible at the next monitored call.
-  if (FileMap* live_map = ghumvee_ != nullptr ? ghumvee_->file_map()
-                                              : varan_file_map_.get()) {
-    live_map->set_auto_grow(true);
-    live_map->set_on_grow([this](int) {
-      ++kernel_->stats().file_map_grows;
-      for (auto& m : ipmons_) {
-        m->RemapFileMap();
-      }
-    });
-  }
 
   // Shared body anchor: every replica's prologue wrapper references the same callable.
   auto shared_body = std::make_shared<ProgramFn>(std::move(body));
@@ -137,7 +123,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
                                         plan, options_.mode == MveeMode::kNative ? -1 : i);
     p->mem_intensity = options_.mem_intensity;
     // A multi-page file map signals a high-connection-count workload: raise the
-    // FD table to match, so the map's extra pages are actually reachable.
+    // FD table to exactly the map's size, so its extra pages are reachable and no
+    // FD can fall past its end (the default table's 1024 FDs fit in one page).
     if (options_.file_map_pages > 1) {
       p->fds().RaiseMaxFds(options_.file_map_pages * static_cast<int>(kPageSize));
     }
@@ -204,8 +191,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
                                     static_cast<uint32_t>(options_.max_ranks),
                                     options_.use_sync_agent ? options_.sync_log_size : 0,
                                     DescriptorRegistryDigest());
-    transport_ =
-        std::make_unique<RbTransport>(kernel_, options_.machine, *auth_, config_digest_);
+    transport_ = std::make_unique<RbTransport>(kernel_, options_.machine, *auth_,
+                                               config_digest_, ipmons_[0].get());
     remote_agents_.resize(static_cast<size_t>(n));
     for (int i = 1; i < n; ++i) {
       if (machine_for(i) == options_.machine) {
@@ -216,14 +203,6 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
       transport_->AddRemote(i, machine_for(i), port);
     }
     ipmons_[0]->set_transport(transport_.get());
-    // Leader clock for the ack-horizon fold: every kEntries frame is stamped with
-    // the leader's reset generation and file-map/epoll version counters at send
-    // time, so a remote's acked horizon doubles as a delta-capture basis.
-    IpMon* clock_mon = ipmons_[0].get();
-    transport_->set_leader_clock([clock_mon] {
-      return RbLeaderClock{clock_mon->rb_resets(), clock_mon->file_map()->version(),
-                           clock_mon->epoll_shadow().version()};
-    });
     if (!agents_.empty()) {
       // Master sync agent streams each append over the transport as it happens.
       SyncAgent* master_agent = agents_[0].get();

@@ -106,8 +106,9 @@ struct RemonOptions {
   // it per replica-set).
   std::string rb_auth_secret = "remon-rb-transport-secret";
   // FD metadata map capacity in pages (one byte per FD, 4096 FDs per page).
-  // High-connection-count shards need more than the classic single page; the
-  // map is sized before launch and mapped read-only into every replica.
+  // High-connection-count shards need more than the classic single page. The
+  // map is sized once, before launch, and mapped read-only into every replica;
+  // above one page each replica's FD limit is raised to exactly the map's size.
   int file_map_pages = 1;
 };
 

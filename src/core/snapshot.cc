@@ -46,7 +46,7 @@ constexpr size_t kBeginOffSyncSliceLen = 96;
 constexpr size_t kBeginHeaderSize = 104;
 constexpr size_t kBeginRankRecordSize = 24;
 constexpr size_t kBeginFmPageRecordSize = 4 + kPageSize;
-// FileMap::Configure/Grow cap the map at 1024 pages; a checkpoint claiming more is
+// FileMap::Configure caps the map at 1024 pages; a checkpoint claiming more is
 // corrupt regardless of the replica's own geometry.
 constexpr uint32_t kMaxSnapshotFileMapPages = 1024;
 
@@ -60,23 +60,6 @@ constexpr size_t kEndOffChunkBytes = 0;
 constexpr size_t kEndOffChunkCrc = 8;
 constexpr size_t kEndOffChunkCount = 12;
 constexpr size_t kEndSize = 16;
-
-void PutU32(std::vector<uint8_t>* out, size_t off, uint32_t v) {
-  std::memcpy(out->data() + off, &v, 4);
-}
-void PutU64(std::vector<uint8_t>* out, size_t off, uint64_t v) {
-  std::memcpy(out->data() + off, &v, 8);
-}
-uint32_t GetU32(const std::vector<uint8_t>& in, size_t off) {
-  uint32_t v = 0;
-  std::memcpy(&v, in.data() + off, 4);
-  return v;
-}
-uint64_t GetU64(const std::vector<uint8_t>& in, size_t off) {
-  uint64_t v = 0;
-  std::memcpy(&v, in.data() + off, 8);
-  return v;
-}
 
 uint64_t RbHeadersSize(int max_ranks) {
   return kRbGlobalHeaderSize + static_cast<uint64_t>(max_ranks) * kRbRankHeaderSize;

@@ -641,7 +641,6 @@ std::vector<OutRegion> CollectOutRegions(Process* p, const SyscallRequest& req, 
         if (addr != 0 && ret > 0) {
           OutRegion r{addr, static_cast<uint64_t>(ret) * sizeof(GuestEpollEvent)};
           r.is_epoll_events = true;
-          r.event_count = static_cast<int>(ret);
           regions.push_back(r);
         }
         break;

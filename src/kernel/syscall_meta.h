@@ -233,7 +233,6 @@ struct OutRegion {
   GuestAddr addr = 0;
   uint64_t len = 0;
   bool is_epoll_events = false;  // Needs the epoll data shadow mapping.
-  int event_count = 0;
 };
 
 // The regions a call that returned `ret` wrote in the calling process.

@@ -615,9 +615,11 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       }
       return static_cast<int64_t>(where);
     }
-    // As on Linux, a start address inside a page is EINVAL, not rounded down.
+    // As on Linux, a start address inside a page is EINVAL, not rounded down, and
+    // so is a range running past the end of user space.
     case Sys::kMunmap:
-      if (req.arg(0) % kPageSize != 0 || req.arg(1) == 0) {
+      if (req.arg(0) % kPageSize != 0 || req.arg(1) == 0 ||
+          !AddressSpace::EndsInUserSpace(req.arg(0), req.arg(1))) {
         return -kEINVAL;
       }
       mem.Unmap(req.arg(0), req.arg(1));

@@ -83,9 +83,12 @@ bool AddressSpace::ValidateFixedRange(GuestAddr start, uint64_t length,
 }
 
 bool AddressSpace::InUserRange(GuestAddr start, uint64_t length) {
+  return start >= kUserLow && EndsInUserSpace(start, length);
+}
+
+bool AddressSpace::EndsInUserSpace(GuestAddr start, uint64_t length) {
   uint64_t len = PageAlignUp(length);
-  return start >= kUserLow && start <= kUserHigh && len >= length &&
-         len <= kUserHigh - start;
+  return start <= kUserHigh && len >= length && len <= kUserHigh - start;
 }
 
 bool AddressSpace::MapFixed(GuestAddr start, uint64_t length, uint32_t prot, bool shared,
@@ -286,14 +289,6 @@ std::optional<std::string> AddressSpace::ReadCString(GuestAddr addr, uint64_t ma
   return out;  // Truncated at max_len when no NUL came first.
 }
 
-std::optional<std::vector<uint8_t>> AddressSpace::ReadBytes(GuestAddr addr, uint64_t len) const {
-  std::vector<uint8_t> out(len);
-  if (!Read(addr, out.data(), len).ok) {
-    return std::nullopt;
-  }
-  return out;
-}
-
 const Vma* AddressSpace::FindVma(GuestAddr addr) const {
   for (const Vma* vma : recent_vmas_) {
     if (vma != nullptr && addr - vma->start < vma->length) {
@@ -325,15 +320,6 @@ bool AddressSpace::Covers(GuestAddr addr, uint64_t len, uint32_t prot) const {
     addr = vma->end();
   }
   return true;
-}
-
-const Vma* AddressSpace::FindVmaByName(std::string_view name) const {
-  for (const auto& [start, vma] : vmas_) {
-    if (vma.name == name) {
-      return &vma;
-    }
-  }
-  return nullptr;
 }
 
 std::vector<Vma> AddressSpace::Vmas() const {

@@ -87,6 +87,9 @@ class AddressSpace {
 
   // True when [start, start+length), rounded up to pages, lies in user space.
   static bool InUserRange(GuestAddr start, uint64_t length);
+  // The same bound on the end only (munmap's: a start below user space is
+  // allowed). The page rounding must not wrap.
+  static bool EndsInUserSpace(GuestAddr start, uint64_t length);
 
   // Changes protection on [start, start+length), O(VMAs in the range). Returns
   // false if any page in the range is unmapped.
@@ -128,14 +131,11 @@ class AddressSpace {
   bool WriteBytes(GuestAddr addr, std::span<const uint8_t> data) {
     return Write(addr, data.data(), data.size()).ok;
   }
-  std::optional<std::vector<uint8_t>> ReadBytes(GuestAddr addr, uint64_t len) const;
 
   // --- Introspection --------------------------------------------------------------
 
   // Returns the VMA containing `addr`, if any.
   const Vma* FindVma(GuestAddr addr) const;
-  // Returns the first VMA whose name is `name`, if any.
-  const Vma* FindVmaByName(std::string_view name) const;
   // All VMAs in address order.
   std::vector<Vma> Vmas() const;
 

@@ -85,7 +85,6 @@ struct SimStats {
   // master-call FD-map updates (Ghumvee::set_reseed_gate).
   uint64_t reseed_gate_stalls = 0;
   uint64_t rb_replica_migrations = 0;  // Respawns placed on a different machine.
-  uint64_t file_map_grows = 0;         // Live FileMap page-count growths published.
 
   // RB transport authentication (every cross-machine frame; src/core/rb_auth.h).
   uint64_t rb_auth_frames_sealed = 0;    // Frames MAC-sealed before send (both flows).

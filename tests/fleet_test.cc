@@ -236,28 +236,6 @@ TEST(FleetFileMapTest, ReconfigureResetsDropAccounting) {
   EXPECT_TRUE(fm.IsValid(FileMap::kMaxFds + 5));
 }
 
-TEST(FleetFileMapTest, AutoGrowCoversFdInsteadOfDropping) {
-  FileMap fm;
-  fm.Configure(1, "grow-test");
-  int grown_to = 0;
-  fm.set_auto_grow(true);
-  fm.set_on_grow([&grown_to](int pages) { grown_to = pages; });
-  uint64_t v0 = fm.version();
-  int fd = 2 * FileMap::kMaxFds + 5;
-  fm.Set(fd, FdType::kSocket, true);
-  // The map grew to cover the FD instead of warn-once dropping it.
-  EXPECT_EQ(fm.out_of_range_sets(), 0u);
-  EXPECT_TRUE(fm.IsValid(fd));
-  EXPECT_EQ(fm.TypeOf(fd), FdType::kSocket);
-  EXPECT_TRUE(fm.IsNonblocking(fd));
-  EXPECT_EQ(grown_to, 3);
-  EXPECT_GE(fm.max_fds(), fd + 1);
-  EXPECT_EQ(fm.grows(), 1u);
-  // Growth bumps the geometry version: attached replicas re-publish through the
-  // same epoch-bump path a reconfigure takes, never against stale frames.
-  EXPECT_GT(fm.version(), v0);
-}
-
 TEST(FleetFileMapTest, FdTableCapacityRaiseIsGrowOnly) {
   FdTable fds;
   EXPECT_EQ(fds.max_fds(), 1024);

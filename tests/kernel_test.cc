@@ -798,6 +798,25 @@ TEST(MemorySyscallTest, MunmapOfLengthZeroIsEinval) {
   w.Run();
 }
 
+// As on Linux, a range running past the end of user space is EINVAL: nothing is
+// unmapped, neither the page at its start nor the thread stacks above it.
+TEST(MemorySyscallTest, MunmapPastTheEndOfUserSpaceIsEinval) {
+  SimWorld w;
+  Process* p = w.NewProcess("munmap-huge");
+  GuestAddr base = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base, 23);
+    EXPECT_EQ(co_await g.Munmap(base, 1ULL << 46), -kEINVAL);
+    EXPECT_TRUE(p->mem().Covers(p->layout.stack_top - 8, 8, kProtRead | kProtWrite));
+  });
+  w.Run();
+  uint64_t v = 0;
+  EXPECT_TRUE(p->mem().Read(base, &v, sizeof(v)).ok);
+  EXPECT_EQ(v, 23u);
+}
+
 TEST(MemorySyscallTest, MremapOfASysvAttachCannotGrow) {
   SimWorld w;
   Process* p = w.NewProcess("mremap-shm");

@@ -682,5 +682,40 @@ TEST(MveeTest, RbOverflowTriggersArbitratedReset) {
   EXPECT_EQ(w.fs.ReadWholeFile("/tmp/rb.txt")->size(), 200u * 2048u);
 }
 
+// The file map is sized once, and no FD a replica can open falls outside it: the
+// default FD table (1024) fits in one page, and a multi-page map raises the table
+// to exactly the map's size. A replica that opens until EMFILE never has a
+// descriptor dropped from the map, and its last one is tracked.
+TEST(MveeTest, NoOpenableFdFallsPastTheFileMap) {
+  for (int pages : {1, 2}) {
+    SimWorld w(68);
+    RemonOptions opts;
+    opts.mode = MveeMode::kRemon;
+    opts.replicas = 2;
+    opts.level = PolicyLevel::kNonsocketRw;
+    opts.file_map_pages = pages;
+    Remon mvee(&w.kernel, opts);
+    int64_t last_fd = -1;
+    int64_t refused = 0;
+    mvee.Launch([&last_fd, &refused](Guest& g) -> GuestTask<void> {
+      while (true) {
+        int64_t fd = co_await g.Open("/tmp/fd-fill", kO_CREAT | kO_RDWR);
+        if (fd < 0) {
+          refused = fd;
+          break;
+        }
+        last_fd = fd;
+      }
+    });
+    w.Run();
+    EXPECT_FALSE(mvee.divergence_detected()) << pages;
+    EXPECT_EQ(refused, -kEMFILE) << pages;
+    EXPECT_GT(last_fd, 0) << pages;
+    const FileMap* fm = mvee.ghumvee()->file_map();
+    EXPECT_EQ(fm->out_of_range_sets(), 0u) << pages;
+    EXPECT_TRUE(fm->IsValid(static_cast<int>(last_fd))) << pages;
+  }
+}
+
 }  // namespace
 }  // namespace remon

@@ -1,12 +1,15 @@
 // Protocol-level tests for the trickiest split-monitor interactions: the VARAN-like
 // flush barrier and tolerated mismatch, the §3.8 blocked-master abort/restart,
-// temporal exemption end to end, master-run-ahead bounds, and epoll cookies that
-// cross from IP-MON's shadow into a GHUMVEE-replicated epoll_wait.
+// temporal exemption end to end, master-run-ahead bounds, epoll cookies that
+// cross from IP-MON's shadow into a GHUMVEE-replicated epoll_wait, and the one
+// master-call result payload both monitors deliver.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "src/core/ipmon.h"
 #include "src/core/remon.h"
 #include "tests/test_util.h"
 
@@ -308,6 +311,127 @@ TEST(ProtocolTest, EpollWaitForwardedToGhumveeUsesIpmonsShadow) {
   }
   // The oversized epoll_wait took one lockstep round; every other call is the same.
   EXPECT_EQ(forwarded.monitored, in_rb.monitored + 1);
+}
+
+// --- The result payload codec (CaptureResults / ApplyResults) ----------------------
+
+// Two replicas' memories with one scratch mapping each, at different addresses.
+struct CodecWorld {
+  CodecWorld() {
+    for (int i = 0; i < 2; ++i) {
+      p[i] = w.NewProcess("codec-r" + std::to_string(i), i);
+      base[i] = p[i]->mem().FindFreeRange(p[i]->layout.mmap_hint, 4 * kPageSize);
+      EXPECT_TRUE(p[i]->mem().MapFixed(base[i], 4 * kPageSize, kProtRead | kProtWrite,
+                                       false, "codec"));
+    }
+  }
+  std::vector<uint8_t> Capture(const SyscallRequest& req, int64_t ret,
+                               const EpollShadowMap& shadow) {
+    std::vector<uint8_t> payload;
+    CaptureResults(p[0], req, ret, shadow,
+                   [this](GuestAddr addr, void* out, uint64_t len) {
+                     return p[0]->mem().Read(addr, out, len).ok;
+                   },
+                   &payload);
+    return payload;
+  }
+  uint64_t Apply(const SyscallRequest& req, int64_t ret, const EpollShadowMap& shadow,
+                 const std::vector<uint8_t>& payload) {
+    return ApplyResults(p[1], req, ret, shadow, payload,
+                        [this](GuestAddr addr, const void* data, uint64_t len) {
+                          return p[1]->mem().Write(addr, data, len).ok;
+                        });
+  }
+  // readv(fd, iov, n) in replica `i` with iovecs at base + 1 KiB and buffers of
+  // `lens` bytes from base + 2 KiB (replica 1's 256 bytes further on).
+  SyscallRequest Readv(int i, const std::vector<uint64_t>& lens) {
+    GuestAddr iov = base[i] + 1024;
+    GuestAddr buf = base[i] + 2048 + static_cast<uint64_t>(i) * 256;
+    for (size_t j = 0; j < lens.size(); ++j) {
+      GuestIovec v{buf, lens[j]};
+      EXPECT_TRUE(p[i]->mem().Write(iov + j * sizeof(v), &v, sizeof(v)).ok);
+      buf += lens[j] + 64;
+    }
+    return SyscallRequest{Sys::kReadv, {3, iov, lens.size(), 0, 0, 0}};
+  }
+  std::string Peek(int i, GuestAddr addr, uint64_t len) {
+    std::string out(len, '\0');
+    EXPECT_TRUE(p[i]->mem().Read(addr, out.data(), len).ok);
+    return out;
+  }
+
+  SimWorld w{409};
+  Process* p[2] = {nullptr, nullptr};
+  GuestAddr base[2] = {0, 0};
+};
+
+TEST(ResultCodecTest, EpollWaitArrivesAsTheTargetsOwnCookies) {
+  CodecWorld c;
+  EpollShadowMap master_shadow;
+  EpollShadowMap slave_shadow;
+  master_shadow.Record(5, kEpollCtlAdd, 7, 0xa000);
+  master_shadow.Record(5, kEpollCtlAdd, 9, 0xb000);
+  slave_shadow.Record(5, kEpollCtlAdd, 7, 0x1100);
+  slave_shadow.Record(5, kEpollCtlAdd, 9, 0x2200);
+  GuestEpollEvent ready[2] = {{kPollIn, 0xb000}, {kPollIn, 0xa000}};
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0], ready, sizeof(ready)).ok);
+  std::vector<uint8_t> payload =
+      c.Capture(SyscallRequest{Sys::kEpollWait, {5, c.base[0], 8, 0, 0, 0}}, 2,
+                master_shadow);
+  EXPECT_EQ(c.Apply(SyscallRequest{Sys::kEpollWait, {5, c.base[1], 8, 0, 0, 0}}, 2,
+                    slave_shadow, payload),
+            1u);
+  GuestEpollEvent got[2];
+  ASSERT_TRUE(c.p[1]->mem().Read(c.base[1], got, sizeof(got)).ok);
+  uint64_t first = got[0].data;  // Packed fields: copy before comparing.
+  uint64_t second = got[1].data;
+  uint32_t events = got[0].events;
+  EXPECT_EQ(first, 0x2200u);
+  EXPECT_EQ(second, 0x1100u);
+  EXPECT_EQ(events, kPollIn);
+}
+
+TEST(ResultCodecTest, ReadvRegionsLandAtTheTargetsOwnAddresses) {
+  CodecWorld c;
+  EpollShadowMap shadow;
+  SyscallRequest master = c.Readv(0, {4, 8});
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0] + 2048, "abcd", 4).ok);
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0] + 2048 + 68, "efghijkl", 8).ok);
+  std::vector<uint8_t> payload = c.Capture(master, 12, shadow);
+  // u64 count, then u64 len + bytes per region.
+  EXPECT_EQ(payload.size(), 8u + (8 + 4) + (8 + 8));
+  EXPECT_EQ(c.Apply(c.Readv(1, {4, 8}), 12, shadow, payload), 2u);
+  GuestAddr slave_buf = c.base[1] + 2048 + 256;
+  EXPECT_EQ(c.Peek(1, slave_buf, 4), "abcd");
+  EXPECT_EQ(c.Peek(1, slave_buf + 68, 8), "efghijkl");
+}
+
+TEST(ResultCodecTest, ARegionRunningPastThePayloadIsNotWritten) {
+  CodecWorld c;
+  EpollShadowMap shadow;
+  SyscallRequest master = c.Readv(0, {4, 8});
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0] + 2048, "abcd", 4).ok);
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0] + 2048 + 68, "efghijkl", 8).ok);
+  std::vector<uint8_t> payload = c.Capture(master, 12, shadow);
+  payload.pop_back();  // Region 2 claims 8 bytes; 7 remain.
+  EXPECT_EQ(c.Apply(c.Readv(1, {4, 8}), 12, shadow, payload), 1u);
+  GuestAddr slave_buf = c.base[1] + 2048 + 256;
+  EXPECT_EQ(c.Peek(1, slave_buf, 4), "abcd");
+  EXPECT_EQ(c.Peek(1, slave_buf + 68, 8), std::string(8, '\0'));
+}
+
+TEST(ResultCodecTest, ExtraPayloadRegionsAreNotWritten) {
+  CodecWorld c;
+  EpollShadowMap shadow;
+  SyscallRequest master = c.Readv(0, {4, 8});
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0] + 2048, "abcd", 4).ok);
+  ASSERT_TRUE(c.p[0]->mem().Write(c.base[0] + 2048 + 68, "efghijkl", 8).ok);
+  std::vector<uint8_t> payload = c.Capture(master, 12, shadow);
+  // The target has one 4-byte iovec: one region of the two.
+  EXPECT_EQ(c.Apply(c.Readv(1, {4}), 12, shadow, payload), 1u);
+  GuestAddr slave_buf = c.base[1] + 2048 + 256;
+  EXPECT_EQ(c.Peek(1, slave_buf, 4), "abcd");
+  EXPECT_EQ(c.Peek(1, slave_buf + 68, 8), std::string(8, '\0'));
 }
 
 }  // namespace

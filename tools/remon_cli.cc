@@ -118,10 +118,6 @@ void PrintStats(const SimStats& stats) {
                 static_cast<unsigned long long>(stats.rb_snapshot_full_fallbacks),
                 static_cast<unsigned long long>(stats.rb_replica_migrations));
   }
-  if (stats.file_map_grows > 0) {
-    std::printf("  file map: live grows=%llu\n",
-                static_cast<unsigned long long>(stats.file_map_grows));
-  }
 }
 
 int Run(const CliRun& cli) {
