@@ -19,11 +19,7 @@ struct ThreadCost {
 
   bool await_ready() const { return d <= 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    t->kernel()->RunOnThreadCore(t, d, [t = t, h] {
-      if (t->alive()) {
-        h.resume();
-      }
-    });
+    t->kernel()->ResumeHandleOnThread(t, h, d);
   }
   void await_resume() const {}
 };

@@ -6,6 +6,18 @@
 
 namespace remon {
 
+namespace {
+
+// Autoscale load-sampling window.
+constexpr DurationNs kAutoscaleInterval = 20 * kMillisecond;
+// Launch-to-rotation delay for spawned shards: models provisioning + warm-up,
+// like the respawn delay ahead of a replica re-seed.
+constexpr DurationNs kShardWarmup = 1 * kMillisecond;
+// Spacing of one shard's replica migrations (RebalanceShard).
+constexpr DurationNs kRebalanceStagger = 500 * kMicrosecond;
+
+}  // namespace
+
 ScaleDecision AutoscalePolicy::Evaluate(uint64_t window_arrivals, int live,
                                         int pending) {
   if (live + pending <= 0) {
@@ -74,7 +86,7 @@ void FleetManager::Start() {
     }
   }
   if (autoscale_.enabled) {
-    tick_event_ = kernel_->sim()->queue().ScheduleAfter(autoscale_.interval,
+    tick_event_ = kernel_->sim()->queue().ScheduleAfter(kAutoscaleInterval,
                                                         [this] { Tick(); });
   }
 }
@@ -160,7 +172,7 @@ void FleetManager::SpawnShard(int tier, bool immediate_rotation) {
     // Rotation waits out the warm-up: replicas boot, bind, and reach their
     // accept loops in virtual time before the first routed SYN.
     ++pending_adds_[static_cast<size_t>(tier)];
-    pending_events_.ScheduleAfter(autoscale_.warmup, [this, tier, idx] {
+    pending_events_.ScheduleAfter(kShardWarmup, [this, tier, idx] {
       --pending_adds_[static_cast<size_t>(tier)];
       Shard& sh = shards_[static_cast<size_t>(tier)][static_cast<size_t>(idx)];
       sh.in_rotation = true;
@@ -172,7 +184,7 @@ void FleetManager::SpawnShard(int tier, bool immediate_rotation) {
   tier_shards.push_back(std::move(shard));
 }
 
-int FleetManager::RebalanceShard(int tier, int shard_idx, DurationNs stagger) {
+int FleetManager::RebalanceShard(int tier, int shard_idx) {
   Shard& sh = shards_[static_cast<size_t>(tier)][static_cast<size_t>(shard_idx)];
   Remon* remon = sh.remon.get();
   if (remon->transport() == nullptr) {
@@ -188,10 +200,11 @@ int FleetManager::RebalanceShard(int tier, int shard_idx, DurationNs stagger) {
     // schedule is what serializes the actual moves under load.
     uint32_t target = kernel_->net()->AddMachine(
         sh.name + "-r" + std::to_string(r) + "-m" + std::to_string(sh.rebalance_gen));
-    pending_events_.ScheduleAfter(stagger * scheduled, [this, tier, shard_idx, r, target] {
-      shards_[static_cast<size_t>(tier)][static_cast<size_t>(shard_idx)]
-          .remon->SpawnReplacement(r, static_cast<int>(target));
-    });
+    pending_events_.ScheduleAfter(
+        kRebalanceStagger * scheduled, [this, tier, shard_idx, r, target] {
+          shards_[static_cast<size_t>(tier)][static_cast<size_t>(shard_idx)]
+              .remon->SpawnReplacement(r, static_cast<int>(target));
+        });
     ++scheduled;
   }
   return scheduled;
@@ -231,7 +244,7 @@ void FleetManager::Tick() {
         break;
     }
   }
-  tick_event_ = kernel_->sim()->queue().ScheduleAfter(autoscale_.interval,
+  tick_event_ = kernel_->sim()->queue().ScheduleAfter(kAutoscaleInterval,
                                                       [this] { Tick(); });
 }
 

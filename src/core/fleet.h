@@ -48,13 +48,9 @@ struct FleetTierSpec {
 
 struct AutoscaleConfig {
   bool enabled = false;
-  DurationNs interval = 20 * kMillisecond;  // Load-sampling window.
   // Thresholds on arrivals per in-rotation shard per window.
   uint64_t up_threshold = 200;
   uint64_t down_threshold = 20;
-  // Launch-to-rotation delay for spawned shards: models provisioning + warm-up,
-  // like the respawn delay ahead of a replica re-seed.
-  DurationNs warmup = 1 * kMillisecond;
   // Fleet-wide cap on autoscale spawns; a tier that keeps demanding more is
   // overloaded, not unlucky (mirrors max_respawns_per_replica).
   int max_spawns = 8;
@@ -118,14 +114,13 @@ class FleetManager {
   void StopAutoscale();
 
   // Drain-and-migrate: moves every remote replica of one shard onto a fresh
-  // machine, one replica at a time spaced by `stagger`, while the shard keeps
-  // serving — the leader never moves, each replacement re-seeds (O(delta) under
-  // reseed_mode=kDelta) and rejoins before the next replica's turn arrives, so
-  // the set never loses more than one replica of redundancy. `stagger` must
-  // outlast a join (provisioning + re-seed) for that to hold. Returns the number
-  // of migrations scheduled (0 for an all-local shard).
-  int RebalanceShard(int tier, int shard_idx,
-                     DurationNs stagger = 500 * kMicrosecond);
+  // machine, one replica at a time spaced 500 µs apart, while the shard keeps
+  // serving — the leader never moves, each replacement re-seeds (O(delta)
+  // under reseed_mode=kDelta) and rejoins before the next replica's turn arrives,
+  // so the set never loses more than one replica of redundancy: the spacing
+  // outlasts a join (provisioning + re-seed). Returns the number of migrations
+  // scheduled (0 for an all-local shard).
+  int RebalanceShard(int tier, int shard_idx);
 
   int tier_count() const { return static_cast<int>(tiers_.size()); }
   SockAddr vip(int tier) const { return vips_[static_cast<size_t>(tier)]; }

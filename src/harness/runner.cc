@@ -234,7 +234,6 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
     if (ctx.upstream_vip.port != 0) {
       s.upstream_machine = ctx.upstream_vip.machine;
       s.upstream_port = ctx.upstream_vip.port;
-      s.upstream_bytes = t.upstream_bytes;
       s.upstream_hit_ratio = t.hit_ratio;
     }
     return ServerProgram(s);
@@ -251,7 +250,7 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
     w.sim.queue().ScheduleAt(spec.rebalance_at, [&fleet, &spec] {
       for (int t = 0; t < fleet.tier_count(); ++t) {
         for (int s = 0; s < fleet.shard_count(t); ++s) {
-          fleet.RebalanceShard(t, s, spec.rebalance_stagger);
+          fleet.RebalanceShard(t, s);
         }
       }
     });

@@ -104,7 +104,6 @@ struct ScaleoutTierSpec {
   // Fraction of requests served without consulting the next tier (ignored for
   // the last tier, which has no upstream).
   double hit_ratio = 0.0;
-  uint64_t upstream_bytes = 512;  // Sub-request size sent to the next tier.
 };
 
 struct ScaleoutSpec {
@@ -122,7 +121,6 @@ struct ScaleoutSpec {
   // time per shard (FleetManager::RebalanceShard). 0 disables; only
   // remote_replicas tiers have anything to move.
   TimeNs rebalance_at = 0;
-  DurationNs rebalance_stagger = 500 * kMicrosecond;
 };
 
 struct ScaleoutResult {

@@ -280,16 +280,13 @@ void Kernel::KillProcessBySignal(Process* process, int sig) {
 // --- Scheduling ---------------------------------------------------------------------
 
 void Kernel::RunOnThreadCore(Thread* t, DurationNs duration, ThreadFn fn) {
-  CpuPool::RunGrant grant =
-      sim_->cpus().Acquire(t->process()->machine(), static_cast<uint64_t>(t->tid()),
-                           sim_->now(), duration, t->last_core);
-  t->last_core = grant.core;
   t->cpu_time_ns += duration;
   ++t->pins;
-  sim_->queue().ScheduleAt(grant.end, [this, t, fn = std::move(fn)] {
-    fn();
-    Unpin(t);
-  });
+  RunOnEntity(t->process()->machine(), static_cast<uint64_t>(t->tid()), &t->last_core,
+              duration, [this, t, fn = std::move(fn)] {
+                fn();
+                Unpin(t);
+              });
 }
 
 void Kernel::RunGuestCompute(Thread* t, DurationNs duration, ThreadFn fn) {

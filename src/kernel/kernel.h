@@ -40,6 +40,7 @@ namespace remon {
 
 class Guest;
 struct RetryCtx;
+struct SyscallDesc;
 
 class Kernel {
  public:
@@ -134,7 +135,8 @@ class Kernel {
   // Guest compute burst: applies the memory-contention dilation of the live
   // replicas on the thread's machine.
   void RunGuestCompute(Thread* t, DurationNs duration, ThreadFn fn);
-  // Runs `fn` after occupying an arbitrary entity's core on `machine` (monitors).
+  // Runs `fn` after occupying an entity's core on `machine`: a monitor lane's, or a
+  // thread's through RunOnThreadCore. The one call site of the CPU grant.
   void RunOnEntity(uint32_t machine, uint64_t entity, int* core_slot, DurationNs duration,
                    EventQueue::Callback fn);
   // Resumes a parked coroutine handle on the thread's core after `delay`.
@@ -258,12 +260,9 @@ class Kernel {
 
   // --- Syscall implementations (syscalls_*.cc) ----------------------------------
   int64_t SysFast(Thread* t, const SyscallRequest& req);  // Non-blocking calls.
-  void SysRead(Thread* t, const SyscallRequest& req, bool vectored, bool positional,
-               Done done);
-  void SysWrite(Thread* t, const SyscallRequest& req, bool vectored, bool positional,
-                Done done);
-  void SysRecv(Thread* t, const SyscallRequest& req, bool msg, Done done);
-  void SysSend(Thread* t, const SyscallRequest& req, bool msg, Done done);
+  // The read and write families: one body per direction, shaped by the row.
+  void SysRead(Thread* t, const SyscallRequest& req, const SyscallDesc& d, Done done);
+  void SysWrite(Thread* t, const SyscallRequest& req, const SyscallDesc& d, Done done);
   void SysSendfile(Thread* t, const SyscallRequest& req, Done done);
   void SysAccept(Thread* t, const SyscallRequest& req, bool accept4, Done done);
   void SysConnect(Thread* t, const SyscallRequest& req, Done done);
@@ -277,10 +276,10 @@ class Kernel {
   // Helpers shared by syscall implementations.
   std::shared_ptr<FileDescription> Fd(Thread* t, int fd);
   int InstallFile(Thread* t, std::shared_ptr<File> file, int flags);
-  int64_t DoReadInto(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
-                     std::optional<uint64_t> pofs);
-  int64_t DoWriteFrom(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
-                      std::optional<uint64_t> pofs);
+  // The blocking tail of read, write, sendfile and accept: one attempt on a
+  // non-blocking description, else retries until the attempt stops returning
+  // -EAGAIN, waiting on the description's file in between.
+  void RetryWhileAgain(Thread* t, const FileDescription& desc, AttemptFn attempt, Done done);
   // Reads up to `len` bytes at `offset` into io_scratch_, sized by what the file
   // can return now.
   int64_t ReadToScratch(FileDescription* desc, uint64_t len, uint64_t offset);

@@ -25,7 +25,7 @@ constexpr InArg Sa(int len_arg) { return InArg{In::kSockaddr, len_arg, 0}; }
 
 constexpr OutArg OBufRet(int arg, int size_arg) { return OutArg{Out::kBufRet, arg, size_arg, 0}; }
 constexpr OutArg OFix(int arg, uint32_t size) { return OutArg{Out::kBufFixed, arg, -1, size}; }
-constexpr OutArg OIov(int arg) { return OutArg{Out::kIovecRet, arg, -1, 0}; }
+constexpr OutArg OIov(int arg, int cnt_arg) { return OutArg{Out::kIovecRet, arg, cnt_arg, 0}; }
 constexpr OutArg OMsg(int arg) { return OutArg{Out::kMsghdrRet, arg, -1, 0}; }
 constexpr OutArg OPfd(int arg, int cnt_arg) { return OutArg{Out::kPollfds, arg, cnt_arg, 0}; }
 constexpr OutArg OEp(int arg) { return OutArg{Out::kEpollEvents, arg, -1, 0}; }
@@ -156,13 +156,12 @@ struct DescTable {
     // --- Reads (conditional: non-socket at NONSOCKET_RO, socket at SOCKET_RO) ----
     R(Sys::kRead).In({V(), P(), V()}).Out({OBufRet(1, 2)}).Fd(0).BlocksOnFd()
         .Exec(ExecKind::kRead).Cond(PC::kNonsockRo, PC::kSockRo);
-    R(Sys::kReadv).In({V(), P(), V()}).Out({OIov(1)}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kRead, kExecVectored).Cond(PC::kNonsockRo, PC::kSockRo);
+    R(Sys::kReadv).In({V(), P(), V()}).Out({OIov(1, 2)}).Fd(0).BlocksOnFd()
+        .Exec(ExecKind::kRead).Cond(PC::kNonsockRo, PC::kSockRo);
     R(Sys::kPread64).In({V(), P(), V(), V()}).Out({OBufRet(1, 2)}).Fd(0).BlocksOnFd()
         .Exec(ExecKind::kRead, kExecPositional).Cond(PC::kNonsockRo, PC::kSockRo);
-    R(Sys::kPreadv).In({V(), P(), V(), V()}).Out({OIov(1)}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kRead, kExecVectored | kExecPositional)
-        .Cond(PC::kNonsockRo, PC::kSockRo);
+    R(Sys::kPreadv).In({V(), P(), V(), V()}).Out({OIov(1, 2)}).Fd(0).BlocksOnFd()
+        .Exec(ExecKind::kRead, kExecPositional).Cond(PC::kNonsockRo, PC::kSockRo);
     R(Sys::kSelect).In({V(), P(), P(), P(), P()}).Out({OSel()}).Blocks().ScanFdSets()
         .Exec(ExecKind::kSelect).Cond(PC::kNonsockRo, PC::kSockRo);
     R(Sys::kPoll).In({Pfd(1), V(), V()}).Out({OPfd(0, 1)}).BlocksOnTimeout(2).ScanPollfds()
@@ -188,23 +187,22 @@ struct DescTable {
     R(Sys::kWrite).In({V(), B(2), V()}).Fd(0).BlocksOnFd().Exec(ExecKind::kWrite)
         .Cond(PC::kNonsockRw, PC::kSockRw);
     R(Sys::kWritev).In({V(), Iov(2), V()}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kWrite, kExecVectored).Cond(PC::kNonsockRw, PC::kSockRw);
+        .Exec(ExecKind::kWrite).Cond(PC::kNonsockRw, PC::kSockRw);
     R(Sys::kPwrite64).In({V(), B(2), V(), V()}).Fd(0).BlocksOnFd()
         .Exec(ExecKind::kWrite, kExecPositional).Cond(PC::kNonsockRw, PC::kSockRw);
     R(Sys::kPwritev).In({V(), Iov(2), V(), V()}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kWrite, kExecVectored | kExecPositional)
-        .Cond(PC::kNonsockRw, PC::kSockRw);
+        .Exec(ExecKind::kWrite, kExecPositional).Cond(PC::kNonsockRw, PC::kSockRw);
 
     // --- Socket reads (SOCKET_RO_LEVEL) -------------------------------------------
     R(Sys::kEpollWait).In({V(), P(), V(), V()}).Out({OEp(1)}).Fd(0).BlocksOnTimeout(3)
         .Exec(ExecKind::kEpollWait).Uncond(PC::kSockRo);
     R(Sys::kRecvfrom).In({V(), P(), V(), V(), P(), P()})
-        .Out({OBufRet(1, 2), OSa(4, 5)}).Fd(0).BlocksOnFd().Exec(ExecKind::kRecv)
+        .Out({OBufRet(1, 2), OSa(4, 5)}).Fd(0).BlocksOnFd().Exec(ExecKind::kRead)
         .Uncond(PC::kSockRo);
     R(Sys::kRecvmsg).In({V(), Msg(), V()}).Out({OMsg(1)}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kRecv, kExecMsg).Uncond(PC::kSockRo);
+        .Exec(ExecKind::kRead).Uncond(PC::kSockRo);
     R(Sys::kRecvmmsg).In({V(), Msg(), V(), V()}).Out({OMsg(1)}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kRecv, kExecMsg).Uncond(PC::kSockRo);
+        .Exec(ExecKind::kRead).Uncond(PC::kSockRo);
     R(Sys::kGetsockname).In({V(), P(), P()}).Out({OSa(1, 2)}).Fd(0).Uncond(PC::kSockRo);
     R(Sys::kGetpeername).In({V(), P(), P()}).Out({OSa(1, 2)}).Fd(0).Uncond(PC::kSockRo);
     R(Sys::kGetsockopt).In({V(), V(), V(), P(), P()}).Out({OU32(3)}).Fd(0)
@@ -212,11 +210,11 @@ struct DescTable {
 
     // --- Socket writes (SOCKET_RW_LEVEL) -------------------------------------------
     R(Sys::kSendto).In({V(), B(2), V(), V(), Sa(5), V()}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kSend).Uncond(PC::kSockRw);
+        .Exec(ExecKind::kWrite).Uncond(PC::kSockRw);
     R(Sys::kSendmsg).In({V(), Msg(), V()}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kSend, kExecMsg).Uncond(PC::kSockRw);
+        .Exec(ExecKind::kWrite).Uncond(PC::kSockRw);
     R(Sys::kSendmmsg).In({V(), Msg(), V(), V()}).Fd(0).BlocksOnFd()
-        .Exec(ExecKind::kSend, kExecMsg).Uncond(PC::kSockRw);
+        .Exec(ExecKind::kWrite).Uncond(PC::kSockRw);
     R(Sys::kSendfile).In({V(), V(), P(), V()}).Out({OU64(2)}).Fd(0).BlocksOnFd()
         .Exec(ExecKind::kSendfile).Uncond(PC::kSockRw);
     R(Sys::kEpollCtl).In({V(), V(), V(), Eev()}).Fd(0).Uncond(PC::kSockRw);
@@ -332,6 +330,57 @@ void SerializeGuestRange(Process* p, std::vector<uint8_t>* out, GuestAddr addr, 
 const SyscallDesc& DescOf(Sys nr) {
   REMON_CHECK(static_cast<uint32_t>(nr) < kNumSyscalls);
   return Table().table[static_cast<size_t>(nr)];
+}
+
+DataArg DataArgOf(const SyscallDesc& d) {
+  DataArg data;
+  auto take = [&data](DataShape shape, int arg, int size_arg) {
+    if (data.shape == DataShape::kNone) {
+      data.shape = shape;
+      data.arg = arg;
+      data.size_arg = size_arg;
+    }
+  };
+  // A read's buffer is its out-region; a write's is the in-argument it sends.
+  for (const OutArg& o : d.outs) {
+    switch (o.kind) {
+      case Out::kBufRet:
+        take(DataShape::kBuf, o.arg, o.size_arg);
+        break;
+      case Out::kIovecRet:
+        take(DataShape::kIovec, o.arg, o.size_arg);
+        break;
+      case Out::kMsghdrRet:
+        take(DataShape::kMsghdr, o.arg, -1);
+        data.socket = true;
+        break;
+      case Out::kSockaddrVR:
+        data.socket = true;
+        break;
+      default:
+        break;
+    }
+  }
+  for (int i = 0; i < 6; ++i) {
+    switch (d.in[i].kind) {
+      case In::kBuf:
+        take(DataShape::kBuf, i, d.in[i].size_arg);
+        break;
+      case In::kIovecIn:
+        take(DataShape::kIovec, i, d.in[i].size_arg);
+        break;
+      case In::kMsghdrIn:
+        take(DataShape::kMsghdr, i, -1);
+        data.socket = true;
+        break;
+      case In::kSockaddr:
+        data.socket = true;
+        break;
+      default:
+        break;
+    }
+  }
+  return data;
 }
 
 uint64_t DescriptorRegistryDigest() {
@@ -614,7 +663,7 @@ std::vector<OutRegion> CollectOutRegions(Process* p, const SyscallRequest& req, 
           iov_addr = hdr.msg_iov;
           iov_cnt = hdr.msg_iovlen;
         } else {
-          iov_cnt = req.arg(2);
+          iov_cnt = req.arg(o.size_arg);
         }
         uint64_t remaining = static_cast<uint64_t>(ret);
         for (uint64_t j = 0; j < std::min<uint64_t>(iov_cnt, 1024) && remaining > 0; ++j) {

@@ -119,14 +119,14 @@ enum class FdEffect : uint8_t {
 // owns must stay monitored even when the policy would exempt the call.
 enum class CtlGate : uint8_t { kNone, kFcntl, kIoctl };
 
-// Kernel marshalling strategy: which handler family executes the call. Per-syscall
-// variations (vectored, positional, msghdr-based, flags argument) are exec_flags.
+// Kernel marshalling strategy: which handler family executes the call. The read and
+// write families take their buffer's shape (plain, iovec, msghdr) and the socket-only
+// rule from the row's argument kinds (DataArgOf), not from here; the two flags below
+// name what no argument kind says.
 enum class ExecKind : uint8_t {
   kFast,       // Non-blocking, handled synchronously by SysFast.
-  kRead,
-  kWrite,
-  kRecv,
-  kSend,
+  kRead,       // read, pread64, readv, preadv, recvfrom, recvmsg, recvmmsg.
+  kWrite,      // write, pwrite64, writev, pwritev, sendto, sendmsg, sendmmsg.
   kSendfile,
   kAccept,
   kConnect,
@@ -138,10 +138,8 @@ enum class ExecKind : uint8_t {
   kPause,
 };
 
-inline constexpr uint8_t kExecVectored = 1u << 0;    // readv/writev/preadv/pwritev.
-inline constexpr uint8_t kExecPositional = 1u << 1;  // pread64/pwrite64/preadv/pwritev.
-inline constexpr uint8_t kExecMsg = 1u << 2;         // recvmsg/sendmsg (+mmsg).
-inline constexpr uint8_t kExecFlagsArg = 1u << 3;    // accept4's flags argument.
+inline constexpr uint8_t kExecPositional = 1u << 0;  // pread64/pwrite64/preadv/pwritev.
+inline constexpr uint8_t kExecFlagsArg = 1u << 1;    // accept4's flags argument.
 
 // Default policy class (paper §3.4, Table 1). Values mirror PolicyLevel in
 // src/core/policy.h (kNever == kNoIpmon); the policy engine casts between them.
@@ -227,6 +225,20 @@ bool ControlNeedsMonitor(const SyscallRequest& req);
 // Canonical byte string of the call's comparable content (the monitors' deep compare
 // input). Unreadable guest memory contributes a fault marker instead of aborting.
 std::vector<uint8_t> SerializeCallSignature(Process* p, const SyscallRequest& req);
+
+// The data buffer of a read- or write-family call, as its row's argument kinds name
+// it: a plain buffer at args[arg] of args[size_arg] bytes, an iovec array at
+// args[arg] of args[size_arg] segments, or a msghdr at args[arg] whose iovec holds
+// the data. `socket` is set when the row names a socket address or a msghdr: the
+// call then refuses a descriptor that is not a socket.
+enum class DataShape : uint8_t { kNone, kBuf, kIovec, kMsghdr };
+struct DataArg {
+  DataShape shape = DataShape::kNone;
+  int arg = -1;
+  int size_arg = -1;
+  bool socket = false;
+};
+DataArg DataArgOf(const SyscallDesc& d);
 
 // A guest memory region written by a completed call.
 struct OutRegion {

@@ -631,7 +631,10 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       return mem.Protect(req.arg(0), req.arg(1), static_cast<uint32_t>(req.arg(2))) ? 0
                                                                                     : -kENOMEM;
     case Sys::kMremap: {
-      if (req.arg(0) % kPageSize != 0) {
+      // A new length of 0, one whose page rounding wraps, or one ending past user
+      // space is -EINVAL before anything is unmapped.
+      if (req.arg(0) % kPageSize != 0 || req.arg(2) == 0 ||
+          !AddressSpace::EndsInUserSpace(req.arg(0), req.arg(2))) {
         return -kEINVAL;
       }
       GuestAddr na = mem.Remap(req.arg(0), req.arg(1), req.arg(2));

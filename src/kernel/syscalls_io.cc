@@ -1,7 +1,8 @@
 // Blocking-capable system calls: file/socket I/O, multiplexing, sleeping, futexes.
 
 #include <algorithm>
-#include <cstring>
+#include <array>
+#include <span>
 
 #include "src/kernel/guest_time.h"
 #include "src/kernel/kernel.h"
@@ -21,47 +22,107 @@ constexpr uint64_t kMaxRwCount = 0x7ffff000;
 // A read/write count or file offset is an ssize_t/off_t: negative is -EINVAL.
 bool NegativeAsSigned(uint64_t v) { return static_cast<int64_t>(v) < 0; }
 
-// Linux's rw_verify_area: a negative count or offset is -EINVAL; the count is
-// clamped to kMaxRwCount. Returns 0 or -EINVAL.
-int VerifyRwArea(uint64_t* len, std::optional<uint64_t> pofs) {
-  if (NegativeAsSigned(*len) || (pofs && NegativeAsSigned(*pofs))) {
-    return -kEINVAL;
-  }
-  *len = std::min(*len, kMaxRwCount);
-  return 0;
-}
+// A read- or write-family call's buffer as a segment list: one inline segment for
+// a plain buffer, so the common case allocates nothing, else the iovec array.
+struct IoSegments {
+  GuestIovec buf;
+  std::vector<GuestIovec> iov;
+  bool vectored = false;
 
-// Gathers iovec descriptors from guest memory and clips the segments so their
-// total is at most kMaxRwCount, as Linux does. Returns -EFAULT/-EINVAL or 0.
-int ReadIovecs(Process* p, GuestAddr iov_addr, uint64_t iovcnt,
-               std::vector<GuestIovec>* out) {
-  if (iovcnt > 1024) {
-    return -kEINVAL;
+  std::span<GuestIovec> list() { return vectored ? std::span(iov) : std::span(&buf, 1); }
+  std::span<const GuestIovec> list() const {
+    return vectored ? std::span(iov) : std::span(&buf, 1);
   }
-  out->resize(iovcnt);
-  if (iovcnt == 0) {
-    return 0;
-  }
-  if (!p->mem().Read(iov_addr, out->data(), iovcnt * sizeof(GuestIovec)).ok) {
-    return -kEFAULT;
-  }
+};
+
+// Everything one attempt of a read or write needs, checked once at entry.
+struct IoCall {
+  std::shared_ptr<FileDescription> desc;
+  IoSegments segs;
+  uint64_t len = 0;               // Sum of the segment lengths.
+  std::optional<uint64_t> pofs;   // The positional offset, if the call takes one.
+};
+
+// Linux's rw_verify_area over the segments: a negative count is -EINVAL, and the
+// segments are clipped so their total is at most kMaxRwCount. Returns the total.
+int64_t ClipSegments(std::span<GuestIovec> segs) {
   uint64_t total = 0;
-  for (GuestIovec& v : *out) {
+  for (GuestIovec& v : segs) {
     if (NegativeAsSigned(v.iov_len)) {
       return -kEINVAL;
     }
     v.iov_len = std::min(v.iov_len, kMaxRwCount - total);
     total += v.iov_len;
   }
+  return static_cast<int64_t>(total);
+}
+
+// Reads the iovec descriptors at `iov_addr` into `segs`. Returns -EFAULT/-EINVAL
+// or 0.
+int ReadIovecs(Process* p, GuestAddr iov_addr, uint64_t iovcnt, IoSegments* segs) {
+  if (iovcnt > 1024) {
+    return -kEINVAL;
+  }
+  segs->vectored = true;
+  segs->iov.resize(iovcnt);
+  if (iovcnt > 0 &&
+      !p->mem().Read(iov_addr, segs->iov.data(), iovcnt * sizeof(GuestIovec)).ok) {
+    return -kEFAULT;
+  }
   return 0;
 }
 
-uint64_t IovTotal(const std::vector<GuestIovec>& iov) {
-  uint64_t total = 0;
-  for (const GuestIovec& v : iov) {
-    total += v.iov_len;
+// The checks a read- or write-family call makes before its first attempt, in
+// Linux's order: the descriptor, its type, the buffer's segments, then the offset.
+// The row says which buffer shape the call has and whether it is a socket call.
+int PrepareIo(Process* p, const SyscallRequest& req, const SyscallDesc& d, bool read,
+              IoCall* call) {
+  call->desc = p->fds().Get(static_cast<int>(req.arg(0)));
+  if (!call->desc) {
+    return -kEBADF;
   }
-  return total;
+  FdType type = call->desc->file()->type();
+  const DataArg data = DataArgOf(d);
+  if (data.socket && type != FdType::kSocket) {
+    return -kENOTSOCK;
+  }
+  if (read && type == FdType::kDirectory) {
+    return -kEISDIR;
+  }
+  int rc = 0;
+  switch (data.shape) {
+    case DataShape::kBuf:
+      call->segs.buf = {req.arg(data.arg), req.arg(data.size_arg)};
+      break;
+    case DataShape::kIovec:
+      rc = ReadIovecs(p, req.arg(data.arg), req.arg(data.size_arg), &call->segs);
+      break;
+    case DataShape::kMsghdr: {
+      GuestMsghdr hdr;
+      if (!p->mem().Read(req.arg(data.arg), &hdr, sizeof(hdr)).ok) {
+        return -kEFAULT;
+      }
+      rc = ReadIovecs(p, hdr.msg_iov, hdr.msg_iovlen, &call->segs);
+      break;
+    }
+    case DataShape::kNone:
+      REMON_CHECK_MSG(false, "read/write row without a data buffer");
+  }
+  if (rc != 0) {
+    return rc;
+  }
+  int64_t total = ClipSegments(call->segs.list());
+  if (total < 0) {
+    return static_cast<int>(total);
+  }
+  call->len = static_cast<uint64_t>(total);
+  if ((d.exec_flags & kExecPositional) != 0) {
+    call->pofs = req.arg(3);
+    if (NegativeAsSigned(*call->pofs)) {
+      return -kEINVAL;
+    }
+  }
+  return 0;
 }
 
 // poll/epoll_wait timeouts are a C int: only the register's low 32 bits count, and
@@ -72,6 +133,54 @@ TimeNs DeadlineFromMs(Simulator* sim, uint64_t timeout_reg) {
     return kTimeNever;
   }
   return DeadlineAfter(sim->now(), timeout_ms * kMillisecond);
+}
+
+// select's fd_set: 1024 bits.
+using FdSet = std::array<uint64_t, 16>;
+
+bool FdIsSet(const FdSet& s, int fd) {
+  return ((s[static_cast<size_t>(fd) / 64] >> (static_cast<size_t>(fd) % 64)) & 1) != 0;
+}
+
+void FdSetBit(FdSet& s, int fd) {
+  s[static_cast<size_t>(fd) / 64] |= 1ULL << (static_cast<size_t>(fd) % 64);
+}
+
+// poll's readiness check over an interest list: each entry's revents become the
+// events its file reports now, plus error and hangup; an entry whose descriptor is
+// not open gets `closed_revents`, and a negative fd is skipped. Returns the number
+// of entries with revents set.
+int CheckReadiness(Process* p, std::span<GuestPollfd> fds, int16_t closed_revents) {
+  int ready = 0;
+  for (GuestPollfd& pf : fds) {
+    pf.revents = 0;
+    if (pf.fd < 0) {
+      continue;
+    }
+    auto d = p->fds().Get(pf.fd);
+    if (!d) {
+      pf.revents = closed_revents;
+    } else {
+      uint32_t want = static_cast<uint16_t>(pf.events) | kPollErr | kPollHup;
+      pf.revents = static_cast<int16_t>(d->file()->Poll() & want);
+    }
+    if (pf.revents != 0) {
+      ++ready;
+    }
+  }
+  return ready;
+}
+
+// The poll queue of every open descriptor in an interest list.
+void CollectPollQueues(Process* p, std::span<const GuestPollfd> fds,
+                       std::vector<WaitQueue*>& qs) {
+  for (const GuestPollfd& pf : fds) {
+    if (pf.fd >= 0) {
+      if (auto d = p->fds().Get(pf.fd)) {
+        qs.push_back(&d->file()->poll_queue());
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -86,20 +195,14 @@ int Kernel::InstallFile(Thread* t, std::shared_ptr<File> file, int flags) {
 }
 
 void Kernel::ExecuteSyscall(Thread* t, const SyscallRequest& req, Done done) {
-  // Table-driven dispatch: the descriptor registry names the marshalling strategy;
-  // per-syscall variation (vectored/positional/msghdr/flags) rides in exec_flags.
+  // Table-driven dispatch: the descriptor registry names the handler family, and
+  // the row's argument kinds give each read/write its buffer shape.
   const SyscallDesc& d = DescOf(req.nr);
-  const bool vectored = (d.exec_flags & kExecVectored) != 0;
-  const bool positional = (d.exec_flags & kExecPositional) != 0;
   switch (d.exec) {
     case ExecKind::kRead:
-      return SysRead(t, req, vectored, positional, std::move(done));
+      return SysRead(t, req, d, std::move(done));
     case ExecKind::kWrite:
-      return SysWrite(t, req, vectored, positional, std::move(done));
-    case ExecKind::kRecv:
-      return SysRecv(t, req, (d.exec_flags & kExecMsg) != 0, std::move(done));
-    case ExecKind::kSend:
-      return SysSend(t, req, (d.exec_flags & kExecMsg) != 0, std::move(done));
+      return SysWrite(t, req, d, std::move(done));
     case ExecKind::kSendfile:
       return SysSendfile(t, req, std::move(done));
     case ExecKind::kAccept:
@@ -124,6 +227,18 @@ void Kernel::ExecuteSyscall(Thread* t, const SyscallRequest& req, Done done) {
   }
 }
 
+void Kernel::RetryWhileAgain(Thread* t, const FileDescription& desc, AttemptFn attempt,
+                             Done done) {
+  if (desc.nonblocking()) {
+    return done(attempt());
+  }
+  File* file = desc.file();
+  BlockingRetry(
+      t, std::move(attempt),
+      [file](std::vector<WaitQueue*>& qs) { qs.push_back(&file->poll_queue()); },
+      kTimeNever, -kEAGAIN, std::move(done));
+}
+
 int64_t Kernel::ReadToScratch(FileDescription* desc, uint64_t len, uint64_t offset) {
   // io_scratch_ is safe to reuse: nothing below suspends or re-enters a copy. It
   // holds what the file can return now, never the guest's whole length.
@@ -145,79 +260,24 @@ int64_t Kernel::WriteFromScratch(FileDescription* desc, uint64_t len,
   return n;
 }
 
-int64_t Kernel::DoReadInto(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
-                           std::optional<uint64_t> pofs) {
-  uint64_t offset = pofs.value_or(desc->offset());
-  int64_t n = ReadToScratch(desc, len, offset);
-  if (n < 0) {
-    return n;
-  }
-  if (n > 0 && CopyOut(t->process(), buf, io_scratch_.data(), static_cast<uint64_t>(n)) != 0) {
-    return -kEFAULT;
-  }
-  if (!pofs && desc->file()->Size() >= 0) {
-    desc->set_offset(offset + static_cast<uint64_t>(n));
-  }
-  return n;
-}
-
-int64_t Kernel::DoWriteFrom(Thread* t, FileDescription* desc, GuestAddr buf, uint64_t len,
-                            std::optional<uint64_t> pofs) {
-  // The source must be readable before the bounce buffer is sized by it.
-  if (!t->process()->mem().Covers(buf, len, kProtRead)) {
-    return -kEFAULT;
-  }
-  io_scratch_.resize(len);
-  if (CopyIn(t->process(), io_scratch_.data(), buf, len) != 0) {
-    return -kEFAULT;
-  }
-  return WriteFromScratch(desc, len, pofs);
-}
-
-void Kernel::SysRead(Thread* t, const SyscallRequest& req, bool vectored, bool positional,
-                     Done done) {
-  auto desc = Fd(t, static_cast<int>(req.arg(0)));
-  if (!desc) {
-    return done(-kEBADF);
-  }
-  if (desc->file()->type() == FdType::kDirectory) {
-    return done(-kEISDIR);
-  }
-  std::optional<uint64_t> pofs;
-  if (positional) {
-    pofs = req.arg(3);
-  }
-  GuestAddr buf = req.arg(1);
-  uint64_t len = req.arg(2);
-  std::vector<GuestIovec> iov;
-  if (vectored) {
-    int rc = ReadIovecs(t->process(), req.arg(1), req.arg(2), &iov);
-    if (rc != 0) {
-      return done(rc);
-    }
-    // Simplification: service vectored reads through the first non-empty segment
-    // chain by gathering into a contiguous span (semantically equivalent for our
-    // stream and regular files).
-    len = IovTotal(iov);
-    buf = iov.empty() ? 0 : iov[0].iov_base;
-  }
-  if (int rc = VerifyRwArea(&len, pofs); rc != 0) {
+void Kernel::SysRead(Thread* t, const SyscallRequest& req, const SyscallDesc& d, Done done) {
+  IoCall call;
+  if (int rc = PrepareIo(t->process(), req, d, /*read=*/true, &call); rc != 0) {
     return done(rc);
   }
-
-  auto attempt = [this, t, desc, buf, len, pofs, vectored, iov]() -> int64_t {
-    if (!vectored) {
-      return DoReadInto(t, desc.get(), buf, len, pofs);
-    }
-    // Vectored: read into the scratch buffer, then scatter across segments.
-    uint64_t offset = pofs.value_or(desc->offset());
-    int64_t n = ReadToScratch(desc.get(), len, offset);
-    if (n <= 0) {
+  const FileDescription& target = *call.desc;
+  // Read into the scratch buffer, scatter across the segments, then advance the
+  // offset of a non-positional read.
+  auto attempt = [this, t, call = std::move(call)]() -> int64_t {
+    FileDescription* desc = call.desc.get();
+    uint64_t offset = call.pofs.value_or(desc->offset());
+    int64_t n = ReadToScratch(desc, call.len, offset);
+    if (n < 0) {
       return n;
     }
     uint64_t copied = 0;
-    for (const GuestIovec& v : iov) {
-      if (copied >= static_cast<uint64_t>(n)) {
+    for (const GuestIovec& v : call.segs.list()) {
+      if (copied == static_cast<uint64_t>(n)) {
         break;
       }
       uint64_t chunk = std::min<uint64_t>(v.iov_len, static_cast<uint64_t>(n) - copied);
@@ -226,125 +286,40 @@ void Kernel::SysRead(Thread* t, const SyscallRequest& req, bool vectored, bool p
       }
       copied += chunk;
     }
-    if (!pofs && desc->file()->Size() >= 0) {
+    if (!call.pofs && desc->file()->Size() >= 0) {
       desc->set_offset(offset + static_cast<uint64_t>(n));
     }
     return n;
   };
-
-  if (desc->nonblocking()) {
-    return done(attempt());
-  }
-  File* file = desc->file();
-  BlockingRetry(
-      t, attempt,
-      [file](std::vector<WaitQueue*>& qs) { qs.push_back(&file->poll_queue()); },
-      kTimeNever, -kEAGAIN, std::move(done));
+  RetryWhileAgain(t, target, std::move(attempt), std::move(done));
 }
 
-void Kernel::SysWrite(Thread* t, const SyscallRequest& req, bool vectored, bool positional,
-                      Done done) {
-  auto desc = Fd(t, static_cast<int>(req.arg(0)));
-  if (!desc) {
-    return done(-kEBADF);
-  }
-  std::optional<uint64_t> pofs;
-  if (positional) {
-    pofs = req.arg(3);
-  }
-  GuestAddr buf = req.arg(1);
-  uint64_t len = req.arg(2);
-  std::vector<GuestIovec> iov;
-  if (vectored) {
-    int rc = ReadIovecs(t->process(), req.arg(1), req.arg(2), &iov);
-    if (rc != 0) {
-      return done(rc);
-    }
-  }
-  if (int rc = VerifyRwArea(&len, pofs); rc != 0) {
+void Kernel::SysWrite(Thread* t, const SyscallRequest& req, const SyscallDesc& d, Done done) {
+  IoCall call;
+  if (int rc = PrepareIo(t->process(), req, d, /*read=*/false, &call); rc != 0) {
     return done(rc);
   }
-
-  auto attempt = [this, t, desc, buf, len, pofs, vectored, iov]() -> int64_t {
-    if (!vectored) {
-      return DoWriteFrom(t, desc.get(), buf, len, pofs);
-    }
-    // Gather segments into one contiguous write.
-    for (const GuestIovec& v : iov) {
-      if (!t->process()->mem().Covers(v.iov_base, v.iov_len, kProtRead)) {
+  const FileDescription& target = *call.desc;
+  // Gather the segments into the scratch buffer, then write it in one piece.
+  auto attempt = [this, t, call = std::move(call)]() -> int64_t {
+    Process* p = t->process();
+    // The source must be readable before the bounce buffer is sized by it.
+    for (const GuestIovec& v : call.segs.list()) {
+      if (!p->mem().Covers(v.iov_base, v.iov_len, kProtRead)) {
         return -kEFAULT;
       }
     }
-    uint64_t total = IovTotal(iov);
-    io_scratch_.resize(total);
+    io_scratch_.resize(call.len);
     uint64_t filled = 0;
-    for (const GuestIovec& v : iov) {
-      if (CopyIn(t->process(), io_scratch_.data() + filled, v.iov_base, v.iov_len) != 0) {
+    for (const GuestIovec& v : call.segs.list()) {
+      if (CopyIn(p, io_scratch_.data() + filled, v.iov_base, v.iov_len) != 0) {
         return -kEFAULT;
       }
       filled += v.iov_len;
     }
-    return WriteFromScratch(desc.get(), total, pofs);
+    return WriteFromScratch(call.desc.get(), call.len, call.pofs);
   };
-
-  if (desc->nonblocking()) {
-    return done(attempt());
-  }
-  File* file = desc->file();
-  BlockingRetry(
-      t, attempt,
-      [file](std::vector<WaitQueue*>& qs) { qs.push_back(&file->poll_queue()); },
-      kTimeNever, -kEAGAIN, std::move(done));
-}
-
-void Kernel::SysRecv(Thread* t, const SyscallRequest& req, bool msg, Done done) {
-  auto desc = Fd(t, static_cast<int>(req.arg(0)));
-  if (!desc) {
-    return done(-kEBADF);
-  }
-  if (desc->file()->type() != FdType::kSocket) {
-    return done(-kENOTSOCK);
-  }
-  if (!msg) {
-    // recvfrom(fd, buf, len, flags, src, srclen) behaves as read for streams.
-    SyscallRequest as_read = req;
-    as_read.nr = Sys::kRead;
-    return SysRead(t, as_read, false, false, std::move(done));
-  }
-  // recvmsg: pull the iovec list out of the msghdr, then treat as readv.
-  GuestMsghdr hdr;
-  if (CopyIn(t->process(), &hdr, req.arg(1), sizeof(hdr)) != 0) {
-    return done(-kEFAULT);
-  }
-  SyscallRequest as_readv = req;
-  as_readv.nr = Sys::kReadv;
-  as_readv.args[1] = hdr.msg_iov;
-  as_readv.args[2] = hdr.msg_iovlen;
-  return SysRead(t, as_readv, true, false, std::move(done));
-}
-
-void Kernel::SysSend(Thread* t, const SyscallRequest& req, bool msg, Done done) {
-  auto desc = Fd(t, static_cast<int>(req.arg(0)));
-  if (!desc) {
-    return done(-kEBADF);
-  }
-  if (desc->file()->type() != FdType::kSocket) {
-    return done(-kENOTSOCK);
-  }
-  if (!msg) {
-    SyscallRequest as_write = req;
-    as_write.nr = Sys::kWrite;
-    return SysWrite(t, as_write, false, false, std::move(done));
-  }
-  GuestMsghdr hdr;
-  if (CopyIn(t->process(), &hdr, req.arg(1), sizeof(hdr)) != 0) {
-    return done(-kEFAULT);
-  }
-  SyscallRequest as_writev = req;
-  as_writev.nr = Sys::kWritev;
-  as_writev.args[1] = hdr.msg_iov;
-  as_writev.args[2] = hdr.msg_iovlen;
-  return SysWrite(t, as_writev, true, false, std::move(done));
+  RetryWhileAgain(t, target, std::move(attempt), std::move(done));
 }
 
 void Kernel::SysSendfile(Thread* t, const SyscallRequest& req, Done done) {
@@ -400,14 +375,7 @@ void Kernel::SysSendfile(Thread* t, const SyscallRequest& req, Done done) {
     return static_cast<int64_t>(*state);
   };
 
-  if (out_desc->nonblocking()) {
-    return done(attempt());
-  }
-  File* out_file = out_desc->file();
-  BlockingRetry(
-      t, attempt,
-      [out_file](std::vector<WaitQueue*>& qs) { qs.push_back(&out_file->poll_queue()); },
-      kTimeNever, -kEAGAIN, std::move(done));
+  RetryWhileAgain(t, *out_desc, std::move(attempt), std::move(done));
 }
 
 void Kernel::SysAccept(Thread* t, const SyscallRequest& req, bool accept4, Done done) {
@@ -444,13 +412,7 @@ void Kernel::SysAccept(Thread* t, const SyscallRequest& req, bool accept4, Done 
     return InstallFile(t, std::move(conn), new_flags);
   };
 
-  if (desc->nonblocking()) {
-    return done(attempt());
-  }
-  BlockingRetry(
-      t, attempt,
-      [listener](std::vector<WaitQueue*>& qs) { qs.push_back(&listener->poll_queue()); },
-      kTimeNever, -kEAGAIN, std::move(done));
+  RetryWhileAgain(t, *desc, std::move(attempt), std::move(done));
 }
 
 void Kernel::SysConnect(Thread* t, const SyscallRequest& req, Done done) {
@@ -504,26 +466,7 @@ void Kernel::SysPoll(Thread* t, const SyscallRequest& req, Done done) {
   TimeNs deadline = DeadlineFromMs(sim_, req.arg(2));
 
   auto attempt = [this, t, fds, fds_addr]() -> int64_t {
-    int ready = 0;
-    for (GuestPollfd& pf : *fds) {
-      pf.revents = 0;
-      if (pf.fd < 0) {
-        continue;
-      }
-      auto d = Fd(t, pf.fd);
-      if (!d) {
-        pf.revents = static_cast<int16_t>(kPollErr);
-        ++ready;
-        continue;
-      }
-      uint32_t mask = d->file()->Poll();
-      uint32_t want = static_cast<uint16_t>(pf.events) | kPollErr | kPollHup;
-      uint32_t got = mask & want;
-      if (got != 0) {
-        pf.revents = static_cast<int16_t>(got);
-        ++ready;
-      }
-    }
+    int ready = CheckReadiness(t->process(), *fds, static_cast<int16_t>(kPollErr));
     if (ready == 0) {
       return -kEAGAIN;
     }
@@ -533,16 +476,8 @@ void Kernel::SysPoll(Thread* t, const SyscallRequest& req, Done done) {
     }
     return ready;
   };
-
-  auto queues = [this, t, fds](std::vector<WaitQueue*>& qs) {
-    for (const GuestPollfd& pf : *fds) {
-      if (pf.fd >= 0) {
-        auto d = Fd(t, pf.fd);
-        if (d) {
-          qs.push_back(&d->file()->poll_queue());
-        }
-      }
-    }
+  auto queues = [t, fds](std::vector<WaitQueue*>& qs) {
+    CollectPollQueues(t->process(), *fds, qs);
   };
   BlockingRetry(t, attempt, queues, deadline, 0, std::move(done));
 }
@@ -558,15 +493,12 @@ void Kernel::SysSelect(Thread* t, const SyscallRequest& req, Done done) {
   // exceptional conditions.
   GuestAddr tv_addr = req.arg(4);
 
-  struct FdSets {
-    std::array<uint64_t, 16> rd{};
-    std::array<uint64_t, 16> wr{};
-  };
-  auto sets = std::make_shared<FdSets>();
-  if (rd_addr != 0 && CopyIn(t->process(), sets->rd.data(), rd_addr, 128) != 0) {
+  FdSet rd{};
+  FdSet wr{};
+  if (rd_addr != 0 && CopyIn(t->process(), rd.data(), rd_addr, sizeof(rd)) != 0) {
     return done(-kEFAULT);
   }
-  if (wr_addr != 0 && CopyIn(t->process(), sets->wr.data(), wr_addr, 128) != 0) {
+  if (wr_addr != 0 && CopyIn(t->process(), wr.data(), wr_addr, sizeof(wr)) != 0) {
     return done(-kEFAULT);
   }
   TimeNs deadline = kTimeNever;
@@ -582,33 +514,31 @@ void Kernel::SysSelect(Thread* t, const SyscallRequest& req, Done done) {
     deadline = DeadlineAfter(sim_->now(), d);
   }
 
-  auto is_set = [](const std::array<uint64_t, 16>& s, int fd) {
-    return (s[static_cast<size_t>(fd) / 64] >> (static_cast<size_t>(fd) % 64)) & 1;
-  };
-  auto set_bit = [](std::array<uint64_t, 16>& s, int fd) {
-    s[static_cast<size_t>(fd) / 64] |= 1ULL << (static_cast<size_t>(fd) % 64);
-  };
+  // The fd sets become poll's interest list, so select reads readiness through
+  // poll's check; it keeps its own bitsets and counts each ready bit.
+  auto fds = std::make_shared<std::vector<GuestPollfd>>();
+  for (int fd = 0; fd < nfds; ++fd) {
+    uint32_t events = (rd_addr != 0 && FdIsSet(rd, fd) ? kPollIn : 0) |
+                      (wr_addr != 0 && FdIsSet(wr, fd) ? kPollOut : 0);
+    if (events != 0) {
+      fds->push_back(GuestPollfd{fd, static_cast<int16_t>(events), 0});
+    }
+  }
 
-  auto attempt = [this, t, sets, nfds, rd_addr, wr_addr, is_set, set_bit]() -> int64_t {
-    FdSets out;
+  auto attempt = [this, t, fds, rd_addr, wr_addr]() -> int64_t {
+    // A descriptor that is not open is skipped, not reported.
+    CheckReadiness(t->process(), *fds, 0);
+    FdSet rd_out{};
+    FdSet wr_out{};
     int ready = 0;
-    for (int fd = 0; fd < nfds; ++fd) {
-      bool want_rd = rd_addr != 0 && is_set(sets->rd, fd);
-      bool want_wr = wr_addr != 0 && is_set(sets->wr, fd);
-      if (!want_rd && !want_wr) {
-        continue;
-      }
-      auto d = Fd(t, fd);
-      if (!d) {
-        continue;
-      }
-      uint32_t mask = d->file()->Poll();
-      if (want_rd && (mask & (kPollIn | kPollHup | kPollErr)) != 0) {
-        set_bit(out.rd, fd);
+    for (const GuestPollfd& pf : *fds) {
+      uint32_t got = static_cast<uint16_t>(pf.revents);
+      if ((pf.events & kPollIn) != 0 && (got & (kPollIn | kPollHup | kPollErr)) != 0) {
+        FdSetBit(rd_out, pf.fd);
         ++ready;
       }
-      if (want_wr && (mask & (kPollOut | kPollErr)) != 0) {
-        set_bit(out.wr, fd);
+      if ((pf.events & kPollOut) != 0 && (got & (kPollOut | kPollErr)) != 0) {
+        FdSetBit(wr_out, pf.fd);
         ++ready;
       }
     }
@@ -616,25 +546,15 @@ void Kernel::SysSelect(Thread* t, const SyscallRequest& req, Done done) {
       return -kEAGAIN;
     }
     if (rd_addr != 0) {
-      CopyOut(t->process(), rd_addr, out.rd.data(), 128);
+      CopyOut(t->process(), rd_addr, rd_out.data(), sizeof(rd_out));
     }
     if (wr_addr != 0) {
-      CopyOut(t->process(), wr_addr, out.wr.data(), 128);
+      CopyOut(t->process(), wr_addr, wr_out.data(), sizeof(wr_out));
     }
     return ready;
   };
-
-  auto queues = [this, t, sets, nfds, rd_addr, wr_addr, is_set](std::vector<WaitQueue*>& qs) {
-    for (int fd = 0; fd < nfds; ++fd) {
-      bool interested = (rd_addr != 0 && is_set(sets->rd, fd)) ||
-                        (wr_addr != 0 && is_set(sets->wr, fd));
-      if (interested) {
-        auto d = Fd(t, fd);
-        if (d) {
-          qs.push_back(&d->file()->poll_queue());
-        }
-      }
-    }
+  auto queues = [t, fds](std::vector<WaitQueue*>& qs) {
+    CollectPollQueues(t->process(), *fds, qs);
   };
   BlockingRetry(t, attempt, queues, deadline, 0, std::move(done));
 }

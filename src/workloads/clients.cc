@@ -13,14 +13,18 @@ namespace remon {
 
 namespace {
 
+// FD-table guard of a swarm: the spawner reaps finished connections before
+// exceeding this many in flight. Arrivals forced to wait are counted as `stalled`;
+// a pure open-loop run keeps this above the offered concurrency.
+constexpr int kSwarmMaxInFlight = 512;
+
 // Shared across connection threads of one client run.
 struct ClientShared {
   int remaining = 0;      // ab-style request budget.
-  TimeNs deadline = 0;    // wrk-style stop time (0 = none).
   ClientStats* stats = nullptr;
 };
 
-// One connection: connect, then request/response until the budget or clock runs out.
+// One connection: connect, then request/response until the budget runs out.
 ProgramFn ConnectionBody(ClientSpec spec, std::shared_ptr<ClientShared> shared,
                          int join_wr) {
   return [spec, shared, join_wr](Guest& g) -> GuestTask<void> {
@@ -41,16 +45,8 @@ ProgramFn ConnectionBody(ClientSpec spec, std::shared_ptr<ClientShared> shared,
     g.Poke(req, line, kRequestBytes);
 
     if (crc == 0) {
-      for (;;) {
-        if (shared->deadline > 0 && kernel->now() >= shared->deadline) {
-          break;
-        }
-        if (shared->deadline == 0) {
-          if (shared->remaining <= 0) {
-            break;
-          }
-          --shared->remaining;
-        }
+      while (shared->remaining > 0) {
+        --shared->remaining;
         TimeNs sent_at = kernel->now();
         if (shared->stats->started < 0) {
           shared->stats->started = sent_at;
@@ -91,8 +87,8 @@ ProgramFn ConnectionBody(ClientSpec spec, std::shared_ptr<ClientShared> shared,
   };
 }
 
-// One swarm arrival: a short-lived connection doing a few request/response
-// rounds. Latency is arrival-to-close, the open-loop tail metric.
+// One swarm arrival: a short-lived connection doing one request/response round.
+// Latency is arrival-to-close, the open-loop tail metric.
 ProgramFn SwarmConnection(SwarmSpec spec, SwarmStats* stats, int join_wr) {
   return [spec, stats, join_wr](Guest& g) -> GuestTask<void> {
     Kernel* kernel = g.kernel();
@@ -116,30 +112,18 @@ ProgramFn SwarmConnection(SwarmSpec spec, SwarmStats* stats, int join_wr) {
       std::snprintf(line, sizeof(line), "R%08llu\n",
                     static_cast<unsigned long long>(spec.request_bytes));
       g.Poke(req, line, kRequestBytes);
-      bool ok = true;
-      for (int r = 0; ok && r < spec.requests_per_connection; ++r) {
-        int64_t w = co_await g.Write(static_cast<int>(s), req, kRequestBytes);
-        if (w != static_cast<int64_t>(kRequestBytes)) {
-          ok = false;
-          break;
-        }
-        uint64_t got = 0;
-        while (got < spec.request_bytes) {
-          int64_t n = co_await g.Read(static_cast<int>(s), buf,
-                                      std::min<uint64_t>(buf_bytes,
-                                                         spec.request_bytes - got));
-          if (n <= 0) {
-            ok = false;
-            break;
-          }
-          got += static_cast<uint64_t>(n);
-        }
-        if (ok) {
-          stats->bytes_received += got;
-          ++stats->requests;
-        }
+      int64_t w = co_await g.Write(static_cast<int>(s), req, kRequestBytes);
+      bool ok = w == static_cast<int64_t>(kRequestBytes);
+      uint64_t got = 0;
+      while (ok && got < spec.request_bytes) {
+        int64_t n = co_await g.Read(static_cast<int>(s), buf,
+                                    std::min<uint64_t>(buf_bytes, spec.request_bytes - got));
+        ok = n > 0;
+        got += ok ? static_cast<uint64_t>(n) : 0;
       }
       if (ok) {
+        stats->bytes_received += got;
+        ++stats->requests;
         ++stats->completed;
         stats->finished = kernel->now();
         stats->latencies.push_back(kernel->now() - arrived_at);
@@ -162,7 +146,6 @@ ProgramFn ClientProgram(const ClientSpec& spec, ClientStats* stats) {
   return [spec, stats](Guest& g) -> GuestTask<void> {
     auto shared = std::make_shared<ClientShared>();
     shared->remaining = spec.total_requests;
-    shared->deadline = spec.duration > 0 ? g.kernel()->now() + spec.duration : 0;
     shared->stats = stats;
 
     GuestAddr join_pipe = g.Alloc(8);
@@ -249,7 +232,7 @@ ProgramFn SwarmProgram(const SwarmSpec& spec, SwarmStats* stats,
         break;  // The schedule ran out: the spike is over.
       }
       // FD-table guard: reap before spawning past the in-flight cap.
-      while (in_flight >= spec.max_concurrent) {
+      while (in_flight >= kSwarmMaxInFlight) {
         int64_t n = co_await g.Read(join_rd, sink, 256);
         REMON_CHECK(n > 0);
         in_flight -= static_cast<int>(n);

@@ -2,7 +2,7 @@
 //
 // Closed-loop clients: each of `connections` concurrent connections sends a request,
 // reads the full response, and immediately sends the next (no think time) until a
-// global request budget (ab-style) or a wall-clock duration (wrk-style) runs out.
+// global request budget (ab-style) runs out.
 // Clients run natively on the client machine; their completion statistics are the
 // measurement the server benchmarks report.
 
@@ -20,8 +20,7 @@ namespace remon {
 
 struct ClientSpec {
   int connections = 16;
-  int total_requests = 500;   // ab-style budget (ignored when duration > 0).
-  DurationNs duration = 0;    // wrk-style run length.
+  int total_requests = 500;   // ab-style budget.
   uint64_t request_bytes = 4096;  // Response size to ask for.
   uint32_t server_machine = 0;
   uint16_t port = 80;
@@ -65,8 +64,8 @@ ProgramFn ClientProgram(const ClientSpec& spec, ClientStats* stats);
 // Unlike the closed-loop clients above, a swarm decouples arrival from service:
 // connections arrive on a Poisson process at a configured rate whether or not
 // earlier ones finished, which is what exposes tail latency under overload.
-// Each arrival is one short-lived connection (connect, a few request/response
-// rounds, close). Rates can step through phases to model spikes.
+// Each arrival is one short-lived connection (connect, one request/response
+// round, close). Rates can step through phases to model spikes.
 
 struct SwarmPhase {
   double rate = 0.0;        // Arrivals per second while this phase is active.
@@ -78,15 +77,10 @@ struct SwarmSpec {
   double arrival_rate = 50000;   // Poisson rate (conn/s) when `phases` is empty.
   std::vector<SwarmPhase> phases;  // Piecewise-constant rate schedule (optional);
                                    // arrivals stop at the end of the last phase.
-  int requests_per_connection = 1;
   uint64_t request_bytes = 512;  // Response size each request asks for.
   uint32_t server_machine = 0;   // Target (typically a tier VIP).
   uint16_t port = 80;
   uint64_t seed = 1;             // Arrival-process RNG seed (host-side, client-only).
-  // FD-table guard: the spawner reaps finished connections before exceeding this
-  // many in flight. Arrivals forced to wait are counted as `stalled` — a pure
-  // open-loop run keeps this above the offered concurrency.
-  int max_concurrent = 512;
 };
 
 // Filled in while the swarm runs (host-side measurement state).
@@ -95,7 +89,7 @@ struct SwarmStats {
   int completed = 0;   // Connections that finished every request cleanly.
   int requests = 0;    // Individual request/response rounds completed.
   int errors = 0;
-  int stalled = 0;     // Arrivals delayed by the max_concurrent guard.
+  int stalled = 0;     // Arrivals delayed by the in-flight guard.
   uint64_t bytes_received = 0;
   TimeNs started = -1;
   TimeNs finished = -1;

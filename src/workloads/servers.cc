@@ -17,6 +17,9 @@ namespace {
 // behind (only meaningful when the replica runs a record/replay agent).
 constexpr uint32_t kSyncObjConnCounter = 1;
 
+// Response size of a sub-request to the next tier.
+constexpr uint64_t kUpstreamBytes = 512;
+
 // Parses "R<8 digits>\n"; returns requested byte count or 0 when malformed.
 uint64_t ParseRequest(Guest& g, GuestAddr buf) {
   char line[kRequestBytes + 1] = {0};
@@ -48,7 +51,7 @@ struct WorkerState {
   double hit_accum = 0.0;
 };
 
-// Opens the worker's scratch state (and access log when configured).
+// Opens the worker's scratch state and its access log.
 GuestTask<WorkerState> InitWorker(Guest& g, const ServerSpec& spec) {
   WorkerState ws;
   ws.in_buf = g.Alloc(64);
@@ -56,12 +59,9 @@ GuestTask<WorkerState> InitWorker(Guest& g, const ServerSpec& spec) {
   ws.tv = g.Alloc(sizeof(GuestTimeval));
   ws.opt = g.Alloc(4);
   ws.up_buf = g.Alloc(64);
-  if (spec.log_requests) {
-    std::string path = "/var/" + spec.name + "-access-" +
-                       std::to_string(g.thread()->rank()) + ".log";
-    int64_t fd = co_await g.Open(path, kO_CREAT | kO_WRONLY | kO_APPEND);
-    ws.log_fd = static_cast<int>(fd);
-  }
+  std::string path =
+      "/var/" + spec.name + "-access-" + std::to_string(g.thread()->rank()) + ".log";
+  ws.log_fd = static_cast<int>(co_await g.Open(path, kO_CREAT | kO_WRONLY | kO_APPEND));
   co_return ws;
 }
 
@@ -106,7 +106,7 @@ GuestTask<void> UpstreamFetch(Guest& g, const ServerSpec& spec, WorkerState& ws)
   }
   char line[kRequestBytes + 2];
   std::snprintf(line, sizeof(line), "R%08llu\n",
-                static_cast<unsigned long long>(spec.upstream_bytes));
+                static_cast<unsigned long long>(kUpstreamBytes));
   g.Poke(ws.up_buf, line, kRequestBytes);
   // ~40 ms of 100 us polls. Plenty for a healthy tier (one service time + two
   // link crossings), short enough that a wedged one costs a bounded stall.
@@ -126,8 +126,8 @@ GuestTask<void> UpstreamFetch(Guest& g, const ServerSpec& spec, WorkerState& ws)
     put += static_cast<uint64_t>(n);
   }
   uint64_t got = 0;
-  while (got < spec.upstream_bytes) {
-    uint64_t chunk = std::min<uint64_t>(16 * 1024, spec.upstream_bytes - got);
+  while (got < kUpstreamBytes) {
+    uint64_t chunk = std::min<uint64_t>(16 * 1024, kUpstreamBytes - got);
     int64_t n = co_await g.Read(fd, ws.out_buf, chunk);
     if (n == -kEAGAIN && --patience > 0) {
       co_await g.SleepNs(Micros(100));
@@ -148,9 +148,7 @@ GuestTask<void> UpstreamFetch(Guest& g, const ServerSpec& spec, WorkerState& ws)
 GuestTask<void> ServeRequest(Guest& g, int fd, uint64_t response_bytes,
                              const ServerSpec& spec, WorkerState& ws) {
   co_await g.Gettimeofday(ws.tv);
-  if (spec.sockopts_per_request > 0) {
-    co_await g.Setsockopt(fd, 6, 3 /*TCP_CORK*/, ws.opt, 4);
-  }
+  co_await g.Setsockopt(fd, 6, 3 /*TCP_CORK*/, ws.opt, 4);
   if (spec.upstream_port != 0) {
     // Tier miss/hit decision: a credit accumulator, so a hit ratio of 0.75
     // serves exactly 3 of every 4 requests locally — identically in every
@@ -172,9 +170,7 @@ GuestTask<void> ServeRequest(Guest& g, int fd, uint64_t response_bytes,
     }
     sent += static_cast<uint64_t>(n);
   }
-  if (spec.sockopts_per_request > 1) {
-    co_await g.Setsockopt(fd, 6, 3 /*uncork*/, ws.opt, 4);
-  }
+  co_await g.Setsockopt(fd, 6, 3 /*uncork*/, ws.opt, 4);
   // Per-rank housekeeping burst: each append is a small bounded-latency
   // unmonitored call on this worker's own RB sub-buffer.
   for (int i = 0; i < spec.log_writes && ws.log_fd >= 0; ++i) {

@@ -37,8 +37,6 @@ struct ServerSpec {
   // Per-request housekeeping, as real servers do: a timestamp for the access log
   // (BASE), the log append itself (NONSOCKET_RW), and TCP_CORK-style socket options
   // around the response (SOCKET_RW).
-  bool log_requests = true;
-  int sockopts_per_request = 2;
   // Access-log appends per request (each a small bounded-latency write on the
   // worker's own rank). >1 models chatty request accounting — error log, stats
   // counters — and is what the multi-rank RB ablations crank up.
@@ -50,7 +48,6 @@ struct ServerSpec {
   // randomness: replicated workers must make identical decisions.
   uint32_t upstream_machine = 0;
   uint16_t upstream_port = 0;
-  uint64_t upstream_bytes = 512;    // Sub-request response size.
   double upstream_hit_ratio = 0.0;  // Fraction served locally without forwarding.
 };
 

@@ -11,6 +11,9 @@ namespace remon {
 
 namespace {
 
+// Distinct lock objects a sync rotation cycles over.
+constexpr uint32_t kSyncObjects = 8;
+
 // Calibrated per-call MVEE costs with two replicas (virtual seconds per call), used
 // to translate the paper's overhead bars into system-call rates:
 //   overhead_cp - overhead_ip = rate * (kCpCost - kIpCost).
@@ -409,7 +412,7 @@ ProgramFn SuiteProgram(const WorkloadSpec& spec) {
                 co_await wg.SleepNs(Micros(3));
               }
               uint32_t object = static_cast<uint32_t>(
-                  1 + (round + static_cast<uint64_t>(worker_id)) % spec.sync_objects);
+                  1 + (round + static_cast<uint64_t>(worker_id)) % kSyncObjects);
               if (agent != nullptr) {
                 co_await agent->BeforeAcquire(wg, object);
               }

@@ -54,7 +54,6 @@ struct WorkloadSpec {
   // nanosleep, which is replica-local: sync specs are meant for kRemon
   // configurations (any level), not kGhumveeOnly lockstep.
   int sync_ops = 0;
-  uint32_t sync_objects = 8;  // Distinct lock objects the rotation cycles over.
 
   // The paper's bars (normalized runtime, 2 replicas), printed beside the
   // measured result by the fig3/fig4 benches.

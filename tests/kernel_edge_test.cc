@@ -654,5 +654,288 @@ TEST(KernelEdgeTest, WritevHonoursOAppend) {
   EXPECT_EQ(w.fs.ReadWholeFile("/tmp/append"), "xyzxy");
 }
 
+// --- One read path and one write path --------------------------------------------
+
+// How a read- or write-family call takes its buffer.
+enum class Wrap { kPlain, kIovec, kMsghdr };
+
+struct IoForm {
+  Sys nr;
+  Wrap wrap;
+  bool positional;
+  bool socket;  // Refuses a descriptor that is not a socket.
+};
+
+constexpr IoForm kReadForms[] = {
+    {Sys::kRead, Wrap::kPlain, false, false},    {Sys::kPread64, Wrap::kPlain, true, false},
+    {Sys::kReadv, Wrap::kIovec, false, false},   {Sys::kPreadv, Wrap::kIovec, true, false},
+    {Sys::kRecvfrom, Wrap::kPlain, false, true}, {Sys::kRecvmsg, Wrap::kMsghdr, false, true},
+    {Sys::kRecvmmsg, Wrap::kMsghdr, false, true},
+};
+
+constexpr IoForm kWriteForms[] = {
+    {Sys::kWrite, Wrap::kPlain, false, false},   {Sys::kPwrite64, Wrap::kPlain, true, false},
+    {Sys::kWritev, Wrap::kIovec, false, false},  {Sys::kPwritev, Wrap::kIovec, true, false},
+    {Sys::kSendto, Wrap::kPlain, false, true},   {Sys::kSendmsg, Wrap::kMsghdr, false, true},
+    {Sys::kSendmmsg, Wrap::kMsghdr, false, true},
+};
+
+// Calls `form` on `len` bytes at `buf` (and at `offset` when positional): a vectored
+// form wraps the buffer in one iovec at `scratch`, a msghdr form in a msghdr after
+// that iovec.
+SyscallAwait CallIo(Guest& g, const IoForm& form, int fd, GuestAddr buf, uint64_t len,
+                    uint64_t offset, GuestAddr scratch) {
+  GuestIovec v{buf, len};
+  g.Poke(scratch, &v, sizeof(v));
+  GuestMsghdr hdr;
+  hdr.msg_iov = scratch;
+  hdr.msg_iovlen = 1;
+  g.Poke(scratch + sizeof(v), &hdr, sizeof(hdr));
+  uint64_t pos = form.positional ? offset : 0;
+  uint64_t ufd = static_cast<uint64_t>(fd);
+  switch (form.wrap) {
+    case Wrap::kIovec:
+      return g.Syscall(form.nr, ufd, scratch, 1, pos);
+    case Wrap::kMsghdr:
+      return g.Syscall(form.nr, ufd, scratch + sizeof(v));
+    case Wrap::kPlain:
+    default:
+      return g.Syscall(form.nr, ufd, buf, len, pos);
+  }
+}
+
+// A connected stream pair inside one process: {the connecting end, the accepted end}.
+GuestTask<std::pair<int, int>> SocketPair(Guest& g, uint16_t port) {
+  int lfd = static_cast<int>(co_await g.Socket(kAfInet, kSockStream));
+  GuestAddr sa = g.Alloc(sizeof(GuestSockaddrIn));
+  GuestSockaddrIn addr;
+  addr.sin_port = port;
+  addr.sin_addr = kInaddrLoopback;
+  g.Poke(sa, &addr, sizeof(addr));
+  co_await g.Bind(lfd, sa, sizeof(addr));
+  co_await g.Listen(lfd, 4);
+  int cfd = static_cast<int>(co_await g.Socket(kAfInet, kSockStream));
+  EXPECT_EQ(co_await g.Connect(cfd, sa, sizeof(addr)), 0);
+  int afd = static_cast<int>(co_await g.Accept(lfd, 0, 0));
+  co_return std::pair<int, int>{cfd, afd};
+}
+
+// An address no process maps: below the start of user space.
+constexpr GuestAddr kUnmappedBuf = 0x100;
+
+// Every read-family call against one file state and one socket state: each edge
+// input gives the result of the call's one-segment twin (read, or pread64 for the
+// positional calls), and a socket call on any other descriptor is ENOTSOCK.
+TEST(KernelEdgeTest, ReadFamilyMatchesItsOneSegmentTwin) {
+  SimWorld w;
+  w.fs.WriteWholeFile("/tmp/rd", "abcdef");
+  w.fs.Mkdir("/tmp/rd-dir");
+  Process* p = w.NewProcess("read-family");
+  bool finished = false;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/rd", kO_RDONLY));
+    int dir = static_cast<int>(co_await g.Open("/tmp/rd-dir", kO_RDONLY | kO_DIRECTORY));
+    auto [peer, sock] = co_await SocketPair(g, 7001);
+    GuestAddr buf = g.Alloc(16);
+    GuestAddr scratch = g.Alloc(sizeof(GuestIovec) + sizeof(GuestMsghdr));
+    GuestAddr src = g.Alloc(8);
+    g.Poke(src, "abcdef", 6);
+    const uint64_t kNeg = static_cast<uint64_t>(-1);
+    struct Input {
+      const char* what;
+      int fd;
+      GuestAddr buf;
+      uint64_t len;
+      uint64_t offset;
+    };
+    const Input inputs[] = {
+        {"4 bytes at 1", fd, buf, 4, 1},       {"negative length", fd, buf, kNeg, 1},
+        {"negative offset", fd, buf, 4, kNeg}, {"unmapped buffer", fd, kUnmappedBuf, 4, 1},
+        {"bad fd", 999, buf, 4, 1},            {"directory", dir, buf, 4, 1},
+    };
+    for (const Input& in : inputs) {
+      int64_t twin[2] = {};  // Plain, positional.
+      for (const IoForm& form : kReadForms) {
+        g.Poke(buf, "--------", 8);
+        co_await g.Lseek(fd, 1, kSeekSet);
+        int64_t got = co_await CallIo(g, form, in.fd, in.buf, in.len, in.offset, scratch);
+        int64_t offset_after = co_await g.Lseek(fd, 0, kSeekCur);
+        if (form.nr == Sys::kRead || form.nr == Sys::kPread64) {
+          twin[form.positional] = got;
+        }
+        int64_t want = twin[form.positional];
+        if (form.socket && in.fd != 999) {
+          want = -kENOTSOCK;
+        }
+        EXPECT_EQ(got, want) << SysName(form.nr) << ": " << in.what;
+        if (got == 4) {
+          EXPECT_EQ(g.PeekString(buf, 4), "bcde") << SysName(form.nr);
+          EXPECT_EQ(offset_after, form.positional ? 1 : 5) << SysName(form.nr);
+        } else {
+          EXPECT_EQ(offset_after, 1) << SysName(form.nr) << ": " << in.what;
+        }
+      }
+    }
+    // The same stream state for each call that reads a socket.
+    for (const IoForm& form : kReadForms) {
+      if (form.positional) {
+        continue;
+      }
+      co_await g.Write(peer, src, 6);
+      g.Poke(buf, "--------", 8);
+      EXPECT_EQ(co_await CallIo(g, form, sock, buf, 4, 0, scratch), 4) << SysName(form.nr);
+      EXPECT_EQ(g.PeekString(buf, 4), "abcd") << SysName(form.nr);
+      EXPECT_EQ(co_await g.Read(sock, buf, 16), 2) << SysName(form.nr);
+    }
+    finished = true;
+  });
+  w.Run();
+  EXPECT_TRUE(finished);
+}
+
+// Every write-family call against one file state and one socket state, matched
+// against its one-segment twin (write, or pwrite64 for the positional calls).
+TEST(KernelEdgeTest, WriteFamilyMatchesItsOneSegmentTwin) {
+  SimWorld w;
+  w.fs.Mkdir("/tmp/wr-dir");
+  Process* p = w.NewProcess("write-family");
+  bool finished = false;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int fd = static_cast<int>(co_await g.Open("/tmp/wr", kO_CREAT | kO_RDWR));
+    int dir = static_cast<int>(co_await g.Open("/tmp/wr-dir", kO_RDONLY | kO_DIRECTORY));
+    auto [peer, sock] = co_await SocketPair(g, 7002);
+    GuestAddr src = g.Alloc(16);
+    g.Poke(src, "WXYZ", 4);
+    GuestAddr init = g.Alloc(8);
+    g.Poke(init, "abcdef", 6);
+    GuestAddr buf = g.Alloc(16);
+    GuestAddr scratch = g.Alloc(sizeof(GuestIovec) + sizeof(GuestMsghdr));
+    const uint64_t kNeg = static_cast<uint64_t>(-1);
+    struct Input {
+      const char* what;
+      int fd;
+      GuestAddr buf;
+      uint64_t len;
+      uint64_t offset;
+    };
+    const Input inputs[] = {
+        {"4 bytes at 1", fd, src, 4, 1},       {"negative length", fd, src, kNeg, 1},
+        {"negative offset", fd, src, 4, kNeg}, {"unmapped buffer", fd, kUnmappedBuf, 4, 1},
+        {"bad fd", 999, src, 4, 1},            {"directory", dir, src, 4, 1},
+    };
+    for (const Input& in : inputs) {
+      int64_t twin[2] = {};
+      for (const IoForm& form : kWriteForms) {
+        co_await g.Ftruncate(fd, 0);
+        co_await g.Pwrite(fd, init, 6, 0);
+        co_await g.Lseek(fd, 1, kSeekSet);
+        int64_t got = co_await CallIo(g, form, in.fd, in.buf, in.len, in.offset, scratch);
+        int64_t offset_after = co_await g.Lseek(fd, 0, kSeekCur);
+        if (form.nr == Sys::kWrite || form.nr == Sys::kPwrite64) {
+          twin[form.positional] = got;
+        }
+        int64_t want = twin[form.positional];
+        if (form.socket && in.fd != 999) {
+          want = -kENOTSOCK;
+        }
+        EXPECT_EQ(got, want) << SysName(form.nr) << ": " << in.what;
+        EXPECT_EQ(w.fs.ReadWholeFile("/tmp/wr"), got == 4 ? "aWXYZf" : "abcdef")
+            << SysName(form.nr) << ": " << in.what;
+        EXPECT_EQ(offset_after, got == 4 && !form.positional ? 5 : 1)
+            << SysName(form.nr) << ": " << in.what;
+      }
+    }
+    for (const IoForm& form : kWriteForms) {
+      if (form.positional) {
+        continue;
+      }
+      EXPECT_EQ(co_await CallIo(g, form, sock, src, 4, 0, scratch), 4) << SysName(form.nr);
+      g.Poke(buf, "--------", 8);
+      EXPECT_EQ(co_await g.Read(peer, buf, 16), 4) << SysName(form.nr);
+      EXPECT_EQ(g.PeekString(buf, 4), "WXYZ") << SysName(form.nr);
+    }
+    finished = true;
+  });
+  w.Run();
+  EXPECT_TRUE(finished);
+}
+
+// select reads readiness through poll's check: over one set of descriptors (an
+// empty pipe, a pipe holding data, a pipe's write end, a connected socket, a
+// closed fd) both report the same readiness, except that poll reports the closed
+// fd as an error and select skips it.
+TEST(KernelEdgeTest, PollAndSelectAgreeOnReadiness) {
+  SimWorld w;
+  Process* p = w.NewProcess("poll-select");
+  bool finished = false;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr pipes = g.Alloc(16);
+    co_await g.Pipe(pipes);
+    co_await g.Pipe(pipes + 8);
+    int empty_rd = static_cast<int>(g.PeekU32(pipes));
+    int full_rd = static_cast<int>(g.PeekU32(pipes + 8));
+    int full_wr = static_cast<int>(g.PeekU32(pipes + 12));
+    GuestAddr byte = g.Alloc(8);
+    co_await g.Write(full_wr, byte, 1);
+    auto [peer, sock] = co_await SocketPair(g, 7003);
+    const int closed = 40;
+    const int fds[] = {empty_rd, full_rd, full_wr, sock, closed};
+    constexpr int kN = 5;
+
+    GuestAddr pfds = g.Alloc(kN * sizeof(GuestPollfd));
+    for (int i = 0; i < kN; ++i) {
+      GuestPollfd pf;
+      pf.fd = fds[i];
+      pf.events = static_cast<int16_t>(kPollIn | kPollOut);
+      g.Poke(pfds + i * sizeof(GuestPollfd), &pf, sizeof(pf));
+    }
+    int64_t polled = co_await g.Syscall(Sys::kPoll, pfds, kN, 0);
+
+    GuestAddr rd = g.Alloc(128);
+    GuestAddr wr = g.Alloc(128);
+    std::array<uint64_t, 16> bits{};
+    for (int fd : fds) {
+      bits[static_cast<size_t>(fd) / 64] |= 1ULL << (fd % 64);
+    }
+    g.Poke(rd, bits.data(), 128);
+    g.Poke(wr, bits.data(), 128);
+    GuestAddr tv = g.Alloc(sizeof(GuestTimeval));
+    int64_t selected = co_await g.Select(closed + 1, rd, wr, 0, tv);
+    std::array<uint64_t, 16> rd_out{};
+    std::array<uint64_t, 16> wr_out{};
+    g.Peek(rd, rd_out.data(), 128);
+    g.Peek(wr, wr_out.data(), 128);
+
+    int poll_ready = 0;
+    int select_bits = 0;
+    for (int i = 0; i < kN; ++i) {
+      GuestPollfd pf;
+      g.Peek(pfds + i * sizeof(GuestPollfd), &pf, sizeof(pf));
+      uint32_t revents = static_cast<uint16_t>(pf.revents);
+      poll_ready += revents != 0 ? 1 : 0;
+      int fd = fds[i];
+      bool in_rd = (rd_out[static_cast<size_t>(fd) / 64] >> (fd % 64)) & 1;
+      bool in_wr = (wr_out[static_cast<size_t>(fd) / 64] >> (fd % 64)) & 1;
+      select_bits += (in_rd ? 1 : 0) + (in_wr ? 1 : 0);
+      if (fd == closed) {
+        EXPECT_EQ(revents, kPollErr);
+        EXPECT_FALSE(in_rd || in_wr);
+        continue;
+      }
+      EXPECT_EQ(in_rd, (revents & (kPollIn | kPollHup | kPollErr)) != 0) << fd;
+      EXPECT_EQ(in_wr, (revents & (kPollOut | kPollErr)) != 0) << fd;
+    }
+    EXPECT_EQ(polled, poll_ready);
+    EXPECT_EQ(selected, select_bits);
+    // The pipe holding data is readable, its write end and the socket writable; the
+    // empty pipe is neither. poll also counts the closed fd.
+    EXPECT_EQ(polled, 4);
+    EXPECT_EQ(selected, 3);
+    finished = true;
+  });
+  w.Run();
+  EXPECT_TRUE(finished);
+}
+
 }  // namespace
 }  // namespace remon

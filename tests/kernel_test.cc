@@ -817,6 +817,29 @@ TEST(MemorySyscallTest, MunmapPastTheEndOfUserSpaceIsEinval) {
   EXPECT_EQ(v, 23u);
 }
 
+// As on Linux, a new length of 0, one whose page rounding wraps, or one ending past
+// user space is EINVAL, and the mapping is left as it was.
+TEST(MemorySyscallTest, MremapToABadLengthIsEinval) {
+  SimWorld w;
+  Process* p = w.NewProcess("mremap-bad-len");
+  GuestAddr base = 0;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 2 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base, 31);
+    g.PokeU64(base + kPageSize, 32);
+    for (uint64_t bad : {uint64_t{0}, ~uint64_t{0}, uint64_t{1} << 47}) {
+      EXPECT_EQ(co_await g.Syscall(Sys::kMremap, base, 2 * kPageSize, bad), -kEINVAL) << bad;
+    }
+  });
+  w.Run();
+  uint64_t v = 0;
+  EXPECT_TRUE(p->mem().Read(base, &v, sizeof(v)).ok);
+  EXPECT_EQ(v, 31u);
+  EXPECT_TRUE(p->mem().Read(base + kPageSize, &v, sizeof(v)).ok);
+  EXPECT_EQ(v, 32u);
+}
+
 TEST(MemorySyscallTest, MremapOfASysvAttachCannotGrow) {
   SimWorld w;
   Process* p = w.NewProcess("mremap-shm");

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <random>
+#include <tuple>
 
 #include "src/core/file_map.h"
 #include "src/core/policy.h"
@@ -269,10 +270,29 @@ TEST_F(MetaTest, BlockingPredictionFollowsDescriptor) {
 
 TEST_F(MetaTest, ExecDispatchEncodesMarshallingVariants) {
   EXPECT_EQ(DescOf(Sys::kRead).exec, ExecKind::kRead);
-  EXPECT_EQ(DescOf(Sys::kReadv).exec_flags & kExecVectored, kExecVectored);
-  EXPECT_EQ(DescOf(Sys::kPreadv).exec_flags, kExecVectored | kExecPositional);
-  EXPECT_EQ(DescOf(Sys::kRecvmsg).exec_flags & kExecMsg, kExecMsg);
+  EXPECT_EQ(DescOf(Sys::kRecvmsg).exec, ExecKind::kRead);
+  EXPECT_EQ(DescOf(Sys::kSendto).exec, ExecKind::kWrite);
+  EXPECT_EQ(DescOf(Sys::kPreadv).exec_flags, kExecPositional);
   EXPECT_EQ(DescOf(Sys::kAccept4).exec_flags & kExecFlagsArg, kExecFlagsArg);
+  // The buffer shape of each read and write comes from the row's argument kinds.
+  auto shape_of = [](Sys nr) {
+    DataArg a = DataArgOf(DescOf(nr));
+    return std::tuple(a.shape, a.arg, a.size_arg, a.socket);
+  };
+  EXPECT_EQ(shape_of(Sys::kRead), std::tuple(DataShape::kBuf, 1, 2, false));
+  EXPECT_EQ(shape_of(Sys::kPwrite64), std::tuple(DataShape::kBuf, 1, 2, false));
+  EXPECT_EQ(shape_of(Sys::kReadv), std::tuple(DataShape::kIovec, 1, 2, false));
+  EXPECT_EQ(shape_of(Sys::kPwritev), std::tuple(DataShape::kIovec, 1, 2, false));
+  EXPECT_EQ(shape_of(Sys::kRecvfrom), std::tuple(DataShape::kBuf, 1, 2, true));
+  EXPECT_EQ(shape_of(Sys::kSendto), std::tuple(DataShape::kBuf, 1, 2, true));
+  EXPECT_EQ(shape_of(Sys::kRecvmmsg), std::tuple(DataShape::kMsghdr, 1, -1, true));
+  EXPECT_EQ(shape_of(Sys::kSendmsg), std::tuple(DataShape::kMsghdr, 1, -1, true));
+  for (uint32_t i = 1; i < kNumSyscalls; ++i) {
+    const SyscallDesc& d = DescOf(static_cast<Sys>(i));
+    if (d.exec == ExecKind::kRead || d.exec == ExecKind::kWrite) {
+      EXPECT_NE(DataArgOf(d).shape, DataShape::kNone) << SysName(static_cast<Sys>(i));
+    }
+  }
   EXPECT_EQ(DescOf(Sys::kGetpid).exec, ExecKind::kFast);
   // Path-argument marshalling: the *at variants name the same handler body.
   EXPECT_EQ(PathArg(DescOf(Sys::kOpen)), 0);

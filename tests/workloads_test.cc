@@ -87,19 +87,20 @@ TEST(ServerTest, MalformedRequestClosesConnection) {
   EXPECT_TRUE(got_eof);
 }
 
-TEST(ClientTest, DurationModeStopsOnDeadline) {
+// The connections share one ab-style budget: together they send exactly that many
+// requests, and each one gets its whole response.
+TEST(ClientTest, RequestBudgetIsSharedByTheConnections) {
   ServerSpec server = ServerByName("redis");
   ClientSpec client;
   client.connections = 4;
-  client.total_requests = 0;
-  client.duration = Millis(20);  // wrk-style.
+  client.total_requests = 37;
   client.request_bytes = 256;
   RunConfig native;
   native.mvee.mode = MveeMode::kNative;
   ServerResult r = RunServerBench(server, client, native,
                                   LinkParams{60 * kMicrosecond, 0.125});
-  EXPECT_GT(r.requests, 10);
-  EXPECT_LT(r.seconds, 0.05);  // Bounded by the deadline (plus in-flight requests).
+  EXPECT_EQ(r.requests, 37);
+  EXPECT_EQ(r.bytes_received, 37u * 256u);
 }
 
 // --- Cross-machine replica sets (RB transport over the simulated network) ----------
