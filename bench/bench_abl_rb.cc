@@ -3,8 +3,7 @@
 // full lockstep round trip — this sweep quantifies that trade. The next two rows
 // price the paper's per-entry publication (PRECALL args, then POSTCALL results,
 // each with its own wake) on a small-call-heavy workload and on a multi-rank
-// server; they keep the `batch/unbatched` and `server_batch/unbatched` keys of the
-// batching sweeps they were once the baseline of.
+// server.
 
 #include <cstdio>
 
@@ -42,7 +41,7 @@ void RunSmallCallRow(BenchJson* json) {
                 Table::Num(static_cast<double>(run.stats.rb_entries), 0),
                 Table::Num(static_cast<double>(run.stats.rb_futex_wakes_elided), 0)});
   if (base.seconds > 0) {
-    json->Add("batch/unbatched/normalized_time", run.seconds / base.seconds, "x");
+    json->Add("small_calls/normalized_time", run.seconds / base.seconds, "x");
   }
   table.Print();
 }
@@ -74,7 +73,7 @@ void RunServerRow(BenchJson* json) {
                 Table::Num(static_cast<double>(run.stats.rb_entries), 0),
                 Table::Num(static_cast<double>(run.stats.rb_futex_wakes_elided), 0)});
   if (base.seconds > 0) {
-    json->Add("server_batch/unbatched/normalized_time", run.seconds / base.seconds, "x");
+    json->Add("server/normalized_time", run.seconds / base.seconds, "x");
   }
   table.Print();
 }
@@ -114,7 +113,7 @@ void RunRemoteLinkSweep(BenchJson* json) {
          Table::Num(static_cast<double>(run.stats.rb_frame_bytes_sent) / 1024.0, 0),
          Table::Num(static_cast<double>(run.stats.rb_transport_stalls), 0)});
     if (base.seconds > 0 && !run.diverged) {
-      json->Add("link/" + std::to_string(latency_us) + "us/unbatched/normalized_time",
+      json->Add("link/" + std::to_string(latency_us) + "us/normalized_time",
                 run.seconds / base.seconds, "x");
     }
   }

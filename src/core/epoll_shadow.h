@@ -30,20 +30,19 @@ class EpollShadowMap {
   // add/mod replace any previous mapping, keeping the reverse map consistent).
   void Record(int epfd, int op, int fd, uint64_t data) {
     uint64_t key = FwdKey(epfd, fd);
-    ++version_;
     if (op == kEpollCtlDel) {
       auto it = data_.find(key);
       if (it != data_.end()) {
-        rev_.erase({epfd, it->second.data});
+        rev_.erase({epfd, it->second});
         data_.erase(it);
       }
       return;
     }
     auto old = data_.find(key);
     if (old != data_.end()) {
-      rev_.erase({epfd, old->second.data});
+      rev_.erase({epfd, old->second});
     }
-    data_[key] = Row{data, version_};
+    data_[key] = data;
     rev_[{epfd, data}] = fd;
   }
 
@@ -61,29 +60,8 @@ class EpollShadowMap {
   void FdsToCookies(int epfd, uint8_t* events, size_t len) const {
     RewriteData(events, len, [this, epfd](uint64_t fd) {
       auto it = data_.find(FwdKey(epfd, static_cast<int>(fd)));
-      return it == data_.end() ? fd : it->second.data;
+      return it == data_.end() ? fd : it->second;
     });
-  }
-
-  bool Contains(int epfd, int fd) const { return data_.count(FwdKey(epfd, fd)) != 0; }
-
-  size_t size() const { return data_.size(); }
-
-  // Monotone mutation clock: bumped on every Record(), with surviving rows
-  // latching the version that last wrote them. A delta checkpoint against a
-  // basis version ships exactly the rows from ForEachSince(basis).
-  uint64_t version() const { return version_; }
-
-  // Rows written after `since` (delta checkpointing; deleted rows simply do not
-  // appear — the shadow section is a coverage cross-check, not a restore).
-  template <typename Fn>  // Fn(int epfd, int fd, uint64_t data)
-  void ForEachSince(uint64_t since, Fn&& fn) const {
-    for (const auto& [key, row] : data_) {
-      if (row.version > since) {
-        fn(static_cast<int>(key >> 32), static_cast<int>(key & 0xffffffffu),
-           row.data);
-      }
-    }
   }
 
  private:
@@ -116,14 +94,8 @@ class EpollShadowMap {
     }
   };
 
-  struct Row {
-    uint64_t data = 0;
-    uint64_t version = 0;
-  };
-
-  std::unordered_map<uint64_t, Row> data_;
+  std::unordered_map<uint64_t, uint64_t> data_;
   std::unordered_map<std::pair<int, uint64_t>, int, RevHash> rev_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace remon

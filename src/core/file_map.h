@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/kernel/syscall_meta.h"
 #include "src/mem/page.h"
@@ -55,11 +54,9 @@ class FileMap : public FdInfoSource {
     for (uint64_t i = 0; i < frames_->size(); ++i) {
       frames_->Materialize(i);
     }
-    page_versions_.assign(frames_->size(), 0);
     label_ = std::move(label);
     out_of_range_sets_ = 0;
     warned_out_of_range_ = false;
-    version_ = 0;
   }
 
   // The map's pages, mapped read-only into every replica. Every page is resident.
@@ -93,7 +90,6 @@ class FileMap : public FdInfoSource {
       byte |= kNonblockBit;
     }
     ByteAt(fd) = byte;
-    Touch(fd);
   }
 
   void SetNonblocking(int fd, bool nonblocking) {
@@ -102,13 +98,11 @@ class FileMap : public FdInfoSource {
     }
     uint8_t& byte = ByteAt(fd);
     byte = nonblocking ? (byte | kNonblockBit) : (byte & ~kNonblockBit);
-    Touch(fd);
   }
 
   void Clear(int fd) {
     if (InRange(fd)) {
       ByteAt(fd) = 0;
-      Touch(fd);
     }
   }
 
@@ -135,20 +129,10 @@ class FileMap : public FdInfoSource {
   // Number of Set() calls dropped because the FD fell outside the map.
   uint64_t out_of_range_sets() const { return out_of_range_sets_; }
 
-  // Monotone mutation clock: bumped on every Set/SetNonblocking/Clear, with
-  // the touched page latching the new value. A delta checkpoint against a basis
-  // version ships exactly the pages with page_version > basis.
-  uint64_t version() const { return version_; }
-  uint64_t page_version(size_t page) const { return page_versions_[page]; }
-
  private:
   static constexpr int kMaxPages = 1024;
 
   bool InRange(int fd) const { return fd >= 0 && fd < max_fds(); }
-
-  void Touch(int fd) {
-    page_versions_[static_cast<size_t>(fd) / kPageSize] = ++version_;
-  }
 
   uint8_t& ByteAt(int fd) {
     return frames_->Get(static_cast<uint64_t>(fd) / kPageSize)
@@ -160,11 +144,9 @@ class FileMap : public FdInfoSource {
   }
 
   std::shared_ptr<FrameTable> frames_;
-  std::vector<uint64_t> page_versions_;
   std::string label_;
   uint64_t out_of_range_sets_ = 0;
   bool warned_out_of_range_ = false;
-  uint64_t version_ = 0;
 };
 
 }  // namespace remon

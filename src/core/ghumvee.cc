@@ -325,14 +325,11 @@ GuestTask<void> Ghumvee::HandleMasterExit(int rank, RankState& rs, Thread* maste
   const CostModel& costs = kernel_->sim()->costs();
   int64_t result = master_thread->cur_result;
 
-  // FD bookkeeping feeds the IP-MON file map (§3.6). The map is shared by every
-  // replica and a replacement cross-checks it against its checkpoint, so a
-  // round that was executing when the checkpoint was cut — or one that started
-  // since — must not move it until the replacement has applied the image.
-  co_await AwaitReseedGate(rank);
-  if (shutdown_ || rs.legs[0] != RankState::Leg::kRunning) {
+  // A divergence while this stop was dispatched ends the round here.
+  if (shutdown_) {
     co_return;
   }
+  // FD bookkeeping feeds the IP-MON file map (§3.6), which every replica maps.
   TrackFds(rs.req, result);
   if ((rs.req.nr == Sys::kOpen || rs.req.nr == Sys::kOpenat) && result >= 0) {
     FilterMapsContent(master_thread, rs.req, result);

@@ -68,11 +68,11 @@ class Ghumvee {
   // Enables the §4 extension: migrate the RB to fresh addresses at flush points
   // (applied when the replicas are single-threaded and fully stopped).
   void set_rb_migration(bool on) { rb_migration_ = on; }
-  // Re-seed gate: while it returns true, every monitor step that mutates state a
-  // replacement checkpoint was cut against parks — the RB reset round (it would
-  // rebase every offset in the image) and a master call's FD-map update (the
-  // replacement cross-checks the shared map against the image). Wired to
-  // RbTransport::SnapshotInflight, so the capture-to-apply window is a cut.
+  // Re-seed gate: while it returns true, the RB reset round parks — a reset
+  // between a replacement checkpoint's capture and its apply would rebase every
+  // offset in the image. Master calls' FD-map updates do not park: the checkpoint
+  // does not carry the file map, which every replica maps from GHUMVEE. Wired to
+  // RbTransport::SnapshotInflight.
   void set_reseed_gate(std::function<bool()> gate) { reseed_gate_ = std::move(gate); }
   FileMap* file_map() { return &file_map_; }
 
@@ -167,8 +167,9 @@ class Ghumvee {
   // PTRACE_SYSCALL for a thread still at its stop (a killed tracee stays put).
   void Resume(Thread* t, const PtraceAction& action);
 
-  // Parks rank `rank`'s lane while the re-seed gate is closed (see set_reseed_gate),
-  // until the checkpoint is acked, the link dies or the MVEE shuts down.
+  // Parks rank `rank`'s reset round while the re-seed gate is closed (see
+  // set_reseed_gate), until the checkpoint is acked, the link dies or the MVEE
+  // shuts down.
   GuestTask<void> AwaitReseedGate(int rank);
 
   // Special monitored calls.

@@ -204,14 +204,10 @@ class IpMon {
                ? cursor_[static_cast<size_t>(rank)]
                : 0;
   }
-  // This replica's next entry sequence number for `rank` (checkpointing).
+  // This replica's next entry sequence number for `rank` (diagnostics/tests).
   uint64_t rb_seq(int rank) const {
     return static_cast<size_t>(rank) < seq_.size() ? seq_[static_cast<size_t>(rank)] : 0;
   }
-  // Replica-checkpoint inputs (src/core/snapshot.h): the file map this monitor
-  // consults and its epoll data shadow.
-  const FileMap* file_map() const { return file_map_; }
-  const EpollShadowMap& epoll_shadow() const { return epoll_shadow_; }
   // Slave argument mismatches the VARAN-like mode let through.
   uint64_t mismatches_tolerated() const { return mismatches_tolerated_; }
 

@@ -198,11 +198,9 @@ void RbTransport::SendEntries(int rank, const std::vector<RbWireEntry>& entries)
   }
   // Ack-horizon metadata: entries within a rank publish in offset order, so one
   // acked frame advances the rank's delta horizon to its highest entry offset,
-  // and the leader's reset generation and file-map/epoll versions at send time
-  // make the acked horizon a delta-capture basis.
-  FrameMeta meta{0, static_cast<uint32_t>(rank), 0,
-                 RbLeaderClock{leader_->rb_resets(), leader_->file_map()->version(),
-                               leader_->epoll_shadow().version()}};
+  // and the leader's reset generation at send time makes the acked horizon a
+  // delta-capture basis.
+  FrameMeta meta{0, static_cast<uint32_t>(rank), 0, leader_->rb_resets()};
   for (const RbWireEntry& e : entries) {
     meta.max_entry_off = std::max(meta.max_entry_off, e.entry_off);
   }
@@ -303,20 +301,18 @@ void RbTransport::FoldAckedMeta(Remote& r) {
   while (!r.unacked.empty() && r.unacked.front().frame_seq <= r.frames_acked) {
     const FrameMeta& m = r.unacked.front();
     RbDeltaBasis& b = r.basis;
-    if (!b.valid || b.reset_generation != m.clock.reset_generation) {
+    if (!b.valid || b.reset_generation != m.reset_generation) {
       // An RB reset rewrote every offset wholesale. The acked frame is the first
       // proof of what the mirror holds in the new generation: every rank restarts
       // at its data start (offset 0 in basis terms) except what folds from here.
       b.valid = true;
-      b.reset_generation = m.clock.reset_generation;
+      b.reset_generation = m.reset_generation;
       b.from_off.clear();
     }
     if (b.from_off.size() <= m.rank) {
       b.from_off.resize(static_cast<size_t>(m.rank) + 1, 0);
     }
     b.from_off[m.rank] = std::max(b.from_off[m.rank], m.max_entry_off);
-    b.fm_version = std::max(b.fm_version, m.clock.fm_version);
-    b.epoll_version = std::max(b.epoll_version, m.clock.epoll_version);
     r.unacked.pop_front();
   }
 }
@@ -674,11 +670,9 @@ void RemoteSyncAgent::HandleSnapshotFrame(const RbWireFrame& frame) {
         if (ok) {
           ++joins_;
           join_epoch_ = frame.epoch;
-          last_join_lockstep_cursor_ = assembler_.snapshot().lockstep_cursor;
           ++stats.rb_replica_joins;
           ++stats.EpochRow(frame.epoch).joins;
           stats.rb_snapshot_entries_restored += res.entries_restored;
-          stats.rb_snapshot_epoll_lag += res.epoll_lag;
         }
       }
       assembler_.Reset();  // Completed or failed, the buffered records are done.

@@ -66,7 +66,7 @@
 //
 // O(delta) re-seed: the transport additionally folds every remote's cumulative
 // acks into a per-slot RbDeltaBasis — per rank, the highest entry offset the
-// replica provably applied, plus the send-time file-map/epoll version horizons.
+// replica provably applied, in the leader's reset generation at send time.
 // A replacement for a replica whose basis is still usable gets a checkpoint that
 // resumes at those offsets instead of re-shipping the whole RB, which is what
 // keeps recovery cost flat as buffers grow.
@@ -101,16 +101,6 @@ class Kernel;
 // Well-known base port remote sync agents listen on (port = base + replica index).
 inline constexpr uint16_t kRbTransportPortBase = 47000;
 
-// The leader's mutable checkpoint state, sampled when a data frame is enqueued.
-// When the frame's cumulative ack arrives, the sample folds into that remote's
-// delta basis (RbDeltaBasis): the replica provably applied everything the leader
-// had published up to this clock, so an O(delta) re-seed may resume past it.
-struct RbLeaderClock {
-  uint64_t reset_generation = 0;  // IpMon::rb_resets() at send.
-  uint64_t fm_version = 0;        // FileMap::version() at send.
-  uint64_t epoll_version = 0;     // EpollShadowMap::version() at send.
-};
-
 // Framed bytes waiting for a stream socket's window, with a running byte count
 // (the leader's stall rule reads it before every publication) and the partial-write
 // offset into the front frame.
@@ -143,8 +133,8 @@ class RbTransport {
  public:
   // Every frame is sealed/verified with `auth`'s per-epoch session keys, and no
   // data flows to a remote until its join attestation presents `config_digest`
-  // (RbConfigDigest). Every entry frame is stamped with `leader`'s clock
-  // (RbLeaderClock) at send. `auth` and `leader` must outlive the transport.
+  // (RbConfigDigest). Every entry frame records `leader`'s RB reset generation
+  // at send. `auth` and `leader` must outlive the transport.
   RbTransport(Kernel* kernel, uint32_t leader_machine, const RbAuthContext& auth,
               uint64_t config_digest, const IpMon* leader);
   ~RbTransport();
@@ -227,20 +217,20 @@ class RbTransport {
 
   // True while a replacement checkpoint is in flight on a live link: enqueued
   // but not yet cumulatively acked through its End frame (the End ack doubles as
-  // apply confirmation). GHUMVEE's RB flush gate parks the reset round on this —
-  // a reset between capture and apply rebases every offset in the checkpoint.
+  // apply confirmation). GHUMVEE parks the RB reset round on this — a reset
+  // between capture and apply rebases every offset in the checkpoint.
   bool SnapshotInflight() const;
 
  private:
   // Send-time metadata for one unacked entry frame: when the cumulative ack
   // covers frame_seq, the remote provably holds every entry of the frame, so the
-  // rank's delta horizon advances to its highest entry offset and the version
-  // horizons to the send-time leader clock.
+  // rank's delta horizon in the send-time reset generation advances to its
+  // highest entry offset.
   struct FrameMeta {
     uint64_t frame_seq = 0;
     uint32_t rank = 0;
     uint64_t max_entry_off = 0;
-    RbLeaderClock clock;
+    uint64_t reset_generation = 0;  // IpMon::rb_resets() at send.
   };
 
   struct Remote {
@@ -327,7 +317,7 @@ class RbTransport {
   std::function<void(int)> on_remote_death_;
   std::function<void(int)> on_sync_cursor_;
   std::function<void(int, uint64_t)> on_attested_join_;
-  const IpMon* leader_;  // The leader's clock source; not owned.
+  const IpMon* leader_;  // Whose reset generation frames record; not owned.
   WaitQueue stall_queue_;
   std::vector<std::unique_ptr<Remote>> remotes_;
 };
@@ -365,11 +355,8 @@ class RemoteSyncAgent {
 
   uint64_t frames_applied() const { return frames_applied_; }
   uint64_t frames_rejected() const { return frames_rejected_; }
-  // Re-seed observability: completed snapshot joins through this agent, and the
-  // GHUMVEE lockstep cursor recorded in the last applied checkpoint (the
-  // synchronization point the replacement resumed from).
+  // Re-seed observability: completed snapshot joins through this agent.
   uint64_t joins() const { return joins_; }
-  uint64_t last_join_lockstep_cursor() const { return last_join_lockstep_cursor_; }
   // The epoch floor this agent enforces on data frames (0 before any join).
   uint32_t join_epoch() const { return join_epoch_; }
 
@@ -441,7 +428,6 @@ class RemoteSyncAgent {
   SnapshotAssembler assembler_;
   uint32_t join_epoch_ = 0;
   uint64_t joins_ = 0;
-  uint64_t last_join_lockstep_cursor_ = 0;
   // Authentication context, the digest attested at accept, and the replay gates
   // — epoch must never regress across any frame type, and data frame_seq is
   // strictly increasing per connection. last_ack_* lets cursor updates

@@ -130,8 +130,11 @@ inline uint64_t GetU64(const std::vector<uint8_t>& in, size_t off) {
 inline constexpr uint32_t kRbWireMagic = 0x46574252;  // "RBWF" little-endian.
 // v2 snapshots, v3 sync log, v4 attest + MAC, v5 delta re-seed, v6 one begin frame,
 // v7 checkpoints ship entry records, v8 every frame sealed (no CRC trailer),
-// v9 results-only records (each signature byte crosses the link once).
-inline constexpr uint16_t kRbWireVersion = 9;
+// v9 results-only records (each signature byte crosses the link once), v10
+// checkpoints carry only what the replacement restores (no file-map pages or CRC,
+// epoll rows, per-rank sequence numbers or lockstep cursor; an 80-byte
+// SNAPSHOT_BEGIN header).
+inline constexpr uint16_t kRbWireVersion = 10;
 inline constexpr uint64_t kRbWireHeaderSize = 48;
 inline constexpr uint64_t kRbWireEntryHeaderSize = 16;
 inline constexpr uint64_t kRbWireSyncRecordSize = 8;

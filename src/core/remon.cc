@@ -264,8 +264,8 @@ void Remon::Launch(ProgramFn body, const std::string& name) {
     });
     if (ghumvee_ != nullptr) {
       // Re-seed interlock: while a replacement checkpoint is in flight, the RB
-      // reset round and master-call FD-map updates park, so nothing the image
-      // was cut against moves before the replacement applies it.
+      // reset round parks, so the offsets the image was cut against hold until
+      // the replacement applies it.
       ghumvee_->set_reseed_gate(
           [this] { return transport_ != nullptr && transport_->SnapshotInflight(); });
     }
@@ -386,8 +386,8 @@ SnapshotPayloads Remon::MakeReseedPayloads(int replica_index,
       ++stats.rb_snapshot_full_fallbacks;
     }
   }
-  SnapshotPayloads payloads = SerializeSnapshot(CaptureLeaderDelta(
-      master, ghumvee_.get(), sync_agent(0), sync_read_cursor, basis));
+  SnapshotPayloads payloads = SerializeSnapshot(
+      CaptureLeaderDelta(master, sync_agent(0), sync_read_cursor, basis));
   if (folded) {
     // Framed size: every snapshot frame is one wire header plus its payload.
     uint64_t framed = 2 * kRbWireHeaderSize + payloads.begin.size() + payloads.end.size();

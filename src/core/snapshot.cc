@@ -1,9 +1,7 @@
 #include "src/core/snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 
-#include "src/core/ghumvee.h"
 #include "src/core/ipmon.h"
 #include "src/core/replication_buffer.h"
 #include "src/core/sync_agent.h"
@@ -15,40 +13,30 @@ namespace remon {
 namespace {
 
 // Serialization bounds: a snapshot whose metadata claims more than these is
-// rejected before any allocation happens (the frame CRC already passed, so this
+// rejected before any allocation happens (the frame MAC already verified, so this
 // guards against a buggy or hostile leader, not line noise).
 constexpr uint64_t kMaxSnapshotRbSize = 1ULL << 30;
 constexpr uint32_t kMaxSnapshotRanks = 4096;
 
-// kSnapshotBegin payload header (fixed 104 bytes). The variable sections that
-// follow: rank records (cursor, seq, delta_from — 24 bytes each), the RB headers
-// (the global header, then one header per rank), dirty file-map pages (u32 page
-// index + one page of bytes each), dirty epoll shadow rows, and the sync-log
-// slice [sync_from, sync_tail) in seq order, op `sync_from + k` as the 16-byte
-// slot {u32 object, u32 rank, u64 seq = sync_from + k}.
+// kSnapshotBegin payload header (kSnapshotBeginHeaderSize bytes). The variable
+// sections that follow: rank records (cursor, delta_from — 16 bytes each), the RB
+// headers (the global header, then one header per rank), and the sync-log slice
+// [sync_from, sync_tail) in seq order, op `sync_from + k` as the 16-byte slot
+// {u32 object, u32 rank, u64 seq = sync_from + k}.
 constexpr size_t kBeginOffRbSize = 0;
 constexpr size_t kBeginOffMaxRanks = 8;
 constexpr size_t kBeginOffRankCount = 12;
 constexpr size_t kBeginOffChunkBytes = 16;
 constexpr size_t kBeginOffChunkCrc = 24;
 constexpr size_t kBeginOffChunkCount = 28;
-constexpr size_t kBeginOffLockstep = 32;
-constexpr size_t kBeginOffResetGen = 40;
-constexpr size_t kBeginOffFmPageCount = 48;
-constexpr size_t kBeginOffFmDirtyCount = 52;
-constexpr size_t kBeginOffFmCrc = 56;
-constexpr size_t kBeginOffEpollCount = 60;
-constexpr size_t kBeginOffSyncLogSize = 64;
-constexpr size_t kBeginOffSyncTail = 72;
-constexpr size_t kBeginOffSyncCursor = 80;
-constexpr size_t kBeginOffSyncFrom = 88;
-constexpr size_t kBeginOffSyncSliceLen = 96;
-constexpr size_t kBeginHeaderSize = 104;
-constexpr size_t kBeginRankRecordSize = 24;
-constexpr size_t kBeginFmPageRecordSize = 4 + kPageSize;
-// FileMap::Configure caps the map at 1024 pages; a checkpoint claiming more is
-// corrupt regardless of the replica's own geometry.
-constexpr uint32_t kMaxSnapshotFileMapPages = 1024;
+constexpr size_t kBeginOffResetGen = 32;
+constexpr size_t kBeginOffSyncLogSize = 40;
+constexpr size_t kBeginOffSyncTail = 48;
+constexpr size_t kBeginOffSyncCursor = 56;
+constexpr size_t kBeginOffSyncFrom = 64;
+constexpr size_t kBeginOffSyncSliceLen = 72;
+static_assert(kBeginOffSyncSliceLen + 8 == kSnapshotBeginHeaderSize);
+constexpr size_t kBeginRankRecordSize = 16;
 
 // kSnapshotChunk payload header; entry records in the kEntries layout follow.
 constexpr size_t kChunkOffRank = 0;
@@ -166,8 +154,7 @@ SnapshotApplyResult ApplyFail(const char* why) {
 
 // --- The leader checkpoint ---------------------------------------------------------
 
-ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
-                                   const SyncAgent* sync_master,
+ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const SyncAgent* sync_master,
                                    uint64_t sync_read_cursor,
                                    const RbDeltaBasis& basis) {
   REMON_CHECK(master != nullptr && master->is_master());
@@ -191,7 +178,6 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
                  kRbRankHeaderSize);
     uint64_t cursor = master->rb_cursor(r);
     snap.cursors.push_back(cursor);
-    snap.seqs.push_back(master->rb_seq(r));
     // Resume at the replacement's highest acked entry (one entry of idempotent
     // overlap); an empty or implausible horizon resumes at the rank data start.
     uint64_t off = i < basis.from_off.size() ? basis.from_off[i] : 0;
@@ -214,35 +200,6 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
       off += total;
     }
   }
-  snap.lockstep_cursor = ghumvee != nullptr ? ghumvee->lockstep_rounds() : 0;
-
-  // File map: dirty pages since the basis, plus a whole-map CRC so the pages the
-  // checkpoint does NOT carry are still covered by the join's divergence check.
-  const FileMap* fm = master->file_map();
-  snap.file_map_page_count = static_cast<uint32_t>(fm->page_count());
-  uint32_t fm_crc = 0;
-  for (int p = 0; p < fm->page_count(); ++p) {
-    fm_crc = Crc32(fm->page(p).bytes.data(), kPageSize, fm_crc);
-  }
-  snap.file_map_crc = fm_crc;
-  for (int p = 0; p < fm->page_count(); ++p) {
-    if (fm->page_version(p) > basis.fm_version) {
-      snap.file_map_pages.push_back(static_cast<uint32_t>(p));
-      snap.file_map.insert(snap.file_map.end(), fm->page(p).bytes.begin(),
-                           fm->page(p).bytes.end());
-    }
-  }
-
-  master->epoll_shadow().ForEachSince(
-      basis.epoll_version, [&snap](int epfd, int fd, uint64_t data) {
-        snap.epoll.push_back(EpollShadowTriple{epfd, fd, data});
-      });
-  // Hash-map enumeration order is not part of the checkpoint: sort so the wire
-  // bytes are identical across standard-library implementations.
-  std::sort(snap.epoll.begin(), snap.epoll.end(),
-            [](const EpollShadowTriple& a, const EpollShadowTriple& b) {
-              return a.epfd != b.epfd ? a.epfd < b.epfd : a.fd < b.fd;
-            });
 
   if (sync_master != nullptr && sync_master->log_valid()) {
     snap.sync_log_size = sync_master->config().log_size;
@@ -294,10 +251,8 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   }
   uint32_t chunk_count = static_cast<uint32_t>(out.chunks.size());
   size_t rank_count = snap.cursors.size();
-  size_t fm_dirty = snap.file_map_pages.size();
-  out.begin.assign(kBeginHeaderSize + rank_count * kBeginRankRecordSize +
-                       snap.rb_headers.size() + fm_dirty * kBeginFmPageRecordSize +
-                       snap.epoll.size() * 16 + snap.sync_records.size() * kSyncLogEntrySize,
+  out.begin.assign(kSnapshotBeginHeaderSize + rank_count * kBeginRankRecordSize +
+                       snap.rb_headers.size() + snap.sync_records.size() * kSyncLogEntrySize,
                    0);
   PutU64(&out.begin, kBeginOffRbSize, snap.rb_size);
   PutU32(&out.begin, kBeginOffMaxRanks, static_cast<uint32_t>(snap.max_ranks));
@@ -305,39 +260,21 @@ SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap) {
   PutU64(&out.begin, kBeginOffChunkBytes, chunk_bytes);
   PutU32(&out.begin, kBeginOffChunkCrc, crc);
   PutU32(&out.begin, kBeginOffChunkCount, chunk_count);
-  PutU64(&out.begin, kBeginOffLockstep, snap.lockstep_cursor);
   PutU64(&out.begin, kBeginOffResetGen, snap.reset_generation);
-  PutU32(&out.begin, kBeginOffFmPageCount, snap.file_map_page_count);
-  PutU32(&out.begin, kBeginOffFmDirtyCount, static_cast<uint32_t>(fm_dirty));
-  PutU32(&out.begin, kBeginOffFmCrc, snap.file_map_crc);
-  PutU32(&out.begin, kBeginOffEpollCount, static_cast<uint32_t>(snap.epoll.size()));
   PutU64(&out.begin, kBeginOffSyncLogSize, snap.sync_log_size);
   PutU64(&out.begin, kBeginOffSyncTail, snap.sync_tail);
   PutU64(&out.begin, kBeginOffSyncCursor, snap.sync_read_cursor);
   PutU64(&out.begin, kBeginOffSyncFrom, snap.sync_from);
   PutU64(&out.begin, kBeginOffSyncSliceLen, snap.sync_records.size() * kSyncLogEntrySize);
-  size_t pos = kBeginHeaderSize;
+  size_t pos = kSnapshotBeginHeaderSize;
   for (size_t r = 0; r < rank_count; ++r) {
     PutU64(&out.begin, pos, snap.cursors[r]);
-    PutU64(&out.begin, pos + 8, snap.seqs[r]);
-    PutU64(&out.begin, pos + 16, snap.delta_from[r]);
+    PutU64(&out.begin, pos + 8, snap.delta_from[r]);
     pos += kBeginRankRecordSize;
   }
   if (!snap.rb_headers.empty()) {
     std::memcpy(out.begin.data() + pos, snap.rb_headers.data(), snap.rb_headers.size());
     pos += snap.rb_headers.size();
-  }
-  for (size_t i = 0; i < fm_dirty; ++i) {
-    PutU32(&out.begin, pos, snap.file_map_pages[i]);
-    std::memcpy(out.begin.data() + pos + 4, snap.file_map.data() + i * kPageSize,
-                kPageSize);
-    pos += kBeginFmPageRecordSize;
-  }
-  for (const EpollShadowTriple& t : snap.epoll) {
-    PutU32(&out.begin, pos, static_cast<uint32_t>(t.epfd));
-    PutU32(&out.begin, pos + 4, static_cast<uint32_t>(t.fd));
-    PutU64(&out.begin, pos + 8, t.data);
-    pos += 16;
   }
   for (size_t k = 0; k < snap.sync_records.size(); ++k) {
     PutU32(&out.begin, pos, snap.sync_records[k].object_id);
@@ -371,19 +308,14 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   if (state_ != State::kIdle) {
     return Fail("snapshot begin out of protocol");
   }
-  if (payload.size() < kBeginHeaderSize) {
+  if (payload.size() < kSnapshotBeginHeaderSize) {
     return Fail("snapshot begin payload truncated");
   }
   uint64_t rb_size = GetU64(payload, kBeginOffRbSize);
   uint32_t max_ranks = GetU32(payload, kBeginOffMaxRanks);
   uint32_t rank_count = GetU32(payload, kBeginOffRankCount);
-  uint32_t fm_page_count = GetU32(payload, kBeginOffFmPageCount);
-  uint32_t fm_dirty_count = GetU32(payload, kBeginOffFmDirtyCount);
-  uint32_t epoll_count = GetU32(payload, kBeginOffEpollCount);
   if (rb_size == 0 || rb_size > kMaxSnapshotRbSize || (rb_size & kPageMask) != 0 ||
-      max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks ||
-      fm_page_count == 0 || fm_page_count > kMaxSnapshotFileMapPages ||
-      fm_dirty_count > fm_page_count) {
+      max_ranks == 0 || max_ranks > kMaxSnapshotRanks || rank_count != max_ranks) {
     return Fail("snapshot begin metadata out of bounds");
   }
   uint64_t sync_log_size = GetU64(payload, kBeginOffSyncLogSize);
@@ -413,19 +345,15 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
     }
   }
   uint64_t headers = RbHeadersSize(static_cast<int>(max_ranks));
-  uint64_t variable = static_cast<uint64_t>(rank_count) * kBeginRankRecordSize + headers +
-                      static_cast<uint64_t>(fm_dirty_count) * kBeginFmPageRecordSize +
-                      static_cast<uint64_t>(epoll_count) * 16 + sync_slice_len;
-  if (payload.size() != kBeginHeaderSize + variable) {
+  uint64_t variable =
+      static_cast<uint64_t>(rank_count) * kBeginRankRecordSize + headers + sync_slice_len;
+  if (payload.size() != kSnapshotBeginHeaderSize + variable) {
     return Fail("snapshot begin payload size mismatch");
   }
 
   snap_.rb_size = rb_size;
   snap_.max_ranks = static_cast<int>(max_ranks);
-  snap_.lockstep_cursor = GetU64(payload, kBeginOffLockstep);
   snap_.reset_generation = GetU64(payload, kBeginOffResetGen);
-  snap_.file_map_page_count = fm_page_count;
-  snap_.file_map_crc = GetU32(payload, kBeginOffFmCrc);
   snap_.sync_log_size = sync_log_size;
   snap_.sync_tail = sync_tail;
   snap_.sync_read_cursor = sync_cursor;
@@ -439,11 +367,10 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   if (expect_bytes_ > 2 * rb_size) {
     return Fail("snapshot records larger than the RB they describe");
   }
-  size_t pos = kBeginHeaderSize;
+  size_t pos = kSnapshotBeginHeaderSize;
   for (uint32_t r = 0; r < rank_count; ++r) {
     snap_.cursors.push_back(GetU64(payload, pos));
-    snap_.seqs.push_back(GetU64(payload, pos + 8));
-    snap_.delta_from.push_back(GetU64(payload, pos + 16));
+    snap_.delta_from.push_back(GetU64(payload, pos + 8));
     pos += kBeginRankRecordSize;
   }
   if (const char* why = CheckRankWindows(snap_)) {
@@ -452,28 +379,6 @@ bool SnapshotAssembler::Begin(const std::vector<uint8_t>& payload) {
   snap_.rb_headers.assign(payload.begin() + static_cast<long>(pos),
                           payload.begin() + static_cast<long>(pos + headers));
   pos += headers;
-  for (uint32_t i = 0; i < fm_dirty_count; ++i) {
-    uint32_t page_idx = GetU32(payload, pos);
-    // Strictly increasing indices inside the map: deterministic wire bytes and
-    // no double-written page under a valid CRC.
-    if (page_idx >= fm_page_count ||
-        (!snap_.file_map_pages.empty() && page_idx <= snap_.file_map_pages.back())) {
-      return Fail("snapshot file-map page index out of order");
-    }
-    snap_.file_map_pages.push_back(page_idx);
-    snap_.file_map.insert(snap_.file_map.end(),
-                          payload.begin() + static_cast<long>(pos + 4),
-                          payload.begin() + static_cast<long>(pos + 4 + kPageSize));
-    pos += kBeginFmPageRecordSize;
-  }
-  for (uint32_t i = 0; i < epoll_count; ++i) {
-    EpollShadowTriple t;
-    t.epfd = static_cast<int32_t>(GetU32(payload, pos));
-    t.fd = static_cast<int32_t>(GetU32(payload, pos + 4));
-    t.data = GetU64(payload, pos + 8);
-    snap_.epoll.push_back(t);
-    pos += 16;
-  }
   // Each slot names its op: a slot whose seq is not its position's cannot be
   // replayed as the op it claims.
   for (uint64_t seq = sync_from; seq < sync_tail; ++seq) {
@@ -569,9 +474,9 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
   }
   // The generation guard: every offset in the checkpoint is relative to one RB
   // reset generation. The reset round scrubs every mirror, a dead one's too, and
-  // the reset/re-seed interlock parks the round while a checkpoint is in flight,
-  // so a healthy leader never ships a mismatch; one means the offsets describe
-  // sub-buffers this mirror no longer holds.
+  // the leader parks the round while a checkpoint is in flight, so a healthy
+  // leader never ships a mismatch; one means the offsets describe sub-buffers
+  // this mirror no longer holds.
   if (snap.reset_generation != mon->rb_resets()) {
     return ApplyFail("checkpoint from a different RB reset generation");
   }
@@ -589,35 +494,6 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
       prev = &e;
     }
   }
-  // File-map cross-check: the FD metadata is monitor control-plane state every
-  // replica derives from the same monitored history; a byte diverging means this
-  // replica's stream is not the leader's and the join must be refused. The
-  // checkpoint carries only the dirty pages; the whole-map CRC extends the check
-  // over the pages it omitted.
-  const FileMap* fm = mon->file_map();
-  if (snap.file_map_page_count != static_cast<uint32_t>(fm->page_count())) {
-    return ApplyFail("file map geometry diverged from the leader checkpoint");
-  }
-  if (snap.file_map.size() != snap.file_map_pages.size() * kPageSize) {
-    return ApplyFail("file map diverged from the leader checkpoint");
-  }
-  for (size_t i = 0; i < snap.file_map_pages.size(); ++i) {
-    if (snap.file_map_pages[i] >= static_cast<uint32_t>(fm->page_count())) {
-      return ApplyFail("file map diverged from the leader checkpoint");
-    }
-    const Page& fm_page = fm->page(snap.file_map_pages[i]);
-    if (!std::equal(fm_page.bytes.begin(), fm_page.bytes.end(),
-                    snap.file_map.begin() + static_cast<long>(i * kPageSize))) {
-      return ApplyFail("file map diverged from the leader checkpoint");
-    }
-  }
-  uint32_t fm_crc = 0;
-  for (int p = 0; p < fm->page_count(); ++p) {
-    fm_crc = Crc32(fm->page(p).bytes.data(), kPageSize, fm_crc);
-  }
-  if (fm_crc != snap.file_map_crc) {
-    return ApplyFail("file map diverged from the leader checkpoint");
-  }
   // Sync-agent log: the checkpoint and the replica must agree on whether a
   // record/replay agent runs at all.
   bool replica_has_sync = sync_agent != nullptr && sync_agent->log_valid();
@@ -630,14 +506,6 @@ SnapshotApplyResult ApplySnapshotToMirror(Kernel* kernel, IpMon* mon,
 
   SnapshotApplyResult result;
   result.ok = true;
-  // Epoll-shadow coverage: keys the replica has not recorded yet are legitimate
-  // consumer lag (its epoll_ctl replay may trail the leader), so they are counted,
-  // not fatal; the divergence checks catch real mismatches at the next entry.
-  for (const EpollShadowTriple& t : snap.epoll) {
-    if (!mon->epoll_shadow().Contains(t.epfd, t.fd)) {
-      ++result.epoll_lag;
-    }
-  }
   // The log restore is the last check before any RB write: after the
   // checkpoint's own checks the slice replays through ApplyLog, the function a
   // live kSyncLog frame goes through, which checks every slot before it writes

@@ -10,24 +10,24 @@
 // Every checkpoint is cut against a basis (RbDeltaBasis): what the leader knows
 // the replacement's mirror already holds. An ack-folded basis makes the checkpoint
 // O(what the replica missed); the empty basis (EmptyDeltaBasis) makes it a full
-// one. Either way the checkpoint (ReplicaSnapshot) carries:
+// one. Either way the checkpoint (ReplicaSnapshot) carries exactly what the
+// replacement restores:
 //   * the RB's global header and every rank header;
 //   * per rank, the published entries in [resume offset, cursor) as full wire
-//     records (RbWireEntry), plus the write cursor, the next sequence number and
-//     the resume offset;
-//   * the RB reset generation the offsets belong to, and the GHUMVEE lockstep
-//     cursor (rounds completed at capture) — the monitored synchronization point
-//     the replacement resumes from;
-//   * the file-map pages and epoll-shadow rows dirtied since the basis, plus a
-//     whole-map CRC, which the rejoining side cross-checks against its own state;
+//     records (RbWireEntry), plus the write cursor and the resume offset;
+//   * the RB reset generation the offsets belong to;
 //   * the sync-agent log ops past the target replica's replay cursor, so
 //     multi-threaded replacements resume BeforeAcquire replay exactly where they
 //     left off (src/core/sync_agent.h; absent — all zero — for agent-less
 //     workloads). They are the records a live kSyncLog frame carries, and the
 //     replacement replays them through the same SyncAgent::ApplyLog.
+// GHUMVEE's file map is not in it: GHUMVEE keeps the one authoritative map and
+// every replica maps it read-only (paper §3.6), so there is nothing to restore.
+// Nor are the epoll shadows: each replica records its own from its own epoll_ctl
+// calls.
 //
 // On the wire the snapshot rides the normal RB stream as three sequenced,
-// CRC-protected frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
+// sealed frame types (kSnapshotBegin / kSnapshotChunk / kSnapshotEnd,
 // src/core/rb_wire.h), chunked so snapshot traffic obeys the link's flow-control
 // window and interleaves with data frames instead of monopolizing the link. A
 // chunk is a run of one rank's records in the kEntries layout.
@@ -45,18 +45,11 @@
 
 namespace remon {
 
-class Ghumvee;
 class IpMon;
 class Kernel;
 class SyncAgent;
 
 // --- The leader checkpoint ---------------------------------------------------------
-
-struct EpollShadowTriple {
-  int32_t epfd = 0;
-  int32_t fd = 0;
-  uint64_t data = 0;
-};
 
 struct ReplicaSnapshot {
   uint64_t rb_size = 0;
@@ -65,19 +58,11 @@ struct ReplicaSnapshot {
   // The global header then each rank's header, kRbRankHeaderSize bytes apiece.
   std::vector<uint8_t> rb_headers;
   std::vector<uint64_t> cursors;   // Per rank: leader's next-entry offset.
-  std::vector<uint64_t> seqs;      // Per rank: leader's next sequence number.
   std::vector<uint64_t> delta_from;  // Per rank: offset the records resume at, in
                                      // [rank data start, cursor].
   // Per rank: the published entries from delta_from on, each record starting
   // where its predecessor's total_size ends.
   std::vector<std::vector<RbWireEntry>> records;
-  uint64_t lockstep_cursor = 0;    // GHUMVEE lockstep rounds completed at capture.
-  uint32_t file_map_page_count = 0;  // Leader map geometry.
-  uint32_t file_map_crc = 0;         // CRC-32 over the whole leader map: the
-                                     // cross-check covering undirtied pages.
-  std::vector<uint32_t> file_map_pages;  // Dirty page indices, strictly increasing.
-  std::vector<uint8_t> file_map;   // The dirty pages, concatenated in index order.
-  std::vector<EpollShadowTriple> epoll;  // Dirty (epfd, fd) -> data shadow rows.
   // Sync-agent log section; all zero when the workload runs no agent.
   uint64_t sync_log_size = 0;      // Log segment geometry (validated by the joiner).
   uint64_t sync_tail = 0;          // Absolute op count at capture.
@@ -94,13 +79,10 @@ struct RbDeltaBasis {
   bool valid = false;
   uint64_t reset_generation = 0;   // IpMon::rb_resets() the offsets belong to.
   std::vector<uint64_t> from_off;  // Per rank: highest acked entry offset (0 = none).
-  uint64_t fm_version = 0;         // FileMap::version() horizon.
-  uint64_t epoll_version = 0;      // EpollShadowMap::version() horizon.
 };
 
 // The empty basis: the replica provably holds nothing. Every rank resumes at its
-// data start, and every file-map page and epoll row ever written ships — a full
-// checkpoint is the capture cut against this basis.
+// data start — a full checkpoint is the capture cut against this basis.
 inline RbDeltaBasis EmptyDeltaBasis(uint64_t reset_generation) {
   RbDeltaBasis basis;
   basis.valid = true;
@@ -111,17 +93,14 @@ inline RbDeltaBasis EmptyDeltaBasis(uint64_t reset_generation) {
 // Checkpoints the leader against `basis`: captures the global/rank headers, each
 // rank's published entries from the basis offset up to the first unpublished one
 // before the cursor — one acked entry of overlap, idempotent under the
-// forward-only apply discipline — the lockstep cursor, the file-map pages and epoll rows dirtied since the basis,
-// and the sync-log slots past `sync_read_cursor`.
-// `ghumvee` may be null (lockstep cursor 0). For multi-threaded workloads,
-// `sync_master` is the leader's record/replay agent and `sync_read_cursor` the
-// replay cursor of the replica being re-seeded — in a distributed deployment the
-// cursor arrives with the join request; here the front end reads it off the
-// replica's agent. The basis must belong to the current reset generation and
-// the sync log must not have wrapped past the cursor (the wrap gate guarantees
-// it); Remon::MakeReseedPayloads picks the basis.
-ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
-                                   const SyncAgent* sync_master,
+// forward-only apply discipline — and the sync-log slots past `sync_read_cursor`.
+// For multi-threaded workloads, `sync_master` is the leader's record/replay agent
+// and `sync_read_cursor` the replay cursor of the replica being re-seeded — in a
+// distributed deployment the cursor arrives with the join request; here the front
+// end reads it off the replica's agent. The basis must belong to the current
+// reset generation and the sync log must not have wrapped past the cursor (the
+// wrap gate guarantees it); Remon::MakeReseedPayloads picks the basis.
+ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const SyncAgent* sync_master,
                                    uint64_t sync_read_cursor,
                                    const RbDeltaBasis& basis);
 
@@ -133,6 +112,10 @@ ReplicaSnapshot CaptureLeaderDelta(IpMon* master, const Ghumvee* ghumvee,
 // data stream.
 inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
 
+// The fixed SNAPSHOT_BEGIN header (docs/RB_WIRE_FORMAT.md tabulates its fields);
+// the rank records and the variable sections follow it.
+inline constexpr size_t kSnapshotBeginHeaderSize = 80;
+
 struct SnapshotPayloads {
   std::vector<uint8_t> begin;                // kSnapshotBegin payload.
   std::vector<std::vector<uint8_t>> chunks;  // One kSnapshotChunk payload each.
@@ -142,7 +125,7 @@ struct SnapshotPayloads {
 // Serializes a snapshot into the Begin/Chunk/End payloads (layouts in
 // docs/RB_WIRE_FORMAT.md). Begin and End both carry the chunk count, the total
 // chunk payload bytes, and the chained CRC-32 over the chunk payloads so
-// truncation and reordering are detectable end-to-end, beyond the per-frame CRC.
+// truncation and reordering are detectable end-to-end, beyond the per-frame MAC.
 SnapshotPayloads SerializeSnapshot(const ReplicaSnapshot& snap);
 
 // Reassembles a snapshot from Begin/Chunk/End payloads on the receiving side.
@@ -187,20 +170,18 @@ struct SnapshotApplyResult {
   bool ok = false;
   const char* error = "";
   uint64_t entries_restored = 0;  // Records replayed into the mirror.
-  uint64_t epoll_lag = 0;         // Leader shadow keys the replica has not seen yet.
   uint64_t sync_slots_restored = 0;  // Sync-log slots re-published into the mirror.
 };
 
 // Applies a completed snapshot to `mon`'s RB mirror. Every check runs before the
 // first write, so a refused join leaves the mirror and its sync log untouched:
-//   * geometry and reset generation match the replica's (the leader's
-//     reset/re-seed interlock means a healthy leader never ships a mismatch);
+//   * geometry and reset generation match the replica's (the leader parks its
+//     reset round while a checkpoint is in flight, so a healthy leader never
+//     ships a mismatch);
 //   * per rank, data start <= delta_from <= cursor <= data end, and every record
 //     is a publication (kRbArgsReady or kRbResultsReady) starting in [delta_from,
 //     cursor) at strictly increasing offsets, where its predecessor's total_size
 //     ends (the first at delta_from), and ending at or before the cursor;
-//   * the dirty file-map pages and the whole-map CRC match; epoll-shadow keys the
-//     replica lacks are counted, not refused (its consumers may lag);
 //   * a sync slice is carried exactly when the replica runs an agent; it matches
 //     the log geometry, spans at most one lap, and its carried read cursor equals
 //     the replica's with sync_from <= cursor <= sync_tail. It then replays

@@ -19,6 +19,7 @@ namespace remon {
 inline constexpr int kO_RDONLY = 0x0;
 inline constexpr int kO_WRONLY = 0x1;
 inline constexpr int kO_RDWR = 0x2;
+inline constexpr int kO_ACCMODE = 0x3;
 inline constexpr int kO_CREAT = 0x40;
 inline constexpr int kO_EXCL = 0x80;
 inline constexpr int kO_TRUNC = 0x200;

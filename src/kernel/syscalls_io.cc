@@ -73,8 +73,10 @@ int ReadIovecs(Process* p, GuestAddr iov_addr, uint64_t iovcnt, IoSegments* segs
 }
 
 // The checks a read- or write-family call makes before its first attempt, in
-// Linux's order: the descriptor, its type, the buffer's segments, then the offset.
-// The row says which buffer shape the call has and whether it is a socket call.
+// Linux's order: the descriptor, its type (a socket call needs a socket, a
+// positional call a seekable file), its access mode, the buffer's segments, then
+// the offset. The row says which buffer shape the call has, whether it is a
+// socket call and whether it is positional.
 int PrepareIo(Process* p, const SyscallRequest& req, const SyscallDesc& d, bool read,
               IoCall* call) {
   call->desc = p->fds().Get(static_cast<int>(req.arg(0)));
@@ -83,8 +85,15 @@ int PrepareIo(Process* p, const SyscallRequest& req, const SyscallDesc& d, bool 
   }
   FdType type = call->desc->file()->type();
   const DataArg data = DataArgOf(d);
+  const bool positional = (d.exec_flags & kExecPositional) != 0;
   if (data.socket && type != FdType::kSocket) {
     return -kENOTSOCK;
+  }
+  if (positional && call->desc->file()->Size() < 0) {
+    return -kESPIPE;  // A pipe or socket has no offset to read or write at.
+  }
+  if (!(read ? call->desc->readable() : call->desc->writable())) {
+    return -kEBADF;
   }
   if (read && type == FdType::kDirectory) {
     return -kEISDIR;
@@ -116,7 +125,7 @@ int PrepareIo(Process* p, const SyscallRequest& req, const SyscallDesc& d, bool 
     return static_cast<int>(total);
   }
   call->len = static_cast<uint64_t>(total);
-  if ((d.exec_flags & kExecPositional) != 0) {
+  if (positional) {
     call->pofs = req.arg(3);
     if (NegativeAsSigned(*call->pofs)) {
       return -kEINVAL;
@@ -325,7 +334,7 @@ void Kernel::SysWrite(Thread* t, const SyscallRequest& req, const SyscallDesc& d
 void Kernel::SysSendfile(Thread* t, const SyscallRequest& req, Done done) {
   auto out_desc = Fd(t, static_cast<int>(req.arg(0)));
   auto in_desc = Fd(t, static_cast<int>(req.arg(1)));
-  if (!out_desc || !in_desc) {
+  if (!out_desc || !in_desc || !in_desc->readable() || !out_desc->writable()) {
     return done(-kEBADF);
   }
   GuestAddr ofs_ptr = req.arg(2);

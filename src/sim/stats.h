@@ -77,12 +77,11 @@ struct SimStats {
   uint64_t rb_snapshot_bytes_sent = 0;    // Framed snapshot bytes.
   uint64_t rb_snapshot_rejects = 0;       // Joins refused (validation/CRC/protocol).
   uint64_t rb_snapshot_entries_restored = 0;  // Entries re-published by restores.
-  uint64_t rb_snapshot_epoll_lag = 0;     // Leader shadow keys the joiner lacked.
   uint64_t rb_snapshot_delta_captures = 0;  // Re-seeds cut against an ack-folded basis.
   uint64_t rb_snapshot_delta_bytes_sent = 0;  // Framed bytes of those re-seeds only.
   uint64_t rb_snapshot_full_fallbacks = 0;  // Delta requested, empty basis used.
-  // Monitor steps parked on an in-flight re-seed checkpoint: RB reset rounds and
-  // master-call FD-map updates (Ghumvee::set_reseed_gate).
+  // RB reset rounds parked on an in-flight re-seed checkpoint
+  // (Ghumvee::set_reseed_gate).
   uint64_t reseed_gate_stalls = 0;
   uint64_t rb_replica_migrations = 0;  // Respawns placed on a different machine.
 

@@ -94,6 +94,15 @@ class FileDescription {
   int status_flags() const { return status_flags_; }
   void set_status_flags(int f) { status_flags_ = f; }
   bool nonblocking() const { return (status_flags_ & kO_NONBLOCK) != 0; }
+  // The access mode the description was opened with (Linux FMODE_READ/WRITE).
+  bool readable() const {
+    int mode = status_flags_ & kO_ACCMODE;
+    return mode == kO_RDONLY || mode == kO_RDWR;
+  }
+  bool writable() const {
+    int mode = status_flags_ & kO_ACCMODE;
+    return mode == kO_WRONLY || mode == kO_RDWR;
+  }
 
  private:
   std::shared_ptr<File> file_;

@@ -495,10 +495,9 @@ TEST(ScaleoutTest, RebalanceMigratesRemoteReplicasUnderLoad) {
 TEST(ScaleoutTest, RebalanceUnderConnectionChurnJoinsEveryTime) {
   // Every swarm connection is an accept and a close on the shard: master calls
   // whose FD-map updates land at the master's exit stop, and a blocking accept
-  // keeps such a round executing for as long as it waits. A checkpoint cut while
-  // one executes must not let the round move the shared file map before the
-  // replacement applies the image, or the replacement refuses the join ("file
-  // map diverged from the leader checkpoint"). Sweep the migration instant
+  // keeps such a round executing for as long as it waits. The checkpoint does
+  // not carry the file map (GHUMVEE's one map is every replica's), so those
+  // updates run on while a checkpoint is in flight. Sweep the migration instant
   // across the swarm: every move must join, and service must match the run that
   // never moved.
   ScaleoutSpec spec = SmallFleetSpec(2, 600);
@@ -511,7 +510,6 @@ TEST(ScaleoutTest, RebalanceUnderConnectionChurnJoinsEveryTime) {
   ASSERT_TRUE(steady.finished);
   ASSERT_FALSE(steady.diverged);
 
-  uint64_t gate_stalls = 0;
   for (int k = 0; k < 12; ++k) {
     spec.rebalance_at = Millis(1) + k * Micros(750);
     SCOPED_TRACE("rebalance at " + std::to_string(spec.rebalance_at) + " ns");
@@ -522,9 +520,7 @@ TEST(ScaleoutTest, RebalanceUnderConnectionChurnJoinsEveryTime) {
     EXPECT_EQ(moved.stats.rb_snapshot_rejects, 0u);
     EXPECT_EQ(moved.completed, steady.completed);
     EXPECT_EQ(ShardLogBytes(moved.transcripts), ShardLogBytes(steady.transcripts));
-    gate_stalls += moved.stats.reseed_gate_stalls;
   }
-  EXPECT_GT(gate_stalls, 0u);  // FD rounds really landed inside transfers.
 }
 
 }  // namespace

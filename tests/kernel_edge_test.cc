@@ -860,6 +860,114 @@ TEST(KernelEdgeTest, WriteFamilyMatchesItsOneSegmentTwin) {
   EXPECT_TRUE(finished);
 }
 
+// A description opened for one direction refuses the other: every read-family
+// call on a write-only descriptor and every write-family call on a read-only one
+// is EBADF, the buffer and the file's bytes untouched. The two checks Linux makes
+// first still win: a socket call on a non-socket is ENOTSOCK, and a positional
+// call on a pipe ESPIPE. sendfile checks both of its descriptors.
+TEST(KernelEdgeTest, AccessModeRefusesTheOtherDirection) {
+  SimWorld w;
+  w.fs.WriteWholeFile("/tmp/am", "abcdef");
+  w.fs.WriteWholeFile("/tmp/am-src", "1234");
+  Process* p = w.NewProcess("access-mode");
+  bool finished = false;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    int ro = static_cast<int>(co_await g.Open("/tmp/am", kO_RDONLY));
+    int wo = static_cast<int>(co_await g.Open("/tmp/am", kO_WRONLY));
+    int src_ro = static_cast<int>(co_await g.Open("/tmp/am-src", kO_RDONLY));
+    int src_wo = static_cast<int>(co_await g.Open("/tmp/am-src", kO_WRONLY));
+    GuestAddr fds = g.Alloc(8);
+    co_await g.Syscall(Sys::kPipe2, fds, kO_NONBLOCK);
+    int pipe_rd = static_cast<int>(g.PeekU32(fds));
+    int pipe_wr = static_cast<int>(g.PeekU32(fds + 4));
+    GuestAddr buf = g.Alloc(16);
+    GuestAddr scratch = g.Alloc(sizeof(GuestIovec) + sizeof(GuestMsghdr));
+    auto refused = [](const IoForm& form, bool pipe) -> int64_t {
+      if (form.socket) {
+        return -kENOTSOCK;
+      }
+      return form.positional && pipe ? -kESPIPE : -kEBADF;
+    };
+    for (int fd : {wo, pipe_wr}) {
+      for (const IoForm& form : kReadForms) {
+        g.Poke(buf, "--------", 8);
+        EXPECT_EQ(co_await CallIo(g, form, fd, buf, 4, 0, scratch),
+                  refused(form, fd == pipe_wr))
+            << SysName(form.nr) << " on fd " << fd;
+        EXPECT_EQ(g.PeekString(buf, 8), "--------") << SysName(form.nr);
+      }
+    }
+    g.Poke(buf, "WXYZ", 4);
+    for (int fd : {ro, pipe_rd}) {
+      for (const IoForm& form : kWriteForms) {
+        EXPECT_EQ(co_await CallIo(g, form, fd, buf, 4, 0, scratch),
+                  refused(form, fd == pipe_rd))
+            << SysName(form.nr) << " on fd " << fd;
+      }
+    }
+    EXPECT_EQ(w.fs.ReadWholeFile("/tmp/am"), "abcdef");
+    EXPECT_EQ(co_await g.Sendfile(ro, src_ro, 0, 4), -kEBADF);  // Out is read-only.
+    EXPECT_EQ(co_await g.Sendfile(wo, src_wo, 0, 4), -kEBADF);  // In is write-only.
+    EXPECT_EQ(w.fs.ReadWholeFile("/tmp/am"), "abcdef");
+    EXPECT_EQ(co_await g.Lseek(src_ro, 0, kSeekCur), 0);
+    // The pipe carried nothing either way.
+    EXPECT_EQ(co_await g.Read(pipe_rd, buf, 16), -kEAGAIN);
+    finished = true;
+  });
+  w.Run();
+  EXPECT_TRUE(finished);
+}
+
+// pread64, pwrite64, preadv and pwritev on a pipe or a socket are ESPIPE and move
+// no byte: what was queued is still there for the next plain read, and nothing
+// reaches the other end.
+TEST(KernelEdgeTest, PositionalIoOnAStreamIsEspipe) {
+  SimWorld w;
+  Process* p = w.NewProcess("positional-stream");
+  bool finished = false;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr fds = g.Alloc(8);
+    co_await g.Syscall(Sys::kPipe2, fds, kO_NONBLOCK);
+    int pipe_rd = static_cast<int>(g.PeekU32(fds));
+    int pipe_wr = static_cast<int>(g.PeekU32(fds + 4));
+    auto [peer, sock] = co_await SocketPair(g, 7004);
+    co_await g.Fcntl(sock, kF_SETFL, kO_NONBLOCK);
+    co_await g.Fcntl(peer, kF_SETFL, kO_NONBLOCK);
+    GuestAddr src = g.Alloc(8);
+    g.Poke(src, "abc", 3);
+    GuestAddr buf = g.Alloc(16);
+    GuestAddr scratch = g.Alloc(sizeof(GuestIovec) + sizeof(GuestMsghdr));
+    co_await g.Write(pipe_wr, src, 3);
+    co_await g.Write(peer, src, 3);
+    for (const IoForm& form : kReadForms) {
+      if (form.positional) {
+        for (int fd : {pipe_rd, sock}) {
+          EXPECT_EQ(co_await CallIo(g, form, fd, buf, 3, 0, scratch), -kESPIPE)
+              << SysName(form.nr) << " on fd " << fd;
+        }
+      }
+    }
+    for (int fd : {pipe_rd, sock}) {
+      g.Poke(buf, "---", 3);
+      EXPECT_EQ(co_await g.Read(fd, buf, 16), 3) << "fd " << fd;
+      EXPECT_EQ(g.PeekString(buf, 3), "abc") << "fd " << fd;
+    }
+    for (const IoForm& form : kWriteForms) {
+      if (form.positional) {
+        for (int fd : {pipe_wr, sock}) {
+          EXPECT_EQ(co_await CallIo(g, form, fd, src, 3, 0, scratch), -kESPIPE)
+              << SysName(form.nr) << " on fd " << fd;
+        }
+      }
+    }
+    EXPECT_EQ(co_await g.Read(pipe_rd, buf, 16), -kEAGAIN);
+    EXPECT_EQ(co_await g.Read(peer, buf, 16), -kEAGAIN);
+    finished = true;
+  });
+  w.Run();
+  EXPECT_TRUE(finished);
+}
+
 // select reads readiness through poll's check: over one set of descriptors (an
 // empty pipe, a pipe holding data, a pipe's write end, a connected socket, a
 // closed fd) both report the same readiness, except that poll reports the closed

@@ -332,7 +332,7 @@ TEST(RbWireTest, SnapshotPayloadsThroughWireFraming) {
   ASSERT_EQ(assembler.state(), SnapshotAssembler::State::kComplete);
   ExpectSameRecords(assembler.snapshot().records, snap.records);
   EXPECT_EQ(assembler.snapshot().rb_headers, snap.rb_headers);
-  EXPECT_EQ(assembler.snapshot().file_map, snap.file_map);
+  EXPECT_EQ(assembler.snapshot().delta_from, snap.delta_from);
 }
 
 // --- kSyncLog frames (sync-agent log transport) ------------------------------------
@@ -527,11 +527,16 @@ TEST(RbWireTest, JoinAttestCarriesPlacementMachine) {
   EXPECT_EQ(out.attest_machine, 7u);
 }
 
-// Rewrites a u16 header field of an unsealed frame and seals it, so only the
-// field's meaning — not the tag — can reject it.
-std::vector<uint8_t> RestampU16(std::vector<uint8_t> frame, size_t off, uint16_t v) {
+// Rewrites a u16 header field of an unsealed frame and leaves it unsealed.
+std::vector<uint8_t> PlainRestampU16(std::vector<uint8_t> frame, size_t off, uint16_t v) {
   std::memcpy(frame.data() + off, &v, 2);
-  return Sealed(std::move(frame));
+  return frame;
+}
+
+// The same rewrite, sealed, so only the field's meaning — not the tag — can
+// reject it.
+std::vector<uint8_t> RestampU16(std::vector<uint8_t> frame, size_t off, uint16_t v) {
+  return Sealed(PlainRestampU16(std::move(frame), off, v));
 }
 
 // The trailer wire v7 and earlier sent on unauthenticated streams: a CRC-32 over
@@ -749,8 +754,9 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
   corpus.push_back(Sealed(RbWireCodec::EncodeJoinAttest(1, 2, 0x1234, 8)));
   corpus.push_back(Sealed(begin));
   // Must-latch-corrupt before any mutation: the retired delta begin type and
-  // version-5/6/7 headers sealed with the right key, and frames carrying the
-  // v7 unauthenticated CRC trailer instead of a tag.
+  // version-5/6/7/9 headers sealed with the right key, a version-9 header left
+  // unsealed (v9's SNAPSHOT_BEGIN was 104 bytes, v10's is 80), and frames
+  // carrying the v7 unauthenticated CRC trailer instead of a tag.
   struct MustLatch {
     std::vector<uint8_t> frame;
     const char* reason;
@@ -760,6 +766,8 @@ TEST(RbWireNegativeCorpus, MutatedAuthFramesNeverCrashParser) {
       {RestampU16(begin, 4, 5), "bad magic/version"},
       {RestampU16(begin, 4, 6), "bad magic/version"},
       {RestampU16(begin, 4, 7), "bad magic/version"},
+      {RestampU16(begin, 4, 9), "bad magic/version"},
+      {PlainRestampU16(begin, 4, 9), "bad magic/version"},
       {WithCrcTrailer(RestampU16(begin, 4, 7)), "bad magic/version"},
       {WithCrcTrailer(begin), "MAC verification failed"},
       {WithCrcTrailer(RbWireCodec::EncodeEntries(1, 0, 1, RandomEntries(&rng, 2))),

@@ -29,8 +29,7 @@ inline void PutImageU64(RbWireEntry* e, uint64_t off, uint64_t v) {
 // random RB headers; per rank a resume offset near the data start, a chain of
 // well-formed records from it (random states, signatures, result payloads and
 // reserved capacity), and a cursor at the chain end or one unpublished entry
-// past it; a dirty-page file-map section (3 of 4 pages) with a whole-map CRC;
-// epoll rows; and a reset generation for the lap guard.
+// past it; and a reset generation for the lap guard.
 inline ReplicaSnapshot MakeSnapshot(Rng* rng, uint64_t rb_size, int max_ranks) {
   ReplicaSnapshot snap;
   snap.rb_size = rb_size;
@@ -73,18 +72,18 @@ inline ReplicaSnapshot MakeSnapshot(Rng* rng, uint64_t rb_size, int max_ranks) {
       off += kRbEntryHeaderSize;  // An in-flight entry the chain stops before.
     }
     snap.cursors.push_back(off);
-    snap.seqs.push_back(rng->NextBelow(1000));
+    rng->NextBelow(1000);  // The per-rank seq wire v9 carried.
   }
-  snap.lockstep_cursor = rng->NextBelow(100000);
-  snap.file_map_page_count = 4;
-  snap.file_map_crc = static_cast<uint32_t>(rng->NextBelow(1u << 31));
-  snap.file_map_pages = {0, 2, 3};
-  snap.file_map.assign(3 * kPageSize, 0);
-  for (auto& b : snap.file_map) {
-    b = static_cast<uint8_t>(rng->NextBelow(256));
+  // The draws of the sections wire v9 carried: a lockstep cursor, a file-map CRC,
+  // three file-map pages and five epoll rows. Drawing them still keeps every
+  // later draw, and so every byte the checkpoint carries, as it was.
+  rng->NextBelow(100000);
+  rng->NextBelow(1u << 31);
+  for (uint64_t i = 0; i < 3 * kPageSize; ++i) {
+    rng->NextBelow(256);
   }
   for (int i = 0; i < 5; ++i) {
-    snap.epoll.push_back(EpollShadowTriple{i, 10 + i, rng->NextBelow(1u << 30)});
+    rng->NextBelow(1u << 30);
   }
   return snap;
 }
@@ -176,7 +175,7 @@ class LiveCheckpointWorld {
   }
 
   ReplicaSnapshot Capture(const RbDeltaBasis& b) {
-    return CaptureLeaderDelta(mvee->ipmon(0), mvee->ghumvee(), mvee->sync_agent(0),
+    return CaptureLeaderDelta(mvee->ipmon(0), mvee->sync_agent(0),
                               mvee->sync_agent(1)->read_cursor(), b);
   }
 
