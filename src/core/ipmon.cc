@@ -396,17 +396,23 @@ void IpMon::OnRbReset(int rank) {
   ++rb_resets_;
   if (is_master()) {
     ++kernel_->stats().rb_resets;
-    // Zero the data area once (shared frames: visible to every leader-local replica).
-    rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
+    // Clear the data area once (shared frames: every leader-local replica sees the
+    // freed pages read as zeroes).
+    ScrubRank(rank);
   } else if (rb_private_mirror_ && rb_.valid()) {
     // A remote replica's RB is a machine-local mirror: the master's zeroing does not
     // reach it, so the replica scrubs its own sub-buffer inside the (globally
     // synchronized) reset round. Every frame published before the round has been
     // applied by now — this replica could not have reached the overflow point
     // without consuming all of them.
-    rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
+    ScrubRank(rank);
   }
   cursor_[static_cast<size_t>(rank)] = rb_.RankDataStart(rank);
+}
+
+void IpMon::ScrubRank(int rank) {
+  rb_.Zero(kernel_->futex(), rb_.RankDataStart(rank),
+           rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
 }
 
 GuestAddr IpMon::MigrateRb() {
@@ -464,7 +470,7 @@ GuestTask<void> IpMon::VaranFlushBarrier(Thread* t, int rank) {
     co_await WaitOn{t, &rb_.WordQueue(kernel_->futex(), hdr)};
   }
   if (is_master()) {
-    rb_.Zero(rb_.RankDataStart(rank), rb_.RankDataEnd(rank) - rb_.RankDataStart(rank));
+    ScrubRank(rank);
     rb_.WriteU64(hdr + 0, gen);  // reset_done
     rb_.WakeWord(kernel_->futex(), hdr);
     ++kernel_->stats().rb_resets;

@@ -179,7 +179,8 @@ class IpMon {
   // --- GHUMVEE callbacks -------------------------------------------------------
 
   // Resets rank r's sub-buffer after an overflow flush (only the master's IpMon
-  // zeroes the shared bytes; every replica resets its own cursor).
+  // clears the shared bytes, a remote replica its own mirror; every replica
+  // resets its own cursor).
   void OnRbReset(int rank);
 
   // The replica's one epoll shadow (§3.9). GHUMVEE records the epoll_ctl calls it
@@ -249,6 +250,9 @@ class IpMon {
   // Takes the next offset and sequence number, and records the call's epoll_ctl
   // (slaves too, before their call is aborted).
   void ClaimSlot(const SyscallRequest& req, int rank, RbSlot* e);
+  // Clears rank `rank`'s data area at a reset (RbView::Zero): its interior frames
+  // are freed, its edge pages zeroed.
+  void ScrubRank(int rank);
   // ReMon's overflow: a GHUMVEE reset round; returns the fresh token.
   GuestTask<uint64_t> ResetRankThroughGhumvee(Thread* t, const SyscallRequest& req,
                                               int rank);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/kernel/futex.h"
 #include "src/sim/check.h"
@@ -73,20 +74,27 @@ void RbView::WakeState(FutexTable& futex, uint64_t entry_off) const {
   WakeWord(futex, entry_off + kRbOffState);
 }
 
-void RbView::Zero(uint64_t offset, uint64_t len) {
+void RbView::Zero(FutexTable& futex, uint64_t offset, uint64_t len) {
   static const uint8_t kZeros[kPageSize] = {0};
-  const AddressSpace& mem = process_->mem();
-  while (len > 0) {
-    GuestAddr addr = base_ + offset;
-    uint64_t n = std::min<uint64_t>(len, kPageSize - (addr & kPageMask));
-    // A page no mapping ever touched already reads as zeroes; writing them would
-    // only fault it in (a mid-lap replacement's mirror holds just its used tail).
-    if (mem.PageMaterialized(addr)) {
-      WriteBytes(offset, kZeros, n);
+  AddressSpace& mem = process_->mem();
+  GuestAddr begin = base_ + offset;
+  GuestAddr end = begin + len;
+  GuestAddr head_end = std::min(PageAlignUp(begin), end);
+  GuestAddr tail_begin = std::max(PageAlignDown(end), head_end);
+  // A partial edge page also holds a rank header or the neighbouring rank's
+  // entries: only the range's own bytes are zeroed. A page no mapping ever
+  // touched already reads as zeroes; writing them would only fault it in (a
+  // mid-lap replacement's mirror holds just its used tail).
+  for (auto [from, to] : {std::pair{begin, head_end}, std::pair{tail_begin, end}}) {
+    if (from < to && mem.PageMaterialized(from)) {
+      WriteBytes(from - base_, kZeros, to - from);
     }
-    offset += n;
-    len -= n;
   }
+  mem.Discard(head_end, tail_begin - head_end, /*shared=*/true, [&futex](const Page& frame) {
+    // A waiter's key is its frame: freeing the frame would strand it.
+    REMON_CHECK_MSG(!futex.Watches(&frame), "RB page freed under a futex waiter");
+    return false;
+  });
 }
 
 RbEntryHeader RbEntryOps::ReadHeader(const RbView& view, uint64_t entry_off) {

@@ -101,9 +101,14 @@ class RbView {
   void WriteU64(uint64_t offset, uint64_t v);
   void WriteBytes(uint64_t offset, const void* data, uint64_t len);
   void ReadBytes(uint64_t offset, void* out, uint64_t len) const;
-  // Zeroes a range, skipping the pages no mapping has materialized: they already
-  // read as zeroes, and scrubbing must not make them resident.
-  void Zero(uint64_t offset, uint64_t len);
+  // Clears a range at a ring reset. The pages wholly inside it are freed, so
+  // they read as zeroes and hold no host memory until the next lap writes them
+  // (Linux MADV_REMOVE on shmem); no futex waiter may be parked on one, which a
+  // REMON_CHECK asserts. Only the partial head and tail pages, which a
+  // sub-buffer shares with a rank header or its neighbour, get zeroes written
+  // into the range's bytes, and only when resident: a page no mapping touched
+  // already reads as zeroes.
+  void Zero(FutexTable& futex, uint64_t offset, uint64_t len);
 
   // Guest virtual address of a given offset (for futex waits on entry words).
   GuestAddr AddrOf(uint64_t offset) const { return base_ + offset; }

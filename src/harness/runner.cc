@@ -34,6 +34,13 @@ struct World {
   uint32_t client_machine;
 };
 
+// The world's counters at the end of its run, with the SysV frames still resident.
+SimStats EndStats(const World& w) {
+  SimStats stats = w.sim.stats();
+  stats.shm_resident_pages = w.shm.resident_pages();
+  return stats;
+}
+
 RemonOptions OptionsFor(const RunConfig& config, double mem_intensity,
                         bool multithreaded) {
   RemonOptions opts = config.mvee;
@@ -132,7 +139,7 @@ SuiteResult RunSuiteWorkload(const WorkloadSpec& spec, const RunConfig& config) 
   result.seconds = static_cast<double>(w.sim.now()) / 1e9;
   result.diverged = mvee.divergence_detected();
   result.finished = mvee.finished();
-  result.stats = w.sim.stats();
+  result.stats = EndStats(w);
   return result;
 }
 
@@ -189,7 +196,7 @@ ServerResult RunServerBench(const ServerSpec& server, const ClientSpec& client_s
   result.throughput = stats.Throughput();
   result.mean_latency_us = static_cast<double>(stats.MeanLatency()) / 1e3;
   result.diverged = mvee.divergence_detected();
-  result.stats = w.sim.stats();
+  result.stats = EndStats(w);
   return result;
 }
 
@@ -345,7 +352,7 @@ ScaleoutResult RunScaleout(const ScaleoutSpec& spec, const RunConfig& config) {
       }
     }
   }
-  result.stats = w.sim.stats();
+  result.stats = EndStats(w);
   result.cpu_queue_ns = w.sim.cpus().queue_wait_ns();
   return result;
 }

@@ -50,6 +50,9 @@ inline constexpr int kMapPrivate = 0x02;
 inline constexpr int kMapFixed = 0x10;
 inline constexpr int kMapAnonymous = 0x20;
 
+// madvise advice.
+inline constexpr int kMadvDontneed = 4;
+
 // futex ops.
 inline constexpr int kFutexWait = 0;
 inline constexpr int kFutexWake = 1;

@@ -65,6 +65,13 @@ class FutexTable {
     return it == queues_.end() ? nullptr : &it->second;
   }
 
+  // True while some queue is keyed on a word of `frame`: the frame may not be
+  // freed, or the queue's key would name a dead frame.
+  bool Watches(const Page* frame) const {
+    auto it = queues_.lower_bound(Key{frame, 0});
+    return it != queues_.end() && it->first.first == frame;
+  }
+
   // Wakes up to `n` waiters; returns the number woken.
   int Wake(const Page* frame, uint64_t offset, int n) {
     WaitQueue* q = Find(frame, offset);

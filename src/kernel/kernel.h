@@ -283,10 +283,11 @@ class Kernel {
   // Reads up to `len` bytes at `offset` into io_scratch_, sized by what the file
   // can return now.
   int64_t ReadToScratch(FileDescription* desc, uint64_t len, uint64_t offset);
-  // Writes io_scratch_'s first `len` bytes at the file's end under O_APPEND, else at
-  // `pofs` or the description's offset, which a non-positional write advances.
-  int64_t WriteFromScratch(FileDescription* desc, uint64_t len,
-                           std::optional<uint64_t> pofs);
+  // Writes `len` bytes of `data` at the file's end under O_APPEND, else at `pofs`
+  // or the description's offset, which a non-positional write to a seekable file
+  // advances; a stream ignores the offset. The write family and sendfile share it.
+  int64_t WriteAtPosition(FileDescription* desc, const void* data, uint64_t len,
+                          std::optional<uint64_t> pofs);
   int64_t FillStatFor(Thread* t, std::shared_ptr<Inode> inode, GuestAddr out);
 
   Simulator* sim_;
@@ -311,7 +312,7 @@ class Kernel {
   std::vector<std::unique_ptr<RetryCtx>> retry_arena_;
   RetryCtx* retry_free_ = nullptr;
 
-  // Bounce buffer for guest<->VFS copies (ReadToScratch/WriteFromScratch). Reused
+  // Bounce buffer for guest<->VFS copies (ReadToScratch, the write family). Reused
   // across calls — resize() keeps capacity — and never held across a suspension
   // point.
   std::vector<uint8_t> io_scratch_;

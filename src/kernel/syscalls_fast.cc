@@ -414,7 +414,6 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
     case Sys::kSyncfs:
     case Sys::kFsync:
     case Sys::kFdatasync:
-    case Sys::kMadvise:
     case Sys::kFadvise64:
       return 0;
 
@@ -624,6 +623,29 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       }
       mem.Unmap(req.arg(0), req.arg(1));
       return 0;
+    // MADV_DONTNEED frees a private mapping's frames, so its pages read as zeroes
+    // again; a MAP_SHARED or SysV mapping keeps its bytes, as on Linux. Any other
+    // advice is a no-op.
+    case Sys::kMadvise: {
+      GuestAddr start = req.arg(0);
+      uint64_t len = PageAlignUp(req.arg(1));
+      if (start % kPageSize != 0 || len < req.arg(1) || start + len < start) {
+        return -kEINVAL;
+      }
+      if (static_cast<int>(req.arg(2)) != kMadvDontneed) {
+        return 0;
+      }
+      mem.Discard(start, len, /*shared=*/false, [this](Page& frame) {
+        // A futex waiter is keyed on its frame: the frame stays, zeroed in place.
+        if (!futex_.Watches(&frame)) {
+          return false;
+        }
+        frame.bytes.fill(0);
+        return true;
+      });
+      // As on Linux, the mapped parts are discarded even when a gap gives ENOMEM.
+      return mem.Covers(start, len, kProtNone) ? 0 : -kENOMEM;
+    }
     case Sys::kMprotect:
       if (req.arg(0) % kPageSize != 0) {
         return -kEINVAL;
@@ -727,10 +749,11 @@ int64_t Kernel::SysFast(Thread* t, const SyscallRequest& req) {
       GuestRusage ru;
       DurationNs cpu = p->TotalCpuNs();
       ru.ru_utime = GuestTimeval{cpu / kSecond, (cpu % kSecond) / 1000};
-      // The frames of this process's private mappings. A shared table (a SysV
-      // segment such as the RB, the file map) is not charged to any attacher:
-      // segments count once, in ShmRegistry::resident_pages().
-      ru.ru_maxrss = static_cast<int64_t>(p->mem().mapped_bytes() / 1024);
+      // The high-water mark of this process's private frames: an unmap never
+      // lowers it, as on Linux. A shared table (a SysV segment such as the RB, the
+      // file map) is not charged to any attacher: segments count once, in
+      // ShmRegistry::resident_pages().
+      ru.ru_maxrss = static_cast<int64_t>(p->mem().peak_mapped_bytes() / 1024);
       return CopyOut(p, req.arg(1), &ru, sizeof(ru));
     }
     case Sys::kTimes: {

@@ -256,13 +256,13 @@ int64_t Kernel::ReadToScratch(FileDescription* desc, uint64_t len, uint64_t offs
   return desc->file()->Read(io_scratch_.data(), len, offset);
 }
 
-int64_t Kernel::WriteFromScratch(FileDescription* desc, uint64_t len,
-                                 std::optional<uint64_t> pofs) {
+int64_t Kernel::WriteAtPosition(FileDescription* desc, const void* data, uint64_t len,
+                                std::optional<uint64_t> pofs) {
   uint64_t offset = pofs.value_or(desc->offset());
   if ((desc->status_flags() & kO_APPEND) != 0 && desc->file()->Size() >= 0) {
     offset = static_cast<uint64_t>(desc->file()->Size());
   }
-  int64_t n = desc->file()->Write(io_scratch_.data(), len, offset);
+  int64_t n = desc->file()->Write(data, len, offset);
   if (n >= 0 && !pofs && desc->file()->Size() >= 0) {
     desc->set_offset(offset + static_cast<uint64_t>(n));
   }
@@ -326,7 +326,7 @@ void Kernel::SysWrite(Thread* t, const SyscallRequest& req, const SyscallDesc& d
       }
       filled += v.iov_len;
     }
-    return WriteFromScratch(call.desc.get(), call.len, call.pofs);
+    return WriteAtPosition(call.desc.get(), io_scratch_.data(), call.len, call.pofs);
   };
   RetryWhileAgain(t, target, std::move(attempt), std::move(done));
 }
@@ -361,7 +361,7 @@ void Kernel::SysSendfile(Thread* t, const SyscallRequest& req, Done done) {
       if (n == 0) {
         break;  // Input exhausted.
       }
-      int64_t w = out_desc->file()->Write(chunk, static_cast<uint64_t>(n), 0);
+      int64_t w = WriteAtPosition(out_desc.get(), chunk, static_cast<uint64_t>(n), std::nullopt);
       if (w == -kEAGAIN) {
         return *state > 0 && out_desc->nonblocking() ? static_cast<int64_t>(*state) : -kEAGAIN;
       }
@@ -370,6 +370,9 @@ void Kernel::SysSendfile(Thread* t, const SyscallRequest& req, Done done) {
       }
       *state += static_cast<uint64_t>(w);
       if (w < n) {
+        if (out_desc->file()->Size() >= 0) {
+          break;  // A file stops at its size limit: no window reopens.
+        }
         // Partial: push back is impossible; account and retry for window space.
         return -kEAGAIN;
       }

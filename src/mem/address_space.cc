@@ -42,6 +42,7 @@ Page* AddressSpace::FrameIn(const Vma& vma, GuestAddr addr, bool materialize) co
   if (frame == nullptr && materialize) {
     frame = vma.table->Materialize(page);
     private_resident_ += vma.private_table ? 1 : 0;
+    peak_private_resident_ = std::max(peak_private_resident_, private_resident_);
   }
   return frame;
 }

@@ -15,8 +15,10 @@
 #ifndef SRC_MEM_ADDRESS_SPACE_H_
 #define SRC_MEM_ADDRESS_SPACE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -91,6 +93,15 @@ class AddressSpace {
   // allowed). The page rounding must not wrap.
   static bool EndsInUserSpace(GuestAddr start, uint64_t length);
 
+  // Frees the frames behind the pages of [start, start+length), both page-aligned,
+  // in every VMA the range crosses; in a shared VMA (MAP_SHARED, a SysV
+  // attachment) only when `shared`. The pages stay mapped and read as zeroes
+  // again, and cost no host memory until next written: Linux MADV_REMOVE on
+  // shmem, MADV_DONTNEED on private memory. A frame `keep(frame)` returns true for
+  // stays (FrameTable::Release).
+  template <typename Keep>
+  void Discard(GuestAddr start, uint64_t length, bool shared, Keep&& keep);
+
   // Changes protection on [start, start+length), O(VMAs in the range). Returns
   // false if any page in the range is unmapped.
   bool Protect(GuestAddr start, uint64_t length, uint32_t prot);
@@ -163,6 +174,9 @@ class AddressSpace {
   // resident set. A shared table is charged to no attacher: segments count once,
   // in ShmRegistry::resident_pages().
   uint64_t mapped_bytes() const { return private_resident_ * kPageSize; }
+  // The most mapped_bytes() ever held (the guest's ru_maxrss): an unmap or a
+  // discard never lowers it.
+  uint64_t peak_mapped_bytes() const { return peak_private_resident_ * kPageSize; }
 
  private:
   bool RangeFree(GuestAddr start, uint64_t length) const;
@@ -216,7 +230,27 @@ class AddressSpace {
   // Frames in this space's private tables. Mutable: pages materialize inside
   // const accessors.
   mutable uint64_t private_resident_ = 0;
+  mutable uint64_t peak_private_resident_ = 0;
 };
+
+template <typename Keep>
+void AddressSpace::Discard(GuestAddr start, uint64_t length, bool shared, Keep&& keep) {
+  GuestAddr end = start + length;
+  auto it = vmas_.upper_bound(start);
+  if (it != vmas_.begin() && std::prev(it)->second.end() > start) {
+    --it;
+  }
+  for (; it != vmas_.end() && it->second.start < end; ++it) {
+    const Vma& vma = it->second;
+    if (vma.shared && !shared) {
+      continue;
+    }
+    GuestAddr lo = std::max(start, vma.start);
+    uint64_t pages = (std::min(end, vma.end()) - lo) >> kPageShift;
+    uint64_t freed = vma.table->Release(vma.PageOf(lo), pages, keep);
+    private_resident_ -= vma.private_table ? freed : 0;
+  }
+}
 
 }  // namespace remon
 

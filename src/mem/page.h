@@ -43,9 +43,13 @@ struct Page {
 // of the table sees it (Linux faults a shm segment in the same way) and a hole
 // costs no frame. A table holding no frame allocates nothing, however many pages
 // it spans: frames sit in leaves of kLeafPages slots, and only leaves holding a
-// frame exist. A segment's table keeps the size it was created with; a file's
-// grows to its highest written page and shrinks with truncation. Mappings hold it
-// by shared_ptr: attached mappings keep a segment's table alive after IPC_RMID.
+// frame exist. A released frame turns back into a hole: an unmap or shrink of a
+// private table, a truncated file, an RB reset's interior pages (Linux
+// MADV_REMOVE on shmem) and a madvise(MADV_DONTNEED) of private memory all free
+// frames rather than write zeroes into them. A segment's table keeps the size it
+// was created with; a file's grows to its highest written page and shrinks with
+// truncation. Mappings hold it by shared_ptr: attached mappings keep a segment's
+// table alive after IPC_RMID.
 class FrameTable {
   // 64-page leaves: the pages a space touches cluster into a few such spans, and a
   // leaf's 512 bytes of slots are small beside the 4 KiB frames it holds.
@@ -111,6 +115,13 @@ class FrameTable {
   // Frees the frames of pages [first, first + count), which read as holes again,
   // and returns how many there were. Visits only the leaves that exist.
   uint64_t Release(uint64_t first, uint64_t count) {
+    return Release(first, count, [](Page&) { return false; });
+  }
+  // The same, asking `keep(frame)` of each frame first: a frame it returns true
+  // for stays. An RB reset uses it to assert that no futex waiter is keyed on a
+  // frame it frees; madvise, to keep such a frame and zero it in place.
+  template <typename Keep>
+  uint64_t Release(uint64_t first, uint64_t count, Keep&& keep) {
     uint64_t end = first + count;
     uint64_t freed = 0;
     auto it = FindLeaf(leaves_, first >> kLeafShift);
@@ -119,7 +130,7 @@ class FrameTable {
       Leaf& leaf = *it->second;
       for (uint64_t i = std::max(first, base) - base;
            i < std::min(end, base + kLeafPages) - base; ++i) {
-        if (leaf.slots[i] != nullptr) {
+        if (leaf.slots[i] != nullptr && !keep(*leaf.slots[i])) {
           leaf.slots[i].reset();
           --leaf.resident;
           ++freed;

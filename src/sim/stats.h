@@ -59,6 +59,9 @@ struct SimStats {
   uint64_t rb_batch_flushes = 0;
   uint64_t rb_precall_coalesced = 0;
   uint64_t rb_migrations = 0;  // RB moves to fresh addresses (§4), all replicas.
+  // SysV frames still resident when the run ended (ShmRegistry::resident_pages(),
+  // set by the runner): the RB and its mirrors, plus the sync-agent log when it runs.
+  uint64_t shm_resident_pages = 0;
 
   // RB network transport (cross-machine replica sets). Cumulative over the whole
   // run — epoch bumps never reset them; rb_epochs below carries the breakdown.

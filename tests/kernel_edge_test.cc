@@ -71,9 +71,12 @@ TEST(KernelEdgeTest, FcntlNonblockToggle) {
   w.Run();
 }
 
-TEST(KernelEdgeTest, SendfileMovesFileToSocket) {
+// sendfile moves a file to a socket, which has no position, and into a regular
+// file at the output's file position, which it advances, as on Linux.
+TEST(KernelEdgeTest, SendfileToASocketOrAFile) {
   SimWorld w;
   w.fs.WriteWholeFile("/www/page.html", std::string(10000, 'x'));
+  w.fs.WriteWholeFile("/tmp/sf-src", "1234");
   Process* server = w.NewProcess("sf-server", -1, w.server_machine);
   Process* client = w.NewProcess("sf-client", -1, w.client_machine);
   uint64_t received = 0;
@@ -91,6 +94,24 @@ TEST(KernelEdgeTest, SendfileMovesFileToSocket) {
                                        0, 10000);
     EXPECT_EQ(sent, 10000);
     co_await g.Close(static_cast<int>(cfd));
+
+    int dst = static_cast<int>(co_await g.Open("/tmp/sf-dst", kO_CREAT | kO_RDWR));
+    int src = static_cast<int>(co_await g.Open("/tmp/sf-src", kO_RDONLY));
+    GuestAddr buf = g.Alloc(16);
+    g.Poke(buf, "xyz", 3);
+    EXPECT_EQ(co_await g.Write(dst, buf, 3), 3);
+    EXPECT_EQ(co_await g.Sendfile(dst, src, 0, 4), 4);
+    EXPECT_EQ(co_await g.Lseek(dst, 0, kSeekCur), 7);
+    EXPECT_EQ(co_await g.Lseek(src, 0, kSeekCur), 4);
+    // A file output that reaches the filesystem's size limit ends the call with
+    // what it wrote; it does not wait for room as a stream would.
+    constexpr int64_t kNearLimit = static_cast<int64_t>(Filesystem::kMaxFileBytes) - 2;
+    EXPECT_EQ(co_await g.Lseek(dst, kNearLimit, kSeekSet), kNearLimit);
+    EXPECT_EQ(co_await g.Lseek(src, 0, kSeekSet), 0);
+    EXPECT_EQ(co_await g.Sendfile(dst, src, 0, 4), 2);
+    EXPECT_EQ(co_await g.Lseek(src, 0, kSeekCur), 2);
+    EXPECT_EQ(co_await g.Sendfile(dst, src, 0, 2), -kEFBIG);
+    EXPECT_EQ(co_await g.Ftruncate(dst, 7), 0);  // Drops the 4 GiB tail again.
   });
   w.kernel.SpawnThread(client, [&](Guest& g) -> GuestTask<void> {
     int64_t s = co_await g.Socket(kAfInet, kSockStream);
@@ -110,6 +131,7 @@ TEST(KernelEdgeTest, SendfileMovesFileToSocket) {
   });
   w.Run();
   EXPECT_EQ(received, 10000u);
+  EXPECT_EQ(w.fs.ReadWholeFile("/tmp/sf-dst"), std::optional<std::string>("xyz1234"));
 }
 
 TEST(KernelEdgeTest, GetdentsPaginatesViaSyscall) {

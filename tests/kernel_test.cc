@@ -906,6 +906,136 @@ TEST(MemorySyscallTest, ShmctlRmidKeepsTheFramesUntilTheLastDetach) {
   w.Run();
 }
 
+// madvise(MADV_DONTNEED) frees a private mapping's frames, as on Linux: the pages
+// read as zeroes and leave the resident set; the pages outside the range keep
+// their bytes. The length rounds up to whole pages.
+TEST(MemorySyscallTest, MadviseDontneedZeroFillsAPrivateMapping) {
+  SimWorld w;
+  Process* p = w.NewProcess("madvise-private");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 4 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    for (uint64_t page = 0; page < 4; ++page) {
+      g.PokeU64(base + page * kPageSize + 16, 0x600 + page);
+    }
+    uint64_t touched = p->mem().mapped_bytes();
+    EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, base + kPageSize, 2 * kPageSize - 1,
+                                 kMadvDontneed),
+              0);
+    EXPECT_EQ(p->mem().mapped_bytes(), touched - 2 * kPageSize);
+    EXPECT_EQ(g.PeekU64(base + 16), 0x600u);
+    EXPECT_EQ(g.PeekU64(base + kPageSize + 16), 0u);
+    EXPECT_EQ(g.PeekU64(base + 2 * kPageSize + 16), 0u);
+    EXPECT_EQ(g.PeekU64(base + 3 * kPageSize + 16), 0x603u);
+    // A range with a hole in it is ENOMEM, and its mapped pages are freed all the same.
+    EXPECT_EQ(co_await g.Munmap(base + kPageSize, kPageSize), 0);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, base, 4 * kPageSize, kMadvDontneed), -kENOMEM);
+    EXPECT_EQ(g.PeekU64(base + 16), 0u);
+    EXPECT_EQ(g.PeekU64(base + 3 * kPageSize + 16), 0u);
+    EXPECT_EQ(p->mem().mapped_bytes(), touched - 4 * kPageSize);
+  });
+  w.Run();
+}
+
+// A MAP_SHARED mapping and a SysV attachment keep their bytes under
+// MADV_DONTNEED, as on Linux, where the page cache still holds them.
+TEST(MemorySyscallTest, MadviseDontneedKeepsASharedMappingsBytes) {
+  SimWorld w;
+  Process* p = w.NewProcess("madvise-shared");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr anon = static_cast<GuestAddr>(
+        co_await g.Mmap(0, kPageSize, kProtRead | kProtWrite, kMapShared | kMapAnonymous));
+    int64_t id = co_await g.Shmget(ShmRegistry::kIpcPrivate, kPageSize, kIpcCreat);
+    GuestAddr shm = static_cast<GuestAddr>(co_await g.Shmat(static_cast<int>(id)));
+    g.PokeU64(anon, 0xa5);
+    g.PokeU64(shm, 0x5a);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, anon, kPageSize, kMadvDontneed), 0);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, shm, kPageSize, kMadvDontneed), 0);
+    EXPECT_EQ(g.PeekU64(anon), 0xa5u);
+    EXPECT_EQ(g.PeekU64(shm), 0x5au);
+    EXPECT_EQ(w.shm.resident_pages(), 1u);
+  });
+  w.Run();
+}
+
+// Any other advice (MADV_NORMAL, MADV_WILLNEED, ...) changes nothing.
+TEST(MemorySyscallTest, MadviseOtherAdviceIsANoOp) {
+  SimWorld w;
+  Process* p = w.NewProcess("madvise-other");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base, 77);
+    uint64_t touched = p->mem().mapped_bytes();
+    for (uint64_t advice : {0u, 1u, 2u, 3u}) {
+      EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, base, kPageSize, advice), 0) << advice;
+    }
+    EXPECT_EQ(g.PeekU64(base), 77u);
+    EXPECT_EQ(p->mem().mapped_bytes(), touched);
+  });
+  w.Run();
+}
+
+TEST(MemorySyscallTest, MadviseOfAMisalignedStartIsEinval) {
+  SimWorld w;
+  Process* p = w.NewProcess("madvise-misaligned");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, 2 * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base + kPageSize, 88);
+    EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, base + 8, kPageSize, kMadvDontneed),
+              -kEINVAL);
+    EXPECT_EQ(g.PeekU64(base + kPageSize), 88u);
+  });
+  w.Run();
+}
+
+// A futex key is the word's frame, so a page a waiter is parked on keeps its frame
+// under MADV_DONTNEED and is zeroed in place: the waiter still wakes.
+TEST(MemorySyscallTest, MadviseDontneedKeepsAParkedWaitersFrame) {
+  SimWorld w;
+  Process* p = w.NewProcess("madvise-futex");
+  int64_t waited = -1;
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    g.PokeU64(base + 64, 0xdead);
+    uint64_t waiter = g.RegisterThreadFn([base, &waited](Guest& wg) -> GuestTask<void> {
+      waited = co_await wg.Futex(base, kFutexWait, 0);
+    });
+    co_await g.SpawnThread(waiter);
+    co_await g.Compute(Micros(100));  // The waiter parks.
+    EXPECT_EQ(co_await g.Syscall(Sys::kMadvise, base, kPageSize, kMadvDontneed), 0);
+    EXPECT_EQ(g.PeekU64(base + 64), 0u);
+    EXPECT_EQ(co_await g.Futex(base, kFutexWake, 1), 1);
+  });
+  w.Run();
+  EXPECT_EQ(waited, 0);
+}
+
+// ru_maxrss is a high-water mark, as on Linux: unmapping what was touched does
+// not lower it.
+TEST(MemorySyscallTest, GetrusageMaxrssIsAHighWaterMark) {
+  SimWorld w;
+  Process* p = w.NewProcess("maxrss");
+  w.kernel.SpawnThread(p, [&](Guest& g) -> GuestTask<void> {
+    constexpr uint64_t kPages = 8;
+    GuestAddr ru = g.Alloc(sizeof(GuestRusage));
+    uint64_t before = p->mem().mapped_bytes();
+    GuestAddr base = static_cast<GuestAddr>(
+        co_await g.Mmap(0, kPages * kPageSize, kProtRead | kProtWrite, kMapPrivate));
+    for (uint64_t page = 0; page < kPages; ++page) {
+      g.PokeU64(base + page * kPageSize, page);
+    }
+    EXPECT_EQ(co_await g.Munmap(base, kPages * kPageSize), 0);
+    EXPECT_EQ(co_await g.Syscall(Sys::kGetrusage, 0, ru), 0);
+    GuestRusage usage;
+    g.Peek(ru, &usage, sizeof(usage));
+    EXPECT_GE(static_cast<uint64_t>(usage.ru_maxrss) * 1024, before + kPages * kPageSize);
+  });
+  w.Run();
+}
+
 TEST(KernelTest, ShmSharedBetweenProcesses) {
   SimWorld w;
   Process* a = w.NewProcess("shm-a");

@@ -104,15 +104,73 @@ TEST_F(RbTest, ZeroClearsRange) {
   uint64_t off = master_view_.RankDataStart(2);
   master_view_.WriteU64(off, 0x1111111111111111ULL);
   master_view_.WriteU64(off + 4096, 0x2222222222222222ULL);
-  master_view_.Zero(off, 8192);
+  master_view_.Zero(w_.kernel.futex(), off, 8192);
   EXPECT_EQ(slave_view_.ReadU64(off), 0u);
   EXPECT_EQ(slave_view_.ReadU64(off + 4096), 0u);
 }
 
-// A reset scrubs a demand-paged segment without faulting it in: pages no
-// attacher touched (a mid-lap replacement's mirror holds only its used tail)
-// already read as zeroes, so Zero skips them.
-TEST(RbZeroTest, ZeroSkipsPagesNoAttacherTouched) {
+// A reset frees the pages wholly inside the rank's data area, but the edge page
+// it shares with the next rank's header and first entry only gets zeroes written
+// into rank 0's bytes: the neighbour's entry survives, and its frame is the same,
+// so a slave parked on the neighbour's state word is still woken.
+TEST_F(RbTest, ResetKeepsTheNeighboursEdgePageAndItsWaiter) {
+  FutexTable& futex = w_.kernel.futex();
+  const uint64_t r0 = master_view_.RankDataStart(0);
+  const uint64_t r0_end = master_view_.RankDataEnd(0);
+  const uint64_t r1 = master_view_.RankDataStart(1);
+  ASSERT_NE(r0_end % kPageSize, 0u);  // The sub-buffer ends inside a page...
+  ASSERT_EQ(PageAlignDown(r1), PageAlignDown(r0_end));  // ...that holds rank 1's entry.
+
+  RbEntryOps::CommitArgs(master_view_, r1, Sys::kRead, kRbFlagMaybeBlocking, 3, 128, {7, 7});
+  int woken = 0;
+  slave_view_.StateQueue(futex, r1).AddWaiter([&woken] { ++woken; });
+  uint64_t page_off = 0;
+  const Page* edge = slave_->mem().ResidentFrame(slave_view_.AddrOf(r1), &page_off);
+  ASSERT_NE(edge, nullptr);
+
+  master_view_.SetSignalsPending(true);  // The global header shares rank 0's head page.
+  master_view_.WriteU64(r0, 0x1111);
+  master_view_.WriteU64(r0 + 5 * kPageSize, 0x5555);
+  master_view_.WriteU64(r0_end - 8, 0xeeee);  // Rank 0's last bytes, on the edge page.
+  const FrameTable& table = *master_->mem().FindVma(master_view_.base())->table;
+  ASSERT_EQ(table.resident(), 3u);
+  master_view_.Zero(futex, r0, r0_end - r0);
+
+  // Only the interior page went; the head and edge pages stay resident.
+  EXPECT_EQ(table.resident(), 2u);
+  EXPECT_FALSE(master_->mem().PageMaterialized(master_view_.AddrOf(r0 + 5 * kPageSize)));
+  EXPECT_EQ(slave_view_.ReadU64(r0), 0u);
+  EXPECT_EQ(slave_view_.ReadU64(r0 + 5 * kPageSize), 0u);
+  EXPECT_EQ(slave_view_.ReadU64(r0_end - 8), 0u);
+  EXPECT_TRUE(slave_view_.SignalsPending());
+  RbEntryHeader h = RbEntryOps::ReadHeader(slave_view_, r1);
+  EXPECT_EQ(h.state, kRbArgsReady);
+  EXPECT_EQ(h.seq, 3u);
+  EXPECT_EQ(RbEntryOps::ReadSignature(slave_view_, r1), (std::vector<uint8_t>{7, 7}));
+  EXPECT_EQ(slave_->mem().ResidentFrame(slave_view_.AddrOf(r1), &page_off), edge);
+
+  RbEntryOps::CommitResults(master_view_, r1, 0, {});
+  master_view_.WakeState(futex, r1);
+  EXPECT_EQ(woken, 1);
+}
+
+// Freeing a frame a waiter is keyed on would strand the waiter: the reset asserts
+// that none is parked inside the range it frees.
+TEST_F(RbTest, ResetUnderAParkedWaiterIsACheckFailure) {
+  const uint64_t r2 = master_view_.RankDataStart(2);
+  const uint64_t entry = r2 + 3 * kPageSize;
+  RbEntryOps::CommitArgs(master_view_, entry, Sys::kRead, 0, 1, 64, {1});
+  slave_view_.StateQueue(w_.kernel.futex(), entry).AddWaiter([] {});
+  EXPECT_DEATH(master_view_.Zero(w_.kernel.futex(), r2,
+                                 master_view_.RankDataEnd(2) - r2),
+               "RB page freed under a futex waiter");
+}
+
+// A reset frees the pages of a demand-paged segment instead of writing zeroes into
+// them, and faults nothing in: pages no attacher touched (a mid-lap replacement's
+// mirror holds only its used tail) already read as zeroes, and the pages either
+// attacher wrote go back to being holes that both read as zeroes.
+TEST(RbZeroTest, ZeroFreesThePagesEitherAttacherTouched) {
   SimWorld w;
   Process* a = w.NewProcess("rb-a");
   Process* b = w.NewProcess("rb-b");
@@ -129,11 +187,13 @@ TEST(RbZeroTest, ZeroSkipsPagesNoAttacherTouched) {
   va.WriteU64(5 * kPageSize + 8, 0x5555);
   vb.WriteU64(9 * kPageSize, 0x9999);  // Resident through the other attacher only.
   ASSERT_EQ(w.shm.resident_pages(), 2u);
-  va.Zero(va.RankDataStart(0), va.RankDataEnd(0) - va.RankDataStart(0));
-  EXPECT_EQ(w.shm.resident_pages(), 2u);
+  va.Zero(w.kernel.futex(), va.RankDataStart(0), va.RankDataEnd(0) - va.RankDataStart(0));
+  EXPECT_EQ(w.shm.resident_pages(), 0u);
   EXPECT_EQ(vb.ReadU64(5 * kPageSize + 8), 0u);
   EXPECT_EQ(va.ReadU64(9 * kPageSize), 0u);
-  EXPECT_EQ(w.shm.resident_pages(), 2u);
+  EXPECT_EQ(va.ReadU64(5 * kPageSize + 8), 0u);
+  EXPECT_EQ(vb.ReadU64(9 * kPageSize), 0u);
+  EXPECT_EQ(w.shm.resident_pages(), 0u);  // Reading a hole faults nothing in.
 }
 
 // A publication nobody waits on allocates nothing, like a FUTEX_WAKE without a

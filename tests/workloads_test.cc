@@ -904,12 +904,27 @@ TEST(WorkloadTest, GetrandomReplicatedAcrossReplicas) {
 // threads and the open descriptors. A test can add its own per-slice bounds
 // (threads, VMAs).
 
-// Pages one rank can touch: its whole sub-buffer once it has published an entry,
-// else only the page(s) of its header.
-uint64_t RankPages(const RbView& rb, int rank, bool used) {
-  GuestAddr begin = PageAlignDown(rb.RankStart(rank));
-  GuestAddr end = used ? rb.RankDataEnd(rank) : rb.RankDataStart(rank);
-  return (PageAlignUp(end) - begin) / kPageSize;
+// Pages one rank of a replica set holds. A rank no replica has claimed an entry
+// on holds none: nothing writes its header. A used rank holds the pages from its
+// header to the furthest replica cursor of its current lap: a reset frees the
+// sub-buffer's interior pages (RbView::Zero), so a rank holds only what its
+// current lap wrote, and a slave waiting on an entry has claimed it, so the entry
+// lies below that slave's own cursor. It also holds the partial page its
+// sub-buffer shares with the next rank's header, which a reset zeroes in place.
+uint64_t RankPages(const Remon& set, int rank) {
+  const RbView& rb = set.ipmon(0)->rb();
+  uint64_t end = rb.RankDataStart(rank);
+  bool used = false;
+  for (size_t i = 0; i < set.replicas().size(); ++i) {
+    const IpMon* mon = set.ipmon(static_cast<int>(i));
+    end = std::max(end, mon->rb_cursor(rank));
+    used = used || mon->rb_seq(rank) > 0;
+  }
+  if (!used) {
+    return 0;
+  }
+  uint64_t edge = rb.RankDataEnd(rank) % kPageSize != 0 ? 1 : 0;
+  return (PageAlignUp(end) - PageAlignDown(rb.RankStart(rank))) / kPageSize + edge;
 }
 
 // Adds the frames the regular files under `dir` hold to *resident and the pages
@@ -932,9 +947,8 @@ class MemoryBudget {
   // also hold with none.
   static constexpr size_t kQueueSlack = 2;
 
-  // `masters` are the master IP-MONs of every replica set in the world.
-  MemoryBudget(SimWorld* w, std::vector<IpMon*> masters)
-      : w_(w), masters_(std::move(masters)) {}
+  // `sets` are every replica set in the world.
+  MemoryBudget(SimWorld* w, std::vector<const Remon*> sets) : w_(w), sets_(std::move(sets)) {}
 
   // Runs the world in 1 ms slices until `done` (or 2 s of virtual time), checking
   // the budget — and `also`, if given — after each slice.
@@ -943,14 +957,14 @@ class MemoryBudget {
     for (TimeNs t = Millis(1); !done() && t <= 2 * kSecond; t += Millis(1)) {
       w_->sim.Run(t);
       uint64_t resident_budget = 0;
-      for (const IpMon* m : masters_) {
-        if (!m->rb().valid()) {
+      for (const Remon* set : sets_) {
+        const RbView& rb = set->ipmon(0)->rb();
+        if (!rb.valid()) {
           continue;
         }
-        const RbView& rb = m->rb();
         resident_budget += 1;  // The global header.
         for (int r = 0; r < rb.max_ranks(); ++r) {
-          resident_budget += RankPages(rb, r, m->rb_seq(r) > 0);
+          resident_budget += RankPages(*set, r);
         }
       }
       size_t blocked = 0;
@@ -994,7 +1008,7 @@ class MemoryBudget {
 
  private:
   SimWorld* w_;
-  std::vector<IpMon*> masters_;
+  std::vector<const Remon*> sets_;
   size_t max_queues_ = 0;
   uint64_t max_file_frames_ = 0;
 };
@@ -1028,7 +1042,7 @@ TEST(MemoryBudgetTest, RedisReplicaSetLapsItsBufferWithinBudget) {
     client_done = true;
   });
 
-  MemoryBudget check(&w, {mvee.ipmon(0)});
+  MemoryBudget check(&w, {&mvee});
   check.Run([&client_done] { return client_done; });
   EXPECT_EQ(stats.completed, cs.total_requests);
   EXPECT_FALSE(mvee.divergence_detected());
@@ -1095,11 +1109,11 @@ TEST(MemoryBudgetTest, FourShardNginxFleetStaysWithinBudget) {
   // thread adds a stack.
   const size_t base_vmas = swarm_procs[0]->mem().Vmas().size();
 
-  std::vector<IpMon*> masters;
+  std::vector<const Remon*> sets;
   for (int s = 0; s < fleet.shard_count(0); ++s) {
-    masters.push_back(fleet.shard(0, s)->ipmon(0));
+    sets.push_back(fleet.shard(0, s));
   }
-  MemoryBudget check(&w, masters);
+  MemoryBudget check(&w, sets);
   // The server threads are a fixed pool, started before the first arrival (2 ms).
   size_t server_threads = 0;
   check.Run([&swarms_left] { return swarms_left == 0; },

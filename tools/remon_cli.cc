@@ -34,13 +34,16 @@ void PrintStats(const SimStats& stats) {
               static_cast<unsigned long long>(stats.syscalls_total),
               static_cast<unsigned long long>(stats.syscalls_monitored),
               static_cast<unsigned long long>(stats.syscalls_unmonitored));
+  // resident= is the SysV frames (the RB, the sync-agent log) held at the end of
+  // the run: a reset frees its sub-buffer's interior pages.
   std::printf("  ptrace stops=%llu | tokens issued=%llu revoked=%llu | rb entries=%llu "
-              "resets=%llu migrations=%llu\n",
+              "resets=%llu resident=%lluKiB migrations=%llu\n",
               static_cast<unsigned long long>(stats.ptrace_stops),
               static_cast<unsigned long long>(stats.tokens_issued),
               static_cast<unsigned long long>(stats.tokens_revoked),
               static_cast<unsigned long long>(stats.rb_entries),
               static_cast<unsigned long long>(stats.rb_resets),
+              static_cast<unsigned long long>(stats.shm_resident_pages * kPageSize / 1024),
               static_cast<unsigned long long>(stats.rb_migrations));
   if (stats.syscalls_monitored > 0) {
     // A stop that finds its monitor lane idle pays a waitpid wakeup; one queued
